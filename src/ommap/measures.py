@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import log_ndtr
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
@@ -162,7 +162,11 @@ class Density1D:
 
 @dataclass(frozen=True)
 class BallOpts:
-    """Knobs for ball-mass estimation."""
+    """Knobs for ball-mass estimation.
+
+    Monte Carlo masses draw one batch of n_samples // n_batches points at
+    a time, so their memory is O(n_samples / n_batches * dim).
+    """
 
     n_samples: int = 10 ** 6      # total MC draws, split across batches
     n_batches: int = 20
@@ -175,7 +179,11 @@ class BallOpts:
 
 @dataclass(frozen=True)
 class RatioOpts:
-    """Knobs for ratio curves and their extrapolation."""
+    """Knobs for ratio curves and their extrapolation.
+
+    Monte Carlo curves draw one batch of n_samples // n_batches points at
+    a time, so their memory is O(n_samples / n_batches * dim).
+    """
 
     n_samples: int = 10 ** 6
     n_batches: int = 20
@@ -262,9 +270,20 @@ def sample(measure, n: int, seed: int) -> np.ndarray:
 
 
 def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float) -> np.ndarray:
-    """Uniform draws in the unit p-ball of R^k."""
+    """Uniform draws in the unit p-ball of R^k.
+
+    Barthe, Guedon, Mendelson & Naor: with Y_i i.i.d. of density
+    proportional to exp(-|t|^p) and E ~ Exp(1), Y / (sum_i |Y_i|^p + E)^(1/p)
+    is uniform in the unit p-ball.  For p = 2, Y = g / sqrt(2) with g
+    standard normal, which gives g / sqrt(|g|^2 + 2E).
+    """
     if math.isinf(p):
         return rng.uniform(-1.0, 1.0, size=(n, k))
+    if p == 2.0:
+        g = rng.standard_normal((n, k))
+        e = rng.standard_exponential(n)
+        g /= np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * e)[:, None]
+        return g
     g = rng.gamma(1.0 / p, 1.0, size=(n, k))
     signs = np.where(rng.random(size=(n, k)) < 0.5, -1.0, 1.0)
     e = rng.standard_exponential(n)
@@ -294,26 +313,34 @@ def _log_euclid_volume(r: float, k: int) -> float:
 # product-measure geometry
 # ---------------------------------------------------------------------------
 
+def _check_space(measure, space: WeightedSeqSpace) -> None:
+    if space.dim != measure.dim:
+        raise InputError(f"norm dimension {space.dim} differs from measure "
+                         f"dimension {measure.dim}")
+
+
 class _ProductSetup:
     """Shared geometry for MC ball masses of one product measure.
 
     Works in the eigenbasis of the covariance.  Coordinates with zero
     variance are pinned to the mean; the remaining ones carry a product
-    density (Gaussian or Laplace).
+    density (Gaussian or Laplace).  Proposals are c + s * w * z with z
+    uniform in a unit ball: the ball of the space's own norm and weights
+    w when the basis is aligned with the coordinates, the Euclidean ball
+    with w = 1 otherwise.
     """
 
     def __init__(self, measure, space: WeightedSeqSpace):
+        _check_space(measure, space)
         if isinstance(measure, GaussianMeasure):
             self.kind = "gaussian"
             self.basis = measure.cov.basis
             self.mean_e = measure.cov.to_eigen(measure.mean)
-            self.var = measure.cov.eigenvalues
             self.zero = measure.cov.zero_mask(RANK_TOL)
         elif isinstance(measure, BesovMeasure):
             self.kind = "laplace"
             self.basis = None
             self.mean_e = np.zeros(measure.dim)
-            self.scale = measure.gamma
             self.zero = np.zeros(measure.dim, dtype=bool)
         else:
             raise InputError(f"not a product measure: {type(measure).__name__}")
@@ -321,16 +348,20 @@ class _ProductSetup:
         self.free = ~self.zero
         self.k_free = int(np.sum(self.free))
         self.aligned = self.basis is None
-
-    def log_density_free(self, pts: np.ndarray) -> np.ndarray:
-        """Log product density over the free coordinates; pts is (n, k_free)."""
+        self.m_free = self.mean_e[self.free]
+        if self.aligned:
+            self.w, self.draw_p = space.weights[self.free], space.p
+        else:
+            self.w, self.draw_p = np.ones(self.k_free), 2.0
+            self.basis_free = self.basis[:, self.free]
         if self.kind == "gaussian":
-            m = self.mean_e[self.free]
-            v = self.var[self.free]
-            z = (pts - m) ** 2 / v
-            return -0.5 * z.sum(axis=1) - 0.5 * float(np.sum(np.log(2.0 * math.pi * v)))
-        b = self.scale[self.free]
-        return -(np.abs(pts) / b).sum(axis=1) - float(np.sum(np.log(2.0 * b)))
+            self.v = measure.cov.eigenvalues[self.free]
+            self.log_norm = 0.5 * float(np.sum(np.log(2.0 * math.pi * self.v)))
+            self.quad_w = self.w * self.w / self.v
+        else:
+            self.b = measure.gamma
+            self.log_norm = float(np.sum(np.log(2.0 * self.b)))
+            self.abs_w = self.w / self.b
 
     def center_eigen(self, center: np.ndarray) -> np.ndarray:
         if self.basis is None:
@@ -338,13 +369,28 @@ class _ProductSetup:
         return self.basis.T @ center
 
 
+class _Draws:
+    """One batch of unit-ball draws z and the statistics all centers share.
+
+    These are (z*z) @ (w*w/v) for Gaussians, |z| for Laplace, and the
+    ambient directions z @ basis_free.T in a rotated basis.
+    """
+
+    def __init__(self, setup: _ProductSetup, z: np.ndarray):
+        self.z = z
+        if setup.kind == "gaussian":
+            self.q = (z * z) @ setup.quad_w
+        else:
+            self.absz = np.abs(z)
+        self.zb = None if setup.aligned else z @ setup.basis_free.T
+
+
 class _CenterPlan:
     """Per-center proposal plan: where to sample and with what volume."""
 
     def __init__(self, setup: _ProductSetup, center: np.ndarray):
         self.setup = setup
-        self.center = np.asarray(center, dtype=float)
-        c_e = setup.center_eigen(self.center)
+        c_e = setup.center_eigen(np.asarray(center, dtype=float))
         self.c_free = c_e[setup.free]
         sp = setup.space
         p = sp.p
@@ -352,18 +398,16 @@ class _CenterPlan:
             # fixed coordinates contribute offsets to the ball inequality
             off = np.abs(setup.mean_e[setup.zero] - c_e[setup.zero]) / sp.weights[setup.zero]
             if math.isinf(p):
-                self.fixed_ok = bool(np.all(off < 1.0e300))  # compared against r later
                 self.fixed_sup = float(np.max(off, initial=0.0))
             else:
                 self.fixed_pow = float(np.sum(off ** p))
-            self.w_free = sp.weights[setup.free]
         else:
             # rotated basis: keep the exact indicator, enlarge the proposal
             fix_full = np.zeros(len(setup.zero))
             fix_full[setup.zero] = setup.mean_e[setup.zero] - c_e[setup.zero]
             self.fix_vec = setup.basis @ fix_full  # ambient-coordinate offset
             self.fix_norm = weighted_norm(self.fix_vec, sp) if np.any(setup.zero) else 0.0
-            w_mat = (setup.basis[:, setup.free]) / sp.weights[:, None]
+            w_mat = setup.basis_free / sp.weights[:, None]
             smin = float(np.linalg.svd(w_mat, compute_uv=False)[-1])
             npts = len(setup.zero)
             if p >= 2:
@@ -372,6 +416,18 @@ class _CenterPlan:
                 self.gain = smin
             if self.gain <= 0:
                 raise InputError("degenerate geometry: cannot bound the ball section")
+        # log density at c + s*w*z, expanded in s: see log_density
+        d = self.c_free - setup.m_free
+        if setup.kind == "gaussian":
+            self.lin_w = d * setup.w / setup.v
+            self.log_d0 = -0.5 * float(np.sum(d * d / setup.v)) - setup.log_norm
+        else:
+            nz = d != 0.0
+            self.zero_w = np.where(nz, 0.0, setup.abs_w)
+            self.nz = np.flatnonzero(nz)
+            self.c_nz = d[nz] / setup.b[nz]
+            self.w_nz = setup.abs_w[nz]
+            self.log_d0 = -setup.log_norm
 
     def section_radius(self, r: float) -> Optional[float]:
         """Radius of the free-coordinate ball section (aligned case)."""
@@ -381,57 +437,81 @@ class _CenterPlan:
         rem = r ** p - self.fixed_pow
         return rem ** (1.0 / p) if rem > 0 else None
 
+    def proposal(self, r: float) -> tuple:
+        """Proposal scale s and log volume of {c + s*w*z} for radius r.
+
+        The log volume is -inf where the ball misses the section of the
+        support.
+        """
+        setup = self.setup
+        if setup.aligned:
+            r_sec = self.section_radius(r)
+            if r_sec is None:
+                return 0.0, -math.inf
+            return r_sec, _log_pball_volume(r_sec, setup.k_free, setup.space.p, setup.w)
+        rho = (r + self.fix_norm) / self.gain
+        return rho, _log_euclid_volume(rho, setup.k_free)
+
+    def log_density(self, draws: _Draws, scales: np.ndarray) -> np.ndarray:
+        """Free-coordinate log density at c + s*w*z, shape (len(scales), n).
+
+        With d = c - m, a Gaussian gives
+        -1/2 [|d|^2_v + 2s z.(d w / v) + s^2 (z*z).(w*w / v)] - log norm,
+        so each scale costs O(n) on top of one matvec per center.  Laplace
+        coordinates where c = 0 contribute s |z|.(w / b); only the
+        nonzero coordinates of c are evaluated at each scale.
+        """
+        s = np.asarray(scales, dtype=float)[:, None]
+        if self.setup.kind == "gaussian":
+            return self.log_d0 - s * (draws.z @ self.lin_w) - 0.5 * s * s * draws.q
+        ld = self.log_d0 - s * (draws.absz @ self.zero_w)
+        if self.nz.size:
+            z_nz = draws.z[:, self.nz] * self.w_nz
+            for i, si in enumerate(s[:, 0]):
+                ld[i] -= np.abs(self.c_nz + si * z_nz).sum(axis=1)
+        return ld
+
+
+def _log_mean_exp(x: np.ndarray) -> np.ndarray:
+    """Row-wise log of the mean of exp(x); -inf for rows that are all -inf."""
+    top = np.max(x, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return top[:, 0] + np.log(np.mean(np.exp(x - top), axis=1))
+
 
 def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
                      space: WeightedSeqSpace, n_samples: int, n_batches: int,
                      rng: np.random.Generator, closed: bool = False) -> np.ndarray:
-    """Batch-mean ball masses with common random numbers.
+    """Per-batch log ball masses with common random numbers.
 
-    Returns an array of shape (n_centers, n_radii, n_batches) of
-    unbiased per-batch estimates of mu(B_r(c)).  The same underlying
-    unit-ball draws are reused for every center and radius.
+    Returns an array of shape (n_centers, n_radii, n_batches): the log
+    of an unbiased per-batch estimate of mu(B_r(c)), -inf where the
+    batch finds no mass.  Batches are drawn from ``rng`` one at a time
+    and every center and radius is evaluated on the same draws before
+    the next batch, so memory is O(n_samples / n_batches * dim).
     """
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, _as_vector(c, space.dim)) for c in centers]
     per_batch = max(1, n_samples // n_batches)
-    out = np.zeros((len(plans), len(radii), n_batches))
+    radii = np.asarray(radii, dtype=float)
+    props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
-
-    if setup.aligned:
-        z = _uniform_pball(rng, n_batches * per_batch, setup.k_free, space.p)
-        z = z.reshape(n_batches, per_batch, setup.k_free)
-        for ci, plan in enumerate(plans):
-            for ri, r in enumerate(radii):
-                r_sec = plan.section_radius(float(r))
-                if r_sec is None:
-                    continue
-                logv = _log_pball_volume(r_sec, setup.k_free, space.p, plan.w_free)
-                for b in range(n_batches):
-                    pts = plan.c_free + r_sec * plan.w_free * z[b]
-                    vals = np.exp(setup.log_density_free(pts) + logv)
-                    out[ci, ri, b] = float(np.mean(vals))
-    else:
-        z = _uniform_pball(rng, n_batches * per_batch, setup.k_free, 2.0)
-        z = z.reshape(n_batches, per_batch, setup.k_free)
-        basis_free = setup.basis[:, setup.free]
-        for ci, plan in enumerate(plans):
-            for ri, r in enumerate(radii):
-                rho = (float(r) + plan.fix_norm) / plan.gain
-                logv = _log_euclid_volume(rho, setup.k_free)
-                for b in range(n_batches):
-                    pts = plan.c_free + rho * z[b]
-                    # reconstruct ambient points including pinned coordinates
-                    amb = pts @ basis_free.T
-                    if np.any(setup.zero):
-                        amb = amb + setup.basis[:, setup.zero] @ setup.mean_e[setup.zero]
-                    diff = np.abs(amb - plan.center) / space.weights
+    out = np.empty((len(plans), len(radii), n_batches))
+    for b in range(n_batches):
+        draws = _Draws(setup, _uniform_pball(rng, per_batch, setup.k_free, setup.draw_p))
+        for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
+            ld = plan.log_density(draws, scales)
+            if draws.zb is not None:
+                for ri, (r, rho) in enumerate(zip(radii, scales)):
+                    diff = np.abs(rho * draws.zb + plan.fix_vec) / space.weights
                     if math.isinf(space.p):
                         norms = diff.max(axis=1)
                     else:
                         norms = (diff ** space.p).sum(axis=1) ** (1.0 / space.p)
-                    ind = cmp(norms, float(r))
-                    vals = np.exp(setup.log_density_free(pts) + logv) * ind
-                    out[ci, ri, b] = float(np.mean(vals))
+                    ld[ri, ~cmp(norms, r)] = -np.inf
+            out[ci, :, b] = _log_mean_exp(ld) + logv
+        del draws  # free this batch before the next one is drawn
     return out
 
 
@@ -439,51 +519,59 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
 # exact ball masses for product measures
 # ---------------------------------------------------------------------------
 
-def _gauss_interval_mass(a: float, b: float, m: float, var: float, closed: bool) -> float:
-    if var > 0:
-        s = math.sqrt(var)
-        return float(ndtr((b - m) / s) - ndtr((a - m) / s))
-    inside = (a <= m <= b) if closed else (a < m < b)
-    return 1.0 if inside else 0.0
+def _factorises(measure, space: WeightedSeqSpace) -> bool:
+    """Whether ball masses factor over coordinates.
 
-
-def _laplace_cdf(x: float, scale: float) -> float:
-    if x < 0:
-        return 0.5 * math.exp(x / scale)
-    return 1.0 - 0.5 * math.exp(-x / scale)
-
-
-def _product_exact_mass(measure, center: np.ndarray, radius: float,
-                        space: WeightedSeqSpace, closed: bool) -> Optional[float]:
-    """Exact mass when per-coordinate factorisation applies, else None.
-
-    Factorisation needs a coordinate-aligned covariance and either a
+    That needs a coordinate-aligned product measure and either a
     weighted sup-norm ball or a one-dimensional space.
     """
     if isinstance(measure, GaussianMeasure):
-        if measure.cov.basis is not None and measure.dim > 1:
-            return None
-        mean = measure.mean if measure.cov.basis is None else measure.cov.to_eigen(measure.mean)
-        var = measure.cov.eigenvalues
-        kind = "gaussian"
-    elif isinstance(measure, BesovMeasure):
-        mean, var, kind = np.zeros(measure.dim), None, "laplace"
+        aligned = measure.cov.basis is None or measure.dim == 1
     else:
+        aligned = isinstance(measure, BesovMeasure)
+    return aligned and (math.isinf(space.p) or space.dim == 1)
+
+
+def _gauss_log_sf(x: np.ndarray) -> np.ndarray:
+    """log P(X > x) for the standard normal distribution."""
+    return log_ndtr(-x)
+
+
+def _laplace_log_sf(x: np.ndarray) -> np.ndarray:
+    """log P(X > x) for the unit Laplace distribution."""
+    return np.where(x >= 0, math.log(0.5) - x,
+                    np.log1p(-0.5 * np.exp(np.minimum(x, 0.0))))
+
+
+def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
+                            space: WeightedSeqSpace, closed: bool) -> Optional[float]:
+    """Exact log mass when per-coordinate factorisation applies, else None.
+
+    The log mass is the sum of the coordinates' log interval masses.  The
+    coordinate densities are symmetric, so each interval is reflected to
+    lie on the upper side of its center of symmetry and its mass taken as
+    a difference of survival functions, sf(a) - sf(b), computed from
+    their logs; a far interval then neither cancels nor underflows.
+    """
+    if not _factorises(measure, space):
         return None
-    if not (math.isinf(space.p) or space.dim == 1):
-        return None
-    total = 1.0
-    for k in range(space.dim):
-        half = radius * space.weights[k]
-        a, b = center[k] - half, center[k] + half
-        if kind == "gaussian":
-            total *= _gauss_interval_mass(a, b, mean[k], var[k], closed)
-        else:
-            sc = measure.gamma[k]
-            total *= _laplace_cdf(b, sc) - _laplace_cdf(a, sc)
-        if total == 0.0:
-            return 0.0
-    return total
+    if isinstance(measure, GaussianMeasure):
+        c, mean = measure.cov.to_eigen(center), measure.cov.to_eigen(measure.mean)
+        sd, log_sf = np.sqrt(measure.cov.eigenvalues), _gauss_log_sf
+    else:
+        c, mean, sd, log_sf = center, np.zeros(measure.dim), measure.gamma, _laplace_log_sf
+    half = radius * space.weights
+    pinned = sd == 0.0
+    inside = np.less_equal if closed else np.less
+    if not np.all(inside(np.abs(c - mean)[pinned], half[pinned])):
+        return -math.inf
+    free = ~pinned
+    lo = (c - half - mean)[free] / sd[free]
+    hi = (c + half - mean)[free] / sd[free]
+    below = lo + hi < 0
+    lo, hi = np.where(below, -hi, lo), np.where(below, -lo, hi)
+    ls_lo = log_sf(lo)
+    return float(np.sum(ls_lo + np.log(-np.expm1(log_sf(hi) - ls_lo))))
 
 
 def default_space(measure) -> WeightedSeqSpace:
@@ -518,19 +606,17 @@ def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMa
         raise InputError("ball radius must be positive")
     opts = opts or BallOpts()
     space = space or default_space(measure)
-    if space.dim != measure.dim:
-        raise InputError(f"norm dimension {space.dim} differs from measure "
-                         f"dimension {measure.dim}")
+    _check_space(measure, space)
     center = _as_vector(center, space.dim)
     if opts.method in ("auto", "exact"):
-        exact = _product_exact_mass(measure, center, radius, space, opts.closed)
-        if exact is not None:
-            return BallMass(exact, 0.0, "closed-form")
+        log_exact = _product_exact_log_mass(measure, center, radius, space, opts.closed)
+        if log_exact is not None:
+            return BallMass(math.exp(log_exact), 0.0, "closed-form")
         if opts.method == "exact":
             raise InputError("no exact ball mass for this measure/norm combination")
     rng = child_rng(opts.seed, "ball-mass")
-    batches = _mc_mass_batches(measure, [center], np.array([radius]), space,
-                               opts.n_samples, opts.n_batches, rng, opts.closed)[0, 0]
+    batches = np.exp(_mc_mass_batches(measure, [center], np.array([radius]), space,
+                                      opts.n_samples, opts.n_batches, rng, opts.closed)[0, 0])
     est = float(np.mean(batches))
     se = float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
     low = est == 0.0 or se > opts.max_rel_err * max(est, 1e-300)
@@ -605,21 +691,36 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts, rng) -> dict:
 
 def _measure_has_exact(measure, space: WeightedSeqSpace) -> bool:
     if isinstance(measure, (GaussianMeasure, BesovMeasure)):
-        probe = _product_exact_mass(measure, np.zeros(space.dim), 1.0, space, False)
-        return probe is not None
+        return _factorises(measure, space)
     if isinstance(measure, Density1D):
         return True
     # registered example measures provide closed forms via ball_mass
     return ball_mass.dispatch(type(measure)) is not ball_mass.dispatch(object)
 
 
+def _exact_log_masses(measure, center, radii: np.ndarray, space: WeightedSeqSpace,
+                      opts: RatioOpts) -> np.ndarray:
+    """log mu(B_r(center)) for each radius, from closed forms or quadrature."""
+    if isinstance(measure, (GaussianMeasure, BesovMeasure)):
+        _check_space(measure, space)
+        c = _as_vector(center, space.dim)
+        return np.array([_product_exact_log_mass(measure, c, float(r), space, opts.closed)
+                         for r in radii])
+    bopts = BallOpts(closed=opts.closed, seed=opts.seed)
+    masses = [ball_mass(measure, center, float(r), space, bopts).estimate for r in radii]
+    with np.errstate(divide="ignore"):
+        return np.log(masses)
+
+
 def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] = None,
                      opts: Optional[RatioOpts] = None) -> BallRatioEstimate:
     """Curve r -> mu(B_r(x1)) / mu(B_r(x2)) and its extrapolated limit.
 
-    Product measures without a closed form are handled by
-    common-random-number Monte Carlo: the same proposal draws enter the
-    numerator and the denominator, so the curve for x1 == x2 is exactly 1.
+    Masses are carried as logs and ratios formed from log differences,
+    so they neither underflow nor overflow at high dimension.  Product
+    measures without a closed form are handled by common-random-number
+    Monte Carlo: the same proposal draws enter the numerator and the
+    denominator, so the curve for x1 == x2 is exactly 1.
     """
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)
@@ -627,28 +728,17 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
         raise InputError("radii must be positive and strictly decreasing")
     space = space or default_space(measure)
     rng = child_rng(opts.seed, "ratio-curve")
-    diagnostic = None
 
     if _measure_has_exact(measure, space):
-        bopts = BallOpts(closed=opts.closed, seed=opts.seed)
-        m1 = np.array([ball_mass(measure, x1, float(r), space, bopts).estimate for r in radii])
-        m2 = np.array([ball_mass(measure, x2, float(r), space, bopts).estimate for r in radii])
+        log1, log2 = (_exact_log_masses(measure, x, radii, space, opts) for x in (x1, x2))
+        ses = np.zeros(len(radii))
         method = "closed-form"
-        if np.any(m2 <= 0):
-            diagnostic = "x2 outside support"
-        ratios = np.divide(m1, m2, out=np.full_like(m1, np.nan), where=m2 > 0)
-        ses = np.zeros_like(ratios)
     else:
-        batches = _mc_mass_batches(measure, [x1, x2], radii, space,
-                                   opts.n_samples, opts.n_batches, rng, opts.closed)
-        num, den = batches[0], batches[1]
-        den_tot = den.sum(axis=1)
-        if np.any(den_tot <= 0):
-            diagnostic = "x2 outside support"
-        ratios = np.divide(num.sum(axis=1), den_tot,
-                           out=np.full(len(radii), np.nan), where=den_tot > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rb = np.where(den > 0, num / den, np.nan)
+        logm = _mc_mass_batches(measure, [x1, x2], radii, space,
+                                opts.n_samples, opts.n_batches, rng, opts.closed)
+        log1, log2 = _log_mean_exp(logm[0]), _log_mean_exp(logm[1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            rb = np.where(np.isneginf(logm[1]), np.nan, np.exp(logm[0] - logm[1]))
         ses = np.array([
             float(np.nanstd(rb[i], ddof=1) / math.sqrt(np.sum(np.isfinite(rb[i]))))
             if np.sum(np.isfinite(rb[i])) > 1 else 0.0
@@ -656,6 +746,10 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
         ])
         ses = np.nan_to_num(ses)
         method = "monte-carlo"
+    outside = np.isneginf(log2)
+    diagnostic = "x2 outside support" if np.any(outside) else None
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratios = np.where(outside, np.nan, np.exp(log1 - log2))
 
     fit = _fit_limit(radii, ratios, ses, opts, rng)
     return BallRatioEstimate(

@@ -1,17 +1,21 @@
 """Measures, sampling, ball masses, and ratio curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.stats import chi2
+from scipy.special import ndtr
+from scipy.stats import chi2, kstest
 
 from ommap import (BallOpts, BesovMeasure, Density1D, GaussianMeasure, InputError,
                    ParameterError, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights, gaussian_om,
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    radius_schedule, sample)
+from ommap.measures import _CenterPlan, _Draws, _ProductSetup, _uniform_pball
 
 
 def std_gaussian(k):
@@ -107,6 +111,14 @@ class TestBallMass:
         got = ball_mass(mu, np.zeros(2), 0.5, sp).estimate
         per = [1.0 - math.exp(-0.5 / g) for g in mu.gamma]
         assert got == pytest.approx(per[0] * per[1], abs=1e-14)
+
+    def test_one_dimensional_basis_sign(self):
+        # a 1-d eigenbasis of -1 maps the center and the mean alike
+        mu = GaussianMeasure(np.array([1.0]),
+                             SpectralOperator(np.array([1.0]), np.array([[-1.0]])))
+        expected = ndtr(0.01) - ndtr(-0.01)
+        got = ball_mass(mu, np.array([1.0]), 0.01).estimate
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_radius(self):
         mu = std_gaussian(2)
@@ -204,6 +216,99 @@ class TestRatioCurve:
                                RatioOpts(n_samples=40_000, seed=11))
         half = 0.5 * (cur.ci[1] - cur.ci[0])
         assert abs(cur.extrapolated_limit - expected) < max(3 * cur.se_limit, half) + 1e-4
+
+
+    def test_besov_dim100_small_radii_no_underflow(self):
+        # the masses themselves underflow (log mass ~ -1000 at the smallest
+        # radius), but their ratio tends to exp(-I(x1)) with I(x) = sum |x_k|/gamma_k
+        mu = BesovMeasure(0.9, 1, 1.0, 100)
+        x1 = np.zeros(100)
+        x1[[0, 2, 3]] = np.array([0.3, -0.25, 0.15]) * mu.gamma[[0, 2, 3]]
+        sp = WeightedSeqSpace.unweighted(2.0, 100)
+        cur = ball_ratio_curve(mu, x1, np.zeros(100), radius_schedule(0.2, 10), sp,
+                               RatioOpts(n_samples=100_000, n_batches=20, seed=13))
+        assert cur.method == "monte-carlo"
+        assert np.all(np.isfinite(cur.ratios))
+        assert cur.diagnostic is None
+        assert cur.extrapolated_limit == pytest.approx(math.exp(-0.7), rel=0.05)
+
+    def test_sup_norm_200d_exact_limit(self):
+        # each coordinate's interval mass is ~3e-4 at the smallest radius,
+        # so the 200-d product is far below the smallest double
+        x1 = np.where(np.arange(200) % 2 == 0, 1.0, -1.0) * math.sqrt(0.00125)
+        sp = WeightedSeqSpace(math.inf, np.ones(200))
+        cur = ball_ratio_curve(std_gaussian(200), x1, np.zeros(200),
+                               radius_schedule(0.2, 10), sp)
+        assert cur.method == "closed-form"
+        assert cur.diagnostic is None
+        assert cur.extrapolated_limit == pytest.approx(math.exp(-0.125), abs=1e-3)
+
+    def test_bounded_memory(self):
+        # drawing all 2e5 x 100 points up front would take 160 MB
+        mu = BesovMeasure(1.0, 1, 1.0, 100)
+        sp = WeightedSeqSpace.unweighted(2.0, 100)
+        x1 = np.zeros(100)
+        x1[0] = 0.5
+        tracemalloc.start()
+        try:
+            ball_ratio_curve(mu, x1, np.zeros(100), radius_schedule(0.2, 4), sp,
+                             RatioOpts(n_samples=200_000, n_batches=20, seed=14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6  # six arrays of one 1e4 x 100 batch
+
+
+def _direct_log_density(kind, pts, mean, spread):
+    """Product log density of free coordinates, evaluated term by term."""
+    if kind == "gaussian":
+        return (-0.5 * np.sum((pts - mean) ** 2 / spread, axis=1)
+                - 0.5 * np.sum(np.log(2.0 * math.pi * spread)))
+    return -np.sum(np.abs(pts) / spread, axis=1) - np.sum(np.log(2.0 * spread))
+
+
+class TestMcKernel:
+    @given(st.sampled_from(["aligned", "rotated", "besov"]),
+           st.integers(min_value=2, max_value=6),
+           st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_expanded_log_density_matches_direct(self, kind, k, p, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 2.0, k)
+        sp = WeightedSeqSpace(p, weights)
+        center = rng.normal(0.0, 1.0, k)
+        if kind == "besov":
+            mu = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, k)
+            center[rng.random(k) < 0.5] = 0.0
+            c_free, m_free, spread, w = center, np.zeros(k), mu.gamma, weights
+        else:
+            eig = rng.uniform(0.3, 3.0, k)
+            basis = None
+            if kind == "rotated":
+                basis = np.linalg.qr(rng.normal(size=(k, k)))[0]
+                eig[0] = 0.0  # pinned coordinate
+            mu = GaussianMeasure(rng.normal(0.0, 1.0, k), SpectralOperator(eig, basis))
+            free = eig > 0
+            c_e, m_e = mu.cov.to_eigen(center), mu.cov.to_eigen(mu.mean)
+            c_free, m_free, spread = c_e[free], m_e[free], eig[free]
+            w = weights[free] if basis is None else np.ones(int(free.sum()))
+        setup = _ProductSetup(mu, sp)
+        plan = _CenterPlan(setup, center)
+        z = _uniform_pball(rng, 50, len(c_free), setup.draw_p)
+        scales = np.array([0.0, 1e-3, 0.1, 1.7])
+        got = plan.log_density(_Draws(setup, z), scales)
+        for s, row in zip(scales, got):
+            want = _direct_log_density(setup.kind, c_free + s * w * z, m_free, spread)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_l2_sampler_uniform(self, k):
+        z = _uniform_pball(np.random.default_rng(15), 20_000, k, 2.0)
+        norms = np.linalg.norm(z, axis=1)
+        assert np.all(norms < 1.0)
+        # the radius of a uniform point in the unit k-ball has P(|z| < t) = t^k
+        assert kstest(norms ** k, "uniform").pvalue > 1e-3
 
 
 class TestOpenVsClosed:
