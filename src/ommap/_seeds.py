@@ -2,7 +2,7 @@
 
 All randomness in the package flows from a single root seed.  Child
 streams are derived from (root, *key) tuples, so results do not depend
-on execution order or on the number of worker threads.
+on execution order.
 """
 
 from __future__ import annotations

@@ -18,10 +18,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -72,14 +70,6 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerows(rows)
 
 
-def map_indexed(fn, items, threads: int):
-    """Apply fn over items on a bounded pool; merge by index."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _radii_from(cfg: dict) -> np.ndarray:
     if "radii" in cfg:
         return np.asarray(cfg["radii"], dtype=float)
@@ -116,7 +106,7 @@ def _observation_from(cfg: dict) -> LinearObservation:
 # kind runners: each returns (results dict, {csv name: (header, rows)})
 # ---------------------------------------------------------------------------
 
-def _run_ball_ratio(cfg, seed, threads):
+def _run_ball_ratio(cfg, seed):
     measure = measure_from_json(cfg["measure"])
     radii = _radii_from(cfg)
     space = _norm_from(cfg, len(cfg["x1"]))
@@ -128,7 +118,7 @@ def _run_ball_ratio(cfg, seed, threads):
     return curve.to_dict(), {"ratio_curve": (["radius", "ratio", "stderr"], rows)}
 
 
-def _run_classify_mode(cfg, seed, threads):
+def _run_classify_mode(cfg, seed):
     measure = measure_from_json(cfg["measure"])
     radii = _radii_from(cfg)
     space = _norm_from(cfg, len(cfg["candidate"]))
@@ -148,7 +138,7 @@ def _run_classify_mode(cfg, seed, threads):
         "strong_ratio_curve": (["radius", "candidate_mass_over_sup_mass", "stderr"], rows)}
 
 
-def _run_m_property(cfg, seed, threads):
+def _run_m_property(cfg, seed):
     measure = measure_from_json(cfg["measure"])
     radii = _radii_from(cfg)
     pts = [np.asarray(x, dtype=float) for x in cfg["outside_points"]]
@@ -198,11 +188,11 @@ def _build_family(cfg, indices):
     return besov_om_family(members, limit, indices), members, limit
 
 
-def _run_gamma_check(cfg, seed, threads):
+def _run_gamma_check(cfg, seed):
     indices = cfg.get("indices", list(range(1, 33)))
     seq, members, limit = _build_family(cfg, indices)
     liminf_points = [np.asarray(x, dtype=float) for x in cfg.get("liminf_points", [])]
-    liminf = map_indexed(lambda x: gamma_liminf_probe(seq, x), liminf_points, threads)
+    liminf = [gamma_liminf_probe(seq, x) for x in liminf_points]
 
     gaps = []
     for x in (np.asarray(v, dtype=float) for v in cfg.get("recovery_points", [])):
@@ -241,7 +231,7 @@ def _run_gamma_check(cfg, seed, threads):
     return report.to_dict(), {"gamma_summary": (["probe", "verdict", "detail"], rows)}
 
 
-def _run_map_solve(cfg, seed, threads):
+def _run_map_solve(cfg, seed):
     prior = measure_from_json(cfg["prior"])
     obs = _observation_from(cfg["observation"])
     solver = cfg.get("solver", {})
@@ -256,7 +246,7 @@ def _run_map_solve(cfg, seed, threads):
     return {"map": sol.to_dict()}, {"map_solution": (header, [row])}
 
 
-def _run_perturbation(cfg, seed, threads):
+def _run_perturbation(cfg, seed):
     prior = measure_from_json(cfg["prior"])
     obs = _observation_from(cfg["observation"])
     kind = cfg["perturb"]
@@ -282,7 +272,7 @@ def _run_perturbation(cfg, seed, threads):
     return report.to_dict(), {"perturbation_trajectory": (header, rows)}
 
 
-def _run_small_noise(cfg, seed, threads):
+def _run_small_noise(cfg, seed):
     prior = measure_from_json(cfg["prior"])
     obs = _observation_from(cfg["observation"])
     report = small_noise_experiment(prior, obs, cfg["n_list"])
@@ -292,7 +282,7 @@ def _run_small_noise(cfg, seed, threads):
     return report.to_dict(), {"small_noise_trajectory": (header, rows)}
 
 
-def _run_counterexample(cfg, seed, threads):
+def _run_counterexample(cfg, seed):
     name = cfg["name"]
     params = cfg.get("params", {})
     if name == "kl_gaussians":
@@ -427,9 +417,6 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None,
                     help="root seed; overrides the config seed")
     ap.add_argument("--out", type=str, default="ommap-out", help="output directory")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("OMMAP_THREADS", "1")),
-                    help="worker threads (results are thread-count independent)")
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute an experiment config")
     run.add_argument("config", type=str)
@@ -462,7 +449,7 @@ def main(argv=None) -> int:
         if cfg.get("output"):
             out = out / cfg["output"]
             out.mkdir(parents=True, exist_ok=True)
-        results, tables = _RUNNERS[cfg["kind"]](cfg, seed, max(1, args.threads))
+        results, tables = _RUNNERS[cfg["kind"]](cfg, seed)
         payload = {"kind": cfg["kind"], "seed": seed, "results": results}
         _write_json(out / "results.json", payload)
         for name, (header, rows) in tables.items():

@@ -117,22 +117,27 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     Adversarial paths head along coordinate axes and toward the limit
     anchor (the low-value direction) at the unscaled 1/n rate, which is
     the schedule that exposes moving-bump constructions.
+
+    Returns the path names, their unit directions ``(paths, dim)`` and
+    their magnitudes over the trailing window ``(window members, paths)``:
+    the j-th window member's point on path p is x + mags[j, p] * dirs[p].
     """
     rng = child_rng(opts.seed, "liminf-paths")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim = x.size
     n_arr = np.asarray(seq.indices, dtype=float)
     n_last = float(seq.indices[-1])
-    paths = []
+    start = int(len(n_arr) * (1.0 - opts.window_frac))
+    names, dirs, mags = [], [], []
 
     def make(name, direction, c, alpha):
         d = np.asarray(direction, dtype=float)
         nrm = np.linalg.norm(d)
         if nrm == 0:
             return
-        d = d / nrm
-        pts = x[None, :] + (c * n_arr ** (-alpha))[:, None] * d[None, :]
-        paths.append((name, pts))
+        names.append(name)
+        dirs.append(d / nrm)
+        mags.append((c * n_arr ** (-alpha))[start:])
 
     for j in range(opts.n_random):
         alpha = opts.alphas[j % len(opts.alphas)]
@@ -146,11 +151,13 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     anchor = np.atleast_1d(seq.limit.anchor)
     if anchor.size == dim:
         make("toward-anchor", anchor - x, 1.0, 1.0)
-    paths.append(("constant", np.tile(x, (len(n_arr), 1))))
-    return paths
+    names.append("constant")
+    dirs.append(np.zeros(dim))
+    mags.append(np.zeros(len(n_arr) - start))
+    return names, np.array(dirs), np.column_stack(mags)
 
 
-def gamma_liminf_probe(seq: FunctionalSequence, x, paths=None,
+def gamma_liminf_probe(seq: FunctionalSequence, x,
                        opts: Optional[LiminfOpts] = None) -> LiminfReport:
     """Search for sequences x_n -> x with liminf F_n(x_n) < F(x).
 
@@ -159,7 +166,8 @@ def gamma_liminf_probe(seq: FunctionalSequence, x, paths=None,
     estimates the liminf along each path instead: the deficit
     F(x) - F_n(x_n) over the trailing index window is extrapolated
     linearly to zero path distance, and a positive intercept beyond the
-    tolerance is a violation, recorded with its witness point.
+    tolerance is a violation, recorded with its witness point.  Each
+    window member is evaluated once, on the points of all paths.
     """
     opts = opts or LiminfOpts()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -167,36 +175,41 @@ def gamma_liminf_probe(seq: FunctionalSequence, x, paths=None,
     if math.isinf(target):
         return LiminfReport(x, 0, [], "skipped",
                             note="limit value is +inf; a finite probe cannot certify it")
-    if paths is None:
-        paths = default_paths(seq, x, opts)
-    start = int(len(seq.indices) * (1.0 - opts.window_frac))
+    names, dirs, mags = default_paths(seq, x, opts)
+    start = len(seq.indices) - len(mags)
+    window = seq.members[start:]
     inv_n = 1.0 / np.asarray(seq.indices, dtype=float)[start:]
-    at_x = np.array([seq.members[i].eval(x) for i in range(start, len(seq.members))])
+    at_x = np.array([f.eval(x) for f in window])
     pointwise_ok = bool(np.all(np.isfinite(at_x)))
     if pointwise_ok:
         # persistent part of the pointwise gap F(x) - F_n(x), shared by all paths
         m_pointwise = _extrapolated_intercept(inv_n, target - at_x)
+    vals = np.empty_like(mags)
+    dists = np.empty_like(mags)
+    for j, f in enumerate(window):
+        pts = x + mags[j][:, None] * dirs
+        vals[j] = f.values(pts)
+        dists[j] = np.linalg.norm(pts - x, axis=1)
     violations = []
-    for name, pts in paths:
-        vals = np.array([seq.members[i].eval(pts[i]) for i in range(start, len(seq.members))])
-        finite = np.isfinite(vals)
+    for p, name in enumerate(names):
+        finite = np.isfinite(vals[:, p])
         if not np.any(finite):
             continue  # path escapes every domain: liminf is +inf
-        dists = np.linalg.norm(pts[start:] - x, axis=1)[finite]
+        path_vals, path_dists = vals[finite, p], dists[finite, p]
         if pointwise_ok:
             # same-member deficits isolate the moving-path effect from
             # the family's own (1/n) convergence drift
-            margin = m_pointwise + _extrapolated_intercept(dists, (at_x - vals)[finite])
-            deficits = at_x[finite] - vals[finite]
+            deficits = at_x[finite] - path_vals
+            margin = m_pointwise + _extrapolated_intercept(path_dists, deficits)
         else:
-            deficits = target - vals[finite]
-            margin = _extrapolated_intercept(dists, deficits)
+            deficits = target - path_vals
+            margin = _extrapolated_intercept(path_dists, deficits)
         if margin > opts.tol:
-            at_rel = int(np.argmax(deficits))
-            at = start + np.flatnonzero(finite)[at_rel]
-            violations.append(LiminfViolation(name, margin, seq.indices[at], pts[at]))
+            at = np.flatnonzero(finite)[int(np.argmax(deficits))]
+            violations.append(LiminfViolation(name, margin, seq.indices[start + at],
+                                              x + mags[at, p] * dirs[p]))
     verdict = "fail" if violations else "pass"
-    return LiminfReport(x, len(paths), violations, verdict)
+    return LiminfReport(x, len(names), violations, verdict)
 
 
 def _extrapolated_intercept(dists: np.ndarray, deficits: np.ndarray) -> float:

@@ -408,7 +408,8 @@ class _CenterPlan:
             self.fix_vec = setup.basis @ fix_full  # ambient-coordinate offset
             self.fix_norm = weighted_norm(self.fix_vec, sp) if np.any(setup.zero) else 0.0
             w_mat = setup.basis_free / sp.weights[:, None]
-            smin = float(np.linalg.svd(w_mat, compute_uv=False)[-1])
+            # with no free coordinate the ball section is a point: any gain will do
+            smin = float(np.linalg.svd(w_mat, compute_uv=False)[-1]) if setup.k_free else 1.0
             npts = len(setup.zero)
             if p >= 2:
                 self.gain = smin * npts ** (1.0 / p - 0.5)
@@ -519,6 +520,12 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
 # exact ball masses for product measures
 # ---------------------------------------------------------------------------
 
+def _point_mass(measure) -> bool:
+    """Whether the measure is a Gaussian with no free coordinate, i.e. a
+    point mass at its mean."""
+    return isinstance(measure, GaussianMeasure) and bool(np.all(measure.cov.zero_mask(RANK_TOL)))
+
+
 def _factorises(measure, space: WeightedSeqSpace) -> bool:
     """Whether ball masses factor over coordinates.
 
@@ -545,14 +552,20 @@ def _laplace_log_sf(x: np.ndarray) -> np.ndarray:
 
 def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
                             space: WeightedSeqSpace, closed: bool) -> Optional[float]:
-    """Exact log mass when per-coordinate factorisation applies, else None.
+    """Exact log mass of a point mass, or when per-coordinate
+    factorisation applies; else None.
 
-    The log mass is the sum of the coordinates' log interval masses.  The
-    coordinate densities are symmetric, so each interval is reflected to
-    lie on the upper side of its center of symmetry and its mass taken as
-    a difference of survival functions, sf(a) - sf(b), computed from
-    their logs; a far interval then neither cancels nor underflows.
+    A factorising log mass is the sum of the coordinates' log interval
+    masses.  The coordinate densities are symmetric, so each interval is
+    reflected to lie on the upper side of its center of symmetry and its
+    mass taken as a difference of survival functions, sf(a) - sf(b),
+    computed from their logs; a far interval then neither cancels nor
+    underflows.
     """
+    inside = np.less_equal if closed else np.less
+    if _point_mass(measure):
+        # the ball holds all of the mass or none of it, in any norm
+        return 0.0 if inside(weighted_norm(center - measure.mean, space), radius) else -math.inf
     if not _factorises(measure, space):
         return None
     if isinstance(measure, GaussianMeasure):
@@ -562,7 +575,6 @@ def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
         c, mean, sd, log_sf = center, np.zeros(measure.dim), measure.gamma, _laplace_log_sf
     half = radius * space.weights
     pinned = sd == 0.0
-    inside = np.less_equal if closed else np.less
     if not np.all(inside(np.abs(c - mean)[pinned], half[pinned])):
         return -math.inf
     free = ~pinned
@@ -691,7 +703,7 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts, rng) -> dict:
 
 def _measure_has_exact(measure, space: WeightedSeqSpace) -> bool:
     if isinstance(measure, (GaussianMeasure, BesovMeasure)):
-        return _factorises(measure, space)
+        return _point_mass(measure) or _factorises(measure, space)
     if isinstance(measure, Density1D):
         return True
     # registered example measures provide closed forms via ball_mass

@@ -24,8 +24,7 @@ from scipy.optimize import minimize
 from .errors import InputError
 from .measures import (BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
                        RatioOpts, BallOpts, ball_mass, ball_ratio_curve, default_space)
-from .spaces import RANK_TOL, WeightedSeqSpace, _as_vector, in_range_sqrt, \
-    sqrt_pinv_apply, weighted_norm
+from .spaces import RANGE_ATOL, RANK_TOL, WeightedSeqSpace, _as_vector
 
 
 @dataclass
@@ -34,16 +33,17 @@ class OmFunctional:
 
     ``eval`` returns +inf exactly where ``domain_test`` fails.  The
     anchor is a reference point with finite value (the minimiser for the
-    measures constructed here).  ``smooth_part``/``nonsmooth_part``, when
-    set, split ``eval`` for composite optimisation.
+    measures constructed here).  ``values`` evaluates the rows of an
+    ``(n, k)`` array: through ``kernel`` when the constructor supplies a
+    vectorised one (then ``eval`` is its one-row case), else by a loop
+    over ``eval``.
     """
 
     eval: Callable[[np.ndarray], float]
     domain_test: Callable[[np.ndarray], bool]
     anchor: np.ndarray
-    smooth_part: Optional[Callable] = None
-    nonsmooth_part: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
+    kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.anchor = np.atleast_1d(np.asarray(self.anchor, dtype=float))
@@ -53,28 +53,64 @@ class OmFunctional:
     def __call__(self, u) -> float:
         return self.eval(u)
 
+    def values(self, pts) -> np.ndarray:
+        """Functional values at the rows of an ``(n, k)`` array."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.anchor.size:
+            raise InputError(f"expected an (n, {self.anchor.size}) array of points, "
+                             f"got shape {pts.shape}")
+        if self.kernel is not None:
+            return self.kernel(pts)
+        return np.array([self.eval(u) for u in pts], dtype=float)
+
+
+def _row_functional(kernel, domain_row, dim: int, anchor, meta: dict) -> OmFunctional:
+    """Functional whose scalar ``eval`` and ``domain_test`` are the one-row
+    cases of a row kernel and a row-wise domain mask."""
+
+    def value(u) -> float:
+        return float(kernel(_as_vector(u, dim)[None, :])[0])
+
+    def inside(u) -> bool:
+        return bool(domain_row(_as_vector(u, dim)[None, :])[0])
+
+    return OmFunctional(eval=value, domain_test=inside, anchor=anchor, meta=meta,
+                        kernel=kernel)
+
 
 def gaussian_om(mu: GaussianMeasure, rank_tol: float = RANK_TOL) -> OmFunctional:
     """Half the squared Cameron-Martin norm of u - mean.
 
     Finite exactly on mean + range(cov^(1/2)); the mean is the anchor
-    and unique minimiser.
+    and unique minimiser.  In eigen coordinates c of u - mean the value
+    is 1/2 sum_free (c_k / sqrt(lam_k))^2, and a point is off the domain
+    when its components along zero eigenvalues exceed the
+    ``in_range_sqrt`` tolerance.
     """
-    cov, mean = mu.cov, mu.mean
+    mean, basis = mu.mean, mu.cov.basis
+    zero = mu.cov.zero_mask(rank_tol)
+    free = ~zero
+    inv_sqrt = 1.0 / np.sqrt(mu.cov.eigenvalues[free])
 
-    def inside(u) -> bool:
-        return in_range_sqrt(cov, _as_vector(u, mu.dim) - mean, rank_tol)
+    def coords(pts: np.ndarray) -> np.ndarray:
+        d = pts - mean
+        return d if basis is None else d @ basis
 
-    def value(u) -> float:
-        v = _as_vector(u, mu.dim) - mean
-        if not in_range_sqrt(cov, v, rank_tol):
-            return math.inf
-        w = sqrt_pinv_apply(cov, v, rank_tol)
-        return 0.5 * float(w @ w)
+    def in_range(c: np.ndarray) -> np.ndarray:
+        if not np.any(zero):
+            return np.ones(len(c), dtype=bool)
+        scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
+        return np.max(np.abs(c[:, zero]), axis=1) <= RANGE_ATOL * scale
 
-    return OmFunctional(eval=value, domain_test=inside, anchor=mean,
-                        smooth_part=value,
-                        meta={"kind": "gaussian", "norm": "ambient-l2"})
+    def kernel(pts: np.ndarray) -> np.ndarray:
+        c = coords(pts)
+        w = c[:, free] * inv_sqrt
+        out = 0.5 * np.einsum("ij,ij->i", w, w)
+        out[~in_range(c)] = math.inf
+        return out
+
+    return _row_functional(kernel, lambda pts: in_range(coords(pts)), mu.dim, mean,
+                           {"kind": "gaussian", "norm": "ambient-l2"})
 
 
 def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float:
@@ -97,16 +133,15 @@ def besov_om(mu: BesovMeasure) -> OmFunctional:
     passes at finite dimension; the +inf branch of the untruncated
     functional is represented by the analytic tail bound in ``meta``.
     """
-    space = mu.coefficient_space()
+    inv_gamma = 1.0 / mu.gamma
 
-    def value(u) -> float:
-        return weighted_norm(u, space)
+    def kernel(pts: np.ndarray) -> np.ndarray:
+        return np.abs(pts) @ inv_gamma
 
-    return OmFunctional(
-        eval=value, domain_test=lambda u: True, anchor=np.zeros(mu.dim),
-        nonsmooth_part=value,
-        meta={"kind": "besov1", "norm": "l1-gamma",
-              "tail_bound": lambda coef_bound, decay: besov_tail_bound(mu, coef_bound, decay)},
+    return _row_functional(
+        kernel, lambda pts: np.ones(len(pts), dtype=bool), mu.dim, np.zeros(mu.dim),
+        {"kind": "besov1", "norm": "l1-gamma",
+         "tail_bound": lambda coef_bound, decay: besov_tail_bound(mu, coef_bound, decay)},
     )
 
 
@@ -130,23 +165,17 @@ def density_om(measure: Density1D, anchor: float) -> OmFunctional:
 def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:
     """Add a real-valued potential to a prior functional.
 
-    The domain is unchanged; the potential joins the smooth part.
-    ``phi`` may be a bare callable or carry an ``eval`` attribute.
+    The domain is unchanged.  ``phi`` may be a bare callable or carry an
+    ``eval`` attribute.
     """
     phi_eval = getattr(phi, "eval", phi)
-    prior_smooth = prior_om.smooth_part
 
     def value(u) -> float:
         base = prior_om.eval(u)
         return base if math.isinf(base) else base + float(phi_eval(u))
 
-    def smooth(u) -> float:
-        s = prior_smooth(u) if prior_smooth is not None else 0.0
-        return s + float(phi_eval(u))
-
     return OmFunctional(eval=value, domain_test=prior_om.domain_test,
-                        anchor=prior_om.anchor, smooth_part=smooth,
-                        nonsmooth_part=prior_om.nonsmooth_part,
+                        anchor=prior_om.anchor,
                         meta={**prior_om.meta, "reweighted": True})
 
 

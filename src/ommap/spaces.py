@@ -20,6 +20,10 @@ from .errors import InputError, ParameterError
 #: An eigenvalue counts as zero iff lam_k <= RANK_TOL * max_j lam_j.
 RANK_TOL = 1e-12
 
+#: v lies in range(op^(1/2)) iff its kernel components stay below
+#: RANGE_ATOL * max(1, |v|).
+RANGE_ATOL = 1e-10
+
 #: Tolerance for the orthonormality check of explicit bases.
 ORTHO_TOL = 1e-10
 
@@ -166,9 +170,6 @@ class SpectralOperator:
             return np.ones(self.dim, dtype=bool)
         return self.eigenvalues <= rank_tol * top
 
-    def max_eigenvalue(self) -> float:
-        return float(np.max(self.eigenvalues))
-
 
 def pinv_apply(op: SpectralOperator, y, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse applied to ``y``.
@@ -195,7 +196,7 @@ def sqrt_pinv_apply(op: SpectralOperator, v, rank_tol: float = RANK_TOL) -> np.n
 
 
 def in_range_sqrt(op: SpectralOperator, v, rank_tol: float = RANK_TOL,
-                  atol: float = 1e-10) -> bool:
+                  atol: float = RANGE_ATOL) -> bool:
     """Range-membership test for the operator square root.
 
     ``v`` lies in range(op^(1/2)) iff its components along the kernel

@@ -10,11 +10,11 @@ from ommap.cli import main, validate_config
 from ommap.errors import ConfigError
 
 
-def run_cli(tmp_path, cfg, name="cfg.json", extra=()):
+def run_cli(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    return main([*extra, "--out", str(out), "run", str(path)]), out
+    return main(["--out", str(out), "run", str(path)]), out
 
 
 class TestValidation:
@@ -93,21 +93,6 @@ class TestRun:
         code, out2 = run_cli(tmp_path, cfg, name="b.json")
         assert code == 0
         assert (out2 / "results.json").read_bytes() == first
-
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg = {"kind": "gamma_check", "seed": 3,
-               "family": {"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0, "dim": 10,
-                          "s_amplitude": 1.0, "alternating": True},
-               "indices": list(range(2, 12)),
-               "liminf_points": [[0.0] * 10],
-               "recovery_points": [[1.0] + [0.0] * 9],
-               "t_values": [1.0], "sublevel_samples": 200}
-        _, out1 = run_cli(tmp_path, cfg, name="t1.json")
-        one = (out1 / "results.json").read_bytes()
-        (out1 / "results.json").unlink()
-        code, out2 = run_cli(tmp_path, cfg, name="t4.json", extra=["--threads", "4"])
-        assert code == 0
-        assert (out2 / "results.json").read_bytes() == one
 
     def test_gamma_check_summary(self, tmp_path):
         cfg = {"kind": "gamma_check", "seed": 0,

@@ -1,6 +1,7 @@
 """Variational-convergence probes on families with known behaviour."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ommap import (BesovMeasure, ContinuousConvOpts, FunctionalSequence,
                    gaussian_om, gaussian_om_family, gaussian_recovery_sequence,
                    mode_convergence_check, project, sum_rule_check)
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
+from ommap.gamma import default_paths
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -22,6 +24,18 @@ def gaussian_family_scale(n_members=24, factor=1.0):
                                SpectralOperator(base.eigenvalues * (1 + factor / n) ** 2))
                for n in range(1, n_members + 1)]
     return gaussian_om_family(members, limit)
+
+
+def assert_witnesses_on_paths(seq, x, rep):
+    """Each witness is its path's point at the reported index: x plus the
+    path magnitude at that index times the unit direction."""
+    names, dirs, mags = default_paths(seq, x, LiminfOpts())
+    start = len(seq.indices) - len(mags)
+    for v in rep.violations:
+        p = names.index(v.path_name)
+        j = seq.indices.index(v.at_index) - start
+        assert j >= 0
+        np.testing.assert_array_equal(v.witness_point, x + mags[j, p] * dirs[p])
 
 
 class TestLiminfProbe:
@@ -52,6 +66,10 @@ class TestLiminfProbe:
         # bump exceeds its value at 0 by the factor 1 + 4 e^(-1/2)
         assert anchor_viol[0].margin == pytest.approx(
             math.log(1.0 + 4.0 * math.exp(-0.5)), abs=0.05)
+        assert_witnesses_on_paths(seq, np.array([0.0]), rep)
+        # the anchor path is x_n = 1/n: its witness sits at 1/at_index
+        assert anchor_viol[0].witness_point[0] == pytest.approx(1.0 / anchor_viol[0].at_index,
+                                                                rel=1e-15)
 
     def test_infinite_target_skipped(self):
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
@@ -70,6 +88,30 @@ class TestLiminfProbe:
         rep = gamma_liminf_probe(seq, np.array([0.0]))
         assert rep.verdict == "fail"
         assert max(v.margin for v in rep.violations) == pytest.approx(1.0, abs=1e-12)
+        assert_witnesses_on_paths(seq, np.array([0.0]), rep)
+        # only paths from below the jump undershoot, and their witnesses are < 0
+        assert all(v.witness_point[0] < 0 for v in rep.violations)
+        axis = {v.path_name: v for v in rep.violations if v.path_name.startswith("axis")}
+        assert set(axis) == {"axis-0"}
+        assert axis["axis-0"].witness_point[0] == pytest.approx(-1.0 / axis["axis-0"].at_index,
+                                                                rel=1e-15)
+
+    def test_besov_probe_memory_flat(self):
+        # one member's points at a time: (paths x dim), not (members x paths x dim)
+        idx = list(range(2, 401))
+        limit = BesovMeasure(1.0, 1, 1.0, 50)
+        members = [BesovMeasure(1.0 + (-1.0) ** n * 0.3 / n, 1, 1.0, 50) for n in idx]
+        seq = besov_om_family(members, limit, idx)
+        x = 0.5 * limit.gamma * np.random.default_rng(0).laplace(size=50)
+        tracemalloc.start()
+        try:
+            rep = gamma_liminf_probe(seq, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "pass"
+        assert rep.n_paths == 64 + 2 * 50 + 2
+        assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestGaussianRecovery:

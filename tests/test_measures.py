@@ -158,6 +158,26 @@ class TestBallMass:
                        BallOpts(n_samples=10_000, seed=6))
         assert bm.estimate == 0.0
 
+    def test_rotated_point_mass_is_exact(self):
+        # no free coordinate: all mass sits at the mean, in any norm
+        mu = GaussianMeasure(np.zeros(2),
+                             SpectralOperator(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
+        sp = WeightedSeqSpace.unweighted(2.0, 2)
+        at_mean = ball_mass(mu, np.zeros(2), 0.1, sp)
+        assert (at_mean.estimate, at_mean.stderr, at_mean.method) == (1.0, 0.0, "closed-form")
+        # |(0.06, 0.06)|_2 = 0.085 < 0.1 < |(0.08, 0.08)|_2 = 0.113; a
+        # sup-norm test would put both inside
+        inside = ball_mass(mu, np.array([0.06, 0.06]), 0.1, sp)
+        outside = ball_mass(mu, np.array([0.08, 0.08]), 0.1, sp)
+        assert (inside.estimate, inside.stderr) == (1.0, 0.0)
+        assert (outside.estimate, outside.stderr) == (0.0, 0.0)
+        mc = ball_mass(mu, np.array([0.06, 0.06]), 0.1, sp,
+                       BallOpts(method="mc", n_samples=1000))
+        assert (mc.estimate, mc.stderr) == (1.0, 0.0)
+        curve = ball_ratio_curve(mu, np.array([0.0, 0.03]), np.zeros(2),
+                                 np.array([0.1, 0.05]), sp)
+        np.testing.assert_array_equal(curve.ratios, [1.0, 1.0])
+
     def test_besov_coordinate_density_normalised(self):
         mu = BesovMeasure(1.2, 1, 0.7, 3)
         for g in mu.gamma:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ommap import (BesovMeasure, ClassifyOpts, GaussianMeasure, InputError,
+from ommap import (BesovMeasure, ClassifyOpts, Density1D, GaussianMeasure, InputError,
                    LiminfOnlyMeasure, OmFunctional, OmNotStrongMeasure, ProbeOpts,
                    RatioOpts, SpectralOperator, WeightedSeqSpace, besov_om,
-                   classify_mode, density_om, gaussian_om, m_property_probe,
-                   om_difference_check, posterior_om, radius_schedule)
+                   classify_mode, density_om, gaussian_om, in_range_sqrt,
+                   m_property_probe, om_difference_check, posterior_om,
+                   radius_schedule, sqrt_pinv_apply, weighted_norm)
 from ommap.counterexamples import _spike_density1d
 
 
@@ -79,6 +80,75 @@ class TestBesovFunctional:
         assert partial <= bound
         assert math.isinf(besov_om(mu).meta["tail_bound"](1.0, 0.2))
         del fn_bound
+
+
+def _reference_gaussian_om(mu, u) -> float:
+    """One-point Cameron-Martin value from the spectral primitives."""
+    v = u - mu.mean
+    if not in_range_sqrt(mu.cov, v):
+        return math.inf
+    w = sqrt_pinv_apply(mu.cov, v)
+    return 0.5 * float(w @ w)
+
+
+class TestBatchValues:
+    @given(st.integers(min_value=1, max_value=6), st.booleans(),
+           st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_matches_reference(self, k, rotated, n_zero, seed):
+        rng = np.random.default_rng(seed)
+        eig = rng.uniform(0.3, 3.0, k)
+        eig[:min(n_zero, k)] = 0.0
+        basis = np.linalg.qr(rng.normal(size=(k, k)))[0] if rotated else None
+        mu = GaussianMeasure(rng.normal(size=k), SpectralOperator(eig, basis))
+        # rows in the Cameron-Martin range, then rows pushed off it along
+        # the kernel directions (none when the covariance has full rank)
+        inside = mu.mean + np.array([mu.cov.sqrt_apply(rng.normal(size=k)) for _ in range(7)])
+        kernel = np.zeros(k)
+        kernel[eig == 0.0] = rng.uniform(0.5, 2.0, int(np.sum(eig == 0.0)))
+        off = inside[:3] + (kernel if basis is None else basis @ kernel)
+        pts = np.vstack([inside, mu.mean, off]) if np.any(kernel) else \
+            np.vstack([inside, mu.mean])
+        fn = gaussian_om(mu)
+        got = fn.values(pts)
+        want = np.array([_reference_gaussian_om(mu, u) for u in pts])
+        assert np.all(np.isfinite(got[:8]))
+        assert np.all(np.isinf(got[8:]))
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got[:8], want[:8], rtol=1e-12, atol=0)
+        # the scalar eval is the one-row case of the same kernel; summation
+        # order may differ with the row count, so only to rounding
+        np.testing.assert_allclose([fn.eval(u) for u in pts], got, rtol=1e-12, atol=0)
+
+    @given(st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_besov_matches_reference(self, k, seed):
+        rng = np.random.default_rng(seed)
+        mu = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, k)
+        pts = rng.laplace(scale=mu.gamma, size=(9, k))
+        pts[0] = 0.0
+        fn = besov_om(mu)
+        want = [weighted_norm(u, mu.coefficient_space()) for u in pts]
+        np.testing.assert_allclose(fn.values(pts), want, rtol=1e-12, atol=0)
+
+    def test_loop_fallback_matches_eval(self):
+        box = Density1D(pdf=lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0, support=((0.0, 1.0),))
+        fn = density_om(box, anchor=0.5)
+        assert fn.kernel is None
+        pts = np.array([[0.2], [0.9], [1.5], [-0.1]])
+        np.testing.assert_array_equal(fn.values(pts), [0.0, 0.0, math.inf, math.inf])
+        spike = density_om(_spike_density1d(5), anchor=0.2)
+        pts = np.linspace(-2.0, 2.0, 11)[:, None]
+        np.testing.assert_array_equal(spike.values(pts), [spike.eval(u) for u in pts])
+
+    def test_shape_guard(self):
+        fn = gaussian_om(std_gaussian(3))
+        assert fn.values(np.zeros((0, 3))).shape == (0,)
+        for bad in (np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(InputError):
+                fn.values(bad)
 
 
 class TestPosteriorFunctional:
