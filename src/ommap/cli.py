@@ -6,10 +6,9 @@ the schema, and ``reproduce <figure_id>`` emits plot-ready density
 grids for the standard example figures.
 
 Results are written as results.json plus one CSV per table.  Identical
-config and seed give byte-identical results.json; the thread count
-changes wall time only.  Exit codes: 0 for a completed run (verdicts
-live in the report), 2 for a configuration/schema violation, 3 for
-numerical blow-up.
+config and seed give byte-identical results.json.  Exit codes: 0 for a
+completed run (verdicts live in the report), 2 for a configuration/schema
+violation, 3 for numerical blow-up.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,7 @@ from .spaces import SpectralOperator
 
 
 def _schema() -> dict:
-    here = Path(__file__).resolve()
-    for cand in [here.parent / "schema.json",
-                 here.parents[2] / "docs" / "schema.json",
-                 here.parents[3] / "docs" / "schema.json"]:
-        if cand.exists():
-            return json.loads(cand.read_text())
-    raise ConfigError("schema.json not found next to the package or in docs/")
+    return json.loads((resources.files("ommap") / "schema.json").read_text())
 
 
 def validate_config(cfg: dict) -> None:
@@ -368,7 +362,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # r = 2 is the figure's own geometry
             cols = {f"t={t}": cx.MixtureFamily(t, r).density(xs) for t in ts}
-        rows = [[float(x)] + [float(cols[c][i]) for c in cols] for i, x in enumerate(xs)]
+        rows = np.column_stack([xs, *cols.values()]).tolist()
         _write_csv(out / "fig1a_density_grid.csv", ["x"] + list(cols), rows)
         return {"figure": figure_id, "r": r, "t_values": ts,
                 "files": ["fig1a_density_grid.csv"]}
@@ -377,7 +371,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
         xs = np.linspace(-1.0, 4.0, 2001)
         cols = {f"n={'inf' if n == math.inf else int(n)}": cx.SpikeFamily(n).density(xs)
                 for n in ns}
-        rows = [[float(x)] + [float(cols[c][i]) for c in cols] for i, x in enumerate(xs)]
+        rows = np.column_stack([xs, *cols.values()]).tolist()
         _write_csv(out / "fig1b_density_grid.csv", ["x"] + list(cols), rows)
         return {"figure": figure_id, "n_values": ["1", "2", "10", "100", "inf"],
                 "files": ["fig1b_density_grid.csv"]}
@@ -396,7 +390,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
         m = cx.OmNotStrongMeasure(levels=6)
         xs = np.linspace(0.5, 5.5, 4001)
         xs = xs[np.abs(xs - np.round(xs)) > 1e-6]  # avoid the singular points
-        rows = [(float(x), float(m.density(x))) for x in xs]
+        rows = np.column_stack([xs, m.density(xs)]).tolist()
         _write_csv(out / "figB3_density_grid.csv", ["x", "density"], rows)
         marks = [(k, float(k), float(k - 0.5 / k ** 4), float(k + 0.5 / k ** 4))
                  for k in range(1, 6)]

@@ -424,8 +424,9 @@ class OmNotStrongMeasure:
         if radius <= 0:
             raise InputError("ball radius must be positive")
         lo, hi = center - radius, center + radius
-        k_lo = max(1, int(math.floor(lo - 0.5)))
-        k_hi = min(self.levels, int(math.ceil(hi + 0.5)))
+        # component k lies in [k - 1/2, k + 1/2], so the others add exactly 0.0
+        k_lo = max(1, int(math.ceil(lo - 0.5)))
+        k_hi = min(self.levels, int(math.floor(hi + 0.5)))
         raw = sum(self.component_mass(k, lo, hi) for k in range(k_lo, k_hi + 1))
         return self.norm_constant * raw
 
@@ -434,8 +435,10 @@ class OmNotStrongMeasure:
         out = np.zeros_like(x)
         for k in range(1, self.levels + 1):
             t = x - k
+            # float_power takes libm's pow on arrays as on scalars (the SIMD
+            # ``**`` can differ by an ulp, which the - 2 amplifies near |t| = 1/4)
             spike = np.where((np.abs(t) <= 0.25) & (t != 0),
-                             0.25 * (np.abs(t) ** -0.5 - 2.0), 0.0) / k ** 2
+                             0.25 * (np.float_power(np.abs(t), -0.5) - 2.0), 0.0) / k ** 2
             plateau = np.where(np.abs(t) <= 0.5 / k ** 4, float(k ** 2), 0.0)
             out += spike + plateau
         return self.norm_constant * out

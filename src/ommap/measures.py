@@ -66,35 +66,36 @@ class BesovMeasure:
     dim: int
 
     def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
+        if int(self.d) != self.d:
             raise ParameterError("spatial dimension d must be a positive integer")
-        if not (self.eta > 0):
-            raise ParameterError("tail parameter eta must be positive")
-        if not (self.s / self.d + 0.5 > 0):
-            raise ParameterError("need s/d + 1/2 > 0 so that tau > 0")
+        self._weights  # besov_weights checks d >= 1, eta > 0 and tau > 0
         if self.dim < 1:
             raise ParameterError("truncation dimension must be >= 1")
+
+    @cached_property
+    def _weights(self):
+        return besov_weights(self.s, self.d, self.eta, self.dim)
 
     @property
     def z1(self) -> float:
         """Normalisation of the unit-scale coordinate density."""
         return BESOV_Z1
 
-    @cached_property
+    @property
     def tau(self) -> float:
-        return 1.0 / (self.s / self.d + 0.5)
+        return self._weights[0]
 
-    @cached_property
+    @property
     def t(self) -> float:
-        return self.s - self.d * (1.0 + self.eta)
+        return self._weights[1]
 
-    @cached_property
+    @property
     def gamma(self) -> np.ndarray:
-        return besov_weights(self.s, self.d, self.eta, self.dim)[2]
+        return self._weights[2]
 
-    @cached_property
+    @property
     def delta(self) -> np.ndarray:
-        return besov_weights(self.s, self.d, self.eta, self.dim)[3]
+        return self._weights[3]
 
     def coefficient_space(self) -> WeightedSeqSpace:
         """The l^1_gamma space where the measure's functional is finite."""

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import math
+import warnings
 from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
 
-from ommap.cli import main, validate_config
+import ommap
+from ommap import MixtureFamily, OmNotStrongMeasure, SpikeFamily
+from ommap.cli import _schema, main, validate_config
 from ommap.errors import ConfigError
 
 
@@ -41,10 +47,11 @@ class TestValidation:
         notjson.write_text("{")
         assert main(["validate", str(notjson)]) == 2
 
-    def test_schema_copies_in_sync(self):
-        pkg = Path(__file__).resolve().parents[1] / "src" / "ommap" / "schema.json"
-        docs = Path(__file__).resolve().parents[1] / "docs" / "schema.json"
-        assert json.loads(pkg.read_text()) == json.loads(docs.read_text())
+    def test_schema_is_the_packaged_file(self):
+        packaged = Path(ommap.__file__).resolve().parent / "schema.json"
+        schema = _schema()
+        assert schema == json.loads(packaged.read_text())
+        jsonschema.Draft202012Validator.check_schema(schema)
 
 
 class TestRun:
@@ -201,3 +208,41 @@ class TestReproduce:
         main(["--out", str(out), "reproduce", "fig1b"])
         header = (out / "fig1b_density_grid.csv").read_text().splitlines()[0]
         assert header.split(",") == ["x", "n=1", "n=2", "n=10", "n=100", "n=inf"]
+
+    def test_figB3_grid_matches_scalar_density(self, tmp_path):
+        out = tmp_path / "f"
+        main(["--out", str(out), "reproduce", "figB3"])
+        with (out / "figB3_density_grid.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        xs = np.linspace(0.5, 5.5, 4001)
+        xs = xs[np.abs(xs - np.round(xs)) > 1e-6]
+        assert len(rows) == 3996
+        assert [float(r[0]) for r in rows] == xs.tolist()
+        m = OmNotStrongMeasure(levels=6)
+        for x, (_, d) in zip(xs, rows):
+            scalar = float(m.density(x))
+            assert abs(float(d) - scalar) <= 4 * np.spacing(scalar)
+
+    @pytest.mark.parametrize("fig", ["fig1a", "fig1b"])
+    def test_density_grid_bytes(self, tmp_path, fig):
+        if fig == "fig1a":
+            xs = np.linspace(-6.0, 6.0, 1201)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cols = [MixtureFamily(t, 2.0).density(xs)
+                        for t in [-0.2, -0.05, 0.0, 0.05, 0.2]]
+            header = ["x", "t=-0.2", "t=-0.05", "t=0.0", "t=0.05", "t=0.2"]
+        else:
+            xs = np.linspace(-1.0, 4.0, 2001)
+            cols = [SpikeFamily(n).density(xs) for n in [1, 2, 10, 100, math.inf]]
+            header = ["x", "n=1", "n=2", "n=10", "n=100", "n=inf"]
+        rows = [[float(x)] + [float(c[i]) for c in cols] for i, x in enumerate(xs)]
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        out = tmp_path / "f"
+        main(["--out", str(out), "reproduce", fig])
+        got = (out / f"{fig}_density_grid.csv").read_bytes()
+        assert got == expected.read_bytes()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ommap import (CrossesMeasure, GaussianPair1D, InputError, LiminfOnlyMeasure,
@@ -225,6 +226,25 @@ class TestOmNotStrong:
         k, r = 3, 1e-5  # r below both 1/4 and 1/(2 k^4)
         expected = (math.sqrt(r) - r) / k ** 2 + 2 * r * k ** 2
         assert m.mass(float(k), r) == pytest.approx(m.norm_constant * expected, rel=1e-13)
+
+    @given(st.data(), st.integers(min_value=2, max_value=30))
+    @settings(max_examples=400, deadline=None)
+    def test_mass_skips_only_zero_components(self, data, levels):
+        k = data.draw(st.integers(min_value=0, max_value=levels + 1))
+        w = 0.5 / max(k, 1) ** 4
+        base = data.draw(st.sampled_from([k, k - 0.5, k + 0.5, k - 0.25, k + 0.25,
+                                          k - w, k + w]))
+        shift = data.draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-7, -1e-7]))
+        center = float(base + shift)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            center = math.nextafter(center, data.draw(st.sampled_from([-1.0, 1.0])) * math.inf)
+        radius = data.draw(st.one_of(
+            st.floats(min_value=-12.0, max_value=math.log10(2.0)).map(lambda e: 10.0 ** e),
+            st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0])))
+        m = OmNotStrongMeasure(levels=levels)
+        lo, hi = center - radius, center + radius
+        ref = m.norm_constant * sum(m.component_mass(j, lo, hi) for j in range(1, levels + 1))
+        assert m.mass(center, radius) == ref
 
     def test_dip_bound_arithmetic_n10(self):
         # bound value (1/(sqrt(2) 100) + 1e-4) * 100 = 1/sqrt(2) + 0.01
