@@ -36,7 +36,7 @@ from scipy.optimize import minimize_scalar
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, BallOpts, Density1D, DENSITY1D_FACTORIES,
                        EXAMPLE_MEASURE_FACTORIES, RatioOpts, ball_mass,
-                       ball_ratio_curve, radius_schedule)
+                       ball_ratio_curve, radius_schedule, sup_ball_mass)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -473,6 +473,24 @@ def _om_not_strong_ball_mass(measure: OmNotStrongMeasure, center, radius,
                              space=None, opts=None):
     c = float(np.asarray(center).reshape(()))
     return BallMass(measure.mass(c, radius), 0.0, "closed-form")
+
+
+@sup_ball_mass.register(OmNotStrongMeasure)
+def _om_not_strong_sup_ball_mass(measure: OmNotStrongMeasure, radius, space=None, opts=None):
+    """Largest ball mass over the centred balls B_r(k), k = 1..levels, for r < 1/4.
+
+    Each component is symmetric about k and non-increasing in |x - k|, so
+    of the balls that meet only component k, B_r(k) has the most mass.
+    For r < 1/4 a ball meets one component, except that for r > 1/8 it
+    may reach from the plateau of component 1 (which ends at 3/2) into
+    component 2 (which starts at 7/4).  Its unnormalised mass is then at
+    most 1/4 from the plateau plus 1/32 + 1/8 from component 2, below
+    mass(1, r) / norm_constant = sqrt(r) + r > 0.47.
+    """
+    if radius >= 0.25:
+        return None
+    best = max(measure.mass(float(k), radius) for k in range(1, measure.levels + 1))
+    return BallMass(best, 0.0, "closed-form")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
   on product measures, one-dimensional balls, registered examples);
 * Monte Carlo ball masses and common-random-number ratio curves for
   everything else;
+* the supremum of the ball mass over all centres, where a symmetry
+  argument places it (Gaussian and Besov-1 measures: at the mean);
 * extrapolation of ratio curves to the small-radius limit.
 """
 
@@ -638,6 +640,36 @@ def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMa
 
 ball_mass.register(GaussianMeasure, _product_ball_mass)
 ball_mass.register(BesovMeasure, _product_ball_mass)
+
+
+@singledispatch
+def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = None,
+                  opts: Optional[BallOpts] = None) -> Optional[BallMass]:
+    """sup_z mu(B_radius(z)) where a rule gives it without a search, else None.
+
+    Dispatches on the measure type like ``ball_mass``; registered example
+    measures may install their own rules.
+    """
+    return None
+
+
+@sup_ball_mass.register(GaussianMeasure)
+def _gaussian_sup_ball_mass(measure: GaussianMeasure, radius, space=None, opts=None):
+    # Anderson (1955): a centred Gaussian gives a symmetric convex set its
+    # largest mass among all translates.  A p < 1 ball is not convex, but
+    # in the coordinate basis it is unconditional with interval sections,
+    # so Fubini and the 1-d case cover it.
+    space = space or default_space(measure)
+    if space.p >= 1 or measure.cov.basis is None or measure.dim == 1:
+        return ball_mass(measure, measure.mean, radius, space, opts)
+    return None
+
+
+@sup_ball_mass.register(BesovMeasure)
+def _besov_sup_ball_mass(measure: BesovMeasure, radius, space=None, opts=None):
+    # Laplace factors are symmetric and log-concave, and the product is
+    # coordinate-aligned: the Gaussian argument holds for every p
+    return ball_mass(measure, np.zeros(measure.dim), radius, space, opts)
 
 
 @ball_mass.register(Density1D)

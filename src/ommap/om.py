@@ -23,7 +23,8 @@ from scipy.optimize import minimize
 
 from .errors import InputError
 from .measures import (BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
-                       RatioOpts, BallOpts, ball_mass, ball_ratio_curve, default_space)
+                       RatioOpts, BallOpts, ball_mass, ball_ratio_curve, default_space,
+                       sup_ball_mass)
 from .spaces import RANGE_ATOL, RANK_TOL, WeightedSeqSpace, _as_vector
 
 
@@ -292,9 +293,11 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
 class ModeClassification:
     """Three-valued strong/weak mode verdicts for one candidate point.
 
-    The supremum mass M_r is approximated over a finite competitor set
-    plus local refinement, so a "yes" is always relative to that
-    approximation; the caveat field records this.
+    The supremum mass M_r is the largest of the candidate's mass, the
+    competitors' masses and, where the measure has one, the closed-form
+    ``sup_ball_mass`` rule.  Without a rule M_r comes from the competitor
+    set plus an optional Nelder-Mead refinement, so a "yes" is relative
+    to that approximation.  The caveat field names what was computed.
     """
 
     candidate: np.ndarray
@@ -305,7 +308,7 @@ class ModeClassification:
     strong: str
     global_weak: str
     norm_p: float
-    caveat: str = "sup over competitor set + local refinement, not over all of X"
+    caveat: str
 
     def to_dict(self) -> dict:
         return {"candidate": list(map(float, np.atleast_1d(self.candidate))),
@@ -319,6 +322,13 @@ class ModeClassification:
 
 @dataclass(frozen=True)
 class ClassifyOpts:
+    """Knobs for ``classify_mode``.
+
+    ``refine`` and ``nm_iters`` govern only the fallback for measures
+    without a ``sup_ball_mass`` rule: a Nelder-Mead search of at most
+    ``nm_iters`` iterations around the best competitor.
+    """
+
     strong_tol: float = 0.05       # extrapolated limit >= 1 - tol -> strong yes
     dip_tol: float = 0.05          # curve below 1 - max(5 se, dip_tol) -> strong no
     weak_tol: float = 0.05
@@ -326,6 +336,13 @@ class ClassifyOpts:
     nm_iters: int = 50
     ratio: RatioOpts = field(default_factory=RatioOpts)
     ball: BallOpts = field(default_factory=BallOpts)
+
+
+#: how classify_mode found the supremum mass M_r, one text per path
+_ANDERSON_CAVEAT = "sup mass at the mean, the largest by Anderson's inequality"
+_CLOSED_FORM_CAVEAT = "sup mass exact: closed-form maximum over the measure's components"
+_SEARCH_CAVEAT = "sup over competitor set + Nelder-Mead refinement, not over all of X"
+_COMPETITORS_CAVEAT = "sup over competitor set only, not over all of X"
 
 
 def _refined_sup_mass(measure, best, r, space, opts: ClassifyOpts) -> float:
@@ -345,8 +362,10 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
                   opts: Optional[ClassifyOpts] = None) -> ModeClassification:
     """Strong and global-weak mode verdicts for a candidate point.
 
-    Strong: the candidate's ball mass over the approximate supremum mass
-    must tend to 1.  Weak: no competitor's extrapolated mass-ratio limit
+    Strong: the candidate's ball mass over the supremum mass M_r must
+    tend to 1.  M_r comes from ``sup_ball_mass`` where the measure has a
+    rule, else from the competitors and, with ``opts.refine``, a
+    Nelder-Mead search.  Weak: no competitor's extrapolated mass-ratio limit
     against the candidate may exceed 1.  Verdicts are three-valued with
     noise-aware thresholds; a dip of the strong curve below
     1 - max(5 stderr, dip_tol) at any radius is a "no" witness.
@@ -360,6 +379,9 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     cand_se = np.empty(len(radii))
     sup_mass = np.empty(len(radii))
     sup_se = np.empty(len(radii))
+    rule_caveat = (_ANDERSON_CAVEAT if isinstance(measure, (GaussianMeasure, BesovMeasure))
+                   else _CLOSED_FORM_CAVEAT)
+    paths = []
     for i, r in enumerate(radii):
         bm = ball_mass(measure, cand, float(r), space, opts.ball)
         cand_mass[i], cand_se[i] = bm.estimate, bm.stderr
@@ -370,8 +392,16 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
             bw = ball_mass(measure, w, float(r), space, opts.ball)
             if bw.estimate > best_est:
                 best_est, best_se, best_w = bw.estimate, bw.stderr, w
-        if opts.refine:
+        rule = sup_ball_mass(measure, float(r), space, opts.ball)
+        if rule is not None:
+            if rule.estimate > best_est:
+                best_est, best_se = rule.estimate, rule.stderr
+            paths.append(rule_caveat)
+        elif opts.refine:
             best_est = max(best_est, _refined_sup_mass(measure, best_w, float(r), space, opts))
+            paths.append(_SEARCH_CAVEAT)
+        else:
+            paths.append(_COMPETITORS_CAVEAT)
         sup_mass[i], sup_se[i] = best_est, best_se
 
     strong_curve = cand_mass / sup_mass
@@ -416,4 +446,4 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
         strong = "inconclusive"
 
     return ModeClassification(cand, radii, strong_curve, strong_se, worst,
-                              strong, weak, space.p)
+                              strong, weak, space.p, "; ".join(dict.fromkeys(paths)))

@@ -159,6 +159,25 @@ class TestMoreKinds:
         results = json.loads((out / "results.json").read_text())
         assert results["results"]["strong"] == "yes"
         assert results["results"]["global_weak"] == "yes"
+        assert results["results"]["caveat"] == "sup over competitor set only, not over all of X"
+
+    def test_classify_mode_ball_masses_follow_mc_block_and_seed(self, tmp_path):
+        # l2 balls of a 2-d Gaussian have no closed form: every mass is
+        # Monte Carlo, so its standard error depends on the seed
+        cfg = {"kind": "classify_mode",
+               "measure": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.5]},
+               "candidate": [0.0, 0.0], "competitors": [[0.5, 0.0]],
+               "schedule": {"r0": 0.4, "levels": 3}, "norm": {"p": 2},
+               "mc": {"n_samples": 2000, "n_batches": 4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        stderr = []
+        for seed in (1, 2):
+            out = tmp_path / f"out{seed}"
+            assert main(["--seed", str(seed), "--out", str(out), "run", str(path)]) == 0
+            stderr.append(json.loads((out / "results.json").read_text())
+                          ["results"]["strong_ratio_stderr"])
+        assert stderr[0] != stderr[1]
 
     def test_perturbation_data_kind(self, tmp_path):
         cfg = {"kind": "perturbation", "perturb": "data",

@@ -12,7 +12,7 @@ from ommap import (CrossesMeasure, GaussianPair1D, InputError, LiminfOnlyMeasure
                    SpikeFamily, crosses_ball_masses, crosses_om_difference,
                    kl_gaussians, kl_gaussians_quadrature, liminf_only_ratios,
                    mixture_kl, mixture_kl_exponent, mixture_modes, spike_kl,
-                   spike_mode)
+                   spike_mode, sup_ball_mass)
 from ommap.counterexamples import E1, SQRT_2PI
 
 
@@ -245,6 +245,32 @@ class TestOmNotStrong:
         lo, hi = center - radius, center + radius
         ref = m.norm_constant * sum(m.component_mass(j, lo, hi) for j in range(1, levels + 1))
         assert m.mass(center, radius) == ref
+
+    @pytest.mark.parametrize("levels", [2, 6, 30])
+    def test_sup_ball_mass_bounds_every_centre(self, levels):
+        m = OmNotStrongMeasure(levels=levels)
+        centres = set()
+        for k in range(1, levels + 1):
+            w = 0.5 / k ** 4
+            for base in (k, k - w, k + w, k - 0.25, k + 0.25):
+                for direction in (-math.inf, math.inf):
+                    x = float(base)
+                    for _ in range(3):
+                        centres.add(x)
+                        x = math.nextafter(x, direction)
+        # between the end of component 1's plateau and the start of component 2
+        centres.update(np.linspace(1.5, 1.75, 11).tolist())
+        radii = np.concatenate([np.geomspace(1e-12, 0.24, 40), np.linspace(0.12, 0.24, 7)])
+        for r in radii:
+            sup = sup_ball_mass(m, float(r))
+            assert sup.estimate == max(m.mass(float(k), r) for k in range(1, levels + 1))
+            for c in centres:
+                # mass() rounds the ends c +- r to the float grid near c, which
+                # widens or narrows the ball by up to an ulp of c: at r = 1e-12
+                # a relative change of about 1e-4
+                slack = 1e-12 + 2 * math.ulp(c + r) / r
+                assert m.mass(c, r) <= sup.estimate * (1 + slack)
+        assert sup_ball_mass(m, 0.25) is None
 
     def test_dip_bound_arithmetic_n10(self):
         # bound value (1/(sqrt(2) 100) + 1e-4) * 100 = 1/sqrt(2) + 0.01

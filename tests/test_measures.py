@@ -14,7 +14,7 @@ from ommap import (BallOpts, BesovMeasure, Density1D, GaussianMeasure, InputErro
                    ParameterError, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights, gaussian_om,
                    measure_from_json, measure_to_json, open_vs_closed_check,
-                   radius_schedule, sample)
+                   radius_schedule, sample, sup_ball_mass)
 from ommap.measures import _CenterPlan, _Draws, _ProductSetup, _uniform_pball
 
 
@@ -329,6 +329,53 @@ class TestMcKernel:
         assert np.all(norms < 1.0)
         # the radius of a uniform point in the unit k-ball has P(|z| < t) = t^k
         assert kstest(norms ** k, "uniform").pvalue > 1e-3
+
+
+class TestSupBallMass:
+    @given(st.sampled_from(["aligned", "rotated", "besov"]),
+           st.integers(min_value=1, max_value=4),
+           st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_no_centre_beats_the_supremum(self, kind, k, p, closed, seed):
+        # exact paths only: balls factorise in the sup norm, and every norm
+        # of R^1 is exact; a rotated basis is exact in 1-d or with no
+        # free coordinate (a point mass)
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.3, 3.0, k) if rng.random() < 0.5 else np.ones(k)
+        if kind == "besov":
+            mu = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, k)
+            mean = np.zeros(k)
+        else:
+            eig = rng.uniform(0.1, 3.0, k)
+            eig[rng.random(k) < 0.3] = 0.0  # degenerate directions
+            basis = None
+            if kind == "rotated":
+                basis = np.linalg.qr(rng.normal(size=(k, k)))[0]
+                if k > 1:
+                    eig[:] = 0.0
+            mean = rng.normal(0.0, 1.0, k)
+            mu = GaussianMeasure(mean, SpectralOperator(eig, basis))
+        if k > 1 and kind != "rotated":
+            p = math.inf
+        sp = WeightedSeqSpace(p, weights)
+        opts = BallOpts(method="exact", closed=closed)
+        radius = float(10.0 ** rng.uniform(-3.0, 0.5))
+        sup = sup_ball_mass(mu, radius, sp, opts)
+        if kind == "rotated" and k > 1 and p < 1:
+            assert sup is None  # the ball is not convex, and not aligned
+            return
+        assert sup.estimate == ball_mass(mu, mean, radius, sp, opts).estimate
+        centres = [mean + radius * rng.normal(0.0, 1.0, k) * rng.uniform(0.0, 2.0)
+                   for _ in range(8)] + [mean + 1e-9 * rng.normal(size=k)]
+        for c in centres:
+            # ball_mass rounds each interval end c_k +- r w_k - mean_k to the
+            # float grid, which moves a small ball's mass by up to about
+            # ulp / (r w_k) relative in each coordinate
+            ulp = math.ulp(1.0 + np.abs(c).max() + radius * weights.max())
+            slack = 1e-12 + 4 * k * ulp / (radius * weights.min())
+            assert ball_mass(mu, c, radius, sp, opts).estimate <= sup.estimate * (1 + slack)
 
 
 class TestOpenVsClosed:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ommap import (BesovMeasure, ClassifyOpts, Density1D, GaussianMeasure, InputError,
-                   LiminfOnlyMeasure, OmFunctional, OmNotStrongMeasure, ProbeOpts,
-                   RatioOpts, SpectralOperator, WeightedSeqSpace, besov_om,
+from ommap import (BallOpts, BesovMeasure, ClassifyOpts, Density1D, GaussianMeasure,
+                   InputError, LiminfOnlyMeasure, OmFunctional, OmNotStrongMeasure,
+                   ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace, besov_om,
                    classify_mode, density_om, gaussian_om, in_range_sqrt,
                    m_property_probe, om_difference_check, posterior_om,
-                   radius_schedule, sqrt_pinv_apply, weighted_norm)
+                   radius_schedule, sqrt_pinv_apply, sup_ball_mass, weighted_norm)
+from ommap import om
 from ommap.counterexamples import _spike_density1d
 
 
@@ -315,6 +316,59 @@ class TestClassifyMode:
         res = classify_mode(mu, np.zeros(1), grid, radius_schedule(0.25, 8))
         assert res.global_weak == "yes"
         assert fn(np.zeros(1)) <= min(fn(g) for g in grid) + 1e-12
+
+
+class TestSupremumPaths:
+    def test_refine_off_uses_the_mean(self):
+        # the competitor set alone makes (0.5, 0) look like the supremum;
+        # the ball at the mean has about 1 / 0.88 of its mass
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.5])))
+        res = classify_mode(mu, np.array([0.5, 0.0]), [np.array([0.9, 0.3])],
+                            radius_schedule(0.2, 3), WeightedSeqSpace.unweighted(math.inf, 2),
+                            ClassifyOpts(refine=False))
+        assert res.strong == "no"
+        np.testing.assert_allclose(res.strong_ratio_curve, math.exp(-0.125), rtol=1e-2)
+        assert res.caveat == om._ANDERSON_CAVEAT
+
+    def test_exact_rules_run_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("Nelder-Mead search on an exact path")
+
+        monkeypatch.setattr(om, "_refined_sup_mass", no_search)
+        mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.5])))
+        res = classify_mode(mu, mu.mean, [np.array([0.5, 0.0])], radius_schedule(0.2, 4),
+                            WeightedSeqSpace.unweighted(math.inf, 2))
+        assert res.strong == "yes"
+        assert np.all(res.strong_ratio_curve == 1.0)
+        m = OmNotStrongMeasure(levels=6)
+        radii = np.array([0.5 / n ** 4 for n in range(2, 7)])
+        res = classify_mode(m, np.array([1.0]), [np.array([2.0])], radii)
+        assert res.strong == "no"
+        assert res.caveat == om._CLOSED_FORM_CAVEAT
+        # at r >= 1/4 there is no rule, and with refine off no search either
+        res = classify_mode(m, np.array([1.0]), [np.array([2.0])], np.array([0.3, 0.01]),
+                            None, ClassifyOpts(refine=False))
+        assert res.caveat == f"{om._COMPETITORS_CAVEAT}; {om._CLOSED_FORM_CAVEAT}"
+
+    def test_rotated_gaussian_below_p1_keeps_the_search(self, monkeypatch):
+        basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.25]), basis))
+        sp = WeightedSeqSpace.unweighted(0.5, 2)
+        assert sup_ball_mass(mu, 0.1, sp) is None
+        searched = []
+        search = om._refined_sup_mass
+
+        def spy(*args):
+            searched.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(om, "_refined_sup_mass", spy)
+        radii = radius_schedule(0.2, 2)
+        opts = ClassifyOpts(nm_iters=3, ball=BallOpts(n_samples=2000, n_batches=4),
+                            ratio=RatioOpts(n_samples=2000, n_batches=4, n_boot=20))
+        res = classify_mode(mu, mu.mean, [np.array([0.3, 0.0])], radii, sp, opts)
+        assert searched == list(radii)
+        assert res.caveat == om._SEARCH_CAVEAT
 
 
 class TestDensityFunctional:
