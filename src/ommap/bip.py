@@ -4,7 +4,8 @@ MAP estimators are computed as minimisers of potential + prior
 functional: a reduced normal-equations solve for linear observations
 under a Gaussian prior, and an accelerated proximal-gradient
 (soft-thresholding) iteration for the weighted-l1 functional of a
-Besov-1 prior.  The experiment drivers perturb data, potential, or
+Besov-1 prior.  ``map_solve`` and ``constrained_prior_minimum``
+dispatch on the prior's type.  The experiment drivers perturb data, potential, or
 prior along a schedule and track the MAP trajectory against the limit
 problem.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,12 +23,10 @@ from scipy.optimize import linprog
 from ._seeds import child_rng
 from .errors import InputError, NumericsError, ParameterError
 from .gamma import (ContinuousConvOpts, FunctionalSequence, ModeConvOpts,
-                    ModeConvReport, besov_om_family, besov_recovery_sequence,
-                    continuous_convergence_probe, equicoercivity_probe,
-                    gamma_liminf_probe, gaussian_om_family,
-                    gaussian_recovery_sequence, mode_convergence_check)
+                    ModeConvReport, continuous_convergence_probe, equicoercivity_probe,
+                    gamma_liminf_probe, mode_convergence_check, om_family, recovery_gap)
 from .measures import BesovMeasure, GaussianMeasure
-from .om import OmFunctional, besov_om, gaussian_om, posterior_om
+from .om import posterior_om, prior_om
 from .spaces import SpectralOperator, _as_vector, project
 
 
@@ -180,6 +180,28 @@ def projected_potential(pot: Potential, n: int) -> Potential:
 # solvers
 # ---------------------------------------------------------------------------
 
+@singledispatch
+def map_solve(prior, obs: LinearObservation, prox: Optional[ProxOpts] = None) -> MapSolution:
+    """MAP estimate for a linear observation, dispatched on the prior's type."""
+    raise InputError(f"no MAP solver for prior type {type(prior).__name__}")
+
+
+def _reduced_map(prior: GaussianMeasure, o: np.ndarray):
+    """B = O C^(1/2) on the prior's free eigendirections, and the map
+    w -> m + C^(1/2) w from reduced coefficients back to the unknown."""
+    cov = prior.cov
+    free = ~cov.zero_mask()
+    sig = np.sqrt(cov.eigenvalues[free])
+    cols = o if cov.basis is None else o @ cov.basis
+
+    def lift(w: np.ndarray) -> np.ndarray:
+        coeff = np.zeros(prior.dim)
+        coeff[free] = sig * w
+        return prior.mean + (coeff if cov.basis is None else cov.basis @ coeff)
+
+    return cols[:, free] * sig[None, :], lift
+
+
 def map_solve_gaussian_linear(prior: GaussianMeasure, obs: LinearObservation) -> MapSolution:
     """Exact MAP for a linear observation under a Gaussian prior.
 
@@ -190,11 +212,7 @@ def map_solve_gaussian_linear(prior: GaussianMeasure, obs: LinearObservation) ->
     if obs.n_unknown != prior.dim:
         raise InputError("observation and prior dimensions differ")
     w_mat, w_y = obs.whitened()
-    cov = prior.cov
-    free = ~cov.zero_mask()
-    sig = np.sqrt(cov.eigenvalues[free])
-    cols = w_mat if cov.basis is None else w_mat @ cov.basis
-    b = cols[:, free] * sig[None, :]
+    b, lift = _reduced_map(prior, w_mat)
     r = w_y - w_mat @ prior.mean
     lhs = b.T @ b + np.eye(b.shape[1])
     rhs = b.T @ r
@@ -205,12 +223,14 @@ def map_solve_gaussian_linear(prior: GaussianMeasure, obs: LinearObservation) ->
         w = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
         flags.append("minimum-norm-fallback")
     residual = float(np.linalg.norm(lhs @ w - rhs))
-    coeff = np.zeros(prior.dim)
-    coeff[free] = sig * w
-    point = prior.mean + (coeff if cov.basis is None else cov.basis @ coeff)
+    point = lift(w)
     misfit = w_y - w_mat @ point
     objective = 0.5 * float(misfit @ misfit) + 0.5 * float(w @ w)
     return MapSolution(point, objective, residual, 1, "normal-equations", tuple(flags))
+
+
+map_solve.register(GaussianMeasure,
+                   lambda prior, obs, prox=None: map_solve_gaussian_linear(prior, obs))
 
 
 @dataclass(frozen=True)
@@ -342,6 +362,7 @@ def _active_set_polish(obs: LinearObservation, gamma: np.ndarray,
     return out
 
 
+@map_solve.register(BesovMeasure)
 def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
                            opts: Optional[ProxOpts] = None) -> MapSolution:
     """Besov-prior MAP for a linear observation, with a uniqueness flag.
@@ -369,20 +390,11 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
                               "fista+active-set-polish", flags)
     if opts.check_uniqueness:
         alt = coordinate_descent_weighted_l1(obs, prior.gamma)
-        inv_gamma = 1.0 / prior.gamma
-        obj_alt = pot.eval(alt) + float(np.abs(alt) @ inv_gamma)
+        obj_alt = pot.eval(alt) + float(np.abs(alt) @ inv_g)
         if (np.linalg.norm(alt - sol.point) > opts.uniqueness_point_tol
                 and abs(obj_alt - sol.objective) <= opts.uniqueness_obj_tol):
             sol = replace(sol, flags=sol.flags + ("non-unique-minimiser",))
     return sol
-
-
-def _solve(prior, obs: LinearObservation, prox: Optional[ProxOpts] = None) -> MapSolution:
-    if isinstance(prior, GaussianMeasure):
-        return map_solve_gaussian_linear(prior, obs)
-    if isinstance(prior, BesovMeasure):
-        return map_solve_besov_linear(prior, obs, prox)
-    raise InputError(f"no MAP solver for prior type {type(prior).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -440,48 +452,35 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
     if kind not in ("data", "potential_projection", "prior"):
         raise InputError(f"unknown perturbation kind {kind!r}")
     indices = list(indices)
-    limit_sol = _solve(prior, obs, prox)
+    limit_sol = map_solve(prior, obs, prox)
 
-    solutions, priors = [], []
+    limit_pot = quadratic_potential(obs)
+    priors, pot_members, solutions = [], [], []
     for n in indices:
+        prior_n, obs_n, pot_n = prior, obs, limit_pot
         if kind == "data":
             obs_n = LinearObservation(obs.matrix, obs.noise_cov, schedule(n))
-            priors.append(prior)
-            solutions.append(_solve(prior, obs_n, prox))
+            pot_n = quadratic_potential(obs_n)
         elif kind == "potential_projection":
             dim_n = int(schedule(n))
             o_n = obs.matrix.copy()
             o_n[:, dim_n:] = 0.0
             obs_n = LinearObservation(o_n, obs.noise_cov, obs.data)
-            priors.append(prior)
-            solutions.append(_solve(prior, obs_n, prox))
+            pot_n = projected_potential(limit_pot, dim_n)
         else:
             prior_n = schedule(n)
-            priors.append(prior_n)
-            solutions.append(_solve(prior_n, obs, prox))
+        priors.append(prior_n)
+        pot_members.append(pot_n)
+        solutions.append(map_solve(prior_n, obs_n, prox))
 
     entries = [PerturbationEntry(n, s.point, s.objective, s.optimality_residual,
                                  float(np.linalg.norm(s.point - limit_sol.point)), s.flags)
                for n, s in zip(indices, solutions)]
 
     # posterior functional family for the convergence check
-    pot_members = []
-    for n, pr in zip(indices, priors):
-        if kind == "data":
-            pot_members.append(quadratic_potential(
-                LinearObservation(obs.matrix, obs.noise_cov, schedule(n))))
-        elif kind == "potential_projection":
-            pot_members.append(projected_potential(quadratic_potential(obs), int(schedule(n))))
-        else:
-            pot_members.append(quadratic_potential(obs))
-    prior_om_members = [gaussian_om(p) if isinstance(p, GaussianMeasure) else besov_om(p)
-                        for p in priors]
-    limit_prior_om = gaussian_om(prior) if isinstance(prior, GaussianMeasure) else besov_om(prior)
-    limit_pot = quadratic_potential(obs)
     fam = FunctionalSequence(
-        indices,
-        [posterior_om(po, pt) for po, pt in zip(prior_om_members, pot_members)],
-        posterior_om(limit_prior_om, limit_pot), kind="posterior")
+        indices, [posterior_om(prior_om(pr), pt) for pr, pt in zip(priors, pot_members)],
+        posterior_om(prior_om(prior), limit_pot))
     mode_report = mode_convergence_check(fam, [s.point for s in solutions],
                                          mode_opts or ModeConvOpts(
                                              limit_min=limit_sol.objective))
@@ -493,18 +492,8 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
                                           ContinuousConvOpts())
         probes["potential_continuous_convergence"] = [e.to_dict() for e in cc]
     else:
-        if isinstance(prior, GaussianMeasure):
-            fam_prior = gaussian_om_family(priors, prior, indices)
-            rec = gaussian_recovery_sequence(priors, prior, limit_sol.point)
-            gaps = [fam_prior.members[i].eval(rec[i]) - fam_prior.limit.eval(limit_sol.point)
-                    for i in range(len(rec))]
-            probes["prior_recovery_max_gap"] = float(np.max(gaps))
-        else:
-            fam_prior = besov_om_family(priors, prior, indices)
-            rec = besov_recovery_sequence(priors, prior, limit_sol.point)
-            vals = [fam_prior.members[i].eval(rec[i]) for i in range(len(rec))]
-            target = fam_prior.limit.eval(limit_sol.point)
-            probes["prior_recovery_max_gap"] = float(np.max(np.abs(np.array(vals) - target)))
+        fam_prior = om_family(priors, prior, indices)
+        probes["prior_recovery_max_gap"] = recovery_gap(fam_prior, limit_sol.point)
         lim_reports = [gamma_liminf_probe(fam_prior, x) for x in pts]
         probes["prior_liminf"] = [r.to_dict() for r in lim_reports]
         probes["prior_equicoercivity"] = equicoercivity_probe(fam_prior, 1.0, 200).to_dict()
@@ -544,37 +533,37 @@ class SmallNoiseReport:
                 "gamma_liminf_asserted": self.gamma_liminf_asserted}
 
 
+@singledispatch
 def constrained_prior_minimum(prior, obs: LinearObservation) -> np.ndarray:
-    """Minimise the prior functional subject to O u = y.
-
-    Gaussian prior: minimum Cameron-Martin norm point on the affine
-    set, via the pseudoinverse of the reduced map.  Besov prior:
-    weighted basis pursuit solved as a linear program.
-    """
-    o = obs.matrix
-    y = obs.data
-    if isinstance(prior, GaussianMeasure):
-        free = ~prior.cov.zero_mask()
-        sig = np.sqrt(prior.cov.eigenvalues[free])
-        cols = o if prior.cov.basis is None else o @ prior.cov.basis
-        b = cols[:, free] * sig[None, :]
-        rhs = y - o @ prior.mean
-        v = np.linalg.pinv(b) @ rhs
-        if np.linalg.norm(b @ v - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-            raise NumericsError("misfit minimum is not attained on the prior support")
-        coeff = np.zeros(prior.dim)
-        coeff[free] = sig * v
-        return prior.mean + (coeff if prior.cov.basis is None else prior.cov.basis @ coeff)
-    if isinstance(prior, BesovMeasure):
-        k = prior.dim
-        cost = np.concatenate([1.0 / prior.gamma, 1.0 / prior.gamma])
-        a_eq = np.hstack([o, -o])
-        res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * k),
-                      method="highs")
-        if not res.success:
-            raise NumericsError(f"basis pursuit failed: {res.message}")
-        return res.x[:k] - res.x[k:]
+    """Minimise the prior functional subject to O u = y, dispatched on the
+    prior's type."""
     raise InputError(f"no constrained solver for prior type {type(prior).__name__}")
+
+
+@constrained_prior_minimum.register(GaussianMeasure)
+def _gaussian_constrained(prior, obs: LinearObservation) -> np.ndarray:
+    """Minimum Cameron-Martin norm point on the affine set, via the
+    pseudoinverse of the reduced map."""
+    o = obs.matrix
+    b, lift = _reduced_map(prior, o)
+    rhs = obs.data - o @ prior.mean
+    v = np.linalg.pinv(b) @ rhs
+    if np.linalg.norm(b @ v - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        raise NumericsError("misfit minimum is not attained on the prior support")
+    return lift(v)
+
+
+@constrained_prior_minimum.register(BesovMeasure)
+def _besov_constrained(prior, obs: LinearObservation) -> np.ndarray:
+    """Weighted basis pursuit solved as a linear program."""
+    o = obs.matrix
+    k = prior.dim
+    cost = np.concatenate([1.0 / prior.gamma, 1.0 / prior.gamma])
+    res = linprog(cost, A_eq=np.hstack([o, -o]), b_eq=obs.data,
+                  bounds=[(0, None)] * (2 * k), method="highs")
+    if not res.success:
+        raise NumericsError(f"basis pursuit failed: {res.message}")
+    return res.x[:k] - res.x[k:]
 
 
 def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
@@ -591,11 +580,11 @@ def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
                                    SpectralOperator(obs.noise_cov.eigenvalues / n,
                                                     obs.noise_cov.basis),
                                    obs.data)
-        sol = _solve(prior, scaled, prox)
+        sol = map_solve(prior, scaled, prox)
         points.append(sol.point)
         dists.append(float(np.linalg.norm(sol.point - star)))
 
-    prior_fn = gaussian_om(prior) if isinstance(prior, GaussianMeasure) else besov_om(prior)
+    prior_fn = prior_om(prior)
     pot = quadratic_potential(obs)
     pts = list(probe_points) if probe_points is not None else [star, star + 0.1]
     table = []

@@ -25,17 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import counterexamples as cx
-from .bip import (LinearObservation, ProxOpts, map_solve_besov_linear,
-                  map_solve_gaussian_linear, perturbation_experiment,
+from .bip import (LinearObservation, ProxOpts, map_solve, perturbation_experiment,
                   small_noise_experiment)
 from .errors import ConfigError, NumericsError, OmmapError
-from .gamma import (GammaReport, besov_om_family, besov_recovery_sequence,
-                    equicoercivity_probe, gamma_liminf_probe, gaussian_om_family,
-                    gaussian_recovery_sequence, mode_convergence_check)
+from .gamma import (GammaReport, ModeConvOpts, equicoercivity_probe, gamma_liminf_probe,
+                    mode_convergence_check, om_family, recovery_gap)
 from .measures import (BallOpts, BesovMeasure, GaussianMeasure, RatioOpts,
                        WeightedSeqSpace, ball_ratio_curve, measure_from_json,
                        radius_schedule)
-from .om import ClassifyOpts, ProbeOpts, classify_mode, m_property_probe
+from .om import ClassifyOpts, ProbeOpts, classify_mode, m_property_probe, prior_om
 from .spaces import SpectralOperator
 
 
@@ -144,23 +142,7 @@ def _run_m_property(cfg, seed):
     radii = _radii_from(cfg)
     pts = [np.asarray(x, dtype=float) for x in cfg["outside_points"]]
     space = _norm_from(cfg, pts[0].size)
-    if isinstance(measure, GaussianMeasure):
-        from .om import gaussian_om
-        fn = gaussian_om(measure)
-    elif isinstance(measure, cx.OmNotStrongMeasure):
-        fn = measure.om_functional()
-    elif isinstance(measure, cx.LiminfOnlyMeasure):
-        from .om import OmFunctional
-
-        def near_one(u):
-            return abs(float(np.asarray(u).reshape(())) - 1.0) < 1e-12
-
-        fn = OmFunctional(eval=lambda u: 0.0 if near_one(u) else math.inf,
-                          domain_test=near_one, anchor=np.array([1.0]))
-    else:
-        raise ConfigError(
-            "m_property runs need a gaussian, om_not_strong, or liminf_only measure")
-    report = m_property_probe(measure, fn, pts, radii, space,
+    report = m_property_probe(measure, prior_om(measure), pts, radii, space,
                               ProbeOpts(ratio=_ratio_opts(cfg, seed)))
     rows = []
     for i, entry in enumerate(report.entries):
@@ -180,32 +162,26 @@ def _build_family(cfg, indices):
         limit = GaussianMeasure(mean, SpectralOperator(eig))
         members = [GaussianMeasure(mean + mshift / n, SpectralOperator(eig + eshift / n))
                    for n in indices]
-        return gaussian_om_family(members, limit, indices), members, limit
-    amp = fam.get("s_amplitude", 1.0)
-    alt = fam.get("alternating", True)
-    limit = BesovMeasure(fam["s"], fam["d"], fam["eta"], fam["dim"])
-    members = [BesovMeasure(fam["s"] + ((-1) ** n if alt else 1.0) * amp / n,
-                            fam["d"], fam["eta"], fam["dim"]) for n in indices]
-    return besov_om_family(members, limit, indices), members, limit
+    else:
+        amp = fam.get("s_amplitude", 1.0)
+        alt = fam.get("alternating", True)
+        limit = BesovMeasure(fam["s"], fam["d"], fam["eta"], fam["dim"])
+        members = [BesovMeasure(fam["s"] + ((-1) ** n if alt else 1.0) * amp / n,
+                                fam["d"], fam["eta"], fam["dim"]) for n in indices]
+    return om_family(members, limit, indices)
 
 
 def _run_gamma_check(cfg, seed):
     indices = cfg.get("indices", list(range(1, 33)))
-    seq, members, limit = _build_family(cfg, indices)
+    seq = _build_family(cfg, indices)
     liminf_points = [np.asarray(x, dtype=float) for x in cfg.get("liminf_points", [])]
     liminf = [gamma_liminf_probe(seq, x) for x in liminf_points]
 
     gaps = []
     for x in (np.asarray(v, dtype=float) for v in cfg.get("recovery_points", [])):
-        target = seq.limit.eval(x)
-        if math.isinf(target):
-            continue
-        if seq.kind == "gaussian":
-            rec = gaussian_recovery_sequence(members, limit, x)
-        else:
-            rec = besov_recovery_sequence(members, limit, x)
-        worst = max(seq.members[i].eval(rec[i]) - target for i in range(len(rec)))
-        gaps.append((x, max(0.0, float(worst))))
+        gap = recovery_gap(seq, x)
+        if gap is not None:
+            gaps.append((x, gap))
 
     samples = cfg.get("sublevel_samples", 2000)
     equi = [equicoercivity_probe(seq, float(t), samples, seed)
@@ -213,8 +189,6 @@ def _run_gamma_check(cfg, seed):
 
     mode_rep = None
     if cfg.get("check_modes", True):
-        from .gamma import ModeConvOpts
-
         tol = cfg.get("tolerances", {})
         minimizers = [m.anchor for m in seq.members]
         mode_rep = mode_convergence_check(seq, minimizers, ModeConvOpts(
@@ -236,12 +210,9 @@ def _run_map_solve(cfg, seed):
     prior = measure_from_json(cfg["prior"])
     obs = _observation_from(cfg["observation"])
     solver = cfg.get("solver", {})
-    if isinstance(prior, GaussianMeasure):
-        sol = map_solve_gaussian_linear(prior, obs)
-    else:
-        sol = map_solve_besov_linear(prior, obs, ProxOpts(
-            tol=solver.get("tol", 1e-8), max_iter=solver.get("max_iter", 10 ** 5),
-            check_uniqueness=solver.get("check_uniqueness", False)))
+    sol = map_solve(prior, obs, ProxOpts(
+        tol=solver.get("tol", 1e-8), max_iter=solver.get("max_iter", 10 ** 5),
+        check_uniqueness=solver.get("check_uniqueness", False)))
     header = [f"u{k}" for k in range(len(sol.point))] + ["objective", "residual"]
     row = [float(v) for v in sol.point] + [sol.objective, sol.optimality_residual]
     return {"map": sol.to_dict()}, {"map_solution": (header, [row])}

@@ -37,6 +37,7 @@ from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, BallOpts, Density1D, DENSITY1D_FACTORIES,
                        EXAMPLE_MEASURE_FACTORIES, RatioOpts, ball_mass,
                        ball_ratio_curve, radius_schedule, sup_ball_mass)
+from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -362,6 +363,18 @@ def _liminf_ball_mass(measure: LiminfOnlyMeasure, center, radius, space=None, op
     return BallMass(measure.mass(c, radius, opts.closed), 0.0, "closed-form")
 
 
+@prior_om.register(LiminfOnlyMeasure)
+def _liminf_om(measure: LiminfOnlyMeasure) -> OmFunctional:
+    """Functional with the single domain point +1, against which the
+    vanishing-ratio probe compares every other point."""
+
+    def near_one(u):
+        return abs(float(np.asarray(u).reshape(())) - 1.0) < 1e-12
+
+    return OmFunctional(eval=lambda u: 0.0 if near_one(u) else math.inf,
+                        domain_test=near_one, anchor=np.array([1.0]))
+
+
 # ---------------------------------------------------------------------------
 # (e) functional minimiser that is not a strong mode
 # ---------------------------------------------------------------------------
@@ -449,23 +462,20 @@ class OmNotStrongMeasure:
             raise InputError(f"domain point must be an integer in [1, {self.levels}]")
         return 2.0 * math.log(k)
 
-    def om_functional(self):
-        from .om import OmFunctional
-
+    def om_functional(self) -> OmFunctional:
         def inside(u) -> bool:
             x = float(np.asarray(u).reshape(()))
-            k = round(x)
-            return abs(x - k) <= 1e-9 and 1 <= k <= self.levels
+            return abs(x - round(x)) <= 1e-9 and 1 <= round(x) <= self.levels
 
         def value(u) -> float:
-            x = float(np.asarray(u).reshape(()))
-            k = round(x)
-            if abs(x - k) > 1e-9 or not (1 <= k <= self.levels):
-                return math.inf
-            return 2.0 * math.log(k)
+            k = round(float(np.asarray(u).reshape(())))
+            return self.om_value(k) if inside(u) else math.inf
 
         return OmFunctional(eval=value, domain_test=inside, anchor=np.array([1.0]),
                             meta={"kind": "om-not-strong", "norm": "abs"})
+
+
+prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
 
 
 @ball_mass.register(OmNotStrongMeasure)

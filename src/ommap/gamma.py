@@ -5,8 +5,9 @@ The lower-bound probe searches for witness sequences that break the
 liminf inequality; recovery sequences are built from the explicit
 constructions available for Gaussian and Besov-1 families; the
 equicoercivity probe samples sublevel sets and checks the analytic
-compact bound; the mode-convergence check clusters minimiser sequences
-and compares cluster points against minimisers of the limit.
+compact bound (both dispatch on the family's limit measure); the
+mode-convergence check clusters minimiser sequences and compares
+cluster points against minimisers of the limit.
 
 Every "pass" verdict records how many paths or samples were tried, and
 every "fail" carries a concrete witness.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from ._seeds import child_rng
 from .errors import InputError
 from .measures import BesovMeasure, GaussianMeasure, _uniform_pball
-from .om import OmFunctional, besov_om, gaussian_om
+from .om import OmFunctional, prior_om
 from .spaces import _as_vector, sqrt_pinv_apply, in_range_sqrt
 
 
@@ -31,15 +33,15 @@ from .spaces import _as_vector, sqrt_pinv_apply, in_range_sqrt
 class FunctionalSequence:
     """Indexed family of functionals with a designated limit.
 
-    ``kind`` and ``measures`` retain the construction when the family
-    comes from Gaussian or Besov-1 measures, enabling
-    construction-aware probes (sublevel sampling, recovery sequences).
+    ``measures`` and ``limit_measure`` retain the construction when the
+    family comes from measures, enabling construction-aware probes
+    (sublevel sampling, recovery sequences) that dispatch on the limit
+    measure's type.
     """
 
     indices: list
     members: list
     limit: OmFunctional
-    kind: str = "generic"
     measures: Optional[list] = None
     limit_measure: Optional[object] = None
 
@@ -50,20 +52,15 @@ class FunctionalSequence:
             raise InputError("indices must be strictly increasing")
 
 
-def gaussian_om_family(measures: Sequence[GaussianMeasure], limit_measure: GaussianMeasure,
-                       indices: Optional[Sequence[int]] = None) -> FunctionalSequence:
+def om_family(measures: Sequence, limit_measure,
+              indices: Optional[Sequence[int]] = None) -> FunctionalSequence:
+    """The family of ``prior_om`` functionals of a measure sequence."""
     idx = list(indices) if indices is not None else list(range(1, len(measures) + 1))
-    return FunctionalSequence(idx, [gaussian_om(m) for m in measures],
-                              gaussian_om(limit_measure), kind="gaussian",
+    return FunctionalSequence(idx, [prior_om(m) for m in measures], prior_om(limit_measure),
                               measures=list(measures), limit_measure=limit_measure)
 
 
-def besov_om_family(measures: Sequence[BesovMeasure], limit_measure: BesovMeasure,
-                    indices: Optional[Sequence[int]] = None) -> FunctionalSequence:
-    idx = list(indices) if indices is not None else list(range(1, len(measures) + 1))
-    return FunctionalSequence(idx, [besov_om(m) for m in measures],
-                              besov_om(limit_measure), kind="besov1",
-                              measures=list(measures), limit_measure=limit_measure)
+gaussian_om_family = besov_om_family = om_family
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +268,29 @@ def besov_recovery_sequence(mu_seq: Sequence[BesovMeasure],
     return [m.gamma * base for m in mu_seq]
 
 
+@singledispatch
+def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
+    """Explicit recovery sequence x_n -> u for a family of measures,
+    dispatched on the limit measure's type."""
+    raise InputError(f"no recovery sequence for measure type {type(mu_limit).__name__}")
+
+
+recovery_sequence.register(GaussianMeasure,
+                           lambda lim, seq, u: gaussian_recovery_sequence(seq, lim, u))
+recovery_sequence.register(BesovMeasure, lambda lim, seq, u: besov_recovery_sequence(seq, lim, u))
+
+
+def recovery_gap(seq: FunctionalSequence, u) -> Optional[float]:
+    """max(0, max_n F_n(x_n) - F(u)) along the recovery sequence x_n of u,
+    or None where F(u) is +inf (there is nothing to recover)."""
+    target = seq.limit.eval(u)
+    if math.isinf(target):
+        return None
+    rec = recovery_sequence(seq.limit_measure, seq.measures, u)
+    worst = max(seq.members[i].eval(rec[i]) - target for i in range(len(rec)))
+    return max(0.0, float(worst))
+
+
 # ---------------------------------------------------------------------------
 # equicoercivity probe
 # ---------------------------------------------------------------------------
@@ -296,55 +316,63 @@ class EquicoercivityEntry:
 
 def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
                          seed: int = 0) -> EquicoercivityEntry:
-    """Sample sublevel sets {F_n <= t} and verify the compact bound.
-
-    Gaussian family: points are m_n + C_n^(1/2) v with |v| <= sqrt(2t),
-    and the bound checked is |C_n^(+1/2)(u - m_n)| <= sqrt(2t).
-    Besov family: points are gamma_n-scaled l^1-ball samples, and the
-    bound is the coordinate box |u_k| <= gammabar_k * t built from the
-    limit smoothness minus half the tail exponent; members whose
-    smoothness falls below that envelope are dropped, mirroring the
-    finitely-many-dropped-members proviso of the limit theorem.
-    """
+    """Sample sublevel sets {F_n <= t} and verify the compact bound, by
+    ``sublevel_check`` on the family's limit measure."""
     if t < 0:
         return EquicoercivityEntry(t, 0, 0, 0, "empty sublevel", "vacuous-pass")
-    rng = child_rng(seed, "equicoercivity")
-    shrink = 1.0 - 1e-9  # sample strictly inside the sublevel set
-    if seq.kind == "gaussian":
-        bound = math.sqrt(2.0 * t)
-        viol = 0
-        for mu in seq.measures:
-            z = _uniform_pball(rng, samples, mu.dim, 2.0) * bound * shrink
-            lam = mu.cov.eigenvalues
-            basis = mu.cov.basis
-            z_e = z if basis is None else z @ basis
-            u_minus_m_e = z_e * np.sqrt(lam)
-            free = ~mu.cov.zero_mask()
-            w = np.zeros_like(u_minus_m_e)
-            w[:, free] = u_minus_m_e[:, free] / np.sqrt(lam[free])
-            viol += int(np.sum(np.linalg.norm(w, axis=1) > bound))
-        return EquicoercivityEntry(t, len(seq.measures), samples, viol,
-                                   f"|C_n^(+1/2)(u-m_n)| <= sqrt(2t) = {bound:.6g}",
-                                   "pass" if viol == 0 else "fail",
-                                   first_index_checked=seq.indices[0])
-    if seq.kind == "besov1":
-        lim = seq.limit_measure
-        s_bar = lim.s - lim.d * lim.eta / 2.0
-        k = np.arange(1, lim.dim + 1, dtype=float)
-        gamma_bar = k ** (-s_bar / lim.d + 0.5)
-        usable = [(i, mu) for i, mu in zip(seq.indices, seq.measures) if mu.s >= s_bar]
-        if not usable:
-            raise InputError("no family member satisfies the smoothness envelope")
-        viol = 0
-        for _, mu in usable:
-            y = _uniform_pball(rng, samples, mu.dim, 1.0) * t * shrink
-            pts = mu.gamma * y
-            viol += int(np.sum(np.any(np.abs(pts) > gamma_bar * t, axis=1)))
-        return EquicoercivityEntry(t, len(usable), samples, viol,
-                                   "|u_k| <= gammabar_k * t", "pass" if viol == 0 else "fail",
-                                   first_index_checked=usable[0][0],
-                                   note=f"members with smoothness below {s_bar:.6g} dropped")
+    return sublevel_check(seq.limit_measure, seq, t, samples, child_rng(seed, "equicoercivity"))
+
+
+@singledispatch
+def sublevel_check(limit_measure, seq: FunctionalSequence, t: float, samples: int,
+                   rng: np.random.Generator) -> EquicoercivityEntry:
+    """Sample each member's sublevel set {F_n <= t}, strictly inside, and
+    count the points outside the compact bound, dispatched on the limit
+    measure's type."""
     raise InputError("equicoercivity probe needs a gaussian or besov1 family")
+
+
+@sublevel_check.register(GaussianMeasure)
+def _gaussian_sublevel(lim, seq, t, samples, rng) -> EquicoercivityEntry:
+    """Points are m_n + C_n^(1/2) v with |v| <= sqrt(2t), and the bound
+    checked is |C_n^(+1/2)(u - m_n)| <= sqrt(2t)."""
+    bound = math.sqrt(2.0 * t)
+    viol = 0
+    for mu in seq.measures:
+        z = _uniform_pball(rng, samples, mu.dim, 2.0) * bound * (1.0 - 1e-9)
+        lam, basis = mu.cov.eigenvalues, mu.cov.basis
+        u_minus_m_e = (z if basis is None else z @ basis) * np.sqrt(lam)
+        free = ~mu.cov.zero_mask()
+        w = np.zeros_like(u_minus_m_e)
+        w[:, free] = u_minus_m_e[:, free] / np.sqrt(lam[free])
+        viol += int(np.sum(np.linalg.norm(w, axis=1) > bound))
+    return EquicoercivityEntry(t, len(seq.measures), samples, viol,
+                               f"|C_n^(+1/2)(u-m_n)| <= sqrt(2t) = {bound:.6g}",
+                               "pass" if viol == 0 else "fail",
+                               first_index_checked=seq.indices[0])
+
+
+@sublevel_check.register(BesovMeasure)
+def _besov_sublevel(lim, seq, t, samples, rng) -> EquicoercivityEntry:
+    """Points are gamma_n-scaled l^1-ball samples, and the bound is the
+    coordinate box |u_k| <= gammabar_k * t built from the limit
+    smoothness minus half the tail exponent; members whose smoothness
+    falls below that envelope are dropped, mirroring the
+    finitely-many-dropped-members proviso of the limit theorem."""
+    s_bar = lim.s - lim.d * lim.eta / 2.0
+    k = np.arange(1, lim.dim + 1, dtype=float)
+    gamma_bar = k ** (-s_bar / lim.d + 0.5)
+    usable = [(i, mu) for i, mu in zip(seq.indices, seq.measures) if mu.s >= s_bar]
+    if not usable:
+        raise InputError("no family member satisfies the smoothness envelope")
+    viol = 0
+    for _, mu in usable:
+        pts = mu.gamma * (_uniform_pball(rng, samples, mu.dim, 1.0) * t * (1.0 - 1e-9))
+        viol += int(np.sum(np.any(np.abs(pts) > gamma_bar * t, axis=1)))
+    return EquicoercivityEntry(t, len(usable), samples, viol,
+                               "|u_k| <= gammabar_k * t", "pass" if viol == 0 else "fail",
+                               first_index_checked=usable[0][0],
+                               note=f"members with smoothness below {s_bar:.6g} dropped")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +588,7 @@ def sum_rule_check(f_seq: FunctionalSequence, g_seq: Sequence, g_limit,
     limit = OmFunctional(eval=lambda u: f_seq.limit.eval(u) + float(g_lim_eval(u)),
                          domain_test=f_seq.limit.domain_test, anchor=f_seq.limit.anchor)
     summed = FunctionalSequence(f_seq.indices, [summed_member(i) for i in range(len(g_seq))],
-                                limit, kind="generic")
+                                limit)
     liminf_reports = [gamma_liminf_probe(summed, x, opts=opts) for x in points]
 
     gaps = []

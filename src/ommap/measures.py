@@ -3,14 +3,15 @@
 The primitive underlying every mode and functional in this package is
 the mass mu(B_r(x)) of a small ball.  This module provides:
 
-* Gaussian and Besov-1 (Laplace product) measures on truncated sequence
-  spaces, plus generic 1-d densities;
+* product measures on truncated sequence spaces (Gaussian, and Besov-1 as
+  a Laplace product), each a product of 1-d factors in eigen coordinates,
+  plus generic 1-d densities;
 * exact ball masses where a closed form exists (weighted sup-norm balls
   on product measures, one-dimensional balls, registered examples);
 * Monte Carlo ball masses and common-random-number ratio curves for
   everything else;
 * the supremum of the ball mass over all centres, where a symmetry
-  argument places it (Gaussian and Besov-1 measures: at the mean);
+  argument places it (product measures: at the mean);
 * extrapolation of ratio curves to the small-radius limit.
 """
 
@@ -30,31 +31,127 @@ from .errors import InputError, ParameterError
 from .spaces import (RANK_TOL, SpectralOperator, WeightedSeqSpace, _as_vector,
                      weighted_norm)
 
-BESOV_Z1 = 0.5  # normalisation of exp(-|x|) on the line
+# ---------------------------------------------------------------------------
+# product measures: one 1-d factor per eigen coordinate
+# ---------------------------------------------------------------------------
+
+class NormalFactor:
+    """Standard normal factors: a coordinate of variance v is sqrt(v) X.
+
+    The ``mc_*`` hooks expand the free-coordinate log density at c + s*w*z
+    in the proposal scale s: with d = c - m it is -1/2 [|d|^2_v +
+    2s z.(d w / v) + s^2 (z*z).(w*w / v)] - log norm, so each scale costs
+    O(n) on top of one matvec per center.
+    """
+
+    def log_sf(self, x):
+        """log P(X > x)."""
+        return log_ndtr(-x)
+
+    def draw(self, rng, shape):
+        return rng.standard_normal(shape)
+
+    def mc_draw_stat(self, setup, z):
+        return (z * z) @ (setup.w * setup.w / setup.spread)
+
+    def mc_center(self, setup, d):
+        """For d = c - m, the function (draws, scales) -> free-coordinate log
+        density at c + s*w*z, of shape (len(scales), n)."""
+        v = setup.spread
+        lin_w = d * setup.w / v
+        log_d0 = -0.5 * float(np.sum(d * d / v)) - 0.5 * float(np.sum(np.log(2.0 * math.pi * v)))
+
+        def log_density(draws, scales):
+            s = np.asarray(scales, dtype=float)[:, None]
+            return log_d0 - s * (draws.z @ lin_w) - 0.5 * s * s * draws.stat
+
+        return log_density
 
 
-# ---------------------------------------------------------------------------
-# measure types
-# ---------------------------------------------------------------------------
+class LaplaceFactor:
+    """Unit Laplace factors, density exp(-|x|) / 2: a coordinate of scale b is b X.
+
+    In the Monte Carlo expansion, coordinates where c = 0 contribute
+    s |z|.(w / b); only the nonzero coordinates of c are evaluated at
+    each scale.
+    """
+
+    def log_sf(self, x):
+        """log P(X > x)."""
+        return np.where(x >= 0, math.log(0.5) - x,
+                        np.log1p(-0.5 * np.exp(np.minimum(x, 0.0))))
+
+    def draw(self, rng, shape):
+        return rng.laplace(size=shape)
+
+    def mc_draw_stat(self, setup, z):
+        return np.abs(z)
+
+    def mc_center(self, setup, d):
+        b, nz = setup.spread, d != 0.0
+        log_norm, abs_w = float(np.sum(np.log(2.0 * b))), setup.w / b
+        zero_w, idx = np.where(nz, 0.0, abs_w), np.flatnonzero(nz)
+        c_nz, w_nz = d[nz] / b[nz], abs_w[nz]
+
+        def log_density(draws, scales):
+            s = np.asarray(scales, dtype=float)[:, None]
+            ld = -log_norm - s * (draws.stat @ zero_w)
+            if idx.size:
+                z_nz = draws.z[:, idx] * w_nz
+                for i, si in enumerate(s[:, 0]):
+                    ld[i] -= np.abs(c_nz + si * z_nz).sum(axis=1)
+            return ld
+
+        return log_density
+
+
+class ProductMeasure:
+    """A product of 1-d factors in eigen coordinates, read through its form.
+
+    The form is ``basis`` (eigenvectors as columns, None for the coordinate
+    basis), ``mean`` and ``eigen_mean``, the per-coordinate ``scale`` of the
+    1-d ``factor`` and the factor's density parameter ``spread``; ``pinned``
+    marks the coordinates Monte Carlo holds at the mean.
+    """
+
+    basis = None
+    pinned = property(lambda self: np.zeros(self.dim, dtype=bool))
+
+    def to_eigen(self, x: np.ndarray) -> np.ndarray:
+        return x if self.basis is None else self.basis.T @ x
+
 
 @dataclass(frozen=True)
-class GaussianMeasure:
+class GaussianMeasure(ProductMeasure):
     """N(mean, cov) on R^K with SPSD covariance in spectral form."""
 
     mean: np.ndarray
     cov: SpectralOperator
 
-    def __post_init__(self):
-        m = _as_vector(self.mean, self.cov.dim)
-        object.__setattr__(self, "mean", m)
+    factor = NormalFactor()
+    dim = property(lambda self: self.cov.dim)
+    basis = property(lambda self: self.cov.basis)
+    eigen_mean = property(lambda self: self.cov.to_eigen(self.mean))
+    spread = property(lambda self: self.cov.eigenvalues)  # variances
+    scale = property(lambda self: np.sqrt(self.cov.eigenvalues))
+    pinned = property(lambda self: self.cov.zero_mask(RANK_TOL))
 
-    @property
-    def dim(self) -> int:
-        return self.cov.dim
+    def __post_init__(self):
+        object.__setattr__(self, "mean", _as_vector(self.mean, self.cov.dim))
+
+    def default_space(self) -> WeightedSeqSpace:
+        return WeightedSeqSpace.unweighted(2.0, self.dim)
+
+    def to_json(self) -> dict:
+        out = {"type": "gaussian", "mean": list(map(float, self.mean)),
+               "eigenvalues": list(map(float, self.cov.eigenvalues))}
+        if self.cov.basis is not None:
+            out["basis"] = [list(map(float, row)) for row in self.cov.basis]
+        return out
 
 
 @dataclass(frozen=True)
-class BesovMeasure:
+class BesovMeasure(ProductMeasure):
     """Product of centred Laplace distributions with scales gamma_k.
 
     The scales follow the power law gamma_k = k^(1 - 1/tau) with
@@ -67,6 +164,13 @@ class BesovMeasure:
     eta: float
     dim: int
 
+    factor = LaplaceFactor()
+    tau = property(lambda self: self._weights[0])
+    t = property(lambda self: self._weights[1])
+    gamma = scale = spread = property(lambda self: self._weights[2])
+    delta = property(lambda self: self._weights[3])
+    mean = eigen_mean = property(lambda self: np.zeros(self.dim))
+
     def __post_init__(self):
         if int(self.d) != self.d:
             raise ParameterError("spatial dimension d must be a positive integer")
@@ -78,27 +182,6 @@ class BesovMeasure:
     def _weights(self):
         return besov_weights(self.s, self.d, self.eta, self.dim)
 
-    @property
-    def z1(self) -> float:
-        """Normalisation of the unit-scale coordinate density."""
-        return BESOV_Z1
-
-    @property
-    def tau(self) -> float:
-        return self._weights[0]
-
-    @property
-    def t(self) -> float:
-        return self._weights[1]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self._weights[2]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self._weights[3]
-
     def coefficient_space(self) -> WeightedSeqSpace:
         """The l^1_gamma space where the measure's functional is finite."""
         return WeightedSeqSpace(p=1.0, weights=self.gamma)
@@ -106,6 +189,12 @@ class BesovMeasure:
     def ambient_space(self) -> WeightedSeqSpace:
         """The l^1_delta space carrying full measure."""
         return WeightedSeqSpace(p=1.0, weights=self.delta)
+
+    default_space = ambient_space
+
+    def to_json(self) -> dict:
+        return {"type": "besov1", "s": float(self.s), "d": int(self.d),
+                "eta": float(self.eta), "dim": int(self.dim)}
 
 
 def besov_weights(s: float, d: int, eta: float, dim: int):
@@ -260,16 +349,13 @@ def sample(measure, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws as rows; deterministic given the seed."""
     if n < 1:
         raise InputError("need n >= 1 draws")
+    if not isinstance(measure, ProductMeasure):
+        raise InputError(f"sampling is defined for product measures, not {type(measure).__name__}")
     rng = child_rng(seed, "sample")
-    if isinstance(measure, GaussianMeasure):
-        xi = rng.standard_normal((n, measure.dim))
-        scaled = xi * np.sqrt(measure.cov.eigenvalues)
-        if measure.cov.basis is not None:
-            scaled = scaled @ measure.cov.basis.T
-        return measure.mean + scaled
-    if isinstance(measure, BesovMeasure):
-        return rng.laplace(loc=0.0, scale=measure.gamma, size=(n, measure.dim))
-    raise InputError(f"sampling is defined for product measures, not {type(measure).__name__}")
+    scaled = measure.factor.draw(rng, (n, measure.dim)) * measure.scale
+    if measure.basis is not None:
+        scaled = scaled @ measure.basis.T
+    return measure.mean + scaled
 
 
 def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float) -> np.ndarray:
@@ -325,9 +411,9 @@ def _check_space(measure, space: WeightedSeqSpace) -> None:
 class _ProductSetup:
     """Shared geometry for MC ball masses of one product measure.
 
-    Works in the eigenbasis of the covariance.  Coordinates with zero
-    variance are pinned to the mean; the remaining ones carry a product
-    density (Gaussian or Laplace).  Proposals are c + s * w * z with z
+    Works in the measure's eigen coordinates.  Pinned coordinates are
+    held at the mean; the remaining ones carry the product density of the
+    measure's factor.  Proposals are c + s * w * z with z
     uniform in a unit ball: the ball of the space's own norm and weights
     w when the basis is aligned with the coordinates, the Euclidean ball
     with w = 1 otherwise.
@@ -335,18 +421,10 @@ class _ProductSetup:
 
     def __init__(self, measure, space: WeightedSeqSpace):
         _check_space(measure, space)
-        if isinstance(measure, GaussianMeasure):
-            self.kind = "gaussian"
-            self.basis = measure.cov.basis
-            self.mean_e = measure.cov.to_eigen(measure.mean)
-            self.zero = measure.cov.zero_mask(RANK_TOL)
-        elif isinstance(measure, BesovMeasure):
-            self.kind = "laplace"
-            self.basis = None
-            self.mean_e = np.zeros(measure.dim)
-            self.zero = np.zeros(measure.dim, dtype=bool)
-        else:
+        if not isinstance(measure, ProductMeasure):
             raise InputError(f"not a product measure: {type(measure).__name__}")
+        self.factor, self.basis, self.to_eigen = measure.factor, measure.basis, measure.to_eigen
+        self.mean_e, self.zero = measure.eigen_mean, measure.pinned
         self.space = space
         self.free = ~self.zero
         self.k_free = int(np.sum(self.free))
@@ -357,34 +435,19 @@ class _ProductSetup:
         else:
             self.w, self.draw_p = np.ones(self.k_free), 2.0
             self.basis_free = self.basis[:, self.free]
-        if self.kind == "gaussian":
-            self.v = measure.cov.eigenvalues[self.free]
-            self.log_norm = 0.5 * float(np.sum(np.log(2.0 * math.pi * self.v)))
-            self.quad_w = self.w * self.w / self.v
-        else:
-            self.b = measure.gamma
-            self.log_norm = float(np.sum(np.log(2.0 * self.b)))
-            self.abs_w = self.w / self.b
-
-    def center_eigen(self, center: np.ndarray) -> np.ndarray:
-        if self.basis is None:
-            return center
-        return self.basis.T @ center
+        self.spread = measure.spread[self.free]
 
 
 class _Draws:
     """One batch of unit-ball draws z and the statistics all centers share.
 
-    These are (z*z) @ (w*w/v) for Gaussians, |z| for Laplace, and the
-    ambient directions z @ basis_free.T in a rotated basis.
+    These are the factor's per-draw statistic and, in a rotated basis, the
+    ambient directions z @ basis_free.T.
     """
 
     def __init__(self, setup: _ProductSetup, z: np.ndarray):
         self.z = z
-        if setup.kind == "gaussian":
-            self.q = (z * z) @ setup.quad_w
-        else:
-            self.absz = np.abs(z)
+        self.stat = setup.factor.mc_draw_stat(setup, z)
         self.zb = None if setup.aligned else z @ setup.basis_free.T
 
 
@@ -393,7 +456,7 @@ class _CenterPlan:
 
     def __init__(self, setup: _ProductSetup, center: np.ndarray):
         self.setup = setup
-        c_e = setup.center_eigen(np.asarray(center, dtype=float))
+        c_e = setup.to_eigen(np.asarray(center, dtype=float))
         self.c_free = c_e[setup.free]
         sp = setup.space
         p = sp.p
@@ -420,18 +483,8 @@ class _CenterPlan:
                 self.gain = smin
             if self.gain <= 0:
                 raise InputError("degenerate geometry: cannot bound the ball section")
-        # log density at c + s*w*z, expanded in s: see log_density
-        d = self.c_free - setup.m_free
-        if setup.kind == "gaussian":
-            self.lin_w = d * setup.w / setup.v
-            self.log_d0 = -0.5 * float(np.sum(d * d / setup.v)) - setup.log_norm
-        else:
-            nz = d != 0.0
-            self.zero_w = np.where(nz, 0.0, setup.abs_w)
-            self.nz = np.flatnonzero(nz)
-            self.c_nz = d[nz] / setup.b[nz]
-            self.w_nz = setup.abs_w[nz]
-            self.log_d0 = -setup.log_norm
+        # log density at c + s*w*z, expanded in s by the factor
+        self.log_density = setup.factor.mc_center(setup, self.c_free - setup.m_free)
 
     def section_radius(self, r: float) -> Optional[float]:
         """Radius of the free-coordinate ball section (aligned case)."""
@@ -455,25 +508,6 @@ class _CenterPlan:
             return r_sec, _log_pball_volume(r_sec, setup.k_free, setup.space.p, setup.w)
         rho = (r + self.fix_norm) / self.gain
         return rho, _log_euclid_volume(rho, setup.k_free)
-
-    def log_density(self, draws: _Draws, scales: np.ndarray) -> np.ndarray:
-        """Free-coordinate log density at c + s*w*z, shape (len(scales), n).
-
-        With d = c - m, a Gaussian gives
-        -1/2 [|d|^2_v + 2s z.(d w / v) + s^2 (z*z).(w*w / v)] - log norm,
-        so each scale costs O(n) on top of one matvec per center.  Laplace
-        coordinates where c = 0 contribute s |z|.(w / b); only the
-        nonzero coordinates of c are evaluated at each scale.
-        """
-        s = np.asarray(scales, dtype=float)[:, None]
-        if self.setup.kind == "gaussian":
-            return self.log_d0 - s * (draws.z @ self.lin_w) - 0.5 * s * s * draws.q
-        ld = self.log_d0 - s * (draws.absz @ self.zero_w)
-        if self.nz.size:
-            z_nz = draws.z[:, self.nz] * self.w_nz
-            for i, si in enumerate(s[:, 0]):
-                ld[i] -= np.abs(self.c_nz + si * z_nz).sum(axis=1)
-        return ld
 
 
 def _log_mean_exp(x: np.ndarray) -> np.ndarray:
@@ -523,34 +557,14 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
 # exact ball masses for product measures
 # ---------------------------------------------------------------------------
 
-def _point_mass(measure) -> bool:
-    """Whether the measure is a Gaussian with no free coordinate, i.e. a
-    point mass at its mean."""
-    return isinstance(measure, GaussianMeasure) and bool(np.all(measure.cov.zero_mask(RANK_TOL)))
-
-
-def _factorises(measure, space: WeightedSeqSpace) -> bool:
+def _factorises(measure: ProductMeasure, space: WeightedSeqSpace) -> bool:
     """Whether ball masses factor over coordinates.
 
     That needs a coordinate-aligned product measure and either a
     weighted sup-norm ball or a one-dimensional space.
     """
-    if isinstance(measure, GaussianMeasure):
-        aligned = measure.cov.basis is None or measure.dim == 1
-    else:
-        aligned = isinstance(measure, BesovMeasure)
+    aligned = measure.basis is None or measure.dim == 1
     return aligned and (math.isinf(space.p) or space.dim == 1)
-
-
-def _gauss_log_sf(x: np.ndarray) -> np.ndarray:
-    """log P(X > x) for the standard normal distribution."""
-    return log_ndtr(-x)
-
-
-def _laplace_log_sf(x: np.ndarray) -> np.ndarray:
-    """log P(X > x) for the unit Laplace distribution."""
-    return np.where(x >= 0, math.log(0.5) - x,
-                    np.log1p(-0.5 * np.exp(np.minimum(x, 0.0))))
 
 
 def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
@@ -566,16 +580,13 @@ def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
     underflows.
     """
     inside = np.less_equal if closed else np.less
-    if _point_mass(measure):
-        # the ball holds all of the mass or none of it, in any norm
+    if np.all(measure.pinned):
+        # a point mass at the mean: the ball holds all of it or none, in any norm
         return 0.0 if inside(weighted_norm(center - measure.mean, space), radius) else -math.inf
     if not _factorises(measure, space):
         return None
-    if isinstance(measure, GaussianMeasure):
-        c, mean = measure.cov.to_eigen(center), measure.cov.to_eigen(measure.mean)
-        sd, log_sf = np.sqrt(measure.cov.eigenvalues), _gauss_log_sf
-    else:
-        c, mean, sd, log_sf = center, np.zeros(measure.dim), measure.gamma, _laplace_log_sf
+    c, mean = measure.to_eigen(center), measure.eigen_mean
+    sd, log_sf = measure.scale, measure.factor.log_sf
     half = radius * space.weights
     pinned = sd == 0.0
     if not np.all(inside(np.abs(c - mean)[pinned], half[pinned])):
@@ -590,15 +601,10 @@ def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
 
 
 def default_space(measure) -> WeightedSeqSpace:
-    """Norm used for balls when the caller does not specify one."""
-    if isinstance(measure, BesovMeasure):
-        return measure.ambient_space()
-    if isinstance(measure, GaussianMeasure):
-        return WeightedSeqSpace.unweighted(2.0, measure.dim)
+    """Norm used for balls when the caller does not specify one: the
+    measure's own ``default_space``, else the absolute value on the line."""
     own = getattr(measure, "default_space", None)
-    if own is not None:
-        return own()
-    return WeightedSeqSpace.unweighted(2.0, 1)
+    return own() if own is not None else WeightedSeqSpace.unweighted(2.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +644,7 @@ def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMa
     return BallMass(est, se, "monte-carlo", low_confidence=low)
 
 
-ball_mass.register(GaussianMeasure, _product_ball_mass)
-ball_mass.register(BesovMeasure, _product_ball_mass)
+ball_mass.register(ProductMeasure, _product_ball_mass)
 
 
 @singledispatch
@@ -653,23 +658,17 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
     return None
 
 
-@sup_ball_mass.register(GaussianMeasure)
-def _gaussian_sup_ball_mass(measure: GaussianMeasure, radius, space=None, opts=None):
-    # Anderson (1955): a centred Gaussian gives a symmetric convex set its
-    # largest mass among all translates.  A p < 1 ball is not convex, but
-    # in the coordinate basis it is unconditional with interval sections,
-    # so Fubini and the 1-d case cover it.
+@sup_ball_mass.register(ProductMeasure)
+def _product_sup_ball_mass(measure: ProductMeasure, radius, space=None, opts=None):
+    # Anderson (1955): a centred product of symmetric log-concave factors
+    # (normal, Laplace) gives a symmetric convex set its largest mass among
+    # all translates.  A p < 1 ball is not convex, but in the coordinate
+    # basis it is unconditional with interval sections, so Fubini and the
+    # 1-d case cover it.
     space = space or default_space(measure)
-    if space.p >= 1 or measure.cov.basis is None or measure.dim == 1:
+    if space.p >= 1 or measure.basis is None or measure.dim == 1:
         return ball_mass(measure, measure.mean, radius, space, opts)
     return None
-
-
-@sup_ball_mass.register(BesovMeasure)
-def _besov_sup_ball_mass(measure: BesovMeasure, radius, space=None, opts=None):
-    # Laplace factors are symmetric and log-concave, and the product is
-    # coordinate-aligned: the Gaussian argument holds for every p
-    return ball_mass(measure, np.zeros(measure.dim), radius, space, opts)
 
 
 @ball_mass.register(Density1D)
@@ -735,8 +734,8 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts, rng) -> dict:
 
 
 def _measure_has_exact(measure, space: WeightedSeqSpace) -> bool:
-    if isinstance(measure, (GaussianMeasure, BesovMeasure)):
-        return _point_mass(measure) or _factorises(measure, space)
+    if isinstance(measure, ProductMeasure):
+        return bool(np.all(measure.pinned)) or _factorises(measure, space)
     if isinstance(measure, Density1D):
         return True
     # registered example measures provide closed forms via ball_mass
@@ -746,7 +745,7 @@ def _measure_has_exact(measure, space: WeightedSeqSpace) -> bool:
 def _exact_log_masses(measure, center, radii: np.ndarray, space: WeightedSeqSpace,
                       opts: RatioOpts) -> np.ndarray:
     """log mu(B_r(center)) for each radius, from closed forms or quadrature."""
-    if isinstance(measure, (GaussianMeasure, BesovMeasure)):
+    if isinstance(measure, ProductMeasure):
         _check_space(measure, space)
         c = _as_vector(center, space.dim)
         return np.array([_product_exact_log_mass(measure, c, float(r), space, opts.closed)
@@ -876,15 +875,9 @@ def measure_from_json(obj: dict):
 
 
 def measure_to_json(measure) -> dict:
-    if isinstance(measure, GaussianMeasure):
-        out = {"type": "gaussian", "mean": list(map(float, measure.mean)),
-               "eigenvalues": list(map(float, measure.cov.eigenvalues))}
-        if measure.cov.basis is not None:
-            out["basis"] = [list(map(float, row)) for row in measure.cov.basis]
-        return out
-    if isinstance(measure, BesovMeasure):
-        return {"type": "besov1", "s": float(measure.s), "d": int(measure.d),
-                "eta": float(measure.eta), "dim": int(measure.dim)}
+    """A measure's own ``to_json``, else its registered name and parameters."""
+    if hasattr(measure, "to_json"):
+        return measure.to_json()
     name = getattr(measure, "registry_name", None) or getattr(measure, "name", None)
     params = getattr(measure, "registry_params", None)
     if name and params is not None:

@@ -4,9 +4,10 @@ An Onsager-Machlup functional assigns to each point of a measure's
 effective domain a value whose differences are the negative logs of
 small-ball mass-ratio limits; off the domain it is extended by +inf.
 This module builds these functionals for Gaussian, Besov-1, and generic
-1-d measures, and provides the empirical probes that tie them back to
-ball masses: difference checks, vanishing-ratio (domain) checks, and
-strong/weak mode classification.
+1-d measures (``prior_om`` dispatches on the measure type), and provides
+the empirical probes that tie them back to ball masses: difference
+checks, vanishing-ratio (domain) checks, and strong/weak mode
+classification.
 
 All functional values are only meaningful up to an additive constant;
 every check here compares differences.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +25,8 @@ from scipy.optimize import minimize
 
 from .errors import InputError
 from .measures import (BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
-                       RatioOpts, BallOpts, ball_mass, ball_ratio_curve, default_space,
-                       sup_ball_mass)
+                       ProductMeasure, RatioOpts, BallOpts, ball_mass, ball_ratio_curve,
+                       default_space, sup_ball_mass)
 from .spaces import RANGE_ATOL, RANK_TOL, WeightedSeqSpace, _as_vector
 
 
@@ -79,6 +81,14 @@ def _row_functional(kernel, domain_row, dim: int, anchor, meta: dict) -> OmFunct
                         kernel=kernel)
 
 
+@singledispatch
+def prior_om(measure) -> OmFunctional:
+    """The Onsager-Machlup functional of a measure, dispatched on its type;
+    example measures register theirs where they are defined."""
+    raise InputError(f"no OM functional for measure type {type(measure).__name__}")
+
+
+@prior_om.register(GaussianMeasure)
 def gaussian_om(mu: GaussianMeasure, rank_tol: float = RANK_TOL) -> OmFunctional:
     """Half the squared Cameron-Martin norm of u - mean.
 
@@ -127,6 +137,7 @@ def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float
     return coef_bound * mu.dim ** (a + 1) / (-a - 1)
 
 
+@prior_om.register(BesovMeasure)
 def besov_om(mu: BesovMeasure) -> OmFunctional:
     """Weighted l^1 norm sum_k |u_k| / gamma_k on the truncation.
 
@@ -379,8 +390,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     cand_se = np.empty(len(radii))
     sup_mass = np.empty(len(radii))
     sup_se = np.empty(len(radii))
-    rule_caveat = (_ANDERSON_CAVEAT if isinstance(measure, (GaussianMeasure, BesovMeasure))
-                   else _CLOSED_FORM_CAVEAT)
+    rule_caveat = _ANDERSON_CAVEAT if isinstance(measure, ProductMeasure) else _CLOSED_FORM_CAVEAT
     paths = []
     for i, r in enumerate(radii):
         bm = ball_mass(measure, cand, float(r), space, opts.ball)

@@ -15,7 +15,8 @@ from ommap import (BallOpts, BesovMeasure, Density1D, GaussianMeasure, InputErro
                    ball_mass, ball_ratio_curve, besov_weights, gaussian_om,
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    radius_schedule, sample, sup_ball_mass)
-from ommap.measures import _CenterPlan, _Draws, _ProductSetup, _uniform_pball
+from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _ProductSetup,
+                            _uniform_pball)
 
 
 def std_gaussian(k):
@@ -279,9 +280,9 @@ class TestRatioCurve:
         assert peak < 48e6  # six arrays of one 1e4 x 100 batch
 
 
-def _direct_log_density(kind, pts, mean, spread):
+def _direct_log_density(factor, pts, mean, spread):
     """Product log density of free coordinates, evaluated term by term."""
-    if kind == "gaussian":
+    if isinstance(factor, NormalFactor):
         return (-0.5 * np.sum((pts - mean) ** 2 / spread, axis=1)
                 - 0.5 * np.sum(np.log(2.0 * math.pi * spread)))
     return -np.sum(np.abs(pts) / spread, axis=1) - np.sum(np.log(2.0 * spread))
@@ -319,7 +320,7 @@ class TestMcKernel:
         scales = np.array([0.0, 1e-3, 0.1, 1.7])
         got = plan.log_density(_Draws(setup, z), scales)
         for s, row in zip(scales, got):
-            want = _direct_log_density(setup.kind, c_free + s * w * z, m_free, spread)
+            want = _direct_log_density(setup.factor, c_free + s * w * z, m_free, spread)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("k", [1, 3, 10])

@@ -1,0 +1,162 @@
+"""Conformance of every product prior to the product-prior protocol.
+
+Each prior registers one rule per operation (``prior_om``,
+``recovery_sequence``, ``map_solve``, ...) and exposes its product form
+to the measure layer.  The checks below run over ``PRIORS``: a new
+product prior adds one ``PriorCase``.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from ommap import (BesovMeasure, GaussianMeasure, LinearObservation, ProductMeasure,
+                   ProxOpts, SpectralOperator, besov_om, besov_recovery_sequence,
+                   default_space, gaussian_om, gaussian_recovery_sequence, map_solve,
+                   map_solve_besov_linear, map_solve_gaussian_linear, measure_from_json,
+                   measure_to_json, om_family, prior_om, recovery_gap,
+                   recovery_sequence, sample)
+from ommap._seeds import child_rng
+
+
+def _rotation(rng, k):
+    q, r = np.linalg.qr(rng.normal(size=(k, k)))
+    return q * np.sign(np.diag(r))
+
+
+@dataclass(frozen=True)
+class PriorCase:
+    name: str
+    build: Callable          # (k, shift) -> prior; shift = 0 gives the limit
+    om: Callable             # per-type OM constructor
+    recovery: Callable       # per-type recovery sequence (mu_seq, mu_limit, u)
+    solve: Callable          # per-type MAP solver (prior, obs, prox)
+    draws: Callable          # (prior, n, seed) -> draws, written out per type
+    space: Callable          # prior -> (p, weights) of its default ball norm
+
+
+def _gaussian(rotated: bool):
+    def build(k, shift):
+        r = np.random.default_rng(7)
+        eig = r.uniform(0.5, 2.0, k)
+        if rotated:
+            eig[-1] = 0.0  # a pinned direction
+        basis = _rotation(r, k) if rotated else None
+        return GaussianMeasure(r.normal(size=k) + shift, SpectralOperator(eig + shift, basis))
+
+    def draws(mu, n, seed):
+        xi = child_rng(seed, "sample").standard_normal((n, mu.dim))
+        scaled = xi * np.sqrt(mu.cov.eigenvalues)
+        if mu.cov.basis is not None:
+            scaled = scaled @ mu.cov.basis.T
+        return mu.mean + scaled
+
+    return PriorCase(
+        "gaussian-rotated" if rotated else "gaussian-aligned", build, gaussian_om,
+        gaussian_recovery_sequence, lambda mu, obs, prox: map_solve_gaussian_linear(mu, obs),
+        draws, lambda mu: (2.0, np.ones(mu.dim)))
+
+
+def _besov_draws(mu, n, seed):
+    return child_rng(seed, "sample").laplace(loc=0.0, scale=mu.gamma, size=(n, mu.dim))
+
+
+PRIORS = [
+    _gaussian(rotated=False),
+    _gaussian(rotated=True),
+    PriorCase("besov1", lambda k, shift: BesovMeasure(1.1 + shift, 1, 1.0, k), besov_om,
+              besov_recovery_sequence, map_solve_besov_linear, _besov_draws,
+              lambda mu: (1.0, mu.delta)),
+]
+K = 4
+
+
+@pytest.fixture(params=PRIORS, ids=lambda c: c.name)
+def case(request):
+    return request.param
+
+
+def test_is_a_product_measure(case):
+    mu = case.build(K, 0.0)
+    assert isinstance(mu, ProductMeasure)
+    assert mu.scale.shape == mu.spread.shape == mu.eigen_mean.shape == (K,)
+
+
+def test_prior_om_is_the_per_type_functional(case):
+    mu = case.build(K, 0.0)
+    pts = np.random.default_rng(1).normal(size=(20, K))
+    pts[0] = prior_om(mu).anchor
+    np.testing.assert_array_equal(prior_om(mu).values(pts), case.om(mu).values(pts))
+    assert prior_om(mu).meta["kind"] == case.om(mu).meta["kind"]
+
+
+def test_recovery_sequence_is_the_per_type_one(case):
+    limit = case.build(K, 0.0)
+    members = [case.build(K, 0.5 / n) for n in range(1, 6)]
+    u = sample(limit, 1, 3)[0]
+    got = recovery_sequence(limit, members, u)
+    want = case.recovery(members, limit, u)
+    assert len(got) == len(want) == len(members)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    gap = recovery_gap(om_family(members, limit), u)
+    assert gap is not None and 0.0 <= gap <= 1e-10
+
+
+def test_map_solve_is_the_per_type_solver(case):
+    rng = np.random.default_rng(4)
+    mu = case.build(K, 0.0)
+    obs = LinearObservation(rng.normal(size=(3, K)), SpectralOperator(rng.uniform(0.5, 2.0, 3)),
+                            rng.normal(size=3))
+    prox = ProxOpts(tol=1e-10)
+    got, want = map_solve(mu, obs, prox), case.solve(mu, obs, prox)
+    np.testing.assert_array_equal(got.point, want.point)
+    assert (got.objective, got.solver, got.flags) == (want.objective, want.solver, want.flags)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 31])
+def test_sample_matches_the_per_type_formula(case, seed):
+    mu = case.build(K, 0.0)
+    got, want = sample(mu, 200, seed), case.draws(mu, 200, seed)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_json_round_trip(case):
+    mu = case.build(K, 0.0)
+    back = measure_from_json(measure_to_json(mu))
+    assert type(back) is type(mu)
+    assert measure_to_json(back) == measure_to_json(mu)
+
+
+def test_default_space(case):
+    mu = case.build(K, 0.0)
+    p, weights = case.space(mu)
+    sp = default_space(mu)
+    assert sp.p == p and not math.isinf(sp.p)
+    np.testing.assert_array_equal(sp.weights, weights)
+
+
+def test_recovery_gap_clips_a_negative_gap():
+    # members lose the limit's second direction, so along the recovery
+    # sequence F_n(x_n) = v_1^2 / 2 < F(u) = |v|^2 / 2: the signed gap is
+    # negative, and the reported gap is 0
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 1.0])))
+    members = [GaussianMeasure(np.full(2, 1.0 / n),
+                               SpectralOperator(np.array([1.0 + 1.0 / n, 0.0])))
+               for n in range(1, 9)]
+    seq = om_family(members, limit)
+    u = np.array([0.3, 0.8])
+    rec = gaussian_recovery_sequence(members, limit, u)
+    signed = max(seq.members[i].eval(rec[i]) - seq.limit.eval(u) for i in range(len(rec)))
+    assert signed == pytest.approx(-0.32)
+    assert recovery_gap(seq, u) == 0.0
+
+
+def test_recovery_gap_skips_points_off_the_limit_domain():
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+    seq = om_family([limit, limit], limit)
+    assert recovery_gap(seq, np.array([0.0, 1.0])) is None
