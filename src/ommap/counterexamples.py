@@ -426,21 +426,22 @@ class OmNotStrongMeasure:
         return math.sqrt(r) - r
 
     def component_mass(self, k: int, lo: float, hi: float) -> float:
-        """Unnormalised mass of component k on the interval [lo, hi]."""
-        spike = (self._spike_primitive(hi - k) - self._spike_primitive(lo - k)) / k ** 2
+        """Unnormalised mass of component k on [k + lo, k + hi]: the ends are
+        offsets from k, so a small interval near k keeps its exact width."""
+        spike = (self._spike_primitive(hi) - self._spike_primitive(lo)) / k ** 2
         w = 0.5 / k ** 4
-        plateau = k ** 2 * max(0.0, min(hi, k + w) - max(lo, k - w))
+        plateau = k ** 2 * max(0.0, min(hi, w) - max(lo, -w))
         return spike + plateau
 
     def mass(self, center: float, radius: float) -> float:
         """Normalised ball mass (closed form, exact for the truncation)."""
         if radius <= 0:
             raise InputError("ball radius must be positive")
-        lo, hi = center - radius, center + radius
         # component k lies in [k - 1/2, k + 1/2], so the others add exactly 0.0
-        k_lo = max(1, int(math.ceil(lo - 0.5)))
-        k_hi = min(self.levels, int(math.floor(hi + 0.5)))
-        raw = sum(self.component_mass(k, lo, hi) for k in range(k_lo, k_hi + 1))
+        k_lo = max(1, int(math.ceil(center - radius - 0.5)))
+        k_hi = min(self.levels, int(math.floor(center + radius + 0.5)))
+        raw = sum(self.component_mass(k, (center - k) - radius, (center - k) + radius)
+                  for k in range(k_lo, k_hi + 1))
         return self.norm_constant * raw
 
     def density(self, x):

@@ -206,7 +206,7 @@ class TestOmNotStrong:
     def test_component_masses(self):
         m = OmNotStrongMeasure()
         for k in [1, 2, 5]:
-            got = m.component_mass(k, k - 0.6, k + 0.6)
+            got = m.component_mass(k, -0.6, 0.6)
             assert got == pytest.approx(1.25 / k ** 2, rel=1e-14)
 
     def test_base_spike_mass(self):
@@ -227,6 +227,14 @@ class TestOmNotStrong:
         expected = (math.sqrt(r) - r) / k ** 2 + 2 * r * k ** 2
         assert m.mass(float(k), r) == pytest.approx(m.norm_constant * expected, rel=1e-13)
 
+    @pytest.mark.parametrize("k", [1, 20, 30])
+    @pytest.mark.parametrize("r", [1e-12, 6.1e-13])
+    def test_mass_closed_form_at_tiny_radii(self, k, r):
+        # the ball's ends are offsets from k, not k +- r rounded to the float grid
+        m = OmNotStrongMeasure(levels=30)
+        expected = m.norm_constant * ((math.sqrt(r) - r) / k ** 2 + 2 * r * k ** 2)
+        assert m.mass(float(k), r) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     @given(st.data(), st.integers(min_value=2, max_value=30))
     @settings(max_examples=400, deadline=None)
     def test_mass_skips_only_zero_components(self, data, levels):
@@ -242,8 +250,9 @@ class TestOmNotStrong:
             st.floats(min_value=-12.0, max_value=math.log10(2.0)).map(lambda e: 10.0 ** e),
             st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0])))
         m = OmNotStrongMeasure(levels=levels)
-        lo, hi = center - radius, center + radius
-        ref = m.norm_constant * sum(m.component_mass(j, lo, hi) for j in range(1, levels + 1))
+        ref = m.norm_constant * sum(
+            m.component_mass(j, (center - j) - radius, (center - j) + radius)
+            for j in range(1, levels + 1))
         assert m.mass(center, radius) == ref
 
     @pytest.mark.parametrize("levels", [2, 6, 30])
