@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from ._seeds import child_rng
 from .errors import InputError, NumericsError, ParameterError
 from .gamma import (ContinuousConvOpts, FunctionalSequence, ModeConvOpts,
                     ModeConvReport, continuous_convergence_probe, equicoercivity_probe,
