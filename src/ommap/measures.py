@@ -438,17 +438,31 @@ class _ProductSetup:
         self.spread = measure.spread[self.free]
 
 
+def _row_norms(x: np.ndarray, space: WeightedSeqSpace) -> np.ndarray:
+    """Norms ||x_i / weights||_p of the rows of an (n, dim) array."""
+    scaled = np.abs(x) / space.weights
+    if math.isinf(space.p):
+        return scaled.max(axis=1)
+    return (scaled ** space.p).sum(axis=1) ** (1.0 / space.p)
+
+
 class _Draws:
     """One batch of unit-ball draws z and the statistics all centers share.
 
     These are the factor's per-draw statistic and, in a rotated basis, the
-    ambient directions z @ basis_free.T.
+    ambient directions zb = z @ basis_free.T and their norms ||zb / w||_p.
+    Each is computed once per batch: one draw array and one norm per draw,
+    whatever the number of centers and radii.
     """
 
     def __init__(self, setup: _ProductSetup, z: np.ndarray):
         self.z = z
         self.stat = setup.factor.mc_draw_stat(setup, z)
-        self.zb = None if setup.aligned else z @ setup.basis_free.T
+        if setup.aligned:
+            self.zb = self.zb_norm = None
+        else:
+            self.zb = z @ setup.basis_free.T
+            self.zb_norm = _row_norms(self.zb, setup.space)
 
 
 class _CenterPlan:
@@ -468,11 +482,13 @@ class _CenterPlan:
             else:
                 self.fixed_pow = float(np.sum(off ** p))
         else:
-            # rotated basis: keep the exact indicator, enlarge the proposal
+            # rotated basis: keep the exact indicator, enlarge the proposal;
+            # the ambient-coordinate offset of the pinned coordinates is None
+            # when the center sits on the mean there
             fix_full = np.zeros(len(setup.zero))
             fix_full[setup.zero] = setup.mean_e[setup.zero] - c_e[setup.zero]
-            self.fix_vec = setup.basis @ fix_full  # ambient-coordinate offset
-            self.fix_norm = weighted_norm(self.fix_vec, sp) if np.any(setup.zero) else 0.0
+            self.fix_vec = setup.basis @ fix_full if np.any(fix_full) else None
+            self.fix_norm = 0.0 if self.fix_vec is None else weighted_norm(self.fix_vec, sp)
             w_mat = setup.basis_free / sp.weights[:, None]
             # with no free coordinate the ball section is a point: any gain will do
             smin = float(np.linalg.svd(w_mat, compute_uv=False)[-1]) if setup.k_free else 1.0
@@ -528,6 +544,13 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     batch finds no mass.  Batches are drawn from ``rng`` one at a time
     and every center and radius is evaluated on the same draws before
     the next batch, so memory is O(n_samples / n_batches * dim).
+
+    Per batch the draw work is done once (``_Draws``); each center then
+    costs O(n_radii * n) on top of its factor's log-density expansion.
+    In a rotated basis the ball indicator is homogeneous in the proposal
+    scale, ||rho zb / w||_p = rho ||zb / w||_p, so all radii are masked in
+    one comparison; only a center off the mean in pinned coordinates
+    evaluates the norm of rho zb + offset per radius.
     """
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, _as_vector(c, space.dim)) for c in centers]
@@ -541,13 +564,12 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
         for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
             ld = plan.log_density(draws, scales)
             if draws.zb is not None:
-                for ri, (r, rho) in enumerate(zip(radii, scales)):
-                    diff = np.abs(rho * draws.zb + plan.fix_vec) / space.weights
-                    if math.isinf(space.p):
-                        norms = diff.max(axis=1)
-                    else:
-                        norms = (diff ** space.p).sum(axis=1) ** (1.0 / space.p)
-                    ld[ri, ~cmp(norms, r)] = -np.inf
+                if plan.fix_vec is None:
+                    norms = scales[:, None] * draws.zb_norm
+                else:
+                    norms = np.array([_row_norms(rho * draws.zb + plan.fix_vec, space)
+                                      for rho in scales])
+                ld[~cmp(norms, radii[:, None])] = -np.inf
             out[ci, :, b] = _log_mean_exp(ld) + logv
         del draws  # free this batch before the next one is drawn
     return out

@@ -142,8 +142,9 @@ def besov_om(mu: BesovMeasure) -> OmFunctional:
     """Weighted l^1 norm sum_k |u_k| / gamma_k on the truncation.
 
     Every truncated vector is summable, so the domain test always
-    passes at finite dimension; the +inf branch of the untruncated
-    functional is represented by the analytic tail bound in ``meta``.
+    passes at finite dimension (``meta["finite_everywhere"]`` says why);
+    the +inf branch of the untruncated functional is represented by the
+    analytic tail bound in ``meta``.
     """
     inv_gamma = 1.0 / mu.gamma
 
@@ -153,6 +154,7 @@ def besov_om(mu: BesovMeasure) -> OmFunctional:
     return _row_functional(
         kernel, lambda pts: np.ones(len(pts), dtype=bool), mu.dim, np.zeros(mu.dim),
         {"kind": "besov1", "norm": "l1-gamma",
+         "finite_everywhere": "every truncated vector is summable",
          "tail_bound": lambda coef_bound, decay: besov_tail_bound(mu, coef_bound, decay)},
     )
 
@@ -280,8 +282,14 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
     For each point that fails the domain test, the curve
     mu(B_r(x)) / mu(B_r(anchor)) should trend down toward 0 over the
     radius schedule; the report records the smallest achieved ratio and
-    the fraction of decreasing steps.
+    the fraction of decreasing steps.  A functional whose meta carries
+    ``finite_everywhere`` has no off-domain points, and is refused.
     """
+    reason = om.meta.get("finite_everywhere")
+    if reason:
+        raise InputError(f"the {om.meta.get('kind', 'given')} functional is finite on all of "
+                         f"R^{om.anchor.size} ({reason}), so the measure has no off-domain "
+                         "points to probe")
     opts = opts or ProbeOpts()
     entries = []
     for x in outside_points:

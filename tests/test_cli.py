@@ -144,6 +144,20 @@ class TestRun:
         assert results["results"]["all_pass"] is True
 
 
+    def test_m_property_besov_has_no_off_domain_points(self, tmp_path, capsys):
+        cfg = {"kind": "m_property",
+               "measure": {"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0, "dim": 3},
+               "outside_points": [[1.0, 0.0, 0.0]],
+               "schedule": {"r0": 0.4, "levels": 4},
+               "mc": {"n_samples": 2000}}
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite on all of R^3 (every truncated vector is summable)" in err
+        assert "no off-domain points to probe" in err
+        assert "passes the domain test" not in err
+
+
 class TestMoreKinds:
     def test_classify_mode_crosses(self, tmp_path):
         cfg = {"kind": "classify_mode",

@@ -16,7 +16,7 @@ from ommap import (BallOpts, BesovMeasure, Density1D, GaussianMeasure, InputErro
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    radius_schedule, sample, sup_ball_mass)
 from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _ProductSetup,
-                            _uniform_pball)
+                            _log_mean_exp, _mc_mass_batches, _uniform_pball)
 
 
 def std_gaussian(k):
@@ -265,19 +265,24 @@ class TestRatioCurve:
         assert cur.extrapolated_limit == pytest.approx(math.exp(-0.125), abs=1e-3)
 
     def test_bounded_memory(self):
-        # drawing all 2e5 x 100 points up front would take 160 MB
-        mu = BesovMeasure(1.0, 1, 1.0, 100)
+        # drawing all 2e5 x 100 points up front would take 160 MB; with
+        # every coordinate of x1 nonzero, broadcasting the Laplace expansion
+        # over the 10 scales at once would build a 10 x 5e3 x 100 array (40 MB)
         sp = WeightedSeqSpace.unweighted(2.0, 100)
-        x1 = np.zeros(100)
-        x1[0] = 0.5
-        tracemalloc.start()
-        try:
-            ball_ratio_curve(mu, x1, np.zeros(100), radius_schedule(0.2, 4), sp,
-                             RatioOpts(n_samples=200_000, n_batches=20, seed=14))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48e6  # six arrays of one 1e4 x 100 batch
+        sparse_mu, dense_mu = BesovMeasure(1.0, 1, 1.0, 100), BesovMeasure(0.9, 1, 1.0, 100)
+        sparse = np.zeros(100)
+        sparse[0] = 0.5
+        dense = 0.01 * dense_mu.gamma * np.where(np.arange(100) % 2 == 0, 1.0, -1.0)
+        cases = [(sparse_mu, sparse, 4, RatioOpts(n_samples=200_000, n_batches=20, seed=14), 48e6),
+                 (dense_mu, dense, 10, RatioOpts(n_samples=100_000, n_batches=20, seed=16), 24e6)]
+        for mu, x1, n_radii, opts, bound in cases:
+            tracemalloc.start()
+            try:
+                ball_ratio_curve(mu, x1, np.zeros(100), radius_schedule(0.2, n_radii), sp, opts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound  # a few arrays of one 1e4 or 5e3 x 100 batch
 
 
 def _direct_log_density(factor, pts, mean, spread):
@@ -286,6 +291,35 @@ def _direct_log_density(factor, pts, mean, spread):
         return (-0.5 * np.sum((pts - mean) ** 2 / spread, axis=1)
                 - 0.5 * np.sum(np.log(2.0 * math.pi * spread)))
     return -np.sum(np.abs(pts) / spread, axis=1) - np.sum(np.log(2.0 * spread))
+
+
+def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches, rng,
+                            closed):
+    """Rotated-basis ``_mc_mass_batches`` with the ball indicator taken per
+    radius from the direct norm of rho zb + offset."""
+    setup = _ProductSetup(measure, space)
+    plans = [_CenterPlan(setup, c) for c in centers]
+    props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
+    cmp = np.less_equal if closed else np.less
+    out = np.empty((len(plans), len(radii), n_batches))
+    for b in range(n_batches):
+        z = _uniform_pball(rng, n_samples // n_batches, setup.k_free, setup.draw_p)
+        draws = _Draws(setup, z)
+        for ci, (center, plan, (scales, logv)) in enumerate(zip(centers, plans, props)):
+            ld = plan.log_density(draws, scales)
+            # ambient offset of the pinned coordinates from the mean
+            offset = np.zeros(measure.dim)
+            offset[setup.zero] = (setup.mean_e - setup.to_eigen(center))[setup.zero]
+            offset = setup.basis @ offset
+            for ri, (r, rho) in enumerate(zip(radii, scales)):
+                diff = np.abs(rho * draws.zb + offset) / space.weights
+                if math.isinf(space.p):
+                    norms = diff.max(axis=1)
+                else:
+                    norms = (diff ** space.p).sum(axis=1) ** (1.0 / space.p)
+                ld[ri, ~cmp(norms, r)] = -np.inf
+            out[ci, :, b] = _log_mean_exp(ld) + logv
+    return out
 
 
 class TestMcKernel:
@@ -322,6 +356,28 @@ class TestMcKernel:
         for s, row in zip(scales, got):
             want = _direct_log_density(setup.factor, c_free + s * w * z, m_free, spread)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-9)
+
+    @given(st.integers(min_value=2, max_value=6),
+           st.sampled_from([0.5, 1.0, 1.5, 2.0, math.inf]),
+           st.booleans(), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rotated_indicator_matches_direct_norm(self, k, p, closed, pinned, seed):
+        rng = np.random.default_rng(seed)
+        sp = WeightedSeqSpace(p, rng.uniform(0.5, 2.0, k))
+        eig = rng.uniform(0.3, 3.0, k)
+        if pinned:
+            eig[rng.permutation(k)[:int(rng.integers(1, k + 1))]] = 0.0
+        basis = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        mu = GaussianMeasure(rng.normal(0.0, 1.0, k), SpectralOperator(eig, basis))
+        # on the mean in the pinned coordinates, then off it (when any is pinned)
+        on_mean = mu.mean + basis @ np.where(eig > 0, rng.normal(0.0, 0.5, k), 0.0)
+        centers = [on_mean, mu.mean + rng.normal(0.0, 0.5, k)]
+        radii = radius_schedule(2.0, 6)
+        args = (mu, centers, radii, sp, 2_000, 4)
+        got = _mc_mass_batches(*args, np.random.default_rng(seed), closed)
+        want = _direct_norm_mc_batches(*args, np.random.default_rng(seed), closed)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_l2_sampler_uniform(self, k):
