@@ -30,9 +30,8 @@ from .bip import (LinearObservation, ProxOpts, map_solve, perturbation_experimen
 from .errors import ConfigError, NumericsError, OmmapError
 from .gamma import (GammaReport, ModeConvOpts, equicoercivity_probe, gamma_liminf_probe,
                     mode_convergence_check, om_family, recovery_gap)
-from .measures import (BallOpts, BesovMeasure, GaussianMeasure, RatioOpts,
-                       WeightedSeqSpace, ball_ratio_curve, measure_from_json,
-                       radius_schedule)
+from .measures import (BesovMeasure, GaussianMeasure, RatioOpts, WeightedSeqSpace,
+                       ball_ratio_curve, measure_from_json, radius_schedule)
 from .om import ClassifyOpts, ProbeOpts, classify_mode, m_property_probe, prior_om
 from .spaces import SpectralOperator
 
@@ -89,12 +88,6 @@ def _ratio_opts(cfg: dict, seed: int, **extra) -> RatioOpts:
                      n_boot=mc.get("n_boot", 400), seed=seed, **extra)
 
 
-def _ball_opts(cfg: dict, seed: int) -> BallOpts:
-    mc = cfg.get("mc", {})
-    return BallOpts(n_samples=mc.get("n_samples", 10 ** 6),
-                    n_batches=mc.get("n_batches", 20), seed=seed)
-
-
 def _observation_from(cfg: dict) -> LinearObservation:
     return LinearObservation(np.asarray(cfg["matrix"], dtype=float),
                              SpectralOperator(np.asarray(cfg["noise_cov"], dtype=float)),
@@ -127,7 +120,7 @@ def _run_classify_mode(cfg, seed):
                         weak_tol=tol.get("weak_tol", 0.05),
                         refine=tol.get("refine", True),
                         nm_iters=tol.get("nm_iters", 50),
-                        ratio=_ratio_opts(cfg, seed), ball=_ball_opts(cfg, seed))
+                        ratio=_ratio_opts(cfg, seed))
     result = classify_mode(measure, np.asarray(cfg["candidate"], dtype=float),
                            [np.asarray(wp, dtype=float) for wp in cfg["competitors"]],
                            radii, space, opts)

@@ -435,6 +435,13 @@ class _ProductSetup:
         else:
             self.w, self.draw_p = np.ones(self.k_free), 2.0
             self.basis_free = self.basis[:, self.free]
+            w_mat = self.basis_free / space.weights[:, None]
+            # with no free coordinate the ball section is a point: any gain will do
+            smin = float(np.linalg.svd(w_mat, compute_uv=False)[-1]) if self.k_free else 1.0
+            # one proposal gain for every center: it depends on the geometry only
+            self.gain = smin * len(self.zero) ** (1.0 / space.p - 0.5) if space.p >= 2 else smin
+            if self.gain <= 0:
+                raise InputError("degenerate geometry: cannot bound the ball section")
         self.spread = measure.spread[self.free]
 
 
@@ -489,16 +496,6 @@ class _CenterPlan:
             fix_full[setup.zero] = setup.mean_e[setup.zero] - c_e[setup.zero]
             self.fix_vec = setup.basis @ fix_full if np.any(fix_full) else None
             self.fix_norm = 0.0 if self.fix_vec is None else weighted_norm(self.fix_vec, sp)
-            w_mat = setup.basis_free / sp.weights[:, None]
-            # with no free coordinate the ball section is a point: any gain will do
-            smin = float(np.linalg.svd(w_mat, compute_uv=False)[-1]) if setup.k_free else 1.0
-            npts = len(setup.zero)
-            if p >= 2:
-                self.gain = smin * npts ** (1.0 / p - 0.5)
-            else:
-                self.gain = smin
-            if self.gain <= 0:
-                raise InputError("degenerate geometry: cannot bound the ball section")
         # log density at c + s*w*z, expanded in s by the factor
         self.log_density = setup.factor.mc_center(setup, self.c_free - setup.m_free)
 
@@ -522,7 +519,7 @@ class _CenterPlan:
             if r_sec is None:
                 return 0.0, -math.inf
             return r_sec, _log_pball_volume(r_sec, setup.k_free, setup.space.p, setup.w)
-        rho = (r + self.fix_norm) / self.gain
+        rho = (r + self.fix_norm) / setup.gain
         return rho, _log_euclid_volume(rho, setup.k_free)
 
 
@@ -654,7 +651,8 @@ def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMa
     if opts.method in ("auto", "exact"):
         log_exact = _product_exact_log_mass(measure, center, radius, space, opts.closed)
         if log_exact is not None:
-            return BallMass(math.exp(log_exact), 0.0, "closed-form")
+            # np.exp, as for the mass table, so equal log masses give equal masses
+            return BallMass(float(np.exp(log_exact)), 0.0, "closed-form")
         if opts.method == "exact":
             raise InputError("no exact ball mass for this measure/norm combination")
     rng = child_rng(opts.seed, "ball-mass")
@@ -755,27 +753,63 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts, rng) -> dict:
             "se_model": se_model, "se_limit": limit * se_total, "diagnostic": None}
 
 
-def _measure_has_exact(measure, space: WeightedSeqSpace) -> bool:
-    if isinstance(measure, ProductMeasure):
-        return bool(np.all(measure.pinned)) or _factorises(measure, space)
-    if isinstance(measure, Density1D):
-        return True
-    # registered example measures provide closed forms via ball_mass
-    return ball_mass.dispatch(type(measure)) is not ball_mass.dispatch(object)
+def _ball_opts(opts: RatioOpts) -> BallOpts:
+    """The ball-mass knobs that a ratio curve's knobs imply."""
+    return BallOpts(n_samples=opts.n_samples, n_batches=opts.n_batches,
+                    closed=opts.closed, seed=opts.seed)
 
 
-def _exact_log_masses(measure, center, radii: np.ndarray, space: WeightedSeqSpace,
-                      opts: RatioOpts) -> np.ndarray:
-    """log mu(B_r(center)) for each radius, from closed forms or quadrature."""
-    if isinstance(measure, ProductMeasure):
-        _check_space(measure, space)
-        c = _as_vector(center, space.dim)
-        return np.array([_product_exact_log_mass(measure, c, float(r), space, opts.closed)
-                         for r in radii])
-    bopts = BallOpts(closed=opts.closed, seed=opts.seed)
-    masses = [ball_mass(measure, center, float(r), space, bopts).estimate for r in radii]
-    with np.errstate(divide="ignore"):
-        return np.log(masses)
+def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
+                    opts: RatioOpts) -> tuple:
+    """Per-batch log masses, shape (n_centers, n_radii, n_batches), their
+    method and the ratio-curve generator they drew from: one exact batch
+    where a closed form or quadrature exists, else common-random-number
+    Monte Carlo with every center on the same draws."""
+    if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
+        raise InputError("radii must be positive and strictly decreasing")
+    rng = child_rng(opts.seed, "ratio-curve")
+    if not isinstance(measure, ProductMeasure):
+        # registered example measures provide closed forms via ball_mass
+        bopts = _ball_opts(opts)
+        with np.errstate(divide="ignore"):
+            table = np.log([[ball_mass(measure, c, float(r), space, bopts).estimate
+                             for r in radii] for c in centers])
+        return table[:, :, None], "closed-form", rng
+    if not (np.all(measure.pinned) or _factorises(measure, space)):
+        return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples,
+                                 opts.n_batches, rng, opts.closed), "monte-carlo", rng)
+    _check_space(measure, space)
+    centers = [_as_vector(c, space.dim) for c in centers]
+    table = np.array([[_product_exact_log_mass(measure, c, float(r), space, opts.closed)
+                       for r in radii] for c in centers])
+    return table[:, :, None], "closed-form", rng
+
+
+def _ratio_estimate(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
+                    space: WeightedSeqSpace, method: str, opts: RatioOpts,
+                    rng: np.random.Generator) -> BallRatioEstimate:
+    """Ratio curve of two mass-table rows, with the standard errors of the
+    per-batch ratios (0 for one exact batch) and the extrapolated limit."""
+    log1, log2 = _log_mean_exp(log_num), _log_mean_exp(log_den)
+    outside = np.isneginf(log2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rb = np.where(np.isneginf(log_den), np.nan, np.exp(log_num - log_den))
+        ratios = np.where(outside, np.nan, np.exp(log1 - log2))
+    ses = np.array([
+        float(np.nanstd(rb[i], ddof=1) / math.sqrt(np.sum(np.isfinite(rb[i]))))
+        if np.sum(np.isfinite(rb[i])) > 1 else 0.0
+        for i in range(len(radii))
+    ])
+    ses = np.nan_to_num(ses)
+    diagnostic = "x2 outside support" if np.any(outside) else None
+
+    fit = _fit_limit(radii, ratios, ses, opts, rng)
+    return BallRatioEstimate(
+        radii=radii, ratios=ratios, stderr=ses,
+        extrapolated_limit=fit["limit"], ci=fit["ci"], method=method,
+        fit_in=opts.fit_in, se_model=fit["se_model"], se_limit=fit["se_limit"],
+        norm_p=space.p, diagnostic=diagnostic or fit["diagnostic"],
+    )
 
 
 def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] = None,
@@ -790,40 +824,9 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     """
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
-        raise InputError("radii must be positive and strictly decreasing")
     space = space or default_space(measure)
-    rng = child_rng(opts.seed, "ratio-curve")
-
-    if _measure_has_exact(measure, space):
-        log1, log2 = (_exact_log_masses(measure, x, radii, space, opts) for x in (x1, x2))
-        ses = np.zeros(len(radii))
-        method = "closed-form"
-    else:
-        logm = _mc_mass_batches(measure, [x1, x2], radii, space,
-                                opts.n_samples, opts.n_batches, rng, opts.closed)
-        log1, log2 = _log_mean_exp(logm[0]), _log_mean_exp(logm[1])
-        with np.errstate(invalid="ignore", over="ignore"):
-            rb = np.where(np.isneginf(logm[1]), np.nan, np.exp(logm[0] - logm[1]))
-        ses = np.array([
-            float(np.nanstd(rb[i], ddof=1) / math.sqrt(np.sum(np.isfinite(rb[i]))))
-            if np.sum(np.isfinite(rb[i])) > 1 else 0.0
-            for i in range(len(radii))
-        ])
-        ses = np.nan_to_num(ses)
-        method = "monte-carlo"
-    outside = np.isneginf(log2)
-    diagnostic = "x2 outside support" if np.any(outside) else None
-    with np.errstate(invalid="ignore", over="ignore"):
-        ratios = np.where(outside, np.nan, np.exp(log1 - log2))
-
-    fit = _fit_limit(radii, ratios, ses, opts, rng)
-    return BallRatioEstimate(
-        radii=radii, ratios=ratios, stderr=ses,
-        extrapolated_limit=fit["limit"], ci=fit["ci"], method=method,
-        fit_in=opts.fit_in, se_model=fit["se_model"], se_limit=fit["se_limit"],
-        norm_p=space.p, diagnostic=diagnostic or fit["diagnostic"],
-    )
+    table, method, rng = _log_mass_table(measure, [x1, x2], radii, space, opts)
+    return _ratio_estimate(table[0], table[1], radii, space, method, opts, rng)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InputError
-from .measures import (BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
-                       ProductMeasure, RatioOpts, BallOpts, ball_mass, ball_ratio_curve,
-                       default_space, sup_ball_mass)
+from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
+                       ProductMeasure, RatioOpts, _ball_opts, _log_mass_table, _ratio_estimate,
+                       ball_mass, ball_ratio_curve, default_space, sup_ball_mass)
 from .spaces import RANGE_ATOL, RANK_TOL, WeightedSeqSpace, _as_vector
 
 
@@ -343,6 +343,7 @@ class ModeClassification:
 class ClassifyOpts:
     """Knobs for ``classify_mode``.
 
+    ``ratio`` sets the Monte Carlo sizes, closure and seed of every mass.
     ``refine`` and ``nm_iters`` govern only the fallback for measures
     without a ``sup_ball_mass`` rule: a Nelder-Mead search of at most
     ``nm_iters`` iterations around the best competitor.
@@ -354,7 +355,6 @@ class ClassifyOpts:
     refine: bool = True
     nm_iters: int = 50
     ratio: RatioOpts = field(default_factory=RatioOpts)
-    ball: BallOpts = field(default_factory=BallOpts)
 
 
 #: how classify_mode found the supremum mass M_r, one text per path
@@ -364,16 +364,15 @@ _SEARCH_CAVEAT = "sup over competitor set + Nelder-Mead refinement, not over all
 _COMPETITORS_CAVEAT = "sup over competitor set only, not over all of X"
 
 
-def _refined_sup_mass(measure, best, r, space, opts: ClassifyOpts) -> float:
-    """Nelder-Mead refinement of the ball mass around the best competitor."""
-    best = np.atleast_1d(np.asarray(best, dtype=float))
+def _refined_sup_mass(measure, best, r, space, bopts: BallOpts, nm_iters: int) -> float:
+    """Nelder-Mead search for a larger ball mass, starting at the best competitor."""
 
     def neg_mass(w):
-        return -ball_mass(measure, w, r, space, opts.ball).estimate
+        return -ball_mass(measure, w, r, space, bopts).estimate
 
     res = minimize(neg_mass, best, method="Nelder-Mead",
-                   options={"maxiter": opts.nm_iters, "xatol": 1e-8, "fatol": 1e-12})
-    return max(-float(res.fun), -neg_mass(best))
+                   options={"maxiter": nm_iters, "xatol": 1e-8, "fatol": 1e-12})
+    return -float(res.fun)
 
 
 def classify_mode(measure, candidate, competitor_set: Sequence, radii,
@@ -381,46 +380,49 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
                   opts: Optional[ClassifyOpts] = None) -> ModeClassification:
     """Strong and global-weak mode verdicts for a candidate point.
 
-    Strong: the candidate's ball mass over the supremum mass M_r must
-    tend to 1.  M_r comes from ``sup_ball_mass`` where the measure has a
-    rule, else from the competitors and, with ``opts.refine``, a
-    Nelder-Mead search.  Weak: no competitor's extrapolated mass-ratio limit
-    against the candidate may exceed 1.  Verdicts are three-valued with
-    noise-aware thresholds; a dip of the strong curve below
-    1 - max(5 stderr, dip_tol) at any radius is a "no" witness.
+    Both read one mass table over the candidate and its competitors, the
+    masses ``ball_ratio_curve`` computes.  Strong: the candidate's ball
+    mass over the supremum mass M_r must tend to 1.  M_r comes from
+    ``sup_ball_mass`` where the measure has a rule, else from the
+    competitors and, with ``opts.refine``, a Nelder-Mead search.  Weak:
+    no competitor's extrapolated mass-ratio limit against the candidate
+    may exceed 1.  Verdicts are three-valued with noise-aware thresholds;
+    a dip of the strong curve below 1 - max(5 stderr, dip_tol) at any
+    radius is a "no" witness.
     """
     opts = opts or ClassifyOpts()
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
     cand = _as_vector(candidate, space.dim)
+    points = [cand] + [_as_vector(w, space.dim) for w in competitor_set]
+    table, method, rng = _log_mass_table(measure, points, radii, space, opts.ratio)
+    masses = np.exp(table)
+    est, se = masses.mean(axis=2), np.zeros(table.shape[:2])
+    if table.shape[2] > 1:  # Monte Carlo batches
+        se = masses.std(axis=2, ddof=1) / math.sqrt(table.shape[2])
+    cand_mass, cand_se = est[0], se[0]
+    if np.any(cand_mass <= 0):
+        raise InputError("candidate has zero ball mass; it must lie in the support")
 
-    cand_mass = np.empty(len(radii))
-    cand_se = np.empty(len(radii))
-    sup_mass = np.empty(len(radii))
-    sup_se = np.empty(len(radii))
+    # supremum mass: the largest of the table's masses, then the rule or
+    # the search per radius
+    best = np.argmax(est, axis=0)
+    sup_mass, sup_se = est.max(axis=0), se[best, np.arange(len(radii))]
+    bopts = _ball_opts(opts.ratio)
     rule_caveat = _ANDERSON_CAVEAT if isinstance(measure, ProductMeasure) else _CLOSED_FORM_CAVEAT
     paths = []
     for i, r in enumerate(radii):
-        bm = ball_mass(measure, cand, float(r), space, opts.ball)
-        cand_mass[i], cand_se[i] = bm.estimate, bm.stderr
-        if cand_mass[i] <= 0:
-            raise InputError("candidate has zero ball mass; it must lie in the support")
-        best_est, best_se, best_w = bm.estimate, bm.stderr, cand
-        for w in competitor_set:
-            bw = ball_mass(measure, w, float(r), space, opts.ball)
-            if bw.estimate > best_est:
-                best_est, best_se, best_w = bw.estimate, bw.stderr, w
-        rule = sup_ball_mass(measure, float(r), space, opts.ball)
+        rule = sup_ball_mass(measure, float(r), space, bopts)
         if rule is not None:
-            if rule.estimate > best_est:
-                best_est, best_se = rule.estimate, rule.stderr
+            if rule.estimate > sup_mass[i]:
+                sup_mass[i], sup_se[i] = rule.estimate, rule.stderr
             paths.append(rule_caveat)
         elif opts.refine:
-            best_est = max(best_est, _refined_sup_mass(measure, best_w, float(r), space, opts))
+            sup_mass[i] = max(sup_mass[i], _refined_sup_mass(measure, points[best[i]], float(r),
+                                                             space, bopts, opts.nm_iters))
             paths.append(_SEARCH_CAVEAT)
         else:
             paths.append(_COMPETITORS_CAVEAT)
-        sup_mass[i], sup_se[i] = best_est, best_se
 
     strong_curve = cand_mass / sup_mass
     strong_se = strong_curve * np.sqrt((cand_se / cand_mass) ** 2 + (sup_se / sup_mass) ** 2)
@@ -443,10 +445,10 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     # competitor-dependent radius do not masquerade as limsup mass
     window = slice(len(radii) - min(opts.ratio.fit_points, len(radii)), len(radii))
     worst = 0.0
-    for w in competitor_set:
-        if np.allclose(_as_vector(w, space.dim), cand):
+    for j in range(1, len(points)):
+        if np.array_equal(points[j], cand):
             continue
-        curve = ball_ratio_curve(measure, w, cand, radii, space, opts.ratio)
+        curve = _ratio_estimate(table[j], table[0], radii, space, method, opts.ratio, rng)
         vals = curve.ratios[window]
         vals = vals[np.isfinite(vals)]
         limsup_est = max(float(np.max(vals, initial=0.0)),

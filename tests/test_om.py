@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ommap import (BallOpts, BesovMeasure, ClassifyOpts, Density1D, GaussianMeasure,
+from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, OmFunctional, OmNotStrongMeasure,
-                   ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace, besov_om,
-                   classify_mode, density_om, gaussian_om, in_range_sqrt,
-                   m_property_probe, om_difference_check, posterior_om,
+                   ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace, ball_mass,
+                   ball_ratio_curve, besov_om, classify_mode, density_om, gaussian_om,
+                   in_range_sqrt, m_property_probe, om_difference_check, posterior_om,
                    radius_schedule, sqrt_pinv_apply, sup_ball_mass, weighted_norm)
 from ommap import om
-from ommap.counterexamples import _spike_density1d
+from ommap.counterexamples import _om_not_strong_ball_mass, _spike_density1d
 
 
 def std_gaussian(k):
@@ -364,11 +364,90 @@ class TestSupremumPaths:
 
         monkeypatch.setattr(om, "_refined_sup_mass", spy)
         radii = radius_schedule(0.2, 2)
-        opts = ClassifyOpts(nm_iters=3, ball=BallOpts(n_samples=2000, n_batches=4),
-                            ratio=RatioOpts(n_samples=2000, n_batches=4, n_boot=20))
+        opts = ClassifyOpts(nm_iters=3, ratio=RatioOpts(n_samples=2000, n_batches=4, n_boot=20))
         res = classify_mode(mu, mu.mean, [np.array([0.3, 0.0])], radii, sp, opts)
         assert searched == list(radii)
         assert res.caveat == om._SEARCH_CAVEAT
+
+
+class _CountedOmNotStrong(OmNotStrongMeasure):
+    """OmNotStrongMeasure whose ``ball_mass`` calls are counted in ``calls``."""
+
+    calls = []
+
+
+@ball_mass.register(_CountedOmNotStrong)
+def _counted_ball_mass(measure, center, radius, space=None, opts=None):
+    measure.calls.append((float(np.asarray(center).reshape(())), radius))
+    return _om_not_strong_ball_mass(measure, center, radius, space, opts)
+
+
+def _liminf_case():
+    m = LiminfOnlyMeasure(depth=40)
+    radii = np.array([m.eps_radius(n) for n in range(1, 13)])
+    return m, np.array([1.0]), [np.array([-1.0])], radii, ClassifyOpts(refine=False)
+
+
+def _crosses_case(norm_choice):
+    return (CrossesMeasure(norm_choice), np.array([1.0, 0.0]),
+            [np.array([-1.0, 0.0]), np.array([1.5, 0.0])], radius_schedule(0.2, 4),
+            ClassifyOpts(refine=False))
+
+
+#: exact measures: (measure, candidate, competitors, radii, opts)
+EXACT_CASES = {
+    "gaussian-1d": lambda: (std_gaussian(1), np.zeros(1),
+                            [np.array([x]) for x in (-1.0, -0.3, 0.0, 0.4, 1.2)],
+                            radius_schedule(0.5, 8), ClassifyOpts()),
+    "liminf-only": _liminf_case,
+    "om-not-strong": lambda: (OmNotStrongMeasure(levels=6), np.array([1.0]),
+                              [np.array([float(k)]) for k in (1, 2, 3, 5)],
+                              radius_schedule(1e-8, 8, factor=4.0),
+                              ClassifyOpts(ratio=RatioOpts(fit_in="sqrt_r"))),
+    "crosses-1": lambda: _crosses_case("1"),
+    "crosses-inf": lambda: _crosses_case("inf"),
+}
+
+
+class TestMassTable:
+    def test_nearby_competitor_enters_the_weak_check(self):
+        # 1 and 1 + 5e-7 are distinct points at radii down to 1e-10: the
+        # spike at 1 makes the competitor's mass dominate the candidate's
+        m = OmNotStrongMeasure(levels=6)
+        cand, comp = np.array([1.0 + 5e-7]), np.array([1.0])
+        radii = radius_schedule(1e-10, 8, factor=4.0)
+        res = classify_mode(m, cand, [comp], radii)
+        curve = ball_ratio_curve(m, comp, cand, radii)
+        assert curve.extrapolated_limit > 100.0
+        assert res.weak_worst_ratio == max(float(np.max(curve.ratios[-5:])),
+                                           curve.extrapolated_limit)
+        assert res.global_weak == "no"
+
+    def test_each_mass_is_computed_once(self):
+        m = _CountedOmNotStrong(levels=6)
+        comps = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
+        radii = radius_schedule(1e-3, 5, factor=4.0)
+        m.calls.clear()
+        res = classify_mode(m, np.array([1.0]), comps, radii)
+        assert res.caveat == om._CLOSED_FORM_CAVEAT  # the rule calls measure.mass only
+        assert len(m.calls) == (1 + len(comps)) * len(radii)
+        assert len(set(m.calls)) == 3 * len(radii)
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_ball_ratio_curve_stays_the_reference(self, case):
+        measure, cand, comps, radii, opts = EXACT_CASES[case]()
+        res = classify_mode(measure, cand, comps, radii, None, opts)
+        n_fit = min(opts.ratio.fit_points, len(radii))
+        worst = 0.0
+        for w in comps:
+            if np.array_equal(w, cand):
+                continue
+            curve = ball_ratio_curve(measure, w, cand, radii, None, opts.ratio)
+            window = curve.ratios[-n_fit:]
+            limit = curve.extrapolated_limit
+            worst = max(worst, float(np.max(window[np.isfinite(window)], initial=0.0)),
+                        limit if math.isfinite(limit) else 0.0)
+        assert res.weak_worst_ratio == worst
 
 
 class TestDensityFunctional:
