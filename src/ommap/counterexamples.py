@@ -35,8 +35,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, BallOpts, Density1D, DENSITY1D_FACTORIES,
-                       EXAMPLE_MEASURE_FACTORIES, RatioOpts, ball_mass,
-                       ball_ratio_curve, radius_schedule, sup_ball_mass)
+                       EXAMPLE_MEASURE_FACTORIES, RatioOpts, _log_mass_table, _ratio_estimate,
+                       ball_mass, default_space, radius_schedule, sup_ball_mass)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -543,12 +543,16 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
 
     radii = radius_schedule(1e-8, 8, factor=4.0)
     ropts = RatioOpts(fit_in="sqrt_r")
-    limits, rel_errors = {}, {}
     for k in ks:
         if not (1 <= k <= measure.levels):
             raise InputError(f"component index {k} beyond the truncation level")
-        curve = ball_ratio_curve(measure, np.array([1.0]), np.array([float(k)]),
-                                 radii, None, ropts)
+    # one mass table: the masses at 1 are shared by every curve
+    space = default_space(measure)
+    table, method, rng = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
+                                         radii, space, ropts)
+    limits, rel_errors = {}, {}
+    for row, k in enumerate(ks, start=1):
+        curve = _ratio_estimate(table[0], table[row], radii, space, method, ropts, rng)
         limits[k] = curve.extrapolated_limit
         rel_errors[k] = abs(curve.extrapolated_limit - k ** 2) / k ** 2
 

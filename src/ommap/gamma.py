@@ -125,32 +125,26 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     n_arr = np.asarray(seq.indices, dtype=float)
     n_last = float(seq.indices[-1])
     start = int(len(n_arr) * (1.0 - opts.window_frac))
+    n_win = n_arr[start:]
     names, dirs, mags = [], [], []
-
-    def make(name, direction, c, alpha):
-        d = np.asarray(direction, dtype=float)
-        nrm = np.linalg.norm(d)
-        if nrm == 0:
-            return
-        names.append(name)
-        dirs.append(d / nrm)
-        mags.append((c * n_arr ** (-alpha))[start:])
-
     for j in range(opts.n_random):
         alpha = opts.alphas[j % len(opts.alphas)]
         c = float(rng.uniform(*opts.magnitude_range)) * opts.window_distance * n_last ** alpha
-        make(f"random-{j}", rng.standard_normal(dim), c, alpha)
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        make(f"axis+{k}", e, 1.0, 1.0)
-        make(f"axis-{k}", -e, 1.0, 1.0)
+        d = rng.standard_normal(dim)
+        names.append(f"random-{j}")
+        dirs.append(d / np.linalg.norm(d))
+        mags.append(c * n_win ** (-alpha))
+    names += [f"axis{sign}{k}" for k in range(dim) for sign in "+-"]
+    dirs += list(np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(2 * dim, dim))
     anchor = np.atleast_1d(seq.limit.anchor)
-    if anchor.size == dim:
-        make("toward-anchor", anchor - x, 1.0, 1.0)
+    if anchor.size == dim and (nrm := np.linalg.norm(anchor - x)) > 0:
+        names.append("toward-anchor")
+        dirs.append((anchor - x) / nrm)
+    unit = n_win ** -1.0  # the adversarial paths' 1/n schedule
+    mags += [unit] * (len(names) - opts.n_random)
     names.append("constant")
     dirs.append(np.zeros(dim))
-    mags.append(np.zeros(len(n_arr) - start))
+    mags.append(np.zeros_like(n_win))
     return names, np.array(dirs), np.column_stack(mags)
 
 
@@ -164,7 +158,8 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     F(x) - F_n(x_n) over the trailing index window is extrapolated
     linearly to zero path distance, and a positive intercept beyond the
     tolerance is a violation, recorded with its witness point.  Each
-    window member is evaluated once, on the points of all paths.
+    window member is evaluated once, on the points of all paths; the
+    constant path gives F_n(x).
     """
     opts = opts or LiminfOpts()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -176,62 +171,65 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     start = len(seq.indices) - len(mags)
     window = seq.members[start:]
     inv_n = 1.0 / np.asarray(seq.indices, dtype=float)[start:]
-    at_x = np.array([f.eval(x) for f in window])
-    pointwise_ok = bool(np.all(np.isfinite(at_x)))
-    if pointwise_ok:
-        # persistent part of the pointwise gap F(x) - F_n(x), shared by all paths
-        m_pointwise = _extrapolated_intercept(inv_n, target - at_x)
-    vals = np.empty_like(mags)
-    dists = np.empty_like(mags)
-    for j, f in enumerate(window):
-        pts = x + mags[j][:, None] * dirs
-        vals[j] = f.values(pts)
-        dists[j] = np.linalg.norm(pts - x, axis=1)
-    violations = []
-    for p, name in enumerate(names):
-        finite = np.isfinite(vals[:, p])
-        if not np.any(finite):
-            continue  # path escapes every domain: liminf is +inf
-        path_vals, path_dists = vals[finite, p], dists[finite, p]
-        if pointwise_ok:
-            # same-member deficits isolate the moving-path effect from
-            # the family's own (1/n) convergence drift
-            deficits = at_x[finite] - path_vals
-            margin = m_pointwise + _extrapolated_intercept(path_dists, deficits)
-        else:
-            deficits = target - path_vals
-            margin = _extrapolated_intercept(path_dists, deficits)
-        if margin > opts.tol:
-            at = np.flatnonzero(finite)[int(np.argmax(deficits))]
-            violations.append(LiminfViolation(name, margin, seq.indices[start + at],
-                                              x + mags[at, p] * dirs[p]))
+    vals = np.array([f.values(x + m[:, None] * dirs) for f, m in zip(window, mags)])
+    dists = mags * np.linalg.norm(dirs, axis=1)
+    finite = np.isfinite(vals)
+    at_x = vals[:, -1]  # the constant path sits at x
+    if np.all(finite[:, -1]):
+        # same-member deficits isolate the moving-path effect from the
+        # family's own (1/n) convergence drift, whose persistent part
+        # F(x) - F_n(x) is shared by all paths
+        m_pointwise = _extrapolated_intercepts(inv_n[:, None], (target - at_x)[:, None])[0]
+        deficits = at_x[:, None] - vals
+    else:
+        m_pointwise = 0.0
+        deficits = target - vals
+    deficits[~finite] = np.nan
+    # a path that escapes every domain has margin NaN: its liminf is +inf
+    margins = m_pointwise + _extrapolated_intercepts(dists, deficits)
+    worst = np.argmax(np.where(finite, deficits, -np.inf), axis=0)
+    violations = [LiminfViolation(names[p], float(margins[p]), seq.indices[start + worst[p]],
+                                  x + mags[worst[p], p] * dirs[p])
+                  for p in np.flatnonzero(margins > opts.tol)]
     verdict = "fail" if violations else "pass"
     return LiminfReport(x, len(names), violations, verdict)
 
 
-def _extrapolated_intercept(dists: np.ndarray, deficits: np.ndarray) -> float:
-    """Persistent part of a deficit as the abscissa vanishes.
+def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndarray:
+    """Persistent part of each column's deficit as its abscissa vanishes.
 
-    Extrapolates with polynomial models of degree 1..3 and takes the
-    smallest intercept: smooth functionals produce transient humps that
-    a single linear fit would misread as persistent, while genuinely
-    persistent (near-constant) deficits survive every fit.  With too
-    few points the raw maximum deficit is returned.
+    Takes ``(points, columns)`` arrays; NaN deficits are left out.  Each
+    column is extrapolated from its 8 nearest points with polynomial
+    models of degree 1..3, and the smallest intercept is kept: smooth
+    functionals produce transient humps that a single linear fit would
+    misread as persistent, while genuinely persistent (near-constant)
+    deficits survive every fit.  With fewer than 2 points, or all of
+    them at distance zero, the column's maximum deficit is returned, and
+    NaN for a column without points.  All columns are fitted at once,
+    one stacked pseudoinverse per degree, absent points entering as
+    zero rows.
     """
-    order = np.argsort(dists)
-    take = min(8, len(order))
-    d, de = dists[order][:take], deficits[order][:take]
-    if d[-1] < 1e-14:
-        return float(np.max(de))
-    scale = d[-1]
-    powers = {1: [1], 2: [1, 2], 3: [1, 2, 3]}
-    intercepts = []
+    present = ~np.isnan(deficits)
+    order = np.argsort(np.where(present, dists, np.inf), axis=0, kind="stable")[:8]
+    near = np.take_along_axis(present, order, axis=0)
+    d = np.where(near, np.take_along_axis(dists, order, axis=0), 0.0)
+    de = np.where(near, np.take_along_axis(deficits, order, axis=0), 0.0)
+    count = near.sum(axis=0)
+    scale = d.max(axis=0)
+    best = np.where(count > 0, np.max(np.where(near, de, -np.inf), axis=0), np.nan)
+    fit = (count >= 2) & (scale >= 1e-14)
+    t = (d[:, fit] / scale[fit]).T                            # (columns, points)
+    # absent points are zero rows: their t is 0 and so is their constant term
+    design = np.stack([near[:, fit].T.astype(float), t, t ** 2, t ** 3], axis=2)
+    rhs = de[:, fit].T
+    lowest = np.full(t.shape[0], np.inf)
     for degree in (1, 2, 3):
-        if len(d) >= degree + 1:
-            cols = [np.ones_like(d)] + [(d / scale) ** q for q in powers[degree]]
-            coef, *_ = np.linalg.lstsq(np.column_stack(cols), de, rcond=None)
-            intercepts.append(float(coef[0]))
-    return min(intercepts) if intercepts else float(np.max(de))
+        ok = count[fit] >= degree + 1
+        if np.any(ok):
+            first_row = np.linalg.pinv(design[ok, :, :degree + 1])[:, 0, :]
+            lowest[ok] = np.minimum(lowest[ok], np.einsum("cp,cp->c", first_row, rhs[ok]))
+    best[fit] = lowest
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -373,11 +373,12 @@ def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float) -> np.nda
         e = rng.standard_exponential(n)
         g /= np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * e)[:, None]
         return g
-    g = rng.gamma(1.0 / p, 1.0, size=(n, k))
-    signs = np.where(rng.random(size=(n, k)) < 0.5, -1.0, 1.0)
+    # gamma(1) is the standard exponential, drawn in bulk from the same stream
+    g = rng.standard_exponential((n, k)) if p == 1.0 else rng.gamma(1.0 / p, 1.0, size=(n, k))
+    u = rng.random(size=(n, k))
     e = rng.standard_exponential(n)
     denom = (g.sum(axis=1) + e) ** (1.0 / p)
-    return signs * g ** (1.0 / p) / denom[:, None]
+    return np.copysign(g ** (1.0 / p) / denom[:, None], u - 0.5)
 
 
 def _log_pball_volume(r: float, k: int, p: float, weights: Optional[np.ndarray] = None) -> float:

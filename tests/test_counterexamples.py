@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ommap import (CrossesMeasure, GaussianPair1D, InputError, LiminfOnlyMeasure,
-                   MixtureFamily, OmNotStrongMeasure, ParameterError, RegimeError,
-                   SpikeFamily, crosses_ball_masses, crosses_om_difference,
-                   kl_gaussians, kl_gaussians_quadrature, liminf_only_ratios,
-                   mixture_kl, mixture_kl_exponent, mixture_modes, spike_kl,
-                   spike_mode, sup_ball_mass)
+                   MixtureFamily, OmNotStrongMeasure, ParameterError, RatioOpts,
+                   RegimeError, SpikeFamily, ball_ratio_curve, crosses_ball_masses,
+                   crosses_om_difference, kl_gaussians, kl_gaussians_quadrature,
+                   liminf_only_ratios, mixture_kl, mixture_kl_exponent, mixture_modes,
+                   om_not_strong_suite, radius_schedule, spike_kl, spike_mode,
+                   sup_ball_mass)
 from ommap.counterexamples import E1, SQRT_2PI
 
 
@@ -198,6 +199,18 @@ class TestLiminfOnly:
 
 
 class TestOmNotStrong:
+    def test_suite_limits_match_single_curves(self):
+        # the suite reads every k from one mass table; each limit must be
+        # the one a separate ball_ratio_curve(1, k) gives
+        m = OmNotStrongMeasure(levels=12)
+        rep = om_not_strong_suite(m, ks=(2, 3, 5), n_dip=4, competitors=[1, 2, 3, 4])
+        radii = radius_schedule(1e-8, 8, factor=4.0)
+        for k in (2, 3, 5):
+            curve = ball_ratio_curve(m, np.array([1.0]), np.array([float(k)]), radii,
+                                     None, RatioOpts(fit_in="sqrt_r"))
+            assert rep.ratio_limits[k] == curve.extrapolated_limit
+            assert rep.ratio_rel_errors[k] == abs(curve.extrapolated_limit - k ** 2) / k ** 2
+
     def test_functional_values(self):
         m = OmNotStrongMeasure()
         assert m.om_value(1) == 0.0

@@ -14,7 +14,7 @@ from ommap import (BesovMeasure, ContinuousConvOpts, FunctionalSequence,
                    gaussian_om, gaussian_om_family, gaussian_recovery_sequence,
                    mode_convergence_check, project, sum_rule_check)
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
-from ommap.gamma import default_paths
+from ommap.gamma import _extrapolated_intercepts, default_paths
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -38,6 +38,140 @@ def assert_witnesses_on_paths(seq, x, rep):
         np.testing.assert_array_equal(v.witness_point, x + mags[j, p] * dirs[p])
 
 
+# (path, at_index, margin, witness) of every violation the liminf probe
+# reports on the spike family at 0 and on the constant step family at its
+# jump, recorded from the per-path least-squares implementation
+SPIKE_VIOLATIONS = [
+    ('random-4', 21, 0.2575645366751721, 0.10264560663350034),
+    ('random-5', 40, 0.7442975157350292, 0.05267045212353195),
+    ('random-8', 40, 1.4985813850899905, 0.03882498394007488),
+    ('random-10', 21, 1.2305560599563024, 0.04867088014829547),
+    ('random-11', 40, 1.1698934539343175, 0.033077000611989496),
+    ('random-13', 21, 0.8032005532687234, 0.07754901080355585),
+    ('random-16', 21, 1.205540798785134, 0.041338373651106194),
+    ('random-19', 21, 0.354139460679064, 0.0972300686099165),
+    ('random-20', 40, 1.235592180939204, 0.046575634466280075),
+    ('random-22', 21, 0.9221731028744026, 0.07231858329575036),
+    ('random-23', 40, 0.8984510853966124, 0.02761606683681333),
+    ('random-28', 21, 0.35130253770868886, 0.09737623671384175),
+    ('random-29', 40, 0.83194224851744, 0.05155975047465303),
+    ('random-32', 31, 0.4784429996990702, 0.03266917991543181),
+    ('random-33', 40, 0.005858518998168983, 0.020022184780993445),
+    ('random-38', 40, 0.7660158895794238, 0.025046917301090318),
+    ('random-40', 21, 1.0793084621428966, 0.06427262971928954),
+    ('random-44', 40, 1.243420933179734, 0.03452517103586329),
+    ('random-47', 40, 1.2967293557961859, 0.045763594211021705),
+    ('random-51', 40, 1.3582804502432733, 0.015863509174282853),
+    ('random-52', 21, 1.0909203322509593, 0.03329817481373518),
+    ('random-53', 40, 1.476617462877032, 0.043046309101507786),
+    ('random-55', 21, 1.0287351689583435, 0.06709746144886507),
+    ('random-56', 40, 0.8643467014219763, 0.02694704587246965),
+    ('random-58', 21, 0.8622899316420802, 0.07500179067385605),
+    ('axis+0', 21, 1.2312420750244715, 0.047619047619047616),
+    ('toward-anchor', 21, 1.2312420750244715, 0.047619047619047616),
+]
+STEP_VIOLATIONS = [
+    ('random-1', 9, 0.9999999999999836, -0.0475044361077008),
+    ('random-2', 9, 0.9999999999999971, -0.11572544426535179),
+    ('random-7', 9, 0.9999999999999836, -0.10285520869523865),
+    ('random-9', 9, 0.9999999999998817, -0.0510254958180745),
+    ('random-14', 9, 0.9999999999999971, -0.08734546895258521),
+    ('random-15', 9, 0.9999999999998817, -0.049021500584239874),
+    ('random-17', 9, 0.9999999999999973, -0.058880711261749215),
+    ('random-18', 9, 0.999999999999882, -0.07935780613844487),
+    ('random-21', 9, 0.9999999999998819, -0.07021346859274243),
+    ('random-24', 9, 0.9999999999998819, -0.078109222372695),
+    ('random-25', 9, 0.9999999999999833, -0.10303030514038869),
+    ('random-26', 9, 0.9999999999999973, -0.1032887311184451),
+    ('random-31', 9, 0.9999999999999836, -0.06473967177708559),
+    ('random-34', 9, 0.9999999999999837, -0.0361837728616721),
+    ('random-35', 9, 0.9999999999999971, -0.06846910148326919),
+    ('random-37', 9, 0.9999999999999839, -0.06330327073789879),
+    ('random-39', 9, 0.9999999999998819, -0.045704597049846286),
+    ('random-41', 9, 0.9999999999999973, -0.17242081490141534),
+    ('random-42', 9, 0.9999999999998812, -0.07444362018117112),
+    ('random-43', 9, 0.9999999999999837, -0.039875197683804056),
+    ('random-45', 9, 0.9999999999998818, -0.030585005447017897),
+    ('random-46', 9, 0.9999999999999833, -0.0402436443027893),
+    ('random-48', 9, 0.9999999999998818, -0.029184441411204857),
+    ('random-49', 9, 0.9999999999999837, -0.10002305339956351),
+    ('random-50', 9, 0.9999999999999971, -0.1028858361587923),
+    ('random-57', 9, 0.9999999999998819, -0.030567714620740462),
+    ('random-59', 9, 0.9999999999999973, -0.07593318336889979),
+    ('random-61', 9, 0.9999999999999836, -0.08818543595770524),
+    ('random-62', 9, 0.9999999999999973, -0.1852958210467692),
+    ('random-63', 9, 0.9999999999998815, -0.053757792088492885),
+    ('axis-0', 9, 0.9999999999999836, -0.1111111111111111),
+    ('toward-anchor', 9, 0.9999999999999836, -0.1111111111111111),
+]
+
+
+def spike_sequence():
+    members = [density_om(_spike_density1d(n), anchor=1.0 / n) for n in range(1, 41)]
+    limit = density_om(_spike_density1d("inf"), anchor=1.0)
+    return FunctionalSequence(list(range(1, 41)), members, limit)
+
+
+def step_sequence():
+    def step(u):
+        return 1.0 if float(np.asarray(u).reshape(())) >= 0 else 0.0
+
+    fn = OmFunctional(eval=step, domain_test=lambda u: True, anchor=np.array([-1.0]))
+    return FunctionalSequence(list(range(1, 17)), [fn] * 16, fn)
+
+
+def assert_violations(rep, expected):
+    got = [(v.path_name, v.at_index, list(v.witness_point)) for v in rep.violations]
+    assert got == [(name, at, list(np.atleast_1d(w))) for name, at, _, w in expected]
+    np.testing.assert_allclose([v.margin for v in rep.violations],
+                               [m for _, _, m, _ in expected], rtol=0, atol=1e-9)
+
+
+def reference_intercept(dists, deficits):
+    """One column's intercept by np.linalg.lstsq: the 8 nearest points,
+    fits of degree 1..3, the smallest intercept; the maximum deficit with
+    fewer than 2 points or all of them at distance zero."""
+    order = np.argsort(dists, kind="stable")
+    d, de = dists[order][:8], deficits[order][:8]
+    if len(d) < 2 or d[-1] < 1e-14:
+        return float(np.max(de))
+    return min(np.linalg.lstsq(np.vander(d / d[-1], q + 1, increasing=True), de,
+                               rcond=None)[0][0]
+               for q in range(1, min(3, len(d) - 1) + 1))
+
+
+class TestExtrapolatedIntercepts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_column_lstsq(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = 24, 40
+        n = np.arange(10, 10 + rows, dtype=float)
+        alpha = rng.choice([0.5, 1.0, 2.0], cols)
+        dists = rng.uniform(0.5, 2.0, cols) * n[:, None] ** -alpha
+        deficits = (rng.normal(size=cols) + rng.normal(size=cols) * dists
+                    + 0.1 * rng.normal(size=(rows, cols)))
+        deficits[rng.random((rows, cols)) < 0.3] = np.nan      # masked entries
+        deficits[:, 0] = np.nan                                 # no point at all
+        for col, kept in ((1, 1), (2, 2), (3, 3), (4, 8)):      # 1, 2, 3 and 8 points
+            deficits[rng.permutation(rows)[kept:], col] = np.nan
+        deficits[:, 5] = rng.normal(size=rows)                  # every point present
+        dists[:, 6] = 0.0                                       # the constant path
+        got = _extrapolated_intercepts(dists, deficits)
+        assert np.isnan(got[0])
+        want = [reference_intercept(dists[~np.isnan(deficits[:, c]), c],
+                                    deficits[~np.isnan(deficits[:, c]), c])
+                for c in range(1, cols)]
+        np.testing.assert_allclose(got[1:], want, rtol=1e-8, atol=0)
+        assert got[1] == deficits[~np.isnan(deficits[:, 1]), 1][0]
+
+    def test_one_column(self):
+        inv_n = 1.0 / np.arange(5.0, 17.0)
+        gaps = 0.3 + 2.0 * inv_n - inv_n ** 2
+        got = _extrapolated_intercepts(inv_n[:, None], gaps[:, None])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(0.3, abs=1e-12)
+
+
 class TestLiminfProbe:
     def test_constant_lsc_family_passes(self):
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
@@ -55,9 +189,7 @@ class TestLiminfProbe:
     def test_spike_family_fails_at_zero(self):
         # negative log densities converge pointwise but the path 1/n
         # undershoots the limit value at x = 0
-        members = [density_om(_spike_density1d(n), anchor=1.0 / n) for n in range(1, 41)]
-        limit = density_om(_spike_density1d("inf"), anchor=1.0)
-        seq = FunctionalSequence(list(range(1, 41)), members, limit)
+        seq = spike_sequence()
         rep = gamma_liminf_probe(seq, np.array([0.0]))
         assert rep.verdict == "fail"
         anchor_viol = [v for v in rep.violations if v.path_name == "toward-anchor"]
@@ -80,11 +212,7 @@ class TestLiminfProbe:
     def test_lsc_envelope_detection(self):
         # constant family of a non-lsc step: the probe margin at the jump
         # recovers the gap to the lower semicontinuous envelope
-        def step(u):
-            return 1.0 if float(np.asarray(u).reshape(())) >= 0 else 0.0
-
-        fn = OmFunctional(eval=step, domain_test=lambda u: True, anchor=np.array([-1.0]))
-        seq = FunctionalSequence(list(range(1, 17)), [fn] * 16, fn)
+        seq = step_sequence()
         rep = gamma_liminf_probe(seq, np.array([0.0]))
         assert rep.verdict == "fail"
         assert max(v.margin for v in rep.violations) == pytest.approx(1.0, abs=1e-12)
@@ -95,6 +223,45 @@ class TestLiminfProbe:
         assert set(axis) == {"axis-0"}
         assert axis["axis-0"].witness_point[0] == pytest.approx(-1.0 / axis["axis-0"].at_index,
                                                                 rel=1e-15)
+
+    def test_failing_families_regression(self):
+        assert_violations(gamma_liminf_probe(spike_sequence(), np.array([0.0])),
+                          SPIKE_VIOLATIONS)
+        assert_violations(gamma_liminf_probe(step_sequence(), np.array([0.0])),
+                          STEP_VIOLATIONS)
+
+    def test_degenerate_gaussian_family(self):
+        # odd members are the limit, whose values are +inf off the first
+        # axis; even members put their mean at (0.3, 1/n) with variance 1/n
+        # across it, so the even subsequence undershoots F(x) at x = (0.3, 0)
+        # and the paths leaving the axis are finite on even members only
+        idx = list(range(1, 33))
+        limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        members = [limit if n % 2 else
+                   GaussianMeasure(np.array([0.3, 1.0 / n]),
+                                   SpectralOperator(np.array([1.0, 1.0 / n])))
+                   for n in idx]
+        seq = gaussian_om_family(members, limit, idx)
+        x = np.array([0.3, 0.0])
+        rep = gamma_liminf_probe(seq, x, LiminfOpts(n_random=6))
+        assert rep.n_paths == 12
+        assert_violations(rep, [
+            ("random-0", 32, 0.04532550250862439, [0.3467304897171163, -0.005399607035833797]),
+            ("random-1", 32, 0.04579199460688719, [0.27762866392306085, -0.013090825058839694]),
+            ("random-2", 32, 0.04870854098520352, [0.3012696589012517, -0.03480337973593212]),
+            ("random-3", 18, 0.03899893673231988, [0.2885550768216641, 0.027473336315149022]),
+            ("random-4", 18, 0.045791994606887196, [0.3048627319462071, 0.09915606547855957]),
+            ("random-5", 18, 0.04579739832015951, [0.3483347405793098, 0.0047346520857098765]),
+            ("axis+1", 18, 0.04579199460688717, [0.3, 0.05555555555555555]),
+            ("axis-1", 32, 0.04579199460688734, [0.3, -0.03125]),
+            ("constant", 17, 0.045791994606887286, [0.3, 0.0]),
+        ])
+        # x off every member's support: F_n(x) = +inf, so deficits are
+        # taken against F(x); only the axis+1 path, through the means, is finite
+        members = [GaussianMeasure(np.array([0.0, 1.0 / n]), limit.cov) for n in idx]
+        rep = gamma_liminf_probe(gaussian_om_family(members, limit, idx), x)
+        assert rep.verdict == "pass"
+        assert rep.n_paths == 64 + 4 + 2
 
     def test_besov_probe_memory_flat(self):
         # one member's points at a time: (paths x dim), not (members x paths x dim)

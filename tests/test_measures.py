@@ -387,6 +387,20 @@ class TestMcKernel:
         # the radius of a uniform point in the unit k-ball has P(|z| < t) = t^k
         assert kstest(norms ** k, "uniform").pvalue > 1e-3
 
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_pball_draws_match_gamma_formula(self, p, seed):
+        # the gamma(1/p) magnitudes, uniform signs and exponential slack,
+        # written out here so that a change of numpy's gamma(1) stream
+        # shows up as a failure
+        rng = np.random.default_rng(seed)
+        g = rng.gamma(1.0 / p, 1.0, size=(300, 9))
+        signs = np.where(rng.random(size=(300, 9)) < 0.5, -1.0, 1.0)
+        e = rng.standard_exponential(300)
+        want = signs * g ** (1.0 / p) / ((g.sum(axis=1) + e) ** (1.0 / p))[:, None]
+        got = _uniform_pball(np.random.default_rng(seed), 300, 9, p)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSupBallMass:
     @given(st.sampled_from(["aligned", "rotated", "besov"]),
