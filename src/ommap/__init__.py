@@ -20,11 +20,11 @@ from .measures import (BallMass, BallOpts, BallRatioEstimate, BesovMeasure, Dens
 from .om import (ClassifyOpts, ModeClassification, OmFunctional, ProbeOpts, besov_om,
                  classify_mode, density_om, gaussian_om, m_property_probe,
                  om_difference_check, posterior_om, prior_om)
-from .gamma import (ContinuousConvOpts, FunctionalSequence, GammaReport, LiminfOpts,
-                    ModeConvOpts, besov_om_family, besov_recovery_sequence,
-                    continuous_convergence_probe, equicoercivity_probe, gamma_liminf_probe,
-                    gaussian_om_family, gaussian_recovery_sequence, mode_convergence_check,
-                    om_family, recovery_gap, recovery_sequence, sublevel_check, sum_rule_check)
+from .gamma import (FunctionalSequence, GammaReport, LiminfOpts, ModeConvOpts,
+                    besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
+                    equicoercivity_probe, gamma_liminf_probe, gaussian_om_family,
+                    gaussian_recovery_sequence, mode_convergence_check, om_family,
+                    recovery_gap, recovery_sequence, sublevel_check, sum_rule_check)
 from .bip import (LinearObservation, MapSolution, Potential, ProxOpts,
                   constrained_prior_minimum, coordinate_descent_weighted_l1, kkt_residual,
                   map_solve, map_solve_besov, map_solve_besov_linear,

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InputError, NumericsError, ParameterError
-from .gamma import (ContinuousConvOpts, FunctionalSequence, ModeConvOpts,
-                    ModeConvReport, continuous_convergence_probe, equicoercivity_probe,
-                    gamma_liminf_probe, mode_convergence_check, om_family, recovery_gap)
+from .gamma import (FunctionalSequence, ModeConvOpts, ModeConvReport,
+                    continuous_convergence_probe, equicoercivity_probe, gamma_liminf_probe,
+                    mode_convergence_check, om_family, recovery_gap)
 from .measures import BesovMeasure, GaussianMeasure
 from .om import posterior_om, prior_om
 from .spaces import SpectralOperator, _as_vector, project
@@ -41,7 +41,6 @@ class Potential:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]]
     dim: int
     lipschitz_grad: Optional[float] = None
-    lower_bound: Optional[float] = None
     name: str = ""
 
     def __post_init__(self):
@@ -124,21 +123,20 @@ class MapSolution:
                 "flags": list(self.flags)}
 
 
-def quadratic_potential(obs: LinearObservation, weight: float = 1.0) -> Potential:
-    """Half the squared whitened misfit; optional multiplicative weight."""
+def quadratic_potential(obs: LinearObservation) -> Potential:
+    """Half the squared whitened misfit."""
     w_mat, w_y = obs.whitened()
 
     def value(u):
         r = w_y - w_mat @ np.asarray(u, dtype=float)
-        return weight * 0.5 * float(r @ r)
+        return 0.5 * float(r @ r)
 
     def grad(u):
         r = w_y - w_mat @ np.asarray(u, dtype=float)
-        return -weight * (w_mat.T @ r)
+        return -(w_mat.T @ r)
 
-    lip = weight * _power_iteration_norm(w_mat)
     return Potential(eval=value, gradient=grad, dim=obs.n_unknown,
-                     lipschitz_grad=lip, lower_bound=0.0, name="quadratic-misfit")
+                     lipschitz_grad=_power_iteration_norm(w_mat), name="quadratic-misfit")
 
 
 def _power_iteration_norm(w_mat: np.ndarray, iters: int = 10) -> float:
@@ -171,8 +169,7 @@ def projected_potential(pot: Potential, n: int) -> Potential:
             return out
 
     return Potential(eval=value, gradient=grad, dim=pot.dim,
-                     lipschitz_grad=pot.lipschitz_grad, lower_bound=pot.lower_bound,
-                     name=f"{pot.name}|P_{n}")
+                     lipschitz_grad=pot.lipschitz_grad, name=f"{pot.name}|P_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +233,12 @@ map_solve.register(GaussianMeasure,
 class ProxOpts:
     tol: float = 1e-8
     max_iter: int = 10 ** 5
-    backtrack: float = 2.0
     check_uniqueness: bool = False
-    uniqueness_point_tol: float = 1e-4
-    uniqueness_obj_tol: float = 1e-10
+
+
+_BACKTRACK = 2.0  # step shrink factor of the line search
+_UNIQUENESS_POINT_TOL = 1e-4
+_UNIQUENESS_OBJ_TOL = 1e-10
 
 
 def _soft_threshold(x: np.ndarray, thresh: np.ndarray) -> np.ndarray:
@@ -288,7 +287,7 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
             quad_model = fz + float(g @ diff) + float(diff @ diff) / (2.0 * step)
             if pot.eval(u_new) <= quad_model + 1e-15 or step < 1e-18:
                 break
-            step /= opts.backtrack
+            step /= _BACKTRACK
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
         z = u_new + ((t_acc - 1.0) / t_next) * (u_new - u)
         f_new = full_obj(u_new)
@@ -309,11 +308,12 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
     return MapSolution(u, full_obj(u), res, it, "fista-backtracking", tuple(flags))
 
 
-def coordinate_descent_weighted_l1(obs: LinearObservation, gamma: np.ndarray,
-                                   x0: Optional[np.ndarray] = None,
-                                   max_sweeps: int = 10 ** 4,
-                                   tol: float = 1e-12) -> np.ndarray:
-    """Cyclic coordinate descent for the whitened misfit + weighted l1.
+_CD_MAX_SWEEPS = 10 ** 4
+_CD_TOL = 1e-12  # stop once no coordinate moves by more than this in a sweep
+
+
+def coordinate_descent_weighted_l1(obs: LinearObservation, gamma: np.ndarray) -> np.ndarray:
+    """Cyclic coordinate descent from zero for the whitened misfit + weighted l1.
 
     A secondary solver: it shares no code with the proximal path and is
     used to surface non-uniqueness.
@@ -322,9 +322,9 @@ def coordinate_descent_weighted_l1(obs: LinearObservation, gamma: np.ndarray,
     k = obs.n_unknown
     g_mat = w_mat.T @ w_mat
     b = w_mat.T @ w_y
-    u = np.zeros(k) if x0 is None else np.asarray(x0, dtype=float).copy()
+    u = np.zeros(k)
     inv_gamma = 1.0 / np.asarray(gamma, dtype=float)
-    for _ in range(max_sweeps):
+    for _ in range(_CD_MAX_SWEEPS):
         delta = 0.0
         for j in range(k):
             if g_mat[j, j] == 0.0:
@@ -333,7 +333,7 @@ def coordinate_descent_weighted_l1(obs: LinearObservation, gamma: np.ndarray,
             new = math.copysign(max(abs(rho) - inv_gamma[j], 0.0), rho) / g_mat[j, j]
             delta = max(delta, abs(new - u[j]))
             u[j] = new
-        if delta < tol:
+        if delta < _CD_TOL:
             break
     return u
 
@@ -390,8 +390,8 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
     if opts.check_uniqueness:
         alt = coordinate_descent_weighted_l1(obs, prior.gamma)
         obj_alt = pot.eval(alt) + float(np.abs(alt) @ inv_g)
-        if (np.linalg.norm(alt - sol.point) > opts.uniqueness_point_tol
-                and abs(obj_alt - sol.objective) <= opts.uniqueness_obj_tol):
+        if (np.linalg.norm(alt - sol.point) > _UNIQUENESS_POINT_TOL
+                and abs(obj_alt - sol.objective) <= _UNIQUENESS_OBJ_TOL):
             sol = replace(sol, flags=sol.flags + ("non-unique-minimiser",))
     return sol
 
@@ -487,8 +487,7 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
     probes: dict = {}
     pts = list(probe_points) if probe_points is not None else [limit_sol.point]
     if kind in ("data", "potential_projection"):
-        cc = continuous_convergence_probe(pot_members, limit_pot, pts, indices,
-                                          ContinuousConvOpts())
+        cc = continuous_convergence_probe(pot_members, limit_pot, pts, indices)
         probes["potential_continuous_convergence"] = [e.to_dict() for e in cc]
     else:
         fam_prior = om_family(priors, prior, indices)

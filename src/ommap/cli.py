@@ -247,24 +247,43 @@ def _run_small_noise(cfg, seed):
     return report.to_dict(), {"small_noise_trajectory": (header, rows)}
 
 
+#: the params each counterexample config accepts, with their defaults
+_COUNTEREXAMPLE_PARAMS = {
+    "kl_gaussians": {"sigmas": (0.1, 0.5, 2.0, 10.0)},
+    "mixture": {"r": 5.0, "t_values": (-0.05, 0.05),
+                "kl_t_values": (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)},
+    "spike": {"n_values": (10, 50, 100)},
+    "liminf_only": {"depth": 40, "n_max": 10},
+    "om_not_strong": {"levels": 30, "ks": (2, 3, 5), "n_dip": 10},
+    "crosses": {"r": 0.1},
+}
+
+
 def _run_counterexample(cfg, seed):
     name = cfg["name"]
-    params = cfg.get("params", {})
+    if name not in _COUNTEREXAMPLE_PARAMS:
+        raise ConfigError(f"unknown counterexample name {name!r}")
+    defaults, given = _COUNTEREXAMPLE_PARAMS[name], cfg.get("params", {})
+    for key in given:
+        if key not in defaults:
+            raise ConfigError(f"config field params/{key}: not a parameter of counterexample "
+                              f"{name!r}; allowed: {', '.join(defaults)}")
+    params = {**defaults, **given}
     if name == "kl_gaussians":
-        sigmas = params.get("sigmas", [0.1, 0.5, 2.0, 10.0])
+        sigmas = params["sigmas"]
         rows = [(float(s), cx.kl_gaussians(s), cx.kl_gaussians_quadrature(s))
                 for s in sigmas]
         return ({"kl": [{"sigma": r[0], "closed_form": r[1], "quadrature": r[2]}
                         for r in rows]},
                 {"kl_gaussians": (["sigma_variance", "closed_form", "quadrature"], rows)})
     if name == "mixture":
-        r = params.get("r", 5.0)
-        ts = params.get("t_values", [-0.05, 0.05])
+        r = params["r"]
+        ts = params["t_values"]
         rows = []
         for t in ts:
             found = cx.mixture_modes(t, r)
             rows.append((float(t), found.mode) + found.local_maxima)
-        kl_ts = params.get("kl_t_values", [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+        kl_ts = params["kl_t_values"]
         slope, kls = cx.mixture_kl_exponent(kl_ts, r)
         kl_rows = list(zip(map(float, kl_ts), map(float, kls)))
         return ({"modes": [{"t": rw[0], "mode": rw[1]} for rw in rows],
@@ -272,14 +291,14 @@ def _run_counterexample(cfg, seed):
                 {"mixture_modes": (["t", "mode", "local_max_1", "local_max_2"], rows),
                  "mixture_kl": (["t", "kl"], kl_rows)})
     if name == "spike":
-        ns = params.get("n_values", [10, 50, 100])
+        ns = params["n_values"]
         rows = [(int(n), cx.spike_mode(int(n)), cx.spike_kl(int(n))) for n in ns]
         rows.append(("inf", cx.spike_mode(math.inf), 0.0))
         return ({"modes": [{"n": str(r[0]), "mode": float(r[1])} for r in rows]},
                 {"spike_modes": (["n", "mode", "kl_limit_vs_member"], rows)})
     if name == "liminf_only":
-        depth = params.get("depth", 40)
-        n_max = params.get("n_max", 10)
+        depth = params["depth"]
+        n_max = params["n_max"]
         m = cx.LiminfOnlyMeasure(depth=depth)
         eps, delta = cx.liminf_only_ratios(m, n_max)
         rows = [(n + 1, float(eps[n]), float(delta[n])) for n in range(n_max)]
@@ -287,16 +306,15 @@ def _run_counterexample(cfg, seed):
                  "delta_ratios": list(map(float, delta))},
                 {"liminf_only_ratios": (["n", "ratio_at_2alpha_n", "ratio_at_alpha_n"], rows)})
     if name == "om_not_strong":
-        m = cx.OmNotStrongMeasure(levels=params.get("levels", 30))
-        rep = cx.om_not_strong_suite(m, ks=tuple(params.get("ks", (2, 3, 5))),
-                                     n_dip=params.get("n_dip", 10))
+        m = cx.OmNotStrongMeasure(levels=params["levels"])
+        rep = cx.om_not_strong_suite(m, ks=tuple(params["ks"]), n_dip=params["n_dip"])
         rows = [(k, float(v), float(rep.ratio_rel_errors[k]))
                 for k, v in rep.ratio_limits.items()]
         return rep.to_dict(), {
             "om_not_strong_ratios": (["k", "extrapolated_ratio", "rel_error_vs_k_squared"],
                                      rows)}
     if name == "crosses":
-        r = params.get("r", 0.1)
+        r = params["r"]
         rows = []
         for norm in ("1", "inf"):
             m = cx.CrossesMeasure(norm)
@@ -306,7 +324,6 @@ def _run_counterexample(cfg, seed):
                  "om_difference_1": cx.crosses_om_difference("1"),
                  "om_difference_inf": cx.crosses_om_difference("inf")},
                 {"crosses_masses": (["norm", "center", "unnormalised_mass"], rows)})
-    raise ConfigError(f"unknown counterexample name {name!r}")
 
 
 _RUNNERS = {

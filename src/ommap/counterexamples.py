@@ -34,9 +34,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .errors import InputError, ParameterError, RegimeError
-from .measures import (BallMass, BallOpts, Density1D, DENSITY1D_FACTORIES,
-                       EXAMPLE_MEASURE_FACTORIES, RatioOpts, _log_mass_table, _ratio_estimate,
-                       ball_mass, default_space, radius_schedule, sup_ball_mass)
+from .measures import (BallMass, Density1D, DENSITY1D_FACTORIES, EXAMPLE_MEASURE_FACTORIES,
+                       RatioOpts, _log_mass_table, _ratio_estimate, ball_mass, default_space,
+                       radius_schedule, sup_ball_mass)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -311,14 +311,13 @@ class LiminfOnlyMeasure:
             out.append((n, +1, wp, 2.0 * wp, h))
         return out
 
-    def mass(self, center: float, radius: float, closed: bool = False) -> float:
+    def mass(self, center: float, radius: float) -> float:
         """Ball mass via interval overlaps in offset coordinates.
 
         Offsets center +- 1 are exact for centers within 0.5 of the
         anchors (Sterbenz); the measure is atomless, so open and closed
         balls have equal mass.
         """
-        del closed
         if radius <= 0:
             raise InputError("ball radius must be positive")
         total = 0.0
@@ -359,8 +358,7 @@ def liminf_only_ratios(measure: LiminfOnlyMeasure, n_max: int):
 @ball_mass.register(LiminfOnlyMeasure)
 def _liminf_ball_mass(measure: LiminfOnlyMeasure, center, radius, space=None, opts=None):
     c = float(np.asarray(center).reshape(()))
-    opts = opts or BallOpts()
-    return BallMass(measure.mass(c, radius, opts.closed), 0.0, "closed-form")
+    return BallMass(measure.mass(c, radius), 0.0, "closed-form")
 
 
 @prior_om.register(LiminfOnlyMeasure)

@@ -70,12 +70,14 @@ gaussian_om_family = besov_om_family = om_family
 @dataclass(frozen=True)
 class LiminfOpts:
     n_random: int = 64
-    alphas: tuple = (0.5, 1.0, 2.0)
-    magnitude_range: tuple = (0.5, 2.0)
-    window_distance: float = 0.03  # random paths reach this distance at the last index
-    tol: float = 1e-3
-    window_frac: float = 0.5
     seed: int = 0
+
+
+_PATH_ALPHAS = (0.5, 1.0, 2.0)
+_MAGNITUDE_RANGE = (0.5, 2.0)
+_WINDOW_DISTANCE = 0.03  # random paths reach this distance at the last index
+_LIMINF_WINDOW_FRAC = 0.5  # trailing share of the family that the probe reads
+_LIMINF_TOL = 1e-3  # an extrapolated deficit above this is a violation
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,12 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     dim = x.size
     n_arr = np.asarray(seq.indices, dtype=float)
     n_last = float(seq.indices[-1])
-    start = int(len(n_arr) * (1.0 - opts.window_frac))
+    start = int(len(n_arr) * (1.0 - _LIMINF_WINDOW_FRAC))
     n_win = n_arr[start:]
     names, dirs, mags = [], [], []
     for j in range(opts.n_random):
-        alpha = opts.alphas[j % len(opts.alphas)]
-        c = float(rng.uniform(*opts.magnitude_range)) * opts.window_distance * n_last ** alpha
+        alpha = _PATH_ALPHAS[j % len(_PATH_ALPHAS)]
+        c = float(rng.uniform(*_MAGNITUDE_RANGE)) * _WINDOW_DISTANCE * n_last ** alpha
         d = rng.standard_normal(dim)
         names.append(f"random-{j}")
         dirs.append(d / np.linalg.norm(d))
@@ -156,8 +158,8 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     path whenever the functionals are merely smooth, so the probe
     estimates the liminf along each path instead: the deficit
     F(x) - F_n(x_n) over the trailing index window is extrapolated
-    linearly to zero path distance, and a positive intercept beyond the
-    tolerance is a violation, recorded with its witness point.  Each
+    linearly to zero path distance, and a positive intercept beyond
+    ``_LIMINF_TOL`` is a violation, recorded with its witness point.  Each
     window member is evaluated once, on the points of all paths; the
     constant path gives F_n(x).
     """
@@ -190,7 +192,7 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     worst = np.argmax(np.where(finite, deficits, -np.inf), axis=0)
     violations = [LiminfViolation(names[p], float(margins[p]), seq.indices[start + worst[p]],
                                   x + mags[worst[p], p] * dirs[p])
-                  for p in np.flatnonzero(margins > opts.tol)]
+                  for p in np.flatnonzero(margins > _LIMINF_TOL)]
     verdict = "fail" if violations else "pass"
     return LiminfReport(x, len(names), violations, verdict)
 
@@ -380,12 +382,14 @@ def _besov_sublevel(lim, seq, t, samples, rng) -> EquicoercivityEntry:
 @dataclass(frozen=True)
 class ModeConvOpts:
     cluster_tol: float = 1e-3
-    window_frac: float = 0.25
     value_tol: float = 1e-6
     min_tol: float = 1e-6
     limit_min: Optional[float] = None
-    max_cluster_points: int = 4000
-    max_clusters: int = 8
+
+
+_MODE_WINDOW_FRAC = 0.25  # trailing share of the minimisers that is clustered
+_MAX_CLUSTER_POINTS = 4000  # a longer window is thinned by a stride
+_MAX_CLUSTERS = 8  # more clusters than this -> no convergent subsequence found
 
 
 @dataclass(frozen=True)
@@ -429,7 +433,7 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
                            opts: Optional[ModeConvOpts] = None) -> ModeConvReport:
     """Cluster the tail of a minimiser sequence and compare to the limit.
 
-    The trailing window (last quarter of indices by default) is
+    The trailing window (the last ``_MODE_WINDOW_FRAC`` of indices) is
     clustered by single linkage; each cluster is represented by its
     largest-index member, the best available estimate of a
     subsequential limit.  Each representative must minimise the limit
@@ -440,10 +444,10 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
     if len(minimizers) != len(seq.indices):
         raise InputError("need one minimiser per family member")
     pts = np.stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in minimizers])
-    start = int(math.floor(len(pts) * (1.0 - opts.window_frac)))
+    start = int(math.floor(len(pts) * (1.0 - _MODE_WINDOW_FRAC)))
     window = pts[start:]
-    if len(window) > opts.max_cluster_points:
-        stride = int(math.ceil(len(window) / opts.max_cluster_points))
+    if len(window) > _MAX_CLUSTER_POINTS:
+        stride = int(math.ceil(len(window) / _MAX_CLUSTER_POINTS))
         keep = np.unique(np.concatenate([np.arange(0, len(window), stride),
                                          [len(window) - 1]]))
         window = window[keep]
@@ -465,7 +469,7 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
     min_gap = max(abs(seq.members[i].eval(pts[i]) - limit_min) for i in tail)
 
     note = ""
-    if len(reps) > opts.max_clusters:
+    if len(reps) > _MAX_CLUSTERS:
         verdict = "diagnostic"
         note = f"no convergent subsequence found at this N ({len(reps)} clusters)"
     elif all(e <= opts.value_tol for e in value_errors) and min_gap <= opts.min_tol:
@@ -480,13 +484,10 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
 # continuous convergence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuousConvOpts:
-    rho0: float = 1.0
-    n_samples: int = 200
-    abs_tol: float = 1e-9
-    decay_factor: float = 0.5    # final block mean must drop below this times the first
-    seed: int = 0
+_CC_RHO0 = 1.0  # neighbourhood radius at n = 1
+_CC_SAMPLES = 200  # sampled points per neighbourhood
+_CC_ABS_TOL = 1e-9
+_CC_DECAY = 0.5  # final block mean must drop below this times the first
 
 
 @dataclass(frozen=True)
@@ -506,15 +507,14 @@ class ContinuousConvEntry:
 
 def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
                                  indices: Optional[Sequence[int]] = None,
-                                 opts: Optional[ContinuousConvOpts] = None) -> list:
+                                 seed: int = 0) -> list:
     """Sampled check of locally-uniform convergence of potentials.
 
     For each test point x the probe records
     sup_{x' in U_n} |phi_n(x') - phi_limit(x)| over shrinking sampled
-    neighbourhoods U_n of radius rho0 * n^(-1/2), and requires the
-    recorded suprema to trend down to zero.
+    neighbourhoods U_n of radius ``_CC_RHO0`` * n^(-1/2), and requires
+    the recorded suprema to trend down to zero.
     """
-    opts = opts or ContinuousConvOpts()
     idx = list(indices) if indices is not None else list(range(1, len(phi_seq) + 1))
     if len(idx) != len(phi_seq):
         raise InputError("indices and phi_seq must have equal length")
@@ -523,13 +523,13 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
     for pi, x in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         dim = x.size
-        target = float(lim_eval(x if dim > 1 else x))
+        target = float(lim_eval(x))
         sups = np.empty(len(idx))
         for j, (n, phi) in enumerate(zip(idx, phi_seq)):
             f = getattr(phi, "eval", phi)
-            rho = opts.rho0 * n ** -0.5
-            rng = child_rng(opts.seed, "cont-conv", pi, j)
-            pts = x[None, :] + rho * _uniform_pball(rng, opts.n_samples, dim, 2.0)
+            rho = _CC_RHO0 * n ** -0.5
+            rng = child_rng(seed, "cont-conv", pi, j)
+            pts = x[None, :] + rho * _uniform_pball(rng, _CC_SAMPLES, dim, 2.0)
             pts = np.vstack([pts, x[None, :]])
             if dim == 1:
                 grid = np.linspace(x[0] - rho, x[0] + rho, 51)[:, None]
@@ -537,9 +537,9 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
             sups[j] = max(abs(float(f(p)) - target) for p in pts)
         blocks = np.array_split(sups, min(4, len(sups)))
         means = np.array([b.mean() for b in blocks])
-        trend = bool(np.all(np.diff(means) <= 0.05 * means[0] + opts.abs_tol))
+        trend = bool(np.all(np.diff(means) <= 0.05 * means[0] + _CC_ABS_TOL))
         final = float(sups[-1])
-        ok = final <= opts.abs_tol or (trend and means[-1] <= opts.decay_factor * means[0])
+        ok = final <= _CC_ABS_TOL or (trend and means[-1] <= _CC_DECAY * means[0])
         entries.append(ContinuousConvEntry(x, sups, trend, final, "pass" if ok else "fail"))
     return entries
 

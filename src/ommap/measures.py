@@ -17,6 +17,7 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, singledispatch
@@ -28,8 +29,7 @@ from scipy.special import log_ndtr
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
-from .spaces import (RANK_TOL, SpectralOperator, WeightedSeqSpace, _as_vector,
-                     weighted_norm)
+from .spaces import SpectralOperator, WeightedSeqSpace, _as_vector, weighted_norm
 
 # ---------------------------------------------------------------------------
 # product measures: one 1-d factor per eigen coordinate
@@ -134,7 +134,7 @@ class GaussianMeasure(ProductMeasure):
     eigen_mean = property(lambda self: self.cov.to_eigen(self.mean))
     spread = property(lambda self: self.cov.eigenvalues)  # variances
     scale = property(lambda self: np.sqrt(self.cov.eigenvalues))
-    pinned = property(lambda self: self.cov.zero_mask(RANK_TOL))
+    pinned = property(lambda self: self.cov.zero_mask())
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_vector(self.mean, self.cov.dim))
@@ -262,11 +262,15 @@ class BallOpts:
 
     n_samples: int = 10 ** 6      # total MC draws, split across batches
     n_batches: int = 20
-    quad_tol: float = 1e-12
     max_rel_err: float = 0.5      # stderr/estimate above this -> low confidence
-    method: str = "auto"          # auto | exact | mc | quadrature
+    method: str = "auto"          # auto | exact | mc
     closed: bool = False          # closed balls (open is the default everywhere)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.method not in ("auto", "exact", "mc"):
+            raise ParameterError(f"ball-mass method must be 'auto', 'exact' or 'mc', "
+                                 f"got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -692,19 +696,27 @@ def _product_sup_ball_mass(measure: ProductMeasure, radius, space=None, opts=Non
     return None
 
 
+_QUAD_TOL = 1e-12  # absolute error goal of the quadrature over a ball
+
+
 @ball_mass.register(Density1D)
 def _density1d_ball_mass(measure: Density1D, center, radius, space=None, opts=None) -> BallMass:
+    """The ``mass_fn`` closed form where the density has one, else quadrature."""
     if radius <= 0:
         raise InputError("ball radius must be positive")
     opts = opts or BallOpts()
+    if opts.method == "mc":
+        raise InputError("Monte Carlo ball masses need a product measure, not a 1-d density")
     c = float(np.asarray(center).reshape(()))
-    if measure.mass_fn is not None and opts.method in ("auto", "exact"):
+    if measure.mass_fn is not None:
         return BallMass(float(measure.mass_fn(c, radius)), 0.0, "closed-form")
+    if opts.method == "exact":
+        raise InputError("no exact ball mass: the density has no mass_fn")
     total, err = 0.0, 0.0
     for a, b in measure.support:
         lo, hi = max(a, c - radius), min(b, c + radius)
         if lo < hi:
-            v, e = quad(measure.pdf, lo, hi, epsabs=opts.quad_tol, limit=200)
+            v, e = quad(measure.pdf, lo, hi, epsabs=_QUAD_TOL, limit=200)
             total += v
             err += e
     return BallMass(total, err, "quadrature")
@@ -891,13 +903,26 @@ def measure_from_json(obj: dict):
                             eta=float(obj["eta"]), dim=int(obj["dim"]))
     if kind == "density1d":
         name = obj.get("name")
-        params = obj.get("params", {})
-        if name in DENSITY1D_FACTORIES:
-            return DENSITY1D_FACTORIES[name](**params)
-        if name in EXAMPLE_MEASURE_FACTORIES:
-            return EXAMPLE_MEASURE_FACTORIES[name](**params)
-        raise ParameterError(f"unknown registered measure name {name!r}")
+        factory = DENSITY1D_FACTORIES.get(name) or EXAMPLE_MEASURE_FACTORIES.get(name)
+        if factory is None:
+            raise ParameterError(f"unknown registered measure name {name!r}")
+        return _registered_measure(name, factory, obj.get("params", {}))
     raise ParameterError(f"unknown measure type {kind!r}")
+
+
+def _registered_measure(name: str, factory, params: dict):
+    """``factory(**params)``; the factory's keyword parameters are the
+    fields a registered measure accepts, and those without a default
+    are required."""
+    allowed = inspect.signature(factory).parameters
+    for key in params:
+        if key not in allowed:
+            raise ParameterError(f"unknown parameter {key!r} for registered measure {name!r}; "
+                                 f"allowed: {', '.join(allowed)}")
+    for key, param in allowed.items():
+        if param.default is param.empty and key not in params:
+            raise ParameterError(f"registered measure {name!r} needs parameter {key!r}")
+    return factory(**params)
 
 
 def measure_to_json(measure) -> dict:

@@ -27,7 +27,7 @@ from .errors import InputError
 from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
                        ProductMeasure, RatioOpts, _ball_opts, _log_mass_table, _ratio_estimate,
                        ball_mass, ball_ratio_curve, default_space, sup_ball_mass)
-from .spaces import RANGE_ATOL, RANK_TOL, WeightedSeqSpace, _as_vector
+from .spaces import RANGE_ATOL, WeightedSeqSpace, _as_vector
 
 
 @dataclass
@@ -89,17 +89,17 @@ def prior_om(measure) -> OmFunctional:
 
 
 @prior_om.register(GaussianMeasure)
-def gaussian_om(mu: GaussianMeasure, rank_tol: float = RANK_TOL) -> OmFunctional:
+def gaussian_om(mu: GaussianMeasure) -> OmFunctional:
     """Half the squared Cameron-Martin norm of u - mean.
 
     Finite exactly on mean + range(cov^(1/2)); the mean is the anchor
     and unique minimiser.  In eigen coordinates c of u - mean the value
     is 1/2 sum_free (c_k / sqrt(lam_k))^2, and a point is off the domain
-    when its components along zero eigenvalues exceed the
-    ``in_range_sqrt`` tolerance.
+    when its components along zero eigenvalues (at ``spaces.RANK_TOL``)
+    exceed ``spaces.RANGE_ATOL * max(1, |c|)``, the ``in_range_sqrt`` rule.
     """
     mean, basis = mu.mean, mu.cov.basis
-    zero = mu.cov.zero_mask(rank_tol)
+    zero = mu.cov.zero_mask()
     free = ~zero
     inv_sqrt = 1.0 / np.sqrt(mu.cov.eigenvalues[free])
 
@@ -200,7 +200,6 @@ def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:
 @dataclass(frozen=True)
 class ProbeOpts:
     abs_tol: float = 1e-2
-    wide_ci_factor: float = 0.5    # CI halfwidth above this fraction of the target -> inconclusive
     ratio: RatioOpts = field(default_factory=RatioOpts)
 
 
@@ -217,6 +216,9 @@ class OmDifferenceReport:
         return {"expected": float(self.expected), "limit": float(self.curve.extrapolated_limit),
                 "ci": [float(c) for c in self.curve.ci], "tolerance": float(self.tolerance),
                 "verdict": self.verdict, "norm_p": self.curve.norm_p}
+
+
+_WIDE_CI_FACTOR = 0.5  # CI halfwidth above this fraction of the target -> inconclusive
 
 
 def om_difference_check(measure, om: OmFunctional, x1, x2, radii,
@@ -236,7 +238,7 @@ def om_difference_check(measure, om: OmFunctional, x1, x2, radii,
         verdict = "inconclusive"
     elif diff <= tol:
         verdict = "pass"
-    elif half > opts.wide_ci_factor * max(expected, 1e-12):
+    elif half > _WIDE_CI_FACTOR * max(expected, 1e-12):
         verdict = "inconclusive"
     else:
         verdict = "fail"

@@ -161,17 +161,15 @@ class SpectralOperator:
     def sqrt_apply(self, x) -> np.ndarray:
         return self.from_eigen(np.sqrt(self.eigenvalues) * self.to_eigen(x))
 
-    def zero_mask(self, rank_tol: float = RANK_TOL) -> np.ndarray:
-        """Boolean mask of eigenvalues treated as zero at ``rank_tol``."""
-        if rank_tol < 0:
-            raise InputError("rank_tol must be >= 0")
+    def zero_mask(self) -> np.ndarray:
+        """Boolean mask of eigenvalues treated as zero at ``RANK_TOL``."""
         top = float(np.max(self.eigenvalues)) if self.dim else 0.0
         if top == 0.0:
             return np.ones(self.dim, dtype=bool)
-        return self.eigenvalues <= rank_tol * top
+        return self.eigenvalues <= RANK_TOL * top
 
 
-def pinv_apply(op: SpectralOperator, y, rank_tol: float = RANK_TOL) -> np.ndarray:
+def pinv_apply(op: SpectralOperator, y) -> np.ndarray:
     """Moore-Penrose pseudoinverse applied to ``y``.
 
     In the eigenbasis the k-th component of the result is y_k / lam_k
@@ -180,32 +178,31 @@ def pinv_apply(op: SpectralOperator, y, rank_tol: float = RANK_TOL) -> np.ndarra
     range).
     """
     c = op.to_eigen(_as_vector(y, op.dim))
-    zero = op.zero_mask(rank_tol)
+    zero = op.zero_mask()
     out = np.zeros_like(c)
     out[~zero] = c[~zero] / op.eigenvalues[~zero]
     return op.from_eigen(out)
 
 
-def sqrt_pinv_apply(op: SpectralOperator, v, rank_tol: float = RANK_TOL) -> np.ndarray:
+def sqrt_pinv_apply(op: SpectralOperator, v) -> np.ndarray:
     """Pseudoinverse of the operator square root applied to ``v``."""
     c = op.to_eigen(_as_vector(v, op.dim))
-    zero = op.zero_mask(rank_tol)
+    zero = op.zero_mask()
     out = np.zeros_like(c)
     out[~zero] = c[~zero] / np.sqrt(op.eigenvalues[~zero])
     return op.from_eigen(out)
 
 
-def in_range_sqrt(op: SpectralOperator, v, rank_tol: float = RANK_TOL,
-                  atol: float = RANGE_ATOL) -> bool:
+def in_range_sqrt(op: SpectralOperator, v) -> bool:
     """Range-membership test for the operator square root.
 
     ``v`` lies in range(op^(1/2)) iff its components along the kernel
     directions vanish; numerically, iff their magnitude stays below
-    ``atol * max(1, |v|)``.
+    ``RANGE_ATOL * max(1, |v|)``.
     """
     c = op.to_eigen(_as_vector(v, op.dim))
-    zero = op.zero_mask(rank_tol)
+    zero = op.zero_mask()
     if not np.any(zero):
         return True
     scale = max(1.0, float(np.linalg.norm(c)))
-    return bool(np.max(np.abs(c[zero]), initial=0.0) <= atol * scale)
+    return bool(np.max(np.abs(c[zero]), initial=0.0) <= RANGE_ATOL * scale)

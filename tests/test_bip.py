@@ -8,7 +8,7 @@ import pytest
 from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    ParameterError, Potential, ProxOpts,
                    SpectralOperator, besov_om, constrained_prior_minimum,
-                   gaussian_om, kkt_residual, map_solve_besov,
+                   gaussian_om, kkt_residual, map_solve, map_solve_besov,
                    map_solve_besov_linear, map_solve_gaussian_linear,
                    perturbation_experiment, posterior_om, projected_potential,
                    quadratic_potential, small_noise_experiment)
@@ -82,7 +82,6 @@ class TestPotential:
         assert pot(np.array([2.0])) == 0.0
         np.testing.assert_allclose(pot.gradient(np.array([2.0])), [0.0])
         assert pot(np.array([0.0])) == pytest.approx(2.0)
-        assert pot.lower_bound == 0.0
 
     def test_quadratic_gradient_random(self):
         rng = np.random.default_rng(0)
@@ -168,7 +167,7 @@ class TestBesovSolver:
     def test_zero_potential_returns_zero(self):
         prior = BesovMeasure(1.0, 1, 1.0, 3)
         pot = Potential(eval=lambda u: 0.0, gradient=lambda u: np.zeros(3), dim=3,
-                        lipschitz_grad=1.0, lower_bound=0.0)
+                        lipschitz_grad=1.0)
         sol = map_solve_besov(prior, pot)
         np.testing.assert_array_equal(sol.point, np.zeros(3))
 
@@ -203,6 +202,19 @@ class TestBesovSolver:
         best = post(sol.point)
         for _ in range(1000):
             assert best <= post(sol.point + 0.5 * rng.normal(size=4)) + 1e-12
+
+    def test_non_unique_minimiser_flagged(self):
+        # gamma = 1: with two equal columns every split of the coefficient
+        # between them has the same objective
+        prior = BesovMeasure(0.5, 1, 1.0, 2)
+        np.testing.assert_array_equal(prior.gamma, [1.0, 1.0])
+        opts = ProxOpts(check_uniqueness=True)
+        equal = map_solve(prior, observation([[1.0, 1.0], [0.5, 0.5]], [1.0, 1.0],
+                                             [2.0, 1.0]), opts)
+        assert "non-unique-minimiser" in equal.flags
+        distinct = map_solve(prior, observation([[1.0, 0.3], [0.5, -0.2]], [1.0, 1.0],
+                                                [2.0, 1.0]), opts)
+        assert "non-unique-minimiser" not in distinct.flags
 
     def test_gradient_required(self):
         prior = BesovMeasure(1.0, 1, 1.0, 2)

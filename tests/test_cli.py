@@ -78,6 +78,19 @@ class TestRun:
         code, _ = run_cli(tmp_path, {"kind": "map_solve"})
         assert code == 2
 
+    @pytest.mark.parametrize("cfg,field", [
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],
+          "measure": {"type": "density1d", "name": "spike", "params": {"m": 3}}}, "'m'"),
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],
+          "measure": {"type": "density1d", "name": "spike"}}, "'n'"),
+        ({"kind": "counterexample", "name": "spike", "params": {"n_value": [10]}},
+         "n_value"),
+    ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param"])
+    def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_every_csv_has_header(self, tmp_path):
         cfg = {"kind": "counterexample", "name": "crosses"}
         code, out = run_cli(tmp_path, cfg)

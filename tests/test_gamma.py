@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ommap import (BesovMeasure, ContinuousConvOpts, FunctionalSequence,
-                   GaussianMeasure, InputError, LiminfOpts, ModeConvOpts,
-                   OmFunctional, SpectralOperator, besov_om, besov_om_family,
-                   besov_recovery_sequence, continuous_convergence_probe,
+from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError,
+                   LiminfOpts, ModeConvOpts, OmFunctional, SpectralOperator, besov_om,
+                   besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                    density_om, equicoercivity_probe, gamma_liminf_probe,
                    gaussian_om, gaussian_om_family, gaussian_recovery_sequence,
                    mode_convergence_check, project, sum_rule_check)
@@ -443,7 +442,7 @@ class TestModeConvergence:
         seq = gaussian_om_family([mu] * 40, mu)
         rng = np.random.default_rng(8)
         scattered = [rng.uniform(-10, 10, 1) for _ in range(40)]
-        rep = mode_convergence_check(seq, scattered, ModeConvOpts(max_clusters=3))
+        rep = mode_convergence_check(seq, scattered)
         assert rep.verdict == "diagnostic"
         assert "no convergent subsequence" in rep.note
 
@@ -463,9 +462,8 @@ def _mixture_density(fam):
 class TestContinuousConvergence:
     def test_constant_continuous_potential(self):
         phi = lambda u: float(np.sin(np.sum(u)))
-        entries = continuous_convergence_probe([phi] * 12, phi,
-                                               [np.array([0.3, 0.1])],
-                                               opts=ContinuousConvOpts(seed=1))
+        entries = continuous_convergence_probe([phi] * 12, phi, [np.array([0.3, 0.1])],
+                                               seed=1)
         assert entries[0].verdict == "pass"
 
     def test_projected_linear_functional_tail_decay(self):
@@ -478,8 +476,7 @@ class TestContinuousConvergence:
 
         phis = [(lambda n: (lambda u: phi(project(u, n))))(n) for n in range(1, k_dim + 1)]
         x = np.full(k_dim, 0.2)
-        entries = continuous_convergence_probe(phis, phi, [x],
-                                               opts=ContinuousConvOpts(seed=2))
+        entries = continuous_convergence_probe(phis, phi, [x], seed=2)
         e = entries[0]
         assert e.verdict == "pass"
         assert e.suprema[-1] < 0.25 * e.suprema[0]
@@ -493,9 +490,7 @@ class TestContinuousConvergence:
                                        float(lim.density(u[0])))
 
         phis = [make_phi(n) for n in range(1, 121)]
-        entries = continuous_convergence_probe(
-            phis, lambda u: 0.0, [np.array([0.0])],
-            opts=ContinuousConvOpts(seed=3))
+        entries = continuous_convergence_probe(phis, lambda u: 0.0, [np.array([0.0])], seed=3)
         assert entries[0].verdict == "fail"
         assert entries[0].final_sup > 0.5
 

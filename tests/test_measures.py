@@ -179,6 +179,24 @@ class TestBallMass:
                                  np.array([0.1, 0.05]), sp)
         np.testing.assert_array_equal(curve.ratios, [1.0, 1.0])
 
+    @pytest.mark.parametrize("method", ["quadrature", "exakt", "MC"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ParameterError, match="method"):
+            BallOpts(method=method)
+
+    def test_density1d_refuses_what_it_cannot_do(self):
+        plain = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),))
+        with_fn = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),),
+                            mass_fn=lambda c, r: min(c + r, 1.0) / 2 - max(c - r, -1.0) / 2)
+        for dens in (plain, with_fn):
+            with pytest.raises(InputError, match="Monte Carlo"):
+                ball_mass(dens, 0.0, 0.2, None, BallOpts(method="mc"))
+        with pytest.raises(InputError, match="mass_fn"):
+            ball_mass(plain, 0.0, 0.2, None, BallOpts(method="exact"))
+        assert ball_mass(plain, 0.0, 0.2).method == "quadrature"
+        exact = ball_mass(with_fn, 0.0, 0.2, None, BallOpts(method="exact"))
+        assert (exact.method, exact.estimate) == ("closed-form", pytest.approx(0.2))
+
     def test_besov_coordinate_density_normalised(self):
         mu = BesovMeasure(1.2, 1, 0.7, 3)
         for g in mu.gamma:

@@ -159,11 +159,6 @@ class TestPinv:
             proj = np.where(lam > 0, x, 0.0)
             np.testing.assert_allclose(pinv_apply(op, op.apply(x)), proj, atol=1e-10)
 
-    def test_rank_tol_validation(self):
-        op = SpectralOperator(np.array([1.0]))
-        with pytest.raises(InputError):
-            pinv_apply(op, [1.0], rank_tol=-1.0)
-
 
 class TestSqrtPinv:
     def test_examples(self):
