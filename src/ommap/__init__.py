@@ -16,7 +16,7 @@ from .measures import (BallMass, BallOpts, BallRatioEstimate, BesovMeasure, Dens
                        GaussianMeasure, LaplaceFactor, NormalFactor, ProductMeasure,
                        RatioOpts, ball_mass, ball_ratio_curve, besov_weights, default_space,
                        measure_from_json, measure_to_json, open_vs_closed_check,
-                       radius_schedule, sample, sup_ball_mass)
+                       radius_schedule, sample, sublevel_halfwidth, sup_ball_mass)
 from .om import (ClassifyOpts, ModeClassification, OmFunctional, ProbeOpts, besov_om,
                  classify_mode, density_om, gaussian_om, m_property_probe,
                  om_difference_check, posterior_om, prior_om)

@@ -355,8 +355,16 @@ def liminf_only_ratios(measure: LiminfOnlyMeasure, n_max: int):
     return np.array(eps), np.array(delta)
 
 
+def _refuse_mc(measure, opts) -> None:
+    """The example measures have closed-form masses and no Monte Carlo path."""
+    if opts is not None and opts.method == "mc":
+        raise InputError(f"Monte Carlo ball masses need a product measure, "
+                         f"not a {type(measure).__name__}")
+
+
 @ball_mass.register(LiminfOnlyMeasure)
 def _liminf_ball_mass(measure: LiminfOnlyMeasure, center, radius, space=None, opts=None):
+    _refuse_mc(measure, opts)
     c = float(np.asarray(center).reshape(()))
     return BallMass(measure.mass(c, radius), 0.0, "closed-form")
 
@@ -480,6 +488,7 @@ prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
 @ball_mass.register(OmNotStrongMeasure)
 def _om_not_strong_ball_mass(measure: OmNotStrongMeasure, center, radius,
                              space=None, opts=None):
+    _refuse_mc(measure, opts)
     c = float(np.asarray(center).reshape(()))
     return BallMass(measure.mass(c, radius), 0.0, "closed-form")
 
@@ -704,6 +713,7 @@ def crosses_om_difference(norm_choice: str) -> float:
 
 @ball_mass.register(CrossesMeasure)
 def _crosses_ball_mass(measure: CrossesMeasure, center, radius, space=None, opts=None):
+    _refuse_mc(measure, opts)
     if space is not None and not math.isclose(space.p, measure.p):
         raise InputError("crosses masses must use the measure's own norm choice")
     c = np.asarray(center, dtype=float)
@@ -716,21 +726,32 @@ def _crosses_ball_mass(measure: CrossesMeasure, center, radius, space=None, opts
 # registry
 # ---------------------------------------------------------------------------
 
+def _number(name: str, value, integer: bool = False):
+    """A registered measure's numeric parameter, or a ParameterError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            (integer and not float(value).is_integer()):
+        raise ParameterError(f"parameter {name!r} must be {'an integer' if integer else 'a number'}"
+                             f", got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _mixture_density1d(t: float, r: float = 5.0) -> Density1D:
+    t, r = _number("t", t), _number("r", r)
     fam = MixtureFamily(t, r)
     return Density1D(pdf=lambda x: float(fam.density(x)),
                      support=((-r - 40.0, r + 40.0),), total_mass=1.0, name="mixture")
 
 
 def _spike_density1d(n) -> Density1D:
-    fam = SpikeFamily(math.inf if n in ("inf", math.inf) else int(n))
+    fam = SpikeFamily(math.inf if n in ("inf", math.inf) else _number("n", n, integer=True))
     return Density1D(pdf=lambda x: float(fam.density(x)),
                      support=((-40.0, 42.0),), total_mass=1.0, name="spike")
 
 
 DENSITY1D_FACTORIES["mixture"] = _mixture_density1d
 DENSITY1D_FACTORIES["spike"] = _spike_density1d
-EXAMPLE_MEASURE_FACTORIES["liminf_only"] = \
-    lambda depth=40, variant="standard": LiminfOnlyMeasure(depth=depth, variant=variant)
-EXAMPLE_MEASURE_FACTORIES["om_not_strong"] = lambda levels=30: OmNotStrongMeasure(levels=levels)
+EXAMPLE_MEASURE_FACTORIES["liminf_only"] = lambda depth=40, variant="standard": \
+    LiminfOnlyMeasure(depth=_number("depth", depth, integer=True), variant=variant)
+EXAMPLE_MEASURE_FACTORIES["om_not_strong"] = \
+    lambda levels=30: OmNotStrongMeasure(levels=_number("levels", levels, integer=True))
 EXAMPLE_MEASURE_FACTORIES["crosses"] = lambda norm_choice="1": CrossesMeasure(norm_choice=norm_choice)

@@ -3,14 +3,14 @@
 Nothing here proves convergence: the probes are falsification tools.
 The lower-bound probe searches for witness sequences that break the
 liminf inequality; recovery sequences are built from the explicit
-constructions available for Gaussian and Besov-1 families; the
-equicoercivity probe samples sublevel sets and checks the analytic
-compact bound (both dispatch on the family's limit measure); the
-mode-convergence check clusters minimiser sequences and compares
-cluster points against minimisers of the limit.
+constructions available for Gaussian and Besov-1 families (dispatched
+on the family's limit measure); the equicoercivity probe reads the
+exact coordinate half-widths of the members' sublevel sets against the
+limit's; the mode-convergence check clusters minimiser sequences and
+compares cluster points against minimisers of the limit.
 
-Every "pass" verdict records how many paths or samples were tried, and
-every "fail" carries a concrete witness.
+Every "pass" verdict records how many paths, members or samples were
+read, and every "fail" carries a concrete witness.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import numpy as np
 
 from ._seeds import child_rng
 from .errors import InputError
-from .measures import BesovMeasure, GaussianMeasure, _uniform_pball
+from .measures import (BesovMeasure, GaussianMeasure, _row_norms, _uniform_pball,
+                       default_space, sublevel_halfwidth)
 from .om import OmFunctional, prior_om
-from .spaces import _as_vector, sqrt_pinv_apply, in_range_sqrt
+from .spaces import WeightedSeqSpace, _as_vector, sqrt_pinv_apply, in_range_sqrt
 
 
 @dataclass
@@ -34,9 +35,9 @@ class FunctionalSequence:
     """Indexed family of functionals with a designated limit.
 
     ``measures`` and ``limit_measure`` retain the construction when the
-    family comes from measures, enabling construction-aware probes
-    (sublevel sampling, recovery sequences) that dispatch on the limit
-    measure's type.
+    family comes from measures, enabling construction-aware probes:
+    recovery sequences, which dispatch on the limit measure's type, and
+    the sublevel half-widths of every member.
     """
 
     indices: list
@@ -295,6 +296,12 @@ def recovery_gap(seq: FunctionalSequence, u) -> Optional[float]:
 # equicoercivity probe
 # ---------------------------------------------------------------------------
 
+_EQUI_WINDOW_FRAC = 0.5  # trailing share of the family whose sublevel sets are read
+_EQUI_RATIO_BOUND = 2.0  # a window member's half-widths, or ambient tail, over the limit's
+_EQUI_SLOPE_BOUND = 0.25  # log-log growth rate of the largest half-width that is an escape
+_CROSS_CHECK_CHUNK = 1 << 16  # mapped coordinates per chunk of rotated members (0.5 MB)
+
+
 @dataclass(frozen=True)
 class EquicoercivityEntry:
     t: float
@@ -304,6 +311,10 @@ class EquicoercivityEntry:
     bound: str
     verdict: str
     first_index_checked: Optional[int] = None
+    witness_index: Optional[int] = None
+    ratio: Optional[float] = None
+    tail_ratio: Optional[float] = None
+    slope: Optional[float] = None
     note: str = ""
 
     def to_dict(self) -> dict:
@@ -311,68 +322,131 @@ class EquicoercivityEntry:
                 "samples_per_member": self.samples_per_member,
                 "violations": self.violations, "bound": self.bound,
                 "verdict": self.verdict,
-                "first_index_checked": self.first_index_checked, "note": self.note}
+                "first_index_checked": self.first_index_checked,
+                "witness_index": self.witness_index, "ratio": self.ratio,
+                "tail_ratio": self.tail_ratio, "slope": self.slope, "note": self.note}
 
 
 def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
                          seed: int = 0) -> EquicoercivityEntry:
-    """Sample sublevel sets {F_n <= t} and verify the compact bound, by
-    ``sublevel_check`` on the family's limit measure."""
+    """Check the sublevel sets {F_n <= t} against the limit's by their exact
+    half-widths (``sublevel_check``), with a ``samples``-point cross-check."""
+    if samples < 1:
+        raise InputError("the cross-check needs samples >= 1")
     if t < 0:
         return EquicoercivityEntry(t, 0, 0, 0, "empty sublevel", "vacuous-pass")
-    return sublevel_check(seq.limit_measure, seq, t, samples, child_rng(seed, "equicoercivity"))
+    return sublevel_check(seq, t, samples, child_rng(seed, "equicoercivity"))
 
 
-@singledispatch
-def sublevel_check(limit_measure, seq: FunctionalSequence, t: float, samples: int,
+def sublevel_check(seq: FunctionalSequence, t: float, samples: int,
                    rng: np.random.Generator) -> EquicoercivityEntry:
-    """Sample each member's sublevel set {F_n <= t}, strictly inside, and
-    count the points outside the compact bound, dispatched on the limit
-    measure's type."""
-    raise InputError("equicoercivity probe needs a gaussian or besov1 family")
+    """Exact envelopes of the sublevel sets {F_n <= t} of a measure family.
+
+    ``measures.sublevel_halfwidth`` gives each member's coordinate
+    half-widths H_n: every point of {F_n <= t} lies in the box
+    |u_k| <= H_n,k, and each face of the box is attained.  The family's
+    trailing window (the last ``_EQUI_WINDOW_FRAC`` of it; the theorems
+    allow finitely many members to be dropped, and only members before
+    the window are) is read three ways against the limit's half-widths H,
+    with K = ceil(dim / 2):
+
+    * ratio: max_k H_n,k / H_k over the leading coordinates k < K where
+      H_k > 0;
+    * tail_ratio: the norm of H_n beyond coordinate K in the limit's
+      ambient space (its ``default_space``) over that of H: the uniform
+      decay that compactness in the ambient space needs (Part II);
+    * slope: the log-log slope of max_k H_n,k against n.
+
+    A window member whose ratio or tail ratio exceeds
+    ``_EQUI_RATIO_BOUND`` is a violation, and a slope above
+    ``_EQUI_SLOPE_BOUND`` fails the family when the window's largest
+    half-width also exceeds the limit's (sublevel sets that keep growing
+    past it); the witness is the worst member.  As a cross-check, one draw
+    of ``samples`` points g with sum_k |g_k|^p / p <= t (p the factor's
+    ``exponent``) is mapped into each window member's sublevel set through
+    its form u = m + B diag(scale) g; a member with a mapped point outside
+    its half-widths is a violation too.
+    """
+    lim = seq.limit_measure
+    if lim is None or not seq.measures:
+        raise InputError("equicoercivity probe needs a non-empty family built from measures")
+    h_lim = sublevel_halfwidth(lim, t)
+    start = int(len(seq.measures) * (1.0 - _EQUI_WINDOW_FRAC))
+    window, idx = seq.measures[start:], seq.indices[start:]
+    if any(mu.dim != lim.dim for mu in window):
+        raise InputError("family members and limit differ in dimension")
+    h = np.stack([sublevel_halfwidth(mu, t) for mu in window])
+
+    k_tail = (lim.dim + 1) // 2
+    scaled = np.flatnonzero(h_lim[:k_tail] > 0)
+    ratios = (h[:, scaled] / h_lim[scaled]).max(axis=1, initial=0.0)
+    tails, score = None, ratios
+    if k_tail < lim.dim:
+        space = default_space(lim)
+        tail_space = WeightedSeqSpace(space.p, space.weights[k_tail:])
+        tail_lim = _row_norms(h_lim[None, k_tail:], tail_space)[0]
+        if tail_lim > 0:
+            tails = _row_norms(h[:, k_tail:], tail_space) / tail_lim
+            score = np.maximum(ratios, tails)
+    widest = h.max(axis=1)
+    grows = widest > 0
+    slope = None
+    if grows.sum() >= 2:
+        x = np.log(np.asarray(idx, dtype=float)[grows])
+        y = np.log(widest[grows])
+        x -= x.mean()
+        slope = float(x @ (y - y.mean()) / (x @ x))
+
+    p = lim.factor.exponent
+    g = _uniform_pball(rng, samples, lim.dim, p) * (p * t) ** (1.0 / p) * (1.0 - 1e-9)
+    outside = np.any(_mapped_widths(window, g) > h * (1.0 + 1e-12), axis=1)
+
+    over = score > _EQUI_RATIO_BOUND
+    # a short family approaching the limit from below also has a positive
+    # slope; growth escapes only once it carries past the limit's extent
+    escaped = slope is not None and slope > _EQUI_SLOPE_BOUND and widest.max() > h_lim.max()
+    violations = int(np.sum(over | outside))
+    witness, note = None, ""
+    if over.any():
+        witness, note = idx[int(np.argmax(score))], "half-widths beyond the bound"
+    elif outside.any():
+        witness, note = idx[int(np.argmax(outside))], "a mapped point outside its half-widths"
+    elif escaped:
+        witness, note = idx[int(np.argmax(widest))], "the largest half-width keeps growing"
+    if witness is not None:
+        note = f"member {witness}: {note}"
+    return EquicoercivityEntry(
+        t, len(window), samples, violations,
+        f"H_n <= {_EQUI_RATIO_BOUND:g} H on the first {k_tail} coordinates and in the "
+        f"ambient norm beyond them; log-log slope of max_k H_n,k <= {_EQUI_SLOPE_BOUND:g}",
+        "fail" if violations or escaped else "pass", first_index_checked=idx[0],
+        witness_index=witness, ratio=float(ratios.max()),
+        tail_ratio=None if tails is None else float(tails.max()), slope=slope, note=note)
 
 
-@sublevel_check.register(GaussianMeasure)
-def _gaussian_sublevel(lim, seq, t, samples, rng) -> EquicoercivityEntry:
-    """Points are m_n + C_n^(1/2) v with |v| <= sqrt(2t), and the bound
-    checked is |C_n^(+1/2)(u - m_n)| <= sqrt(2t)."""
-    bound = math.sqrt(2.0 * t)
-    viol = 0
-    for mu in seq.measures:
-        z = _uniform_pball(rng, samples, mu.dim, 2.0) * bound * (1.0 - 1e-9)
-        lam, basis = mu.cov.eigenvalues, mu.cov.basis
-        u_minus_m_e = (z if basis is None else z @ basis) * np.sqrt(lam)
-        free = ~mu.cov.zero_mask()
-        w = np.zeros_like(u_minus_m_e)
-        w[:, free] = u_minus_m_e[:, free] / np.sqrt(lam[free])
-        viol += int(np.sum(np.linalg.norm(w, axis=1) > bound))
-    return EquicoercivityEntry(t, len(seq.measures), samples, viol,
-                               f"|C_n^(+1/2)(u-m_n)| <= sqrt(2t) = {bound:.6g}",
-                               "pass" if viol == 0 else "fail",
-                               first_index_checked=seq.indices[0])
+def _mapped_widths(window: Sequence, g: np.ndarray) -> np.ndarray:
+    """max_j |u_k| over the rows g_j mapped through each member's form
+    u = m + B diag(scale) g, as a (members, dim) array.
 
-
-@sublevel_check.register(BesovMeasure)
-def _besov_sublevel(lim, seq, t, samples, rng) -> EquicoercivityEntry:
-    """Points are gamma_n-scaled l^1-ball samples, and the bound is the
-    coordinate box |u_k| <= gammabar_k * t built from the limit
-    smoothness minus half the tail exponent; members whose smoothness
-    falls below that envelope are dropped, mirroring the
-    finitely-many-dropped-members proviso of the limit theorem."""
-    s_bar = lim.s - lim.d * lim.eta / 2.0
-    k = np.arange(1, lim.dim + 1, dtype=float)
-    gamma_bar = k ** (-s_bar / lim.d + 0.5)
-    usable = [(i, mu) for i, mu in zip(seq.indices, seq.measures) if mu.s >= s_bar]
-    if not usable:
-        raise InputError("no family member satisfies the smoothness envelope")
-    viol = 0
-    for _, mu in usable:
-        pts = mu.gamma * (_uniform_pball(rng, samples, mu.dim, 1.0) * t * (1.0 - 1e-9))
-        viol += int(np.sum(np.any(np.abs(pts) > gamma_bar * t, axis=1)))
-    return EquicoercivityEntry(t, len(usable), samples, viol,
-                               "|u_k| <= gammabar_k * t", "pass" if viol == 0 else "fail",
-                               first_index_checked=usable[0][0],
-                               note=f"members with smoothness below {s_bar:.6g} dropped")
+    In the coordinate basis u_k is affine in g_k with a non-negative
+    slope, so the column extremes of g give it; rotated members are
+    mapped in chunks of at most ``_CROSS_CHECK_CHUNK`` coordinates, never
+    as one members x samples x dim array.
+    """
+    means = np.stack([mu.mean for mu in window])
+    scales = np.stack([mu.scale for mu in window])
+    out = np.maximum(np.abs(means + scales * g.max(axis=0)),
+                     np.abs(means + scales * g.min(axis=0)))
+    rotated = [i for i, mu in enumerate(window) if mu.basis is not None]
+    step = max(1, _CROSS_CHECK_CHUNK // g.size)
+    for lo in range(0, len(rotated), step):
+        part = rotated[lo:lo + step]
+        # column (c, k) of pts holds u_k of member c: one product per chunk
+        forms = np.stack([window[i].basis for i in part]) * scales[part][:, None, :]
+        pts = g @ forms.reshape(-1, g.shape[1]).T
+        pts += means[part].reshape(-1)
+        out[part] = np.abs(pts, out=pts).max(axis=0).reshape(len(part), -1)
+    return out
 
 
 # ---------------------------------------------------------------------------

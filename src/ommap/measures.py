@@ -12,6 +12,7 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
   everything else;
 * the supremum of the ball mass over all centres, where a symmetry
   argument places it (product measures: at the mean);
+* the coordinate half-widths of the OM sublevel sets {I <= t};
 * extrapolation of ratio curves to the small-radius limit.
 """
 
@@ -44,6 +45,8 @@ class NormalFactor:
     O(n) on top of one matvec per center.
     """
 
+    exponent = 2.0  # the log density is -|x|^exponent / exponent + const
+
     def log_sf(self, x):
         """log P(X > x)."""
         return log_ndtr(-x)
@@ -75,6 +78,8 @@ class LaplaceFactor:
     s |z|.(w / b); only the nonzero coordinates of c are evaluated at
     each scale.
     """
+
+    exponent = 1.0  # the log density is -|x| + const
 
     def log_sf(self, x):
         """log P(X > x)."""
@@ -694,6 +699,28 @@ def _product_sup_ball_mass(measure: ProductMeasure, radius, space=None, opts=Non
     if space.p >= 1 or measure.basis is None or measure.dim == 1:
         return ball_mass(measure, measure.mean, radius, space, opts)
     return None
+
+
+@singledispatch
+def sublevel_halfwidth(measure, t: float) -> np.ndarray:
+    """Coordinate half-widths of the OM sublevel set {I <= t}: the k-th
+    entry is max |u_k| over the set, dispatched on the measure type."""
+    raise InputError(f"no sublevel half-width for measure type {type(measure).__name__}")
+
+
+@sublevel_halfwidth.register(GaussianMeasure)
+def _gaussian_sublevel_halfwidth(measure: GaussianMeasure, t):
+    # {I <= t} = m + C^(1/2) B(0, sqrt(2t)), whose k-th coordinate ranges
+    # over m_k -+ sqrt(2t C_kk), with C_kk = sum_j B_kj^2 lambda_j
+    lam, basis = measure.cov.eigenvalues, measure.cov.basis
+    c_diag = lam if basis is None else (basis * basis) @ lam
+    return np.abs(measure.mean) + np.sqrt(2.0 * t * c_diag)
+
+
+@sublevel_halfwidth.register(BesovMeasure)
+def _besov_sublevel_halfwidth(measure: BesovMeasure, t):
+    # {sum_k |u_k| / gamma_k <= t} reaches gamma_k t along the k-th axis
+    return measure.gamma * t
 
 
 _QUAD_TOL = 1e-12  # absolute error goal of the quadrature over a ball

@@ -85,7 +85,12 @@ class TestRun:
           "measure": {"type": "density1d", "name": "spike"}}, "'n'"),
         ({"kind": "counterexample", "name": "spike", "params": {"n_value": [10]}},
          "n_value"),
-    ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param"])
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],
+          "measure": {"type": "density1d", "name": "spike", "params": {"n": "x"}}}, "'n'"),
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],
+          "measure": {"type": "density1d", "name": "mixture", "params": {"t": [1]}}}, "'t'"),
+    ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param",
+            "wrong-type-spike-n", "wrong-type-mixture-t"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2

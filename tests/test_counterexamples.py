@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from ommap import (CrossesMeasure, GaussianPair1D, InputError, LiminfOnlyMeasure,
+from ommap import (BallOpts, CrossesMeasure, GaussianPair1D, InputError, LiminfOnlyMeasure,
                    MixtureFamily, OmNotStrongMeasure, ParameterError, RatioOpts,
                    RegimeError, SpikeFamily, ball_ratio_curve, crosses_ball_masses,
                    crosses_om_difference, kl_gaussians, kl_gaussians_quadrature,
                    liminf_only_ratios, mixture_kl, mixture_kl_exponent, mixture_modes,
-                   om_not_strong_suite, radius_schedule, spike_kl, spike_mode,
+                   ball_mass, om_not_strong_suite, radius_schedule, spike_kl, spike_mode,
                    sup_ball_mass)
 from ommap.counterexamples import E1, SQRT_2PI
 
@@ -333,3 +333,15 @@ class TestCrosses:
         arm_point = np.array([1.5, 0.0])
         assert m.mass(arm_point, r) == pytest.approx(2.0 * r, abs=1e-10)
         assert m.mass(arm_point, r) < m.mass(E1, r)
+
+
+@pytest.mark.parametrize("measure,center", [
+    (LiminfOnlyMeasure(), 1.0), (OmNotStrongMeasure(), 1.0), (CrossesMeasure("1"), E1),
+], ids=["liminf_only", "om_not_strong", "crosses"])
+def test_examples_refuse_monte_carlo(measure, center):
+    # closed forms only: a forced Monte Carlo mass is an error, as for Density1D
+    with pytest.raises(InputError, match="Monte Carlo"):
+        ball_mass(measure, center, 0.1, None, BallOpts(method="mc"))
+    for method in ("auto", "exact"):
+        assert ball_mass(measure, center, 0.1, None, BallOpts(method=method)).method \
+            == "closed-form"

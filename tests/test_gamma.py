@@ -11,9 +11,9 @@ from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError
                    besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                    density_om, equicoercivity_probe, gamma_liminf_probe,
                    gaussian_om, gaussian_om_family, gaussian_recovery_sequence,
-                   mode_convergence_check, project, sum_rule_check)
+                   mode_convergence_check, project, sublevel_halfwidth, sum_rule_check)
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
-from ommap.gamma import _extrapolated_intercepts, default_paths
+from ommap.gamma import _extrapolated_intercepts, _mapped_widths, default_paths
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -374,6 +374,23 @@ class TestEquicoercivity:
         assert entry.verdict == "pass"
         assert entry.violations == 0
 
+    def test_one_dimensional_family(self):
+        # a single coordinate has no ambient tail to read
+        limit = GaussianMeasure(np.array([0.5]), SpectralOperator(np.ones(1)))
+        members = [GaussianMeasure(np.array([0.5]), SpectralOperator(np.array([1.0 + 1.0 / n])))
+                   for n in range(1, 11)]
+        entry = equicoercivity_probe(gaussian_om_family(members, limit), 2.0, 100, seed=1)
+        assert entry.verdict == "pass" and entry.tail_ratio is None
+        assert entry.ratio == pytest.approx((0.5 + 2.0 * math.sqrt(1.0 + 1.0 / 6)) / 2.5)
+
+    def test_needs_a_measure_family(self):
+        mu = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
+        seq = FunctionalSequence([1, 2], [gaussian_om(mu)] * 2, gaussian_om(mu))
+        with pytest.raises(InputError, match="built from measures"):
+            equicoercivity_probe(seq, 1.0, 100)
+        with pytest.raises(InputError, match="samples"):
+            equicoercivity_probe(gaussian_family_scale(4), 1.0, 0)
+
     def test_besov_family_coordinate_box(self):
         limit = BesovMeasure(1.0, 1, 1.0, 30)
         members = [BesovMeasure(1.0 + (-1.0) ** n / n, 1, 1.0, 30) for n in range(2, 18)]
@@ -381,16 +398,162 @@ class TestEquicoercivity:
         entry = equicoercivity_probe(seq, 1.0, 2000, seed=2)
         assert entry.verdict == "pass"
         assert entry.violations == 0
-        assert "gammabar" in entry.bound
+        # the window is n = 10..17; the roughest member, n = 11, has half-widths
+        # k^(1/2 - s_11) against the limit's k^(-1/2): ratio k^(1/11), largest
+        # at the last leading coordinate, k = 15
+        assert entry.first_index_checked == 10 and entry.n_members == 8
+        assert entry.ratio == pytest.approx(15 ** (1 / 11), rel=1e-12)
+        assert entry.witness_index is None
 
     def test_besov_drops_low_smoothness_members(self):
         limit = BesovMeasure(1.0, 1, 1.0, 10)
         members = [BesovMeasure(1.0 - 1.0 / n, 1, 1.0, 10) for n in range(1, 9)]
         seq = besov_om_family(members, limit, list(range(1, 9)))
         entry = equicoercivity_probe(seq, 1.0, 200, seed=3)
-        # s_n = 1 - 1/n >= s_bar = 0.5 needs n >= 2
-        assert entry.first_index_checked == 2
-        assert entry.n_members == 7
+        # only members before the trailing window n = 5..8 are dropped, among
+        # them the rough n = 1 (s = 0), whose half-widths reach 5x the limit's
+        assert entry.verdict == "pass"
+        assert entry.first_index_checked == 5
+        assert entry.n_members == 4
+        alone = besov_om_family(members[:1], limit, [1])
+        rough = equicoercivity_probe(alone, 1.0, 200, seed=3)
+        assert rough.verdict == "fail" and rough.witness_index == 1
+
+
+class TestMappedWidths:
+    def _window(self):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        rotated = [GaussianMeasure(rng.normal(size=4),
+                                   SpectralOperator(np.r_[rng.uniform(0.5, 2.0, 3), 0.0], q))
+                   for _ in range(7)]
+        aligned = [GaussianMeasure(rng.normal(size=4), SpectralOperator(rng.uniform(0.5, 2.0, 4)))
+                   for _ in range(3)]
+        return rotated[:4] + aligned + rotated[4:], rng.normal(size=(50, 4))
+
+    def test_matches_a_per_member_loop(self, monkeypatch):
+        window, g = self._window()
+        want = np.array([np.abs(mu.mean + (g * mu.scale) @ (np.eye(4) if mu.basis is None
+                                                          else mu.basis).T).max(axis=0)
+                         for mu in window])
+        for chunk in (1 << 16, 2 * g.size, 1):  # one, several and single-member chunks
+            monkeypatch.setattr("ommap.gamma._CROSS_CHECK_CHUNK", chunk)
+            np.testing.assert_allclose(_mapped_widths(window, g), want, rtol=1e-12)
+
+    def test_rotated_probe_memory_flat(self):
+        # 399 rotated 6-d members and 2,000 cross-check points: one members x
+        # samples x dim array would be 19 MB
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        eig = rng.uniform(0.5, 2.0, 6)
+        limit = GaussianMeasure(np.zeros(6), SpectralOperator(eig, q))
+        members = [GaussianMeasure(np.full(6, 1.0 / n), SpectralOperator(eig * (1 + 1.0 / n), q))
+                   for n in range(2, 401)]
+        seq = gaussian_om_family(members, limit, list(range(2, 401)))
+        tracemalloc.start()
+        try:
+            entry = equicoercivity_probe(seq, 1.0, 2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entry.verdict == "pass"
+        assert peak < 4 * 2 ** 20
+
+
+def _escaping_gaussians(member):
+    """Members N(m_n, C_n) from ``member(n)`` for n = 1..39 against the
+    limit N(0, I) in R^4."""
+    idx = list(range(1, 40))
+    limit = GaussianMeasure(np.zeros(4), SpectralOperator(np.ones(4)))
+    return gaussian_om_family([member(n) for n in idx], limit, idx)
+
+
+class TestEquicoercivityFails:
+    """Families whose sublevel sets escape every compact set; the sampled
+    check that the exact envelopes replaced passed each of them."""
+
+    def test_growing_variances(self):
+        seq = _escaping_gaussians(
+            lambda n: GaussianMeasure(np.zeros(4), SpectralOperator(np.full(4, n * n * 1.0))))
+        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        assert entry.verdict == "fail"
+        assert entry.witness_index == 39
+        assert entry.violations == 20  # every window member n = 20..39 exceeds 2x
+        assert entry.ratio == pytest.approx(39.0, rel=1e-12)
+        assert entry.slope == pytest.approx(1.0, rel=1e-12)
+        assert "member 39" in entry.note
+
+    def test_moving_means(self):
+        seq = _escaping_gaussians(
+            lambda n: GaussianMeasure(np.full(4, float(n)), SpectralOperator(np.ones(4))))
+        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        assert entry.verdict == "fail"
+        assert entry.witness_index == 39
+        assert entry.ratio == pytest.approx((39 + math.sqrt(2)) / math.sqrt(2), rel=1e-12)
+
+    def test_interleaved_rough_besov(self):
+        # s_n = 0.2 whenever 4 | n: the rough members sit inside every window
+        limit = BesovMeasure(1.0, 1, 1.0, 50)
+        indices = [2 ** k for k in range(1, 17)]
+        members = [BesovMeasure(0.2 if n % 4 == 0 else 1.0 + 1.0 / n, 1, 1.0, 50)
+                   for n in range(1, 17)]
+        entry = equicoercivity_probe(besov_om_family(members, limit, indices), 1.0, 200, seed=1)
+        assert entry.verdict == "fail"
+        assert entry.first_index_checked == 2 ** 9
+        assert entry.violations == 2  # n = 12 and 16, indices 2^12 and 2^16
+        assert entry.witness_index == 2 ** 12
+        # half-widths k^0.3 t against k^(-1/2) t, at the last leading coordinate k = 25
+        assert entry.ratio == pytest.approx(25 ** 0.8, rel=1e-12)
+
+    def test_tail_alone(self):
+        # leading coordinates match the limit; beyond them each half-width is
+        # 3x the limit's, which only the ambient tail read sees
+        seq = _escaping_gaussians(lambda n: GaussianMeasure(
+            np.zeros(4), SpectralOperator(np.array([1.0, 1.0, 9.0, 9.0]))))
+        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        assert entry.ratio == pytest.approx(1.0) and entry.slope == pytest.approx(0.0)
+        assert entry.tail_ratio == pytest.approx(3.0, rel=1e-12)
+        assert entry.verdict == "fail" and entry.violations == 20
+        assert entry.witness_index == 20
+
+    def test_slow_growth_within_the_ratio_bound(self):
+        # half-widths 0.2 sqrt(2n) stay below 2x the limit's up to n = 39 but grow
+        # like n^(1/2); only the slope read sees it
+        seq = _escaping_gaussians(
+            lambda n: GaussianMeasure(np.zeros(4), SpectralOperator(np.full(4, 0.04 * n))))
+        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        assert entry.ratio < 2.0 and entry.tail_ratio < 2.0
+        assert entry.slope == pytest.approx(0.5, rel=1e-12)
+        assert entry.verdict == "fail" and entry.violations == 0
+        assert entry.witness_index == 39
+
+    def test_approach_from_below_is_not_growth(self):
+        # half-widths sqrt(2) (1 - 1/n) rise towards the limit's over the short
+        # window n = 4, 5 at log-log slope 0.29, but never pass it
+        idx = list(range(2, 6))
+        limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
+        members = [GaussianMeasure(np.zeros(2), SpectralOperator(np.full(2, (1 - 1 / n) ** 2)))
+                   for n in idx]
+        entry = equicoercivity_probe(gaussian_om_family(members, limit, idx), 1.0, 100, seed=1)
+        assert entry.slope == pytest.approx(math.log(16 / 15) / math.log(5 / 4), rel=1e-12)
+        assert entry.verdict == "pass" and entry.witness_index is None
+
+    def test_cross_check_catches_a_wrong_halfwidth(self):
+        # a rule that ignores the basis rotation understates C_kk for some k;
+        # the mapped draw lands outside those half-widths
+        class Misread(GaussianMeasure):
+            pass
+
+        sublevel_halfwidth.register(Misread, lambda mu, t: np.sqrt(2.0 * t * mu.cov.eigenvalues))
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+        eig = np.array([4.0, 1.0, 0.25])
+        limit = Misread(np.zeros(3), SpectralOperator(eig, q))
+        seq = gaussian_om_family([limit] * 6, limit, list(range(1, 7)))
+        entry = equicoercivity_probe(seq, 1.0, 2000, seed=2)
+        assert entry.ratio == 1.0 and entry.slope == pytest.approx(0.0, abs=1e-12)
+        assert entry.verdict == "fail" and entry.violations == 3
+        assert entry.witness_index == 4
+        assert "mapped point" in entry.note
 
 
 class TestModeConvergence:

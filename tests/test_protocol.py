@@ -18,7 +18,7 @@ from ommap import (BesovMeasure, GaussianMeasure, LinearObservation, ProductMeas
                    default_space, gaussian_om, gaussian_recovery_sequence, map_solve,
                    map_solve_besov_linear, map_solve_gaussian_linear, measure_from_json,
                    measure_to_json, om_family, prior_om, recovery_gap,
-                   recovery_sequence, sample)
+                   recovery_sequence, sample, sublevel_halfwidth)
 from ommap._seeds import child_rng
 
 
@@ -36,6 +36,7 @@ class PriorCase:
     solve: Callable          # per-type MAP solver (prior, obs, prox)
     draws: Callable          # (prior, n, seed) -> draws, written out per type
     space: Callable          # prior -> (p, weights) of its default ball norm
+    maximiser: Callable      # (prior, t, k) -> the point of {I <= t} with the largest |u_k|
 
 
 def _gaussian(rotated: bool):
@@ -54,14 +55,24 @@ def _gaussian(rotated: bool):
             scaled = scaled @ mu.cov.basis.T
         return mu.mean + scaled
 
+    def maximiser(mu, t, k):
+        # u = m +- sqrt(2t) C e_k / sqrt(C_kk), the sign of m_k
+        basis = np.eye(mu.dim) if mu.cov.basis is None else mu.cov.basis
+        c_k = (basis * mu.cov.eigenvalues) @ basis[k]
+        return mu.mean + math.copysign(math.sqrt(2.0 * t), mu.mean[k]) * c_k / math.sqrt(c_k[k])
+
     return PriorCase(
         "gaussian-rotated" if rotated else "gaussian-aligned", build, gaussian_om,
         gaussian_recovery_sequence, lambda mu, obs, prox: map_solve_gaussian_linear(mu, obs),
-        draws, lambda mu: (2.0, np.ones(mu.dim)))
+        draws, lambda mu: (2.0, np.ones(mu.dim)), maximiser)
 
 
 def _besov_draws(mu, n, seed):
     return child_rng(seed, "sample").laplace(loc=0.0, scale=mu.gamma, size=(n, mu.dim))
+
+
+def _besov_maximiser(mu, t, k):
+    return mu.gamma[k] * t * np.eye(mu.dim)[k]
 
 
 PRIORS = [
@@ -69,7 +80,7 @@ PRIORS = [
     _gaussian(rotated=True),
     PriorCase("besov1", lambda k, shift: BesovMeasure(1.1 + shift, 1, 1.0, k), besov_om,
               besov_recovery_sequence, map_solve_besov_linear, _besov_draws,
-              lambda mu: (1.0, mu.delta)),
+              lambda mu: (1.0, mu.delta), _besov_maximiser),
 ]
 K = 4
 
@@ -138,6 +149,25 @@ def test_default_space(case):
     sp = default_space(mu)
     assert sp.p == p and not math.isinf(sp.p)
     np.testing.assert_array_equal(sp.weights, weights)
+
+
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_sublevel_halfwidth_is_attained_on_the_boundary(case, t):
+    mu = case.build(K, 0.0)
+    h = sublevel_halfwidth(mu, t)
+    assert h.shape == (K,)
+    for k in range(K):
+        u = case.maximiser(mu, t, k)
+        assert abs(u[k]) == pytest.approx(h[k], rel=1e-12)
+        assert prior_om(mu).eval(u) == pytest.approx(t, abs=1e-12)
+
+
+def test_sublevel_halfwidth_bounds_sampled_points(case):
+    mu, t = case.build(K, 0.0), 3.0
+    pts = case.draws(mu, 4000, 5)
+    inside = pts[prior_om(mu).values(pts) <= t]
+    assert len(inside) >= 500
+    assert np.all(np.abs(inside) <= sublevel_halfwidth(mu, t))
 
 
 def test_recovery_gap_clips_a_negative_gap():
