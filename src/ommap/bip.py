@@ -369,7 +369,9 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
     Runs the proximal solver on the quadratic misfit, then solves the
     stationarity system on the detected support exactly, which drives
     the subdifferential residual to round-off where the first-order
-    iteration alone would crawl.  When requested, a coordinate-descent
+    iteration alone would crawl.  A polish that rescues a run stopped at
+    ``max_iter`` turns its ``not-converged`` flag into
+    ``polished-at=<iterations>``.  When requested, a coordinate-descent
     pass restarted elsewhere flags solutions that land far away at
     numerically equal objective.
     """
@@ -383,8 +385,11 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
                                polished, inv_g)
         if res_pol < sol.optimality_residual:
             obj = pot.eval(polished) + float(np.abs(polished) @ inv_g)
-            flags = tuple(f for f in sol.flags
-                          if f != "not-converged" or res_pol >= opts.tol)
+            flags = sol.flags
+            if res_pol < opts.tol:
+                # a rescued stall stays visible, with the iterations it ran
+                flags = tuple(f"polished-at={sol.iterations}" if f == "not-converged" else f
+                              for f in flags)
             sol = MapSolution(polished, obj, res_pol, sol.iterations,
                               "fista+active-set-polish", flags)
     if opts.check_uniqueness:

@@ -79,6 +79,7 @@ _MAGNITUDE_RANGE = (0.5, 2.0)
 _WINDOW_DISTANCE = 0.03  # random paths reach this distance at the last index
 _LIMINF_WINDOW_FRAC = 0.5  # trailing share of the family that the probe reads
 _LIMINF_TOL = 1e-3  # an extrapolated deficit above this is a violation
+_FIT_POINTS = 8  # nearest points of a path that its extrapolation reads
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,21 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     Raw finite-index values undershoot F(x) along any slowly decaying
     path whenever the functionals are merely smooth, so the probe
     estimates the liminf along each path instead: the deficit
-    F(x) - F_n(x_n) over the trailing index window is extrapolated
-    linearly to zero path distance, and a positive intercept beyond
-    ``_LIMINF_TOL`` is a violation, recorded with its witness point.  Each
-    window member is evaluated once, on the points of all paths; the
-    constant path gives F_n(x).
+    F(x) - F_n(x_n) over the trailing index window is extrapolated to
+    zero path distance (``_extrapolated_intercepts``), and a positive
+    intercept beyond ``_LIMINF_TOL`` is a violation, recorded with its
+    witness point, the path's point of largest deficit in the window.
+
+    Every path distance shrinks strictly with n, so a fit reads the last
+    ``_FIT_POINTS`` window members of a path that is finite on all of
+    them.  The probe evaluates those members on the points of every path
+    first, and the rest of the window only at x, to find out whether
+    every F_n(x) is finite.  It evaluates the whole window on every path,
+    with the same result as if it had done so from the start, only when
+    that suffix cannot decide: some F_n(x) is +inf, a path leaves some
+    suffix member's domain, or a margin exceeds the tolerance (its
+    witness is searched over the whole window).  The constant path gives
+    F_n(x).
     """
     opts = opts or LiminfOpts()
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -174,8 +185,32 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     start = len(seq.indices) - len(mags)
     window = seq.members[start:]
     inv_n = 1.0 / np.asarray(seq.indices, dtype=float)[start:]
-    vals = np.array([f.values(x + m[:, None] * dirs) for f, m in zip(window, mags)])
     dists = mags * np.linalg.norm(dirs, axis=1)
+
+    def path_values(rows: slice) -> np.ndarray:
+        return np.array([f.values(x + m[:, None] * dirs)
+                         for f, m in zip(window[rows], mags[rows])])
+
+    split = max(0, len(window) - _FIT_POINTS)
+    vals = path_values(slice(split, None))
+    deficits, margins = _liminf_margins(vals, dists[split:], inv_n[split:], target)
+    if split and not (np.all(np.isfinite(vals)) and np.all(margins <= _LIMINF_TOL)
+                      and all(math.isfinite(f.eval(x)) for f in window[:split])):
+        vals = np.concatenate([path_values(slice(0, split)), vals])
+        deficits, margins = _liminf_margins(vals, dists, inv_n, target)
+        split = 0
+    worst = split + np.argmax(np.where(np.isnan(deficits), -np.inf, deficits), axis=0)
+    violations = [LiminfViolation(names[p], float(margins[p]), seq.indices[start + worst[p]],
+                                  x + mags[worst[p], p] * dirs[p])
+                  for p in np.flatnonzero(margins > _LIMINF_TOL)]
+    verdict = "fail" if violations else "pass"
+    return LiminfReport(x, len(names), violations, verdict)
+
+
+def _liminf_margins(vals: np.ndarray, dists: np.ndarray, inv_n: np.ndarray,
+                    target: float):
+    """Deficits (NaN off a member's domain) and extrapolated margins of
+    each path from its values on consecutive window members."""
     finite = np.isfinite(vals)
     at_x = vals[:, -1]  # the constant path sits at x
     if np.all(finite[:, -1]):
@@ -189,31 +224,29 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
         deficits = target - vals
     deficits[~finite] = np.nan
     # a path that escapes every domain has margin NaN: its liminf is +inf
-    margins = m_pointwise + _extrapolated_intercepts(dists, deficits)
-    worst = np.argmax(np.where(finite, deficits, -np.inf), axis=0)
-    violations = [LiminfViolation(names[p], float(margins[p]), seq.indices[start + worst[p]],
-                                  x + mags[worst[p], p] * dirs[p])
-                  for p in np.flatnonzero(margins > _LIMINF_TOL)]
-    verdict = "fail" if violations else "pass"
-    return LiminfReport(x, len(names), violations, verdict)
+    return deficits, m_pointwise + _extrapolated_intercepts(dists, deficits)
 
 
 def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndarray:
     """Persistent part of each column's deficit as its abscissa vanishes.
 
     Takes ``(points, columns)`` arrays; NaN deficits are left out.  Each
-    column is extrapolated from its 8 nearest points with polynomial
-    models of degree 1..3, and the smallest intercept is kept: smooth
-    functionals produce transient humps that a single linear fit would
-    misread as persistent, while genuinely persistent (near-constant)
-    deficits survive every fit.  With fewer than 2 points, or all of
-    them at distance zero, the column's maximum deficit is returned, and
-    NaN for a column without points.  All columns are fitted at once,
-    one stacked pseudoinverse per degree, absent points entering as
-    zero rows.
+    column is extrapolated from its ``_FIT_POINTS`` nearest points with
+    polynomial models of degree 1..3, and the smallest intercept is kept:
+    smooth functionals produce transient humps that a single linear fit
+    would misread as persistent, while genuinely persistent
+    (near-constant) deficits survive every fit.  With fewer than 2
+    points, or all of them at distance zero, the column's maximum deficit
+    is returned, and NaN for a column without points.  All columns are
+    fitted at once from one batched QR factorisation of the degree-3
+    design, absent points entering as zero rows: the degree-q fit solves
+    the leading q + 1 block of R against the leading part of Q^T y, made
+    where a column has at least q + 1 points (of distinct abscissae, as
+    every caller's are).
     """
     present = ~np.isnan(deficits)
-    order = np.argsort(np.where(present, dists, np.inf), axis=0, kind="stable")[:8]
+    order = np.argsort(np.where(present, dists, np.inf), axis=0,
+                       kind="stable")[:_FIT_POINTS]
     near = np.take_along_axis(present, order, axis=0)
     d = np.where(near, np.take_along_axis(dists, order, axis=0), 0.0)
     de = np.where(near, np.take_along_axis(deficits, order, axis=0), 0.0)
@@ -223,14 +256,16 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
     fit = (count >= 2) & (scale >= 1e-14)
     t = (d[:, fit] / scale[fit]).T                            # (columns, points)
     # absent points are zero rows: their t is 0 and so is their constant term
-    design = np.stack([near[:, fit].T.astype(float), t, t ** 2, t ** 3], axis=2)
-    rhs = de[:, fit].T
+    q, r = np.linalg.qr(np.stack([near[:, fit].T.astype(float), t, t ** 2, t ** 3], axis=2))
+    qty = np.einsum("cpk,cp->ck", q, de[:, fit].T)
     lowest = np.full(t.shape[0], np.inf)
-    for degree in (1, 2, 3):
-        ok = count[fit] >= degree + 1
-        if np.any(ok):
-            first_row = np.linalg.pinv(design[ok, :, :degree + 1])[:, 0, :]
-            lowest[ok] = np.minimum(lowest[ok], np.einsum("cp,cp->c", first_row, rhs[ok]))
+    for k in (1, 2, 3):
+        # count <= points, so R has the leading block wherever ok holds
+        ok = count[fit] >= k + 1
+        if not np.any(ok):
+            break
+        coef = np.linalg.solve(r[ok, :k + 1, :k + 1], qty[ok, :k + 1, None])
+        lowest[ok] = np.minimum(lowest[ok], coef[:, 0, 0])
     best[fit] = lowest
     return best
 

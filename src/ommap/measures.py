@@ -688,17 +688,25 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
     return None
 
 
-@sup_ball_mass.register(ProductMeasure)
-def _product_sup_ball_mass(measure: ProductMeasure, radius, space=None, opts=None):
+def _heaviest_center(measure, space: WeightedSeqSpace) -> Optional[np.ndarray]:
+    """The centre whose ball is the heaviest at every radius, where Anderson's
+    inequality names it (a product measure's mean), else None."""
     # Anderson (1955): a centred product of symmetric log-concave factors
     # (normal, Laplace) gives a symmetric convex set its largest mass among
     # all translates.  A p < 1 ball is not convex, but in the coordinate
     # basis it is unconditional with interval sections, so Fubini and the
     # 1-d case cover it.
-    space = space or default_space(measure)
-    if space.p >= 1 or measure.basis is None or measure.dim == 1:
-        return ball_mass(measure, measure.mean, radius, space, opts)
+    if isinstance(measure, ProductMeasure) and (
+            space.p >= 1 or measure.basis is None or measure.dim == 1):
+        return measure.mean
     return None
+
+
+@sup_ball_mass.register(ProductMeasure)
+def _product_sup_ball_mass(measure: ProductMeasure, radius, space=None, opts=None):
+    space = space or default_space(measure)
+    center = _heaviest_center(measure, space)
+    return None if center is None else ball_mass(measure, center, radius, space, opts)
 
 
 @singledispatch

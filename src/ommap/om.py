@@ -25,8 +25,9 @@ from scipy.optimize import minimize
 
 from .errors import InputError
 from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
-                       ProductMeasure, RatioOpts, _ball_opts, _log_mass_table, _ratio_estimate,
-                       ball_mass, ball_ratio_curve, default_space, sup_ball_mass)
+                       RatioOpts, _ball_opts, _heaviest_center, _log_mass_table,
+                       _ratio_estimate, ball_mass, ball_ratio_curve, default_space,
+                       sup_ball_mass)
 from .spaces import RANGE_ATOL, WeightedSeqSpace, _as_vector
 
 
@@ -100,6 +101,7 @@ def gaussian_om(mu: GaussianMeasure) -> OmFunctional:
     """
     mean, basis = mu.mean, mu.cov.basis
     zero = mu.cov.zero_mask()
+    degenerate = bool(np.any(zero))  # only then can a point leave the range
     free = ~zero
     inv_sqrt = 1.0 / np.sqrt(mu.cov.eigenvalues[free])
 
@@ -108,16 +110,17 @@ def gaussian_om(mu: GaussianMeasure) -> OmFunctional:
         return d if basis is None else d @ basis
 
     def in_range(c: np.ndarray) -> np.ndarray:
-        if not np.any(zero):
+        if not degenerate:
             return np.ones(len(c), dtype=bool)
         scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
         return np.max(np.abs(c[:, zero]), axis=1) <= RANGE_ATOL * scale
 
     def kernel(pts: np.ndarray) -> np.ndarray:
         c = coords(pts)
-        w = c[:, free] * inv_sqrt
+        w = (c[:, free] if degenerate else c) * inv_sqrt
         out = 0.5 * np.einsum("ij,ij->i", w, w)
-        out[~in_range(c)] = math.inf
+        if degenerate:
+            out[~in_range(c)] = math.inf
         return out
 
     return _row_functional(kernel, lambda pts: in_range(coords(pts)), mu.dim, mean,
@@ -315,8 +318,9 @@ class ModeClassification:
     """Three-valued strong/weak mode verdicts for one candidate point.
 
     The supremum mass M_r is the largest of the candidate's mass, the
-    competitors' masses and, where the measure has one, the closed-form
-    ``sup_ball_mass`` rule.  Without a rule M_r comes from the competitor
+    competitors' masses and the mass at the heaviest centre (a product
+    measure's mean) or, where another measure has one, the closed-form
+    ``sup_ball_mass`` rule.  Without either M_r comes from the competitor
     set plus an optional Nelder-Mead refinement, so a "yes" is relative
     to that approximation.  The caveat field names what was computed.
     """
@@ -384,9 +388,12 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
 
     Both read one mass table over the candidate and its competitors, the
     masses ``ball_ratio_curve`` computes.  Strong: the candidate's ball
-    mass over the supremum mass M_r must tend to 1.  M_r comes from
-    ``sup_ball_mass`` where the measure has a rule, else from the
-    competitors and, with ``opts.refine``, a Nelder-Mead search.  Weak:
+    mass over the supremum mass M_r must tend to 1.  M_r is the largest
+    mass in the table, which for a product measure also holds the row of
+    the mean, the heaviest centre by Anderson's inequality (except for a
+    rotated basis under p < 1), on the candidate's draws.  Other measures
+    take ``sup_ball_mass`` where they have a rule, else the competitors
+    and, with ``opts.refine``, a Nelder-Mead search.  Weak:
     no competitor's extrapolated mass-ratio limit against the candidate
     may exceed 1.  Verdicts are three-valued with noise-aware thresholds;
     a dip of the strong curve below 1 - max(5 stderr, dip_tol) at any
@@ -397,7 +404,11 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     radii = np.asarray(radii, dtype=float)
     cand = _as_vector(candidate, space.dim)
     points = [cand] + [_as_vector(w, space.dim) for w in competitor_set]
-    table, method, rng = _log_mass_table(measure, points, radii, space, opts.ratio)
+    # the heaviest ball's centre joins the table as its last row, so its
+    # mass shares the candidate's draws
+    heaviest = _heaviest_center(measure, space)
+    rows = points if heaviest is None else points + [heaviest]
+    table, method, rng = _log_mass_table(measure, rows, radii, space, opts.ratio)
     masses = np.exp(table)
     est, se = masses.mean(axis=2), np.zeros(table.shape[:2])
     if table.shape[2] > 1:  # Monte Carlo batches
@@ -406,25 +417,27 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     if np.any(cand_mass <= 0):
         raise InputError("candidate has zero ball mass; it must lie in the support")
 
-    # supremum mass: the largest of the table's masses, then the rule or
-    # the search per radius
+    # supremum mass: the largest of the table's masses, with the heaviest
+    # centre's row where it is known, else the rule or the search per radius
     best = np.argmax(est, axis=0)
     sup_mass, sup_se = est.max(axis=0), se[best, np.arange(len(radii))]
-    bopts = _ball_opts(opts.ratio)
-    rule_caveat = _ANDERSON_CAVEAT if isinstance(measure, ProductMeasure) else _CLOSED_FORM_CAVEAT
-    paths = []
-    for i, r in enumerate(radii):
-        rule = sup_ball_mass(measure, float(r), space, bopts)
-        if rule is not None:
-            if rule.estimate > sup_mass[i]:
-                sup_mass[i], sup_se[i] = rule.estimate, rule.stderr
-            paths.append(rule_caveat)
-        elif opts.refine:
-            sup_mass[i] = max(sup_mass[i], _refined_sup_mass(measure, points[best[i]], float(r),
-                                                             space, bopts, opts.nm_iters))
-            paths.append(_SEARCH_CAVEAT)
-        else:
-            paths.append(_COMPETITORS_CAVEAT)
+    if heaviest is not None:
+        paths = [_ANDERSON_CAVEAT]
+    else:
+        bopts = _ball_opts(opts.ratio)
+        paths = []
+        for i, r in enumerate(radii):
+            rule = sup_ball_mass(measure, float(r), space, bopts)
+            if rule is not None:
+                if rule.estimate > sup_mass[i]:
+                    sup_mass[i], sup_se[i] = rule.estimate, rule.stderr
+                paths.append(_CLOSED_FORM_CAVEAT)
+            elif opts.refine:
+                sup_mass[i] = max(sup_mass[i], _refined_sup_mass(
+                    measure, points[best[i]], float(r), space, bopts, opts.nm_iters))
+                paths.append(_SEARCH_CAVEAT)
+            else:
+                paths.append(_COMPETITORS_CAVEAT)
 
     strong_curve = cand_mass / sup_mass
     strong_se = strong_curve * np.sqrt((cand_se / cand_mass) ** 2 + (sup_se / sup_mass) ** 2)

@@ -216,6 +216,22 @@ class TestBesovSolver:
                                                 [2.0, 1.0]), opts)
         assert "non-unique-minimiser" not in distinct.flags
 
+    def test_rescued_stall_stays_visible(self):
+        # FISTA stops at max_iter = 20 and the active-set polish reaches the
+        # tolerance: the solution is certified and the stall still shows
+        prior, obs = random_problem(np.random.default_rng(6), 6, 4, prior="besov")
+        opts = ProxOpts(max_iter=20)
+        assert map_solve_besov(prior, quadratic_potential(obs), opts).flags == ("not-converged",)
+        stalled = map_solve_besov_linear(prior, obs, opts)
+        assert stalled.solver == "fista+active-set-polish"
+        assert stalled.optimality_residual < opts.tol
+        assert stalled.iterations == 20
+        assert stalled.flags == ("polished-at=20",)
+        # the same problem converges well before the default cap: no flag
+        converged = map_solve_besov_linear(prior, obs)
+        assert converged.iterations < ProxOpts().max_iter
+        assert converged.flags == ()
+
     def test_gradient_required(self):
         prior = BesovMeasure(1.0, 1, 1.0, 2)
         pot = Potential(eval=lambda u: 0.0, gradient=None, dim=2)
@@ -261,6 +277,15 @@ class TestPerturbation:
         dists = [e.distance_to_limit for e in rep.entries]
         assert dists[-1] < 1e-3
         assert rep.prerequisite_probes["prior_recovery_max_gap"] < 1e-10
+
+    def test_prior_family_on_a_short_doubling_schedule(self):
+        # six members: the liminf probe extrapolates from a window of three
+        rng = np.random.default_rng(11)
+        prior, obs = random_problem(rng, 6, 4, prior="besov")
+        schedule = lambda n: BesovMeasure(prior.s + (-1.0) ** n / n, prior.d,
+                                          prior.eta, prior.dim)
+        rep = perturbation_experiment("prior", prior, obs, schedule, [1, 2, 4, 8, 16, 32])
+        assert len(rep.entries) == 6
 
     def test_unknown_kind(self):
         rng = np.random.default_rng(12)

@@ -13,7 +13,7 @@ from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError
                    gaussian_om, gaussian_om_family, gaussian_recovery_sequence,
                    mode_convergence_check, project, sublevel_halfwidth, sum_rule_check)
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
-from ommap.gamma import _extrapolated_intercepts, _mapped_widths, default_paths
+from ommap.gamma import _LIMINF_TOL, _extrapolated_intercepts, _mapped_widths, default_paths
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -139,6 +139,108 @@ def reference_intercept(dists, deficits):
                for q in range(1, min(3, len(d) - 1) + 1))
 
 
+def besov_family_399():
+    """A passing 399-member Besov-1 family in dimension 50 and a point."""
+    idx = list(range(2, 401))
+    limit = BesovMeasure(1.0, 1, 1.0, 50)
+    members = [BesovMeasure(1.0 + (-1.0) ** n * 0.3 / n, 1, 1.0, 50) for n in idx]
+    x = 0.5 * limit.gamma * np.random.default_rng(0).laplace(size=50)
+    return besov_om_family(members, limit, idx), x
+
+
+def degenerate_family():
+    """Odd members are the limit, whose values are +inf off the first axis;
+    even members put their mean at (0.3, 1/n) with variance 1/n across it."""
+    idx = list(range(1, 33))
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+    members = [limit if n % 2 else
+               GaussianMeasure(np.array([0.3, 1.0 / n]),
+                               SpectralOperator(np.array([1.0, 1.0 / n])))
+               for n in idx]
+    return gaussian_om_family(members, limit, idx)
+
+
+def off_support_family():
+    """Every member's support misses (0.3, 0): F_n(x) = +inf there."""
+    idx = list(range(1, 33))
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+    members = [GaussianMeasure(np.array([0.0, 1.0 / n]), limit.cov) for n in idx]
+    return gaussian_om_family(members, limit, idx)
+
+
+def infinite_early_family():
+    """F_n(x) is +inf at x = (0.3, 0) for n <= 20, the first members of the
+    window n = 17..32; later members' F_n(x) rise to F(x) like 1/n."""
+    idx = list(range(1, 33))
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
+    off = GaussianMeasure(np.array([0.0, 0.1]), SpectralOperator(np.array([1.0, 0.0])))
+    members = [off if n <= 20 else
+               GaussianMeasure(np.zeros(2), SpectralOperator(np.full(2, 1.0 + 5.0 / n)))
+               for n in idx]
+    return gaussian_om_family(members, limit, idx)
+
+
+def alternating_support_family():
+    """Odd members are +inf off the first axis, even members equal the
+    limit N(0, I): paths that leave the axis are finite on half the window."""
+    idx = list(range(1, 33))
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
+    flat = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+    return gaussian_om_family([flat if n % 2 else limit for n in idx], limit, idx)
+
+
+def whole_window_probe(seq, x, opts):
+    """Reference liminf probe that evaluates every window member on every
+    path: (n_paths, [(path, margin, index, witness) per violation])."""
+    target = seq.limit.eval(x)
+    names, dirs, mags = default_paths(seq, x, opts)
+    start = len(seq.indices) - len(mags)
+    inv_n = 1.0 / np.asarray(seq.indices[start:], dtype=float)
+    vals = np.array([f.values(x + m[:, None] * dirs)
+                     for f, m in zip(seq.members[start:], mags)])
+    finite = np.isfinite(vals)
+    if np.all(finite[:, -1]):
+        base = _extrapolated_intercepts(inv_n[:, None], (target - vals[:, -1])[:, None])[0]
+        deficits = vals[:, -1:] - vals
+    else:
+        base, deficits = 0.0, target - vals
+    deficits[~finite] = np.nan
+    margins = base + _extrapolated_intercepts(mags * np.linalg.norm(dirs, axis=1), deficits)
+    worst = np.argmax(np.where(finite, deficits, -np.inf), axis=0)
+    return len(names), [(names[p], margins[p], seq.indices[start + worst[p]],
+                         x + mags[worst[p], p] * dirs[p])
+                        for p in np.flatnonzero(margins > _LIMINF_TOL)]
+
+
+#: (family, point, opts) of every liminf case in this file
+LIMINF_CASES = {
+    "constant-gaussian": lambda: (
+        gaussian_om_family([GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))] * 16,
+                           GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))),
+        np.array([0.4, -0.2]), LiminfOpts()),
+    "scaled-gaussian-0": lambda: (gaussian_family_scale(), np.zeros(2), LiminfOpts()),
+    "scaled-gaussian-1": lambda: (gaussian_family_scale(), np.array([0.5, 0.5]), LiminfOpts()),
+    "scaled-gaussian-2": lambda: (gaussian_family_scale(), np.array([-1.0, 0.3]), LiminfOpts()),
+    "besov-399": lambda: (*besov_family_399(), LiminfOpts()),
+    "spike": lambda: (spike_sequence(), np.array([0.0]), LiminfOpts()),
+    "step": lambda: (step_sequence(), np.array([0.0]), LiminfOpts()),
+    "degenerate": lambda: (degenerate_family(), np.array([0.3, 0.0]), LiminfOpts(n_random=6)),
+    "off-support": lambda: (off_support_family(), np.array([0.3, 0.0]), LiminfOpts()),
+    "infinite-early-members": lambda: (infinite_early_family(), np.array([0.3, 0.0]),
+                                       LiminfOpts()),
+    "alternating-support": lambda: (alternating_support_family(), np.array([0.3, 0.0]),
+                                    LiminfOpts()),
+    "window-of-5": lambda: (gaussian_family_scale(n_members=10), np.array([0.5, -0.4]),
+                            LiminfOpts()),
+    "window-of-3": lambda: (gaussian_family_scale(n_members=6), np.array([0.5, -0.4]),
+                            LiminfOpts()),
+    "window-of-2": lambda: (gaussian_family_scale(n_members=4), np.array([0.5, -0.4]),
+                            LiminfOpts()),
+    "window-of-1": lambda: (gaussian_family_scale(n_members=2), np.array([0.5, -0.4]),
+                            LiminfOpts()),
+}
+
+
 class TestExtrapolatedIntercepts:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_column_lstsq(self, seed):
@@ -155,6 +257,13 @@ class TestExtrapolatedIntercepts:
             deficits[rng.permutation(rows)[kept:], col] = np.nan
         deficits[:, 5] = rng.normal(size=rows)                  # every point present
         dists[:, 6] = 0.0                                       # the constant path
+        # 8 clustered abscissae, as the last 8 members n = 393..400 of a
+        # 399-member window give on paths c n^-alpha: [0.965, 1] for
+        # alpha = 2 down to [0.991, 1] for alpha = 0.5
+        for col, a in ((7, 2.0), (8, 1.0), (9, 0.5)):
+            dists[-8:, col] = (393.0 / np.arange(393, 401)) ** a
+            deficits[:, col] = np.nan
+            deficits[-8:, col] = 0.4 - 1.3 * dists[-8:, col] + 0.1 * rng.normal(size=8)
         got = _extrapolated_intercepts(dists, deficits)
         assert np.isnan(got[0])
         want = [reference_intercept(dists[~np.isnan(deficits[:, c]), c],
@@ -162,6 +271,18 @@ class TestExtrapolatedIntercepts:
                 for c in range(1, cols)]
         np.testing.assert_allclose(got[1:], want, rtol=1e-8, atol=0)
         assert got[1] == deficits[~np.isnan(deficits[:, 1]), 1][0]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_fewer_rows_than_the_cubic_needs(self, rows):
+        rng = np.random.default_rng(rows)
+        dists = rng.uniform(0.1, 1.0, (rows, 4))
+        deficits = rng.normal(size=(rows, 4))
+        deficits[0, 1] = np.nan                                 # one point fewer
+        got = _extrapolated_intercepts(dists, deficits)
+        present = ~np.isnan(deficits)
+        want = [reference_intercept(dists[present[:, c], c], deficits[present[:, c], c])
+                if present[:, c].any() else np.nan for c in range(4)]
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
 
     def test_one_column(self):
         inv_n = 1.0 / np.arange(5.0, 17.0)
@@ -230,17 +351,9 @@ class TestLiminfProbe:
                           STEP_VIOLATIONS)
 
     def test_degenerate_gaussian_family(self):
-        # odd members are the limit, whose values are +inf off the first
-        # axis; even members put their mean at (0.3, 1/n) with variance 1/n
-        # across it, so the even subsequence undershoots F(x) at x = (0.3, 0)
-        # and the paths leaving the axis are finite on even members only
-        idx = list(range(1, 33))
-        limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
-        members = [limit if n % 2 else
-                   GaussianMeasure(np.array([0.3, 1.0 / n]),
-                                   SpectralOperator(np.array([1.0, 1.0 / n])))
-                   for n in idx]
-        seq = gaussian_om_family(members, limit, idx)
+        # the even subsequence undershoots F(x) at x = (0.3, 0), and the
+        # paths leaving the first axis are finite on even members only
+        seq = degenerate_family()
         x = np.array([0.3, 0.0])
         rep = gamma_liminf_probe(seq, x, LiminfOpts(n_random=6))
         assert rep.n_paths == 12
@@ -257,18 +370,13 @@ class TestLiminfProbe:
         ])
         # x off every member's support: F_n(x) = +inf, so deficits are
         # taken against F(x); only the axis+1 path, through the means, is finite
-        members = [GaussianMeasure(np.array([0.0, 1.0 / n]), limit.cov) for n in idx]
-        rep = gamma_liminf_probe(gaussian_om_family(members, limit, idx), x)
+        rep = gamma_liminf_probe(off_support_family(), x)
         assert rep.verdict == "pass"
         assert rep.n_paths == 64 + 4 + 2
 
     def test_besov_probe_memory_flat(self):
         # one member's points at a time: (paths x dim), not (members x paths x dim)
-        idx = list(range(2, 401))
-        limit = BesovMeasure(1.0, 1, 1.0, 50)
-        members = [BesovMeasure(1.0 + (-1.0) ** n * 0.3 / n, 1, 1.0, 50) for n in idx]
-        seq = besov_om_family(members, limit, idx)
-        x = 0.5 * limit.gamma * np.random.default_rng(0).laplace(size=50)
+        seq, x = besov_family_399()
         tracemalloc.start()
         try:
             rep = gamma_liminf_probe(seq, x)
@@ -278,6 +386,55 @@ class TestLiminfProbe:
         assert rep.verdict == "pass"
         assert rep.n_paths == 64 + 2 * 50 + 2
         assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+    @pytest.mark.parametrize("case", sorted(LIMINF_CASES))
+    def test_matches_the_whole_window(self, case):
+        seq, x, opts = LIMINF_CASES[case]()
+        rep = gamma_liminf_probe(seq, x, opts)
+        n_paths, want = whole_window_probe(seq, x, opts)
+        assert rep.n_paths == n_paths
+        assert rep.verdict == ("fail" if want else "pass")
+        assert [(v.path_name, v.at_index) for v in rep.violations] == \
+            [(name, at) for name, _, at, _ in want]
+        for v, (_, margin, _, witness) in zip(rep.violations, want):
+            np.testing.assert_array_equal(v.witness_point, witness)
+            assert abs(v.margin - margin) <= 1e-12
+
+    def test_evaluates_the_suffix_unless_it_cannot_decide(self, monkeypatch):
+        on_paths, at_x = [], []
+        values = OmFunctional.values
+
+        def count_values(self, pts):
+            on_paths.append(self)
+            return values(self, pts)
+
+        def count_eval(f, inner):
+            def ev(u):
+                at_x.append(f)
+                return inner(u)
+            return ev
+
+        monkeypatch.setattr(OmFunctional, "values", count_values)
+        # a passing family: the last 8 of its 200 window members on the
+        # paths, and the other 192 only at x
+        seq, x = besov_family_399()
+        window = seq.members[-200:]
+        for f in window:
+            monkeypatch.setattr(f, "eval", count_eval(f, f.eval))
+        assert gamma_liminf_probe(seq, x).verdict == "pass"
+        assert [id(f) for f in on_paths] == [id(f) for f in window[-8:]]
+        assert [id(f) for f in at_x] == [id(f) for f in window[:-8]]
+        # a failing family: each of its 20 window members on the paths, once
+        on_paths.clear()
+        seq = spike_sequence()
+        assert gamma_liminf_probe(seq, np.array([0.0])).verdict == "fail"
+        assert sorted(map(id, on_paths)) == sorted(map(id, seq.members[-20:]))
+        # a passing family whose paths off the axis leave the domain of half
+        # the suffix: a fit there reads points before it, so all 16 members
+        on_paths.clear()
+        assert gamma_liminf_probe(alternating_support_family(),
+                                  np.array([0.3, 0.0])).verdict == "pass"
+        assert len(on_paths) == 16
 
 
 class TestGaussianRecovery:

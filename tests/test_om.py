@@ -350,6 +350,21 @@ class TestSupremumPaths:
                             None, ClassifyOpts(refine=False))
         assert res.caveat == f"{om._COMPETITORS_CAVEAT}; {om._CLOSED_FORM_CAVEAT}"
 
+    def test_monte_carlo_mean_reads_one(self, monkeypatch):
+        # l2 balls of a 2-d Gaussian have no closed form: the candidate's
+        # and the mean's masses are Monte Carlo, on the same draws
+        def no_draws(*args):
+            raise AssertionError("a separate ball mass for the mean")
+
+        monkeypatch.setattr(om, "sup_ball_mass", no_draws)
+        mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.5])))
+        opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=4))
+        res = classify_mode(mu, mu.mean, [], radius_schedule(0.5, 6), None, opts)
+        assert np.all(res.strong_ratio_stderr > 0)  # the masses are estimates
+        np.testing.assert_array_equal(res.strong_ratio_curve, 1.0)
+        assert res.strong == "yes"
+        assert res.caveat == om._ANDERSON_CAVEAT
+
     def test_rotated_gaussian_below_p1_keeps_the_search(self, monkeypatch):
         basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.25]), basis))
