@@ -17,19 +17,17 @@ from .measures import (BallMass, BallOpts, BallRatioEstimate, BesovMeasure, Dens
                        RatioOpts, ball_mass, ball_ratio_curve, besov_weights, default_space,
                        measure_from_json, measure_to_json, open_vs_closed_check,
                        radius_schedule, sample, sublevel_halfwidth, sup_ball_mass)
-from .om import (ClassifyOpts, ModeClassification, OmFunctional, ProbeOpts, besov_om,
-                 classify_mode, density_om, gaussian_om, m_property_probe,
-                 om_difference_check, posterior_om, prior_om)
+from .om import (ClassifyOpts, ModeClassification, OmFunctional, ProbeOpts, classify_mode,
+                 density_om, m_property_probe, om_difference_check, posterior_om, prior_om)
 from .gamma import (FunctionalSequence, GammaReport, LiminfOpts, ModeConvOpts,
                     besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                     equicoercivity_probe, gamma_liminf_probe, gaussian_om_family,
                     gaussian_recovery_sequence, mode_convergence_check, om_family,
-                    recovery_gap, recovery_sequence, sublevel_check, sum_rule_check)
+                    recovery_gap, recovery_sequence, sum_rule_check)
 from .bip import (LinearObservation, MapSolution, Potential, ProxOpts,
                   constrained_prior_minimum, coordinate_descent_weighted_l1, kkt_residual,
-                  map_solve, map_solve_besov, map_solve_besov_linear,
-                  map_solve_gaussian_linear, perturbation_experiment, projected_potential,
-                  quadratic_potential, small_noise_experiment)
+                  map_solve, map_solve_besov, map_solve_besov_linear, perturbation_experiment,
+                  projected_potential, quadratic_potential, small_noise_experiment)
 from .counterexamples import (CrossesMeasure, GaussianPair1D, LiminfOnlyMeasure,
                               MixtureFamily, OmNotStrongMeasure, SpikeFamily,
                               crosses_ball_masses, crosses_om_difference,

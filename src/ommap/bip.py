@@ -198,8 +198,11 @@ def _reduced_map(prior: GaussianMeasure, o: np.ndarray):
     return cols[:, free] * sig[None, :], lift
 
 
-def map_solve_gaussian_linear(prior: GaussianMeasure, obs: LinearObservation) -> MapSolution:
-    """Exact MAP for a linear observation under a Gaussian prior.
+@map_solve.register(GaussianMeasure)
+def _map_solve_gaussian(prior: GaussianMeasure, obs: LinearObservation,
+                        prox: Optional[ProxOpts] = None) -> MapSolution:
+    """Exact MAP for a linear observation under a Gaussian prior; ``prox``
+    is unused, as the solve is direct.
 
     The unknown is substituted as m + C^(1/2) w over the non-null
     eigendirections, which turns the problem into the always
@@ -223,10 +226,6 @@ def map_solve_gaussian_linear(prior: GaussianMeasure, obs: LinearObservation) ->
     misfit = w_y - w_mat @ point
     objective = 0.5 * float(misfit @ misfit) + 0.5 * float(w @ w)
     return MapSolution(point, objective, residual, 1, "normal-equations", tuple(flags))
-
-
-map_solve.register(GaussianMeasure,
-                   lambda prior, obs, prox=None: map_solve_gaussian_linear(prior, obs))
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,19 @@ def _schema() -> dict:
 def validate_config(cfg: dict) -> None:
     import jsonschema
 
-    validator = jsonschema.Draft202012Validator(_schema())
+    schema = _schema()
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
+        # a config of a known kind is reported by the first error of that
+        # kind's branch of the top-level oneOf, which names its field
+        kinds = [b["properties"]["kind"]["const"] for b in schema["oneOf"]]
+        if (err.validator == "oneOf" and not err.absolute_path and isinstance(cfg, dict)
+                and cfg.get("kind") in kinds):
+            branch = kinds.index(cfg["kind"])
+            err = min((e for e in err.context if e.relative_schema_path[0] == branch),
+                      key=lambda e: list(e.absolute_path))
         loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config field {loc}: {err.message}")
 
@@ -65,9 +74,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def _radii_from(cfg: dict) -> np.ndarray:
     if "radii" in cfg:
         return np.asarray(cfg["radii"], dtype=float)
-    sched = cfg.get("schedule", {})
-    return radius_schedule(sched.get("r0", 0.5), sched.get("levels", 10),
-                           sched.get("factor", 2.0))
+    return radius_schedule(**cfg.get("schedule", {}))
 
 
 def _norm_from(cfg: dict, dim: int):
@@ -79,13 +86,8 @@ def _norm_from(cfg: dict, dim: int):
     return WeightedSeqSpace(p, w)
 
 
-def _ratio_opts(cfg: dict, seed: int, **extra) -> RatioOpts:
-    mc = cfg.get("mc", {})
-    return RatioOpts(n_samples=mc.get("n_samples", 10 ** 6),
-                     n_batches=mc.get("n_batches", 20),
-                     fit_points=mc.get("fit_points", 5),
-                     fit_in=mc.get("fit_in", "r"),
-                     n_boot=mc.get("n_boot", 400), seed=seed, **extra)
+def _ratio_opts(cfg: dict, seed: int) -> RatioOpts:
+    return RatioOpts(**cfg.get("mc", {}), seed=seed)
 
 
 def _observation_from(cfg: dict) -> LinearObservation:
@@ -114,13 +116,7 @@ def _run_classify_mode(cfg, seed):
     measure = measure_from_json(cfg["measure"])
     radii = _radii_from(cfg)
     space = _norm_from(cfg, len(cfg["candidate"]))
-    tol = cfg.get("tolerances", {})
-    opts = ClassifyOpts(strong_tol=tol.get("strong_tol", 0.05),
-                        dip_tol=tol.get("dip_tol", 0.05),
-                        weak_tol=tol.get("weak_tol", 0.05),
-                        refine=tol.get("refine", True),
-                        nm_iters=tol.get("nm_iters", 50),
-                        ratio=_ratio_opts(cfg, seed))
+    opts = ClassifyOpts(**cfg.get("tolerances", {}), ratio=_ratio_opts(cfg, seed))
     result = classify_mode(measure, np.asarray(cfg["candidate"], dtype=float),
                            [np.asarray(wp, dtype=float) for wp in cfg["competitors"]],
                            radii, space, opts)
@@ -182,12 +178,9 @@ def _run_gamma_check(cfg, seed):
 
     mode_rep = None
     if cfg.get("check_modes", True):
-        tol = cfg.get("tolerances", {})
         minimizers = [m.anchor for m in seq.members]
-        mode_rep = mode_convergence_check(seq, minimizers, ModeConvOpts(
-            cluster_tol=tol.get("cluster_tol", 1e-3),
-            value_tol=tol.get("value_tol", 1e-6),
-            min_tol=tol.get("min_tol", 1e-6)))
+        mode_rep = mode_convergence_check(seq, minimizers,
+                                          ModeConvOpts(**cfg.get("tolerances", {})))
 
     report = GammaReport(liminf=liminf, recovery_gaps=gaps, equicoercivity=equi,
                          mode_convergence=mode_rep)
@@ -202,10 +195,7 @@ def _run_gamma_check(cfg, seed):
 def _run_map_solve(cfg, seed):
     prior = measure_from_json(cfg["prior"])
     obs = _observation_from(cfg["observation"])
-    solver = cfg.get("solver", {})
-    sol = map_solve(prior, obs, ProxOpts(
-        tol=solver.get("tol", 1e-8), max_iter=solver.get("max_iter", 10 ** 5),
-        check_uniqueness=solver.get("check_uniqueness", False)))
+    sol = map_solve(prior, obs, ProxOpts(**cfg.get("solver", {})))
     header = [f"u{k}" for k in range(len(sol.point))] + ["objective", "residual"]
     row = [float(v) for v in sol.point] + [sol.objective, sol.optimality_residual]
     return {"map": sol.to_dict()}, {"map_solution": (header, [row])}
@@ -259,6 +249,17 @@ _COUNTEREXAMPLE_PARAMS = {
 }
 
 
+def _counterexample_param(key: str, default, value):
+    """``value`` checked against the type of its default: a number, an
+    integer, or a list of either."""
+    if not isinstance(default, tuple):
+        return cx._number(key, value, integer=isinstance(default, int))
+    if not isinstance(value, list):
+        raise ConfigError(f"config field params/{key}: must be a list, got {value!r}")
+    integer = all(isinstance(d, int) for d in default)
+    return tuple(cx._number(key, v, integer=integer) for v in value)
+
+
 def _run_counterexample(cfg, seed):
     name = cfg["name"]
     if name not in _COUNTEREXAMPLE_PARAMS:
@@ -268,7 +269,8 @@ def _run_counterexample(cfg, seed):
         if key not in defaults:
             raise ConfigError(f"config field params/{key}: not a parameter of counterexample "
                               f"{name!r}; allowed: {', '.join(defaults)}")
-    params = {**defaults, **given}
+    params = {**defaults, **{key: _counterexample_param(key, defaults[key], value)
+                             for key, value in given.items()}}
     if name == "kl_gaussians":
         sigmas = params["sigmas"]
         rows = [(float(s), cx.kl_gaussians(s), cx.kl_gaussians_quadrature(s))
@@ -307,7 +309,7 @@ def _run_counterexample(cfg, seed):
                 {"liminf_only_ratios": (["n", "ratio_at_2alpha_n", "ratio_at_alpha_n"], rows)})
     if name == "om_not_strong":
         m = cx.OmNotStrongMeasure(levels=params["levels"])
-        rep = cx.om_not_strong_suite(m, ks=tuple(params["ks"]), n_dip=params["n_dip"])
+        rep = cx.om_not_strong_suite(m, ks=params["ks"], n_dip=params["n_dip"])
         rows = [(k, float(v), float(rep.ratio_rel_errors[k]))
                 for k, v in rep.ratio_limits.items()]
         return rep.to_dict(), {

@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .errors import InputError, ParameterError, RegimeError
-from .measures import (BallMass, Density1D, DENSITY1D_FACTORIES, EXAMPLE_MEASURE_FACTORIES,
+from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES,
                        RatioOpts, _log_mass_table, _ratio_estimate, ball_mass, default_space,
                        radius_schedule, sup_ball_mass)
 from .om import OmFunctional, prior_om
@@ -262,13 +262,9 @@ class LiminfOnlyMeasure:
             if np.any(w <= 0) or np.any(w[:-1] <= 2.0 * w[1:]):
                 raise ParameterError("interval widths must decrease by more than a factor 2")
 
-    @property
-    def registry_name(self) -> str:
-        return "liminf_only"
-
-    @property
-    def registry_params(self) -> dict:
-        return {"depth": self.depth, "variant": self.variant}
+    def to_json(self) -> dict:
+        return {"type": "density1d", "name": "liminf_only",
+                "params": {"depth": self.depth, "variant": self.variant}}
 
     def a(self, n: int) -> float:
         e = (n - 1) * (n + 6) // 2 if self.variant == "standard" else n * (n - 1)
@@ -404,13 +400,8 @@ class OmNotStrongMeasure:
         if self.levels < 2:
             raise ParameterError("need at least two components")
 
-    @property
-    def registry_name(self) -> str:
-        return "om_not_strong"
-
-    @property
-    def registry_params(self) -> dict:
-        return {"levels": self.levels}
+    def to_json(self) -> dict:
+        return {"type": "density1d", "name": "om_not_strong", "params": {"levels": self.levels}}
 
     #: normalisation of the untruncated density; kept symbolic so that
     #: all reported quantities stay ratios of unnormalised masses
@@ -479,7 +470,7 @@ class OmNotStrongMeasure:
             return self.om_value(k) if inside(u) else math.inf
 
         return OmFunctional(eval=value, domain_test=inside, anchor=np.array([1.0]),
-                            meta={"kind": "om-not-strong", "norm": "abs"})
+                            meta={"kind": "om-not-strong"})
 
 
 prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
@@ -607,13 +598,9 @@ class CrossesMeasure:
         if self.norm_choice not in ("1", "inf"):
             raise ParameterError("norm_choice must be '1' or 'inf'")
 
-    @property
-    def registry_name(self) -> str:
-        return "crosses"
-
-    @property
-    def registry_params(self) -> dict:
-        return {"norm_choice": self.norm_choice}
+    def to_json(self) -> dict:
+        return {"type": "density1d", "name": "crosses",
+                "params": {"norm_choice": self.norm_choice}}
 
     @property
     def p(self) -> float:
@@ -727,7 +714,8 @@ def _crosses_ball_mass(measure: CrossesMeasure, center, radius, space=None, opts
 # ---------------------------------------------------------------------------
 
 def _number(name: str, value, integer: bool = False):
-    """A registered measure's numeric parameter, or a ParameterError naming it."""
+    """A registered measure's or a counterexample config's numeric parameter,
+    or a ParameterError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or \
             (integer and not float(value).is_integer()):
         raise ParameterError(f"parameter {name!r} must be {'an integer' if integer else 'a number'}"
@@ -748,8 +736,8 @@ def _spike_density1d(n) -> Density1D:
                      support=((-40.0, 42.0),), total_mass=1.0, name="spike")
 
 
-DENSITY1D_FACTORIES["mixture"] = _mixture_density1d
-DENSITY1D_FACTORIES["spike"] = _spike_density1d
+EXAMPLE_MEASURE_FACTORIES["mixture"] = _mixture_density1d
+EXAMPLE_MEASURE_FACTORIES["spike"] = _spike_density1d
 EXAMPLE_MEASURE_FACTORIES["liminf_only"] = lambda depth=40, variant="standard": \
     LiminfOnlyMeasure(depth=_number("depth", depth, integer=True), variant=variant)
 EXAMPLE_MEASURE_FACTORIES["om_not_strong"] = \

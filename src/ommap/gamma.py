@@ -364,18 +364,8 @@ class EquicoercivityEntry:
 
 def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
                          seed: int = 0) -> EquicoercivityEntry:
-    """Check the sublevel sets {F_n <= t} against the limit's by their exact
-    half-widths (``sublevel_check``), with a ``samples``-point cross-check."""
-    if samples < 1:
-        raise InputError("the cross-check needs samples >= 1")
-    if t < 0:
-        return EquicoercivityEntry(t, 0, 0, 0, "empty sublevel", "vacuous-pass")
-    return sublevel_check(seq, t, samples, child_rng(seed, "equicoercivity"))
-
-
-def sublevel_check(seq: FunctionalSequence, t: float, samples: int,
-                   rng: np.random.Generator) -> EquicoercivityEntry:
-    """Exact envelopes of the sublevel sets {F_n <= t} of a measure family.
+    """Exact envelopes of the sublevel sets {F_n <= t} of a measure family,
+    with a ``samples``-point cross-check.
 
     ``measures.sublevel_halfwidth`` gives each member's coordinate
     half-widths H_n: every point of {F_n <= t} lies in the box
@@ -400,8 +390,13 @@ def sublevel_check(seq: FunctionalSequence, t: float, samples: int,
     of ``samples`` points g with sum_k |g_k|^p / p <= t (p the factor's
     ``exponent``) is mapped into each window member's sublevel set through
     its form u = m + B diag(scale) g; a member with a mapped point outside
-    its half-widths is a violation too.
+    its half-widths is a violation too.  A negative t has an empty
+    sublevel set, and passes vacuously.
     """
+    if samples < 1:
+        raise InputError("the cross-check needs samples >= 1")
+    if t < 0:
+        return EquicoercivityEntry(t, 0, 0, 0, "empty sublevel", "vacuous-pass")
     lim = seq.limit_measure
     if lim is None or not seq.measures:
         raise InputError("equicoercivity probe needs a non-empty family built from measures")
@@ -433,6 +428,7 @@ def sublevel_check(seq: FunctionalSequence, t: float, samples: int,
         slope = float(x @ (y - y.mean()) / (x @ x))
 
     p = lim.factor.exponent
+    rng = child_rng(seed, "equicoercivity")
     g = _uniform_pball(rng, samples, lim.dim, p) * (p * t) ** (1.0 / p) * (1.0 - 1e-9)
     outside = np.any(_mapped_widths(window, g) > h * (1.0 + 1e-12), axis=1)
 

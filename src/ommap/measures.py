@@ -70,6 +70,16 @@ class NormalFactor:
 
         return log_density
 
+    def neg_log_density(self, c, inv_scale):
+        """Per row of c, sum_k -log density of c_k * inv_scale_k, up to a constant."""
+        w = c * inv_scale
+        return 0.5 * np.einsum("ij,ij->i", w, w)
+
+    def sublevel_reach(self, measure, t):
+        """max |(B diag(scale) g)_k| over {|g|^2 / 2 <= t}: sqrt(2t ((B*B) v)_k)."""
+        v, basis = measure.spread, measure.basis
+        return np.sqrt(2.0 * t * (v if basis is None else (basis * basis) @ v))
+
 
 class LaplaceFactor:
     """Unit Laplace factors, density exp(-|x|) / 2: a coordinate of scale b is b X.
@@ -109,6 +119,16 @@ class LaplaceFactor:
 
         return log_density
 
+    def neg_log_density(self, c, inv_scale):
+        """Per row of c, sum_k -log density of c_k * inv_scale_k, up to a constant."""
+        return np.abs(c) @ inv_scale
+
+    def sublevel_reach(self, measure, t):
+        """max |(B diag(scale) g)_k| over {sum |g| <= t}, reached at a vertex t e_j:
+        t max_j |B_kj scale_j|."""
+        b, basis = measure.scale, measure.basis
+        return (b if basis is None else np.abs(basis * b).max(axis=1)) * t
+
 
 class ProductMeasure:
     """A product of 1-d factors in eigen coordinates, read through its form.
@@ -116,7 +136,8 @@ class ProductMeasure:
     The form is ``basis`` (eigenvectors as columns, None for the coordinate
     basis), ``mean`` and ``eigen_mean``, the per-coordinate ``scale`` of the
     1-d ``factor`` and the factor's density parameter ``spread``; ``pinned``
-    marks the coordinates Monte Carlo holds at the mean.
+    marks the coordinates Monte Carlo holds at the mean, and off which the
+    OM functional is +inf.  ``om_meta`` is the ``meta`` of that functional.
     """
 
     basis = None
@@ -134,6 +155,7 @@ class GaussianMeasure(ProductMeasure):
     cov: SpectralOperator
 
     factor = NormalFactor()
+    om_meta = {"kind": "gaussian"}
     dim = property(lambda self: self.cov.dim)
     basis = property(lambda self: self.cov.basis)
     eigen_mean = property(lambda self: self.cov.to_eigen(self.mean))
@@ -170,6 +192,7 @@ class BesovMeasure(ProductMeasure):
     dim: int
 
     factor = LaplaceFactor()
+    om_meta = {"kind": "besov1", "finite_everywhere": "every truncated vector is summable"}
     tau = property(lambda self: self._weights[0])
     t = property(lambda self: self._weights[1])
     gamma = scale = spread = property(lambda self: self._weights[2])
@@ -716,19 +739,10 @@ def sublevel_halfwidth(measure, t: float) -> np.ndarray:
     raise InputError(f"no sublevel half-width for measure type {type(measure).__name__}")
 
 
-@sublevel_halfwidth.register(GaussianMeasure)
-def _gaussian_sublevel_halfwidth(measure: GaussianMeasure, t):
-    # {I <= t} = m + C^(1/2) B(0, sqrt(2t)), whose k-th coordinate ranges
-    # over m_k -+ sqrt(2t C_kk), with C_kk = sum_j B_kj^2 lambda_j
-    lam, basis = measure.cov.eigenvalues, measure.cov.basis
-    c_diag = lam if basis is None else (basis * basis) @ lam
-    return np.abs(measure.mean) + np.sqrt(2.0 * t * c_diag)
-
-
-@sublevel_halfwidth.register(BesovMeasure)
-def _besov_sublevel_halfwidth(measure: BesovMeasure, t):
-    # {sum_k |u_k| / gamma_k <= t} reaches gamma_k t along the k-th axis
-    return measure.gamma * t
+@sublevel_halfwidth.register(ProductMeasure)
+def _product_sublevel_halfwidth(measure: ProductMeasure, t):
+    # {I <= t} = m + B diag(scale) {g : sum_k |g_k|^p / p <= t}
+    return np.abs(measure.mean) + measure.factor.sublevel_reach(measure, t)
 
 
 _QUAD_TOL = 1e-12  # absolute error goal of the quadrature over a ball
@@ -919,10 +933,7 @@ def open_vs_closed_check(measure, x1, x2, radii, space=None,
 # JSON serialisation
 # ---------------------------------------------------------------------------
 
-#: name -> factory(params dict) for registered 1-d example measures
-DENSITY1D_FACTORIES: dict = {}
-
-#: name -> factory(params dict) for registered non-density example measures
+#: name -> factory(**params) for the registered example measures
 EXAMPLE_MEASURE_FACTORIES: dict = {}
 
 
@@ -938,7 +949,7 @@ def measure_from_json(obj: dict):
                             eta=float(obj["eta"]), dim=int(obj["dim"]))
     if kind == "density1d":
         name = obj.get("name")
-        factory = DENSITY1D_FACTORIES.get(name) or EXAMPLE_MEASURE_FACTORIES.get(name)
+        factory = EXAMPLE_MEASURE_FACTORIES.get(name)
         if factory is None:
             raise ParameterError(f"unknown registered measure name {name!r}")
         return _registered_measure(name, factory, obj.get("params", {}))
@@ -961,11 +972,8 @@ def _registered_measure(name: str, factory, params: dict):
 
 
 def measure_to_json(measure) -> dict:
-    """A measure's own ``to_json``, else its registered name and parameters."""
+    """A measure's own ``to_json``; registered example measures give their
+    name and parameters."""
     if hasattr(measure, "to_json"):
         return measure.to_json()
-    name = getattr(measure, "registry_name", None) or getattr(measure, "name", None)
-    params = getattr(measure, "registry_params", None)
-    if name and params is not None:
-        return {"type": "density1d", "name": name, "params": dict(params)}
     raise ParameterError(f"cannot serialise measure of type {type(measure).__name__}")

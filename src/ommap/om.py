@@ -3,8 +3,9 @@
 An Onsager-Machlup functional assigns to each point of a measure's
 effective domain a value whose differences are the negative logs of
 small-ball mass-ratio limits; off the domain it is extended by +inf.
-This module builds these functionals for Gaussian, Besov-1, and generic
-1-d measures (``prior_om`` dispatches on the measure type), and provides
+This module builds these functionals for product measures (Gaussian,
+Besov-1) from their product form, and for generic 1-d measures
+(``prior_om`` dispatches on the measure type), and provides
 the empirical probes that tie them back to ball masses: difference
 checks, vanishing-ratio (domain) checks, and strong/weak mode
 classification.
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InputError
-from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, GaussianMeasure,
+from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, ProductMeasure,
                        RatioOpts, _ball_opts, _heaviest_center, _log_mass_table,
                        _ratio_estimate, ball_mass, ball_ratio_curve, default_space,
                        sup_ball_mass)
@@ -68,20 +69,6 @@ class OmFunctional:
         return np.array([self.eval(u) for u in pts], dtype=float)
 
 
-def _row_functional(kernel, domain_row, dim: int, anchor, meta: dict) -> OmFunctional:
-    """Functional whose scalar ``eval`` and ``domain_test`` are the one-row
-    cases of a row kernel and a row-wise domain mask."""
-
-    def value(u) -> float:
-        return float(kernel(_as_vector(u, dim)[None, :])[0])
-
-    def inside(u) -> bool:
-        return bool(domain_row(_as_vector(u, dim)[None, :])[0])
-
-    return OmFunctional(eval=value, domain_test=inside, anchor=anchor, meta=meta,
-                        kernel=kernel)
-
-
 @singledispatch
 def prior_om(measure) -> OmFunctional:
     """The Onsager-Machlup functional of a measure, dispatched on its type;
@@ -89,42 +76,51 @@ def prior_om(measure) -> OmFunctional:
     raise InputError(f"no OM functional for measure type {type(measure).__name__}")
 
 
-@prior_om.register(GaussianMeasure)
-def gaussian_om(mu: GaussianMeasure) -> OmFunctional:
-    """Half the squared Cameron-Martin norm of u - mean.
+@prior_om.register(ProductMeasure)
+def _product_om(mu: ProductMeasure) -> OmFunctional:
+    """The sum of the factors' negative log densities at the whitened eigen
+    coordinates (u - mean) / scale, the OM functional of a product measure.
 
-    Finite exactly on mean + range(cov^(1/2)); the mean is the anchor
-    and unique minimiser.  In eigen coordinates c of u - mean the value
-    is 1/2 sum_free (c_k / sqrt(lam_k))^2, and a point is off the domain
-    when its components along zero eigenvalues (at ``spaces.RANK_TOL``)
-    exceed ``spaces.RANGE_ATOL * max(1, |c|)``, the ``in_range_sqrt`` rule.
+    For a Gaussian that is half the squared Cameron-Martin norm of
+    u - mean, for Besov-1 the weighted l^1 norm sum_k |u_k| / gamma_k.
+    The mean is the anchor and unique minimiser.  A point is off the
+    domain when its eigen components c along pinned coordinates exceed
+    ``spaces.RANGE_ATOL * max(1, |c|)``, the ``in_range_sqrt`` rule; with
+    no coordinate pinned every point is in it.  ``meta`` is the measure's
+    ``om_meta``.
     """
-    mean, basis = mu.mean, mu.cov.basis
-    zero = mu.cov.zero_mask()
-    degenerate = bool(np.any(zero))  # only then can a point leave the range
-    free = ~zero
-    inv_sqrt = 1.0 / np.sqrt(mu.cov.eigenvalues[free])
+    mean, basis, pinned = mu.mean, mu.basis, mu.pinned
+    centred = not np.any(mean)  # then the subtraction is skipped
+    degenerate = bool(np.any(pinned))  # only then can a point leave the domain
+    free = ~pinned
+    inv_scale = 1.0 / mu.scale[free]
+    neg_log_density = mu.factor.neg_log_density
 
     def coords(pts: np.ndarray) -> np.ndarray:
-        d = pts - mean
+        d = pts if centred else pts - mean
         return d if basis is None else d @ basis
 
     def in_range(c: np.ndarray) -> np.ndarray:
         if not degenerate:
             return np.ones(len(c), dtype=bool)
         scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
-        return np.max(np.abs(c[:, zero]), axis=1) <= RANGE_ATOL * scale
+        return np.max(np.abs(c[:, pinned]), axis=1) <= RANGE_ATOL * scale
 
     def kernel(pts: np.ndarray) -> np.ndarray:
         c = coords(pts)
-        w = (c[:, free] if degenerate else c) * inv_sqrt
-        out = 0.5 * np.einsum("ij,ij->i", w, w)
+        out = neg_log_density(c[:, free] if degenerate else c, inv_scale)
         if degenerate:
             out[~in_range(c)] = math.inf
         return out
 
-    return _row_functional(kernel, lambda pts: in_range(coords(pts)), mu.dim, mean,
-                           {"kind": "gaussian", "norm": "ambient-l2"})
+    def value(u) -> float:
+        return float(kernel(_as_vector(u, mu.dim)[None, :])[0])
+
+    def inside(u) -> bool:
+        return bool(in_range(coords(_as_vector(u, mu.dim)[None, :]))[0])
+
+    return OmFunctional(eval=value, domain_test=inside, anchor=mean, meta=dict(mu.om_meta),
+                        kernel=kernel)
 
 
 def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float:
@@ -138,28 +134,6 @@ def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float
     if a >= -1:
         return math.inf
     return coef_bound * mu.dim ** (a + 1) / (-a - 1)
-
-
-@prior_om.register(BesovMeasure)
-def besov_om(mu: BesovMeasure) -> OmFunctional:
-    """Weighted l^1 norm sum_k |u_k| / gamma_k on the truncation.
-
-    Every truncated vector is summable, so the domain test always
-    passes at finite dimension (``meta["finite_everywhere"]`` says why);
-    the +inf branch of the untruncated functional is represented by the
-    analytic tail bound in ``meta``.
-    """
-    inv_gamma = 1.0 / mu.gamma
-
-    def kernel(pts: np.ndarray) -> np.ndarray:
-        return np.abs(pts) @ inv_gamma
-
-    return _row_functional(
-        kernel, lambda pts: np.ones(len(pts), dtype=bool), mu.dim, np.zeros(mu.dim),
-        {"kind": "besov1", "norm": "l1-gamma",
-         "finite_everywhere": "every truncated vector is summable",
-         "tail_bound": lambda coef_bound, decay: besov_tail_bound(mu, coef_bound, decay)},
-    )
 
 
 def density_om(measure: Density1D, anchor: float) -> OmFunctional:
@@ -176,7 +150,7 @@ def density_om(measure: Density1D, anchor: float) -> OmFunctional:
 
     return OmFunctional(eval=value, domain_test=inside,
                         anchor=np.atleast_1d(float(anchor)),
-                        meta={"kind": "density1d", "norm": "abs"})
+                        meta={"kind": "density1d"})
 
 
 def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:

@@ -16,15 +16,15 @@ from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, GaussianMeasure,
                    LiminfOnlyMeasure, LinearObservation, ModeConvOpts,
                    OmNotStrongMeasure, ProbeOpts, ProxOpts, RatioOpts,
                    SpectralOperator, WeightedSeqSpace, ball_ratio_curve,
-                   besov_om, besov_om_family, besov_recovery_sequence,
+                   besov_om_family, besov_recovery_sequence,
                    classify_mode, constrained_prior_minimum, crosses_ball_masses,
-                   crosses_om_difference, equicoercivity_probe, gaussian_om,
+                   crosses_om_difference, equicoercivity_probe,
                    gaussian_om_family, gaussian_recovery_sequence, kkt_residual,
                    kl_gaussians, kl_gaussians_quadrature, liminf_only_ratios,
-                   map_solve_besov_linear, map_solve_gaussian_linear,
+                   map_solve, map_solve_besov_linear,
                    mixture_kl_exponent, mixture_modes, mode_convergence_check,
                    om_not_strong_suite, open_vs_closed_check,
-                   perturbation_experiment, posterior_om, quadratic_potential,
+                   perturbation_experiment, posterior_om, prior_om, quadratic_potential,
                    radius_schedule, small_noise_experiment, spike_kl, spike_mode)
 from ommap._seeds import child_rng
 from ommap.counterexamples import E1
@@ -201,7 +201,7 @@ def test_criterion_07_gaussian_ratio_limits():
             cov = SpectralOperator.from_dense(b @ b.T + 0.3 * np.eye(k_dim))
             mean = rng.normal(size=k_dim)
             mu = GaussianMeasure(mean, cov)
-            fn = gaussian_om(mu)
+            fn = prior_om(mu)
             w1, w2 = rng.normal(size=(2, k_dim)) * 0.6
             x1 = mean + cov.sqrt_apply(w1)
             x2 = mean + cov.sqrt_apply(w2)
@@ -296,9 +296,9 @@ def test_criterion_09_besov_family_theorem():
     sol_lim = map_solve_besov_linear(limit, obs, ProxOpts(tol=1e-10))
     sols = [map_solve_besov_linear(pr, obs, ProxOpts(tol=1e-10)).point
             for pr in members]
-    post_members = [posterior_om(besov_om(pr), quadratic_potential(obs))
+    post_members = [posterior_om(prior_om(pr), quadratic_potential(obs))
                     for pr in members]
-    post_limit = posterior_om(besov_om(limit), quadratic_potential(obs))
+    post_limit = posterior_om(prior_om(limit), quadratic_potential(obs))
     fam = ommap.FunctionalSequence(indices, post_members, post_limit)
     # the pointwise minima converge at the family's own 1/n rate, so the
     # value gap tolerance sits at that scale; the 1e-4 criterion applies
@@ -324,7 +324,7 @@ def test_criterion_10_map_transfer():
         obs = observation(o_mat, rng.uniform(0.5, 2.0, j), rng.normal(size=j))
         prior = GaussianMeasure(rng.normal(size=k),
                                 SpectralOperator(rng.uniform(0.2, 3.0, k)))
-        sol = map_solve_gaussian_linear(prior, obs)
+        sol = map_solve(prior, obs)
         c_mat = np.diag(prior.cov.eigenvalues)
         gain = c_mat @ o_mat.T @ np.linalg.inv(
             o_mat @ c_mat @ o_mat.T + np.diag(obs.noise_cov.eigenvalues))
@@ -419,7 +419,7 @@ def test_criterion_11_small_noise_limit():
 
     bprior = BesovMeasure(1.0, 1, 1.0, 2)  # weights (1, 2^(-1/2))
     star = constrained_prior_minimum(bprior, obs)
-    fn = besov_om(bprior)
+    fn = prior_om(bprior)
     grid = np.linspace(-2.0, 3.0, 250_001)
     vals = np.abs(1.0 - grid) + math.sqrt(2.0) * np.abs(grid)
     brute = np.array([1.0 - grid[np.argmin(vals)], grid[np.argmin(vals)]])
@@ -476,9 +476,9 @@ def test_criterion_12_property_suite():
 
     # homogeneity of the two functional classes
     mu_g = GaussianMeasure(rng.normal(size=3), SpectralOperator(rng.uniform(0.5, 2, 3)))
-    fn_g = gaussian_om(mu_g)
+    fn_g = prior_om(mu_g)
     mu_b = BesovMeasure(1.0, 1, 1.0, 5)
-    fn_b = besov_om(mu_b)
+    fn_b = prior_om(mu_b)
     ok_homog = True
     for _ in range(200):
         h = rng.normal(size=3)
@@ -491,7 +491,7 @@ def test_criterion_12_property_suite():
                    ok_homog, "200 random points"))
 
     # posterior difference identity
-    prior_fn = gaussian_om(mu_g)
+    prior_fn = prior_om(mu_g)
     phi = lambda u: float(np.sin(u[0]) - 0.3 * u[1] ** 2 + u[2])
     post = posterior_om(prior_fn, phi)
     ok_post = True

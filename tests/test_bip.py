@@ -7,10 +7,9 @@ import pytest
 
 from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    ParameterError, Potential, ProxOpts,
-                   SpectralOperator, besov_om, constrained_prior_minimum,
-                   gaussian_om, kkt_residual, map_solve, map_solve_besov,
-                   map_solve_besov_linear, map_solve_gaussian_linear,
-                   perturbation_experiment, posterior_om, projected_potential,
+                   SpectralOperator, constrained_prior_minimum,
+                   kkt_residual, map_solve, map_solve_besov, map_solve_besov_linear,
+                   perturbation_experiment, posterior_om, prior_om, projected_potential,
                    quadratic_potential, small_noise_experiment)
 
 
@@ -121,31 +120,31 @@ class TestGaussianLinearSolver:
     def test_data_at_prior_mean(self):
         prior = GaussianMeasure(np.array([1.0, -2.0]), SpectralOperator(np.array([2.0, 1.0])))
         obs = observation([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], prior.mean)
-        sol = map_solve_gaussian_linear(prior, obs)
+        sol = map_solve(prior, obs)
         np.testing.assert_allclose(sol.point, prior.mean, atol=1e-12)
 
     def test_scalar_closed_form(self):
         prior = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
-        sol = map_solve_gaussian_linear(prior, observation([[1.0]], [1.0], [2.0]))
+        sol = map_solve(prior, observation([[1.0]], [1.0], [2.0]))
         assert sol.point[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_large_noise_returns_to_mean(self):
         prior = GaussianMeasure(np.array([0.7]), SpectralOperator(np.ones(1)))
-        sol = map_solve_gaussian_linear(prior, observation([[1.0]], [1e12], [5.0]))
+        sol = map_solve(prior, observation([[1.0]], [1e12], [5.0]))
         assert sol.point[0] == pytest.approx(0.7, abs=1e-9)
 
     def test_conjugacy_oracle_random(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             prior, obs = random_problem(rng, rng.integers(1, 6), rng.integers(1, 5))
-            sol = map_solve_gaussian_linear(prior, obs)
+            sol = map_solve(prior, obs)
             np.testing.assert_allclose(sol.point, conjugacy_mean(prior, obs), atol=1e-10)
             assert sol.optimality_residual < 1e-10
 
     def test_degenerate_prior_stays_on_support(self):
         prior = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
         obs = observation([[1.0, 1.0]], [1.0], [2.0])
-        sol = map_solve_gaussian_linear(prior, obs)
+        sol = map_solve(prior, obs)
         assert sol.point[1] == 0.0  # no mass off the support line
         np.testing.assert_allclose(sol.point, conjugacy_mean(prior, obs), atol=1e-12)
 
@@ -154,7 +153,7 @@ class TestGaussianLinearSolver:
         prior, obs = random_problem(rng, 4, 3)
 
         def solve_for(y):
-            return map_solve_gaussian_linear(
+            return map_solve(
                 prior, observation(obs.matrix, obs.noise_cov.eigenvalues, y)).point
 
         y0, y1, y2 = rng.normal(size=(3, 3))
@@ -198,7 +197,7 @@ class TestBesovSolver:
         rng = np.random.default_rng(7)
         prior, obs = random_problem(rng, 4, 3, prior="besov")
         sol = map_solve_besov_linear(prior, obs)
-        post = posterior_om(besov_om(prior), quadratic_potential(obs))
+        post = posterior_om(prior_om(prior), quadratic_potential(obs))
         best = post(sol.point)
         for _ in range(1000):
             assert best <= post(sol.point + 0.5 * rng.normal(size=4)) + 1e-12
@@ -316,7 +315,7 @@ class TestSmallNoise:
         prior = BesovMeasure(1.0, 1, 1.0, 2)
         obs = observation([[1.0, 1.0]], [1.0], [1.0])
         star = constrained_prior_minimum(prior, obs)
-        fn = besov_om(prior)
+        fn = prior_om(prior)
         best = min(fn(np.array([1.0 - a, a])) for a in np.linspace(-2, 2, 100001))
         assert fn(star) <= best + 1e-9
 

@@ -89,8 +89,19 @@ class TestRun:
           "measure": {"type": "density1d", "name": "spike", "params": {"n": "x"}}}, "'n'"),
         ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],
           "measure": {"type": "density1d", "name": "mixture", "params": {"t": [1]}}}, "'t'"),
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0], "norm": {"p": "two"},
+          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "norm/p"),
+        ({"kind": "counterexample", "name": "kl_gaussians", "params": {"sigmas": "x"}},
+         "sigmas"),
+        ({"kind": "counterexample", "name": "spike", "params": {"n_values": ["a"]}},
+         "'n_values'"),
+        ({"kind": "counterexample", "name": "om_not_strong", "params": {"levels": "x"}},
+         "'levels'"),
+        ({"kind": "counterexample", "name": "crosses", "params": {"r": "x"}}, "'r'"),
     ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param",
-            "wrong-type-spike-n", "wrong-type-mixture-t"])
+            "wrong-type-spike-n", "wrong-type-mixture-t", "wrong-type-norm-p",
+            "wrong-type-kl-sigmas", "wrong-type-spike-n-values", "wrong-type-om-not-strong-levels",
+            "wrong-type-crosses-r"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2

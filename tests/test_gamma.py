@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError,
-                   LiminfOpts, ModeConvOpts, OmFunctional, SpectralOperator, besov_om,
+                   LiminfOpts, ModeConvOpts, OmFunctional, SpectralOperator,
                    besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                    density_om, equicoercivity_probe, gamma_liminf_probe,
-                   gaussian_om, gaussian_om_family, gaussian_recovery_sequence,
-                   mode_convergence_check, project, sublevel_halfwidth, sum_rule_check)
+                   gaussian_om_family, gaussian_recovery_sequence,
+                   mode_convergence_check, prior_om, project, sublevel_halfwidth,
+                   sum_rule_check)
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import _LIMINF_TOL, _extrapolated_intercepts, _mapped_widths, default_paths
 
@@ -452,7 +453,7 @@ class TestGaussianRecovery:
         rec = gaussian_recovery_sequence(members, limit, np.array([1.0]))
         for n, u_n in enumerate(rec, start=1):
             assert u_n[0] == pytest.approx(1 + 1.0 / n)
-            assert gaussian_om(members[n - 1])(u_n) == pytest.approx(0.5, abs=1e-14)
+            assert prior_om(members[n - 1])(u_n) == pytest.approx(0.5, abs=1e-14)
 
     def test_off_range_constant_branch(self):
         limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
@@ -542,7 +543,7 @@ class TestEquicoercivity:
 
     def test_needs_a_measure_family(self):
         mu = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
-        seq = FunctionalSequence([1, 2], [gaussian_om(mu)] * 2, gaussian_om(mu))
+        seq = FunctionalSequence([1, 2], [prior_om(mu)] * 2, prior_om(mu))
         with pytest.raises(InputError, match="built from measures"):
             equicoercivity_probe(seq, 1.0, 100)
         with pytest.raises(InputError, match="samples"):

@@ -10,11 +10,12 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import chi2, kstest
 
-from ommap import (BallOpts, BesovMeasure, Density1D, GaussianMeasure, InputError,
+from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
+                   InputError, LiminfOnlyMeasure, OmNotStrongMeasure,
                    ParameterError, RatioOpts, SpectralOperator, WeightedSeqSpace,
-                   ball_mass, ball_ratio_curve, besov_weights, gaussian_om,
+                   ball_mass, ball_ratio_curve, besov_weights,
                    measure_from_json, measure_to_json, open_vs_closed_check,
-                   radius_schedule, sample, sup_ball_mass)
+                   prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _ProductSetup,
                             _log_mean_exp, _mc_mass_batches, _uniform_pball)
 
@@ -249,7 +250,7 @@ class TestRatioCurve:
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([2.0, 0.5])))
         sp = WeightedSeqSpace.unweighted(2.0, 2)
         x1, x2 = np.array([0.5, 0.2]), np.array([-0.3, 0.1])
-        fn = gaussian_om(mu)
+        fn = prior_om(mu)
         expected = math.exp(fn(x2) - fn(x1))
         cur = ball_ratio_curve(mu, x1, x2, radius_schedule(0.2, 10), sp,
                                RatioOpts(n_samples=40_000, seed=11))
@@ -491,6 +492,14 @@ class TestSerialization:
         mu = BesovMeasure(1.5, 2, 0.8, 6)
         back = measure_from_json(measure_to_json(mu))
         assert back == mu
+
+    @pytest.mark.parametrize("mu", [LiminfOnlyMeasure(depth=12, variant="standard"),
+                                    OmNotStrongMeasure(levels=7), CrossesMeasure("inf")],
+                             ids=lambda m: type(m).__name__)
+    def test_example_measure_roundtrip(self, mu):
+        back = measure_from_json(measure_to_json(mu))
+        assert type(back) is type(mu)
+        assert measure_to_json(back) == measure_to_json(mu)
 
     def test_registered_names(self):
         m = measure_from_json({"type": "density1d", "name": "liminf_only",

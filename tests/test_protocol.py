@@ -1,8 +1,10 @@
 """Conformance of every product prior to the product-prior protocol.
 
-Each prior registers one rule per operation (``prior_om``,
-``recovery_sequence``, ``map_solve``, ...) and exposes its product form
-to the measure layer.  The checks below run over ``PRIORS``: a new
+Each prior exposes its product form to the measure layer, which gives
+it ``prior_om`` and ``sublevel_halfwidth``, and registers one rule per
+remaining operation (``recovery_sequence``, ``map_solve``, ...).  The
+checks below run over ``PRIORS``, each against a formula or solver
+written out per type, independently of the code under test: a new
 product prior adds one ``PriorCase``.
 """
 
@@ -14,11 +16,11 @@ import numpy as np
 import pytest
 
 from ommap import (BesovMeasure, GaussianMeasure, LinearObservation, ProductMeasure,
-                   ProxOpts, SpectralOperator, besov_om, besov_recovery_sequence,
-                   default_space, gaussian_om, gaussian_recovery_sequence, map_solve,
-                   map_solve_besov_linear, map_solve_gaussian_linear, measure_from_json,
-                   measure_to_json, om_family, prior_om, recovery_gap,
-                   recovery_sequence, sample, sublevel_halfwidth)
+                   ProxOpts, SpectralOperator, besov_recovery_sequence,
+                   coordinate_descent_weighted_l1, default_space, gaussian_recovery_sequence,
+                   in_range_sqrt, map_solve, measure_from_json, measure_to_json, om_family,
+                   prior_om, recovery_gap, recovery_sequence, sample, sqrt_pinv_apply,
+                   sublevel_halfwidth)
 from ommap._seeds import child_rng
 
 
@@ -31,9 +33,10 @@ def _rotation(rng, k):
 class PriorCase:
     name: str
     build: Callable          # (k, shift) -> prior; shift = 0 gives the limit
-    om: Callable             # per-type OM constructor
+    om: Callable             # (prior, u) -> the OM functional's value, written out per type
     recovery: Callable       # per-type recovery sequence (mu_seq, mu_limit, u)
-    solve: Callable          # per-type MAP solver (prior, obs, prox)
+    solve: Callable          # (prior, obs) -> the MAP point, by a per-type oracle
+    map_tol: float           # distance allowed between map_solve and the oracle
     draws: Callable          # (prior, n, seed) -> draws, written out per type
     space: Callable          # prior -> (p, weights) of its default ball norm
     maximiser: Callable      # (prior, t, k) -> the point of {I <= t} with the largest |u_k|
@@ -55,6 +58,22 @@ def _gaussian(rotated: bool):
             scaled = scaled @ mu.cov.basis.T
         return mu.mean + scaled
 
+    def om(mu, u):
+        # half the squared Cameron-Martin norm, +inf off mean + range(C^(1/2))
+        d = u - mu.mean
+        if not in_range_sqrt(mu.cov, d):
+            return math.inf
+        w = sqrt_pinv_apply(mu.cov, d)
+        return 0.5 * float(w @ w)
+
+    def solve(mu, obs):
+        # the conjugate posterior mean m + C O^T (O C O^T + Gamma)^(-1) (y - O m)
+        basis = np.eye(mu.dim) if mu.cov.basis is None else mu.cov.basis
+        c = (basis * mu.cov.eigenvalues) @ basis.T
+        o = obs.matrix
+        gain = c @ o.T @ np.linalg.inv(o @ c @ o.T + np.diag(obs.noise_cov.eigenvalues))
+        return mu.mean + gain @ (obs.data - o @ mu.mean)
+
     def maximiser(mu, t, k):
         # u = m +- sqrt(2t) C e_k / sqrt(C_kk), the sign of m_k
         basis = np.eye(mu.dim) if mu.cov.basis is None else mu.cov.basis
@@ -62,13 +81,17 @@ def _gaussian(rotated: bool):
         return mu.mean + math.copysign(math.sqrt(2.0 * t), mu.mean[k]) * c_k / math.sqrt(c_k[k])
 
     return PriorCase(
-        "gaussian-rotated" if rotated else "gaussian-aligned", build, gaussian_om,
-        gaussian_recovery_sequence, lambda mu, obs, prox: map_solve_gaussian_linear(mu, obs),
-        draws, lambda mu: (2.0, np.ones(mu.dim)), maximiser)
+        "gaussian-rotated" if rotated else "gaussian-aligned", build, om,
+        gaussian_recovery_sequence, solve, 1e-12, draws, lambda mu: (2.0, np.ones(mu.dim)),
+        maximiser)
 
 
 def _besov_draws(mu, n, seed):
     return child_rng(seed, "sample").laplace(loc=0.0, scale=mu.gamma, size=(n, mu.dim))
+
+
+def _besov_om(mu, u):
+    return float(np.sum(np.abs(u) / mu.gamma))
 
 
 def _besov_maximiser(mu, t, k):
@@ -78,9 +101,10 @@ def _besov_maximiser(mu, t, k):
 PRIORS = [
     _gaussian(rotated=False),
     _gaussian(rotated=True),
-    PriorCase("besov1", lambda k, shift: BesovMeasure(1.1 + shift, 1, 1.0, k), besov_om,
-              besov_recovery_sequence, map_solve_besov_linear, _besov_draws,
-              lambda mu: (1.0, mu.delta), _besov_maximiser),
+    PriorCase("besov1", lambda k, shift: BesovMeasure(1.1 + shift, 1, 1.0, k), _besov_om,
+              besov_recovery_sequence, lambda mu, obs: coordinate_descent_weighted_l1(
+                  obs, mu.gamma), 1e-6, _besov_draws, lambda mu: (1.0, mu.delta),
+              _besov_maximiser),
 ]
 K = 4
 
@@ -98,10 +122,16 @@ def test_is_a_product_measure(case):
 
 def test_prior_om_is_the_per_type_functional(case):
     mu = case.build(K, 0.0)
+    fn = prior_om(mu)
     pts = np.random.default_rng(1).normal(size=(20, K))
-    pts[0] = prior_om(mu).anchor
-    np.testing.assert_array_equal(prior_om(mu).values(pts), case.om(mu).values(pts))
-    assert prior_om(mu).meta["kind"] == case.om(mu).meta["kind"]
+    pts[0] = fn.anchor
+    pts[1:6] = sample(mu, 5, 2)  # on the domain where a direction is pinned
+    want = np.array([case.om(mu, u) for u in pts])
+    assert np.isfinite(want).sum() >= 6
+    for got in (fn.values(pts), [fn.eval(u) for u in pts]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert [fn.domain_test(u) for u in pts] == list(np.isfinite(want))
+    assert fn.eval(fn.anchor) == 0.0
 
 
 def test_recovery_sequence_is_the_per_type_one(case):
@@ -122,10 +152,9 @@ def test_map_solve_is_the_per_type_solver(case):
     mu = case.build(K, 0.0)
     obs = LinearObservation(rng.normal(size=(3, K)), SpectralOperator(rng.uniform(0.5, 2.0, 3)),
                             rng.normal(size=3))
-    prox = ProxOpts(tol=1e-10)
-    got, want = map_solve(mu, obs, prox), case.solve(mu, obs, prox)
-    np.testing.assert_array_equal(got.point, want.point)
-    assert (got.objective, got.solver, got.flags) == (want.objective, want.solver, want.flags)
+    got = map_solve(mu, obs, ProxOpts(tol=1e-10))
+    np.testing.assert_allclose(got.point, case.solve(mu, obs), rtol=0, atol=case.map_tol)
+    assert got.flags == ()
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2 ** 31])
