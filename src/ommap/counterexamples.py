@@ -160,6 +160,9 @@ def mixture_kl(t: float, r: float = 5.0) -> float:
 def mixture_kl_exponent(ts: Sequence[float], r: float = 5.0):
     """Fitted log-log slope of t -> KL(mu_t || mu_-t), with the values."""
     ts = np.asarray(ts, dtype=float)
+    if np.unique(ts).size < 2 or not np.all((ts > 0) & (ts < 1)):
+        raise ParameterError(f"kl_t_values needs two or more distinct tilts, all in (0, 1), "
+                             f"got {ts.tolist()}")
     kls = np.array([mixture_kl(float(t), r) for t in ts])
     slope = float(np.polyfit(np.log(ts), np.log(kls), 1)[0])
     return slope, kls
@@ -369,12 +372,8 @@ def _liminf_ball_mass(measure: LiminfOnlyMeasure, center, radius, space=None, op
 def _liminf_om(measure: LiminfOnlyMeasure) -> OmFunctional:
     """Functional with the single domain point +1, against which the
     vanishing-ratio probe compares every other point."""
-
-    def near_one(u):
-        return abs(float(np.asarray(u).reshape(())) - 1.0) < 1e-12
-
-    return OmFunctional(eval=lambda u: 0.0 if near_one(u) else math.inf,
-                        domain_test=near_one, anchor=np.array([1.0]))
+    return OmFunctional(lambda pts: np.where(np.abs(pts[:, 0] - 1.0) < 1e-12, 0.0, math.inf),
+                        np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +460,12 @@ class OmNotStrongMeasure:
         return 2.0 * math.log(k)
 
     def om_functional(self) -> OmFunctional:
-        def inside(u) -> bool:
-            x = float(np.asarray(u).reshape(()))
-            return abs(x - round(x)) <= 1e-9 and 1 <= round(x) <= self.levels
+        def value(x: float) -> float:
+            k = round(x)
+            return self.om_value(k) if abs(x - k) <= 1e-9 and 1 <= k <= self.levels else math.inf
 
-        def value(u) -> float:
-            k = round(float(np.asarray(u).reshape(())))
-            return self.om_value(k) if inside(u) else math.inf
-
-        return OmFunctional(eval=value, domain_test=inside, anchor=np.array([1.0]),
-                            meta={"kind": "om-not-strong"})
+        return OmFunctional(lambda pts: np.array([value(float(x)) for x in pts[:, 0]]),
+                            np.array([1.0]), {"kind": "om-not-strong"})
 
 
 prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
@@ -539,6 +534,9 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
     """
     from .om import ClassifyOpts, classify_mode
 
+    if not 2 <= n_dip <= measure.levels:
+        raise ParameterError(f"n_dip must be a component index in [2, {measure.levels}], "
+                             f"got {n_dip}")
     radii = radius_schedule(1e-8, 8, factor=4.0)
     ropts = RatioOpts(fit_in="sqrt_r")
     for k in ks:
@@ -620,50 +618,32 @@ class CrossesMeasure:
         ]
 
     def mass(self, center, radius: float) -> float:
-        """Arc length of the crosses inside the norm ball, by convex
-        sublevel bisection on each segment."""
+        """Arc length of the crosses inside the open norm ball, exact.
+
+        Along a segment v(t) = a + t unit - center the l^1 or sup-norm
+        distance is convex and piecewise linear in t, with kinks where a
+        component of v, or their sum or difference, vanishes.  Between
+        kinks the part of the piece closer than ``radius`` follows from
+        linear interpolation.
+        """
         if radius <= 0:
             raise InputError("ball radius must be positive")
         c = np.asarray(center, dtype=float)
-        p = self.p
+        reduce = np.sum if self.p == 1.0 else np.max
         total = 0.0
         for a, b in self.segments():
-            d = b - a
-            length = float(np.linalg.norm(d))
-            unit = d / length
-
-            def dist(t):
-                v = a + t * unit - c
-                return float(np.sum(np.abs(v))) if p == 1.0 else float(np.max(np.abs(v)))
-
-            res = minimize_scalar(dist, bounds=(0.0, length), method="bounded",
-                                  options={"xatol": 1e-14})
-            t_star, d_star = float(res.x), float(res.fun)
-            if d_star >= radius:
-                continue
-            lo, hi = 0.0, t_star
-            if dist(0.0) >= radius:
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if dist(mid) < radius:
-                        hi = mid
-                    else:
-                        lo = mid
-                t_lo = hi
-            else:
-                t_lo = 0.0
-            lo, hi = t_star, length
-            if dist(length) >= radius:
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if dist(mid) < radius:
-                        lo = mid
-                    else:
-                        hi = mid
-                t_hi = lo
-            else:
-                t_hi = length
-            total += t_hi - t_lo
+            length = float(np.linalg.norm(b - a))
+            unit, start = (b - a) / length, a - c
+            rates = np.array([unit[0], unit[1], unit[0] - unit[1], unit[0] + unit[1]])
+            starts = np.array([start[0], start[1], start[0] - start[1], start[0] + start[1]])
+            moving = rates != 0.0
+            kinks = np.clip(-starts[moving] / rates[moving], 0.0, length)
+            t = np.unique(np.concatenate([[0.0, length], kinks]))
+            g = reduce(np.abs(start + t[:, None] * unit), axis=1) - radius
+            for t0, t1, g0, g1 in zip(t[:-1], t[1:], g[:-1], g[1:]):
+                if min(g0, g1) < 0.0:
+                    share = 1.0 if max(g0, g1) <= 0.0 else -min(g0, g1) / abs(g1 - g0)
+                    total += float((t1 - t0) * share)
         return total
 
 

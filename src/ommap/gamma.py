@@ -2,9 +2,8 @@
 
 Nothing here proves convergence: the probes are falsification tools.
 The lower-bound probe searches for witness sequences that break the
-liminf inequality; recovery sequences are built from the explicit
-constructions available for Gaussian and Besov-1 families (dispatched
-on the family's limit measure); the equicoercivity probe reads the
+liminf inequality; recovery sequences are read from the product forms
+of the family's members and limit; the equicoercivity probe reads the
 exact coordinate half-widths of the members' sublevel sets against the
 limit's; the mode-convergence check clusters minimiser sequences and
 compares cluster points against minimisers of the limit.
@@ -24,10 +23,10 @@ import numpy as np
 
 from ._seeds import child_rng
 from .errors import InputError
-from .measures import (BesovMeasure, GaussianMeasure, _row_norms, _uniform_pball,
-                       default_space, sublevel_halfwidth)
-from .om import OmFunctional, prior_om
-from .spaces import WeightedSeqSpace, _as_vector, sqrt_pinv_apply, in_range_sqrt
+from .measures import (ProductMeasure, _in_range, _row_norms, _uniform_pball, default_space,
+                       sublevel_halfwidth)
+from .om import OmFunctional, posterior_om, prior_om
+from .spaces import WeightedSeqSpace, _as_vector
 
 
 @dataclass
@@ -274,36 +273,6 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
 # recovery sequences
 # ---------------------------------------------------------------------------
 
-def gaussian_recovery_sequence(mu_seq: Sequence[GaussianMeasure],
-                               mu_limit: GaussianMeasure, u) -> list:
-    """Explicit recovery sequence for a Gaussian family.
-
-    With v the minimum-norm preimage of u - m under the limit root
-    covariance, the n-th point is m_n + C_n^(1/2) v; its functional
-    value never exceeds the limit value, by the minimum-norm property
-    of the pseudoinverse.  Off the limit domain the constant sequence
-    is returned (nothing to prove there).
-    """
-    u = _as_vector(u, mu_limit.dim)
-    diff = u - mu_limit.mean
-    if not in_range_sqrt(mu_limit.cov, diff):
-        return [u.copy() for _ in mu_seq]
-    v = sqrt_pinv_apply(mu_limit.cov, diff)
-    return [m.mean + m.cov.sqrt_apply(v) for m in mu_seq]
-
-
-def besov_recovery_sequence(mu_seq: Sequence[BesovMeasure],
-                            mu_limit: BesovMeasure, u) -> list:
-    """Explicit recovery sequence for a Besov-1 family.
-
-    Coordinates are rescaled by gamma_n / gamma_limit, which keeps the
-    weighted l^1 value exactly equal to the limit value.
-    """
-    u = _as_vector(u, mu_limit.dim)
-    base = u / mu_limit.gamma
-    return [m.gamma * base for m in mu_seq]
-
-
 @singledispatch
 def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
     """Explicit recovery sequence x_n -> u for a family of measures,
@@ -311,9 +280,37 @@ def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
     raise InputError(f"no recovery sequence for measure type {type(mu_limit).__name__}")
 
 
-recovery_sequence.register(GaussianMeasure,
-                           lambda lim, seq, u: gaussian_recovery_sequence(seq, lim, u))
-recovery_sequence.register(BesovMeasure, lambda lim, seq, u: besov_recovery_sequence(seq, lim, u))
+@recovery_sequence.register(ProductMeasure)
+def _product_recovery(mu_limit: ProductMeasure, mu_seq: Sequence, u) -> list:
+    """x_n = m_n + S_n S^+ (u - m), read from the product forms, where
+    S = B diag(scale) B^T is the square root of a Gaussian's covariance.
+
+    S^+ (u - m) is the minimum-norm preimage v of u - m, whose whitened
+    coordinates are the limit's, so F_n(x_n) = F(u) for members of full
+    rank (a Besov-1 member rescales u by gamma_n / gamma); members with a
+    pinned coordinate drop it and stay below.  Off the limit's domain the
+    constant sequence is returned (nothing to prove there).
+    """
+    u = _as_vector(u, mu_limit.dim)
+    c = mu_limit.to_eigen(u - mu_limit.mean)
+    pinned = mu_limit.pinned
+    if not _in_range(c[None, :], pinned)[0]:
+        return [u.copy() for _ in mu_seq]
+    free = ~pinned
+    w = np.zeros_like(c)
+    w[free] = c[free] / mu_limit.scale[free]
+    v = w if mu_limit.basis is None else mu_limit.basis @ w
+    return [m.mean + (m.scale * v if m.basis is None else m.basis @ (m.scale * (m.basis.T @ v)))
+            for m in mu_seq]
+
+
+def gaussian_recovery_sequence(mu_seq: Sequence, mu_limit, u) -> list:
+    """``recovery_sequence`` with the family first, the order the
+    benchmark's workloads call."""
+    return recovery_sequence(mu_limit, mu_seq, u)
+
+
+besov_recovery_sequence = gaussian_recovery_sequence
 
 
 def recovery_gap(seq: FunctionalSequence, u) -> Optional[float]:
@@ -623,15 +620,13 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
     idx = list(indices) if indices is not None else list(range(1, len(phi_seq) + 1))
     if len(idx) != len(phi_seq):
         raise InputError("indices and phi_seq must have equal length")
-    lim_eval = getattr(phi_limit, "eval", phi_limit)
     entries = []
     for pi, x in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         dim = x.size
-        target = float(lim_eval(x))
+        target = float(phi_limit(x))
         sups = np.empty(len(idx))
         for j, (n, phi) in enumerate(zip(idx, phi_seq)):
-            f = getattr(phi, "eval", phi)
             rho = _CC_RHO0 * n ** -0.5
             rng = child_rng(seed, "cont-conv", pi, j)
             pts = x[None, :] + rho * _uniform_pball(rng, _CC_SAMPLES, dim, 2.0)
@@ -639,7 +634,7 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
             if dim == 1:
                 grid = np.linspace(x[0] - rho, x[0] + rho, 51)[:, None]
                 pts = np.vstack([pts, grid])
-            sups[j] = max(abs(float(f(p)) - target) for p in pts)
+            sups[j] = max(abs(float(phi(p)) - target) for p in pts)
         blocks = np.array_split(sups, min(4, len(sups)))
         means = np.array([b.mean() for b in blocks])
         trend = bool(np.all(np.diff(means) <= 0.05 * means[0] + _CC_ABS_TOL))
@@ -678,20 +673,9 @@ def sum_rule_check(f_seq: FunctionalSequence, g_seq: Sequence, g_limit,
     F(x) + G(x) beyond the tolerance.
     """
     opts = opts or LiminfOpts()
-    g_evals = [getattr(g, "eval", g) for g in g_seq]
-    g_lim_eval = getattr(g_limit, "eval", g_limit)
-
-    def summed_member(i):
-        fe = f_seq.members[i].eval
-        ge = g_evals[i]
-        return OmFunctional(eval=lambda u, fe=fe, ge=ge: fe(u) + float(ge(u)),
-                            domain_test=f_seq.members[i].domain_test,
-                            anchor=f_seq.members[i].anchor)
-
-    limit = OmFunctional(eval=lambda u: f_seq.limit.eval(u) + float(g_lim_eval(u)),
-                         domain_test=f_seq.limit.domain_test, anchor=f_seq.limit.anchor)
-    summed = FunctionalSequence(f_seq.indices, [summed_member(i) for i in range(len(g_seq))],
-                                limit)
+    limit = posterior_om(f_seq.limit, g_limit)
+    summed = FunctionalSequence(f_seq.indices, [posterior_om(f, g) for f, g in
+                                                zip(f_seq.members, g_seq)], limit)
     liminf_reports = [gamma_liminf_probe(summed, x, opts=opts) for x in points]
 
     gaps = []

@@ -30,7 +30,7 @@ from scipy.special import log_ndtr
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
-from .spaces import SpectralOperator, WeightedSeqSpace, _as_vector, weighted_norm
+from .spaces import RANGE_ATOL, SpectralOperator, WeightedSeqSpace, _as_vector, weighted_norm
 
 # ---------------------------------------------------------------------------
 # product measures: one 1-d factor per eigen coordinate
@@ -147,6 +147,17 @@ class ProductMeasure:
         return x if self.basis is None else self.basis.T @ x
 
 
+def _in_range(c: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Which rows of eigen coordinates c of u - mean put u on a product
+    measure's domain: those whose components along the ``pinned``
+    coordinates stay below ``spaces.RANGE_ATOL * max(1, |c|)``, the
+    ``in_range_sqrt`` rule.  With no coordinate pinned every row does."""
+    if not np.any(pinned):
+        return np.ones(len(c), dtype=bool)
+    scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
+    return np.max(np.abs(c[:, pinned]), axis=1) <= RANGE_ATOL * scale
+
+
 @dataclass(frozen=True)
 class GaussianMeasure(ProductMeasure):
     """N(mean, cov) on R^K with SPSD covariance in spectral form."""
@@ -197,7 +208,7 @@ class BesovMeasure(ProductMeasure):
     t = property(lambda self: self._weights[1])
     gamma = scale = spread = property(lambda self: self._weights[2])
     delta = property(lambda self: self._weights[3])
-    mean = eigen_mean = property(lambda self: np.zeros(self.dim))
+    eigen_mean = property(lambda self: self.mean)
 
     def __post_init__(self):
         if int(self.d) != self.d:
@@ -209,6 +220,10 @@ class BesovMeasure(ProductMeasure):
     @cached_property
     def _weights(self):
         return besov_weights(self.s, self.d, self.eta, self.dim)
+
+    @cached_property
+    def mean(self):
+        return np.zeros(self.dim)  # built once: a family's rules read every member's form
 
     def coefficient_space(self) -> WeightedSeqSpace:
         """The l^1_gamma space where the measure's functional is finite."""

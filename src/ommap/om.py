@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import singledispatch
+from functools import cached_property, singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,29 +26,25 @@ from scipy.optimize import minimize
 
 from .errors import InputError
 from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, ProductMeasure,
-                       RatioOpts, _ball_opts, _heaviest_center, _log_mass_table,
+                       RatioOpts, _ball_opts, _heaviest_center, _in_range, _log_mass_table,
                        _ratio_estimate, ball_mass, ball_ratio_curve, default_space,
                        sup_ball_mass)
-from .spaces import RANGE_ATOL, WeightedSeqSpace, _as_vector
+from .spaces import WeightedSeqSpace, _as_vector
 
 
 @dataclass
 class OmFunctional:
-    """Extended-real functional with an explicit effective domain.
+    """Extended-real functional, +inf exactly off its effective domain.
 
-    ``eval`` returns +inf exactly where ``domain_test`` fails.  The
-    anchor is a reference point with finite value (the minimiser for the
-    measures constructed here).  ``values`` evaluates the rows of an
-    ``(n, k)`` array: through ``kernel`` when the constructor supplies a
-    vectorised one (then ``eval`` is its one-row case), else by a loop
-    over ``eval``.
+    ``kernel`` maps the rows of an ``(n, k)`` array to their n values in
+    (-inf, +inf]; every other reading derives from it.  The anchor is a
+    reference point with finite value (the minimiser for the measures
+    constructed here).
     """
 
-    eval: Callable[[np.ndarray], float]
-    domain_test: Callable[[np.ndarray], bool]
+    kernel: Callable[[np.ndarray], np.ndarray]
     anchor: np.ndarray
     meta: dict = field(default_factory=dict)
-    kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.anchor = np.atleast_1d(np.asarray(self.anchor, dtype=float))
@@ -58,15 +54,24 @@ class OmFunctional:
     def __call__(self, u) -> float:
         return self.eval(u)
 
+    @cached_property
+    def eval(self) -> Callable[[np.ndarray], float]:
+        """The value at one point, the one-row case of ``kernel``.  Bound
+        per instance, so one functional's evaluations can be wrapped."""
+        kernel, dim = self.kernel, self.anchor.size
+        return lambda u: float(kernel(_as_vector(np.atleast_1d(u), dim)[None, :])[0])
+
     def values(self, pts) -> np.ndarray:
         """Functional values at the rows of an ``(n, k)`` array."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.anchor.size:
             raise InputError(f"expected an (n, {self.anchor.size}) array of points, "
                              f"got shape {pts.shape}")
-        if self.kernel is not None:
-            return self.kernel(pts)
-        return np.array([self.eval(u) for u in pts], dtype=float)
+        return self.kernel(pts)
+
+    def domain_test(self, u) -> bool:
+        """Whether u lies in the effective domain, where the value is finite."""
+        return math.isfinite(self.eval(u))
 
 
 @singledispatch
@@ -83,11 +88,9 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
 
     For a Gaussian that is half the squared Cameron-Martin norm of
     u - mean, for Besov-1 the weighted l^1 norm sum_k |u_k| / gamma_k.
-    The mean is the anchor and unique minimiser.  A point is off the
-    domain when its eigen components c along pinned coordinates exceed
-    ``spaces.RANGE_ATOL * max(1, |c|)``, the ``in_range_sqrt`` rule; with
-    no coordinate pinned every point is in it.  ``meta`` is the measure's
-    ``om_meta``.
+    The mean is the anchor and unique minimiser.  Off the domain
+    (``measures._in_range``) the value is +inf.  ``meta`` is the
+    measure's ``om_meta``.
     """
     mean, basis, pinned = mu.mean, mu.basis, mu.pinned
     centred = not np.any(mean)  # then the subtraction is skipped
@@ -96,31 +99,16 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
     inv_scale = 1.0 / mu.scale[free]
     neg_log_density = mu.factor.neg_log_density
 
-    def coords(pts: np.ndarray) -> np.ndarray:
-        d = pts if centred else pts - mean
-        return d if basis is None else d @ basis
-
-    def in_range(c: np.ndarray) -> np.ndarray:
-        if not degenerate:
-            return np.ones(len(c), dtype=bool)
-        scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
-        return np.max(np.abs(c[:, pinned]), axis=1) <= RANGE_ATOL * scale
-
     def kernel(pts: np.ndarray) -> np.ndarray:
-        c = coords(pts)
-        out = neg_log_density(c[:, free] if degenerate else c, inv_scale)
-        if degenerate:
-            out[~in_range(c)] = math.inf
+        d = pts if centred else pts - mean
+        c = d if basis is None else d @ basis
+        if not degenerate:
+            return neg_log_density(c, inv_scale)
+        out = neg_log_density(c[:, free], inv_scale)
+        out[~_in_range(c, pinned)] = math.inf
         return out
 
-    def value(u) -> float:
-        return float(kernel(_as_vector(u, mu.dim)[None, :])[0])
-
-    def inside(u) -> bool:
-        return bool(in_range(coords(_as_vector(u, mu.dim)[None, :]))[0])
-
-    return OmFunctional(eval=value, domain_test=inside, anchor=mean, meta=dict(mu.om_meta),
-                        kernel=kernel)
+    return OmFunctional(kernel, mean, dict(mu.om_meta))
 
 
 def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float:
@@ -139,35 +127,24 @@ def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float
 def density_om(measure: Density1D, anchor: float) -> OmFunctional:
     """Negative log density of a 1-d measure, up to an additive constant."""
 
-    def inside(u) -> bool:
-        x = float(np.asarray(u).reshape(()))
-        return measure.pdf(x) > 0
-
-    def value(u) -> float:
-        x = float(np.asarray(u).reshape(()))
+    def value(x: float) -> float:
         p = measure.pdf(x)
         return -math.log(p) if p > 0 else math.inf
 
-    return OmFunctional(eval=value, domain_test=inside,
-                        anchor=np.atleast_1d(float(anchor)),
-                        meta={"kind": "density1d"})
+    return OmFunctional(lambda pts: np.array([value(float(x)) for x in pts[:, 0]]),
+                        anchor, {"kind": "density1d"})
 
 
 def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:
-    """Add a real-valued potential to a prior functional.
+    """Add a real-valued potential ``phi``, any callable, to a prior
+    functional, one point at a time.  The domain is unchanged."""
 
-    The domain is unchanged.  ``phi`` may be a bare callable or carry an
-    ``eval`` attribute.
-    """
-    phi_eval = getattr(phi, "eval", phi)
-
-    def value(u) -> float:
+    def value(u: np.ndarray) -> float:
         base = prior_om.eval(u)
-        return base if math.isinf(base) else base + float(phi_eval(u))
+        return base if math.isinf(base) else base + float(phi(u))
 
-    return OmFunctional(eval=value, domain_test=prior_om.domain_test,
-                        anchor=prior_om.anchor,
-                        meta={**prior_om.meta, "reweighted": True})
+    return OmFunctional(lambda pts: np.array([value(u) for u in pts]), prior_om.anchor,
+                        {**prior_om.meta, "reweighted": True})
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,25 @@ class TestRun:
         ({"kind": "counterexample", "name": "om_not_strong", "params": {"levels": "x"}},
          "'levels'"),
         ({"kind": "counterexample", "name": "crosses", "params": {"r": "x"}}, "'r'"),
+        ({"kind": "perturbation", "perturb": "data",
+          "prior": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]},
+          "observation": {"matrix": [[1.0]], "noise_cov": [1.0], "data": [1.0]},
+          "indices": [], "data_direction": [1.0]}, "indices"),
+        ({"kind": "gamma_check",
+          "family": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]},
+          "indices": []}, "indices"),
+        ({"kind": "counterexample", "name": "om_not_strong", "params": {"n_dip": 0}}, "n_dip"),
+        ({"kind": "counterexample", "name": "om_not_strong", "params": {"n_dip": 40}},
+         "n_dip"),
+        ({"kind": "counterexample", "name": "mixture", "params": {"kl_t_values": [0, 0.1]}},
+         "kl_t_values"),
+        ({"kind": "counterexample", "name": "mixture", "params": {"kl_t_values": [0.1]}},
+         "kl_t_values"),
     ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param",
             "wrong-type-spike-n", "wrong-type-mixture-t", "wrong-type-norm-p",
             "wrong-type-kl-sigmas", "wrong-type-spike-n-values", "wrong-type-om-not-strong-levels",
-            "wrong-type-crosses-r"])
+            "wrong-type-crosses-r", "empty-perturbation-indices", "empty-gamma-check-indices",
+            "zero-n-dip", "n-dip-beyond-levels", "zero-kl-tilt", "one-kl-tilt"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2

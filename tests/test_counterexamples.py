@@ -313,9 +313,23 @@ class TestCrosses:
         for norm in ("1", "inf"):
             m = CrossesMeasure(norm)
             for c in (E1, -E1):
-                for r in (0.05, 0.2, 0.4):
+                for r in (0.05, 0.2, 0.4, *np.linspace(0.01, 0.5, 50)):
                     assert m.mass(c, r) == pytest.approx(
-                        crosses_ball_masses(m, c, r), abs=1e-10)
+                        crosses_ball_masses(m, c, r), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("norm", ["1", "inf"])
+    def test_mass_matches_a_dense_grid_chord(self, norm):
+        # the share of a fine grid on each segment that lies in the ball
+        m, rng = CrossesMeasure(norm), np.random.default_rng(3)
+        reduce = np.sum if norm == "1" else np.max
+        t = (np.arange(200_000) + 0.5) / 200_000
+        for _ in range(20):
+            c, r = rng.uniform(-2.0, 2.0, 2), float(rng.uniform(0.05, 1.5))
+            want = 0.0
+            for a, b in m.segments():
+                dist = reduce(np.abs(a + t[:, None] * (b - a) - c), axis=1)
+                want += float(np.linalg.norm(b - a)) * np.mean(dist < r)
+            assert m.mass(c, r) == pytest.approx(want, abs=1e-4)
 
     def test_om_difference_sign_flip(self):
         d1 = crosses_om_difference("1")

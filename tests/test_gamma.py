@@ -113,10 +113,7 @@ def spike_sequence():
 
 
 def step_sequence():
-    def step(u):
-        return 1.0 if float(np.asarray(u).reshape(())) >= 0 else 0.0
-
-    fn = OmFunctional(eval=step, domain_test=lambda u: True, anchor=np.array([-1.0]))
+    fn = OmFunctional(lambda pts: np.where(pts[:, 0] >= 0, 1.0, 0.0), np.array([-1.0]))
     return FunctionalSequence(list(range(1, 17)), [fn] * 16, fn)
 
 

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, GaussianMeasure,
-                   InputError, LiminfOnlyMeasure, OmFunctional, OmNotStrongMeasure,
+                   InputError, LiminfOnlyMeasure, LinearObservation, OmFunctional,
+                   OmNotStrongMeasure,
                    ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace, ball_mass,
                    ball_ratio_curve, classify_mode, density_om,
                    in_range_sqrt, m_property_probe, om_difference_check, posterior_om,
-                   prior_om, radius_schedule, sqrt_pinv_apply, sup_ball_mass, weighted_norm)
+                   prior_om, quadratic_potential, radius_schedule, sqrt_pinv_apply,
+                   sup_ball_mass, weighted_norm)
 from ommap import om
-from ommap.counterexamples import _om_not_strong_ball_mass, _spike_density1d
+from ommap.counterexamples import (_mixture_density1d, _om_not_strong_ball_mass,
+                                   _spike_density1d)
 
 
 def std_gaussian(k):
@@ -136,7 +139,6 @@ class TestBatchValues:
     def test_loop_fallback_matches_eval(self):
         box = Density1D(pdf=lambda x: 1.0 if 0.0 <= x <= 1.0 else 0.0, support=((0.0, 1.0),))
         fn = density_om(box, anchor=0.5)
-        assert fn.kernel is None
         pts = np.array([[0.2], [0.9], [1.5], [-0.1]])
         np.testing.assert_array_equal(fn.values(pts), [0.0, 0.0, math.inf, math.inf])
         spike = density_om(_spike_density1d(5), anchor=0.2)
@@ -251,9 +253,8 @@ class TestMPropertyProbe:
 
     def test_oscillating_measure_along_special_radii(self):
         m = LiminfOnlyMeasure(depth=40)
-        fn = OmFunctional(eval=lambda u: 0.0 if abs(float(np.asarray(u).reshape(())) - 1.0) < 1e-12 else math.inf,
-                          domain_test=lambda u: abs(float(np.asarray(u).reshape(())) - 1.0) < 1e-12,
-                          anchor=np.array([1.0]))
+        fn = OmFunctional(lambda pts: np.where(np.abs(pts[:, 0] - 1.0) < 1e-12, 0.0, math.inf),
+                          np.array([1.0]))
         radii = np.array([m.delta_radius(n) for n in range(1, 13)])
         rep = m_property_probe(m, fn, [np.array([-1.0])], radii)
         entry = rep.entries[0]
@@ -471,3 +472,66 @@ class TestDensityFunctional:
         x = 0.7
         assert fn(np.array([x])) == pytest.approx(-math.log(d.pdf(x)))
         assert fn(np.array([-30.0])) > 100 or math.isinf(fn(np.array([-30.0])))
+
+
+def _rotated_gaussian(k, n_pinned, seed):
+    rng = np.random.default_rng(seed)
+    eig = rng.uniform(0.5, 2.0, k)
+    eig[:n_pinned] = 0.0
+    basis = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    return GaussianMeasure(rng.normal(size=k), SpectralOperator(eig, basis))
+
+
+def _conformance_cases():
+    """(functional, points) for every functional constructor, the points
+    on and off its domain."""
+    rng = np.random.default_rng(12)
+    aligned = GaussianMeasure(rng.normal(size=4), SpectralOperator(rng.uniform(0.5, 2.0, 4)))
+    rotated, degenerate = _rotated_gaussian(4, 0, 1), _rotated_gaussian(4, 2, 2)
+    besov = BesovMeasure(1.1, 1, 1.0, 6)
+    on_degenerate = degenerate.mean + np.array([degenerate.cov.sqrt_apply(g)
+                                                for g in rng.normal(size=(6, 4))])
+    obs = LinearObservation(rng.normal(size=(2, 4)), SpectralOperator(np.ones(2)),
+                            rng.normal(size=2))
+    line = np.linspace(-3.0, 6.0, 37)[:, None]
+    integers = np.concatenate([line, np.arange(0.0, 33.0)[:, None], [[1.0 + 1e-10]]])
+    liminf = LiminfOnlyMeasure(depth=40)
+    return {
+        "gaussian-aligned": (prior_om(aligned), rng.normal(size=(12, 4))),
+        "gaussian-rotated": (prior_om(rotated), rng.normal(size=(12, 4))),
+        "gaussian-degenerate": (prior_om(degenerate),
+                                np.vstack([on_degenerate, rng.normal(size=(6, 4))])),
+        "besov1": (prior_om(besov), rng.laplace(scale=besov.gamma, size=(12, 6))),
+        "density-mixture": (density_om(_mixture_density1d(0.05), anchor=5.0), line * 10.0),
+        "density-spike": (density_om(_spike_density1d(5), anchor=0.2), line),
+        "posterior": (posterior_om(prior_om(degenerate), quadratic_potential(obs)),
+                      np.vstack([on_degenerate, rng.normal(size=(6, 4))])),
+        "liminf-only": (prior_om(liminf), np.vstack([line, [[1.0]]])),
+        "om-not-strong": (OmNotStrongMeasure().om_functional(), integers),
+        # sum_rule_check sums a family member and a bare callable this way
+        "sum-rule-member": (posterior_om(prior_om(besov), lambda u: float(np.sin(u[0]))),
+                            rng.laplace(scale=besov.gamma, size=(12, 6))),
+    }
+
+
+#: product priors evaluate a batch by one matrix product, whose sums may
+#: round differently from those of a one-row product
+_BATCHED = ("gaussian-aligned", "gaussian-rotated", "gaussian-degenerate", "besov1")
+
+
+@pytest.mark.parametrize("name", list(_conformance_cases()))
+def test_eval_values_and_domain_test_derive_from_one_kernel(name):
+    fn, pts = _conformance_cases()[name]
+    one_by_one = np.array([fn.eval(u) for u in pts])
+    got = fn.values(pts)
+    assert got.shape == (len(pts),) and got.dtype == float
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(one_by_one))
+    if name in _BATCHED:
+        np.testing.assert_allclose(got, one_by_one, rtol=1e-12, atol=0)
+    else:
+        np.testing.assert_array_equal(got, one_by_one)
+    assert [fn.domain_test(u) for u in pts] == [math.isfinite(v) for v in one_by_one]
+    assert math.isfinite(fn.eval(fn.anchor))
+    assert fn(pts[0]) == fn.eval(pts[0])
+    if name in ("gaussian-degenerate", "posterior", "liminf-only", "om-not-strong"):
+        assert not np.all(np.isfinite(one_by_one)), "no off-domain point in the case"

@@ -1,8 +1,8 @@
 """Conformance of every product prior to the product-prior protocol.
 
-Each prior exposes its product form to the measure layer, which gives
-it ``prior_om`` and ``sublevel_halfwidth``, and registers one rule per
-remaining operation (``recovery_sequence``, ``map_solve``, ...).  The
+Each prior exposes its product form, which gives it ``prior_om``,
+``sublevel_halfwidth`` and ``recovery_sequence``, and registers one rule
+per remaining operation (``map_solve``, ...).  The
 checks below run over ``PRIORS``, each against a formula or solver
 written out per type, independently of the code under test: a new
 product prior adds one ``PriorCase``.
@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from ommap import (BesovMeasure, GaussianMeasure, LinearObservation, ProductMeasure,
-                   ProxOpts, SpectralOperator, besov_recovery_sequence,
-                   coordinate_descent_weighted_l1, default_space, gaussian_recovery_sequence,
+                   ProxOpts, SpectralOperator, coordinate_descent_weighted_l1, default_space,
                    in_range_sqrt, map_solve, measure_from_json, measure_to_json, om_family,
                    prior_om, recovery_gap, recovery_sequence, sample, sqrt_pinv_apply,
                    sublevel_halfwidth)
@@ -34,7 +33,7 @@ class PriorCase:
     name: str
     build: Callable          # (k, shift) -> prior; shift = 0 gives the limit
     om: Callable             # (prior, u) -> the OM functional's value, written out per type
-    recovery: Callable       # per-type recovery sequence (mu_seq, mu_limit, u)
+    recovery: Callable       # (mu_seq, mu_limit, u) -> the recovery sequence, written out per type
     solve: Callable          # (prior, obs) -> the MAP point, by a per-type oracle
     map_tol: float           # distance allowed between map_solve and the oracle
     draws: Callable          # (prior, n, seed) -> draws, written out per type
@@ -66,6 +65,11 @@ def _gaussian(rotated: bool):
         w = sqrt_pinv_apply(mu.cov, d)
         return 0.5 * float(w @ w)
 
+    def recovery(mu_seq, mu, u):
+        # m_n + C_n^(1/2) C^(+1/2) (u - m)
+        v = sqrt_pinv_apply(mu.cov, u - mu.mean)
+        return [m.mean + m.cov.sqrt_apply(v) for m in mu_seq]
+
     def solve(mu, obs):
         # the conjugate posterior mean m + C O^T (O C O^T + Gamma)^(-1) (y - O m)
         basis = np.eye(mu.dim) if mu.cov.basis is None else mu.cov.basis
@@ -82,7 +86,7 @@ def _gaussian(rotated: bool):
 
     return PriorCase(
         "gaussian-rotated" if rotated else "gaussian-aligned", build, om,
-        gaussian_recovery_sequence, solve, 1e-12, draws, lambda mu: (2.0, np.ones(mu.dim)),
+        recovery, solve, 1e-12, draws, lambda mu: (2.0, np.ones(mu.dim)),
         maximiser)
 
 
@@ -94,6 +98,11 @@ def _besov_om(mu, u):
     return float(np.sum(np.abs(u) / mu.gamma))
 
 
+def _besov_recovery(mu_seq, mu, u):
+    # gamma_n u / gamma
+    return [m.gamma * (u / mu.gamma) for m in mu_seq]
+
+
 def _besov_maximiser(mu, t, k):
     return mu.gamma[k] * t * np.eye(mu.dim)[k]
 
@@ -102,7 +111,7 @@ PRIORS = [
     _gaussian(rotated=False),
     _gaussian(rotated=True),
     PriorCase("besov1", lambda k, shift: BesovMeasure(1.1 + shift, 1, 1.0, k), _besov_om,
-              besov_recovery_sequence, lambda mu, obs: coordinate_descent_weighted_l1(
+              _besov_recovery, lambda mu, obs: coordinate_descent_weighted_l1(
                   obs, mu.gamma), 1e-6, _besov_draws, lambda mu: (1.0, mu.delta),
               _besov_maximiser),
 ]
@@ -209,7 +218,7 @@ def test_recovery_gap_clips_a_negative_gap():
                for n in range(1, 9)]
     seq = om_family(members, limit)
     u = np.array([0.3, 0.8])
-    rec = gaussian_recovery_sequence(members, limit, u)
+    rec = recovery_sequence(limit, members, u)
     signed = max(seq.members[i].eval(rec[i]) - seq.limit.eval(u) for i in range(len(rec)))
     assert signed == pytest.approx(-0.32)
     assert recovery_gap(seq, u) == 0.0
