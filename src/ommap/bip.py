@@ -4,10 +4,11 @@ MAP estimators are computed as minimisers of potential + prior
 functional: a reduced normal-equations solve for linear observations
 under a Gaussian prior, and an accelerated proximal-gradient
 (soft-thresholding) iteration for the weighted-l1 functional of a
-Besov-1 prior.  ``map_solve`` and ``constrained_prior_minimum``
-dispatch on the prior's type.  The experiment drivers perturb data, potential, or
-prior along a schedule and track the MAP trajectory against the limit
-problem.
+Besov-1 prior, which stops on its optimality residual or, for a linear
+observation, on an exact solve over its settled support.
+``map_solve`` and ``constrained_prior_minimum`` dispatch on the prior's
+type.  The experiments perturb data, potential, or prior along a
+schedule and track the MAP trajectory against the limit problem.
 """
 
 from __future__ import annotations
@@ -135,23 +136,9 @@ def quadratic_potential(obs: LinearObservation) -> Potential:
         r = w_y - w_mat @ np.asarray(u, dtype=float)
         return -(w_mat.T @ r)
 
-    return Potential(eval=value, gradient=grad, dim=obs.n_unknown,
-                     lipschitz_grad=_power_iteration_norm(w_mat), name="quadratic-misfit")
-
-
-def _power_iteration_norm(w_mat: np.ndarray, iters: int = 10) -> float:
-    """Largest eigenvalue of W^T W estimated by a few power iterations."""
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(w_mat.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        w = w_mat.T @ (w_mat @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
+    lip = float(np.linalg.norm(w_mat, 2)) ** 2  # exact: the top eigenvalue of W^T W
+    return Potential(eval=value, gradient=grad, dim=obs.n_unknown, lipschitz_grad=lip,
+                     name="quadratic-misfit")
 
 
 def projected_potential(pot: Potential, n: int) -> Potential:
@@ -256,11 +243,21 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
                     opts: Optional[ProxOpts] = None) -> MapSolution:
     """Accelerated proximal gradient for pot(u) + sum_k |u_k| / gamma_k.
 
-    Backtracking line search from a power-iteration step estimate, with
-    function-value restarts; stops when the subdifferential optimality
-    residual drops below the tolerance.
+    Backtracking line search from the step 1 / ``pot.lipschitz_grad``,
+    with function-value restarts; stops when the subdifferential
+    optimality residual drops below the tolerance.
     """
-    opts = opts or ProxOpts()
+    return _proximal_solve(prior, pot, opts or ProxOpts())
+
+
+def _proximal_solve(prior: BesovMeasure, pot: Potential, opts: ProxOpts,
+                    polish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
+                    ) -> MapSolution:
+    """The loop of ``map_solve_besov``.  At a residual check that fails
+    with the sign pattern unchanged since the previous check,
+    ``polish(u)`` may propose a point; the run stops on it once its own
+    residual is below the tolerance.
+    """
     if pot.dim != prior.dim:
         raise InputError("potential and prior dimensions differ")
     if pot.gradient is None:
@@ -270,12 +267,17 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
     def full_obj(u):
         return pot.eval(u) + float(np.abs(u) @ inv_gamma)
 
+    def residual(u):
+        return kkt_residual(np.asarray(pot.gradient(u), dtype=float), u, inv_gamma)
+
     lip = pot.lipschitz_grad if pot.lipschitz_grad else 1.0
     step = 1.0 / max(lip, 1e-12)
     u = np.zeros(prior.dim)
     z = u.copy()
     t_acc = 1.0
     f_prev = full_obj(u)
+    solver = "fista-backtracking"
+    signs = None
     it = 0
     for it in range(1, opts.max_iter + 1):
         g = np.asarray(pot.gradient(z), dtype=float)
@@ -297,14 +299,19 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
         u = u_new
         t_acc = t_next
         if it % 10 == 0 or it == 1:
-            res = kkt_residual(np.asarray(pot.gradient(u), dtype=float), u, inv_gamma)
-            if res < opts.tol:
+            if residual(u) < opts.tol:
                 break
-    res = kkt_residual(np.asarray(pot.gradient(u), dtype=float), u, inv_gamma)
+            if polish is not None and np.array_equal(np.sign(u), signs):
+                candidate = polish(u)
+                if candidate is not None and residual(candidate) < opts.tol:
+                    u, solver = candidate, "fista+active-set-polish"
+                    break
+            signs = np.sign(u)
+    res = residual(u)
     flags = [] if res < opts.tol else ["not-converged"]
     if not np.all(np.isfinite(u)):
         raise NumericsError("proximal iteration produced non-finite values")
-    return MapSolution(u, full_obj(u), res, it, "fista-backtracking", tuple(flags))
+    return MapSolution(u, full_obj(u), res, it, solver, tuple(flags))
 
 
 _CD_MAX_SWEEPS = 10 ** 4
@@ -337,21 +344,20 @@ def coordinate_descent_weighted_l1(obs: LinearObservation, gamma: np.ndarray) ->
     return u
 
 
-def _active_set_polish(obs: LinearObservation, gamma: np.ndarray,
+def _active_set_polish(w_mat: np.ndarray, w_y: np.ndarray, inv_gamma: np.ndarray,
                        u: np.ndarray) -> Optional[np.ndarray]:
-    """Solve the stationarity system on the current support exactly.
+    """Solve the stationarity system of the whitened misfit (W, y) on
+    the support of u exactly.
 
     With the support and signs frozen, the optimality condition is
-    linear; the polished point is kept only when no sign flips, so the
-    subgradient certificate remains valid.
+    linear; the solution is returned only when no sign flips.
     """
     active = u != 0.0
     if not np.any(active):
         return None
-    w_mat, w_y = obs.whitened()
     signs = np.sign(u[active])
     a = w_mat[:, active]
-    rhs = a.T @ w_y - signs / np.asarray(gamma, dtype=float)[active]
+    rhs = a.T @ w_y - signs * inv_gamma[active]
     u_act = np.linalg.lstsq(a.T @ a, rhs, rcond=None)[0]
     if np.any(u_act * signs < 0):
         return None
@@ -365,32 +371,22 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
                            opts: Optional[ProxOpts] = None) -> MapSolution:
     """Besov-prior MAP for a linear observation, with a uniqueness flag.
 
-    Runs the proximal solver on the quadratic misfit, then solves the
-    stationarity system on the detected support exactly, which drives
-    the subdifferential residual to round-off where the first-order
-    iteration alone would crawl.  A polish that rescues a run stopped at
-    ``max_iter`` turns its ``not-converged`` flag into
-    ``polished-at=<iterations>``.  When requested, a coordinate-descent
-    pass restarted elsewhere flags solutions that land far away at
+    Runs the proximal solver on the quadratic misfit.  Once the sign
+    pattern holds between two residual checks, it also solves the
+    stationarity system on that support exactly, and stops with solver
+    ``fista+active-set-polish`` when that point's residual is below the
+    tolerance, where the first-order iteration alone would crawl.  A run
+    that reaches ``max_iter`` with neither certificate is flagged
+    ``not-converged``.  When requested, a coordinate-descent pass
+    restarted elsewhere flags solutions that land far away at
     numerically equal objective.
     """
     opts = opts or ProxOpts()
     pot = quadratic_potential(obs)
-    sol = map_solve_besov(prior, pot, opts)
+    w_mat, w_y = obs.whitened()
     inv_g = 1.0 / prior.gamma
-    polished = _active_set_polish(obs, prior.gamma, sol.point)
-    if polished is not None:
-        res_pol = kkt_residual(np.asarray(pot.gradient(polished), dtype=float),
-                               polished, inv_g)
-        if res_pol < sol.optimality_residual:
-            obj = pot.eval(polished) + float(np.abs(polished) @ inv_g)
-            flags = sol.flags
-            if res_pol < opts.tol:
-                # a rescued stall stays visible, with the iterations it ran
-                flags = tuple(f"polished-at={sol.iterations}" if f == "not-converged" else f
-                              for f in flags)
-            sol = MapSolution(polished, obj, res_pol, sol.iterations,
-                              "fista+active-set-polish", flags)
+    sol = _proximal_solve(prior, pot, opts,
+                          lambda u: _active_set_polish(w_mat, w_y, inv_g, u))
     if opts.check_uniqueness:
         alt = coordinate_descent_weighted_l1(obs, prior.gamma)
         obj_alt = pot.eval(alt) + float(np.abs(alt) @ inv_g)

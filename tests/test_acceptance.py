@@ -334,6 +334,7 @@ def test_criterion_10_map_transfer():
                worst_conj < 1e-10, f"worst={worst_conj:.2e}")]
 
     worst_cd, worst_kkt = 0.0, 0.0
+    iters, cap_hits = 0, 0
     for _ in range(100):
         k = int(rng.integers(2, 21))
         j = int(rng.integers(1, 11))
@@ -345,6 +346,8 @@ def test_criterion_10_map_transfer():
         obs = observation(o_mat, rng.uniform(0.5, 2.0, j), y)
         prior = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, k)
         sol = map_solve_besov_linear(prior, obs, ProxOpts(tol=1e-9))
+        iters += sol.iterations
+        cap_hits += sol.iterations >= ProxOpts().max_iter
         pot = quadratic_potential(obs)
         worst_kkt = max(worst_kkt,
                         kkt_residual(pot.gradient(sol.point), sol.point,
@@ -355,6 +358,9 @@ def test_criterion_10_map_transfer():
                    worst_cd < 1e-6, f"worst={worst_cd:.2e}"))
     checks.append(("besov MAP KKT residual < 1e-8", worst_kkt < 1e-8,
                    f"worst={worst_kkt:.2e}"))
+    checks.append(("besov MAP stops on a certificate: <= 10^4 FISTA iterations in all, "
+                   "none at max_iter", iters <= 10_000 and cap_hits == 0,
+                   f"iterations={iters}, max_iter hits={cap_hits}"))
 
     prior = GaussianMeasure(np.zeros(3), SpectralOperator(np.ones(3)))
     obs = observation(np.eye(3), 10.0 * np.ones(3), np.array([1.0, -0.5, 0.3]))

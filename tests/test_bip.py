@@ -215,21 +215,38 @@ class TestBesovSolver:
                                                 [2.0, 1.0]), opts)
         assert "non-unique-minimiser" not in distinct.flags
 
-    def test_rescued_stall_stays_visible(self):
-        # FISTA stops at max_iter = 20 and the active-set polish reaches the
-        # tolerance: the solution is certified and the stall still shows
+    def test_stops_on_active_set_certificate(self):
+        # a sparse problem drawn like acceptance criterion 10 on which plain
+        # FISTA crawls to max_iter = 10^5: the exact solve on the settled
+        # support certifies the minimiser within a few residual checks
+        rng = np.random.default_rng(17)
+        o = rng.normal(size=(5, 8))
+        u_true = np.zeros(8)
+        nnz = int(rng.integers(1, 5))
+        u_true[rng.choice(8, nnz, replace=False)] = rng.normal(size=nnz) * 2
+        y = o @ u_true + 0.1 * rng.normal(size=5)
+        obs = observation(o, rng.uniform(0.5, 2.0, 5), y)
+        prior = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, 8)
+        sol = map_solve_besov_linear(prior, obs)
+        assert sol.iterations <= 200
+        assert sol.solver == "fista+active-set-polish"
+        assert sol.flags == ()
+        res = kkt_residual(quadratic_potential(obs).gradient(sol.point), sol.point,
+                           1.0 / prior.gamma)
+        assert res == sol.optimality_residual < ProxOpts().tol
+        np.testing.assert_allclose(sol.point, cd_oracle(obs, prior.gamma), atol=1e-6)
+
+    def test_genuine_stall_stays_visible(self):
         prior, obs = random_problem(np.random.default_rng(6), 6, 4, prior="besov")
+        # the generic solver has no second certificate
         opts = ProxOpts(max_iter=20)
         assert map_solve_besov(prior, quadratic_potential(obs), opts).flags == ("not-converged",)
-        stalled = map_solve_besov_linear(prior, obs, opts)
-        assert stalled.solver == "fista+active-set-polish"
-        assert stalled.optimality_residual < opts.tol
-        assert stalled.iterations == 20
-        assert stalled.flags == ("polished-at=20",)
-        # the same problem converges well before the default cap: no flag
-        converged = map_solve_besov_linear(prior, obs)
-        assert converged.iterations < ProxOpts().max_iter
-        assert converged.flags == ()
+        # one residual check: no sign pattern to compare, so no polish
+        stalled = map_solve_besov_linear(prior, obs, ProxOpts(max_iter=1))
+        assert stalled.solver == "fista-backtracking"
+        assert stalled.iterations == 1
+        assert stalled.optimality_residual >= ProxOpts().tol
+        assert stalled.flags == ("not-converged",)
 
     def test_gradient_required(self):
         prior = BesovMeasure(1.0, 1, 1.0, 2)
