@@ -544,11 +544,11 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
             raise InputError(f"component index {k} beyond the truncation level")
     # one mass table: the masses at 1 are shared by every curve
     space = default_space(measure)
-    table, method, rng = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
-                                         radii, space, ropts)
+    table, method = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
+                                    radii, space, ropts)
     limits, rel_errors = {}, {}
     for row, k in enumerate(ks, start=1):
-        curve = _ratio_estimate(table[0], table[row], radii, space, method, ropts, rng)
+        curve = _ratio_estimate(table[0], table[row], radii, space, method, ropts)
         limits[k] = curve.extrapolated_limit
         rel_errors[k] = abs(curve.extrapolated_limit - k ** 2) / k ** 2
 

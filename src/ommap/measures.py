@@ -328,7 +328,6 @@ class RatioOpts:
     n_batches: int = 20
     fit_points: int = 5           # smallest radii used in the fit
     fit_in: str = "r"             # "r" | "sqrt_r": abscissa of the log-ratio fit
-    n_boot: int = 400
     closed: bool = False
     seed: int = 0
 
@@ -790,13 +789,15 @@ def _density1d_ball_mass(measure: Density1D, center, radius, space=None, opts=No
 # ratio curves
 # ---------------------------------------------------------------------------
 
-def _fit_limit(radii, ratios, stderrs, opts: RatioOpts, rng) -> dict:
+def _fit_limit(radii, ratios, stderrs, opts: RatioOpts) -> dict:
     """Extrapolate log-ratio to r -> 0 over the smallest radii.
 
-    Fits log(ratio) linearly against r (or sqrt r) and reports the
-    exponentiated intercept; a parametric bootstrap over the per-radius
-    standard errors gives the confidence interval, widened by the rms
-    fit residual to account for model error.
+    Fits log(ratio) linearly against r (or sqrt r), or by a constant when
+    there is one radius, and reports the exponentiated intercept.  The
+    intercept is linear in the log ratios, so its standard deviation is
+    exact: se_fit = sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the fit's
+    pseudoinverse.  The interval exp(c0 -+ (1.96 se_fit + 2 se_model))
+    widens it by twice the rms fit residual to account for model error.
     """
     n_fit = min(opts.fit_points, len(radii))
     idx = np.argsort(radii)[:n_fit]
@@ -807,27 +808,19 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts, rng) -> dict:
         return {"limit": float("nan"), "ci": (float("nan"), float("nan")),
                 "se_model": float("nan"), "se_limit": float("nan"),
                 "diagnostic": "nonpositive-ratios-in-fit-window"}
-    if n_fit < 2:
-        half = 1.96 * float(se[0])
-        return {"limit": float(y[0]), "ci": (float(y[0]) - half, float(y[0]) + half),
-                "se_model": 0.0, "se_limit": float(se[0]),
-                "diagnostic": "single-radius-no-extrapolation"}
     x = np.sqrt(r) if opts.fit_in == "sqrt_r" else r
     logy = np.log(y)
-    se_log = np.where(y > 0, se / y, 0.0)
-    a = np.column_stack([np.ones_like(x), x])
+    a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
     coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
     resid = logy - a @ coef
     se_model = float(np.sqrt(np.mean(resid ** 2)))
-    noise = rng.standard_normal((opts.n_boot, n_fit)) * se_log
-    boots = np.linalg.lstsq(a, (logy + noise).T, rcond=None)[0][0]
-    se_boot = float(np.std(boots, ddof=1)) if opts.n_boot > 1 else 0.0
-    lo = float(np.percentile(boots, 2.5)) - 2.0 * se_model
-    hi = float(np.percentile(boots, 97.5)) + 2.0 * se_model
-    se_total = math.hypot(se_boot, se_model)
+    p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
+    se_fit = float(np.sqrt(np.sum((p0 * se / y) ** 2)))
+    half = 1.96 * se_fit + 2.0 * se_model
     limit = float(math.exp(coef[0]))
-    return {"limit": limit, "ci": (math.exp(lo), math.exp(hi)),
-            "se_model": se_model, "se_limit": limit * se_total, "diagnostic": None}
+    return {"limit": limit, "ci": (math.exp(coef[0] - half), math.exp(coef[0] + half)),
+            "se_model": se_model, "se_limit": limit * math.hypot(se_fit, se_model),
+            "diagnostic": "single-radius-no-extrapolation" if n_fit == 1 else None}
 
 
 def _ball_opts(opts: RatioOpts) -> BallOpts:
@@ -838,33 +831,32 @@ def _ball_opts(opts: RatioOpts) -> BallOpts:
 
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
                     opts: RatioOpts) -> tuple:
-    """Per-batch log masses, shape (n_centers, n_radii, n_batches), their
-    method and the ratio-curve generator they drew from: one exact batch
-    where a closed form or quadrature exists, else common-random-number
-    Monte Carlo with every center on the same draws."""
+    """Per-batch log masses, shape (n_centers, n_radii, n_batches), and
+    their method: one exact batch where a closed form or quadrature
+    exists, else common-random-number Monte Carlo with every center on
+    the same draws."""
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be positive and strictly decreasing")
-    rng = child_rng(opts.seed, "ratio-curve")
     if not isinstance(measure, ProductMeasure):
         # registered example measures provide closed forms via ball_mass
         bopts = _ball_opts(opts)
         with np.errstate(divide="ignore"):
             table = np.log([[ball_mass(measure, c, float(r), space, bopts).estimate
                              for r in radii] for c in centers])
-        return table[:, :, None], "closed-form", rng
+        return table[:, :, None], "closed-form"
     if not (np.all(measure.pinned) or _factorises(measure, space)):
         return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples,
-                                 opts.n_batches, rng, opts.closed), "monte-carlo", rng)
+                                 opts.n_batches, child_rng(opts.seed, "ratio-curve"),
+                                 opts.closed), "monte-carlo")
     _check_space(measure, space)
     centers = [_as_vector(c, space.dim) for c in centers]
     table = np.array([[_product_exact_log_mass(measure, c, float(r), space, opts.closed)
                        for r in radii] for c in centers])
-    return table[:, :, None], "closed-form", rng
+    return table[:, :, None], "closed-form"
 
 
 def _ratio_estimate(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
-                    space: WeightedSeqSpace, method: str, opts: RatioOpts,
-                    rng: np.random.Generator) -> BallRatioEstimate:
+                    space: WeightedSeqSpace, method: str, opts: RatioOpts) -> BallRatioEstimate:
     """Ratio curve of two mass-table rows, with the standard errors of the
     per-batch ratios (0 for one exact batch) and the extrapolated limit."""
     log1, log2 = _log_mean_exp(log_num), _log_mean_exp(log_den)
@@ -872,15 +864,14 @@ def _ratio_estimate(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     with np.errstate(invalid="ignore", over="ignore"):
         rb = np.where(np.isneginf(log_den), np.nan, np.exp(log_num - log_den))
         ratios = np.where(outside, np.nan, np.exp(log1 - log2))
-    ses = np.array([
-        float(np.nanstd(rb[i], ddof=1) / math.sqrt(np.sum(np.isfinite(rb[i]))))
-        if np.sum(np.isfinite(rb[i])) > 1 else 0.0
-        for i in range(len(radii))
-    ])
+    count = np.sum(np.isfinite(rb), axis=1)
+    k = count > 1
+    ses = np.zeros(len(radii))
+    ses[k] = np.nanstd(rb[k], axis=1, ddof=1) / np.sqrt(count[k])
     ses = np.nan_to_num(ses)
     diagnostic = "x2 outside support" if np.any(outside) else None
 
-    fit = _fit_limit(radii, ratios, ses, opts, rng)
+    fit = _fit_limit(radii, ratios, ses, opts)
     return BallRatioEstimate(
         radii=radii, ratios=ratios, stderr=ses,
         extrapolated_limit=fit["limit"], ci=fit["ci"], method=method,
@@ -902,8 +893,8 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)
     space = space or default_space(measure)
-    table, method, rng = _log_mass_table(measure, [x1, x2], radii, space, opts)
-    return _ratio_estimate(table[0], table[1], radii, space, method, opts, rng)
+    table, method = _log_mass_table(measure, [x1, x2], radii, space, opts)
+    return _ratio_estimate(table[0], table[1], radii, space, method, opts)
 
 
 @dataclass(frozen=True)

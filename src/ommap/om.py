@@ -359,7 +359,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     # mass shares the candidate's draws
     heaviest = _heaviest_center(measure, space)
     rows = points if heaviest is None else points + [heaviest]
-    table, method, rng = _log_mass_table(measure, rows, radii, space, opts.ratio)
+    table, method = _log_mass_table(measure, rows, radii, space, opts.ratio)
     masses = np.exp(table)
     est, se = masses.mean(axis=2), np.zeros(table.shape[:2])
     if table.shape[2] > 1:  # Monte Carlo batches
@@ -414,7 +414,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     for j in range(1, len(points)):
         if np.array_equal(points[j], cand):
             continue
-        curve = _ratio_estimate(table[j], table[0], radii, space, method, opts.ratio, rng)
+        curve = _ratio_estimate(table[j], table[0], radii, space, method, opts.ratio)
         vals = curve.ratios[window]
         vals = vals[np.isfinite(vals)]
         limsup_est = max(float(np.max(vals, initial=0.0)),

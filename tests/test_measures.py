@@ -257,6 +257,55 @@ class TestRatioCurve:
         half = 0.5 * (cur.ci[1] - cur.ci[0])
         assert abs(cur.extrapolated_limit - expected) < max(3 * cur.se_limit, half) + 1e-4
 
+    def test_interval_is_the_exact_intercept_variance(self):
+        # the intercept of the log-ratio fit is linear in the log ratios, so
+        # its sd is sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the pseudoinverse
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([2.0, 0.5])))
+        mc = ball_ratio_curve(mu, np.array([0.5, 0.2]), np.array([-0.3, 0.1]),
+                              radius_schedule(0.2, 10), WeightedSeqSpace.unweighted(2.0, 2),
+                              RatioOpts(n_samples=40_000, seed=11))
+        besov = BesovMeasure(1.0, 1, 1.0, 4)
+        exact = ball_ratio_curve(besov, np.array([0.3, -0.2, 0.1, 0.0]), np.zeros(4),
+                                 radius_schedule(0.5, 8), WeightedSeqSpace(math.inf, np.ones(4)))
+        assert mc.method == "monte-carlo" and exact.method == "closed-form"
+        for cur in (mc, exact):
+            idx = np.argsort(cur.radii)[:5]
+            a = np.column_stack([np.ones(5), cur.radii[idx]])
+            logy, se_log = np.log(cur.ratios[idx]), cur.stderr[idx] / cur.ratios[idx]
+            pinv = np.linalg.lstsq(a, np.eye(5), rcond=None)[0]
+            c0 = pinv[0] @ logy
+            se_fit = math.sqrt(np.sum((pinv[0] * se_log) ** 2))
+            se_model = math.sqrt(np.mean((logy - a @ (pinv @ logy)) ** 2))
+            assert se_model > 0
+            half = 1.96 * se_fit + 2.0 * se_model
+            np.testing.assert_allclose(cur.ci, np.exp([c0 - half, c0 + half]), rtol=1e-12)
+            assert cur.se_limit == pytest.approx(math.exp(c0) * math.hypot(se_fit, se_model),
+                                                 rel=1e-12)
+            if cur is mc:
+                assert se_fit > 10 * se_model
+                # what a parametric bootstrap of the intercept would estimate
+                noise = np.random.default_rng(0).standard_normal((200_000, 5)) * se_log
+                boots = np.linalg.lstsq(a, (logy + noise).T, rcond=None)[0][0]
+                assert np.std(boots, ddof=1) == pytest.approx(se_fit, rel=0.02)
+            else:
+                assert se_fit == 0.0
+
+    def test_single_radius_interval_stays_positive(self):
+        # one radius: a degree-0 fit, ci = exp(log y -+ 1.96 se / y)
+        mu = BesovMeasure(1, 1, 1, 20)
+        x1 = np.zeros(20)
+        x1[:3] = [0.8, -0.6, 0.5]
+        cur = ball_ratio_curve(mu, x1, np.zeros(20), [1.5], WeightedSeqSpace.unweighted(2.0, 20),
+                               RatioOpts(n_samples=400, n_batches=8, seed=8))
+        y, se = cur.ratios[0], cur.stderr[0]
+        assert se / y > 0.5  # wide enough that y - 1.96 se < 0
+        assert cur.diagnostic == "single-radius-no-extrapolation"
+        assert cur.extrapolated_limit == pytest.approx(y, rel=1e-15)
+        assert cur.ci[0] > 0
+        np.testing.assert_allclose(cur.ci, y * np.exp([-1.96 * se / y, 1.96 * se / y]),
+                                   rtol=1e-12)
+        assert cur.se_limit == pytest.approx(se, rel=1e-15)
+
 
     def test_besov_dim100_small_radii_no_underflow(self):
         # the masses themselves underflow (log mass ~ -1000 at the smallest

@@ -379,7 +379,7 @@ class TestSupremumPaths:
 
         monkeypatch.setattr(om, "_refined_sup_mass", spy)
         radii = radius_schedule(0.2, 2)
-        opts = ClassifyOpts(nm_iters=3, ratio=RatioOpts(n_samples=2000, n_batches=4, n_boot=20))
+        opts = ClassifyOpts(nm_iters=3, ratio=RatioOpts(n_samples=2000, n_batches=4))
         res = classify_mode(mu, mu.mean, [np.array([0.3, 0.0])], radii, sp, opts)
         assert searched == list(radii)
         assert res.caveat == om._SEARCH_CAVEAT
