@@ -124,9 +124,8 @@ class MapSolution:
                 "flags": list(self.flags)}
 
 
-def quadratic_potential(obs: LinearObservation) -> Potential:
-    """Half the squared whitened misfit."""
-    w_mat, w_y = obs.whitened()
+def _misfit(w_mat: np.ndarray, w_y: np.ndarray) -> tuple:
+    """Value, gradient and gradient Lipschitz constant of |w_y - W u|^2 / 2."""
 
     def value(u):
         r = w_y - w_mat @ np.asarray(u, dtype=float)
@@ -136,7 +135,12 @@ def quadratic_potential(obs: LinearObservation) -> Potential:
         r = w_y - w_mat @ np.asarray(u, dtype=float)
         return -(w_mat.T @ r)
 
-    lip = float(np.linalg.norm(w_mat, 2)) ** 2  # exact: the top eigenvalue of W^T W
+    return value, grad, float(np.linalg.norm(w_mat, 2)) ** 2  # exact: top eigenvalue of W^T W
+
+
+def quadratic_potential(obs: LinearObservation) -> Potential:
+    """Half the squared whitened misfit."""
+    value, grad, lip = _misfit(*obs.whitened())
     return Potential(eval=value, gradient=grad, dim=obs.n_unknown, lipschitz_grad=lip,
                      name="quadratic-misfit")
 
@@ -247,31 +251,32 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
     with function-value restarts; stops when the subdifferential
     optimality residual drops below the tolerance.
     """
-    return _proximal_solve(prior, pot, opts or ProxOpts())
-
-
-def _proximal_solve(prior: BesovMeasure, pot: Potential, opts: ProxOpts,
-                    polish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
-                    ) -> MapSolution:
-    """The loop of ``map_solve_besov``.  At a residual check that fails
-    with the sign pattern unchanged since the previous check,
-    ``polish(u)`` may propose a point; the run stops on it once its own
-    residual is below the tolerance.
-    """
     if pot.dim != prior.dim:
         raise InputError("potential and prior dimensions differ")
     if pot.gradient is None:
         raise InputError("the proximal solver needs a potential gradient")
+    return _proximal_solve(prior, (pot.eval, pot.gradient, pot.lipschitz_grad), opts or ProxOpts())
+
+
+def _proximal_solve(prior: BesovMeasure, misfit: tuple, opts: ProxOpts,
+                    polish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
+                    ) -> MapSolution:
+    """The loop of ``map_solve_besov`` on ``misfit`` = (value, gradient,
+    gradient Lipschitz constant or None).  At a residual check that fails
+    with the sign pattern unchanged since the previous check,
+    ``polish(u)`` may propose a point; the run stops on it once its own
+    residual is below the tolerance.
+    """
+    value, gradient, lip = misfit
     inv_gamma = 1.0 / prior.gamma
 
     def full_obj(u):
-        return pot.eval(u) + float(np.abs(u) @ inv_gamma)
+        return value(u) + float(np.abs(u) @ inv_gamma)
 
     def residual(u):
-        return kkt_residual(np.asarray(pot.gradient(u), dtype=float), u, inv_gamma)
+        return kkt_residual(np.asarray(gradient(u), dtype=float), u, inv_gamma)
 
-    lip = pot.lipschitz_grad if pot.lipschitz_grad else 1.0
-    step = 1.0 / max(lip, 1e-12)
+    step = 1.0 / max(lip or 1.0, 1e-12)
     u = np.zeros(prior.dim)
     z = u.copy()
     t_acc = 1.0
@@ -280,13 +285,13 @@ def _proximal_solve(prior: BesovMeasure, pot: Potential, opts: ProxOpts,
     signs = None
     it = 0
     for it in range(1, opts.max_iter + 1):
-        g = np.asarray(pot.gradient(z), dtype=float)
-        fz = pot.eval(z)
+        g = np.asarray(gradient(z), dtype=float)
+        fz = value(z)
         while True:
             u_new = _soft_threshold(z - step * g, step * inv_gamma)
             diff = u_new - z
             quad_model = fz + float(g @ diff) + float(diff @ diff) / (2.0 * step)
-            if pot.eval(u_new) <= quad_model + 1e-15 or step < 1e-18:
+            if value(u_new) <= quad_model + 1e-15 or step < 1e-18:
                 break
             step /= _BACKTRACK
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
@@ -379,17 +384,19 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
     that reaches ``max_iter`` with neither certificate is flagged
     ``not-converged``.  When requested, a coordinate-descent pass
     restarted elsewhere flags solutions that land far away at
-    numerically equal objective.
+    numerically equal objective.  The misfit's gradient is analytic and
+    skips the finite-difference check of a ``Potential``.
     """
+    if obs.n_unknown != prior.dim:
+        raise InputError("observation and prior dimensions differ")
     opts = opts or ProxOpts()
-    pot = quadratic_potential(obs)
     w_mat, w_y = obs.whitened()
-    inv_g = 1.0 / prior.gamma
-    sol = _proximal_solve(prior, pot, opts,
+    misfit, inv_g = _misfit(w_mat, w_y), 1.0 / prior.gamma
+    sol = _proximal_solve(prior, misfit, opts,
                           lambda u: _active_set_polish(w_mat, w_y, inv_g, u))
     if opts.check_uniqueness:
         alt = coordinate_descent_weighted_l1(obs, prior.gamma)
-        obj_alt = pot.eval(alt) + float(np.abs(alt) @ inv_g)
+        obj_alt = misfit[0](alt) + float(np.abs(alt) @ inv_g)
         if (np.linalg.norm(alt - sol.point) > _UNIQUENESS_POINT_TOL
                 and abs(obj_alt - sol.objective) <= _UNIQUENESS_OBJ_TOL):
             sol = replace(sol, flags=sol.flags + ("non-unique-minimiser",))

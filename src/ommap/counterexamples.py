@@ -34,9 +34,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .errors import InputError, ParameterError, RegimeError
-from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES,
-                       RatioOpts, _log_mass_table, _ratio_estimate, ball_mass, default_space,
-                       radius_schedule, sup_ball_mass)
+from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts,
+                       WeightedSeqSpace, _log_mass_table, _own_ball, _ratio_estimate,
+                       ball_mass, default_space, radius_schedule, sup_ball_mass)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -354,20 +354,6 @@ def liminf_only_ratios(measure: LiminfOnlyMeasure, n_max: int):
     return np.array(eps), np.array(delta)
 
 
-def _refuse_mc(measure, opts) -> None:
-    """The example measures have closed-form masses and no Monte Carlo path."""
-    if opts is not None and opts.method == "mc":
-        raise InputError(f"Monte Carlo ball masses need a product measure, "
-                         f"not a {type(measure).__name__}")
-
-
-@ball_mass.register(LiminfOnlyMeasure)
-def _liminf_ball_mass(measure: LiminfOnlyMeasure, center, radius, space=None, opts=None):
-    _refuse_mc(measure, opts)
-    c = float(np.asarray(center).reshape(()))
-    return BallMass(measure.mass(c, radius), 0.0, "closed-form")
-
-
 @prior_om.register(LiminfOnlyMeasure)
 def _liminf_om(measure: LiminfOnlyMeasure) -> OmFunctional:
     """Functional with the single domain point +1, against which the
@@ -471,14 +457,6 @@ class OmNotStrongMeasure:
 prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
 
 
-@ball_mass.register(OmNotStrongMeasure)
-def _om_not_strong_ball_mass(measure: OmNotStrongMeasure, center, radius,
-                             space=None, opts=None):
-    _refuse_mc(measure, opts)
-    c = float(np.asarray(center).reshape(()))
-    return BallMass(measure.mass(c, radius), 0.0, "closed-form")
-
-
 @sup_ball_mass.register(OmNotStrongMeasure)
 def _om_not_strong_sup_ball_mass(measure: OmNotStrongMeasure, radius, space=None, opts=None):
     """Largest ball mass over the centred balls B_r(k), k = 1..levels, for r < 1/4.
@@ -491,6 +469,7 @@ def _om_not_strong_sup_ball_mass(measure: OmNotStrongMeasure, radius, space=None
     most 1/4 from the plateau plus 1/32 + 1/8 from component 2, below
     mass(1, r) / norm_constant = sqrt(r) + r > 0.47.
     """
+    _own_ball(measure, radius, space, opts)
     if radius >= 0.25:
         return None
     best = max(measure.mass(float(k), radius) for k in range(1, measure.levels + 1))
@@ -591,6 +570,7 @@ class CrossesMeasure:
     """
 
     norm_choice: str = "1"  # "1" or "inf"
+    dim = 2  # a class constant, not a field: the crosses lie in the plane
 
     def __post_init__(self):
         if self.norm_choice not in ("1", "inf"):
@@ -605,8 +585,7 @@ class CrossesMeasure:
         return 1.0 if self.norm_choice == "1" else math.inf
 
     def default_space(self):
-        from .spaces import WeightedSeqSpace
-        return WeightedSeqSpace.unweighted(self.p, 2)
+        return WeightedSeqSpace.unweighted(self.p, self.dim)
 
     def segments(self):
         h = math.sqrt(0.5)
@@ -678,14 +657,12 @@ def crosses_om_difference(norm_choice: str) -> float:
     return -math.log(ratio)
 
 
+@ball_mass.register(LiminfOnlyMeasure)
+@ball_mass.register(OmNotStrongMeasure)
 @ball_mass.register(CrossesMeasure)
-def _crosses_ball_mass(measure: CrossesMeasure, center, radius, space=None, opts=None):
-    _refuse_mc(measure, opts)
-    if space is not None and not math.isclose(space.p, measure.p):
-        raise InputError("crosses masses must use the measure's own norm choice")
-    c = np.asarray(center, dtype=float)
-    if radius <= 0.5 and (np.array_equal(c, E1) or np.array_equal(c, -E1)):
-        return BallMass(crosses_ball_masses(measure, c, radius), 0.0, "closed-form")
+def _closed_form_ball_mass(measure, center, radius, space=None, opts=None):
+    """The example measure's exact ``mass``, in its own norm only."""
+    c = _own_ball(measure, radius, space, opts, center)
     return BallMass(measure.mass(c, radius), 0.0, "closed-form")
 
 

@@ -262,17 +262,13 @@ def besov_weights(s: float, d: int, eta: float, dim: int):
 
 @dataclass(frozen=True)
 class Density1D:
-    """Probability density on a union of intervals of the line.
-
-    ``mass_fn(center, radius)``, when provided, must return the exact
-    ball mass and is trusted over quadrature.  If ``total_mass`` is not
-    given, the density is integrated at construction and must be 1
-    within 1e-8.
+    """Probability density on a union of intervals of the line, whose ball
+    masses come from quadrature.  If ``total_mass`` is not given, the
+    density is integrated at construction and must be 1 within 1e-8.
     """
 
     pdf: Callable[[float], float]
     support: tuple
-    mass_fn: Optional[Callable[[float, float], float]] = None
     total_mass: Optional[float] = None
     name: str = ""
 
@@ -286,7 +282,10 @@ class Density1D:
             total = sum(quad(self.pdf, a, b, limit=200)[0] for a, b in sup)
             if abs(total - 1.0) > 1e-8:
                 raise ParameterError(f"density mass {total!r} differs from 1 beyond 1e-8")
-        xs = np.concatenate([np.linspace(a, b, 33)[1:-1] for a, b in sup])
+        # 31 points inside each interval, evenly spaced in arctan where it is unbounded
+        xs = np.concatenate([np.linspace(a, b, 33)[1:-1] if math.isfinite(b - a) else
+                             np.tan(np.linspace(math.atan(a), math.atan(b), 33)[1:-1])
+                             for a, b in sup])
         if min(self.pdf(float(x)) for x in xs) < 0:
             raise ParameterError("density is negative on its support")
 
@@ -680,12 +679,35 @@ def default_space(measure) -> WeightedSeqSpace:
 @singledispatch
 def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] = None,
               opts: Optional[BallOpts] = None) -> BallMass:
-    """mu(B_radius(center)) with a standard error.
+    """mu(B_radius(center)) with a standard error and the method that gave it.
 
-    Dispatches on the measure type; registered example measures install
-    their own closed forms.
+    Dispatches on the measure type; the measures off the product form
+    take balls of their own norm only (``_own_ball``).
     """
     raise InputError(f"no ball-mass rule for measure type {type(measure).__name__}")
+
+
+def _own_ball(measure, radius: float, space, opts, center=None):
+    """The check of every ball-mass rule off the product form.  It refuses
+    a radius <= 0, Monte Carlo, a centre of another dimension and any norm
+    but the measure's own: unweighted, of its ``dim`` (1 if it has none)
+    and of its ``p`` where it names one.  Returns the centre, if given, as
+    a float on the line; it reads ``space``'s fields and builds no space."""
+    name, dim, p = type(measure).__name__, getattr(measure, "dim", 1), getattr(measure, "p", None)
+    if radius <= 0:
+        raise InputError("ball radius must be positive")
+    if opts is not None and opts.method == "mc":
+        raise InputError(f"Monte Carlo ball masses need a product measure, not a {name}")
+    # the weights must be dim ones: a list compares them faster than numpy
+    if space is not None and (space.weights.tolist() != [1.0] * dim
+                              or (p is not None and space.p != p)):
+        raise InputError(f"a {name} takes balls of its own norm only, not {space}")
+    if center is None:
+        return None
+    c = np.asarray(center, dtype=float)
+    if c.size != dim or c.ndim > 1:
+        raise InputError(f"a {name} ball needs a centre in R^{dim}, got shape {c.shape}")
+    return float(c.reshape(())) if dim == 1 else c
 
 
 def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMass:
@@ -764,17 +786,10 @@ _QUAD_TOL = 1e-12  # absolute error goal of the quadrature over a ball
 
 @ball_mass.register(Density1D)
 def _density1d_ball_mass(measure: Density1D, center, radius, space=None, opts=None) -> BallMass:
-    """The ``mass_fn`` closed form where the density has one, else quadrature."""
-    if radius <= 0:
-        raise InputError("ball radius must be positive")
-    opts = opts or BallOpts()
-    if opts.method == "mc":
-        raise InputError("Monte Carlo ball masses need a product measure, not a 1-d density")
-    c = float(np.asarray(center).reshape(()))
-    if measure.mass_fn is not None:
-        return BallMass(float(measure.mass_fn(c, radius)), 0.0, "closed-form")
-    if opts.method == "exact":
-        raise InputError("no exact ball mass: the density has no mass_fn")
+    """Quadrature of the pdf over the ball; it has no ``method="exact"``."""
+    c = _own_ball(measure, radius, space, opts, center)
+    if opts is not None and opts.method == "exact":
+        raise InputError("no exact ball mass for a 1-d density: its masses come from quadrature")
     total, err = 0.0, 0.0
     for a, b in measure.support:
         lo, hi = max(a, c - radius), min(b, c + radius)
@@ -838,12 +853,12 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):
-        # registered example measures provide closed forms via ball_mass
+        # the other measures' own ball_mass rules, which name their method
         bopts = _ball_opts(opts)
+        masses = [[ball_mass(measure, c, float(r), space, bopts) for r in radii] for c in centers]
         with np.errstate(divide="ignore"):
-            table = np.log([[ball_mass(measure, c, float(r), space, bopts).estimate
-                             for r in radii] for c in centers])
-        return table[:, :, None], "closed-form"
+            table = np.log([[m.estimate for m in row] for row in masses])
+        return table[:, :, None], masses[0][0].method
     if not (np.all(measure.pinned) or _factorises(measure, space)):
         return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples,
                                  opts.n_batches, child_rng(opts.seed, "ratio-curve"),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ommap import bip
 from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    ParameterError, Potential, ProxOpts,
                    SpectralOperator, constrained_prior_minimum,
@@ -247,6 +248,18 @@ class TestBesovSolver:
         assert stalled.iterations == 1
         assert stalled.optimality_residual >= ProxOpts().tol
         assert stalled.flags == ("not-converged",)
+
+    def test_linear_solve_skips_the_finite_difference_check(self, monkeypatch):
+        # the solver's own misfit has an analytic gradient; a Potential that
+        # a caller or quadratic_potential builds is still checked
+        calls = []
+        central = bip._central_diff
+        monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
+        prior, obs = random_problem(np.random.default_rng(6), 6, 4, prior="besov")
+        map_solve_besov_linear(prior, obs, ProxOpts(check_uniqueness=True))
+        assert calls == []
+        quadratic_potential(obs)
+        assert len(calls) == 5
 
     def test_gradient_required(self):
         prior = BesovMeasure(1.0, 1, 1.0, 2)

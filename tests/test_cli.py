@@ -114,12 +114,19 @@ class TestRun:
          "kl_t_values"),
         ({"kind": "ball_ratio", "x1": [0.5], "x2": [0.0], "mc": {"n_boot": 100},
           "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "n_boot"),
+        ({"kind": "ball_ratio", "x1": [0.5, 0.0], "x2": [1.0], "radii": [0.1, 0.05],
+          "measure": {"type": "density1d", "name": "mixture", "params": {"t": 0.05}}},
+         "centre in R^1"),
+        ({"kind": "ball_ratio", "x1": [-1.0], "x2": [1.0], "radii": [0.1, 0.05],
+          "norm": {"p": 2, "weights": [3]},
+          "measure": {"type": "density1d", "name": "liminf_only"}}, "own norm"),
     ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param",
             "wrong-type-spike-n", "wrong-type-mixture-t", "wrong-type-norm-p",
             "wrong-type-kl-sigmas", "wrong-type-spike-n-values", "wrong-type-om-not-strong-levels",
             "wrong-type-crosses-r", "empty-perturbation-indices", "empty-gamma-check-indices",
             "zero-n-dip", "n-dip-beyond-levels", "zero-kl-tilt", "one-kl-tilt",
-            "removed-mc-n-boot"])
+            "removed-mc-n-boot", "density1d-centre-of-another-dimension",
+            "density1d-weighted-norm"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from ommap import (BallOpts, CrossesMeasure, GaussianPair1D, InputError, LiminfOnlyMeasure,
-                   MixtureFamily, OmNotStrongMeasure, ParameterError, RatioOpts,
+from ommap import (BallOpts, CrossesMeasure, Density1D, GaussianPair1D, InputError,
+                   LiminfOnlyMeasure, MixtureFamily, OmNotStrongMeasure, ParameterError, RatioOpts,
                    RegimeError, SpikeFamily, ball_ratio_curve, crosses_ball_masses,
                    crosses_om_difference, kl_gaussians, kl_gaussians_quadrature,
                    liminf_only_ratios, mixture_kl, mixture_kl_exponent, mixture_modes,
                    ball_mass, om_not_strong_suite, radius_schedule, spike_kl, spike_mode,
-                   sup_ball_mass)
+                   WeightedSeqSpace, default_space, sup_ball_mass)
 from ommap.counterexamples import E1, SQRT_2PI
+from ommap.measures import _log_mass_table
 
 
 class TestGaussianKL:
@@ -349,13 +350,73 @@ class TestCrosses:
         assert m.mass(arm_point, r) < m.mass(E1, r)
 
 
-@pytest.mark.parametrize("measure,center", [
-    (LiminfOnlyMeasure(), 1.0), (OmNotStrongMeasure(), 1.0), (CrossesMeasure("1"), E1),
-], ids=["liminf_only", "om_not_strong", "crosses"])
-def test_examples_refuse_monte_carlo(measure, center):
-    # closed forms only: a forced Monte Carlo mass is an error, as for Density1D
+@pytest.mark.parametrize("measure,center,method", [
+    (LiminfOnlyMeasure(), 1.0, "closed-form"), (OmNotStrongMeasure(), 1.0, "closed-form"),
+    (CrossesMeasure("1"), E1, "closed-form"),
+    (Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),)), 0.5, "quadrature"),
+], ids=["liminf_only", "om_not_strong", "crosses", "density1d"])
+def test_examples_refuse_monte_carlo(measure, center, method):
+    # balls of the measure's own norm only: a forced Monte Carlo mass, a
+    # weighted norm and a centre of another dimension are errors
     with pytest.raises(InputError, match="Monte Carlo"):
         ball_mass(measure, center, 0.1, None, BallOpts(method="mc"))
-    for method in ("auto", "exact"):
-        assert ball_mass(measure, center, 0.1, None, BallOpts(method=method)).method \
-            == "closed-form"
+    assert ball_mass(measure, center, 0.1, None, BallOpts(method="auto")).method == method
+    if method == "closed-form":
+        assert ball_mass(measure, center, 0.1, None, BallOpts(method="exact")).method == method
+    own = default_space(measure)
+    assert ball_mass(measure, center, 0.1, own).method == method
+    with pytest.raises(InputError, match="own norm"):
+        ball_mass(measure, center, 0.1, WeightedSeqSpace(own.p, 2.0 * own.weights))
+    with pytest.raises(InputError, match="own norm"):
+        ball_mass(measure, center, 0.1, WeightedSeqSpace.unweighted(own.p, own.dim + 1))
+    with pytest.raises(InputError, match="centre"):
+        ball_mass(measure, np.append(center, 0.0), 0.1)
+    with pytest.raises(InputError, match="positive"):
+        ball_mass(measure, center, 0.0)
+
+
+def test_crosses_refuse_the_other_norm():
+    # the 1-norm ball about e1 holds 4 r, a weighted or sup-norm one does not
+    m = CrossesMeasure("1")
+    for space in (WeightedSeqSpace.unweighted(math.inf, 2), WeightedSeqSpace(1.0, [2.0, 2.0])):
+        with pytest.raises(InputError, match="own norm"):
+            ball_mass(m, E1, 0.1, space)
+    with pytest.raises(InputError, match="centre"):
+        ball_mass(m, 1.0, 0.1)
+
+
+def test_om_not_strong_sup_rule_refuses_a_weighted_norm():
+    m = OmNotStrongMeasure(levels=6)
+    with pytest.raises(InputError, match="own norm"):
+        sup_ball_mass(m, 1e-3, WeightedSeqSpace(2.0, [3.0]))
+    with pytest.raises(InputError, match="Monte Carlo"):
+        sup_ball_mass(m, 1e-3, None, BallOpts(method="mc"))
+    assert sup_ball_mass(m, 1e-3, default_space(m)).estimate == \
+        max(m.mass(float(k), 1e-3) for k in range(1, 7))
+
+
+def _coords(lo, hi, dim):
+    return st.lists(st.floats(min_value=lo, max_value=hi), min_size=dim, max_size=dim)
+
+
+@pytest.mark.parametrize("measure,lo,hi,dim", [
+    (LiminfOnlyMeasure(depth=12), -1.5, 1.5, 1), (OmNotStrongMeasure(levels=6), 0.5, 6.5, 1),
+    (CrossesMeasure("1"), -2.5, 2.5, 2), (CrossesMeasure("inf"), -2.5, 2.5, 2),
+], ids=["liminf_only", "om_not_strong", "crosses-1", "crosses-inf"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_ball_mass_is_the_exact_mass(measure, lo, hi, dim, data):
+    # the shared rule adds nothing to mass(): bit for bit, as in the mass table
+    centers = [np.array(data.draw(_coords(lo, hi, dim))) for _ in range(2)]
+    radii = np.array(sorted(data.draw(st.lists(st.floats(min_value=1e-9, max_value=1.5),
+                                                min_size=1, max_size=4, unique=True)),
+                            reverse=True))
+    masses = np.array([[measure.mass(c if dim > 1 else float(c[0]), float(r)) for r in radii]
+                       for c in centers])
+    got = [[ball_mass(measure, c, float(r)).estimate for r in radii] for c in centers]
+    np.testing.assert_array_equal(got, masses)
+    table, method = _log_mass_table(measure, centers, radii, default_space(measure),
+                                    RatioOpts())
+    with np.errstate(divide="ignore"):
+        np.testing.assert_array_equal(table[:, :, 0], np.log(masses))
+    assert (table.shape[2], method) == (1, "closed-form")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,16 +188,30 @@ class TestBallMass:
 
     def test_density1d_refuses_what_it_cannot_do(self):
         plain = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),))
-        with_fn = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),),
-                            mass_fn=lambda c, r: min(c + r, 1.0) / 2 - max(c - r, -1.0) / 2)
-        for dens in (plain, with_fn):
-            with pytest.raises(InputError, match="Monte Carlo"):
-                ball_mass(dens, 0.0, 0.2, None, BallOpts(method="mc"))
-        with pytest.raises(InputError, match="mass_fn"):
+        with pytest.raises(InputError, match="Monte Carlo"):
+            ball_mass(plain, 0.0, 0.2, None, BallOpts(method="mc"))
+        with pytest.raises(InputError, match="quadrature"):
             ball_mass(plain, 0.0, 0.2, None, BallOpts(method="exact"))
         assert ball_mass(plain, 0.0, 0.2).method == "quadrature"
-        exact = ball_mass(with_fn, 0.0, 0.2, None, BallOpts(method="exact"))
-        assert (exact.method, exact.estimate) == ("closed-form", pytest.approx(0.2))
+
+    def test_density1d_curve_names_quadrature(self):
+        # the curve's masses come from quadrature, and it says so
+        dens = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),))
+        curve = ball_ratio_curve(dens, 0.0, 0.5, radius_schedule(0.2, 4))
+        assert curve.method == "quadrature"
+        np.testing.assert_allclose(curve.ratios, 1.0, rtol=1e-12)
+
+    def test_density1d_on_the_whole_line(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = Density1D(lambda x: 0.5 * math.exp(-abs(x)), ((-math.inf, math.inf),))
+        assert ball_mass(dens, 0.0, 1.0).estimate == pytest.approx(1.0 - math.exp(-1.0))
+
+    def test_density1d_negative_far_out_is_refused(self):
+        # negative beyond |x| > 5 only: the check must sample finite points there
+        with pytest.raises(ParameterError, match="negative"):
+            Density1D(lambda x: 0.5 * math.exp(-abs(x)) - (0.01 if abs(x) > 5.0 else 0.0),
+                      ((-math.inf, math.inf),), total_mass=1.0)
 
     def test_besov_coordinate_density_normalised(self):
         mu = BesovMeasure(1.2, 1, 0.7, 3)

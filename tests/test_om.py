@@ -15,7 +15,7 @@ from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, Gaussi
                    prior_om, quadratic_potential, radius_schedule, sqrt_pinv_apply,
                    sup_ball_mass, weighted_norm)
 from ommap import om
-from ommap.counterexamples import (_mixture_density1d, _om_not_strong_ball_mass,
+from ommap.counterexamples import (_closed_form_ball_mass, _mixture_density1d,
                                    _spike_density1d)
 
 
@@ -394,7 +394,7 @@ class _CountedOmNotStrong(OmNotStrongMeasure):
 @ball_mass.register(_CountedOmNotStrong)
 def _counted_ball_mass(measure, center, radius, space=None, opts=None):
     measure.calls.append((float(np.asarray(center).reshape(())), radius))
-    return _om_not_strong_ball_mass(measure, center, radius, space, opts)
+    return _closed_form_ball_mass(measure, center, radius, space, opts)
 
 
 def _liminf_case():
