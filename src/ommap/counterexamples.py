@@ -35,8 +35,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts,
-                       WeightedSeqSpace, _log_mass_table, _own_ball, _ratio_estimate,
-                       ball_mass, default_space, radius_schedule, sup_ball_mass)
+                       WeightedSeqSpace, _heaviest_centers, _log_mass_table, _own_ball,
+                       _ratio_estimate, ball_mass, default_space, radius_schedule)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -457,9 +457,9 @@ class OmNotStrongMeasure:
 prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
 
 
-@sup_ball_mass.register(OmNotStrongMeasure)
-def _om_not_strong_sup_ball_mass(measure: OmNotStrongMeasure, radius, space=None, opts=None):
-    """Largest ball mass over the centred balls B_r(k), k = 1..levels, for r < 1/4.
+@_heaviest_centers.register(OmNotStrongMeasure)
+def _om_not_strong_heaviest_centers(measure: OmNotStrongMeasure, space):
+    """The integers 1..levels, for r < 1/4.
 
     Each component is symmetric about k and non-increasing in |x - k|, so
     of the balls that meet only component k, B_r(k) has the most mass.
@@ -469,11 +469,7 @@ def _om_not_strong_sup_ball_mass(measure: OmNotStrongMeasure, radius, space=None
     most 1/4 from the plateau plus 1/32 + 1/8 from component 2, below
     mass(1, r) / norm_constant = sqrt(r) + r > 0.47.
     """
-    _own_ball(measure, radius, space, opts)
-    if radius >= 0.25:
-        return None
-    best = max(measure.mass(float(k), radius) for k in range(1, measure.levels + 1))
-    return BallMass(best, 0.0, "closed-form")
+    return tuple(np.array([float(k)]) for k in range(1, measure.levels + 1)), 0.25
 
 
 @dataclass(frozen=True)
@@ -549,8 +545,7 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
     cls_radii = np.sort(np.unique(np.concatenate([dip_radii, tail])))[::-1]
     cls = classify_mode(measure, np.array([1.0]),
                         [np.array([float(k)]) for k in comp],
-                        cls_radii, None,
-                        ClassifyOpts(refine=True, ratio=RatioOpts(fit_in="sqrt_r")))
+                        cls_radii, None, ClassifyOpts(ratio=RatioOpts(fit_in="sqrt_r")))
     return OmNotStrongReport(limits, rel_errors, decay, r_dip, float(dip_val),
                              float(dip_bound), 1.0 / math.sqrt(2.0),
                              cls.global_weak, cls.strong)
@@ -655,6 +650,20 @@ def crosses_om_difference(norm_choice: str) -> float:
     m = CrossesMeasure(norm_choice)
     ratio = crosses_ball_masses(m, -E1, 0.25) / crosses_ball_masses(m, E1, 0.25)
     return -math.log(ratio)
+
+
+@_heaviest_centers.register(CrossesMeasure)
+def _crosses_heaviest_centers(measure: CrossesMeasure, space):
+    """The cross centres e1 and -e1, for r < 1/4.
+
+    The crosses lie 1/2 apart in the sup norm, and so at least 1/2 apart in
+    the 1-norm: a ball of radius below 1/4 meets one cross only, and at
+    most its two segments.  The ball is convex and symmetric, so its chord
+    along a line is no longer than the parallel chord through its centre,
+    and no segment ends within 1/4 of the cross centre.  So the ball about
+    the centre of the cross it meets is at least as heavy.
+    """
+    return (E1, -E1), 0.25
 
 
 @ball_mass.register(LiminfOnlyMeasure)

@@ -737,35 +737,36 @@ ball_mass.register(ProductMeasure, _product_ball_mass)
 
 
 @singledispatch
-def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = None,
-                  opts: Optional[BallOpts] = None) -> Optional[BallMass]:
-    """sup_z mu(B_radius(z)) where a rule gives it without a search, else None.
-
-    Dispatches on the measure type like ``ball_mass``; registered example
-    measures may install their own rules.
-    """
-    return None
+def _heaviest_centers(measure, space: WeightedSeqSpace) -> tuple:
+    """``(centres, r_max)``: the points among which the heaviest ball of
+    every radius below ``r_max`` is centred, dispatched on the measure type.
+    Measures without a rule name no centres."""
+    return (), 0.0
 
 
-def _heaviest_center(measure, space: WeightedSeqSpace) -> Optional[np.ndarray]:
-    """The centre whose ball is the heaviest at every radius, where Anderson's
-    inequality names it (a product measure's mean), else None."""
+@_heaviest_centers.register(ProductMeasure)
+def _product_heaviest_centers(measure: ProductMeasure, space):
     # Anderson (1955): a centred product of symmetric log-concave factors
     # (normal, Laplace) gives a symmetric convex set its largest mass among
     # all translates.  A p < 1 ball is not convex, but in the coordinate
     # basis it is unconditional with interval sections, so Fubini and the
     # 1-d case cover it.
-    if isinstance(measure, ProductMeasure) and (
-            space.p >= 1 or measure.basis is None or measure.dim == 1):
-        return measure.mean
-    return None
+    if space.p >= 1 or measure.basis is None or measure.dim == 1:
+        return (measure.mean,), math.inf
+    return (), 0.0
 
 
-@sup_ball_mass.register(ProductMeasure)
-def _product_sup_ball_mass(measure: ProductMeasure, radius, space=None, opts=None):
+def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = None,
+                  opts: Optional[BallOpts] = None) -> Optional[BallMass]:
+    """sup_z mu(B_radius(z)) where a rule gives it without a search, else None:
+    the heaviest of the balls about the measure's heaviest centres, when the
+    radius is below the reach of its rule."""
     space = space or default_space(measure)
-    center = _heaviest_center(measure, space)
-    return None if center is None else ball_mass(measure, center, radius, space, opts)
+    centres, r_max = _heaviest_centers(measure, space)
+    if not radius < r_max:
+        return None
+    return max((ball_mass(measure, c, radius, space, opts) for c in centres),
+               key=lambda m: m.estimate)
 
 
 @singledispatch

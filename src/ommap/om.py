@@ -8,7 +8,8 @@ Besov-1) from their product form, and for generic 1-d measures
 (``prior_om`` dispatches on the measure type), and provides
 the empirical probes that tie them back to ball masses: difference
 checks, vanishing-ratio (domain) checks, and strong/weak mode
-classification.
+classification, whose supremum ball mass is the largest in one mass table
+over the candidate, its competitors and the measure's heaviest centres.
 
 All functional values are only meaningful up to an additive constant;
 every check here compares differences.
@@ -22,13 +23,11 @@ from functools import cached_property, singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InputError
-from .measures import (BallOpts, BallRatioEstimate, BesovMeasure, Density1D, ProductMeasure,
-                       RatioOpts, _ball_opts, _heaviest_center, _in_range, _log_mass_table,
-                       _ratio_estimate, ball_mass, ball_ratio_curve, default_space,
-                       sup_ball_mass)
+from .measures import (BallRatioEstimate, BesovMeasure, Density1D, ProductMeasure, RatioOpts,
+                       _heaviest_centers, _in_range, _log_mass_table, _ratio_estimate,
+                       ball_ratio_curve, default_space)
 from .spaces import WeightedSeqSpace, _as_vector
 
 
@@ -268,12 +267,12 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
 class ModeClassification:
     """Three-valued strong/weak mode verdicts for one candidate point.
 
-    The supremum mass M_r is the largest of the candidate's mass, the
-    competitors' masses and the mass at the heaviest centre (a product
-    measure's mean) or, where another measure has one, the closed-form
-    ``sup_ball_mass`` rule.  Without either M_r comes from the competitor
-    set plus an optional Nelder-Mead refinement, so a "yes" is relative
-    to that approximation.  The caveat field names what was computed.
+    The supremum mass M_r is the largest mass over the candidate, the
+    competitors and the measure's heaviest centres.  It is exact at the
+    radii below the reach of the centres' rule; elsewhere, and for
+    measures without a rule, it is the largest over the competitor set,
+    so a "yes" is relative to that set.  The caveat field says which,
+    radius by radius.
     """
 
     candidate: np.ndarray
@@ -301,35 +300,17 @@ class ClassifyOpts:
     """Knobs for ``classify_mode``.
 
     ``ratio`` sets the Monte Carlo sizes, closure and seed of every mass.
-    ``refine`` and ``nm_iters`` govern only the fallback for measures
-    without a ``sup_ball_mass`` rule: a Nelder-Mead search of at most
-    ``nm_iters`` iterations around the best competitor.
     """
 
     strong_tol: float = 0.05       # extrapolated limit >= 1 - tol -> strong yes
     dip_tol: float = 0.05          # curve below 1 - max(5 se, dip_tol) -> strong no
     weak_tol: float = 0.05
-    refine: bool = True
-    nm_iters: int = 50
     ratio: RatioOpts = field(default_factory=RatioOpts)
 
 
-#: how classify_mode found the supremum mass M_r, one text per path
-_ANDERSON_CAVEAT = "sup mass at the mean, the largest by Anderson's inequality"
-_CLOSED_FORM_CAVEAT = "sup mass exact: closed-form maximum over the measure's components"
-_SEARCH_CAVEAT = "sup over competitor set + Nelder-Mead refinement, not over all of X"
+#: where classify_mode's supremum mass M_r is exact, and where it is not
+_EXACT_CAVEAT = "sup mass exact: the largest over the measure's heaviest centres"
 _COMPETITORS_CAVEAT = "sup over competitor set only, not over all of X"
-
-
-def _refined_sup_mass(measure, best, r, space, bopts: BallOpts, nm_iters: int) -> float:
-    """Nelder-Mead search for a larger ball mass, starting at the best competitor."""
-
-    def neg_mass(w):
-        return -ball_mass(measure, w, r, space, bopts).estimate
-
-    res = minimize(neg_mass, best, method="Nelder-Mead",
-                   options={"maxiter": nm_iters, "xatol": 1e-8, "fatol": 1e-12})
-    return -float(res.fun)
 
 
 def classify_mode(measure, candidate, competitor_set: Sequence, radii,
@@ -340,25 +321,25 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     Both read one mass table over the candidate and its competitors, the
     masses ``ball_ratio_curve`` computes.  Strong: the candidate's ball
     mass over the supremum mass M_r must tend to 1.  M_r is the largest
-    mass in the table, which for a product measure also holds the row of
-    the mean, the heaviest centre by Anderson's inequality (except for a
-    rotated basis under p < 1), on the candidate's draws.  Other measures
-    take ``sup_ball_mass`` where they have a rule, else the competitors
-    and, with ``opts.refine``, a Nelder-Mead search.  Weak:
-    no competitor's extrapolated mass-ratio limit against the candidate
-    may exceed 1.  Verdicts are three-valued with noise-aware thresholds;
-    a dip of the strong curve below 1 - max(5 stderr, dip_tol) at any
-    radius is a "no" witness.
+    mass in the table, whose last rows are the measure's heaviest centres
+    (``measures._heaviest_centers``: a product measure's mean by
+    Anderson's inequality, the component centres of the counterexample
+    measures), on the candidate's draws.  Below the reach of that rule
+    M_r is exact; elsewhere it is the largest over the competitors, so a
+    caller who needs more passes a grid of them.  Weak: no competitor's
+    extrapolated mass-ratio limit against the candidate may exceed 1.
+    Verdicts are three-valued with noise-aware thresholds; a dip of the
+    strong curve below 1 - max(5 stderr, dip_tol) at any radius is a
+    "no" witness.
     """
     opts = opts or ClassifyOpts()
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
     cand = _as_vector(candidate, space.dim)
     points = [cand] + [_as_vector(w, space.dim) for w in competitor_set]
-    # the heaviest ball's centre joins the table as its last row, so its
-    # mass shares the candidate's draws
-    heaviest = _heaviest_center(measure, space)
-    rows = points if heaviest is None else points + [heaviest]
+    centres, r_max = _heaviest_centers(measure, space)
+    rows = points + [c for c in (_as_vector(c, space.dim) for c in centres)
+                     if not any(np.array_equal(c, p) for p in points)]
     table, method = _log_mass_table(measure, rows, radii, space, opts.ratio)
     masses = np.exp(table)
     est, se = masses.mean(axis=2), np.zeros(table.shape[:2])
@@ -368,27 +349,9 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     if np.any(cand_mass <= 0):
         raise InputError("candidate has zero ball mass; it must lie in the support")
 
-    # supremum mass: the largest of the table's masses, with the heaviest
-    # centre's row where it is known, else the rule or the search per radius
     best = np.argmax(est, axis=0)
     sup_mass, sup_se = est.max(axis=0), se[best, np.arange(len(radii))]
-    if heaviest is not None:
-        paths = [_ANDERSON_CAVEAT]
-    else:
-        bopts = _ball_opts(opts.ratio)
-        paths = []
-        for i, r in enumerate(radii):
-            rule = sup_ball_mass(measure, float(r), space, bopts)
-            if rule is not None:
-                if rule.estimate > sup_mass[i]:
-                    sup_mass[i], sup_se[i] = rule.estimate, rule.stderr
-                paths.append(_CLOSED_FORM_CAVEAT)
-            elif opts.refine:
-                sup_mass[i] = max(sup_mass[i], _refined_sup_mass(
-                    measure, points[best[i]], float(r), space, bopts, opts.nm_iters))
-                paths.append(_SEARCH_CAVEAT)
-            else:
-                paths.append(_COMPETITORS_CAVEAT)
+    caveats = [_EXACT_CAVEAT if r < r_max else _COMPETITORS_CAVEAT for r in radii]
 
     strong_curve = cand_mass / sup_mass
     strong_se = strong_curve * np.sqrt((cand_se / cand_mass) ** 2 + (sup_se / sup_mass) ** 2)
@@ -432,4 +395,4 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
         strong = "inconclusive"
 
     return ModeClassification(cand, radii, strong_curve, strong_se, worst,
-                              strong, weak, space.p, "; ".join(dict.fromkeys(paths)))
+                              strong, weak, space.p, "; ".join(dict.fromkeys(caveats)))

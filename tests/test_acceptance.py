@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import ommap
-from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, GaussianMeasure,
+from ommap import (BesovMeasure, CrossesMeasure, GaussianMeasure,
                    LiminfOnlyMeasure, LinearObservation, ModeConvOpts,
                    OmNotStrongMeasure, ProbeOpts, ProxOpts, RatioOpts,
                    SpectralOperator, WeightedSeqSpace, ball_ratio_curve,
@@ -177,11 +177,10 @@ def test_criterion_06_crosses_norm_dependence():
     radii = radius_schedule(0.2, 4)
     competitors = [E1, -E1, np.array([1.5, 0.0]), np.array([-1.0 + 0.4 * math.sqrt(0.5),
                                                             0.4 * math.sqrt(0.5)])]
-    opts = ClassifyOpts(refine=False)
     flips = []
     for measure, winner, loser in ((m1, E1, -E1), (mi, -E1, E1)):
-        win = classify_mode(measure, winner, competitors, radii, None, opts)
-        lose = classify_mode(measure, loser, competitors, radii, None, opts)
+        win = classify_mode(measure, winner, competitors, radii)
+        lose = classify_mode(measure, loser, competitors, radii)
         flips.append((win.strong == "yes" and win.global_weak == "yes",
                       lose.strong == "no" and lose.global_weak == "no"))
     checks.append(("1-norm mode at e1", flips[0][0] and flips[0][1],

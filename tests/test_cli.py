@@ -1,6 +1,8 @@
 """CLI runner: schema validation, outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 import ommap
-from ommap import MixtureFamily, OmNotStrongMeasure, SpikeFamily
+from ommap import (ClassifyOpts, MixtureFamily, ModeConvOpts, OmNotStrongMeasure, ProxOpts,
+                   RatioOpts, SpikeFamily, radius_schedule)
 from ommap.cli import _schema, main, validate_config
 from ommap.errors import ConfigError
 
@@ -52,6 +55,34 @@ class TestValidation:
         schema = _schema()
         assert schema == json.loads(packaged.read_text())
         jsonschema.Draft202012Validator.check_schema(schema)
+
+    def test_option_blocks_list_only_fields_of_their_record(self):
+        # a key the record lacks would pass validation and end in a TypeError
+        schema = _schema()
+
+        def keys(block):
+            if "$ref" in block:
+                block = schema["$defs"][block["$ref"].rsplit("/", 1)[1]]
+            return set(block["properties"])
+
+        def fields(record):
+            return {f.name for f in dataclasses.fields(record)}
+
+        records = {"mc": fields(RatioOpts),
+                   "schedule": set(inspect.signature(radius_schedule).parameters),
+                   ("classify_mode", "tolerances"): fields(ClassifyOpts),
+                   ("gamma_check", "tolerances"): fields(ModeConvOpts),
+                   ("map_solve", "solver"): fields(ProxOpts)}
+        seen = set()
+        for branch in schema["oneOf"]:
+            props = branch["properties"]
+            kind = props["kind"]["const"]
+            for block in ("mc", "schedule", "tolerances", "solver"):
+                if block in props:
+                    key = block if block in records else (kind, block)
+                    assert keys(props[block]) <= records[key], (kind, block)
+                    seen.add(key)
+        assert seen == set(records)
 
 
 class TestRun:
@@ -120,13 +151,16 @@ class TestRun:
         ({"kind": "ball_ratio", "x1": [-1.0], "x2": [1.0], "radii": [0.1, 0.05],
           "norm": {"p": 2, "weights": [3]},
           "measure": {"type": "density1d", "name": "liminf_only"}}, "own norm"),
+        ({"kind": "classify_mode", "candidate": [0.0], "competitors": [[0.5]],
+          "tolerances": {"refine": False},
+          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "refine"),
     ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param",
             "wrong-type-spike-n", "wrong-type-mixture-t", "wrong-type-norm-p",
             "wrong-type-kl-sigmas", "wrong-type-spike-n-values", "wrong-type-om-not-strong-levels",
             "wrong-type-crosses-r", "empty-perturbation-indices", "empty-gamma-check-indices",
             "zero-n-dip", "n-dip-beyond-levels", "zero-kl-tilt", "one-kl-tilt",
             "removed-mc-n-boot", "density1d-centre-of-another-dimension",
-            "density1d-weighted-norm"])
+            "density1d-weighted-norm", "removed-classify-refine"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
@@ -220,14 +254,14 @@ class TestMoreKinds:
                "candidate": [1.0, 0.0],
                "competitors": [[-1.0, 0.0], [1.5, 0.0]],
                "schedule": {"r0": 0.2, "levels": 4},
-               "norm": {"p": 1, "weights": [1.0, 1.0]},
-               "tolerances": {"refine": False}}
+               "norm": {"p": 1, "weights": [1.0, 1.0]}}
         code, out = run_cli(tmp_path, cfg)
         assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert results["results"]["strong"] == "yes"
         assert results["results"]["global_weak"] == "yes"
-        assert results["results"]["caveat"] == "sup over competitor set only, not over all of X"
+        assert results["results"]["caveat"] == \
+            "sup mass exact: the largest over the measure's heaviest centres"
 
     def test_classify_mode_ball_masses_follow_mc_block_and_seed(self, tmp_path):
         # l2 balls of a 2-d Gaussian have no closed form: every mass is

@@ -16,9 +16,9 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
                    ParameterError, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights,
                    measure_from_json, measure_to_json, open_vs_closed_check,
-                   prior_om, radius_schedule, sample, sup_ball_mass)
-from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _ProductSetup,
-                            _log_mean_exp, _mc_mass_batches, _uniform_pball)
+                   default_space, prior_om, radius_schedule, sample, sup_ball_mass)
+from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
+                            _ProductSetup, _log_mean_exp, _mc_mass_batches, _uniform_pball)
 
 
 def std_gaussian(k):
@@ -530,6 +530,144 @@ class TestSupBallMass:
             ulp = math.ulp(1.0 + np.abs(c).max() + radius * weights.max())
             slack = 1e-12 + 4 * k * ulp / (radius * weights.min())
             assert ball_mass(mu, c, radius, sp, opts).estimate <= sup.estimate * (1 + slack)
+
+
+def _planar_mass(pdf0, interval1, c, r, space):
+    """mu(B_r(c)) for a measure on R^2 by quadrature over x_0: ``pdf0`` is the
+    density of x_0 and ``interval1(x0, lo, hi)`` the mass of lo < x_1 < hi
+    given x_0.  Balls of any p > 0 have an interval as each x_0-section."""
+    (w0, w1), p = space.weights, space.p
+
+    def half(x0):
+        t = min(1.0, abs(x0 - c[0]) / (r * w0))
+        return r * w1 * (1.0 if math.isinf(p) else (1.0 - t ** p) ** (1.0 / p))
+
+    def f(x0):
+        return pdf0(x0) * interval1(x0, c[1] - half(x0), c[1] + half(x0))
+
+    return quad(f, c[0] - r * w0, c[0] + r * w0, points=[c[0]], epsabs=0.0, epsrel=1e-12,
+                limit=200)[0]
+
+
+def _gaussian_planar(mu, space):
+    """Ball masses of a Gaussian on R^2, aligned or rotated, by ``_planar_mass``."""
+    basis = np.eye(2) if mu.basis is None else mu.basis
+    cov = basis @ np.diag(mu.cov.eigenvalues) @ basis.T
+    m, sd0 = mu.mean, math.sqrt(cov[0, 0])
+    slope, sd1 = cov[0, 1] / cov[0, 0], math.sqrt(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0])
+
+    def pdf0(x0):
+        return math.exp(-0.5 * ((x0 - m[0]) / sd0) ** 2) / (sd0 * math.sqrt(2.0 * math.pi))
+
+    def interval1(x0, lo, hi):
+        mid = m[1] + slope * (x0 - m[0])
+        return ndtr((hi - mid) / sd1) - ndtr((lo - mid) / sd1)
+
+    return lambda c, r: _planar_mass(pdf0, interval1, c, r, space)
+
+
+def _besov_planar(mu, space):
+    """Ball masses of a Besov-1 measure on R^2 by ``_planar_mass``."""
+    g0, g1 = mu.gamma
+
+    def laplace_cdf(x, b):
+        return 0.5 * math.exp(x / b) if x < 0 else 1.0 - 0.5 * math.exp(-x / b)
+
+    return lambda c, r: _planar_mass(lambda x0: math.exp(-abs(x0) / g0) / (2.0 * g0),
+                                     lambda x0, lo, hi: laplace_cdf(hi, g1) - laplace_cdf(lo, g1),
+                                     c, r, space)
+
+
+def _exact(mu, space):
+    return lambda c, r: ball_mass(mu, c, r, space).estimate
+
+
+def _heaviest_centre_cases():
+    """name -> (measure, space, mass(c, r), radii, centres to test, slack):
+    slack "ulp" for closed forms, a relative tolerance for quadrature."""
+    rng = np.random.default_rng(19)
+    rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    aligned = GaussianMeasure(np.array([0.4, -0.3, 1.0]),
+                              SpectralOperator(np.array([1.0, 0.3, 2.0])))
+    planar = GaussianMeasure(np.array([0.4, -0.3]), SpectralOperator(np.array([1.0, 0.3])))
+    rotated = GaussianMeasure(np.array([0.4, -0.3]), SpectralOperator(np.array([1.0, 0.25]), rot))
+    besov2, besov3 = BesovMeasure(1.0, 1, 1.0, 2), BesovMeasure(0.8, 1, 1.0, 3)
+    sup3 = WeightedSeqSpace(math.inf, [1.0, 0.5, 2.0])
+    product_radii = (0.1, 0.6, 1.5)
+
+    def around(mean, n):
+        offsets = rng.normal(size=(n, mean.size)) * rng.uniform(0.0, 1.5, (n, 1))
+        return [mean + o for o in offsets] + [mean + 1e-9 * rng.normal(size=mean.size)]
+
+    cases = {
+        "gaussian-aligned-sup": (aligned, sup3, _exact(aligned, sup3), product_radii,
+                                 around(aligned.mean, 40), "ulp"),
+        "besov1-sup": (besov3, sup3, _exact(besov3, sup3), product_radii,
+                       around(besov3.mean, 40), "ulp"),
+        "besov1-ambient": (besov2, besov2.ambient_space(),
+                           _besov_planar(besov2, besov2.ambient_space()), product_radii,
+                           around(besov2.mean, 12), 1e-9),
+        "gaussian-aligned-p0.5": (planar, WeightedSeqSpace.unweighted(0.5, 2),
+                                  _gaussian_planar(planar, WeightedSeqSpace.unweighted(0.5, 2)),
+                                  product_radii, around(planar.mean, 12), 1e-9),
+    }
+    for p in (1.0, 2.0, math.inf):
+        sp = WeightedSeqSpace(p, [1.0, 0.7])
+        cases[f"gaussian-rotated-p{p}"] = (rotated, sp, _gaussian_planar(rotated, sp),
+                                           product_radii, around(rotated.mean, 12), 1e-9)
+    ons = OmNotStrongMeasure(levels=6)
+    grid = np.linspace(0.5, 6.5, 481).tolist()
+    near = [x for k in range(1, 7) for x in (math.nextafter(k, 0), math.nextafter(k, 9),
+                                             k + 1e-7, k - 1e-7)]
+    cases["om-not-strong"] = (ons, default_space(ons), _exact(ons, default_space(ons)),
+                              (1e-6, 1e-3, 0.05, 0.2, 0.24),
+                              [np.array([x]) for x in grid + near], "ulp")
+    for norm in ("1", "inf"):
+        m = CrossesMeasure(norm)
+        xs, ys = np.linspace(-2.0, 2.1, 42), np.linspace(-1.1, 1.1, 23)
+        on_segments = [a + t * (b - a) for a, b in m.segments() for t in np.linspace(0, 1, 41)]
+        jitter = [c + 0.01 * rng.normal(size=2) for c in on_segments]
+        cases[f"crosses-{norm}"] = (m, m.default_space(), _exact(m, m.default_space()),
+                                    (0.03, 0.12, 0.24),
+                                    [np.array([x, y]) for x in xs for y in ys]
+                                    + on_segments + jitter, "ulp")
+    return cases
+
+
+class TestHeaviestCentres:
+    """Every ``_heaviest_centers`` rule: below its reach no ball outweighs the
+    heaviest ball about its centres.  A new rule adds a case here."""
+
+    def test_every_rule_has_a_case(self):
+        measures_ = [case[0] for case in _heaviest_centre_cases().values()]
+        for cls in _heaviest_centers.registry:
+            if cls is not object:
+                assert any(isinstance(m, cls) for m in measures_), cls.__name__
+
+    @pytest.mark.parametrize("name", list(_heaviest_centre_cases()))
+    def test_no_centre_outweighs_the_rule(self, name):
+        measure, space, mass, radii, points, slack = _heaviest_centre_cases()[name]
+        centres, r_max = _heaviest_centers(measure, space)
+        assert centres
+        for r in radii:
+            assert r < r_max
+            sup = max(mass(c, r) for c in centres)
+            for c in points:
+                if slack == "ulp":
+                    # a closed form rounds each interval end c_k +- r w_k to
+                    # the float grid near c_k, as in the sup tests above
+                    ulp = math.ulp(1.0 + np.abs(c).max() + r * space.weights.max())
+                    tol = 1e-12 + 4 * c.size * ulp / (r * space.weights.min())
+                else:
+                    tol = slack
+                assert mass(c, r) <= sup * (1 + tol), (c, r)
+
+    @pytest.mark.parametrize("norm,factor", [("1", 4.0), ("inf", 4.0 * math.sqrt(2.0))])
+    def test_crosses_supremum(self, norm, factor):
+        m = CrossesMeasure(norm)
+        for r in (1e-3, 0.1, 0.24):
+            assert sup_ball_mass(m, r).estimate == pytest.approx(factor * r, rel=1e-12)
+        assert sup_ball_mass(m, 0.25) is None
 
 
 class TestOpenVsClosed:

@@ -14,7 +14,7 @@ from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, Gaussi
                    in_range_sqrt, m_property_probe, om_difference_check, posterior_om,
                    prior_om, quadratic_potential, radius_schedule, sqrt_pinv_apply,
                    sup_ball_mass, weighted_norm)
-from ommap import om
+from ommap import measures, om
 from ommap.counterexamples import (_closed_form_ball_mass, _mixture_density1d,
                                    _spike_density1d)
 
@@ -287,8 +287,7 @@ class TestClassifyMode:
     def test_oscillation_breaks_weak_mode(self):
         m = LiminfOnlyMeasure(depth=40)
         radii = np.array([m.eps_radius(n) for n in range(1, 13)])
-        res = classify_mode(m, np.array([1.0]), [np.array([-1.0])], radii,
-                            None, ClassifyOpts(refine=False))
+        res = classify_mode(m, np.array([1.0]), [np.array([-1.0])], radii)
         assert res.global_weak == "no"
         assert res.weak_worst_ratio == pytest.approx(2.0, rel=1e-12)
 
@@ -324,17 +323,12 @@ class TestSupremumPaths:
         # the ball at the mean has about 1 / 0.88 of its mass
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.5])))
         res = classify_mode(mu, np.array([0.5, 0.0]), [np.array([0.9, 0.3])],
-                            radius_schedule(0.2, 3), WeightedSeqSpace.unweighted(math.inf, 2),
-                            ClassifyOpts(refine=False))
+                            radius_schedule(0.2, 3), WeightedSeqSpace.unweighted(math.inf, 2))
         assert res.strong == "no"
         np.testing.assert_allclose(res.strong_ratio_curve, math.exp(-0.125), rtol=1e-2)
-        assert res.caveat == om._ANDERSON_CAVEAT
+        assert res.caveat == om._EXACT_CAVEAT
 
-    def test_exact_rules_run_no_search(self, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("Nelder-Mead search on an exact path")
-
-        monkeypatch.setattr(om, "_refined_sup_mass", no_search)
+    def test_exact_rules_run_no_search(self):
         mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.5])))
         res = classify_mode(mu, mu.mean, [np.array([0.5, 0.0])], radius_schedule(0.2, 4),
                             WeightedSeqSpace.unweighted(math.inf, 2))
@@ -344,45 +338,46 @@ class TestSupremumPaths:
         radii = np.array([0.5 / n ** 4 for n in range(2, 7)])
         res = classify_mode(m, np.array([1.0]), [np.array([2.0])], radii)
         assert res.strong == "no"
-        assert res.caveat == om._CLOSED_FORM_CAVEAT
-        # at r >= 1/4 there is no rule, and with refine off no search either
-        res = classify_mode(m, np.array([1.0]), [np.array([2.0])], np.array([0.3, 0.01]),
-                            None, ClassifyOpts(refine=False))
-        assert res.caveat == f"{om._COMPETITORS_CAVEAT}; {om._CLOSED_FORM_CAVEAT}"
+        assert res.caveat == om._EXACT_CAVEAT
+        # at r >= 1/4 there is no rule: the competitor set only
+        res = classify_mode(m, np.array([1.0]), [np.array([2.0])], np.array([0.3, 0.01]))
+        assert res.caveat == f"{om._COMPETITORS_CAVEAT}; {om._EXACT_CAVEAT}"
 
     def test_monte_carlo_mean_reads_one(self, monkeypatch):
         # l2 balls of a 2-d Gaussian have no closed form: the candidate's
         # and the mean's masses are Monte Carlo, on the same draws
-        def no_draws(*args):
-            raise AssertionError("a separate ball mass for the mean")
+        mc_calls = []
+        mc_mass_batches = measures._mc_mass_batches
 
-        monkeypatch.setattr(om, "sup_ball_mass", no_draws)
+        def spy(*args):
+            mc_calls.append(args[1])
+            return mc_mass_batches(*args)
+
+        monkeypatch.setattr(measures, "_mc_mass_batches", spy)
         mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.5])))
         opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=4))
         res = classify_mode(mu, mu.mean, [], radius_schedule(0.5, 6), None, opts)
+        assert len(mc_calls) == 1  # one table: no separate mass for the mean
         assert np.all(res.strong_ratio_stderr > 0)  # the masses are estimates
         np.testing.assert_array_equal(res.strong_ratio_curve, 1.0)
         assert res.strong == "yes"
-        assert res.caveat == om._ANDERSON_CAVEAT
+        assert res.caveat == om._EXACT_CAVEAT
 
-    def test_rotated_gaussian_below_p1_keeps_the_search(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [8, 14, 16, 32, 37])
+    def test_rotated_gaussian_below_p1_reads_the_competitors(self, seed):
+        # no rule names the heaviest centre of a rotated basis under p < 1,
+        # so M_r is the largest of the candidate's and the competitor's
+        # masses, both on the candidate's draws: the mean stays a strong mode
         basis = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.25]), basis))
         sp = WeightedSeqSpace.unweighted(0.5, 2)
         assert sup_ball_mass(mu, 0.1, sp) is None
-        searched = []
-        search = om._refined_sup_mass
-
-        def spy(*args):
-            searched.append(args[2])
-            return search(*args)
-
-        monkeypatch.setattr(om, "_refined_sup_mass", spy)
-        radii = radius_schedule(0.2, 2)
-        opts = ClassifyOpts(nm_iters=3, ratio=RatioOpts(n_samples=2000, n_batches=4))
-        res = classify_mode(mu, mu.mean, [np.array([0.3, 0.0])], radii, sp, opts)
-        assert searched == list(radii)
-        assert res.caveat == om._SEARCH_CAVEAT
+        opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=seed))
+        res = classify_mode(mu, mu.mean, [np.array([0.3, 0.0])], radius_schedule(0.2, 4),
+                            sp, opts)
+        assert res.strong == "yes"
+        np.testing.assert_array_equal(res.strong_ratio_curve, 1.0)
+        assert res.caveat == om._COMPETITORS_CAVEAT
 
 
 class _CountedOmNotStrong(OmNotStrongMeasure):
@@ -400,13 +395,13 @@ def _counted_ball_mass(measure, center, radius, space=None, opts=None):
 def _liminf_case():
     m = LiminfOnlyMeasure(depth=40)
     radii = np.array([m.eps_radius(n) for n in range(1, 13)])
-    return m, np.array([1.0]), [np.array([-1.0])], radii, ClassifyOpts(refine=False)
+    return m, np.array([1.0]), [np.array([-1.0])], radii, ClassifyOpts()
 
 
 def _crosses_case(norm_choice):
     return (CrossesMeasure(norm_choice), np.array([1.0, 0.0]),
             [np.array([-1.0, 0.0]), np.array([1.5, 0.0])], radius_schedule(0.2, 4),
-            ClassifyOpts(refine=False))
+            ClassifyOpts())
 
 
 #: exact measures: (measure, candidate, competitors, radii, opts)
@@ -444,9 +439,11 @@ class TestMassTable:
         radii = radius_schedule(1e-3, 5, factor=4.0)
         m.calls.clear()
         res = classify_mode(m, np.array([1.0]), comps, radii)
-        assert res.caveat == om._CLOSED_FORM_CAVEAT  # the rule calls measure.mass only
-        assert len(m.calls) == (1 + len(comps)) * len(radii)
-        assert len(set(m.calls)) == 3 * len(radii)
+        assert res.caveat == om._EXACT_CAVEAT
+        # the candidate, its three competitors and the integers 4..6 that
+        # are not rows yet: 1 is computed twice, as candidate and competitor
+        assert len(m.calls) == 7 * len(radii)
+        assert len(set(m.calls)) == 6 * len(radii)
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_ball_ratio_curve_stays_the_reference(self, case):
