@@ -117,12 +117,6 @@ class MapSolution:
     solver: str
     flags: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {"point": list(map(float, self.point)), "objective": float(self.objective),
-                "optimality_residual": float(self.optimality_residual),
-                "iterations": int(self.iterations), "solver": self.solver,
-                "flags": list(self.flags)}
-
 
 def _misfit(w_mat: np.ndarray, w_y: np.ndarray) -> tuple:
     """Value, gradient and gradient Lipschitz constant of |w_y - W u|^2 / 2."""
@@ -417,14 +411,26 @@ class PerturbationEntry:
     flags: tuple
 
     def to_dict(self) -> dict:
-        return {"n": int(self.index), "map": list(map(float, self.point)),
-                "objective": float(self.objective), "residual": float(self.residual),
-                "distance_to_limit": float(self.distance_to_limit),
-                "flags": list(self.flags)}
+        out = dict(vars(self))
+        out["n"], out["map"] = out.pop("index"), out.pop("point")
+        return out
 
 
 @dataclass(frozen=True)
 class PerturbationReport:
+    """MAP trajectory of a perturbation experiment against its limit.
+
+    ``entries`` holds one ``PerturbationEntry`` per schedule index and
+    ``limit_solution`` the unperturbed MAP point.  ``prerequisite_probes``
+    maps each probe's name to its records: a list of
+    ``ContinuousConvEntry`` under ``potential_continuous_convergence``
+    for the data and projection kinds; the largest recovery gap (a float,
+    or None), a list of ``LiminfReport`` and one ``EquicoercivityEntry``
+    under ``prior_recovery_max_gap``, ``prior_liminf`` and
+    ``prior_equicoercivity`` for the prior kind.  results.json writes
+    ``limit_solution`` under the key ``limit``.
+    """
+
     kind: str
     entries: list
     limit_solution: MapSolution
@@ -432,10 +438,9 @@ class PerturbationReport:
     prerequisite_probes: dict
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "entries": [e.to_dict() for e in self.entries],
-                "limit": self.limit_solution.to_dict(),
-                "mode_convergence": self.mode_convergence.to_dict(),
-                "prerequisite_probes": self.prerequisite_probes}
+        out = dict(vars(self))
+        out["limit"] = out.pop("limit_solution")
+        return out
 
 
 def perturbation_experiment(kind: str, prior, obs: LinearObservation,
@@ -466,7 +471,9 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
         prior_n, obs_n, pot_n = prior, obs, limit_pot
         if kind == "data":
             obs_n = LinearObservation(obs.matrix, obs.noise_cov, schedule(n))
-            pot_n = quadratic_potential(obs_n)
+            # the probes only call a member's misfit: no Potential, whose
+            # finite-difference check the analytic gradient does not need
+            pot_n = _misfit(*obs_n.whitened())[0]
         elif kind == "potential_projection":
             dim_n = int(schedule(n))
             o_n = obs.matrix.copy()
@@ -494,14 +501,13 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
     probes: dict = {}
     pts = list(probe_points) if probe_points is not None else [limit_sol.point]
     if kind in ("data", "potential_projection"):
-        cc = continuous_convergence_probe(pot_members, limit_pot, pts, indices)
-        probes["potential_continuous_convergence"] = [e.to_dict() for e in cc]
+        probes["potential_continuous_convergence"] = continuous_convergence_probe(
+            pot_members, limit_pot, pts, indices)
     else:
         fam_prior = om_family(priors, prior, indices)
         probes["prior_recovery_max_gap"] = recovery_gap(fam_prior, limit_sol.point)
-        lim_reports = [gamma_liminf_probe(fam_prior, x) for x in pts]
-        probes["prior_liminf"] = [r.to_dict() for r in lim_reports]
-        probes["prior_equicoercivity"] = equicoercivity_probe(fam_prior, 1.0, 200).to_dict()
+        probes["prior_liminf"] = [gamma_liminf_probe(fam_prior, x) for x in pts]
+        probes["prior_equicoercivity"] = equicoercivity_probe(fam_prior, 1.0, 200)
 
     return PerturbationReport(kind, entries, limit_sol, mode_report, probes)
 
@@ -527,15 +533,6 @@ class SmallNoiseReport:
     constrained_value: float
     pointwise_table: list
     gamma_liminf_asserted: bool = False
-
-    def to_dict(self) -> dict:
-        return {"n_values": list(map(int, self.n_values)),
-                "points": [list(map(float, p)) for p in self.points],
-                "distances": list(map(float, self.distances)),
-                "constrained_point": list(map(float, self.constrained_point)),
-                "constrained_value": float(self.constrained_value),
-                "pointwise_table": self.pointwise_table,
-                "gamma_liminf_asserted": self.gamma_liminf_asserted}
 
 
 @singledispatch

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -60,8 +61,22 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"config field {loc}: {err.message}")
 
 
+def _json_default(obj):
+    """The JSON form of what ``json`` cannot write itself: a numpy array or
+    scalar as its Python value, a record through its ``to_dict`` (the
+    records that rename a field or add a derived key), any other dataclass
+    as its fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"results.json cannot hold a {type(obj).__name__}")
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -97,7 +112,7 @@ def _observation_from(cfg: dict) -> LinearObservation:
 
 
 # ---------------------------------------------------------------------------
-# kind runners: each returns (results dict, {csv name: (header, rows)})
+# kind runners: each returns (results record or dict, {csv name: (header, rows)})
 # ---------------------------------------------------------------------------
 
 def _run_ball_ratio(cfg, seed):
@@ -109,7 +124,7 @@ def _run_ball_ratio(cfg, seed):
                              _ratio_opts(cfg, seed))
     rows = [(float(r), float(q), float(s))
             for r, q, s in zip(curve.radii, curve.ratios, curve.stderr)]
-    return curve.to_dict(), {"ratio_curve": (["radius", "ratio", "stderr"], rows)}
+    return curve, {"ratio_curve": (["radius", "ratio", "stderr"], rows)}
 
 
 def _run_classify_mode(cfg, seed):
@@ -122,7 +137,7 @@ def _run_classify_mode(cfg, seed):
                            radii, space, opts)
     rows = [(float(r), float(q), float(s)) for r, q, s in
             zip(result.radii, result.strong_ratio_curve, result.strong_ratio_stderr)]
-    return result.to_dict(), {
+    return result, {
         "strong_ratio_curve": (["radius", "candidate_mass_over_sup_mass", "stderr"], rows)}
 
 
@@ -137,8 +152,15 @@ def _run_m_property(cfg, seed):
     for i, entry in enumerate(report.entries):
         for r, q in zip(radii, entry.ratios):
             rows.append((i, float(r), float(q)))
-    return report.to_dict(), {
+    return report, {
         "m_property_ratios": (["point_index", "radius", "ratio_vs_anchor"], rows)}
+
+
+def _besov_member(limit: BesovMeasure, n: int, amp: float, alternating: bool) -> BesovMeasure:
+    """Member n of a Besov-1 family: smoothness s + (+-1)^n amp / n, or
+    s + amp / n when not alternating, the rest as the limit's."""
+    return BesovMeasure(limit.s + ((-1) ** n if alternating else 1.0) * amp / n,
+                        limit.d, limit.eta, limit.dim)
 
 
 def _build_family(cfg, indices):
@@ -152,11 +174,9 @@ def _build_family(cfg, indices):
         members = [GaussianMeasure(mean + mshift / n, SpectralOperator(eig + eshift / n))
                    for n in indices]
     else:
-        amp = fam.get("s_amplitude", 1.0)
-        alt = fam.get("alternating", True)
         limit = BesovMeasure(fam["s"], fam["d"], fam["eta"], fam["dim"])
-        members = [BesovMeasure(fam["s"] + ((-1) ** n if alt else 1.0) * amp / n,
-                                fam["d"], fam["eta"], fam["dim"]) for n in indices]
+        members = [_besov_member(limit, n, fam.get("s_amplitude", 1.0),
+                                 fam.get("alternating", True)) for n in indices]
     return om_family(members, limit, indices)
 
 
@@ -189,7 +209,7 @@ def _run_gamma_check(cfg, seed):
     rows += [("equicoercivity", e.verdict, e.violations) for e in equi]
     if mode_rep is not None:
         rows.append(("mode_convergence", mode_rep.verdict, mode_rep.min_gap))
-    return report.to_dict(), {"gamma_summary": (["probe", "verdict", "detail"], rows)}
+    return report, {"gamma_summary": (["probe", "verdict", "detail"], rows)}
 
 
 def _run_map_solve(cfg, seed):
@@ -198,7 +218,7 @@ def _run_map_solve(cfg, seed):
     sol = map_solve(prior, obs, ProxOpts(**cfg.get("solver", {})))
     header = [f"u{k}" for k in range(len(sol.point))] + ["objective", "residual"]
     row = [float(v) for v in sol.point] + [sol.objective, sol.optimality_residual]
-    return {"map": sol.to_dict()}, {"map_solution": (header, [row])}
+    return {"map": sol}, {"map_solution": (header, [row])}
 
 
 def _run_perturbation(cfg, seed):
@@ -215,16 +235,14 @@ def _run_perturbation(cfg, seed):
     else:
         if not isinstance(prior, BesovMeasure):
             raise ConfigError("prior perturbation runs expect a besov1 prior")
-        amp = cfg.get("prior_s_amplitude", 1.0)
-        alt = cfg.get("prior_alternating", True)
-        schedule = lambda n: BesovMeasure(
-            prior.s + ((-1) ** n if alt else 1.0) * amp / n, prior.d, prior.eta, prior.dim)
+        schedule = lambda n: _besov_member(prior, n, cfg.get("prior_s_amplitude", 1.0),
+                                           cfg.get("prior_alternating", True))
     report = perturbation_experiment(kind, prior, obs, schedule, indices)
     header = ["n"] + [f"u{k}" for k in range(obs.n_unknown)] + \
         ["objective", "residual", "distance_to_limit"]
     rows = [[e.index] + [float(v) for v in e.point] +
             [e.objective, e.residual, e.distance_to_limit] for e in report.entries]
-    return report.to_dict(), {"perturbation_trajectory": (header, rows)}
+    return report, {"perturbation_trajectory": (header, rows)}
 
 
 def _run_small_noise(cfg, seed):
@@ -234,7 +252,7 @@ def _run_small_noise(cfg, seed):
     header = ["n"] + [f"u{k}" for k in range(obs.n_unknown)] + ["distance_to_constrained"]
     rows = [[n] + [float(v) for v in p] + [d]
             for n, p, d in zip(report.n_values, report.points, report.distances)]
-    return report.to_dict(), {"small_noise_trajectory": (header, rows)}
+    return report, {"small_noise_trajectory": (header, rows)}
 
 
 #: the params each counterexample config accepts, with their defaults
@@ -304,15 +322,14 @@ def _run_counterexample(cfg, seed):
         m = cx.LiminfOnlyMeasure(depth=depth)
         eps, delta = cx.liminf_only_ratios(m, n_max)
         rows = [(n + 1, float(eps[n]), float(delta[n])) for n in range(n_max)]
-        return ({"eps_ratios": list(map(float, eps)),
-                 "delta_ratios": list(map(float, delta))},
+        return ({"eps_ratios": eps, "delta_ratios": delta},
                 {"liminf_only_ratios": (["n", "ratio_at_2alpha_n", "ratio_at_alpha_n"], rows)})
     if name == "om_not_strong":
         m = cx.OmNotStrongMeasure(levels=params["levels"])
         rep = cx.om_not_strong_suite(m, ks=params["ks"], n_dip=params["n_dip"])
         rows = [(k, float(v), float(rep.ratio_rel_errors[k]))
                 for k, v in rep.ratio_limits.items()]
-        return rep.to_dict(), {
+        return rep, {
             "om_not_strong_ratios": (["k", "extrapolated_ratio", "rel_error_vs_k_squared"],
                                      rows)}
     if name == "crosses":

@@ -485,12 +485,12 @@ class OmNotStrongReport:
     strong_verdict: str
 
     def to_dict(self) -> dict:
-        return {"ratio_limits": {str(k): float(v) for k, v in self.ratio_limits.items()},
-                "ratio_rel_errors": {str(k): float(v) for k, v in self.ratio_rel_errors.items()},
-                "off_domain_decay_exponent": float(self.off_domain_decay_exponent),
-                "dip_radius": float(self.dip_radius), "dip_value": float(self.dip_value),
-                "dip_bound": float(self.dip_bound), "dip_limit": float(self.dip_limit),
-                "weak": self.weak_verdict, "strong": self.strong_verdict}
+        # str keys: results.json sorts them as text ("10" before "2"), int keys would not
+        out = dict(vars(self))
+        out["weak"], out["strong"] = out.pop("weak_verdict"), out.pop("strong_verdict")
+        for key in ("ratio_limits", "ratio_rel_errors"):
+            out[key] = {str(k): v for k, v in out[key].items()}
+        return out
 
 
 def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 5),

@@ -89,9 +89,9 @@ class LiminfViolation:
     witness_point: np.ndarray
 
     def to_dict(self) -> dict:
-        return {"path": self.path_name, "margin": float(self.margin),
-                "at_index": int(self.at_index),
-                "witness_point": list(map(float, np.atleast_1d(self.witness_point)))}
+        out = dict(vars(self))
+        out["path"] = out.pop("path_name")
+        return out
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,6 @@ class LiminfReport:
     violations: list
     verdict: str
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"x": list(map(float, np.atleast_1d(self.x))), "n_paths": self.n_paths,
-                "violations": [v.to_dict() for v in self.violations],
-                "verdict": self.verdict, "note": self.note}
 
 
 def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
@@ -349,15 +344,6 @@ class EquicoercivityEntry:
     slope: Optional[float] = None
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"t": float(self.t), "n_members": self.n_members,
-                "samples_per_member": self.samples_per_member,
-                "violations": self.violations, "bound": self.bound,
-                "verdict": self.verdict,
-                "first_index_checked": self.first_index_checked,
-                "witness_index": self.witness_index, "ratio": self.ratio,
-                "tail_ratio": self.tail_ratio, "slope": self.slope, "note": self.note}
-
 
 def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
                          seed: int = 0) -> EquicoercivityEntry:
@@ -504,13 +490,6 @@ class ModeConvReport:
     verdict: str
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"cluster_points": [list(map(float, c)) for c in self.cluster_points],
-                "cluster_sizes": list(self.cluster_sizes),
-                "limit_min": float(self.limit_min),
-                "value_errors": list(map(float, self.value_errors)),
-                "min_gap": float(self.min_gap), "verdict": self.verdict, "note": self.note}
-
 
 def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
     n = len(points)
@@ -600,12 +579,6 @@ class ContinuousConvEntry:
     final_sup: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {"point": list(map(float, np.atleast_1d(self.point))),
-                "suprema": list(map(float, self.suprema)),
-                "trend_decreasing": bool(self.trend_decreasing),
-                "final_sup": float(self.final_sup), "verdict": self.verdict}
-
 
 def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
                                  indices: Optional[Sequence[int]] = None,
@@ -653,12 +626,6 @@ class SumRuleReport:
     liminf: list
     recovery_gaps: list
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {"liminf": [r.to_dict() for r in self.liminf],
-                "recovery_gaps": [{"x": list(map(float, np.atleast_1d(x))), "gap": float(g)}
-                                  for x, g in self.recovery_gaps],
-                "verdict": self.verdict}
 
 
 def sum_rule_check(f_seq: FunctionalSequence, g_seq: Sequence, g_limit,
@@ -713,10 +680,5 @@ class GammaReport:
         return "mixed"
 
     def to_dict(self) -> dict:
-        return {"liminf": [r.to_dict() for r in self.liminf],
-                "recovery_gaps": [{"x": list(map(float, np.atleast_1d(x))), "gap": float(g)}
-                                  for x, g in self.recovery_gaps],
-                "equicoercivity": [e.to_dict() for e in self.equicoercivity],
-                "mode_convergence": None if self.mode_convergence is None
-                else self.mode_convergence.to_dict(),
-                "verdict": self.verdict}
+        return {**vars(self), "verdict": self.verdict,
+                "recovery_gaps": [{"x": x, "gap": g} for x, g in self.recovery_gaps]}

@@ -371,19 +371,9 @@ class BallRatioEstimate:
             raise InputError("ratios must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "radii": list(map(float, self.radii)),
-            "ratios": list(map(float, self.ratios)),
-            "stderr": list(map(float, self.stderr)),
-            "limit": float(self.extrapolated_limit),
-            "ci": [float(self.ci[0]), float(self.ci[1])],
-            "method": self.method,
-            "fit_in": self.fit_in,
-            "se_model": float(self.se_model),
-            "se_limit": float(self.se_limit),
-            "norm_p": None if self.norm_p is None else float(self.norm_p),
-            "diagnostic": self.diagnostic,
-        }
+        out = dict(vars(self))
+        out["limit"] = out.pop("extrapolated_limit")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -920,15 +910,6 @@ class OpenClosedReport:
     max_ratio_discrepancy: float
     limit_discrepancy: float
     agree: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "open": self.open_curve.to_dict(),
-            "closed": self.closed_curve.to_dict(),
-            "max_ratio_discrepancy": float(self.max_ratio_discrepancy),
-            "limit_discrepancy": float(self.limit_discrepancy),
-            "agree": bool(self.agree),
-        }
 
 
 def open_vs_closed_check(measure, x1, x2, radii, space=None,

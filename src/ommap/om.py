@@ -165,11 +165,6 @@ class OmDifferenceReport:
     tolerance: float
     verdict: str                   # pass | fail | inconclusive
 
-    def to_dict(self) -> dict:
-        return {"expected": float(self.expected), "limit": float(self.curve.extrapolated_limit),
-                "ci": [float(c) for c in self.curve.ci], "tolerance": float(self.tolerance),
-                "verdict": self.verdict, "norm_p": self.curve.norm_p}
-
 
 _WIDE_CI_FACTOR = 0.5  # CI halfwidth above this fraction of the target -> inconclusive
 
@@ -206,13 +201,6 @@ class MPropertyEntry:
     decreasing_fraction: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {"point": list(map(float, np.atleast_1d(self.point))),
-                "ratios": list(map(float, self.ratios)),
-                "min_ratio": float(self.min_ratio),
-                "decreasing_fraction": float(self.decreasing_fraction),
-                "verdict": self.verdict}
-
 
 @dataclass(frozen=True)
 class MPropertyReport:
@@ -224,9 +212,7 @@ class MPropertyReport:
         return all(e.verdict == "pass" for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {"anchor": list(map(float, np.atleast_1d(self.anchor))),
-                "entries": [e.to_dict() for e in self.entries],
-                "all_pass": self.all_pass}
+        return {**vars(self), "all_pass": self.all_pass}
 
 
 def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
@@ -285,15 +271,6 @@ class ModeClassification:
     norm_p: float
     caveat: str
 
-    def to_dict(self) -> dict:
-        return {"candidate": list(map(float, np.atleast_1d(self.candidate))),
-                "radii": list(map(float, self.radii)),
-                "strong_ratio_curve": list(map(float, self.strong_ratio_curve)),
-                "strong_ratio_stderr": list(map(float, self.strong_ratio_stderr)),
-                "weak_worst_ratio": float(self.weak_worst_ratio),
-                "strong": self.strong, "global_weak": self.global_weak,
-                "norm_p": float(self.norm_p), "caveat": self.caveat}
-
 
 @dataclass(frozen=True)
 class ClassifyOpts:
@@ -330,7 +307,9 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     extrapolated mass-ratio limit against the candidate may exceed 1.
     Verdicts are three-valued with noise-aware thresholds; a dip of the
     strong curve below 1 - max(5 stderr, dip_tol) at any radius is a
-    "no" witness.
+    "no" witness.  With no competitor and no radius below the rule's
+    reach, the table holds the candidate's row alone, and strong reads
+    "inconclusive".
     """
     opts = opts or ClassifyOpts()
     space = space or default_space(measure)
@@ -364,6 +343,8 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     tail_limit = float(np.mean(strong_curve[-n_tail:]))  # radii are decreasing
     if dipped:
         strong = "no"
+    elif len(rows) == 1 and not np.any(radii < r_max):
+        strong = "inconclusive"  # M_r is the candidate's own mass: the curve is 1
     elif tail_limit >= 1.0 - opts.strong_tol:
         strong = "yes"
     else:

@@ -8,7 +8,7 @@ import pytest
 from ommap import bip
 from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    ParameterError, Potential, ProxOpts,
-                   SpectralOperator, constrained_prior_minimum,
+                   SpectralOperator, constrained_prior_minimum, continuous_convergence_probe,
                    kkt_residual, map_solve, map_solve_besov, map_solve_besov_linear,
                    perturbation_experiment, posterior_om, prior_om, projected_potential,
                    quadratic_potential, small_noise_experiment)
@@ -288,6 +288,25 @@ class TestPerturbation:
         # map is affine in the data, so distance is exactly c / n
         np.testing.assert_allclose(d[:-1] / d[1:], 2.0 * np.ones(len(d) - 1), rtol=1e-8)
         assert "potential_continuous_convergence" in rep.prerequisite_probes
+
+    def test_data_members_skip_the_finite_difference_check(self, monkeypatch):
+        # only the limit potential is a Potential, checked at 5 points; the 32
+        # members' misfits give the probe the values their Potentials would
+        prior, obs = random_problem(np.random.default_rng(13), 10, 6, prior="besov")
+        direction = np.eye(1, 6, 0).ravel()
+        schedule = lambda n: obs.data + direction / n
+        indices = list(range(1, 33))
+        calls, central = [], bip._central_diff
+        monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
+        rep = perturbation_experiment("data", prior, obs, schedule, indices)
+        assert len(calls) == 5
+        pots = [quadratic_potential(observation(obs.matrix, obs.noise_cov.eigenvalues,
+                                                schedule(n))) for n in indices]
+        ref = continuous_convergence_probe(pots, quadratic_potential(obs),
+                                           [rep.limit_solution.point], indices)
+        probe = rep.prerequisite_probes["potential_continuous_convergence"]
+        np.testing.assert_array_equal(probe[0].suprema, ref[0].suprema)
+        assert probe[0].verdict == ref[0].verdict
 
     def test_projection_experiment_reaches_limit(self):
         rng = np.random.default_rng(10)

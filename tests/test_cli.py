@@ -15,7 +15,7 @@ import pytest
 import ommap
 from ommap import (ClassifyOpts, MixtureFamily, ModeConvOpts, OmNotStrongMeasure, ProxOpts,
                    RatioOpts, SpikeFamily, radius_schedule)
-from ommap.cli import _schema, main, validate_config
+from ommap.cli import _json_default, _schema, main, validate_config
 from ommap.errors import ConfigError
 
 
@@ -295,6 +295,40 @@ class TestMoreKinds:
         d = [e["distance_to_limit"] for e in results["results"]["entries"]]
         assert d == sorted(d, reverse=True)
 
+    @pytest.mark.parametrize("perturb, probes", [
+        ("prior", {"prior_recovery_max_gap": None,
+                   "prior_liminf": {"x", "n_paths", "violations", "verdict", "note"},
+                   "prior_equicoercivity": {
+                       "t", "n_members", "samples_per_member", "violations", "bound",
+                       "verdict", "first_index_checked", "witness_index", "ratio",
+                       "tail_ratio", "slope", "note"}}),
+        ("potential_projection", {"potential_continuous_convergence": {
+            "point", "suprema", "trend_decreasing", "final_sup", "verdict"}})])
+    def test_perturbation_probe_records(self, tmp_path, perturb, probes):
+        # prerequisite_probes holds records, which results.json writes as
+        # their fields; the recovery gap is a number
+        prior = ({"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0, "dim": 3}
+                 if perturb == "prior" else
+                 {"type": "gaussian", "mean": [0.0, 0.0, 0.0], "eigenvalues": [2.0, 1.0, 0.5]})
+        cfg = {"kind": "perturbation", "perturb": perturb, "prior": prior,
+               "observation": {"matrix": [[1.0, 0.4, -0.3], [0.0, 1.0, 0.5]],
+                               "noise_cov": [0.5, 1.0], "data": [3.0, -2.0]},
+               "indices": [4, 8, 16, 32] if perturb == "prior" else [1, 2, 3]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        written = json.loads((out / "results.json").read_text())["results"]
+        assert set(written["prerequisite_probes"]) == set(probes)
+        for name, keys in probes.items():
+            value = written["prerequisite_probes"][name]
+            if keys is None:
+                assert isinstance(value, float)
+                continue
+            for record in value if isinstance(value, list) else [value]:
+                assert set(record) == keys
+        assert set(written["limit"]) == {"point", "objective", "optimality_residual",
+                                         "iterations", "solver", "flags"}
+        assert {"n", "map"} <= set(written["entries"][0])
+
     def test_m_property_liminf_only(self, tmp_path):
         m_probe = __import__("ommap").LiminfOnlyMeasure(depth=40)
         radii = [m_probe.delta_radius(n) for n in range(1, 9)]
@@ -307,6 +341,25 @@ class TestMoreKinds:
         assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert results["results"]["all_pass"] is True
+
+
+class TestJsonDefault:
+    def test_numpy_values_become_python_values(self):
+        for value, kind, expected in [(np.int64(3), int, 3), (np.bool_(True), bool, True),
+                                      (np.float64(0.1), float, 0.1),
+                                      (np.array([[1.0, 2.5]]), list, [[1.0, 2.5]])]:
+            written = _json_default(value)
+            assert type(written) is kind
+            assert written == expected
+
+    def test_unknown_type_is_named(self):
+        class Widget:
+            pass
+
+        with pytest.raises(TypeError, match="Widget"):
+            _json_default(Widget())
+        with pytest.raises(TypeError, match="Widget"):
+            json.dumps({"a": [Widget()]}, default=_json_default)
 
 
 class TestReproduce:

@@ -363,6 +363,18 @@ class TestSupremumPaths:
         assert res.strong == "yes"
         assert res.caveat == om._EXACT_CAVEAT
 
+    @pytest.mark.parametrize("measure, x", [(lambda: _mixture_density1d(0.0, 5.0), 4.3),
+                                            (lambda: _spike_density1d(10), 0.5)],
+                             ids=["mixture", "spike"])
+    def test_candidate_alone_reads_inconclusive(self, measure, x):
+        # no rule names these measures' heaviest centres and no competitor is
+        # given: M_r is the candidate's own mass, so the curve is 1 by
+        # construction and says nothing of a strong mode
+        res = classify_mode(measure(), np.array([x]), [], radius_schedule(0.2, 6))
+        np.testing.assert_array_equal(res.strong_ratio_curve, 1.0)
+        assert res.strong == "inconclusive"
+        assert res.caveat == om._COMPETITORS_CAVEAT
+
     @pytest.mark.parametrize("seed", [8, 14, 16, 32, 37])
     def test_rotated_gaussian_below_p1_reads_the_competitors(self, seed):
         # no rule names the heaviest centre of a rotated basis under p < 1,

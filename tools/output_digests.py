@@ -6,12 +6,18 @@ runs each op and its oracle check, and prints one line per op:
 
     workload seed kind digest
 
+It then runs the CLI configs of ``EXTRA_CONFIGS``, which the benchmark
+never runs, through ``ommap.cli.main`` and prints one line per config,
+``cli_extra <seed> <label> <sha256 of results.json>``, so that every
+record the results.json encoder writes is covered.
+
 Run it from the repository root of each commit and diff the outputs:
 
     python3 tools/output_digests.py > digests.txt
 
-An op whose check fails or finds a quiet wrong answer is also reported
-on standard error, and the exit code is then 1.
+An op whose check fails or finds a quiet wrong answer, or an extra
+config that does not exit 0, is also reported on standard error, and
+the exit code is then 1.
 """
 
 import os
@@ -20,6 +26,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -27,10 +37,76 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+import ommap.cli  # noqa: E402
 from perfbench.workloads import build  # noqa: E402
 
 WORKLOADS = ("mc_ratio", "gamma_probe", "cli_kinds")
 SEEDS = (1, 2, 3)
+
+_BESOV = {"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0}
+_OBS_3X4 = {"matrix": [[1.0, 0.4, 0.0, -0.3], [0.0, 1.0, 0.5, 0.2], [0.3, 0.0, 1.0, 0.6]],
+            "noise_cov": [0.5, 1.0, 2.0], "data": [3.0, -2.5, 2.0]}
+
+#: (label, config) of the CLI configs outside the benchmark
+EXTRA_CONFIGS = (
+    ("perturbation.prior", {
+        "kind": "perturbation", "seed": 0, "perturb": "prior",
+        "prior": {**_BESOV, "dim": 4}, "observation": _OBS_3X4,
+        "indices": [4, 8, 16, 32, 64, 128], "prior_s_amplitude": 0.5}),
+    ("perturbation.potential_projection", {
+        "kind": "perturbation", "seed": 0, "perturb": "potential_projection",
+        "prior": {"type": "gaussian", "mean": [0.0, 0.0, 0.0, 0.0],
+                  "eigenvalues": [2.0, 1.0, 0.5, 0.25]},
+        "observation": _OBS_3X4, "indices": [1, 2, 3, 4, 5, 6]}),
+    ("gamma_check.besov1", {
+        "kind": "gamma_check", "seed": 3,
+        "family": {**_BESOV, "dim": 6, "s_amplitude": 0.5},
+        "indices": list(range(2, 34)),
+        "liminf_points": [[0.0] * 6, [0.5, -0.2, 0.1, 0.0, 0.0, 0.3]],
+        "recovery_points": [[0.2, 0.1, 0.0, -0.1, 0.0, 0.0]],
+        "t_values": [0.5, 2.0], "sublevel_samples": 200}),
+    # the liminf probe reports violations on this family (a degenerate limit
+    # approached by N(0, diag(1, 1/n))), so their records are written too
+    ("gamma_check.liminf_violations", {
+        "kind": "gamma_check", "seed": 3,
+        "family": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.0],
+                   "eigenvalue_shift": [0.0, 1.0]},
+        "indices": list(range(1, 33)), "liminf_points": [[0.3, 0.0]],
+        "recovery_points": [[0.3, 0.0]], "t_values": [1.0], "sublevel_samples": 200}),
+    ("small_noise.besov1", {
+        "kind": "small_noise", "seed": 0, "prior": {**_BESOV, "dim": 3},
+        "observation": {"matrix": [[1.0, 0.5, -0.25]], "noise_cov": [1.0], "data": [0.7]},
+        "n_list": [1, 10, 100, 1000]}),
+    ("classify_mode.crosses", {
+        "kind": "classify_mode", "seed": 0,
+        "measure": {"type": "density1d", "name": "crosses", "params": {"norm_choice": "inf"}},
+        "candidate": [1.0, 0.0], "competitors": [[-1.0, 0.0], [1.5, 0.0], [0.0, 1.0]],
+        "schedule": {"r0": 0.2, "levels": 5}, "norm": {"p": "inf"}}),
+    ("counterexample.crosses", {"kind": "counterexample", "seed": 0, "name": "crosses"}),
+    ("counterexample.liminf_only", {"kind": "counterexample", "seed": 0,
+                                    "name": "liminf_only", "params": {"n_max": 8}}),
+    ("counterexample.kl_gaussians", {"kind": "counterexample", "seed": 0,
+                                     "name": "kl_gaussians"}),
+    ("counterexample.om_not_strong", {"kind": "counterexample", "seed": 0,
+                                      "name": "om_not_strong", "params": {"ks": [2, 3, 10]}}),
+)
+
+
+def _extra_digests() -> int:
+    bad = 0
+    for label, cfg in EXTRA_CONFIGS:
+        with tempfile.TemporaryDirectory() as work:
+            path, out = Path(work) / "cfg.json", Path(work) / "out"
+            path.write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = ommap.cli.main(["--out", str(out), "run", str(path)])
+            if code != 0:
+                bad += 1
+                print(f"cli_extra {cfg['seed']} {label}: exit code {code}", file=sys.stderr)
+                continue
+            digest = hashlib.sha256((out / "results.json").read_bytes()).hexdigest()[:16]
+            print(f"cli_extra {cfg['seed']} {label} {digest}", flush=True)
+    return bad
 
 
 def main() -> int:
@@ -45,6 +121,7 @@ def main() -> int:
                         bad += 1
                         print(f"{name} {seed} {op.kind}: {out.failed or out.wrong}",
                               file=sys.stderr)
+    bad += _extra_digests()
     return 1 if bad else 0
 
 
