@@ -19,7 +19,6 @@ from functools import singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InputError, NumericsError, ParameterError
 from .gamma import (FunctionalSequence, ModeConvOpts, ModeConvReport,
@@ -467,19 +466,20 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
 
     limit_pot = quadratic_potential(obs)
     priors, pot_members, solutions = [], [], []
+    # the probes only call a perturbed member's value: it is a plain callable,
+    # not a Potential, whose finite-difference check the analytic gradient
+    # does not need
     for n in indices:
         prior_n, obs_n, pot_n = prior, obs, limit_pot
         if kind == "data":
             obs_n = LinearObservation(obs.matrix, obs.noise_cov, schedule(n))
-            # the probes only call a member's misfit: no Potential, whose
-            # finite-difference check the analytic gradient does not need
             pot_n = _misfit(*obs_n.whitened())[0]
         elif kind == "potential_projection":
             dim_n = int(schedule(n))
             o_n = obs.matrix.copy()
             o_n[:, dim_n:] = 0.0
             obs_n = LinearObservation(o_n, obs.noise_cov, obs.data)
-            pot_n = projected_potential(limit_pot, dim_n)
+            pot_n = lambda u, dim_n=dim_n: limit_pot.eval(project(u, dim_n))
         else:
             prior_n = schedule(n)
         priors.append(prior_n)
@@ -558,6 +558,8 @@ def _gaussian_constrained(prior, obs: LinearObservation) -> np.ndarray:
 @constrained_prior_minimum.register(BesovMeasure)
 def _besov_constrained(prior, obs: LinearObservation) -> np.ndarray:
     """Weighted basis pursuit solved as a linear program."""
+    from scipy.optimize import linprog
+
     o = obs.matrix
     k = prior.dim
     cost = np.concatenate([1.0 / prior.gamma, 1.0 / prior.gamma])

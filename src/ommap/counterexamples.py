@@ -30,8 +30,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts,
@@ -74,6 +72,8 @@ def kl_gaussians_quadrature(sigma: float) -> float:
     The log ratio is expanded analytically so the integrand stays
     finite in the tails.
     """
+    from scipy.integrate import quad
+
     if not (sigma > 0):
         raise InputError(f"variance ratio must be positive, got {sigma}")
 
@@ -86,6 +86,7 @@ def kl_gaussians_quadrature(sigma: float) -> float:
 
 def kl_quadrature_1d(p, q, breakpoints: Sequence[float]) -> float:
     """Generic 1-d relative entropy by piecewise adaptive quadrature."""
+    from scipy.integrate import quad
 
     def integrand(x):
         px = p(x)
@@ -130,6 +131,8 @@ class ModeSearch1D:
 
 
 def _polish_max(f, lo: float, hi: float) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x)

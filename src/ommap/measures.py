@@ -25,8 +25,6 @@ from functools import cached_property, singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import log_ndtr
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
@@ -49,6 +47,8 @@ class NormalFactor:
 
     def log_sf(self, x):
         """log P(X > x)."""
+        from scipy.special import log_ndtr
+
         return log_ndtr(-x)
 
     def draw(self, rng, shape):
@@ -279,6 +279,8 @@ class Density1D:
                 raise ParameterError(f"empty support interval ({a}, {b})")
         object.__setattr__(self, "support", sup)
         if self.total_mass is None:
+            from scipy.integrate import quad
+
             total = sum(quad(self.pdf, a, b, limit=200)[0] for a, b in sup)
             if abs(total - 1.0) > 1e-8:
                 raise ParameterError(f"density mass {total!r} differs from 1 beyond 1e-8")
@@ -781,6 +783,8 @@ def _density1d_ball_mass(measure: Density1D, center, radius, space=None, opts=No
     c = _own_ball(measure, radius, space, opts, center)
     if opts is not None and opts.method == "exact":
         raise InputError("no exact ball mass for a 1-d density: its masses come from quadrature")
+    from scipy.integrate import quad
+
     total, err = 0.0, 0.0
     for a, b in measure.support:
         lo, hi = max(a, c - radius), min(b, c + radius)

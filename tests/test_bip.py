@@ -308,6 +308,22 @@ class TestPerturbation:
         np.testing.assert_array_equal(probe[0].suprema, ref[0].suprema)
         assert probe[0].verdict == ref[0].verdict
 
+    def test_projection_members_skip_the_finite_difference_check(self, monkeypatch):
+        # each member is the limit potential's value on P_n u; only the limit
+        # potential is a Potential, checked at 5 points, not 5 more per member
+        prior, obs = random_problem(np.random.default_rng(14), 10, 6)
+        indices = list(range(1, 11))
+        calls, central = [], bip._central_diff
+        monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
+        rep = perturbation_experiment("potential_projection", prior, obs, lambda n: n, indices)
+        assert len(calls) == 5
+        limit_pot = quadratic_potential(obs)
+        ref = continuous_convergence_probe([projected_potential(limit_pot, n) for n in indices],
+                                           limit_pot, [rep.limit_solution.point], indices)
+        probe = rep.prerequisite_probes["potential_continuous_convergence"]
+        np.testing.assert_array_equal(probe[0].suprema, ref[0].suprema)
+        assert probe[0].verdict == ref[0].verdict
+
     def test_projection_experiment_reaches_limit(self):
         rng = np.random.default_rng(10)
         prior, obs = random_problem(rng, 5, 4)
