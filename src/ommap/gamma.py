@@ -120,30 +120,33 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     rng = child_rng(opts.seed, "liminf-paths")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim = x.size
-    n_arr = np.asarray(seq.indices, dtype=float)
     n_last = float(seq.indices[-1])
-    start = int(len(n_arr) * (1.0 - _LIMINF_WINDOW_FRAC))
-    n_win = n_arr[start:]
-    names, dirs, mags = [], [], []
+    start = int(len(seq.indices) * (1.0 - _LIMINF_WINDOW_FRAC))
+    n_win = np.asarray(seq.indices, dtype=float)[start:]
+    # a scalar exponent per rate: numpy takes n ** -1.0 as a reciprocal
+    decay = {alpha: n_win ** -alpha for alpha in _PATH_ALPHAS}
+    anchor = np.atleast_1d(seq.limit.anchor)
+    toward = anchor - x if anchor.size == dim else np.zeros(dim)
+    nrm = np.linalg.norm(toward)
+    axes = opts.n_random + 2 * dim  # the random paths, then the axis paths
+    names = [f"random-{j}" for j in range(opts.n_random)]
+    names += [f"axis{sign}{k}" for k in range(dim) for sign in "+-"]
+    if nrm > 0:
+        names.append("toward-anchor")
+    names.append("constant")
+    dirs = np.zeros((len(names), dim))
+    mags = np.zeros((n_win.size, len(names)))
     for j in range(opts.n_random):
         alpha = _PATH_ALPHAS[j % len(_PATH_ALPHAS)]
         c = float(rng.uniform(*_MAGNITUDE_RANGE)) * _WINDOW_DISTANCE * n_last ** alpha
         d = rng.standard_normal(dim)
-        names.append(f"random-{j}")
-        dirs.append(d / np.linalg.norm(d))
-        mags.append(c * n_win ** (-alpha))
-    names += [f"axis{sign}{k}" for k in range(dim) for sign in "+-"]
-    dirs += list(np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(2 * dim, dim))
-    anchor = np.atleast_1d(seq.limit.anchor)
-    if anchor.size == dim and (nrm := np.linalg.norm(anchor - x)) > 0:
-        names.append("toward-anchor")
-        dirs.append((anchor - x) / nrm)
-    unit = n_win ** -1.0  # the adversarial paths' 1/n schedule
-    mags += [unit] * (len(names) - opts.n_random)
-    names.append("constant")
-    dirs.append(np.zeros(dim))
-    mags.append(np.zeros_like(n_win))
-    return names, np.array(dirs), np.column_stack(mags)
+        dirs[j] = d / math.sqrt(d.dot(d))
+        mags[:, j] = c * decay[alpha]
+    dirs[opts.n_random:axes] = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(-1, dim)
+    if nrm > 0:
+        dirs[axes] = toward / nrm
+    mags[:, opts.n_random:-1] = decay[1.0][:, None]  # the adversarial paths' 1/n schedule
+    return names, dirs, mags
 
 
 def gamma_liminf_probe(seq: FunctionalSequence, x,
@@ -162,7 +165,8 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     ``_FIT_POINTS`` window members of a path that is finite on all of
     them.  The probe evaluates those members on the points of every path
     first, and the rest of the window only at x, to find out whether
-    every F_n(x) is finite.  It evaluates the whole window on every path,
+    every F_n(x) is finite, unless the member's meta carries
+    ``finite_everywhere``.  It evaluates the whole window on every path,
     with the same result as if it had done so from the start, only when
     that suffix cannot decide: some F_n(x) is +inf, a path leaves some
     suffix member's domain, or a margin exceeds the tolerance (its
@@ -189,7 +193,8 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     vals = path_values(slice(split, None))
     deficits, margins = _liminf_margins(vals, dists[split:], inv_n[split:], target)
     if split and not (np.all(np.isfinite(vals)) and np.all(margins <= _LIMINF_TOL)
-                      and all(math.isfinite(f.eval(x)) for f in window[:split])):
+                      and all(math.isfinite(f.eval(x)) for f in window[:split]
+                              if not f.meta.get("finite_everywhere"))):
         vals = np.concatenate([path_values(slice(0, split)), vals])
         deficits, margins = _liminf_margins(vals, dists, inv_n, target)
         split = 0
@@ -492,6 +497,10 @@ class ModeConvReport:
 
 
 def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
+    """Component labels of the graph that joins points within ``tol``,
+    numbered in order of their first point.  A popped point is measured
+    against the unlabelled points only, and none is popped once every
+    point has a label."""
     n = len(points)
     labels = np.full(n, -1, dtype=int)
     cid = 0
@@ -500,10 +509,10 @@ def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
             continue
         stack = [i]
         labels[i] = cid
-        while stack:
-            j = stack.pop()
-            d = np.linalg.norm(points - points[j], axis=1)
-            nbrs = np.where((d <= tol) & (labels < 0))[0]
+        while stack and (rest := np.flatnonzero(labels < 0)).size:
+            diff = points[rest] - points[stack.pop()]
+            # np.linalg.norm's own ufuncs, without its wrapper
+            nbrs = rest[np.sqrt(np.add.reduce(diff * diff, axis=1)) <= tol]
             labels[nbrs] = cid
             stack.extend(nbrs.tolist())
         cid += 1

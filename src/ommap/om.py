@@ -89,7 +89,9 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
     u - mean, for Besov-1 the weighted l^1 norm sum_k |u_k| / gamma_k.
     The mean is the anchor and unique minimiser.  Off the domain
     (``measures._in_range``) the value is +inf.  ``meta`` is the
-    measure's ``om_meta``.
+    measure's ``om_meta``; where no coordinate is pinned there is no such
+    point, and it carries ``finite_everywhere`` (the measure's own reason
+    if it gives one).
     """
     mean, basis, pinned = mu.mean, mu.basis, mu.pinned
     centred = not np.any(mean)  # then the subtraction is skipped
@@ -107,7 +109,10 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
         out[~_in_range(c, pinned)] = math.inf
         return out
 
-    return OmFunctional(kernel, mean, dict(mu.om_meta))
+    meta = dict(mu.om_meta)
+    if not degenerate:
+        meta.setdefault("finite_everywhere", "no eigen coordinate is degenerate")
+    return OmFunctional(kernel, mean, meta)
 
 
 def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float:

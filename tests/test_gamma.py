@@ -13,8 +13,11 @@ from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError
                    gaussian_om_family, gaussian_recovery_sequence,
                    mode_convergence_check, prior_om, project, sublevel_halfwidth,
                    sum_rule_check)
+from ommap._seeds import child_rng
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
-from ommap.gamma import _LIMINF_TOL, _extrapolated_intercepts, _mapped_widths, default_paths
+from ommap.gamma import (_LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE, _PATH_ALPHAS,
+                         _WINDOW_DISTANCE, _extrapolated_intercepts, _mapped_widths,
+                         _single_linkage, default_paths)
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -187,6 +190,17 @@ def alternating_support_family():
     return gaussian_om_family([flat if n % 2 else limit for n in idx], limit, idx)
 
 
+def pinned_prefix_family():
+    """Odd members n <= 24 are +inf off the first axis, the others equal
+    the limit N(0, I): of the window n = 17..32, only members before its
+    last 8 are pinned, and x = (0.3, 0) lies in every member's domain."""
+    idx = list(range(1, 33))
+    limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
+    flat = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+    return gaussian_om_family([flat if n % 2 and n <= 24 else limit for n in idx],
+                              limit, idx)
+
+
 def whole_window_probe(seq, x, opts):
     """Reference liminf probe that evaluates every window member on every
     path: (n_paths, [(path, margin, index, witness) per violation])."""
@@ -228,6 +242,7 @@ LIMINF_CASES = {
                                        LiminfOpts()),
     "alternating-support": lambda: (alternating_support_family(), np.array([0.3, 0.0]),
                                     LiminfOpts()),
+    "pinned-prefix": lambda: (pinned_prefix_family(), np.array([0.3, 0.0]), LiminfOpts()),
     "window-of-5": lambda: (gaussian_family_scale(n_members=10), np.array([0.5, -0.4]),
                             LiminfOpts()),
     "window-of-3": lambda: (gaussian_family_scale(n_members=6), np.array([0.5, -0.4]),
@@ -288,6 +303,61 @@ class TestExtrapolatedIntercepts:
         got = _extrapolated_intercepts(inv_n[:, None], gaps[:, None])
         assert got.shape == (1,)
         assert got[0] == pytest.approx(0.3, abs=1e-12)
+
+
+def reference_default_paths(seq, x, opts):
+    """``default_paths`` path by path: one Python loop appends each random
+    path's name, direction and magnitudes, and the table is column-stacked."""
+    rng = child_rng(opts.seed, "liminf-paths")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dim = x.size
+    n_arr = np.asarray(seq.indices, dtype=float)
+    n_last = float(seq.indices[-1])
+    n_win = n_arr[int(len(n_arr) * (1.0 - _LIMINF_WINDOW_FRAC)):]
+    names, dirs, mags = [], [], []
+    for j in range(opts.n_random):
+        alpha = _PATH_ALPHAS[j % len(_PATH_ALPHAS)]
+        c = float(rng.uniform(*_MAGNITUDE_RANGE)) * _WINDOW_DISTANCE * n_last ** alpha
+        d = rng.standard_normal(dim)
+        names.append(f"random-{j}")
+        dirs.append(d / np.linalg.norm(d))
+        mags.append(c * n_win ** (-alpha))
+    names += [f"axis{sign}{k}" for k in range(dim) for sign in "+-"]
+    dirs += list(np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(2 * dim, dim))
+    anchor = np.atleast_1d(seq.limit.anchor)
+    if anchor.size == dim and (nrm := np.linalg.norm(anchor - x)) > 0:
+        names.append("toward-anchor")
+        dirs.append((anchor - x) / nrm)
+    mags += [n_win ** -1.0] * (len(names) - opts.n_random)
+    names.append("constant")
+    dirs.append(np.zeros(dim))
+    mags.append(np.zeros_like(n_win))
+    return names, np.array(dirs), np.column_stack(mags)
+
+
+#: (family, point) of the default_paths bit-identity cases
+PATH_CASES = {
+    "gaussian": lambda: (gaussian_family_scale(), np.array([0.5, 0.5])),
+    "gaussian-at-anchor": lambda: (gaussian_family_scale(), np.zeros(2)),
+    "besov-399": besov_family_399,
+}
+
+
+class TestDefaultPaths:
+    @pytest.mark.parametrize("n_random", [0, 1, 64])
+    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    def test_matches_the_path_by_path_table(self, case, n_random):
+        seq, x = PATH_CASES[case]()
+        for seed in (0, 3):
+            opts = LiminfOpts(n_random=n_random, seed=seed)
+            names, dirs, mags = default_paths(seq, x, opts)
+            want_names, want_dirs, want_mags = reference_default_paths(seq, x, opts)
+            assert names == want_names
+            assert (dirs.shape, mags.shape) == (want_dirs.shape, want_mags.shape)
+            # exact equality, the random alpha = 1 columns (j % 3 == 1) included
+            np.testing.assert_array_equal(dirs, want_dirs)
+            np.testing.assert_array_equal(mags, want_mags)
+            assert ("toward-anchor" in names) == (case != "gaussian-at-anchor")
 
 
 class TestLiminfProbe:
@@ -414,14 +484,25 @@ class TestLiminfProbe:
 
         monkeypatch.setattr(OmFunctional, "values", count_values)
         # a passing family: the last 8 of its 200 window members on the
-        # paths, and the other 192 only at x
+        # paths, and none of them at x, as every Besov-1 F_n is finite
         seq, x = besov_family_399()
         window = seq.members[-200:]
         for f in window:
             monkeypatch.setattr(f, "eval", count_eval(f, f.eval))
         assert gamma_liminf_probe(seq, x).verdict == "pass"
         assert [id(f) for f in on_paths] == [id(f) for f in window[-8:]]
-        assert [id(f) for f in at_x] == [id(f) for f in window[:-8]]
+        assert at_x == []
+        # a passing family with pinned members before the suffix: those
+        # four, and only those, evaluated at x
+        on_paths.clear()
+        seq = pinned_prefix_family()
+        window = seq.members[-16:]
+        for f in window:
+            monkeypatch.setattr(f, "eval", count_eval(f, f.eval))
+        assert gamma_liminf_probe(seq, np.array([0.3, 0.0])).verdict == "pass"
+        assert [id(f) for f in on_paths] == [id(f) for f in window[-8:]]
+        assert [id(f) for f in at_x] == [id(f) for f in window[:-8:2]]
+        assert all("finite_everywhere" not in f.meta for f in at_x)
         # a failing family: each of its 20 window members on the paths, once
         on_paths.clear()
         seq = spike_sequence()
@@ -711,7 +792,39 @@ class TestEquicoercivityFails:
         assert "mapped point" in entry.note
 
 
+def reference_single_linkage(points, tol):
+    """Single linkage that measures each popped point against every point."""
+    labels = np.full(len(points), -1, dtype=int)
+    cid = 0
+    for i in range(len(points)):
+        if labels[i] >= 0:
+            continue
+        stack = [i]
+        labels[i] = cid
+        while stack:
+            d = np.linalg.norm(points - points[stack.pop()], axis=1)
+            nbrs = np.where((d <= tol) & (labels < 0))[0]
+            labels[nbrs] = cid
+            stack.extend(nbrs.tolist())
+        cid += 1
+    return labels
+
+
 class TestModeConvergence:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_linkage_matches_the_reference(self, seed):
+        # chains, duplicates and singletons, with many distances near tol
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n, dim, k = int(rng.integers(1, 200)), int(rng.integers(1, 60)), int(rng.integers(1, 9))
+            centers = rng.normal(size=(k, dim))
+            points = centers[rng.integers(k, size=n)] + \
+                rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-5, -2)
+            points[rng.integers(n, size=n // 4)] = points[0]
+            tol = 10.0 ** rng.uniform(-4, -2)
+            np.testing.assert_array_equal(_single_linkage(points, tol),
+                                          reference_single_linkage(points, tol))
+
     def test_constant_family(self):
         mu = GaussianMeasure(np.array([0.2, 0.4]), SpectralOperator(np.ones(2)))
         seq = gaussian_om_family([mu] * 20, mu)

@@ -274,6 +274,18 @@ class TestMPropertyProbe:
         with pytest.raises(InputError):
             m_property_probe(mu, prior_om(mu), [np.zeros(1)], radius_schedule(0.5, 4))
 
+    def test_full_rank_gaussian_has_no_off_domain_points(self):
+        # refused from the functional's meta, before any point is tested
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.5])))
+        with pytest.raises(InputError) as err:
+            m_property_probe(mu, prior_om(mu), [np.array([0.0, 1.0])],
+                             radius_schedule(0.5, 4))
+        assert str(err.value) == ("the gaussian functional is finite on all of R^2 (no eigen "
+                                  "coordinate is degenerate), so the measure has no "
+                                  "off-domain points to probe")
+        degenerate = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        assert "finite_everywhere" not in prior_om(degenerate).meta
+
 
 class TestClassifyMode:
     def test_standard_gaussian_mean_is_strong_and_weak(self):

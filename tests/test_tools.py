@@ -8,11 +8,14 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_bench_json.py"
 
 
-def _record(metric, parent, change):
+def _entry(parent, change):
     side = lambda median: {"median": median, "q1": median, "q3": median, "n": 10}
+    return {"parent": side(parent), "change": side(change)}
+
+
+def _record(metric, parent, change):
     return {"claimed": {"workload": "cli_kinds", "metric": metric},
-            "workloads": {"cli_kinds": {"metrics": {metric: {"parent": side(parent),
-                                                             "change": side(change)}}}}}
+            "workloads": {"cli_kinds": {"metrics": {metric: _entry(parent, change)}}}}
 
 
 def _check(tmp_path, records):
@@ -39,3 +42,24 @@ def test_claimed_metric_must_move_in_its_better_direction(tmp_path):
                                "is not higher")
     assert lines[3] == "higher.json: ok"
 
+
+
+def test_no_end_to_end_metric_worse_than_its_bound(tmp_path):
+    # setup_s is claimed; the other metrics ride along on two workloads
+    record = _record("setup_s", 0.8, 0.25)
+    record["workloads"]["cli_kinds"]["metrics"]["peak_rss_mb"] = _entry(100.0, 109.0)
+    record["workloads"]["mc_ratio"] = {"metrics": {"ref_ops_per_s": _entry(60.0, 40.0),
+                                                   "ref_wall_s": _entry(0.1, 0.126),
+                                                   "trace.op_s": _entry(1.0, 9.0)}}
+    within = json.loads(json.dumps(record))
+    within["workloads"]["mc_ratio"]["metrics"].update(ref_ops_per_s=_entry(60.0, 46.0),
+                                                      ref_wall_s=_entry(0.1, 0.124))
+    code, lines = _check(tmp_path, {"beyond.json": record, "within.json": within})
+    assert code == 1
+    # peak_rss_mb +9% is inside its bound 0.1; trace.op_s is not end to end
+    assert lines == [
+        "beyond.json: mc_ratio/ref_wall_s change median 0.126 is +26.0% worse than "
+        "parent median 0.1, beyond its bound 0.25",
+        "beyond.json: mc_ratio/ref_ops_per_s change median 40.0 is +33.3% worse than "
+        "parent median 60.0, beyond its bound 0.25",
+        "within.json: ok"]
