@@ -28,7 +28,7 @@ from .bip import (LinearObservation, MapSolution, Potential, ProxOpts,
                   constrained_prior_minimum, coordinate_descent_weighted_l1, kkt_residual,
                   map_solve, map_solve_besov, map_solve_besov_linear, perturbation_experiment,
                   projected_potential, quadratic_potential, small_noise_experiment)
-from .counterexamples import (CrossesMeasure, GaussianPair1D, LiminfOnlyMeasure,
+from .counterexamples import (CrossesMeasure, LiminfOnlyMeasure,
                               MixtureFamily, OmNotStrongMeasure, SpikeFamily,
                               crosses_ball_masses, crosses_om_difference,
                               kl_gaussians, kl_gaussians_quadrature,

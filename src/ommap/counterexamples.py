@@ -44,17 +44,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (a) same mode, divergent relative entropy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianPair1D:
-    """N(0, 1) against N(0, sigma); ``sigma`` is the comparison variance."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0):
-            raise InputError(f"variance ratio must be positive, got {self.sigma}")
-
-
 def kl_gaussians(sigma: float) -> float:
     """Relative entropy of N(0,1) with respect to N(0, sigma).
 

@@ -614,47 +614,43 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
 # exact ball masses for product measures
 # ---------------------------------------------------------------------------
 
-def _factorises(measure: ProductMeasure, space: WeightedSeqSpace) -> bool:
-    """Whether ball masses factor over coordinates.
+def _product_exact_log_mass(measure, center: np.ndarray, radii: np.ndarray,
+                            space: WeightedSeqSpace, closed: bool) -> Optional[np.ndarray]:
+    """Exact log masses of the balls about one centre, one per radius, for
+    a point mass or where per-coordinate factorisation applies; else None.
 
-    That needs a coordinate-aligned product measure and either a
-    weighted sup-norm ball or a one-dimensional space.
-    """
-    aligned = measure.basis is None or measure.dim == 1
-    return aligned and (math.isinf(space.p) or space.dim == 1)
-
-
-def _product_exact_log_mass(measure, center: np.ndarray, radius: float,
-                            space: WeightedSeqSpace, closed: bool) -> Optional[float]:
-    """Exact log mass of a point mass, or when per-coordinate
-    factorisation applies; else None.
-
-    A factorising log mass is the sum of the coordinates' log interval
+    Ball masses factor over coordinates for a coordinate-aligned product
+    measure and a weighted sup-norm ball or a one-dimensional space.  A
+    factorising log mass is the sum of the coordinates' log interval
     masses.  The coordinate densities are symmetric, so each interval is
     reflected to lie on the upper side of its center of symmetry and its
     mass taken as a difference of survival functions, sf(a) - sf(b),
     computed from their logs; a far interval then neither cancels nor
-    underflows.
+    underflows.  This is the one place that decides between an exact and
+    a Monte Carlo product mass.
     """
     inside = np.less_equal if closed else np.less
     if np.all(measure.pinned):
         # a point mass at the mean: the ball holds all of it or none, in any norm
-        return 0.0 if inside(weighted_norm(center - measure.mean, space), radius) else -math.inf
-    if not _factorises(measure, space):
+        return np.where(inside(weighted_norm(center - measure.mean, space), radii), 0.0, -np.inf)
+    aligned = measure.basis is None or measure.dim == 1
+    if not (aligned and (math.isinf(space.p) or space.dim == 1)):
         return None
     c, mean = measure.to_eigen(center), measure.eigen_mean
     sd, log_sf = measure.scale, measure.factor.log_sf
-    half = radius * space.weights
+    half = radii[:, None] * space.weights
     pinned = sd == 0.0
-    if not np.all(inside(np.abs(c - mean)[pinned], half[pinned])):
-        return -math.inf
+    hits = np.all(inside(np.abs(c - mean)[pinned], half[:, pinned]), axis=1)
     free = ~pinned
-    lo = (c - half - mean)[free] / sd[free]
-    hi = (c + half - mean)[free] / sd[free]
+    lo = (c - half - mean)[:, free] / sd[free]
+    hi = (c + half - mean)[:, free] / sd[free]
     below = lo + hi < 0
     lo, hi = np.where(below, -hi, lo), np.where(below, -lo, hi)
     ls_lo = log_sf(lo)
-    return float(np.sum(ls_lo + np.log(-np.expm1(log_sf(hi) - ls_lo))))
+    terms = ls_lo + np.log(-np.expm1(log_sf(hi) - ls_lo))
+    # the masked terms come out F-ordered; a C-ordered copy sums each row in
+    # numpy's pairwise order, as the sum over one radius's coordinates does
+    return np.where(hits, np.ascontiguousarray(terms).sum(axis=1), -np.inf)
 
 
 def default_space(measure) -> WeightedSeqSpace:
@@ -673,8 +669,12 @@ def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] 
               opts: Optional[BallOpts] = None) -> BallMass:
     """mu(B_radius(center)) with a standard error and the method that gave it.
 
-    Dispatches on the measure type; the measures off the product form
-    take balls of their own norm only (``_own_ball``).
+    Dispatches on the measure type.  A product measure reads the one-cell
+    mass table (``_log_mass_table``) that ratio curves, ``classify_mode``
+    and ``m_property_probe`` read, exact where a closed form exists and
+    ``opts.method`` allows it, else Monte Carlo on ``opts.seed``'s own
+    stream; the measures off the product form take balls of their own
+    norm only (``_own_ball``).
     """
     raise InputError(f"no ball-mass rule for measure type {type(measure).__name__}")
 
@@ -707,22 +707,20 @@ def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMa
         raise InputError("ball radius must be positive")
     opts = opts or BallOpts()
     space = space or default_space(measure)
-    _check_space(measure, space)
-    center = _as_vector(center, space.dim)
-    if opts.method in ("auto", "exact"):
-        log_exact = _product_exact_log_mass(measure, center, radius, space, opts.closed)
-        if log_exact is not None:
-            # np.exp, as for the mass table, so equal log masses give equal masses
-            return BallMass(float(np.exp(log_exact)), 0.0, "closed-form")
-        if opts.method == "exact":
-            raise InputError("no exact ball mass for this measure/norm combination")
-    rng = child_rng(opts.seed, "ball-mass")
-    batches = np.exp(_mc_mass_batches(measure, [center], np.array([radius]), space,
-                                      opts.n_samples, opts.n_batches, rng, opts.closed)[0, 0])
-    est = float(np.mean(batches))
-    se = float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
-    low = est == 0.0 or se > opts.max_rel_err * max(est, 1e-300)
-    return BallMass(est, se, "monte-carlo", low_confidence=low)
+    table, method = _log_mass_table(measure, [center], np.array([float(radius)]), space, opts,
+                                    opts.method, "ball-mass")
+    est, se = (float(v[0, 0]) for v in _batch_mean_se(table))
+    low = method == "monte-carlo" and (est == 0.0 or se > opts.max_rel_err * max(est, 1e-300))
+    return BallMass(est, se, method, low_confidence=low)
+
+
+def _batch_mean_se(table: np.ndarray) -> tuple:
+    """Mean mass and its standard error over the batches (last axis) of a
+    log mass table; the error is 0 for one exact batch."""
+    masses = np.exp(table)
+    n = table.shape[-1]
+    se = masses.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(table.shape[:-1])
+    return masses.mean(axis=-1), se
 
 
 ball_mass.register(ProductMeasure, _product_ball_mass)
@@ -833,36 +831,37 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts) -> dict:
             "diagnostic": "single-radius-no-extrapolation" if n_fit == 1 else None}
 
 
-def _ball_opts(opts: RatioOpts) -> BallOpts:
-    """The ball-mass knobs that a ratio curve's knobs imply."""
-    return BallOpts(n_samples=opts.n_samples, n_batches=opts.n_batches,
-                    closed=opts.closed, seed=opts.seed)
-
-
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
-                    opts: RatioOpts) -> tuple:
+                    opts, method: str = "auto", stream: str = "ratio-curve") -> tuple:
     """Per-batch log masses, shape (n_centers, n_radii, n_batches), and
-    their method: one exact batch where a closed form or quadrature
-    exists, else common-random-number Monte Carlo with every center on
-    the same draws."""
+    their method.  Every ball mass of a product measure comes from here.
+
+    Measures off the product form give one batch from their own
+    ``ball_mass`` rule, which names its method.  A product measure gives
+    one exact batch where ``_product_exact_log_mass`` has a closed form
+    and ``method`` is not "mc", else common-random-number Monte Carlo
+    with every center on the same draws of ``opts.seed``'s ``stream``.
+    ``opts`` is a ``RatioOpts`` or a ``BallOpts``: only its Monte Carlo
+    sizes, closure and seed are read.
+    """
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):
-        # the other measures' own ball_mass rules, which name their method
-        bopts = _ball_opts(opts)
-        masses = [[ball_mass(measure, c, float(r), space, bopts) for r in radii] for c in centers]
+        # their rules read only a forced method, and a ratio curve forces none
+        masses = [[ball_mass(measure, c, float(r), space) for r in radii] for c in centers]
         with np.errstate(divide="ignore"):
             table = np.log([[m.estimate for m in row] for row in masses])
         return table[:, :, None], masses[0][0].method
-    if not (np.all(measure.pinned) or _factorises(measure, space)):
-        return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples,
-                                 opts.n_batches, child_rng(opts.seed, "ratio-curve"),
-                                 opts.closed), "monte-carlo")
     _check_space(measure, space)
     centers = [_as_vector(c, space.dim) for c in centers]
-    table = np.array([[_product_exact_log_mass(measure, c, float(r), space, opts.closed)
-                       for r in radii] for c in centers])
-    return table[:, :, None], "closed-form"
+    if method != "mc":
+        rows = [_product_exact_log_mass(measure, c, radii, space, opts.closed) for c in centers]
+        if rows[0] is not None:  # a closed form depends on the measure and the norm only
+            return np.array(rows)[:, :, None], "closed-form"
+        if method == "exact":
+            raise InputError("no exact ball mass for this measure/norm combination")
+    return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples, opts.n_batches,
+                             child_rng(opts.seed, stream), opts.closed), "monte-carlo")
 
 
 def _ratio_estimate(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,

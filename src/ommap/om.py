@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .measures import (BallRatioEstimate, BesovMeasure, Density1D, ProductMeasure, RatioOpts,
+from .measures import (BallRatioEstimate, Density1D, ProductMeasure, RatioOpts, _batch_mean_se,
                        _heaviest_centers, _in_range, _log_mass_table, _ratio_estimate,
                        ball_ratio_curve, default_space)
 from .spaces import WeightedSeqSpace, _as_vector
@@ -115,19 +115,6 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
     return OmFunctional(kernel, mean, meta)
 
 
-def besov_tail_bound(mu: BesovMeasure, coef_bound: float, decay: float) -> float:
-    """Upper bound for the functional mass beyond the truncation.
-
-    For coefficients dominated by coef_bound * k^(-decay), the tail
-    sum_{k>K} |u_k|/gamma_k is at most coef_bound * integral_K^inf
-    x^(s/d - 1/2 - decay) dx, finite iff the exponent is < -1.
-    """
-    a = mu.s / mu.d - 0.5 - decay
-    if a >= -1:
-        return math.inf
-    return coef_bound * mu.dim ** (a + 1) / (-a - 1)
-
-
 def density_om(measure: Density1D, anchor: float) -> OmFunctional:
     """Negative log density of a 1-d measure, up to an additive constant."""
 
@@ -148,7 +135,7 @@ def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:
         return base if math.isinf(base) else base + float(phi(u))
 
     return OmFunctional(lambda pts: np.array([value(u) for u in pts]), prior_om.anchor,
-                        {**prior_om.meta, "reweighted": True})
+                        dict(prior_om.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +215,10 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
     For each point that fails the domain test, the curve
     mu(B_r(x)) / mu(B_r(anchor)) should trend down toward 0 over the
     radius schedule; the report records the smallest achieved ratio and
-    the fraction of decreasing steps.  A functional whose meta carries
+    the fraction of decreasing steps.  Every point is tested before any
+    mass is computed.  The curves read one mass table over the anchor and
+    the points, the masses ``ball_ratio_curve`` computes: Monte Carlo
+    draws once for all of them.  A functional whose meta carries
     ``finite_everywhere`` has no off-domain points, and is refused.
     """
     reason = om.meta.get("finite_everywhere")
@@ -237,11 +227,18 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
                          f"R^{om.anchor.size} ({reason}), so the measure has no off-domain "
                          "points to probe")
     opts = opts or ProbeOpts()
-    entries = []
-    for x in outside_points:
+    points = list(outside_points)
+    for x in points:
         if om.domain_test(x):
             raise InputError(f"point {x!r} passes the domain test; probe expects outside points")
-        curve = ball_ratio_curve(measure, x, om.anchor, radii, space, opts.ratio)
+    if not points:
+        return MPropertyReport(om.anchor, [])
+    space = space or default_space(measure)
+    radii = np.asarray(radii, dtype=float)
+    table, method = _log_mass_table(measure, [om.anchor, *points], radii, space, opts.ratio)
+    entries = []
+    for row, x in enumerate(points, start=1):
+        curve = _ratio_estimate(table[row], table[0], radii, space, method, opts.ratio)
         ratios = np.nan_to_num(curve.ratios, nan=0.0)
         steps = np.diff(ratios)
         slack = 5.0 * np.maximum(curve.stderr[1:], curve.stderr[:-1])
@@ -325,10 +322,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     rows = points + [c for c in (_as_vector(c, space.dim) for c in centres)
                      if not any(np.array_equal(c, p) for p in points)]
     table, method = _log_mass_table(measure, rows, radii, space, opts.ratio)
-    masses = np.exp(table)
-    est, se = masses.mean(axis=2), np.zeros(table.shape[:2])
-    if table.shape[2] > 1:  # Monte Carlo batches
-        se = masses.std(axis=2, ddof=1) / math.sqrt(table.shape[2])
+    est, se = _batch_mean_se(table)
     cand_mass, cand_se = est[0], se[0]
     if np.any(cand_mass <= 0):
         raise InputError("candidate has zero ball mass; it must lie in the support")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from ommap import (BallOpts, CrossesMeasure, Density1D, GaussianPair1D, InputError,
+from ommap import (BallOpts, CrossesMeasure, Density1D, InputError,
                    LiminfOnlyMeasure, MixtureFamily, OmNotStrongMeasure, ParameterError, RatioOpts,
                    RegimeError, SpikeFamily, ball_ratio_curve, crosses_ball_masses,
                    crosses_om_difference, kl_gaussians, kl_gaussians_quadrature,
@@ -34,8 +34,6 @@ class TestGaussianKL:
     def test_input_validation(self):
         with pytest.raises(InputError):
             kl_gaussians(0.0)
-        with pytest.raises(InputError):
-            GaussianPair1D(-1.0)
 
 
 class TestMixture:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
                    ball_mass, ball_ratio_curve, besov_weights,
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
+from ommap._seeds import child_rng
 from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
-                            _ProductSetup, _log_mean_exp, _mc_mass_batches, _uniform_pball)
+                            _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
+                            _uniform_pball)
 
 
 def std_gaussian(k):
@@ -229,6 +232,97 @@ class TestBallMass:
         se = norms.std(ddof=1) / math.sqrt(len(norms))
         assert norms.mean() <= bound + 3 * se
         assert norms.mean() == pytest.approx(bound, abs=4 * se)
+
+
+def _reference_exact_log_mass(measure, center, radius, space, closed) -> float:
+    """One radius's factorising log mass: the coordinates' log interval
+    masses, reflected above the mean and summed as one vector."""
+    inside = np.less_equal if closed else np.less
+    c, mean = measure.to_eigen(center), measure.eigen_mean
+    sd, log_sf = measure.scale, measure.factor.log_sf
+    half = radius * space.weights
+    pinned = sd == 0.0
+    if not np.all(inside(np.abs(c - mean)[pinned], half[pinned])):
+        return -math.inf
+    free = ~pinned
+    lo = (c - half - mean)[free] / sd[free]
+    hi = (c + half - mean)[free] / sd[free]
+    below = lo + hi < 0
+    lo, hi = np.where(below, -hi, lo), np.where(below, -lo, hi)
+    ls_lo = log_sf(lo)
+    return float(np.sum(ls_lo + np.log(-np.expm1(log_sf(hi) - ls_lo))))
+
+
+def _exact_table_case(kind, dim):
+    """A product measure with a closed form in a weighted sup norm, and
+    centres about it.  A Gaussian pins its first coordinate at 0 when
+    dim > 1; the last centre sits there on the edge of the fourth ball."""
+    rng = np.random.default_rng(dim)
+    radii = radius_schedule(0.5, 10)
+    if kind == "gaussian":
+        eig = rng.uniform(0.5, 2.0, dim)
+        mean = rng.normal(0.0, 0.5, dim)
+        if dim > 1:
+            eig[0] = mean[0] = 0.0
+        mu = GaussianMeasure(mean, SpectralOperator(eig))
+    else:
+        mu = BesovMeasure(1.0, 1, 1.0, dim)
+    space = WeightedSeqSpace(math.inf, rng.uniform(0.5, 2.0, dim))
+    centers = [mu.mean.copy()] + [mu.mean + rng.normal(0.0, s, dim) for s in (0.05, 1.0, 30.0)]
+    centers[1][0] = mu.mean[0]
+    centers[-1][0] = mu.mean[0] + radii[3] * space.weights[0]
+    return mu, centers, radii, space
+
+
+class TestMassTable:
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize("dim", [1, 50, 200])
+    @pytest.mark.parametrize("kind", ["gaussian", "besov1"])
+    def test_exact_rows_are_the_per_radius_sums(self, kind, dim, closed):
+        # each row sums every radius's coordinates in the order one radius
+        # alone would: bit for bit, pinned coordinate and ball edge included
+        mu, centers, radii, space = _exact_table_case(kind, dim)
+        table, method = _log_mass_table(mu, centers, radii, space, RatioOpts(closed=closed))
+        assert (method, table.shape) == ("closed-form", (len(centers), len(radii), 1))
+        ref = [[_reference_exact_log_mass(mu, c, float(r), space, closed) for r in radii]
+               for c in centers]
+        np.testing.assert_array_equal(table[:, :, 0], ref)
+        assert np.all(np.isfinite(table[:2]))  # on the mean in the pinned coordinate
+        if kind == "gaussian" and dim > 1:  # the edge centre: in the closed ball only
+            missed = np.flatnonzero(np.isneginf(table[-1, :, 0])).tolist()
+            assert missed == list(range(4 if closed else 3, len(radii)))
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_exact_ball_mass_is_the_one_cell_table(self, closed):
+        mu, centers, radii, space = _exact_table_case("gaussian", 50)
+        for c in centers:
+            for r in radii[::3]:
+                got = ball_mass(mu, c, float(r), space, BallOpts(method="exact", closed=closed))
+                ref = _reference_exact_log_mass(mu, c, float(r), space, closed)
+                assert (got.estimate, got.stderr, got.method) == (float(np.exp(ref)), 0.0,
+                                                                   "closed-form")
+                assert not got.low_confidence
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_monte_carlo_ball_mass_keeps_its_draws(self, closed):
+        # the one-cell table draws from the "ball-mass" stream, as before
+        mu = GaussianMeasure(np.array([0.3, -0.2, 0.1]),
+                             SpectralOperator(np.array([1.0, 0.5, 0.0])))
+        space = WeightedSeqSpace(2.0, np.array([1.0, 2.0, 0.7]))
+        c, r = np.array([0.5, 0.0, 0.1]), 0.6
+        opts = BallOpts(n_samples=4000, n_batches=8, seed=11, method="mc", closed=closed)
+        got = ball_mass(mu, c, r, space, opts)
+        batches = np.exp(_mc_mass_batches(mu, [c], np.array([r]), space, opts.n_samples,
+                                          opts.n_batches, child_rng(opts.seed, "ball-mass"),
+                                          closed)[0, 0])
+        est = float(np.mean(batches))
+        se = float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
+        assert (got.estimate, got.stderr, got.method) == (est, se, "monte-carlo")
+        assert got.low_confidence == (se > opts.max_rel_err * est)
+        # the same measure in the l2 norm has no closed form
+        assert ball_mass(mu, c, r, space, replace(opts, method="auto")) == got
+        with pytest.raises(InputError):
+            ball_mass(mu, c, r, space, replace(opts, method="exact"))
 
 
 class TestRatioCurve:

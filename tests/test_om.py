@@ -75,15 +75,6 @@ class TestBesovFunctional:
         u = rng.normal(size=5)
         assert fn(c * u) == pytest.approx(abs(c) * fn(u), rel=1e-12, abs=1e-12)
 
-    def test_tail_bound_dominates_explicit_sums(self):
-        mu = BesovMeasure(1.0, 1, 1.0, 50)
-        bound = om.besov_tail_bound(mu, 2.0, 3.0)
-        # compare with the finite continuation sum over the next 10^5 terms
-        k = np.arange(51, 100_000, dtype=float)
-        partial = np.sum(2.0 * k ** -3.0 * k ** 0.5)
-        assert partial <= bound
-        assert math.isinf(om.besov_tail_bound(mu, 1.0, 0.2))
-
 
 def _reference_gaussian_om(mu, u) -> float:
     """One-point Cameron-Martin value from the spectral primitives."""
@@ -285,6 +276,31 @@ class TestMPropertyProbe:
                                   "off-domain points to probe")
         degenerate = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
         assert "finite_everywhere" not in prior_om(degenerate).meta
+
+    def test_one_mass_table_for_every_point(self, monkeypatch):
+        # the anchor and the three points share one Monte Carlo table, and
+        # each curve is the one ball_ratio_curve draws for its point alone
+        mc_calls = []
+        mc_mass_batches = measures._mc_mass_batches
+
+        def spy(*args):
+            mc_calls.append(args[1])
+            return mc_mass_batches(*args)
+
+        monkeypatch.setattr(measures, "_mc_mass_batches", spy)
+        mu = GaussianMeasure(np.array([0.2, -0.1]), SpectralOperator(np.array([1.5, 0.0])))
+        fn = prior_om(mu)
+        pts = [np.array([0.2, 0.0]), np.array([-0.5, -0.25]), np.array([1.0, 0.05])]
+        radii, space = radius_schedule(0.4, 6), WeightedSeqSpace.unweighted(2.0, 2)
+        opts = ProbeOpts(ratio=RatioOpts(n_samples=20000, seed=7))
+        rep = m_property_probe(mu, fn, pts, radii, space, opts)
+        assert len(mc_calls) == 1
+        for x, entry in zip(pts, rep.entries):
+            curve = ball_ratio_curve(mu, x, fn.anchor, radii, space, opts.ratio)
+            np.testing.assert_array_equal(entry.ratios, np.nan_to_num(curve.ratios))
+            # the balls about each point reach the support at the larger radii only
+            assert entry.ratios[0] > 0.0 and entry.ratios[-1] == 0.0
+        assert rep.all_pass
 
 
 class TestClassifyMode:

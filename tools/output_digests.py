@@ -82,6 +82,23 @@ EXTRA_CONFIGS = (
         "measure": {"type": "density1d", "name": "crosses", "params": {"norm_choice": "inf"}},
         "candidate": [1.0, 0.0], "competitors": [[-1.0, 0.0], [1.5, 0.0], [0.0, 1.0]],
         "schedule": {"r0": 0.2, "levels": 5}, "norm": {"p": "inf"}}),
+    # one Monte Carlo mass table serves the anchor and all three points
+    ("m_property.three_points", {
+        "kind": "m_property", "seed": 5,
+        "measure": {"type": "gaussian", "mean": [0.2, -0.1], "eigenvalues": [1.5, 0.0]},
+        "outside_points": [[0.2, 0.0], [-0.5, -0.25], [1.0, 0.05]],
+        "schedule": {"r0": 0.4, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
+    # l2 balls of a Gaussian have no closed form: a Monte Carlo mass table
+    ("classify_mode.gaussian_l2", {
+        "kind": "classify_mode", "seed": 6,
+        "measure": {"type": "gaussian", "mean": [0.3, -0.2], "eigenvalues": [1.0, 0.5]},
+        "candidate": [0.3, -0.2], "competitors": [[0.6, 0.1], [-0.2, -0.4]],
+        "schedule": {"r0": 0.3, "levels": 5}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
+    # Laplace factors in the sup norm: the exact product path
+    ("ball_ratio.besov20_sup", {
+        "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
+        "x1": [0.05 * (-1) ** k / (k + 1) for k in range(20)], "x2": [0.0] * 20,
+        "schedule": {"r0": 0.2, "levels": 10}, "norm": {"p": "inf"}}),
     ("counterexample.crosses", {"kind": "counterexample", "seed": 0, "name": "crosses"}),
     ("counterexample.liminf_only", {"kind": "counterexample", "seed": 0,
                                     "name": "liminf_only", "params": {"n_max": 8}}),
