@@ -45,18 +45,18 @@ def validate_config(cfg: dict) -> None:
     import jsonschema
 
     schema = _schema()
+    # a config of a known kind passes the top-level oneOf exactly when it
+    # passes its own kind's branch, and is reported by that branch's first
+    # error, which names its field
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    for branch in schema["oneOf"]:
+        if branch["properties"]["kind"]["const"] == kind:
+            schema = {"$defs": schema["$defs"], **branch}
+            break
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
-        # a config of a known kind is reported by the first error of that
-        # kind's branch of the top-level oneOf, which names its field
-        kinds = [b["properties"]["kind"]["const"] for b in schema["oneOf"]]
-        if (err.validator == "oneOf" and not err.absolute_path and isinstance(cfg, dict)
-                and cfg.get("kind") in kinds):
-            branch = kinds.index(cfg["kind"])
-            err = min((e for e in err.context if e.relative_schema_path[0] == branch),
-                      key=lambda e: list(e.absolute_path))
         loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config field {loc}: {err.message}")
 

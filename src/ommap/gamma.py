@@ -300,8 +300,17 @@ def _product_recovery(mu_limit: ProductMeasure, mu_seq: Sequence, u) -> list:
     w = np.zeros_like(c)
     w[free] = c[free] / mu_limit.scale[free]
     v = w if mu_limit.basis is None else mu_limit.basis @ w
-    return [m.mean + (m.scale * v if m.basis is None else m.basis @ (m.scale * (m.basis.T @ v)))
-            for m in mu_seq]
+    means = np.array([m.mean for m in mu_seq])
+    scales = np.array([m.scale for m in mu_seq])
+    bases = [m.basis for m in mu_seq]
+    out = np.empty_like(means)
+    # one stack per basis object; matmul's batch of B y_n keeps the bits of
+    # the one-member product B @ y_n, where y @ B.T would not
+    for basis in {id(b): b for b in bases}.values():
+        rows = [i for i, b in enumerate(bases) if b is basis]
+        y = scales[rows] * (v if basis is None else basis.T @ v)
+        out[rows] = means[rows] + (y if basis is None else np.matmul(basis, y[:, :, None])[:, :, 0])
+    return list(out)
 
 
 def gaussian_recovery_sequence(mu_seq: Sequence, mu_limit, u) -> list:

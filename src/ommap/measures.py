@@ -171,11 +171,14 @@ class GaussianMeasure(ProductMeasure):
     basis = property(lambda self: self.cov.basis)
     eigen_mean = property(lambda self: self.cov.to_eigen(self.mean))
     spread = property(lambda self: self.cov.eigenvalues)  # variances
-    scale = property(lambda self: np.sqrt(self.cov.eigenvalues))
     pinned = property(lambda self: self.cov.zero_mask())
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_vector(self.mean, self.cov.dim))
+
+    @cached_property
+    def scale(self):
+        return np.sqrt(self.cov.eigenvalues)
 
     def default_space(self) -> WeightedSeqSpace:
         return WeightedSeqSpace.unweighted(2.0, self.dim)
@@ -806,6 +809,9 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts) -> dict:
     exact: se_fit = sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the fit's
     pseudoinverse.  The interval exp(c0 -+ (1.96 se_fit + 2 se_model))
     widens it by twice the rms fit residual to account for model error.
+    Ratios or an intercept beyond the largest float carry a diagnostic
+    that says so: infinite ratios give no fit, an exponent that overflows
+    reads +inf.
     """
     n_fit = min(opts.fit_points, len(radii))
     idx = np.argsort(radii)[:n_fit]
@@ -815,7 +821,8 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts) -> dict:
     if np.any(~np.isfinite(y)) or np.any(y <= 0):
         return {"limit": float("nan"), "ci": (float("nan"), float("nan")),
                 "se_model": float("nan"), "se_limit": float("nan"),
-                "diagnostic": "nonpositive-ratios-in-fit-window"}
+                "diagnostic": ("infinite-ratios-in-fit-window" if np.any(np.isposinf(y))
+                               else "nonpositive-ratios-in-fit-window")}
     x = np.sqrt(r) if opts.fit_in == "sqrt_r" else r
     logy = np.log(y)
     a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
@@ -825,10 +832,23 @@ def _fit_limit(radii, ratios, stderrs, opts: RatioOpts) -> dict:
     p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
     se_fit = float(np.sqrt(np.sum((p0 * se / y) ** 2)))
     half = 1.96 * se_fit + 2.0 * se_model
-    limit = float(math.exp(coef[0]))
-    return {"limit": limit, "ci": (math.exp(coef[0] - half), math.exp(coef[0] + half)),
+    limit = _exp_or_inf(coef[0])
+    ci = (_exp_or_inf(coef[0] - half), _exp_or_inf(coef[0] + half))
+    if math.isinf(ci[1]):
+        diagnostic = "limit-overflow" if math.isinf(limit) else "ci-upper-overflow"
+    else:
+        diagnostic = "single-radius-no-extrapolation" if n_fit == 1 else None
+    return {"limit": limit, "ci": ci,
             "se_model": se_model, "se_limit": limit * math.hypot(se_fit, se_model),
-            "diagnostic": "single-radius-no-extrapolation" if n_fit == 1 else None}
+            "diagnostic": diagnostic}
+
+
+def _exp_or_inf(v: float) -> float:
+    """exp(v) as a float, +inf where it exceeds the largest float."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,

@@ -85,6 +85,111 @@ class TestValidation:
         assert seen == set(records)
 
 
+_GAUSS_1D = {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}
+_OBS_1D = {"matrix": [[1.0]], "noise_cov": [1.0], "data": [1.0]}
+
+#: one schema-valid config of each kind
+VALID_CONFIGS = {
+    "ball_ratio": {"kind": "ball_ratio", "seed": 1, "measure": _GAUSS_1D, "x1": [0.5],
+                   "x2": [0.0], "norm": {"p": 2}, "schedule": {"r0": 0.2, "levels": 4}},
+    "classify_mode": {"kind": "classify_mode", "measure": _GAUSS_1D, "candidate": [0.0],
+                      "competitors": [[0.5]], "norm": {"p": "inf"}},
+    "m_property": {"kind": "m_property", "outside_points": [[0.0, 1.0]],
+                   "measure": {"type": "gaussian", "mean": [0.0, 0.0],
+                               "eigenvalues": [1.0, 0.0]},
+                   "norm": {"p": 2, "weights": [1.0, 1.0]}},
+    "gamma_check": {"kind": "gamma_check", "indices": [1, 2, 3],
+                    "family": {"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0, "dim": 2}},
+    "map_solve": {"kind": "map_solve", "prior": _GAUSS_1D, "observation": _OBS_1D},
+    "perturbation": {"kind": "perturbation", "perturb": "data", "prior": _GAUSS_1D,
+                     "observation": _OBS_1D, "indices": [1, 2], "data_direction": [1.0]},
+    "small_noise": {"kind": "small_noise", "prior": _GAUSS_1D, "observation": _OBS_1D,
+                    "n_list": [1, 10]},
+    "counterexample": {"kind": "counterexample", "name": "crosses", "params": {"r": 1.0}},
+}
+
+#: per kind, the (field, value) pairs that break its valid config
+_BREAKS = {
+    "ball_ratio": [("measure", {"type": "gaussian", "mean": "x", "eigenvalues": [1.0]}),
+                   ("norm", {"p": "two"}), ("x2", None)],
+    "classify_mode": [("measure", {"type": "besov1", "s": 1.0}), ("norm", {"p": 0}),
+                      ("competitors", [0.5])],
+    "m_property": [("measure", 3), ("norm", {"p": 2, "weights": "w"}),
+                   ("outside_points", None)],
+    "gamma_check": [("family", {"type": "laplace"}), ("family", None), ("indices", "x")],
+    "map_solve": [("prior", {"type": "density1d"}), ("observation", {"matrix": [[1.0]]}),
+                  ("solver", [])],
+    "perturbation": [("perturb", "noise"), ("prior", None), ("data_direction", ["a"])],
+    "small_noise": [("prior", {**_GAUSS_1D, "basis": 1}), ("n_list", None), ("seed", 1.5)],
+    "counterexample": [("name", "nope"), ("params", 3), ("name", None)],
+}
+
+
+def _broken(kind, field, value):
+    cfg = {k: v for k, v in VALID_CONFIGS[kind].items() if k != field}
+    if value is not None:
+        cfg[field] = value
+    return cfg
+
+
+INVALID_CONFIGS = [
+    *(pytest.param(_broken(kind, field, value), id=f"{kind}-{field}-{i}")
+      for kind, breaks in _BREAKS.items() for i, (field, value) in enumerate(breaks)),
+    *(pytest.param({**cfg, "bogus": 1}, id=f"{kind}-extra-property")
+      for kind, cfg in VALID_CONFIGS.items()),
+    pytest.param({**_broken("ball_ratio", "norm", {"p": "two"}), "x1": "x", "bogus": 1},
+                 id="ball_ratio-three-errors"),
+    pytest.param({"name": "crosses"}, id="no-kind"),
+    pytest.param({"kind": "nope", "name": "crosses"}, id="unknown-kind"),
+    pytest.param({"kind": ["ball_ratio"]}, id="list-kind"),
+    pytest.param(["ball_ratio"], id="not-an-object-list"),
+    pytest.param("ball_ratio", id="not-an-object-str"),
+    pytest.param(3, id="not-an-object-int"),
+]
+
+
+def whole_schema_message(cfg):
+    """The error of a check against the whole schema, where a config of a
+    known kind is reported by the first error of that kind's oneOf branch;
+    None for a valid config."""
+    schema = _schema()
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    err = errors[0]
+    kinds = [b["properties"]["kind"]["const"] for b in schema["oneOf"]]
+    if (err.validator == "oneOf" and not err.absolute_path and isinstance(cfg, dict)
+            and cfg.get("kind") in kinds):
+        branch = kinds.index(cfg["kind"])
+        err = min((e for e in err.context if e.relative_schema_path[0] == branch),
+                  key=lambda e: list(e.absolute_path))
+    loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
+    return f"config field {loc}: {err.message}"
+
+
+class TestBranchValidation:
+    """A config of a known kind is checked against its own branch only, with
+    the same verdict and message as the whole schema gives."""
+
+    @pytest.mark.parametrize("kind", list(VALID_CONFIGS))
+    def test_valid_config_of_each_kind_passes(self, kind):
+        assert whole_schema_message(VALID_CONFIGS[kind]) is None
+        validate_config(VALID_CONFIGS[kind])
+
+    def test_every_kind_has_a_config(self):
+        assert set(VALID_CONFIGS) == {b["properties"]["kind"]["const"]
+                                      for b in _schema()["oneOf"]}
+
+    @pytest.mark.parametrize("cfg", INVALID_CONFIGS)
+    def test_same_message_as_the_whole_schema(self, cfg):
+        want = whole_schema_message(cfg)
+        assert want is not None
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == want
+
+
 class TestRun:
     def test_liminf_only_csv(self, tmp_path):
         code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "liminf_only",
@@ -165,6 +270,17 @@ class TestRun:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
         assert field in capsys.readouterr().err
+
+    def test_ratio_interval_past_the_largest_float(self, tmp_path):
+        cfg = {"kind": "ball_ratio", "measure": {"type": "gaussian", "mean": [0.0],
+                                                 "eigenvalues": [1.0]},
+               "x1": [0.0], "x2": [37.67], "schedule": {"r0": 0.2, "levels": 6},
+               "norm": {"p": "inf"}}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert results["diagnostic"] == "ci-upper-overflow"
+        assert results["ci"][1] == math.inf and math.isfinite(results["limit"])
 
     def test_every_csv_has_header(self, tmp_path):
         cfg = {"kind": "counterexample", "name": "crosses"}

@@ -1,6 +1,7 @@
 """Closed-form example measures against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,69 @@ class TestSpike:
         total += quad(lambda x: float(fam.density(x)), 0, 1.0)[0]
         total += quad(lambda x: float(fam.density(x)), 1.0, 14)[0]
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def _density_points(n=math.inf):
+    """521 points over [-40, 45] and 0, -0, +-1/n, with tails where an
+    exp underflows to 0 (and, for the spike, points past its 1/n scale)."""
+    extra = [0.0, -0.0, 1e-300, -1e-300, -39.9, 38.5, 39.7, 44.9]
+    if n != math.inf:
+        extra += [1.0 / n, -1.0 / n, 27.0 / n, 28.0 / n]
+    return np.concatenate([np.linspace(-40.0, 45.0, 521), extra]).tolist()
+
+
+# The references square with ** 2 and select with np.where on a one-element
+# array.  On a 0-d array, x - r is a numpy scalar whose ** 2 calls pow(),
+# which can round a square differently from d * d (x = 21.78846153846154
+# in the spike's Gaussian factor); an array squares as d * d.
+
+def mixture_reference(t, r, x):
+    """The mixture density at x as an array expression."""
+    x = np.array([x], dtype=float)
+    up = (1.0 + t) * np.exp(-0.5 * (x - r) ** 2)
+    down = (1.0 - t) * np.exp(-0.5 * (x + r) ** 2)
+    return float(((up + down) / (2.0 * SQRT_2PI))[0])
+
+
+def spike_reference(n, x):
+    """The spike density at x as an array expression."""
+    x = np.array([x], dtype=float)
+    g = np.exp(-0.5 * (x - 1.0) ** 2)
+    if n == math.inf:
+        return float((g / SQRT_2PI)[0])
+    n = float(n)
+    s = np.where(x >= 0, 4.0 * n * n * x * x * np.exp(-(n * x) ** 2), 0.0)
+    return float(((g + s) / (SQRT_2PI + math.sqrt(math.pi) / n))[0])
+
+
+class TestDensityPoints:
+    """A float point and a one-element array give the same density bits,
+    and both equal the array expression."""
+
+    @pytest.mark.parametrize("t,r", [(0.0, 5.0), (0.3, 5.0), (-0.7, 3.5), (0.05, 2.0),
+                                     (-0.2, 2.0)])
+    def test_mixture(self, t, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # r = 2 is fig1a's geometry
+            fam = MixtureFamily(t, r)
+        for x in _density_points():
+            at_float = fam.density(x)
+            assert not isinstance(at_float, np.ndarray)
+            assert float(at_float) == fam.density(np.array([x]))[0] == \
+                mixture_reference(t, r, x), x
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, math.inf])
+    def test_spike(self, n):
+        fam = SpikeFamily(n)
+        for x in _density_points(n):
+            at_float = fam.density(x)
+            assert not isinstance(at_float, np.ndarray)
+            assert float(at_float) == fam.density(np.array([x]))[0] == \
+                spike_reference(n, x), x
+
+    def test_tails_underflow(self):
+        assert float(MixtureFamily(0.3).density(44.9)) == 0.0
+        assert float(SpikeFamily(10).density(-39.9)) == 0.0
 
 
 class TestLiminfOnly:

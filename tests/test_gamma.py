@@ -598,6 +598,63 @@ class TestBesovRecovery:
             besov_recovery_sequence(members, limit, np.zeros(3))[0], np.zeros(3))
 
 
+def per_member_recovery(mu_limit, mu_seq, u):
+    """x_n = m_n + B_n (s_n * (B_n^T v)) one member at a time, with v the
+    limit's whitened preimage of u - m."""
+    c = mu_limit.to_eigen(u - mu_limit.mean)
+    free = ~mu_limit.pinned
+    w = np.zeros_like(c)
+    w[free] = c[free] / mu_limit.scale[free]
+    v = w if mu_limit.basis is None else mu_limit.basis @ w
+    return [m.mean + (m.scale * v if m.basis is None else m.basis @ (m.scale * (m.basis.T @ v)))
+            for m in mu_seq]
+
+
+def _rotation(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def _recovery_families():
+    rng = np.random.default_rng(24)
+    eig = rng.uniform(0.5, 2.0, 6)
+    shift = rng.uniform(-0.4, 0.4, 6) * eig
+    mean, mshift = rng.normal(0.0, 0.5, 6), rng.normal(0.0, 1.0, 6)
+    a, b = _rotation(rng, 6), _rotation(rng, 6)
+
+    def gauss(n, basis, eigenvalues=None):
+        cov = SpectralOperator(eig + shift / n if eigenvalues is None else eigenvalues, basis)
+        return GaussianMeasure(mean + mshift / n, cov)
+
+    idx = range(2, 401)
+    pinned = [gauss(n, a) for n in range(2, 12)]
+    pinned[4] = gauss(6, a, np.where(np.arange(6) == 2, 0.0, eig))
+    besov, _ = besov_family_399()
+    return {"shared-rotated-basis": (gauss(1, a), [gauss(n, a) for n in idx]),
+            "two-bases-interleaved": (gauss(1, a), [gauss(n, a if n % 2 else b) for n in idx]),
+            "coordinate-basis": (gauss(1, None), [gauss(n, None) for n in idx]),
+            "pinned-member": (gauss(1, a), pinned),
+            "besov1": (besov.limit_measure, besov.measures)}
+
+
+class TestStackedRecovery:
+    """The recovery sequence stacks members by basis and keeps the bits of
+    the per-member formula."""
+
+    @pytest.mark.parametrize("name", ["shared-rotated-basis", "two-bases-interleaved",
+                                      "coordinate-basis", "pinned-member", "besov1"])
+    def test_equals_the_per_member_formula(self, name):
+        limit, members = _recovery_families()[name]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            u = limit.mean + rng.laplace(size=limit.dim)
+            rec = gaussian_recovery_sequence(members, limit, u)
+            want = per_member_recovery(limit, members, u)
+            assert len(rec) == len(want)
+            for got, ref in zip(rec, want):
+                np.testing.assert_array_equal(got, ref)
+
+
 class TestEquicoercivity:
     def test_negative_level_vacuous(self):
         seq = gaussian_family_scale(4)

@@ -19,7 +19,7 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap._seeds import child_rng
-from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
+from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _fit_limit, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
                             _uniform_pball)
 
@@ -415,6 +415,32 @@ class TestRatioCurve:
                                    rtol=1e-12)
         assert cur.se_limit == pytest.approx(se, rel=1e-15)
 
+
+    @pytest.mark.parametrize("x2,limit,diagnostic", [
+        (37.66, 1.1959838987166928e308, None),
+        (37.67, 1.7431767699699768e308, "ci-upper-overflow"),
+        (37.675, math.inf, "limit-overflow"),
+        (37.68, math.nan, "infinite-ratios-in-fit-window")])
+    def test_ratios_near_the_largest_float(self, x2, limit, diagnostic):
+        # log ratio x2^2 / 2 in the limit: 709.1 at 37.66, past log(float max)
+        # = 709.78 from 37.68; the fit window's ratios rise towards it
+        cur = ball_ratio_curve(std_gaussian(1), [0.0], [x2], radius_schedule(0.2, 6),
+                               WeightedSeqSpace(math.inf, np.ones(1)))
+        assert cur.diagnostic == diagnostic
+        if math.isnan(limit):
+            assert np.isposinf(cur.ratios[-1]) and math.isnan(cur.extrapolated_limit)
+            return
+        assert np.all(np.isfinite(cur.ratios))
+        assert cur.extrapolated_limit == pytest.approx(limit, rel=1e-12)
+        assert cur.ci[0] < cur.extrapolated_limit <= cur.ci[1]
+        assert math.isinf(cur.ci[1]) == (diagnostic is not None)
+
+    def test_whole_interval_beyond_the_largest_float(self):
+        # the intercept exceeds log(float max) by more than the interval's half-width
+        fit = _fit_limit(np.array([0.1, 0.05]), np.array([1e308, 1.5e308]), np.zeros(2),
+                         RatioOpts())
+        assert fit["limit"] == fit["ci"][0] == fit["ci"][1] == math.inf
+        assert fit["diagnostic"] == "limit-overflow"
 
     def test_besov_dim100_small_radii_no_underflow(self):
         # the masses themselves underflow (log mass ~ -1000 at the smallest

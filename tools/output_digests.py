@@ -9,15 +9,18 @@ runs each op and its oracle check, and prints one line per op:
 It then runs the CLI configs of ``EXTRA_CONFIGS``, which the benchmark
 never runs, through ``ommap.cli.main`` and prints one line per config,
 ``cli_extra <seed> <label> <sha256 of results.json>``, so that every
-record the results.json encoder writes is covered.
+record the results.json encoder writes is covered.  Last come the four
+``reproduce`` figures, one line per file each writes (results.json and
+its CSVs), ``reproduce <figure> <file> <sha256 of the file>``, so a
+changed density value on a figure grid shows.
 
 Run it from the repository root of each commit and diff the outputs:
 
     python3 tools/output_digests.py > digests.txt
 
 An op whose check fails or finds a quiet wrong answer, or an extra
-config that does not exit 0, is also reported on standard error, and
-the exit code is then 1.
+config or figure that does not exit 0, is also reported on standard
+error, and the exit code is then 1.
 """
 
 import os
@@ -65,8 +68,9 @@ EXTRA_CONFIGS = (
         "liminf_points": [[0.0] * 6, [0.5, -0.2, 0.1, 0.0, 0.0, 0.3]],
         "recovery_points": [[0.2, 0.1, 0.0, -0.1, 0.0, 0.0]],
         "t_values": [0.5, 2.0], "sublevel_samples": 200}),
-    # the liminf probe reports violations on this family (a degenerate limit
-    # approached by N(0, diag(1, 1/n))), so their records are written too
+    # this family satisfies the liminf inequality (F_n(y) >= y_1^2 / 2 for
+    # every member), but the probe reports violations on it: the false `fail`
+    # of ROADMAP item 12.  It is kept because it writes LiminfViolation records
     ("gamma_check.liminf_violations", {
         "kind": "gamma_check", "seed": 3,
         "family": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.0],
@@ -126,6 +130,26 @@ def _extra_digests() -> int:
     return bad
 
 
+FIGURES = ("fig1a", "fig1b", "figB1", "figB3")
+
+
+def _figure_digests() -> int:
+    bad = 0
+    for fig in FIGURES:
+        with tempfile.TemporaryDirectory() as work:
+            out = Path(work) / "out"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = ommap.cli.main(["--out", str(out), "reproduce", fig])
+            if code != 0:
+                bad += 1
+                print(f"reproduce {fig}: exit code {code}", file=sys.stderr)
+                continue
+            for path in sorted(out.iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                print(f"reproduce {fig} {path.name} {digest}", flush=True)
+    return bad
+
+
 def main() -> int:
     bad = 0
     for name in WORKLOADS:
@@ -139,6 +163,7 @@ def main() -> int:
                         print(f"{name} {seed} {op.kind}: {out.failed or out.wrong}",
                               file=sys.stderr)
     bad += _extra_digests()
+    bad += _figure_digests()
     return 1 if bad else 0
 
 
