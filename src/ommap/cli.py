@@ -8,7 +8,7 @@ grids for the standard example figures.
 Results are written as results.json plus one CSV per table.  Identical
 config and seed give byte-identical results.json.  Exit codes: 0 for a
 completed run (verdicts live in the report), 2 for a configuration/schema
-violation, 3 for numerical blow-up.
+violation or a config file that cannot be read, 3 for numerical blow-up.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -41,9 +42,31 @@ def _schema() -> dict:
     return json.loads((resources.files("ommap") / "schema.json").read_text())
 
 
-def validate_config(cfg: dict) -> None:
+_NUMBER = {"type": "number"}  # the items of $defs/vector
+
+
+@functools.cache
+def _validator_class():
+    """Draft 2020-12 with the ``items`` of ``$defs/vector`` checked in one
+    pass: a list of ints and floats (no bools) passes ``{"type": "number"}``
+    items at once.  Any other list goes to jsonschema's own ``items``, so
+    every message stays the same.  Built on first use, so that importing
+    the CLI loads no jsonschema."""
     import jsonschema
 
+    base = jsonschema.Draft202012Validator
+    items = base.VALIDATORS["items"]
+
+    def number_items(validator, schema_items, instance, schema):
+        if schema_items == _NUMBER and type(instance) is list and \
+                set(map(type, instance)) <= {int, float}:
+            return ()
+        return items(validator, schema_items, instance, schema)
+
+    return jsonschema.validators.extend(base, {"items": number_items})
+
+
+def validate_config(cfg: dict) -> None:
     schema = _schema()
     # a config of a known kind passes the top-level oneOf exactly when it
     # passes its own kind's branch, and is reported by that branch's first
@@ -53,12 +76,23 @@ def validate_config(cfg: dict) -> None:
         if branch["properties"]["kind"]["const"] == kind:
             schema = {"$defs": schema["$defs"], **branch}
             break
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _validator_class()(schema)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config field {loc}: {err.message}")
+
+
+def _read_config(path: str):
+    """The parsed JSON of a config file; a file that cannot be read is a
+    ConfigError naming the path and the reason."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
+    return json.loads(text)
 
 
 def _json_default(obj):
@@ -80,10 +114,16 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """One CSV table.  A float ndarray is written line by line as its
+    rows' comma-joined ``repr``s, which is what ``csv.writer`` writes for
+    floats; other rows, which may hold strings, go through ``csv.writer``."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        if isinstance(rows, np.ndarray):
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+        else:
+            w.writerows(rows)
 
 
 def _radii_from(cfg: dict) -> np.ndarray:
@@ -369,7 +409,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # r = 2 is the figure's own geometry
             cols = {f"t={t}": cx.MixtureFamily(t, r).density(xs) for t in ts}
-        rows = np.column_stack([xs, *cols.values()]).tolist()
+        rows = np.column_stack([xs, *cols.values()])
         _write_csv(out / "fig1a_density_grid.csv", ["x"] + list(cols), rows)
         return {"figure": figure_id, "r": r, "t_values": ts,
                 "files": ["fig1a_density_grid.csv"]}
@@ -378,7 +418,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
         xs = np.linspace(-1.0, 4.0, 2001)
         cols = {f"n={'inf' if n == math.inf else int(n)}": cx.SpikeFamily(n).density(xs)
                 for n in ns}
-        rows = np.column_stack([xs, *cols.values()]).tolist()
+        rows = np.column_stack([xs, *cols.values()])
         _write_csv(out / "fig1b_density_grid.csv", ["x"] + list(cols), rows)
         return {"figure": figure_id, "n_values": ["1", "2", "10", "100", "inf"],
                 "files": ["fig1b_density_grid.csv"]}
@@ -397,7 +437,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
         m = cx.OmNotStrongMeasure(levels=6)
         xs = np.linspace(0.5, 5.5, 4001)
         xs = xs[np.abs(xs - np.round(xs)) > 1e-6]  # avoid the singular points
-        rows = np.column_stack([xs, m.density(xs)]).tolist()
+        rows = np.column_stack([xs, m.density(xs)])
         _write_csv(out / "figB3_density_grid.csv", ["x", "density"], rows)
         marks = [(k, float(k), float(k - 0.5 / k ** 4), float(k + 0.5 / k ** 4))
                  for k in range(1, 6)]
@@ -433,8 +473,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
-            cfg = json.loads(Path(args.config).read_text())
-            validate_config(cfg)
+            validate_config(_read_config(args.config))
             print("config ok")
             return 0
         out = Path(args.out)
@@ -444,7 +483,7 @@ def main(argv=None) -> int:
             _write_json(out / "results.json", meta)
             print(f"wrote {out / 'results.json'}")
             return 0
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = _read_config(args.config)
         validate_config(cfg)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if cfg.get("output"):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts,
-                       WeightedSeqSpace, _heaviest_centers, _log_mass_table, _own_ball,
-                       _ratio_estimate, ball_mass, default_space, radius_schedule)
+                       WeightedSeqSpace, _heaviest_centers, _log_mass_table, _mass_table,
+                       _own_ball, _ratio_estimate, ball_mass, default_space, radius_schedule)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -392,10 +392,10 @@ class OmNotStrongMeasure:
         return 24.0 / (5.0 * math.pi ** 2)
 
     @staticmethod
-    def _spike_primitive(t: float) -> float:
+    def _spike_primitive(t):
         """Odd primitive of the base spike shape: integral over [0, t]."""
-        t = min(max(t, -0.25), 0.25)
-        return math.copysign((math.sqrt(abs(t)) - abs(t)) / 2.0, t)
+        a = np.minimum(np.abs(t), 0.25)
+        return np.copysign((np.sqrt(a) - a) / 2.0, t)
 
     @staticmethod
     def base_spike_mass(r: float) -> float:
@@ -404,24 +404,45 @@ class OmNotStrongMeasure:
         r = min(r, 0.25)
         return math.sqrt(r) - r
 
-    def component_mass(self, k: int, lo: float, hi: float) -> float:
+    def component_mass(self, k, lo, hi):
         """Unnormalised mass of component k on [k + lo, k + hi]: the ends are
-        offsets from k, so a small interval near k keeps its exact width."""
-        spike = (self._spike_primitive(hi) - self._spike_primitive(lo)) / k ** 2
-        w = 0.5 / k ** 4
-        plateau = k ** 2 * max(0.0, min(hi, w) - max(lo, -w))
+        offsets from k, so a small interval near k keeps its exact width.
+        Numbers or arrays of one shape."""
+        k2 = k * k
+        w = 0.5 / (k2 * k2)
+        spike = (self._spike_primitive(hi) - self._spike_primitive(lo)) / k2
+        plateau = k2 * np.maximum(0.0, np.minimum(hi, w) - np.maximum(lo, -w))
         return spike + plateau
 
-    def mass(self, center: float, radius: float) -> float:
-        """Normalised ball mass (closed form, exact for the truncation)."""
-        if radius <= 0:
+    def mass_table(self, centers, radii) -> np.ndarray:
+        """Normalised masses of the balls B_r(c), shape (len(centers),
+        len(radii)), in closed form, exact for the truncation.
+
+        Component k lies in [k - 1/2, k + 1/2], so a ball adds up the
+        components k_lo..k_hi it meets, in increasing k; the others would
+        add exactly 0.0.
+        """
+        c = np.asarray(centers, dtype=float)
+        if c.ndim not in (1, 2) or c.size != len(c):
+            raise InputError(f"an OmNotStrongMeasure ball needs a centre on the line, "
+                             f"got centres of shape {c.shape}")
+        c = c.reshape(-1, 1)
+        r = np.asarray(radii, dtype=float).reshape(1, -1)
+        if np.any(r <= 0):
             raise InputError("ball radius must be positive")
-        # component k lies in [k - 1/2, k + 1/2], so the others add exactly 0.0
-        k_lo = max(1, int(math.ceil(center - radius - 0.5)))
-        k_hi = min(self.levels, int(math.floor(center + radius + 0.5)))
-        raw = sum(self.component_mass(k, (center - k) - radius, (center - k) + radius)
-                  for k in range(k_lo, k_hi + 1))
+        # k_lo stops at levels + 1, where a ball meets no component: k stays finite
+        k_lo = np.minimum(np.maximum(1.0, np.ceil(c - r - 0.5)), self.levels + 1.0)
+        count = np.minimum(self.levels, np.floor(c + r + 0.5)) - k_lo + 1.0
+        raw = np.zeros(k_lo.shape)
+        for j in range(int(count.max(initial=0.0))):
+            k = k_lo + j
+            raw = np.where(j < count, raw + self.component_mass(k, (c - k) - r, (c - k) + r),
+                           raw)
         return self.norm_constant * raw
+
+    def mass(self, center: float, radius: float) -> float:
+        """Normalised ball mass: the one-cell ``mass_table``."""
+        return float(self.mass_table([center], [radius])[0, 0])
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -527,11 +548,13 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
     # off-domain point m + delta: mass ~ rho(x) 2r, anchored mass ~ sqrt(r)
     x_off = 2.1
     r_small = radius_schedule(1e-6, 6, factor=4.0)
-    ratios = np.array([measure.mass(x_off, r) / measure.mass(1.0, r) for r in r_small])
+    off, anchored = measure.mass_table([x_off, 1.0], r_small)
+    ratios = off / anchored
     decay = float(np.polyfit(np.log(r_small), np.log(ratios), 1)[0])
 
     r_dip = 0.5 / n_dip ** 4
-    dip_val = measure.mass(1.0, r_dip) / measure.mass(float(n_dip), r_dip)
+    anchored, dipped = measure.mass_table([1.0, float(n_dip)], [r_dip])[:, 0]
+    dip_val = anchored / dipped
     dip_bound = (1.0 / (math.sqrt(2.0) * n_dip ** 2) + n_dip ** -4.0) * n_dip ** 2
 
     # schedule: the special plateau radii (strong-mode dips live there)
@@ -670,6 +693,13 @@ def _closed_form_ball_mass(measure, center, radius, space=None, opts=None):
     """The example measure's exact ``mass``, in its own norm only."""
     c = _own_ball(measure, radius, space, opts, center)
     return BallMass(measure.mass(c, radius), 0.0, "closed-form")
+
+
+@_mass_table.register(OmNotStrongMeasure)
+def _closed_form_mass_table(measure, centers, radii, space):
+    """The example measure's exact ``mass_table``, in its own norm only."""
+    cs = [_own_ball(measure, radii[-1], space, None, c) for c in centers]
+    return measure.mass_table(cs, radii), "closed-form"
 
 
 # ---------------------------------------------------------------------------

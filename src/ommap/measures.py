@@ -758,8 +758,14 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
     centres, r_max = _heaviest_centers(measure, space)
     if not radius < r_max:
         return None
-    return max((ball_mass(measure, c, radius, space, opts) for c in centres),
-               key=lambda m: m.estimate)
+    if isinstance(measure, ProductMeasure):
+        return max((ball_mass(measure, c, radius, space, opts) for c in centres),
+                   key=lambda m: m.estimate)
+    # off the product form the rules naming centres have exact masses: one
+    # table reads them all, and ``_own_ball`` refuses what its rule ignores
+    _own_ball(measure, radius, space, opts)
+    masses, method = _mass_table(measure, centres, np.array([float(radius)]), space)
+    return BallMass(float(masses.max()), 0.0, method)
 
 
 @singledispatch
@@ -851,13 +857,24 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
+@singledispatch
+def _mass_table(measure, centers: Sequence, radii: np.ndarray, space) -> tuple:
+    """``(masses, method)`` of the balls of every radius about every centre,
+    shape (n_centers, n_radii), for a measure off the product form,
+    dispatched on its type.  By default one ``ball_mass`` per cell, which
+    names its method; the rules read only a forced method, and a ratio
+    curve forces none."""
+    masses = [[ball_mass(measure, c, float(r), space) for r in radii] for c in centers]
+    return np.array([[m.estimate for m in row] for row in masses]), masses[0][0].method
+
+
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
                     opts, method: str = "auto", stream: str = "ratio-curve") -> tuple:
     """Per-batch log masses, shape (n_centers, n_radii, n_batches), and
     their method.  Every ball mass of a product measure comes from here.
 
     Measures off the product form give one batch from their own
-    ``ball_mass`` rule, which names its method.  A product measure gives
+    ``_mass_table`` rule, which names its method.  A product measure gives
     one exact batch where ``_product_exact_log_mass`` has a closed form
     and ``method`` is not "mc", else common-random-number Monte Carlo
     with every center on the same draws of ``opts.seed``'s ``stream``.
@@ -867,11 +884,9 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):
-        # their rules read only a forced method, and a ratio curve forces none
-        masses = [[ball_mass(measure, c, float(r), space) for r in radii] for c in centers]
+        masses, method = _mass_table(measure, centers, radii, space)
         with np.errstate(divide="ignore"):
-            table = np.log([[m.estimate for m in row] for row in masses])
-        return table[:, :, None], masses[0][0].method
+            return np.log(masses)[:, :, None], method
     _check_space(measure, space)
     centers = [_as_vector(c, space.dim) for c in centers]
     if method != "mc":

@@ -15,7 +15,7 @@ import pytest
 import ommap
 from ommap import (ClassifyOpts, MixtureFamily, ModeConvOpts, OmNotStrongMeasure, ProxOpts,
                    RatioOpts, SpikeFamily, radius_schedule)
-from ommap.cli import _json_default, _schema, main, validate_config
+from ommap.cli import _json_default, _schema, _write_csv, main, validate_config
 from ommap.errors import ConfigError
 
 
@@ -139,6 +139,14 @@ INVALID_CONFIGS = [
       for kind, cfg in VALID_CONFIGS.items()),
     pytest.param({**_broken("ball_ratio", "norm", {"p": "two"}), "x1": "x", "bogus": 1},
                  id="ball_ratio-three-errors"),
+    # $defs/vector items: only a list of ints and floats skips jsonschema's own check
+    pytest.param(_broken("ball_ratio", "x1", [0.5, "a"]), id="vector-item-string"),
+    pytest.param(_broken("ball_ratio", "x2", [True]), id="vector-item-true"),
+    pytest.param(_broken("classify_mode", "candidate", [None]), id="vector-item-null"),
+    pytest.param(_broken("m_property", "outside_points", [[0.0, [1.0]]]),
+                 id="vector-item-nested-list"),
+    pytest.param(_broken("ball_ratio", "measure", {**_GAUSS_1D, "mean": []}),
+                 id="vector-empty-mean"),
     pytest.param({"name": "crosses"}, id="no-kind"),
     pytest.param({"kind": "nope", "name": "crosses"}, id="unknown-kind"),
     pytest.param({"kind": ["ball_ratio"]}, id="list-kind"),
@@ -213,6 +221,17 @@ class TestRun:
     def test_invalid_config_exit_2(self, tmp_path):
         code, _ = run_cli(tmp_path, {"kind": "map_solve"})
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("name", ["missing.json", "a-directory"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, command, name):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / name
+        code = main(["--out", str(tmp_path / "out"), command, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("cfg,field", [
         ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],
@@ -513,9 +532,14 @@ class TestReproduce:
             scalar = float(m.density(x))
             assert abs(float(d) - scalar) <= 4 * np.spacing(scalar)
 
-    @pytest.mark.parametrize("fig", ["fig1a", "fig1b"])
+    @pytest.mark.parametrize("fig", ["fig1a", "fig1b", "figB3"])
     def test_density_grid_bytes(self, tmp_path, fig):
-        if fig == "fig1a":
+        if fig == "figB3":
+            xs = np.linspace(0.5, 5.5, 4001)
+            xs = xs[np.abs(xs - np.round(xs)) > 1e-6]
+            cols = [OmNotStrongMeasure(levels=6).density(xs)]
+            header = ["x", "density"]
+        elif fig == "fig1a":
             xs = np.linspace(-6.0, 6.0, 1201)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -536,3 +560,15 @@ class TestReproduce:
         main(["--out", str(out), "reproduce", fig])
         got = (out / f"{fig}_density_grid.csv").read_bytes()
         assert got == expected.read_bytes()
+
+    def test_float_array_csv_is_what_csv_writer_writes(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+        rows = np.array([values, values[::-1]])
+        header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows.tolist())
+        _write_csv(tmp_path / "got.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == expected.read_bytes()

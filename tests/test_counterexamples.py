@@ -482,3 +482,68 @@ def test_ball_mass_is_the_exact_mass(measure, lo, hi, dim, data):
     with np.errstate(divide="ignore"):
         np.testing.assert_array_equal(table[:, :, 0], np.log(masses))
     assert (table.shape[2], method) == (1, "closed-form")
+
+
+def _om_not_strong_reference(m, center, radius):
+    """The closed form one ball at a time, in math's scalar arithmetic."""
+    def primitive(t):
+        t = min(max(t, -0.25), 0.25)
+        return math.copysign((math.sqrt(abs(t)) - abs(t)) / 2.0, t)
+
+    raw = 0
+    for k in range(max(1, math.ceil(center - radius - 0.5)),
+                   min(m.levels, math.floor(center + radius + 0.5)) + 1):
+        lo, hi = (center - k) - radius, (center - k) + radius
+        w = 0.5 / k ** 4
+        raw += (primitive(hi) - primitive(lo)) / k ** 2 + \
+            k ** 2 * max(0.0, min(hi, w) - max(lo, -w))
+    return m.norm_constant * raw
+
+
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestMassTables:
+    """``OmNotStrongMeasure.mass_table`` computes every cell as ``mass`` does,
+    bit for bit, and as the closed form one ball at a time."""
+
+    @pytest.mark.parametrize("levels", [2, 6, 30])
+    def test_om_not_strong(self, levels):
+        m = OmNotStrongMeasure(levels=levels)
+        centres = []
+        for k in sorted({0, 1, 2, 3, levels - 1, levels, levels + 1}):
+            w = 0.5 / max(k, 1) ** 4
+            for base in (k, k - 0.5, k + 0.5, k - 0.25, k + 0.25, k - w, k + w, k + 0.3):
+                centres += [float(base), math.nextafter(base, -math.inf),
+                            math.nextafter(base, math.inf), base + 1e-7]
+        # radii from 1e-9 to 2 that reach across component and plateau edges
+        radii = np.unique(np.concatenate([np.geomspace(1e-9, 2.0, 16), [0.25, 0.5, 1.0, 1.5],
+                                          [0.5 / k ** 4 for k in range(1, 6)]]))[::-1]
+        table = m.mass_table(centres, radii)
+        _assert_bits_equal(table, [[m.mass(c, r) for r in radii] for c in centres])
+        _assert_bits_equal(table, [[_om_not_strong_reference(m, c, float(r)) for r in radii]
+                                   for c in centres])
+        assert np.all(table[[i for i, c in enumerate(centres) if c == 1.0]] > 0.0)
+
+    def test_refuse_a_nonpositive_radius(self):
+        with pytest.raises(InputError, match="positive"):
+            OmNotStrongMeasure(levels=6).mass_table([1.0], [0.1, 0.0])
+
+    @pytest.mark.parametrize("centres", [[np.array([1.0, 2.0])], np.ones((3, 2)), 1.0,
+                                         [[[1.0]]]], ids=["pair", "rows", "scalar", "nested"])
+    def test_refuse_a_centre_off_the_line(self, centres):
+        m = OmNotStrongMeasure(levels=6)
+        with pytest.raises(InputError, match="centre on the line"):
+            m.mass_table(centres, [0.1])
+        with pytest.raises(InputError, match="centre on the line"):
+            m.mass(np.array([1.0, 2.0]), 0.1)
+
+    def test_far_centres_weigh_nothing(self):
+        m = OmNotStrongMeasure(levels=6)
+        with np.errstate(all="raise"):
+            table = m.mass_table([1e308, -1e308, math.inf, -math.inf, 1.0], [2.0, 0.1])
+        _assert_bits_equal(table[:4], np.zeros((4, 2)))
+        _assert_bits_equal(table[4], [m.mass(1.0, 2.0), m.mass(1.0, 0.1)])

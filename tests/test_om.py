@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, LinearObservation, OmFunctional,
                    OmNotStrongMeasure,
-                   ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace, ball_mass,
+                   ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_ratio_curve, classify_mode, density_om,
                    in_range_sqrt, m_property_probe, om_difference_check, posterior_om,
                    prior_om, quadratic_potential, radius_schedule, sqrt_pinv_apply,
                    sup_ball_mass, weighted_norm)
 from ommap import measures, om
-from ommap.counterexamples import (_closed_form_ball_mass, _mixture_density1d,
-                                   _spike_density1d)
+from ommap.counterexamples import _mixture_density1d, _spike_density1d
 
 
 def std_gaussian(k):
@@ -421,15 +420,14 @@ class TestSupremumPaths:
 
 
 class _CountedOmNotStrong(OmNotStrongMeasure):
-    """OmNotStrongMeasure whose ``ball_mass`` calls are counted in ``calls``."""
+    """OmNotStrongMeasure whose ``mass_table`` cells are counted in ``calls``."""
 
     calls = []
 
-
-@ball_mass.register(_CountedOmNotStrong)
-def _counted_ball_mass(measure, center, radius, space=None, opts=None):
-    measure.calls.append((float(np.asarray(center).reshape(())), radius))
-    return _closed_form_ball_mass(measure, center, radius, space, opts)
+    def mass_table(self, centers, radii):
+        self.calls.extend((float(np.asarray(c).reshape(())), float(r))
+                          for c in centers for r in radii)
+        return super().mass_table(centers, radii)
 
 
 def _liminf_case():

@@ -9,7 +9,9 @@ runs each op and its oracle check, and prints one line per op:
 It then runs the CLI configs of ``EXTRA_CONFIGS``, which the benchmark
 never runs, through ``ommap.cli.main`` and prints one line per config,
 ``cli_extra <seed> <label> <sha256 of results.json>``, so that every
-record the results.json encoder writes is covered.  Last come the four
+record the results.json encoder writes is covered, and one line per CSV
+the config writes, ``cli_extra <seed> <label> <file> <sha256 of the
+file>``, so that a change to the CSV writer shows.  Last come the four
 ``reproduce`` figures, one line per file each writes (results.json and
 its CSVs), ``reproduce <figure> <file> <sha256 of the file>``, so a
 changed density value on a figure grid shows.
@@ -127,6 +129,9 @@ def _extra_digests() -> int:
                 continue
             digest = hashlib.sha256((out / "results.json").read_bytes()).hexdigest()[:16]
             print(f"cli_extra {cfg['seed']} {label} {digest}", flush=True)
+            for path in sorted(out.glob("*.csv")):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                print(f"cli_extra {cfg['seed']} {label} {path.name} {digest}", flush=True)
     return bad
 
 
