@@ -66,17 +66,24 @@ def _validator_class():
     return jsonschema.validators.extend(base, {"items": number_items})
 
 
-def validate_config(cfg: dict) -> None:
+@functools.cache
+def _validator(kind: str | None):
+    """The validator of a known kind's branch of the schema, or of the
+    whole schema for ``kind`` None; built once per process."""
     schema = _schema()
-    # a config of a known kind passes the top-level oneOf exactly when it
-    # passes its own kind's branch, and is reported by that branch's first
-    # error, which names its field
-    kind = cfg.get("kind") if isinstance(cfg, dict) else None
     for branch in schema["oneOf"]:
         if branch["properties"]["kind"]["const"] == kind:
             schema = {"$defs": schema["$defs"], **branch}
             break
-    validator = _validator_class()(schema)
+    return _validator_class()(schema)
+
+
+def validate_config(cfg: dict) -> None:
+    # a config of a known kind passes the top-level oneOf exactly when it
+    # passes its own kind's branch, and is reported by that branch's first
+    # error, which names its field
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    validator = _validator(kind if isinstance(kind, str) and kind in _RUNNERS else None)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts,
                        WeightedSeqSpace, _heaviest_centers, _log_mass_table, _mass_table,
-                       _own_ball, _ratio_estimate, ball_mass, default_space, radius_schedule)
+                       _own_ball, _ratio_curves, ball_mass, default_space, radius_schedule)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -537,13 +537,10 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
             raise InputError(f"component index {k} beyond the truncation level")
     # one mass table: the masses at 1 are shared by every curve
     space = default_space(measure)
-    table, method = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
-                                    radii, space, ropts)
-    limits, rel_errors = {}, {}
-    for row, k in enumerate(ks, start=1):
-        curve = _ratio_estimate(table[0], table[row], radii, space, method, ropts)
-        limits[k] = curve.extrapolated_limit
-        rel_errors[k] = abs(curve.extrapolated_limit - k ** 2) / k ** 2
+    table, _ = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
+                               radii, space, ropts)
+    limits = dict(zip(ks, _ratio_curves(table[:1], table[1:], radii, ropts)["extrapolated_limit"]))
+    rel_errors = {k: abs(limit - k ** 2) / k ** 2 for k, limit in limits.items()}
 
     # off-domain point m + delta: mass ~ rho(x) 2r, anchored mass ~ sqrt(r)
     x_off = 2.1

@@ -565,11 +565,11 @@ class _CenterPlan:
 
 
 def _log_mean_exp(x: np.ndarray) -> np.ndarray:
-    """Row-wise log of the mean of exp(x); -inf for rows that are all -inf."""
-    top = np.max(x, axis=1, keepdims=True)
+    """Log of the mean of exp(x) over the last axis; -inf where all of it is -inf."""
+    top = np.max(x, axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     with np.errstate(divide="ignore"):
-        return top[:, 0] + np.log(np.mean(np.exp(x - top), axis=1))
+        return top[..., 0] + np.log(np.mean(np.exp(x - top), axis=-1))
 
 
 def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
@@ -806,49 +806,6 @@ def _density1d_ball_mass(measure: Density1D, center, radius, space=None, opts=No
 # ratio curves
 # ---------------------------------------------------------------------------
 
-def _fit_limit(radii, ratios, stderrs, opts: RatioOpts) -> dict:
-    """Extrapolate log-ratio to r -> 0 over the smallest radii.
-
-    Fits log(ratio) linearly against r (or sqrt r), or by a constant when
-    there is one radius, and reports the exponentiated intercept.  The
-    intercept is linear in the log ratios, so its standard deviation is
-    exact: se_fit = sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the fit's
-    pseudoinverse.  The interval exp(c0 -+ (1.96 se_fit + 2 se_model))
-    widens it by twice the rms fit residual to account for model error.
-    Ratios or an intercept beyond the largest float carry a diagnostic
-    that says so: infinite ratios give no fit, an exponent that overflows
-    reads +inf.
-    """
-    n_fit = min(opts.fit_points, len(radii))
-    idx = np.argsort(radii)[:n_fit]
-    r = np.asarray(radii, dtype=float)[idx]
-    y = np.asarray(ratios, dtype=float)[idx]
-    se = np.asarray(stderrs, dtype=float)[idx]
-    if np.any(~np.isfinite(y)) or np.any(y <= 0):
-        return {"limit": float("nan"), "ci": (float("nan"), float("nan")),
-                "se_model": float("nan"), "se_limit": float("nan"),
-                "diagnostic": ("infinite-ratios-in-fit-window" if np.any(np.isposinf(y))
-                               else "nonpositive-ratios-in-fit-window")}
-    x = np.sqrt(r) if opts.fit_in == "sqrt_r" else r
-    logy = np.log(y)
-    a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
-    coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
-    resid = logy - a @ coef
-    se_model = float(np.sqrt(np.mean(resid ** 2)))
-    p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
-    se_fit = float(np.sqrt(np.sum((p0 * se / y) ** 2)))
-    half = 1.96 * se_fit + 2.0 * se_model
-    limit = _exp_or_inf(coef[0])
-    ci = (_exp_or_inf(coef[0] - half), _exp_or_inf(coef[0] + half))
-    if math.isinf(ci[1]):
-        diagnostic = "limit-overflow" if math.isinf(limit) else "ci-upper-overflow"
-    else:
-        diagnostic = "single-radius-no-extrapolation" if n_fit == 1 else None
-    return {"limit": limit, "ci": ci,
-            "se_model": se_model, "se_limit": limit * math.hypot(se_fit, se_model),
-            "diagnostic": diagnostic}
-
-
 def _exp_or_inf(v: float) -> float:
     """exp(v) as a float, +inf where it exceeds the largest float."""
     try:
@@ -899,29 +856,71 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
                              child_rng(opts.seed, stream), opts.closed), "monte-carlo")
 
 
-def _ratio_estimate(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
-                    space: WeightedSeqSpace, method: str, opts: RatioOpts) -> BallRatioEstimate:
-    """Ratio curve of two mass-table rows, with the standard errors of the
-    per-batch ratios (0 for one exact batch) and the extrapolated limit."""
+def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
+                  opts: RatioOpts) -> dict:
+    """Ratio curves of the rows of two log mass tables, (n, radii, batches)
+    over (m, radii, batches), broadcast one over many or many over one:
+    ``BallRatioEstimate``'s fields of every curve, ``ratios`` and
+    ``stderr`` as (curves, radii) arrays and the rest as lists.
+
+    A stderr is that of the per-batch ratios (0 for one exact batch).  A
+    limit fits log(ratio) linearly against r (or sqrt r), or by a constant
+    at one radius, over the smallest radii and reports the exponentiated
+    intercept.  The curves share the design matrix, so one solve with a
+    right-hand side per curve fits them all, bit for bit as one solve per
+    curve for up to 7 radii in the fit window (from 8, LAPACK may round an
+    intercept 1 ulp apart).  The intercept is linear in the log ratios, so
+    its sd is exact: se_fit = sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the
+    fit's pseudoinverse.  The interval exp(c0 -+ (1.96 se_fit + 2
+    se_model)) widens it by twice the rms fit residual for model error.
+    Infinite or nonpositive ratios in the fit window give no fit, an
+    exponent beyond the largest float reads +inf, and a denominator of
+    zero mass is named, each in a diagnostic.
+    """
     log1, log2 = _log_mean_exp(log_num), _log_mean_exp(log_den)
     outside = np.isneginf(log2)
     with np.errstate(invalid="ignore", over="ignore"):
         rb = np.where(np.isneginf(log_den), np.nan, np.exp(log_num - log_den))
         ratios = np.where(outside, np.nan, np.exp(log1 - log2))
-    count = np.sum(np.isfinite(rb), axis=1)
+    count = np.sum(np.isfinite(rb), axis=-1)
     k = count > 1
-    ses = np.zeros(len(radii))
+    ses = np.zeros(count.shape)
     ses[k] = np.nanstd(rb[k], axis=1, ddof=1) / np.sqrt(count[k])
     ses = np.nan_to_num(ses)
-    diagnostic = "x2 outside support" if np.any(outside) else None
 
-    fit = _fit_limit(radii, ratios, ses, opts)
-    return BallRatioEstimate(
-        radii=radii, ratios=ratios, stderr=ses,
-        extrapolated_limit=fit["limit"], ci=fit["ci"], method=method,
-        fit_in=opts.fit_in, se_model=fit["se_model"], se_limit=fit["se_limit"],
-        norm_p=space.p, diagnostic=diagnostic or fit["diagnostic"],
-    )
+    n_fit = min(opts.fit_points, len(radii))
+    idx = np.argsort(radii)[:n_fit]
+    y, se = ratios[:, idx], ses[:, idx]
+    good = np.all(np.isfinite(y) & (y > 0), axis=1)
+    x = np.sqrt(radii[idx]) if opts.fit_in == "sqrt_r" else radii[idx]
+    a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
+    logy = np.log(y[good])
+    coef = np.linalg.lstsq(a, logy.T, rcond=None)[0]
+    # a stack of matrix-vector products rounds as a one-curve fit does
+    resid = logy - np.matmul(a, coef.T[:, :, None])[:, :, 0]
+    se_model = np.sqrt(np.mean(resid ** 2, axis=1))
+    p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
+    se_fit = np.sqrt(np.sum((p0 * se[good] / y[good]) ** 2, axis=1))
+    half = 1.96 * se_fit + 2.0 * se_model
+
+    nan = float("nan")
+    out = {"ratios": ratios, "stderr": ses, "extrapolated_limit": [nan] * len(y),
+           "ci": [(nan, nan)] * len(y), "se_model": [nan] * len(y), "se_limit": [nan] * len(y),
+           "diagnostic": [("infinite-ratios-in-fit-window" if np.any(np.isposinf(row))
+                           else "nonpositive-ratios-in-fit-window") for row in y]}
+    for i, c0, h, sf, sm in zip(np.flatnonzero(good), coef[0], half.tolist(), se_fit.tolist(),
+                                se_model.tolist()):
+        limit = _exp_or_inf(c0)
+        ci = (_exp_or_inf(c0 - h), _exp_or_inf(c0 + h))
+        if math.isinf(ci[1]):
+            diagnostic = "limit-overflow" if math.isinf(limit) else "ci-upper-overflow"
+        else:
+            diagnostic = "single-radius-no-extrapolation" if n_fit == 1 else None
+        out["extrapolated_limit"][i], out["ci"][i], out["diagnostic"][i] = limit, ci, diagnostic
+        out["se_model"][i], out["se_limit"][i] = sm, limit * math.hypot(sf, sm)
+    for i in np.flatnonzero(np.broadcast_to(np.any(outside, axis=1), len(y))):
+        out["diagnostic"][i] = "x2 outside support"
+    return out
 
 
 def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] = None,
@@ -938,7 +937,9 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     radii = np.asarray(radii, dtype=float)
     space = space or default_space(measure)
     table, method = _log_mass_table(measure, [x1, x2], radii, space, opts)
-    return _ratio_estimate(table[0], table[1], radii, space, method, opts)
+    fit = _ratio_curves(table[:1], table[1:], radii, opts)
+    return BallRatioEstimate(radii, method=method, fit_in=opts.fit_in, norm_p=space.p,
+                             **{key: v[0] for key, v in fit.items()})
 
 
 @dataclass(frozen=True)

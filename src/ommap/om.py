@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .measures import (BallRatioEstimate, Density1D, ProductMeasure, RatioOpts, _batch_mean_se,
-                       _heaviest_centers, _in_range, _log_mass_table, _ratio_estimate,
+                       _heaviest_centers, _in_range, _log_mass_table, _ratio_curves,
                        ball_ratio_curve, default_space)
 from .spaces import WeightedSeqSpace, _as_vector
 
@@ -218,8 +218,9 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
     the fraction of decreasing steps.  Every point is tested before any
     mass is computed.  The curves read one mass table over the anchor and
     the points, the masses ``ball_ratio_curve`` computes: Monte Carlo
-    draws once for all of them.  A functional whose meta carries
-    ``finite_everywhere`` has no off-domain points, and is refused.
+    draws once for all of them, and one solve fits them all.  A functional
+    whose meta carries ``finite_everywhere`` has no off-domain points, and
+    is refused.
     """
     reason = om.meta.get("finite_everywhere")
     if reason:
@@ -235,19 +236,15 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
         return MPropertyReport(om.anchor, [])
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
-    table, method = _log_mass_table(measure, [om.anchor, *points], radii, space, opts.ratio)
-    entries = []
-    for row, x in enumerate(points, start=1):
-        curve = _ratio_estimate(table[row], table[0], radii, space, method, opts.ratio)
-        ratios = np.nan_to_num(curve.ratios, nan=0.0)
-        steps = np.diff(ratios)
-        slack = 5.0 * np.maximum(curve.stderr[1:], curve.stderr[:-1])
-        dec = float(np.mean(steps <= slack)) if len(steps) else 1.0
-        min_ratio = float(np.min(ratios))
-        start = max(ratios[0], 1e-300)
-        ok = dec >= 0.8 and min_ratio <= 0.2 * start
-        entries.append(MPropertyEntry(np.atleast_1d(x), ratios, min_ratio, dec,
-                                      "pass" if ok else "fail"))
+    table, _ = _log_mass_table(measure, [om.anchor, *points], radii, space, opts.ratio)
+    curves = _ratio_curves(table[1:], table[:1], radii, opts.ratio)
+    ratios, stderr = np.nan_to_num(curves["ratios"], nan=0.0), curves["stderr"]
+    slack = 5.0 * np.maximum(stderr[:, 1:], stderr[:, :-1])
+    dec = np.mean(np.diff(ratios) <= slack, axis=1) if len(radii) > 1 else np.ones(len(points))
+    min_ratio = np.min(ratios, axis=1)
+    ok = (dec >= 0.8) & (min_ratio <= 0.2 * np.maximum(ratios[:, 0], 1e-300))
+    entries = [MPropertyEntry(np.atleast_1d(x), row, float(m), float(d), "pass" if o else "fail")
+               for x, row, m, d, o in zip(points, ratios, min_ratio, dec, ok)]
     return MPropertyReport(om.anchor, entries)
 
 
@@ -306,8 +303,8 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     measures), on the candidate's draws.  Below the reach of that rule
     M_r is exact; elsewhere it is the largest over the competitors, so a
     caller who needs more passes a grid of them.  Weak: no competitor's
-    extrapolated mass-ratio limit against the candidate may exceed 1.
-    Verdicts are three-valued with noise-aware thresholds; a dip of the
+    extrapolated mass-ratio limit against the candidate may exceed 1; one
+    solve fits every competitor's curve but the candidate's own.  Verdicts are three-valued with noise-aware thresholds; a dip of the
     strong curve below 1 - max(5 stderr, dip_tol) at any radius is a
     "no" witness.  With no competitor and no radius below the rule's
     reach, the table holds the candidate's row alone, and strong reads
@@ -317,11 +314,13 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
     cand = _as_vector(candidate, space.dim)
-    points = [cand] + [_as_vector(w, space.dim) for w in competitor_set]
+    points = np.array([cand] + [_as_vector(w, space.dim) for w in competitor_set])
     centres, r_max = _heaviest_centers(measure, space)
-    rows = points + [c for c in (_as_vector(c, space.dim) for c in centres)
-                     if not any(np.array_equal(c, p) for p in points)]
-    table, method = _log_mass_table(measure, rows, radii, space, opts.ratio)
+    centres = np.array([_as_vector(c, space.dim) for c in centres]).reshape(-1, space.dim)
+    # the heaviest centres that are not among the points
+    new = ~np.any(np.all(centres[:, None] == points[None], axis=2), axis=1)
+    rows = np.concatenate([points, centres[new]])
+    table, _ = _log_mass_table(measure, rows, radii, space, opts.ratio)
     est, se = _batch_mean_se(table)
     cand_mass, cand_se = est[0], se[0]
     if np.any(cand_mass <= 0):
@@ -353,16 +352,10 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     # fit window of smallest radii enters, so bumps pinned at a fixed
     # competitor-dependent radius do not masquerade as limsup mass
     window = slice(len(radii) - min(opts.ratio.fit_points, len(radii)), len(radii))
-    worst = 0.0
-    for j in range(1, len(points)):
-        if np.array_equal(points[j], cand):
-            continue
-        curve = _ratio_estimate(table[j], table[0], radii, space, method, opts.ratio)
-        vals = curve.ratios[window]
-        vals = vals[np.isfinite(vals)]
-        limsup_est = max(float(np.max(vals, initial=0.0)),
-                         curve.extrapolated_limit if math.isfinite(curve.extrapolated_limit) else 0.0)
-        worst = max(worst, limsup_est)
+    others = ~np.all(points[1:] == cand, axis=1)
+    curves = _ratio_curves(table[1:len(points)][others], table[:1], radii, opts.ratio)
+    vals = np.column_stack([curves["ratios"][:, window], curves["extrapolated_limit"]])
+    worst = float(np.max(vals, where=np.isfinite(vals), initial=0.0))
     if worst <= 1.0 + opts.weak_tol:
         weak = "yes"
     elif worst > 1.0 + max(opts.weak_tol, 5.0 * float(np.max(strong_se))):

@@ -1,5 +1,6 @@
 """CLI runner: schema validation, outputs, determinism, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import ommap
+import ommap.cli as cli
 from ommap import (ClassifyOpts, MixtureFamily, ModeConvOpts, OmNotStrongMeasure, ProxOpts,
                    RatioOpts, SpikeFamily, radius_schedule)
 from ommap.cli import _json_default, _schema, _write_csv, main, validate_config
@@ -196,6 +198,20 @@ class TestBranchValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
         assert str(err.value) == want
+
+    def test_schema_read_once_per_kind(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "_schema", lambda: reads.append(1) or _schema())
+        cli._validator.cache_clear()
+        try:
+            for _ in range(3):
+                for cfg in [*VALID_CONFIGS.values(), {"kind": "nope"}, {"kind": ["ball_ratio"]}]:
+                    with contextlib.suppress(ConfigError):
+                        validate_config(cfg)
+        finally:
+            cli._validator.cache_clear()
+        # one read per kind, and one for every config of no known kind
+        assert len(reads) == len(VALID_CONFIGS) + 1
 
 
 class TestRun:

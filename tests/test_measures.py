@@ -19,9 +19,9 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap._seeds import child_rng
-from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _fit_limit, _heaviest_centers,
+from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
-                            _uniform_pball)
+                            _ratio_curves, _uniform_pball)
 
 
 def std_gaussian(k):
@@ -435,13 +435,6 @@ class TestRatioCurve:
         assert cur.ci[0] < cur.extrapolated_limit <= cur.ci[1]
         assert math.isinf(cur.ci[1]) == (diagnostic is not None)
 
-    def test_whole_interval_beyond_the_largest_float(self):
-        # the intercept exceeds log(float max) by more than the interval's half-width
-        fit = _fit_limit(np.array([0.1, 0.05]), np.array([1e308, 1.5e308]), np.zeros(2),
-                         RatioOpts())
-        assert fit["limit"] == fit["ci"][0] == fit["ci"][1] == math.inf
-        assert fit["diagnostic"] == "limit-overflow"
-
     def test_besov_dim100_small_radii_no_underflow(self):
         # the masses themselves underflow (log mass ~ -1000 at the smallest
         # radius), but their ratio tends to exp(-I(x1)) with I(x) = sum |x_k|/gamma_k
@@ -486,6 +479,194 @@ class TestRatioCurve:
             finally:
                 tracemalloc.stop()
             assert peak < bound  # a few arrays of one 1e4 or 5e3 x 100 batch
+
+
+def _one_curve(log_num, log_den, radii, opts):
+    """One ratio curve and its fit as the per-curve code computed them
+    before the fits were batched: two least-squares solves per curve."""
+    def log_mean_exp(x):
+        top = np.max(x, axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        with np.errstate(divide="ignore"):
+            return top[:, 0] + np.log(np.mean(np.exp(x - top), axis=1))
+
+    def exp_or_inf(v):
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+
+    log1, log2 = log_mean_exp(log_num), log_mean_exp(log_den)
+    outside = np.isneginf(log2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        rb = np.where(np.isneginf(log_den), np.nan, np.exp(log_num - log_den))
+        ratios = np.where(outside, np.nan, np.exp(log1 - log2))
+    count = np.sum(np.isfinite(rb), axis=1)
+    k = count > 1
+    ses = np.zeros(len(radii))
+    ses[k] = np.nanstd(rb[k], axis=1, ddof=1) / np.sqrt(count[k])
+    ses = np.nan_to_num(ses)
+    out = {"ratios": ratios, "stderr": ses}
+    n_fit = min(opts.fit_points, len(radii))
+    idx = np.argsort(radii)[:n_fit]
+    r, y, se = radii[idx], ratios[idx], ses[idx]
+    if np.any(~np.isfinite(y)) or np.any(y <= 0):
+        nan = float("nan")
+        out.update(extrapolated_limit=nan, ci=(nan, nan), se_model=nan, se_limit=nan,
+                   diagnostic=("infinite-ratios-in-fit-window" if np.any(np.isposinf(y))
+                               else "nonpositive-ratios-in-fit-window"))
+    else:
+        x = np.sqrt(r) if opts.fit_in == "sqrt_r" else r
+        logy = np.log(y)
+        a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
+        coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
+        se_model = float(np.sqrt(np.mean((logy - a @ coef) ** 2)))
+        p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
+        se_fit = float(np.sqrt(np.sum((p0 * se / y) ** 2)))
+        half = 1.96 * se_fit + 2.0 * se_model
+        limit = exp_or_inf(coef[0])
+        ci = (exp_or_inf(coef[0] - half), exp_or_inf(coef[0] + half))
+        if math.isinf(ci[1]):
+            diagnostic = "limit-overflow" if math.isinf(limit) else "ci-upper-overflow"
+        else:
+            diagnostic = "single-radius-no-extrapolation" if n_fit == 1 else None
+        out.update(extrapolated_limit=limit, ci=ci, se_model=se_model,
+                   se_limit=limit * math.hypot(se_fit, se_model), diagnostic=diagnostic)
+    if np.any(outside):
+        out["diagnostic"] = "x2 outside support"
+    return out
+
+
+def _assert_same_curves(log_num, log_den, radii, opts):
+    """``_ratio_curves`` over broadcast rows against ``_one_curve`` on each
+    pair of rows, floats compared bit for bit; returns the diagnostics.
+    Per-batch ratios near the largest float overflow the standard error's
+    squares in both, which is not what is compared here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _ratio_curves(log_num, log_den, radii, opts)
+    n = max(len(log_num), len(log_den))
+    assert got["ratios"].shape == got["stderr"].shape == (n, len(radii))
+    assert all(len(v) == n for v in got.values())
+    bits = lambda v: np.asarray(v, dtype=float).view(np.int64)
+    for i in range(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _one_curve(log_num[min(i, len(log_num) - 1)],
+                              log_den[min(i, len(log_den) - 1)], radii, opts)
+        for key, value in want.items():
+            if key == "diagnostic":
+                assert got[key][i] == value, (i, key)
+            else:
+                np.testing.assert_array_equal(bits(got[key][i]), bits(value), err_msg=f"{i} {key}")
+    return got["diagnostic"]
+
+
+#: (diagnostic, log ratio as a function of the radius) of the synthetic rows
+_LOG_RATIO_ROWS = (
+    (None, lambda r: -0.4 + 3.0 * r),
+    (None, lambda r: 2.0 - 5.0 * r + 0.1 * np.cos(40.0 * r)),
+    ("infinite-ratios-in-fit-window", lambda r: np.where(r < 0.03, 750.0, 700.0)),
+    ("nonpositive-ratios-in-fit-window", lambda r: np.where(r == r.min(), -800.0, 0.1)),
+    ("limit-overflow", lambda r: 709.79 - 20.0 * r),
+    ("ci-upper-overflow", lambda r: 709.5 - 20.0 * r + 0.3 * np.cos(np.pi * np.arange(r.size))),
+)
+
+
+def _synthetic_tables(radii, n_batches, seed):
+    """A shared row, the rows whose log ratio to it is each entry of
+    ``_LOG_RATIO_ROWS``, and the rows it has that log ratio to.  Monte
+    Carlo tables (n_batches > 1) get per-batch noise and empty batches."""
+    rng = np.random.default_rng(seed)
+    shape = (len(radii), n_batches)
+    noise = lambda sd: rng.normal(0.0, sd, shape) if n_batches > 1 else 0.0
+    base = np.log(radii)[:, None] + noise(0.2)
+    if n_batches > 1:
+        base[0, :3] = -np.inf  # empty batches at the largest radius
+    logs = [f(radii)[:, None] for _, f in _LOG_RATIO_ROWS]
+    nums = np.array([base + v + noise(0.1) for v in logs])
+    dens = np.array([base - v + noise(0.1) for v in logs])
+    if n_batches > 1:
+        nums[0, -1, 1] = dens[0, -1, 1] = -np.inf
+    return base[None], nums, dens
+
+
+class TestRatioCurves:
+    """The batched fit of every curve of a mass table against the
+    per-curve formula, compared bit for bit."""
+
+    @pytest.mark.parametrize("n_batches", [1, 20])
+    @pytest.mark.parametrize("levels,fit_in", [(8, "r"), (8, "sqrt_r"), (1, "r")])
+    def test_many_over_one_and_one_over_many(self, n_batches, levels, fit_in):
+        radii = radius_schedule(0.16, levels)
+        opts = RatioOpts(fit_in=fit_in)
+        shared, nums, dens = _synthetic_tables(radii, n_batches, seed=levels)
+        # a numerator of zero mass and a denominator of zero mass at the
+        # smallest radius
+        nums, dens = np.concatenate([nums, nums[:1]]), np.concatenate([dens, dens[:1]])
+        nums[-1, -1] = dens[-1, -1] = -np.inf
+        many = _assert_same_curves(nums, shared, radii, opts)
+        one = _assert_same_curves(shared, dens, radii, opts)
+        if levels > 1:
+            assert many[:-1] == one[:-1] == [diagnostic for diagnostic, _ in _LOG_RATIO_ROWS]
+        else:
+            assert many[:2] == ["single-radius-no-extrapolation"] * 2
+        assert many[-1] == "nonpositive-ratios-in-fit-window"
+        assert one[-1] == "x2 outside support"
+
+    @pytest.mark.parametrize("fit_points", [8, 12])
+    def test_long_fit_window_agrees_to_the_last_bit(self, fit_points):
+        # from 8 radii in the fit window LAPACK solves several right-hand
+        # sides in another order than one, and an intercept may move by 1 ulp
+        radii = radius_schedule(0.16, 14)
+        shared = _synthetic_tables(radii, 20, seed=0)[0]
+        nums = shared + np.random.default_rng(1).normal(0.0, 0.5, (30, 14, 20))
+        opts = RatioOpts(fit_points=fit_points)
+        got = _ratio_curves(nums, shared, radii, opts)
+        for i, num in enumerate(nums):
+            want = _one_curve(num, shared[0], radii, opts)
+            np.testing.assert_array_equal(got["ratios"][i], want["ratios"])
+            np.testing.assert_array_equal(got["stderr"][i], want["stderr"])
+            for key in ("extrapolated_limit", "ci", "se_model", "se_limit"):
+                np.testing.assert_allclose(got[key][i], want[key], rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_mass_table_rows(self, p):
+        # l2 balls have Monte Carlo masses, sup-norm balls exact ones; the
+        # last centre is off the support (zero variance in coordinate 2)
+        mu = GaussianMeasure(np.array([0.1, 0.0]), SpectralOperator(np.array([1.0, 0.0])))
+        space = WeightedSeqSpace.unweighted(p, 2)
+        centers = [[0.1, 0.0], [0.6, 0.0], [-1.2, 0.0], [2.0, 0.0], [0.3, 0.5]]
+        radii = radius_schedule(0.4, 7)
+        table, method = _log_mass_table(mu, centers, radii, space,
+                                        RatioOpts(n_samples=4_000, seed=3))
+        assert method == ("monte-carlo" if p == 2.0 else "closed-form")
+        many = _assert_same_curves(table[1:], table[:1], radii, RatioOpts())
+        one = _assert_same_curves(table[:1], table[1:], radii, RatioOpts())
+        assert many[-1] == "nonpositive-ratios-in-fit-window"
+        assert one[-1] == "x2 outside support"
+
+    def test_zero_rows(self):
+        radii = radius_schedule(0.16, 4)
+        fit = _ratio_curves(np.zeros((0, 4, 20)), np.zeros((1, 4, 20)), radii, RatioOpts())
+        assert fit["ratios"].shape == fit["stderr"].shape == (0, 4)
+        assert all(len(v) == 0 for v in fit.values())
+
+    def test_whole_interval_beyond_the_largest_float(self):
+        # the intercept exceeds log(float max) by more than the interval's half-width
+        fit = _ratio_curves(np.log([1e308, 1.5e308]).reshape(1, 2, 1), np.zeros((1, 2, 1)),
+                            np.array([0.1, 0.05]), RatioOpts())
+        limit, ci = fit["extrapolated_limit"][0], fit["ci"][0]
+        assert limit == ci[0] == ci[1] == math.inf
+        assert fit["diagnostic"][0] == "limit-overflow"
+
+    def test_classify_mode_fits_every_competitor_in_one_solve(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        from ommap.om import classify_mode
+        cls = classify_mode(OmNotStrongMeasure(), [1.0], [[float(k)] for k in range(2, 22)],
+                            radius_schedule(1e-3, 8, factor=4.0))
+        assert cls.weak_worst_ratio > 1.0
+        assert len(calls) <= 2
 
 
 def _direct_log_density(factor, pts, mean, spread):

@@ -63,3 +63,21 @@ def test_no_end_to_end_metric_worse_than_its_bound(tmp_path):
         "beyond.json: mc_ratio/ref_ops_per_s change median 40.0 is +33.3% worse than "
         "parent median 60.0, beyond its bound 0.25",
         "within.json: ok"]
+
+
+def test_record_claiming_no_gain_gets_the_bound_check_only(tmp_path):
+    # "claimed": null names no metric that must improve; the bounds still hold
+    flat = {"claimed": None,
+            "workloads": {"cli_kinds": {"metrics": {"ref_wall_s": _entry(0.15, 0.15),
+                                                    "setup_s": _entry(0.2, 0.24)}}}}
+    beyond = json.loads(json.dumps(flat))
+    beyond["workloads"]["cli_kinds"]["metrics"]["ref_wall_s"] = _entry(0.1, 0.126)
+    unclaimed = {key: value for key, value in flat.items() if key != "claimed"}
+    code, lines = _check(tmp_path, {"flat.json": flat, "beyond.json": beyond,
+                                    "unclaimed.json": unclaimed})
+    assert code == 1
+    assert lines == [
+        "flat.json: ok",
+        "beyond.json: cli_kinds/ref_wall_s change median 0.126 is +26.0% worse than "
+        "parent median 0.1, beyond its bound 0.25",
+        "unclaimed.json: cannot read a claimed workload and metric: KeyError('claimed')"]

@@ -1,11 +1,13 @@
 """Check the committed BENCH_*.json records against BENCHMARK.json.
 
-Each record must name a ``claimed`` workload listed in BENCHMARK.json and
-a claimed metric listed there as end to end, and that metric must carry a
-numeric parent and change median, the change's better than the parent's
-in the metric's ``better`` direction.  No end-to-end metric, on any
-workload of the record, may have a change median worse than the parent's
-by more than the metric's ``bound``, a fraction of the parent median.
+Each record must have a ``claimed`` key.  A record that claims a gain
+names there a workload listed in BENCHMARK.json and a metric listed there
+as end to end, and that metric must carry a numeric parent and change
+median, the change's better than the parent's in the metric's ``better``
+direction.  A record of a change that claims no gain has ``"claimed":
+null``.  No end-to-end metric, on any workload of the record, may have a
+change median worse than the parent's by more than the metric's
+``bound``, a fraction of the parent median.
 
     python3 tools/check_bench_json.py            # every BENCH_*.json at the repo root
     python3 tools/check_bench_json.py FILE ...   # the given records
@@ -33,26 +35,29 @@ def problems(path: Path, workloads: set, metrics: dict) -> list:
     to its BENCHMARK.json entry, whose ``better`` is "lower" or "higher"."""
     try:
         record = json.loads(path.read_text())
-        workload, metric = record["claimed"]["workload"], record["claimed"]["metric"]
+        claimed = record["claimed"]
+        workload, metric = (None, None) if claimed is None else (claimed["workload"],
+                                                                 claimed["metric"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return [f"cannot read a claimed workload and metric: {exc!r}"]
     out = []
-    if workload not in workloads:
-        out.append(f"claimed workload {workload!r} is not listed in BENCHMARK.json")
-    if metric not in metrics:
-        out.append(f"claimed metric {metric!r} is not an end-to-end metric of BENCHMARK.json")
-    entry = record.get("workloads", {}).get(workload, {}).get("metrics", {}).get(metric, {})
-    medians = {}
-    for side in ("parent", "change"):
-        medians[side] = _median(entry, side)
-        if medians[side] is None:
-            out.append(f"{workload}/{metric} has no numeric {side} median")
-    if None not in medians.values() and metric in metrics:
-        fall = medians["parent"] - medians["change"]
-        better = metrics[metric]["better"]
-        if not (fall > 0 if better == "lower" else fall < 0):
-            out.append(f"{workload}/{metric} change median {medians['change']!r} is not "
-                       f"{better} than parent median {medians['parent']!r}")
+    if claimed is not None:  # a claimed gain: listed, and the change better
+        if workload not in workloads:
+            out.append(f"claimed workload {workload!r} is not listed in BENCHMARK.json")
+        if metric not in metrics:
+            out.append(f"claimed metric {metric!r} is not an end-to-end metric of BENCHMARK.json")
+        entry = record.get("workloads", {}).get(workload, {}).get("metrics", {}).get(metric, {})
+        medians = {}
+        for side in ("parent", "change"):
+            medians[side] = _median(entry, side)
+            if medians[side] is None:
+                out.append(f"{workload}/{metric} has no numeric {side} median")
+        if None not in medians.values() and metric in metrics:
+            fall = medians["parent"] - medians["change"]
+            better = metrics[metric]["better"]
+            if not (fall > 0 if better == "lower" else fall < 0):
+                out.append(f"{workload}/{metric} change median {medians['change']!r} is not "
+                           f"{better} than parent median {medians['parent']!r}")
     for name, block in sorted(record.get("workloads", {}).items()):
         entries = block.get("metrics", {}) if isinstance(block, dict) else {}
         for m, spec in metrics.items():

@@ -100,6 +100,22 @@ EXTRA_CONFIGS = (
         "measure": {"type": "gaussian", "mean": [0.3, -0.2], "eigenvalues": [1.0, 0.5]},
         "candidate": [0.3, -0.2], "competitors": [[0.6, 0.1], [-0.2, -0.4]],
         "schedule": {"r0": 0.3, "levels": 5}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
+    # eight competitors fitted in one solve, among them the candidate (no
+    # curve) and the mean, a heaviest centre that the table holds once
+    ("classify_mode.gaussian_l2_eight", {
+        "kind": "classify_mode", "seed": 7,
+        "measure": {"type": "gaussian", "mean": [0.3, -0.2], "eigenvalues": [1.0, 0.5]},
+        "candidate": [0.5, -0.1],
+        "competitors": [[0.9, 0.1], [0.5, -0.1], [-0.4, -0.6], [0.3, -0.2], [0.0, 0.0],
+                        [1.2, -0.9], [0.6, -0.15], [0.3, 0.4]],
+        "schedule": {"r0": 0.3, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
+    # two points within the smallest radius of the range fit a limit; the
+    # two farther ones have zero mass at the small radii and fit none
+    ("m_property.mixed_fits", {
+        "kind": "m_property", "seed": 5,
+        "measure": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.0]},
+        "outside_points": [[0.5, 1e-4], [1.0, 0.05], [-0.3, 0.3], [0.8, -0.004]],
+        "schedule": {"r0": 0.4, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
     # Laplace factors in the sup norm: the exact product path
     ("ball_ratio.besov20_sup", {
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
