@@ -40,7 +40,7 @@ class NormalFactor:
     The ``mc_*`` hooks expand the free-coordinate log density at c + s*w*z
     in the proposal scale s: with d = c - m it is -1/2 [|d|^2_v +
     2s z.(d w / v) + s^2 (z*z).(w*w / v)] - log norm, so each scale costs
-    O(n) on top of one matvec per center.
+    O(n) on top of one matvec per center; at -z only the middle term flips.
     """
 
     exponent = 2.0  # the log density is -|x|^exponent / exponent + const
@@ -59,14 +59,17 @@ class NormalFactor:
 
     def mc_center(self, setup, d):
         """For d = c - m, the function (draws, scales) -> free-coordinate log
-        density at c + s*w*z, of shape (len(scales), n)."""
+        density at c + s*w*z and then at c - s*w*z, of shape (len(scales), 2n)."""
         v = setup.spread
         lin_w = d * setup.w / v
         log_d0 = -0.5 * float(np.sum(d * d / v)) - 0.5 * float(np.sum(np.log(2.0 * math.pi * v)))
 
         def log_density(draws, scales):
             s = np.asarray(scales, dtype=float)[:, None]
-            return log_d0 - s * (draws.z @ lin_w) - 0.5 * s * s * draws.stat
+            ld, odd = np.tile(log_d0 - 0.5 * s * s * draws.stat, 2), s * (draws.z @ lin_w)
+            ld[:, :odd.shape[1]] -= odd
+            ld[:, odd.shape[1]:] += odd
+            return ld
 
         return log_density
 
@@ -85,8 +88,8 @@ class LaplaceFactor:
     """Unit Laplace factors, density exp(-|x|) / 2: a coordinate of scale b is b X.
 
     In the Monte Carlo expansion, coordinates where c = 0 contribute
-    s |z|.(w / b); only the nonzero coordinates of c are evaluated at
-    each scale.
+    s |z|.(w / b), the same at z and -z; only the nonzero coordinates of c
+    are evaluated at each scale and sign.
     """
 
     exponent = 1.0  # the log density is -|x| + const
@@ -110,11 +113,12 @@ class LaplaceFactor:
 
         def log_density(draws, scales):
             s = np.asarray(scales, dtype=float)[:, None]
-            ld = -log_norm - s * (draws.stat @ zero_w)
+            ld, h = np.tile(-log_norm - s * (draws.stat @ zero_w), 2), len(draws.z)
             if idx.size:
                 z_nz = draws.z[:, idx] * w_nz
                 for i, si in enumerate(s[:, 0]):
-                    ld[i] -= np.abs(c_nz + si * z_nz).sum(axis=1)
+                    ld[i, :h] -= np.abs(c_nz + si * z_nz).sum(axis=1)
+                    ld[i, h:] -= np.abs(c_nz - si * z_nz).sum(axis=1)
             return ld
 
         return log_density
@@ -303,11 +307,12 @@ class Density1D:
 class BallOpts:
     """Knobs for ball-mass estimation.
 
-    Monte Carlo masses draw one batch of n_samples // n_batches points at
-    a time, so their memory is O(n_samples / n_batches * dim).
+    Monte Carlo masses evaluate n_samples // n_batches points per batch,
+    the antithetic pairs z, -z of half as many draws (rounded up), so
+    their memory is O(n_samples / (2 n_batches) * dim).
     """
 
-    n_samples: int = 10 ** 6      # total MC draws, split across batches
+    n_samples: int = 10 ** 6      # total MC evaluations, split across batches
     n_batches: int = 20
     max_rel_err: float = 0.5      # stderr/estimate above this -> low confidence
     method: str = "auto"          # auto | exact | mc
@@ -324,8 +329,9 @@ class BallOpts:
 class RatioOpts:
     """Knobs for ratio curves and their extrapolation.
 
-    Monte Carlo curves draw one batch of n_samples // n_batches points at
-    a time, so their memory is O(n_samples / n_batches * dim).
+    Monte Carlo curves evaluate n_samples // n_batches points per batch,
+    the antithetic pairs z, -z of half as many draws (rounded up), so
+    their memory is O(n_samples / (2 n_batches) * dim).
     """
 
     n_samples: int = 10 ** 6
@@ -500,7 +506,7 @@ class _Draws:
     These are the factor's per-draw statistic and, in a rotated basis, the
     ambient directions zb = z @ basis_free.T and their norms ||zb / w||_p.
     Each is computed once per batch: one draw array and one norm per draw,
-    whatever the number of centers and radii.
+    whatever the number of centers and radii; even in z, they serve -z too.
     """
 
     def __init__(self, setup: _ProductSetup, z: np.ndarray):
@@ -581,31 +587,36 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     of an unbiased per-batch estimate of mu(B_r(c)), -inf where the
     batch finds no mass.  Batches are drawn from ``rng`` one at a time
     and every center and radius is evaluated on the same draws before
-    the next batch, so memory is O(n_samples / n_batches * dim).
+    the next batch, so memory is O(n_samples / (2 n_batches) * dim): a
+    batch draws (n_samples // n_batches + 1) // 2 points z of the symmetric
+    unit ball and evaluates each at z and at -z (antithetic pairs), which
+    for Gaussian factors cancels the log density's first-order term.
 
     Per batch the draw work is done once (``_Draws``); each center then
-    costs O(n_radii * n) on top of its factor's log-density expansion.
-    In a rotated basis the ball indicator is homogeneous in the proposal
-    scale, ||rho zb / w||_p = rho ||zb / w||_p, so all radii are masked in
-    one comparison; only a center off the mean in pinned coordinates
-    evaluates the norm of rho zb + offset per radius.
+    costs O(n_radii * n) on top of its factor's log-density expansion,
+    whose odd terms alone are formed at both signs.  In a rotated basis
+    the ball indicator is homogeneous in the proposal scale,
+    ||rho zb / w||_p = rho ||zb / w||_p, so all radii are masked in one
+    comparison; only a center off the mean in pinned coordinates
+    evaluates the norms of rho zb +- offset per radius.
     """
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, _as_vector(c, space.dim)) for c in centers]
-    per_batch = max(1, n_samples // n_batches)
+    half = (max(1, n_samples // n_batches) + 1) // 2
     radii = np.asarray(radii, dtype=float)
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
     for b in range(n_batches):
-        draws = _Draws(setup, _uniform_pball(rng, per_batch, setup.k_free, setup.draw_p))
+        draws = _Draws(setup, _uniform_pball(rng, half, setup.k_free, setup.draw_p))
         for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
-            ld = plan.log_density(draws, scales)
+            ld = plan.log_density(draws, scales)  # columns z, then -z
             if draws.zb is not None:
                 if plan.fix_vec is None:
-                    norms = scales[:, None] * draws.zb_norm
-                else:
-                    norms = np.array([_row_norms(rho * draws.zb + plan.fix_vec, space)
+                    norms = np.tile(scales[:, None] * draws.zb_norm, 2)
+                else:  # at -z the norm of -rho zb + offset, that of rho zb - offset
+                    norms = np.array([np.concatenate([_row_norms(rho * draws.zb + f, space) for f
+                                                      in (plan.fix_vec, -plan.fix_vec)])
                                       for rho in scales])
                 ld[~cmp(norms, radii[:, None])] = -np.inf
             out[ci, :, b] = _log_mean_exp(ld) + logv
@@ -863,7 +874,8 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     ``BallRatioEstimate``'s fields of every curve, ``ratios`` and
     ``stderr`` as (curves, radii) arrays and the rest as lists.
 
-    A stderr is that of the per-batch ratios (0 for one exact batch).  A
+    A stderr is that of the per-batch ratios (0 for one exact batch), their
+    spread taken relative to the ratio so that it cannot overflow.  A
     limit fits log(ratio) linearly against r (or sqrt r), or by a constant
     at one radius, over the smallest radii and reports the exponentiated
     intercept.  The curves share the design matrix, so one solve with a
@@ -885,7 +897,8 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     count = np.sum(np.isfinite(rb), axis=-1)
     k = count > 1
     ses = np.zeros(count.shape)
-    ses[k] = np.nanstd(rb[k], axis=1, ddof=1) / np.sqrt(count[k])
+    scale = np.where((ratios > 0) & (ratios < np.inf), ratios, 1.0)[k]
+    ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
     ses = np.nan_to_num(ses)
 
     n_fit = min(opts.fit_points, len(radii))

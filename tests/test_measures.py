@@ -19,9 +19,10 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap._seeds import child_rng
+import ommap.measures
 from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
-                            _ratio_curves, _uniform_pball)
+                            _product_exact_log_mass, _ratio_curves, _uniform_pball)
 
 
 def std_gaussian(k):
@@ -368,14 +369,16 @@ class TestRatioCurve:
 
     def test_interval_is_the_exact_intercept_variance(self):
         # the intercept of the log-ratio fit is linear in the log ratios, so
-        # its sd is sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the pseudoinverse
-        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([2.0, 0.5])))
-        mc = ball_ratio_curve(mu, np.array([0.5, 0.2]), np.array([-0.3, 0.1]),
-                              radius_schedule(0.2, 10), WeightedSeqSpace.unweighted(2.0, 2),
-                              RatioOpts(n_samples=40_000, seed=11))
-        besov = BesovMeasure(1.0, 1, 1.0, 4)
-        exact = ball_ratio_curve(besov, np.array([0.3, -0.2, 0.1, 0.0]), np.zeros(4),
-                                 radius_schedule(0.5, 8), WeightedSeqSpace(math.inf, np.ones(4)))
+        # its sd is sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the pseudoinverse.
+        # A Laplace centre's zero coordinates add s |z|.(w / b) to the log
+        # density at z and at -z alike, so antithetic pairs leave its
+        # sampling noise above the fit residual, unlike a Gaussian's
+        besov, x1 = BesovMeasure(1.0, 1, 1.0, 4), np.array([0.3, -0.2, 0.1, 0.0])
+        mc = ball_ratio_curve(besov, x1, np.zeros(4), radius_schedule(0.2, 10),
+                              WeightedSeqSpace.unweighted(2.0, 4),
+                              RatioOpts(n_samples=1_000, seed=11))
+        exact = ball_ratio_curve(besov, x1, np.zeros(4), radius_schedule(0.5, 8),
+                                 WeightedSeqSpace(math.inf, np.ones(4)))
         assert mc.method == "monte-carlo" and exact.method == "closed-form"
         for cur in (mc, exact):
             idx = np.argsort(cur.radii)[:5]
@@ -400,11 +403,12 @@ class TestRatioCurve:
                 assert se_fit == 0.0
 
     def test_single_radius_interval_stays_positive(self):
-        # one radius: a degree-0 fit, ci = exp(log y -+ 1.96 se / y)
+        # one radius: a degree-0 fit, ci = exp(log y -+ 1.96 se / y); a ball
+        # wide against the Laplace scales keeps 25 draws a batch noisy
         mu = BesovMeasure(1, 1, 1, 20)
         x1 = np.zeros(20)
-        x1[:3] = [0.8, -0.6, 0.5]
-        cur = ball_ratio_curve(mu, x1, np.zeros(20), [1.5], WeightedSeqSpace.unweighted(2.0, 20),
+        x1[:3] = [1.6, -1.2, 1.0]
+        cur = ball_ratio_curve(mu, x1, np.zeros(20), [5.0], WeightedSeqSpace.unweighted(2.0, 20),
                                RatioOpts(n_samples=400, n_batches=8, seed=8))
         y, se = cur.ratios[0], cur.stderr[0]
         assert se / y > 0.5  # wide enough that y - 1.96 se < 0
@@ -504,7 +508,8 @@ def _one_curve(log_num, log_den, radii, opts):
     count = np.sum(np.isfinite(rb), axis=1)
     k = count > 1
     ses = np.zeros(len(radii))
-    ses[k] = np.nanstd(rb[k], axis=1, ddof=1) / np.sqrt(count[k])
+    scale = np.where((ratios > 0) & (ratios < np.inf), ratios, 1.0)[k]
+    ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
     ses = np.nan_to_num(ses)
     out = {"ratios": ratios, "stderr": ses}
     n_fit = min(opts.fit_points, len(radii))
@@ -650,6 +655,18 @@ class TestRatioCurves:
         assert fit["ratios"].shape == fit["stderr"].shape == (0, 4)
         assert all(len(v) == 0 for v in fit.values())
 
+    def test_batch_spread_near_the_largest_float(self):
+        # per-batch ratios near exp(700) = 1e304: their squared deviations
+        # would overflow, their spread relative to the ratio does not
+        rng = np.random.default_rng(3)
+        log_num = 700.0 + rng.normal(0.0, 0.1, (1, 3, 20))
+        fit = _ratio_curves(log_num, np.zeros((1, 3, 20)), np.array([0.1, 0.05, 0.025]),
+                            RatioOpts())
+        ses = fit["stderr"][0]
+        assert np.all(np.isfinite(ses)) and np.all(ses > 0)
+        want = np.exp(700.0) * np.std(np.exp(log_num[0] - 700.0), axis=1, ddof=1) / math.sqrt(20)
+        np.testing.assert_allclose(ses, want, rtol=1e-12)
+
     def test_whole_interval_beyond_the_largest_float(self):
         # the intercept exceeds log(float max) by more than the interval's half-width
         fit = _ratio_curves(np.log([1e308, 1.5e308]).reshape(1, 2, 1), np.zeros((1, 2, 1)),
@@ -680,14 +697,15 @@ def _direct_log_density(factor, pts, mean, spread):
 def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches, rng,
                             closed):
     """Rotated-basis ``_mc_mass_batches`` with the ball indicator taken per
-    radius from the direct norm of rho zb + offset."""
+    radius from the direct norms of rho zb + offset and -rho zb + offset,
+    the antithetic pairs of half as many draws."""
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, c) for c in centers]
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
     for b in range(n_batches):
-        z = _uniform_pball(rng, n_samples // n_batches, setup.k_free, setup.draw_p)
+        z = _uniform_pball(rng, (n_samples // n_batches + 1) // 2, setup.k_free, setup.draw_p)
         draws = _Draws(setup, z)
         for ci, (center, plan, (scales, logv)) in enumerate(zip(centers, plans, props)):
             ld = plan.log_density(draws, scales)
@@ -696,7 +714,8 @@ def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches
             offset[setup.zero] = (setup.mean_e - setup.to_eigen(center))[setup.zero]
             offset = setup.basis @ offset
             for ri, (r, rho) in enumerate(zip(radii, scales)):
-                diff = np.abs(rho * draws.zb + offset) / space.weights
+                pts = np.concatenate([rho * draws.zb + offset, -rho * draws.zb + offset])
+                diff = np.abs(pts) / space.weights
                 if math.isinf(space.p):
                     norms = diff.max(axis=1)
                 else:
@@ -734,11 +753,14 @@ class TestMcKernel:
             w = weights[free] if basis is None else np.ones(int(free.sum()))
         setup = _ProductSetup(mu, sp)
         plan = _CenterPlan(setup, center)
-        z = _uniform_pball(rng, 50, len(c_free), setup.draw_p)
+        z = _uniform_pball(rng, 25, len(c_free), setup.draw_p)
         scales = np.array([0.0, 1e-3, 0.1, 1.7])
         got = plan.log_density(_Draws(setup, z), scales)
+        assert got.shape == (4, 50)
         for s, row in zip(scales, got):
-            want = _direct_log_density(setup.factor, c_free + s * w * z, m_free, spread)
+            # the draws z, then their antithetic twins -z
+            pts = np.concatenate([c_free + s * w * z, c_free - s * w * z])
+            want = _direct_log_density(setup.factor, pts, m_free, spread)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-9)
 
     @given(st.integers(min_value=2, max_value=6),
@@ -784,6 +806,64 @@ class TestMcKernel:
         want = signs * g ** (1.0 / p) / ((g.sum(axis=1) + e) ** (1.0 / p))[:, None]
         got = _uniform_pball(np.random.default_rng(seed), 300, 9, p)
         assert got.tobytes() == want.tobytes()
+
+
+class TestAntitheticPairs:
+    @pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
+    @pytest.mark.parametrize("n_samples,n_batches,half", [(80, 4, 10), (84, 4, 11), (7, 7, 1)])
+    def test_half_the_draws_per_batch(self, monkeypatch, rotated, n_samples, n_batches, half):
+        # each batch draws (n_samples // n_batches + 1) // 2 points, each used at z and -z
+        calls = []
+
+        def spy(rng, n, k, p):
+            calls.append(n)
+            return _uniform_pball(rng, n, k, p)
+
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", spy)
+        basis = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0] if rotated else None
+        mu = GaussianMeasure(np.zeros(3), SpectralOperator(np.array([1.0, 0.5, 2.0]), basis))
+        centers = [np.zeros(3), np.array([0.2, -0.1, 0.3])]
+        out = _mc_mass_batches(mu, centers, radius_schedule(0.5, 3),
+                               WeightedSeqSpace.unweighted(2.0, 3), n_samples, n_batches,
+                               np.random.default_rng(0))
+        assert calls == [half] * n_batches
+        assert out.shape == (2, 3, n_batches) and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gaussian_l2_ratio_noise_cancels(self, rotated, seed):
+        # the log density's first-order term is odd in z: a pair's mean
+        # density is exact to first order, so the smallest radius's ratio
+        # keeps only second-order noise (about 5e-7 relative without pairs)
+        rng = np.random.default_rng(seed)
+        eig = rng.uniform(0.5, 2.0, 3)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)))[0] if rotated else None
+        mu = GaussianMeasure(rng.normal(0.0, 0.5, 3), SpectralOperator(eig, basis))
+        x1 = mu.mean + rng.normal(0.0, 0.5, 3)
+        cur = ball_ratio_curve(mu, x1, mu.mean, radius_schedule(0.2, 10),
+                               WeightedSeqSpace.unweighted(2.0, 3),
+                               RatioOpts(n_samples=100_000, n_batches=20, seed=seed))
+        assert cur.method == "monte-carlo"
+        assert cur.stderr[-1] / cur.ratios[-1] < 1e-9
+
+    @pytest.mark.parametrize("kind", ["gaussian", "besov1"])
+    def test_sup_norm_masses_match_the_closed_form(self, kind):
+        # pairs keep every batch unbiased: forced Monte Carlo masses of
+        # sup-norm balls about off-mean centres against the exact product
+        rng = np.random.default_rng(21)
+        if kind == "gaussian":
+            mu = GaussianMeasure(rng.normal(0.0, 0.5, 4), SpectralOperator(rng.uniform(0.5, 2.0, 4)))
+        else:
+            mu = BesovMeasure(1.1, 1, 1.0, 4)
+        space = WeightedSeqSpace(math.inf, rng.uniform(0.5, 2.0, 4))
+        radii = np.array([0.8, 0.3, 0.1])
+        opts = BallOpts(n_samples=20_000, n_batches=20, method="mc", seed=4)
+        for c in (mu.mean + rng.normal(0.0, 0.6, 4), mu.mean + np.array([0.9, 0.0, -0.4, 0.2])):
+            exact = np.exp(_product_exact_log_mass(mu, c, radii, space, closed=False))
+            for r, want in zip(radii, exact):
+                got = ball_mass(mu, c, float(r), space, opts)
+                assert got.method == "monte-carlo" and got.stderr > 0
+                assert abs(got.estimate - want) < 4 * got.stderr
 
 
 class TestSupBallMass:

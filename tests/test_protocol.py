@@ -21,6 +21,7 @@ from ommap import (BesovMeasure, GaussianMeasure, LinearObservation, ProductMeas
                    prior_om, recovery_gap, recovery_sequence, sample, sqrt_pinv_apply,
                    sublevel_halfwidth)
 from ommap._seeds import child_rng
+from ommap.measures import _ProductSetup
 
 
 def _rotation(rng, k):
@@ -172,6 +173,15 @@ def test_sample_matches_the_per_type_formula(case, seed):
     got, want = sample(mu, 200, seed), case.draws(mu, 200, seed)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_mc_draw_stat_is_even(case):
+    # Monte Carlo evaluates every draw z at -z too and reuses this statistic
+    mu = case.build(K, 0.0)
+    setup = _ProductSetup(mu, default_space(mu))
+    z = np.random.default_rng(6).normal(size=(50, setup.k_free))
+    stat = mu.factor.mc_draw_stat(setup, z)
+    assert stat.tobytes() == mu.factor.mc_draw_stat(setup, -z).tobytes()
 
 
 def test_json_round_trip(case):

@@ -116,6 +116,14 @@ EXTRA_CONFIGS = (
         "measure": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.0]},
         "outside_points": [[0.5, 1e-4], [1.0, 0.05], [-0.3, 0.3], [0.8, -0.004]],
         "schedule": {"r0": 0.4, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
+    # 2100 over 20 batches is 105 evaluations a batch: 53 draws z, each at
+    # z and -z, the per-batch count rounded up to whole antithetic pairs
+    ("ball_ratio.gaussian_l2_odd_batch", {
+        "kind": "ball_ratio", "seed": 2,
+        "measure": {"type": "gaussian", "mean": [0.1, -0.2, 0.0], "eigenvalues": [1.0, 0.5, 2.0]},
+        "x1": [0.5, 0.1, -0.3], "x2": [0.1, -0.2, 0.0],
+        "schedule": {"r0": 0.3, "levels": 6}, "norm": {"p": 2},
+        "mc": {"n_samples": 2100, "n_batches": 20}}),
     # Laplace factors in the sup norm: the exact product path
     ("ball_ratio.besov20_sup", {
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
