@@ -594,7 +594,7 @@ def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
     table = []
     for x in pts:
         x = _as_vector(x, prior.dim)
-        row = {"x": list(map(float, x)), "phi": float(pot.eval(x)),
-               "values": [float(n * pot.eval(x) + prior_fn.eval(x)) for n in n_list]}
-        table.append(row)
+        phi, prior_value = pot.eval(x), prior_fn.eval(x)
+        table.append({"x": list(map(float, x)), "phi": float(phi),
+                      "values": [float(n * phi + prior_value) for n in n_list]})
     return SmallNoiseReport(n_list, points, dists, star, float(prior_fn.eval(star)), table)

@@ -210,13 +210,23 @@ def _besov_member(limit: BesovMeasure, n: int, amp: float, alternating: bool) ->
                         limit.d, limit.eta, limit.dim)
 
 
+def _shift(value, shifted: np.ndarray, loc: str) -> np.ndarray:
+    """A config vector that shifts ``shifted``, as floats, or a ConfigError
+    at ``loc`` unless the two have the same length."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != shifted.shape:
+        raise ConfigError(f"config field {loc}: {v.size} entries for a vector of {shifted.size}")
+    return v
+
+
 def _build_family(cfg, indices):
     fam = cfg["family"]
     if fam["type"] == "gaussian":
         mean = np.asarray(fam["mean"], dtype=float)
         eig = np.asarray(fam["eigenvalues"], dtype=float)
-        mshift = np.asarray(fam.get("mean_shift", np.zeros_like(mean)), dtype=float)
-        eshift = np.asarray(fam.get("eigenvalue_shift", np.zeros_like(eig)), dtype=float)
+        mshift = _shift(fam.get("mean_shift", np.zeros_like(mean)), mean, "family/mean_shift")
+        eshift = _shift(fam.get("eigenvalue_shift", np.zeros_like(eig)), eig,
+                        "family/eigenvalue_shift")
         limit = GaussianMeasure(mean, SpectralOperator(eig))
         members = [GaussianMeasure(mean + mshift / n, SpectralOperator(eig + eshift / n))
                    for n in indices]
@@ -274,8 +284,8 @@ def _run_perturbation(cfg, seed):
     kind = cfg["perturb"]
     indices = cfg["indices"]
     if kind == "data":
-        direction = np.asarray(cfg.get("data_direction",
-                                       np.eye(1, obs.n_obs, 0).ravel()), dtype=float)
+        direction = _shift(cfg.get("data_direction", np.eye(1, obs.n_obs, 0).ravel()),
+                           obs.data, "data_direction")
         schedule = lambda n: obs.data + direction / n
     elif kind == "potential_projection":
         schedule = lambda n: min(n, obs.n_unknown)

@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, ParameterError, RegimeError
-from .measures import (BallMass, Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts,
-                       WeightedSeqSpace, _heaviest_centers, _log_mass_table, _mass_table,
-                       _own_ball, _ratio_curves, ball_mass, default_space, radius_schedule)
+from .measures import (Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts, WeightedSeqSpace,
+                       _heaviest_centers, _log_mass_table, _ratio_curves, default_space,
+                       radius_schedule)
 from .om import OmFunctional, prior_om
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -252,6 +252,8 @@ class LiminfOnlyMeasure:
     depth: int = 40
     variant: str = "standard"
 
+    method = "closed-form"  # how ``mass`` is computed; a class constant, not a field
+
     def __post_init__(self):
         if self.variant not in ("standard", "extreme"):
             raise ParameterError("variant must be 'standard' or 'extreme'")
@@ -377,6 +379,8 @@ class OmNotStrongMeasure:
     """
 
     levels: int = 30
+
+    method = "closed-form"  # how ``mass`` and ``mass_table`` are computed
 
     def __post_init__(self):
         if self.levels < 2:
@@ -583,6 +587,7 @@ class CrossesMeasure:
 
     norm_choice: str = "1"  # "1" or "inf"
     dim = 2  # a class constant, not a field: the crosses lie in the plane
+    method = "closed-form"  # how ``mass`` is computed
 
     def __post_init__(self):
         if self.norm_choice not in ("1", "inf"):
@@ -681,22 +686,6 @@ def _crosses_heaviest_centers(measure: CrossesMeasure, space):
     the centre of the cross it meets is at least as heavy.
     """
     return (E1, -E1), 0.25
-
-
-@ball_mass.register(LiminfOnlyMeasure)
-@ball_mass.register(OmNotStrongMeasure)
-@ball_mass.register(CrossesMeasure)
-def _closed_form_ball_mass(measure, center, radius, space=None, opts=None):
-    """The example measure's exact ``mass``, in its own norm only."""
-    c = _own_ball(measure, radius, space, opts, center)
-    return BallMass(measure.mass(c, radius), 0.0, "closed-form")
-
-
-@_mass_table.register(OmNotStrongMeasure)
-def _closed_form_mass_table(measure, centers, radii, space):
-    """The example measure's exact ``mass_table``, in its own norm only."""
-    cs = [_own_ball(measure, radii[-1], space, None, c) for c in centers]
-    return measure.mass_table(cs, radii), "closed-form"
 
 
 # ---------------------------------------------------------------------------

@@ -557,13 +557,13 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
         reps.append(window[members[-1]])
         sizes.append(int(members.size))
 
+    rep_values = [seq.limit.eval(r) for r in reps]
     if opts.limit_min is not None:
         limit_min = float(opts.limit_min)
     else:
-        cands = [seq.limit.eval(r) for r in reps] + [seq.limit.eval(seq.limit.anchor)]
-        limit_min = float(min(cands))
+        limit_min = float(min(rep_values + [seq.limit.eval(seq.limit.anchor)]))
 
-    value_errors = [float(seq.limit.eval(r) - limit_min) for r in reps]
+    value_errors = [float(v - limit_min) for v in rep_values]
     tail = range(max(start, len(pts) - max(3, len(pts) // 20)), len(pts))
     min_gap = max(abs(seq.members[i].eval(pts[i]) - limit_min) for i in tail)
 

@@ -6,10 +6,12 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
 * product measures on truncated sequence spaces (Gaussian, and Besov-1 as
   a Laplace product), each a product of 1-d factors in eigen coordinates,
   plus generic 1-d densities;
-* exact ball masses where a closed form exists (weighted sup-norm balls
-  on product measures, one-dimensional balls, registered examples);
-* Monte Carlo ball masses and common-random-number ratio curves for
-  everything else;
+* exact ball masses of product measures where a closed form exists
+  (weighted sup-norm balls, one-dimensional balls), and Monte Carlo
+  masses and common-random-number ratio curves for the rest;
+* the ball masses of measures off the product form (``Density1D``, the
+  registered examples), whose own ``mass`` (or ``mass_table``) is the
+  one rule, in the method their class names, for their own norm only;
 * the supremum of the ball mass over all centres, where a symmetry
   argument places it (product measures: at the mean);
 * the coordinate half-widths of the OM sublevel sets {I <= t};
@@ -267,6 +269,9 @@ def besov_weights(s: float, d: int, eta: float, dim: int):
     return 1.0 / inv_tau, s - d * (1.0 + eta), gamma, delta
 
 
+_QUAD_TOL = 1e-12  # absolute error goal of the quadrature over a ball
+
+
 @dataclass(frozen=True)
 class Density1D:
     """Probability density on a union of intervals of the line, whose ball
@@ -278,6 +283,8 @@ class Density1D:
     support: tuple
     total_mass: Optional[float] = None
     name: str = ""
+
+    method = "quadrature"  # how ``mass`` is computed; a class constant, not a field
 
     def __post_init__(self):
         sup = tuple((float(a), float(b)) for a, b in self.support)
@@ -297,6 +304,19 @@ class Density1D:
                              for a, b in sup])
         if min(self.pdf(float(x)) for x in xs) < 0:
             raise ParameterError("density is negative on its support")
+
+    def mass(self, center: float, radius: float) -> float:
+        """Quadrature of the pdf over the open ball, interval by interval."""
+        if radius <= 0:
+            raise InputError("ball radius must be positive")
+        from scipy.integrate import quad
+
+        total = 0.0
+        for a, b in self.support:
+            lo, hi = max(a, center - radius), min(b, center + radius)
+            if lo < hi:
+                total += quad(self.pdf, lo, hi, epsabs=_QUAD_TOL, limit=200)[0]
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -675,57 +695,74 @@ def default_space(measure) -> WeightedSeqSpace:
 
 
 # ---------------------------------------------------------------------------
-# ball_mass dispatch
+# ball masses
 # ---------------------------------------------------------------------------
 
-@singledispatch
 def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] = None,
               opts: Optional[BallOpts] = None) -> BallMass:
     """mu(B_radius(center)) with a standard error and the method that gave it.
 
-    Dispatches on the measure type.  A product measure reads the one-cell
-    mass table (``_log_mass_table``) that ratio curves, ``classify_mode``
-    and ``m_property_probe`` read, exact where a closed form exists and
-    ``opts.method`` allows it, else Monte Carlo on ``opts.seed``'s own
-    stream; the measures off the product form take balls of their own
-    norm only (``_own_ball``).
+    A product measure reads the one-cell mass table (``_log_mass_table``)
+    that ratio curves, ``classify_mode`` and ``m_property_probe`` read,
+    exact where a closed form exists and ``opts.method`` allows it, else
+    Monte Carlo on ``opts.seed``'s own stream; a measure off the product
+    form reads its own ``mass`` (``_mass_table``), in its own norm only.
     """
-    raise InputError(f"no ball-mass rule for measure type {type(measure).__name__}")
+    return _ball_masses(measure, [center], radius, space, opts)[0]
 
 
-def _own_ball(measure, radius: float, space, opts, center=None):
-    """The check of every ball-mass rule off the product form.  It refuses
-    a radius <= 0, Monte Carlo, a centre of another dimension and any norm
-    but the measure's own: unweighted, of its ``dim`` (1 if it has none)
-    and of its ``p`` where it names one.  Returns the centre, if given, as
-    a float on the line; it reads ``space``'s fields and builds no space."""
-    name, dim, p = type(measure).__name__, getattr(measure, "dim", 1), getattr(measure, "p", None)
+def _ball_masses(measure, centers: Sequence, radius: float, space, opts) -> list:
+    """One ``BallMass`` per centre for the balls of one radius, the rule of
+    ``ball_mass`` and ``sup_ball_mass``.  Off the product form the estimates
+    are ``_mass_table``'s raw masses, each the measure's ``mass`` bit for bit."""
     if radius <= 0:
         raise InputError("ball radius must be positive")
-    if opts is not None and opts.method == "mc":
+    opts, radii = opts or BallOpts(), np.array([float(radius)])
+    space = space or default_space(measure)
+    if not isinstance(measure, ProductMeasure):
+        masses, method = _mass_table(measure, centers, radii, space, opts.method)
+        return [BallMass(m, 0.0, method) for m in masses[:, 0].tolist()]
+    table, method = _log_mass_table(measure, centers, radii, space, opts, opts.method, "ball-mass")
+    est, se = (v[:, 0].tolist() for v in _batch_mean_se(table))
+    mc = method == "monte-carlo"
+    return [BallMass(e, s, method, mc and (e == 0.0 or s > opts.max_rel_err * max(e, 1e-300)))
+            for e, s in zip(est, se)]
+
+
+def _mass_table(measure, centers: Sequence, radii: np.ndarray, space, method: str) -> tuple:
+    """``(masses, method)`` of the balls of every radius about every centre,
+    shape (n_centers, n_radii), for a measure off the product form: its own
+    ``mass_table`` where it has one, else its ``mass`` one cell at a time,
+    and the method its class names.  Each centre passes ``_own_ball``."""
+    table, mass = getattr(measure, "mass_table", None), getattr(measure, "mass", None)
+    if table is None and mass is None:
+        raise InputError(f"no ball-mass rule for measure type {type(measure).__name__}")
+    cs = [_own_ball(measure, space, method, c) for c in centers]
+    if table is None:
+        return np.array([[mass(c, r) for r in radii.tolist()] for c in cs]), measure.method
+    return table(cs, radii), measure.method
+
+
+def _own_ball(measure, space: WeightedSeqSpace, method: str, center):
+    """The check of every ball mass off the product form.  It refuses a
+    forced method the measure lacks (Monte Carlo always, "exact" unless
+    its masses are closed-form), a centre of another dimension and any
+    norm but the measure's own: unweighted, of its ``dim`` (1 if it has
+    none) and of its ``p`` where it names one.  Returns the centre, a
+    float on the line; it reads ``space``'s fields and builds no space."""
+    name, dim, p = type(measure).__name__, getattr(measure, "dim", 1), getattr(measure, "p", None)
+    if method == "mc":
         raise InputError(f"Monte Carlo ball masses need a product measure, not a {name}")
+    if method == "exact" and measure.method != "closed-form":
+        raise InputError(f"no exact ball mass for a {name}: its masses come from "
+                         f"{measure.method}")
     # the weights must be dim ones: a list compares them faster than numpy
-    if space is not None and (space.weights.tolist() != [1.0] * dim
-                              or (p is not None and space.p != p)):
+    if space.weights.tolist() != [1.0] * dim or (p is not None and space.p != p):
         raise InputError(f"a {name} takes balls of its own norm only, not {space}")
-    if center is None:
-        return None
     c = np.asarray(center, dtype=float)
     if c.size != dim or c.ndim > 1:
         raise InputError(f"a {name} ball needs a centre in R^{dim}, got shape {c.shape}")
     return float(c.reshape(())) if dim == 1 else c
-
-
-def _product_ball_mass(measure, center, radius, space=None, opts=None) -> BallMass:
-    if radius <= 0:
-        raise InputError("ball radius must be positive")
-    opts = opts or BallOpts()
-    space = space or default_space(measure)
-    table, method = _log_mass_table(measure, [center], np.array([float(radius)]), space, opts,
-                                    opts.method, "ball-mass")
-    est, se = (float(v[0, 0]) for v in _batch_mean_se(table))
-    low = method == "monte-carlo" and (est == 0.0 or se > opts.max_rel_err * max(est, 1e-300))
-    return BallMass(est, se, method, low_confidence=low)
 
 
 def _batch_mean_se(table: np.ndarray) -> tuple:
@@ -735,9 +772,6 @@ def _batch_mean_se(table: np.ndarray) -> tuple:
     n = table.shape[-1]
     se = masses.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(table.shape[:-1])
     return masses.mean(axis=-1), se
-
-
-ball_mass.register(ProductMeasure, _product_ball_mass)
 
 
 @singledispatch
@@ -769,14 +803,7 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
     centres, r_max = _heaviest_centers(measure, space)
     if not radius < r_max:
         return None
-    if isinstance(measure, ProductMeasure):
-        return max((ball_mass(measure, c, radius, space, opts) for c in centres),
-                   key=lambda m: m.estimate)
-    # off the product form the rules naming centres have exact masses: one
-    # table reads them all, and ``_own_ball`` refuses what its rule ignores
-    _own_ball(measure, radius, space, opts)
-    masses, method = _mass_table(measure, centres, np.array([float(radius)]), space)
-    return BallMass(float(masses.max()), 0.0, method)
+    return max(_ball_masses(measure, centres, radius, space, opts), key=lambda m: m.estimate)
 
 
 @singledispatch
@@ -792,27 +819,6 @@ def _product_sublevel_halfwidth(measure: ProductMeasure, t):
     return np.abs(measure.mean) + measure.factor.sublevel_reach(measure, t)
 
 
-_QUAD_TOL = 1e-12  # absolute error goal of the quadrature over a ball
-
-
-@ball_mass.register(Density1D)
-def _density1d_ball_mass(measure: Density1D, center, radius, space=None, opts=None) -> BallMass:
-    """Quadrature of the pdf over the ball; it has no ``method="exact"``."""
-    c = _own_ball(measure, radius, space, opts, center)
-    if opts is not None and opts.method == "exact":
-        raise InputError("no exact ball mass for a 1-d density: its masses come from quadrature")
-    from scipy.integrate import quad
-
-    total, err = 0.0, 0.0
-    for a, b in measure.support:
-        lo, hi = max(a, c - radius), min(b, c + radius)
-        if lo < hi:
-            v, e = quad(measure.pdf, lo, hi, epsabs=_QUAD_TOL, limit=200)
-            total += v
-            err += e
-    return BallMass(total, err, "quadrature")
-
-
 # ---------------------------------------------------------------------------
 # ratio curves
 # ---------------------------------------------------------------------------
@@ -825,26 +831,15 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
-@singledispatch
-def _mass_table(measure, centers: Sequence, radii: np.ndarray, space) -> tuple:
-    """``(masses, method)`` of the balls of every radius about every centre,
-    shape (n_centers, n_radii), for a measure off the product form,
-    dispatched on its type.  By default one ``ball_mass`` per cell, which
-    names its method; the rules read only a forced method, and a ratio
-    curve forces none."""
-    masses = [[ball_mass(measure, c, float(r), space) for r in radii] for c in centers]
-    return np.array([[m.estimate for m in row] for row in masses]), masses[0][0].method
-
-
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
                     opts, method: str = "auto", stream: str = "ratio-curve") -> tuple:
     """Per-batch log masses, shape (n_centers, n_radii, n_batches), and
     their method.  Every ball mass of a product measure comes from here.
 
-    Measures off the product form give one batch from their own
-    ``_mass_table`` rule, which names its method.  A product measure gives
-    one exact batch where ``_product_exact_log_mass`` has a closed form
-    and ``method`` is not "mc", else common-random-number Monte Carlo
+    Measures off the product form give one batch, the logs of their own
+    masses (``_mass_table``).  A product measure gives one exact batch
+    where ``_product_exact_log_mass`` has a closed form and ``method`` is
+    not "mc", else common-random-number Monte Carlo
     with every center on the same draws of ``opts.seed``'s ``stream``.
     ``opts`` is a ``RatioOpts`` or a ``BallOpts``: only its Monte Carlo
     sizes, closure and seed are read.
@@ -852,7 +847,7 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):
-        masses, method = _mass_table(measure, centers, radii, space)
+        masses, method = _mass_table(measure, centers, radii, space, method)
         with np.errstate(divide="ignore"):
             return np.log(masses)[:, :, None], method
     _check_space(measure, space)

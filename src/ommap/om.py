@@ -304,7 +304,9 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     M_r is exact; elsewhere it is the largest over the competitors, so a
     caller who needs more passes a grid of them.  Weak: no competitor's
     extrapolated mass-ratio limit against the candidate may exceed 1; one
-    solve fits every competitor's curve but the candidate's own.  Verdicts are three-valued with noise-aware thresholds; a dip of the
+    solve fits the curve of every competitor but the candidate itself.
+
+    Verdicts are three-valued with noise-aware thresholds; a dip of the
     strong curve below 1 - max(5 stderr, dip_tol) at any radius is a
     "no" witness.  With no competitor and no radius below the rule's
     reach, the table holds the candidate's row alone, and strong reads

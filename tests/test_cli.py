@@ -294,13 +294,25 @@ class TestRun:
         ({"kind": "classify_mode", "candidate": [0.0], "competitors": [[0.5]],
           "tolerances": {"refine": False},
           "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "refine"),
+        ({"kind": "perturbation", "perturb": "data",
+          "prior": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 1.0]},
+          "observation": {"matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                          "noise_cov": [1.0, 1.0, 1.0], "data": [1.0, -1.0, 0.0]},
+          "indices": [1, 2], "data_direction": [1.0, 0.0]}, "config field data_direction"),
+        ({"kind": "gamma_check", "indices": [1, 2, 3],
+          "family": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [2.0, 1.0],
+                     "mean_shift": [1.0, 0.0, 0.0]}}, "config field family/mean_shift"),
+        ({"kind": "gamma_check", "indices": [1, 2, 3],
+          "family": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [2.0, 1.0],
+                     "eigenvalue_shift": [1.0]}}, "config field family/eigenvalue_shift"),
     ], ids=["unknown-measure-param", "missing-measure-param", "unknown-counterexample-param",
             "wrong-type-spike-n", "wrong-type-mixture-t", "wrong-type-norm-p",
             "wrong-type-kl-sigmas", "wrong-type-spike-n-values", "wrong-type-om-not-strong-levels",
             "wrong-type-crosses-r", "empty-perturbation-indices", "empty-gamma-check-indices",
             "zero-n-dip", "n-dip-beyond-levels", "zero-kl-tilt", "one-kl-tilt",
             "removed-mc-n-boot", "density1d-centre-of-another-dimension",
-            "density1d-weighted-norm", "removed-classify-refine"])
+            "density1d-weighted-norm", "removed-classify-refine", "short-data-direction",
+            "long-mean-shift", "short-eigenvalue-shift"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2

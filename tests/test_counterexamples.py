@@ -16,7 +16,7 @@ from ommap import (BallOpts, CrossesMeasure, Density1D, InputError,
                    ball_mass, om_not_strong_suite, radius_schedule, spike_kl, spike_mode,
                    WeightedSeqSpace, default_space, sup_ball_mass)
 from ommap.counterexamples import E1, SQRT_2PI
-from ommap.measures import _log_mass_table
+from ommap.measures import EXAMPLE_MEASURE_FACTORIES, _log_mass_table
 
 
 class TestGaussianKL:
@@ -419,22 +419,41 @@ class TestCrosses:
 ], ids=["liminf_only", "om_not_strong", "crosses", "density1d"])
 def test_examples_refuse_monte_carlo(measure, center, method):
     # balls of the measure's own norm only: a forced Monte Carlo mass, a
-    # weighted norm and a centre of another dimension are errors
+    # weighted norm and a centre of another dimension are errors, for one
+    # ball and for the mass table every ratio curve reads
+    assert measure.method == method
+    radii, own = np.array([0.1, 0.05]), default_space(measure)
     with pytest.raises(InputError, match="Monte Carlo"):
         ball_mass(measure, center, 0.1, None, BallOpts(method="mc"))
+    with pytest.raises(InputError, match="Monte Carlo"):
+        _log_mass_table(measure, [center], radii, own, RatioOpts(), "mc")
     assert ball_mass(measure, center, 0.1, None, BallOpts(method="auto")).method == method
     if method == "closed-form":
         assert ball_mass(measure, center, 0.1, None, BallOpts(method="exact")).method == method
-    own = default_space(measure)
+    else:
+        with pytest.raises(InputError, match=method):
+            _log_mass_table(measure, [center], radii, own, RatioOpts(), "exact")
     assert ball_mass(measure, center, 0.1, own).method == method
-    with pytest.raises(InputError, match="own norm"):
-        ball_mass(measure, center, 0.1, WeightedSeqSpace(own.p, 2.0 * own.weights))
-    with pytest.raises(InputError, match="own norm"):
-        ball_mass(measure, center, 0.1, WeightedSeqSpace.unweighted(own.p, own.dim + 1))
+    assert ball_ratio_curve(measure, center, center, radii, own).method == method
+    for space in (WeightedSeqSpace(own.p, 2.0 * own.weights),
+                  WeightedSeqSpace.unweighted(own.p, own.dim + 1)):
+        with pytest.raises(InputError, match="own norm"):
+            ball_mass(measure, center, 0.1, space)
+        with pytest.raises(InputError, match="own norm"):
+            ball_ratio_curve(measure, center, center, radii, space)
     with pytest.raises(InputError, match="centre"):
         ball_mass(measure, np.append(center, 0.0), 0.1)
+    with pytest.raises(InputError, match="centre"):
+        ball_ratio_curve(measure, center, np.append(center, 0.0), radii)
     with pytest.raises(InputError, match="positive"):
         ball_mass(measure, center, 0.0)
+
+
+def test_an_object_without_a_mass_rule_is_refused():
+    for call in (lambda: ball_mass(object(), 0.0, 0.1),
+                 lambda: ball_ratio_curve(object(), 0.0, 0.5, np.array([0.1, 0.05]))):
+        with pytest.raises(InputError, match="no ball-mass rule for measure type object"):
+            call()
 
 
 def test_crosses_refuse_the_other_norm():
@@ -461,27 +480,49 @@ def _coords(lo, hi, dim):
     return st.lists(st.floats(min_value=lo, max_value=hi), min_size=dim, max_size=dim)
 
 
-@pytest.mark.parametrize("measure,lo,hi,dim", [
-    (LiminfOnlyMeasure(depth=12), -1.5, 1.5, 1), (OmNotStrongMeasure(levels=6), 0.5, 6.5, 1),
-    (CrossesMeasure("1"), -2.5, 2.5, 2), (CrossesMeasure("inf"), -2.5, 2.5, 2),
-], ids=["liminf_only", "om_not_strong", "crosses-1", "crosses-inf"])
+#: (measure, lo, hi, dim): a measure off the product form and a box of centres
+_EXACT_MASS_CASES = {
+    "liminf_only": (LiminfOnlyMeasure(depth=12), -1.5, 1.5, 1),
+    "om_not_strong": (OmNotStrongMeasure(levels=6), 0.5, 6.5, 1),
+    "crosses-1": (CrossesMeasure("1"), -2.5, 2.5, 2),
+    "crosses-inf": (CrossesMeasure("inf"), -2.5, 2.5, 2),
+    "density1d": (Density1D(pdf=lambda x: 0.75 * (1.0 - x * x), support=((-1.0, 1.0),)),
+                  -1.5, 1.5, 1),
+}
+
+
+def test_every_measure_off_the_product_form_has_an_exact_mass_case():
+    # each registered example measure (mixture and spike are Density1D's)
+    # and Density1D itself; a new one adds a case above
+    required = {"mixture": {"t": 0.1}, "spike": {"n": 3}}
+    built = {type(factory(**required.get(name, {})))
+             for name, factory in EXAMPLE_MEASURE_FACTORIES.items()}
+    cased = {type(case[0]) for case in _EXACT_MASS_CASES.values()}
+    for cls in built | {Density1D}:
+        assert cls in cased, cls.__name__
+
+
+@pytest.mark.parametrize("measure,lo,hi,dim", list(_EXACT_MASS_CASES.values()),
+                         ids=list(_EXACT_MASS_CASES))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_ball_mass_is_the_exact_mass(measure, lo, hi, dim, data):
-    # the shared rule adds nothing to mass(): bit for bit, as in the mass table
+    # the shared rule adds nothing to mass(): bit for bit, as in the mass
+    # table, and in the method the measure names
     centers = [np.array(data.draw(_coords(lo, hi, dim))) for _ in range(2)]
     radii = np.array(sorted(data.draw(st.lists(st.floats(min_value=1e-9, max_value=1.5),
                                                 min_size=1, max_size=4, unique=True)),
                             reverse=True))
     masses = np.array([[measure.mass(c if dim > 1 else float(c[0]), float(r)) for r in radii]
                        for c in centers])
-    got = [[ball_mass(measure, c, float(r)).estimate for r in radii] for c in centers]
-    np.testing.assert_array_equal(got, masses)
+    got = [[ball_mass(measure, c, float(r)) for r in radii] for c in centers]
+    np.testing.assert_array_equal([[m.estimate for m in row] for row in got], masses)
+    assert {(m.stderr, m.method) for row in got for m in row} == {(0.0, measure.method)}
     table, method = _log_mass_table(measure, centers, radii, default_space(measure),
                                     RatioOpts())
     with np.errstate(divide="ignore"):
         np.testing.assert_array_equal(table[:, :, 0], np.log(masses))
-    assert (table.shape[2], method) == (1, "closed-form")
+    assert (table.shape[2], method) == (1, measure.method)
 
 
 def _om_not_strong_reference(m, center, radius):
