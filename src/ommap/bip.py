@@ -6,16 +6,15 @@ under a Gaussian prior, and an accelerated proximal-gradient
 (soft-thresholding) iteration for the weighted-l1 functional of a
 Besov-1 prior, which stops on its optimality residual or, for a linear
 observation, on an exact solve over its settled support.
-``map_solve`` and ``constrained_prior_minimum`` dispatch on the prior's
-type.  The experiments perturb data, potential, or prior along a
-schedule and track the MAP trajectory against the limit problem.
+``map_solve`` and ``constrained_prior_minimum`` take their rules from
+the prior's 1-d factor.  The experiments perturb data, potential, or
+prior along a schedule and track the MAP trajectory against the limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import InputError, NumericsError, ParameterError
 from .gamma import (FunctionalSequence, ModeConvOpts, ModeConvReport,
                     continuous_convergence_probe, equicoercivity_probe, gamma_liminf_probe,
                     mode_convergence_check, om_family, recovery_gap)
-from .measures import BesovMeasure, GaussianMeasure
+from .measures import LaplaceFactor, NormalFactor
 from .om import posterior_om, prior_om
 from .spaces import SpectralOperator, _as_vector, project
 
@@ -160,33 +159,31 @@ def projected_potential(pot: Potential, n: int) -> Potential:
 # solvers
 # ---------------------------------------------------------------------------
 
-@singledispatch
 def map_solve(prior, obs: LinearObservation, prox: Optional[ProxOpts] = None) -> MapSolution:
-    """MAP estimate for a linear observation, dispatched on the prior's type."""
-    raise InputError(f"no MAP solver for prior type {type(prior).__name__}")
+    """MAP estimate for a linear observation, by the solver of the prior's factor."""
+    return _factor_rules(prior, "MAP solver")[0](prior, obs, prox)
 
 
-def _reduced_map(prior: GaussianMeasure, o: np.ndarray):
-    """B = O C^(1/2) on the prior's free eigendirections, and the map
-    w -> m + C^(1/2) w from reduced coefficients back to the unknown."""
-    cov = prior.cov
-    free = ~cov.zero_mask()
-    sig = np.sqrt(cov.eigenvalues[free])
-    cols = o if cov.basis is None else o @ cov.basis
+def _reduced_map(prior, o: np.ndarray):
+    """B = O C^(1/2) on the free eigendirections of a normal-factor prior,
+    C^(1/2) = basis diag(scale), and the map w -> m + C^(1/2) w from
+    reduced coefficients back to the unknown."""
+    free, basis = ~prior.pinned, prior.basis
+    sig = prior.scale[free]
+    cols = o if basis is None else o @ basis
 
     def lift(w: np.ndarray) -> np.ndarray:
         coeff = np.zeros(prior.dim)
         coeff[free] = sig * w
-        return prior.mean + (coeff if cov.basis is None else cov.basis @ coeff)
+        return prior.mean + (coeff if basis is None else basis @ coeff)
 
     return cols[:, free] * sig[None, :], lift
 
 
-@map_solve.register(GaussianMeasure)
-def _map_solve_gaussian(prior: GaussianMeasure, obs: LinearObservation,
+def _map_solve_gaussian(prior, obs: LinearObservation,
                         prox: Optional[ProxOpts] = None) -> MapSolution:
-    """Exact MAP for a linear observation under a Gaussian prior; ``prox``
-    is unused, as the solve is direct.
+    """Exact MAP for a linear observation under a prior of normal factors;
+    ``prox`` is unused, as the solve is direct.
 
     The unknown is substituted as m + C^(1/2) w over the non-null
     eigendirections, which turns the problem into the always
@@ -236,9 +233,9 @@ def kkt_residual(grad: np.ndarray, u: np.ndarray, inv_gamma: np.ndarray) -> floa
     return float(max(res_on.max(initial=0.0), res_off.max(initial=0.0)))
 
 
-def map_solve_besov(prior: BesovMeasure, pot: Potential,
-                    opts: Optional[ProxOpts] = None) -> MapSolution:
-    """Accelerated proximal gradient for pot(u) + sum_k |u_k| / gamma_k.
+def map_solve_besov(prior, pot: Potential, opts: Optional[ProxOpts] = None) -> MapSolution:
+    """Accelerated proximal gradient for pot(u) + sum_k |u_k| / gamma_k
+    under a centred prior of Laplace factors of scales gamma_k.
 
     Backtracking line search from the step 1 / ``pot.lipschitz_grad``,
     with function-value restarts; stops when the subdifferential
@@ -248,20 +245,29 @@ def map_solve_besov(prior: BesovMeasure, pot: Potential,
         raise InputError("potential and prior dimensions differ")
     if pot.gradient is None:
         raise InputError("the proximal solver needs a potential gradient")
-    return _proximal_solve(prior, (pot.eval, pot.gradient, pot.lipschitz_grad), opts or ProxOpts())
+    return _proximal_solve(_l1_weights(prior), (pot.eval, pot.gradient, pot.lipschitz_grad),
+                           opts or ProxOpts())
 
 
-def _proximal_solve(prior: BesovMeasure, misfit: tuple, opts: ProxOpts,
+def _l1_weights(prior) -> np.ndarray:
+    """1 / scale, the weights of a Laplace-factor prior's weighted-l1 functional;
+    refused unless its form is centred and in the coordinate basis."""
+    if prior.basis is not None or np.any(prior.mean):
+        raise InputError(f"the weighted-l1 solvers need a centred prior in the coordinate "
+                         f"basis; this {type(prior).__name__} has a basis or a nonzero mean")
+    return 1.0 / prior.scale
+
+
+def _proximal_solve(inv_gamma: np.ndarray, misfit: tuple, opts: ProxOpts,
                     polish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
                     ) -> MapSolution:
-    """The loop of ``map_solve_besov`` on ``misfit`` = (value, gradient,
-    gradient Lipschitz constant or None).  At a residual check that fails
-    with the sign pattern unchanged since the previous check,
-    ``polish(u)`` may propose a point; the run stops on it once its own
-    residual is below the tolerance.
+    """The loop of ``map_solve_besov`` for the weights ``inv_gamma`` on
+    ``misfit`` = (value, gradient, gradient Lipschitz constant or None).
+    At a residual check that fails with the sign pattern unchanged since
+    the previous check, ``polish(u)`` may propose a point; the run stops
+    on it once its own residual is below the tolerance.
     """
     value, gradient, lip = misfit
-    inv_gamma = 1.0 / prior.gamma
 
     def full_obj(u):
         return value(u) + float(np.abs(u) @ inv_gamma)
@@ -270,7 +276,7 @@ def _proximal_solve(prior: BesovMeasure, misfit: tuple, opts: ProxOpts,
         return kkt_residual(np.asarray(gradient(u), dtype=float), u, inv_gamma)
 
     step = 1.0 / max(lip or 1.0, 1e-12)
-    u = np.zeros(prior.dim)
+    u = np.zeros(inv_gamma.size)
     z = u.copy()
     t_acc = 1.0
     f_prev = full_obj(u)
@@ -364,10 +370,9 @@ def _active_set_polish(w_mat: np.ndarray, w_y: np.ndarray, inv_gamma: np.ndarray
     return out
 
 
-@map_solve.register(BesovMeasure)
-def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
+def map_solve_besov_linear(prior, obs: LinearObservation,
                            opts: Optional[ProxOpts] = None) -> MapSolution:
-    """Besov-prior MAP for a linear observation, with a uniqueness flag.
+    """Laplace-factor (Besov-1) prior MAP for a linear observation, with a uniqueness flag.
 
     Runs the proximal solver on the quadratic misfit.  Once the sign
     pattern holds between two residual checks, it also solves the
@@ -384,11 +389,11 @@ def map_solve_besov_linear(prior: BesovMeasure, obs: LinearObservation,
         raise InputError("observation and prior dimensions differ")
     opts = opts or ProxOpts()
     w_mat, w_y = obs.whitened()
-    misfit, inv_g = _misfit(w_mat, w_y), 1.0 / prior.gamma
-    sol = _proximal_solve(prior, misfit, opts,
+    misfit, inv_g = _misfit(w_mat, w_y), _l1_weights(prior)
+    sol = _proximal_solve(inv_g, misfit, opts,
                           lambda u: _active_set_polish(w_mat, w_y, inv_g, u))
     if opts.check_uniqueness:
-        alt = coordinate_descent_weighted_l1(obs, prior.gamma)
+        alt = coordinate_descent_weighted_l1(obs, prior.scale)
         obj_alt = misfit[0](alt) + float(np.abs(alt) @ inv_g)
         if (np.linalg.norm(alt - sol.point) > _UNIQUENESS_POINT_TOL
                 and abs(obj_alt - sol.objective) <= _UNIQUENESS_OBJ_TOL):
@@ -520,10 +525,10 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
 class SmallNoiseReport:
     """Trajectory of minimisers of n*Phi + I0 against the constrained point.
 
-    The variational limit of the rescaled family is NOT asserted here:
-    the lower-bound inequality for the pointwise limit holds only along
-    sufficiently fast sequences, so the experiment measures trajectory
-    convergence instead of assuming it.
+    For Phi >= 0, n*Phi + I0 increases in n, so with lower semicontinuous
+    members it Gamma-converges to its pointwise supremum (Dal Maso 1993,
+    Prop. 5.4).  The experiment does not probe that limit, so
+    ``gamma_liminf_asserted`` stays False; it measures the trajectory.
     """
 
     n_values: list
@@ -535,14 +540,12 @@ class SmallNoiseReport:
     gamma_liminf_asserted: bool = False
 
 
-@singledispatch
 def constrained_prior_minimum(prior, obs: LinearObservation) -> np.ndarray:
-    """Minimise the prior functional subject to O u = y, dispatched on the
-    prior's type."""
-    raise InputError(f"no constrained solver for prior type {type(prior).__name__}")
+    """Minimise the prior functional subject to O u = y, by the rule of the
+    prior's factor (``_FACTOR_RULES``)."""
+    return _factor_rules(prior, "constrained solver")[1](prior, obs)
 
 
-@constrained_prior_minimum.register(GaussianMeasure)
 def _gaussian_constrained(prior, obs: LinearObservation) -> np.ndarray:
     """Minimum Cameron-Martin norm point on the affine set, via the
     pseudoinverse of the reduced map."""
@@ -555,19 +558,30 @@ def _gaussian_constrained(prior, obs: LinearObservation) -> np.ndarray:
     return lift(v)
 
 
-@constrained_prior_minimum.register(BesovMeasure)
 def _besov_constrained(prior, obs: LinearObservation) -> np.ndarray:
     """Weighted basis pursuit solved as a linear program."""
     from scipy.optimize import linprog
 
     o = obs.matrix
     k = prior.dim
-    cost = np.concatenate([1.0 / prior.gamma, 1.0 / prior.gamma])
+    cost = np.tile(_l1_weights(prior), 2)
     res = linprog(cost, A_eq=np.hstack([o, -o]), b_eq=obs.data,
                   bounds=[(0, None)] * (2 * k), method="highs")
     if not res.success:
         raise NumericsError(f"basis pursuit failed: {res.message}")
     return res.x[:k] - res.x[k:]
+
+
+#: factor type -> (MAP solver, constrained solver) of a product prior
+_FACTOR_RULES = {NormalFactor: (_map_solve_gaussian, _gaussian_constrained),
+                 LaplaceFactor: (map_solve_besov_linear, _besov_constrained)}
+
+
+def _factor_rules(prior, what: str) -> tuple:
+    rules = _FACTOR_RULES.get(type(getattr(prior, "factor", None)))
+    if rules is None:
+        raise InputError(f"no {what} for prior type {type(prior).__name__}")
+    return rules
 
 
 def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],

@@ -92,14 +92,18 @@ def validate_config(cfg: dict) -> None:
 
 
 def _read_config(path: str):
-    """The parsed JSON of a config file; a file that cannot be read is a
-    ConfigError naming the path and the reason."""
+    """The parsed JSON of a config file; one that cannot be read, or holds
+    NaN or +-Infinity, is a ConfigError naming the path and the reason."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: "
                           f"{getattr(exc, 'strerror', None) or exc}") from None
-    return json.loads(text)
+
+    def refuse(name):
+        raise ConfigError(f"config {path} holds {name}, which is not a JSON number")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _json_default(obj):
@@ -445,7 +449,7 @@ def _reproduce(figure_id: str, out: Path) -> dict:
                 for lvl, side, lo, hi, h in m.intervals()]
         _write_csv(out / "figB1_intervals.csv",
                    ["level", "anchor_sign", "offset_lo", "offset_hi", "height"], rows)
-        marks = [(n, float(m.alphas[n - 1])) for n in range(1, 11)]
+        marks = [(n, m.delta_radius(n)) for n in range(1, 11)]
         _write_csv(out / "figB1_markers.csv", ["n", "alpha_n"], marks)
         return {"figure": figure_id,
                 "files": ["figB1_intervals.csv", "figB1_markers.csv"],

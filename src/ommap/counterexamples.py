@@ -33,9 +33,8 @@ import numpy as np
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts, WeightedSeqSpace,
-                       _heaviest_centers, _log_mass_table, _ratio_curves, default_space,
-                       radius_schedule)
-from .om import OmFunctional, prior_om
+                       _log_mass_table, _ratio_curves, default_space, radius_schedule)
+from .om import OmFunctional
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -287,10 +286,6 @@ class LiminfOnlyMeasure:
         return np.array([math.ldexp(self.b(n) - self.b(n + 1), -n)
                          for n in range(1, self.depth + 1)])
 
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.widths_neg
-
     def eps_radius(self, n: int) -> float:
         return 2.0 * self.widths_neg[n - 1]
 
@@ -327,6 +322,12 @@ class LiminfOnlyMeasure:
                 total += h * overlap
         return total
 
+    def om_functional(self) -> OmFunctional:
+        """Functional with the single domain point +1, against which the
+        vanishing-ratio probe compares every other point."""
+        return OmFunctional(lambda pts: np.where(np.abs(pts[:, 0] - 1.0) < 1e-12, 0.0, math.inf),
+                            np.array([1.0]))
+
 
 def liminf_only_ratios(measure: LiminfOnlyMeasure, n_max: int):
     """The two oscillating ratio sequences, exact in dyadic arithmetic.
@@ -351,14 +352,6 @@ def liminf_only_ratios(measure: LiminfOnlyMeasure, n_max: int):
         eps.append((measure.a(n) - tail_a) / den)
         delta.append((measure.a(n + 1) - tail_a) / den)
     return np.array(eps), np.array(delta)
-
-
-@prior_om.register(LiminfOnlyMeasure)
-def _liminf_om(measure: LiminfOnlyMeasure) -> OmFunctional:
-    """Functional with the single domain point +1, against which the
-    vanishing-ratio probe compares every other point."""
-    return OmFunctional(lambda pts: np.where(np.abs(pts[:, 0] - 1.0) < 1e-12, 0.0, math.inf),
-                        np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +468,18 @@ class OmNotStrongMeasure:
         return OmFunctional(lambda pts: np.array([value(float(x)) for x in pts[:, 0]]),
                             np.array([1.0]), {"kind": "om-not-strong"})
 
+    def heaviest_centers(self, space) -> tuple:
+        """The integers 1..levels, for r < 1/4.
 
-prior_om.register(OmNotStrongMeasure, OmNotStrongMeasure.om_functional)
-
-
-@_heaviest_centers.register(OmNotStrongMeasure)
-def _om_not_strong_heaviest_centers(measure: OmNotStrongMeasure, space):
-    """The integers 1..levels, for r < 1/4.
-
-    Each component is symmetric about k and non-increasing in |x - k|, so
-    of the balls that meet only component k, B_r(k) has the most mass.
-    For r < 1/4 a ball meets one component, except that for r > 1/8 it
-    may reach from the plateau of component 1 (which ends at 3/2) into
-    component 2 (which starts at 7/4).  Its unnormalised mass is then at
-    most 1/4 from the plateau plus 1/32 + 1/8 from component 2, below
-    mass(1, r) / norm_constant = sqrt(r) + r > 0.47.
-    """
-    return tuple(np.array([float(k)]) for k in range(1, measure.levels + 1)), 0.25
+        Each component is symmetric about k and non-increasing in |x - k|, so
+        of the balls that meet only component k, B_r(k) has the most mass.
+        For r < 1/4 a ball meets one component, except that for r > 1/8 it
+        may reach from the plateau of component 1 (which ends at 3/2) into
+        component 2 (which starts at 7/4).  Its unnormalised mass is then at
+        most 1/4 from the plateau plus 1/32 + 1/8 from component 2, below
+        mass(1, r) / norm_constant = sqrt(r) + r > 0.47.
+        """
+        return tuple(np.array([float(k)]) for k in range(1, self.levels + 1)), 0.25
 
 
 @dataclass(frozen=True)
@@ -642,6 +630,18 @@ class CrossesMeasure:
                     total += float((t1 - t0) * share)
         return total
 
+    def heaviest_centers(self, space) -> tuple:
+        """The cross centres e1 and -e1, for r < 1/4.
+
+        The crosses lie 1/2 apart in the sup norm, and so at least 1/2 apart in
+        the 1-norm: a ball of radius below 1/4 meets one cross only, and at
+        most its two segments.  The ball is convex and symmetric, so its chord
+        along a line is no longer than the parallel chord through its centre,
+        and no segment ends within 1/4 of the cross centre.  So the ball about
+        the centre of the cross it meets is at least as heavy.
+        """
+        return (E1, -E1), 0.25
+
 
 E1 = np.array([1.0, 0.0])
 
@@ -672,20 +672,6 @@ def crosses_om_difference(norm_choice: str) -> float:
     m = CrossesMeasure(norm_choice)
     ratio = crosses_ball_masses(m, -E1, 0.25) / crosses_ball_masses(m, E1, 0.25)
     return -math.log(ratio)
-
-
-@_heaviest_centers.register(CrossesMeasure)
-def _crosses_heaviest_centers(measure: CrossesMeasure, space):
-    """The cross centres e1 and -e1, for r < 1/4.
-
-    The crosses lie 1/2 apart in the sup norm, and so at least 1/2 apart in
-    the 1-norm: a ball of radius below 1/4 meets one cross only, and at
-    most its two segments.  The ball is convex and symmetric, so its chord
-    along a line is no longer than the parallel chord through its centre,
-    and no segment ends within 1/4 of the cross centre.  So the ball about
-    the centre of the cross it meets is at least as heavy.
-    """
-    return (E1, -E1), 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import singledispatch
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,9 +33,9 @@ class FunctionalSequence:
     """Indexed family of functionals with a designated limit.
 
     ``measures`` and ``limit_measure`` retain the construction when the
-    family comes from measures, enabling construction-aware probes:
-    recovery sequences, which dispatch on the limit measure's type, and
-    the sublevel half-widths of every member.
+    family comes from product measures, enabling construction-aware
+    probes: recovery sequences and the sublevel half-widths of every
+    member, both read from the product forms.
     """
 
     indices: list
@@ -273,16 +272,9 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
 # recovery sequences
 # ---------------------------------------------------------------------------
 
-@singledispatch
 def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
-    """Explicit recovery sequence x_n -> u for a family of measures,
-    dispatched on the limit measure's type."""
-    raise InputError(f"no recovery sequence for measure type {type(mu_limit).__name__}")
-
-
-@recovery_sequence.register(ProductMeasure)
-def _product_recovery(mu_limit: ProductMeasure, mu_seq: Sequence, u) -> list:
-    """x_n = m_n + S_n S^+ (u - m), read from the product forms, where
+    """Explicit recovery sequence x_n -> u for a family of product measures:
+    x_n = m_n + S_n S^+ (u - m), read from the product forms, where
     S = B diag(scale) B^T is the square root of a Gaussian's covariance.
 
     S^+ (u - m) is the minimum-norm preimage v of u - m, whose whitened
@@ -291,6 +283,8 @@ def _product_recovery(mu_limit: ProductMeasure, mu_seq: Sequence, u) -> list:
     pinned coordinate drop it and stay below.  Off the limit's domain the
     constant sequence is returned (nothing to prove there).
     """
+    if not isinstance(mu_limit, ProductMeasure):
+        raise InputError(f"no recovery sequence for measure type {type(mu_limit).__name__}")
     u = _as_vector(u, mu_limit.dim)
     c = mu_limit.to_eigen(u - mu_limit.mean)
     pinned = mu_limit.pinned
@@ -325,6 +319,8 @@ besov_recovery_sequence = gaussian_recovery_sequence
 def recovery_gap(seq: FunctionalSequence, u) -> Optional[float]:
     """max(0, max_n F_n(x_n) - F(u)) along the recovery sequence x_n of u,
     or None where F(u) is +inf (there is nothing to recover)."""
+    if seq.limit_measure is None or not seq.measures:
+        raise InputError("recovery gap needs a non-empty family built from measures")
     target = seq.limit.eval(u)
     if math.isinf(target):
         return None

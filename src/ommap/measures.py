@@ -23,7 +23,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, singledispatch
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -715,9 +715,7 @@ def _ball_masses(measure, centers: Sequence, radius: float, space, opts) -> list
     """One ``BallMass`` per centre for the balls of one radius, the rule of
     ``ball_mass`` and ``sup_ball_mass``.  Off the product form the estimates
     are ``_mass_table``'s raw masses, each the measure's ``mass`` bit for bit."""
-    if radius <= 0:
-        raise InputError("ball radius must be positive")
-    opts, radii = opts or BallOpts(), np.array([float(radius)])
+    opts, radii = opts or BallOpts(), np.array([_checked_radius(radius)])
     space = space or default_space(measure)
     if not isinstance(measure, ProductMeasure):
         masses, method = _mass_table(measure, centers, radii, space, opts.method)
@@ -727,6 +725,13 @@ def _ball_masses(measure, centers: Sequence, radius: float, space, opts) -> list
     mc = method == "monte-carlo"
     return [BallMass(e, s, method, mc and (e == 0.0 or s > opts.max_rel_err * max(e, 1e-300)))
             for e, s in zip(est, se)]
+
+
+def _checked_radius(radius) -> float:
+    """A ball radius, refused unless it is finite and positive."""
+    if not 0 < radius < math.inf:
+        raise InputError(f"ball radius must be finite and positive, got {radius!r}")
+    return float(radius)
 
 
 def _mass_table(measure, centers: Sequence, radii: np.ndarray, space, method: str) -> tuple:
@@ -774,16 +779,13 @@ def _batch_mean_se(table: np.ndarray) -> tuple:
     return masses.mean(axis=-1), se
 
 
-@singledispatch
 def _heaviest_centers(measure, space: WeightedSeqSpace) -> tuple:
     """``(centres, r_max)``: the points among which the heaviest ball of
-    every radius below ``r_max`` is centred, dispatched on the measure type.
-    Measures without a rule name no centres."""
-    return (), 0.0
-
-
-@_heaviest_centers.register(ProductMeasure)
-def _product_heaviest_centers(measure: ProductMeasure, space):
+    every radius below ``r_max`` is centred, by the product form or the
+    measure's own ``heaviest_centers``; a measure with neither names none."""
+    if not isinstance(measure, ProductMeasure):
+        own = getattr(measure, "heaviest_centers", None)
+        return own(space) if own is not None else ((), 0.0)
     # Anderson (1955): a centred product of symmetric log-concave factors
     # (normal, Laplace) gives a symmetric convex set its largest mass among
     # all translates.  A p < 1 ball is not convex, but in the coordinate
@@ -801,20 +803,16 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
     radius is below the reach of its rule."""
     space = space or default_space(measure)
     centres, r_max = _heaviest_centers(measure, space)
-    if not radius < r_max:
+    if not _checked_radius(radius) < r_max:
         return None
     return max(_ball_masses(measure, centres, radius, space, opts), key=lambda m: m.estimate)
 
 
-@singledispatch
 def sublevel_halfwidth(measure, t: float) -> np.ndarray:
-    """Coordinate half-widths of the OM sublevel set {I <= t}: the k-th
-    entry is max |u_k| over the set, dispatched on the measure type."""
-    raise InputError(f"no sublevel half-width for measure type {type(measure).__name__}")
-
-
-@sublevel_halfwidth.register(ProductMeasure)
-def _product_sublevel_halfwidth(measure: ProductMeasure, t):
+    """Coordinate half-widths of the OM sublevel set {I <= t} of a product
+    measure: the k-th entry is max |u_k| over the set."""
+    if not isinstance(measure, ProductMeasure):
+        raise InputError(f"no sublevel half-width for measure type {type(measure).__name__}")
     # {I <= t} = m + B diag(scale) {g : sum_k |g_k|^p / p <= t}
     return np.abs(measure.mean) + measure.factor.sublevel_reach(measure, t)
 
@@ -844,8 +842,8 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     ``opts`` is a ``RatioOpts`` or a ``BallOpts``: only its Monte Carlo
     sizes, closure and seed are read.
     """
-    if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
-        raise InputError("radii must be positive and strictly decreasing")
+    if not np.all((radii > 0) & (radii < math.inf)) or np.any(np.diff(radii) >= 0):
+        raise InputError("radii must be finite, positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):
         masses, method = _mass_table(measure, centers, radii, space, method)
         with np.errstate(divide="ignore"):

@@ -4,12 +4,12 @@ An Onsager-Machlup functional assigns to each point of a measure's
 effective domain a value whose differences are the negative logs of
 small-ball mass-ratio limits; off the domain it is extended by +inf.
 This module builds these functionals for product measures (Gaussian,
-Besov-1) from their product form, and for generic 1-d measures
-(``prior_om`` dispatches on the measure type), and provides
-the empirical probes that tie them back to ball masses: difference
-checks, vanishing-ratio (domain) checks, and strong/weak mode
-classification, whose supremum ball mass is the largest in one mass table
-over the candidate, its competitors and the measure's heaviest centres.
+Besov-1) from their product form; ``prior_om`` takes any other
+measure's from its own ``om_functional``.  It provides the empirical
+probes that tie them back to ball masses: difference checks,
+vanishing-ratio (domain) checks, and strong/weak mode classification,
+whose supremum ball mass is the largest in one mass table over the
+candidate, its competitors and the measure's heaviest centres.
 
 All functional values are only meaningful up to an additive constant;
 every check here compares differences.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, singledispatch
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -73,14 +73,16 @@ class OmFunctional:
         return math.isfinite(self.eval(u))
 
 
-@singledispatch
 def prior_om(measure) -> OmFunctional:
-    """The Onsager-Machlup functional of a measure, dispatched on its type;
-    example measures register theirs where they are defined."""
-    raise InputError(f"no OM functional for measure type {type(measure).__name__}")
+    """The Onsager-Machlup functional of a measure: a product measure's from
+    its form (``_product_om``), any other's from its own ``om_functional``."""
+    if isinstance(measure, ProductMeasure):
+        return _product_om(measure)
+    if not hasattr(measure, "om_functional"):
+        raise InputError(f"no OM functional for measure type {type(measure).__name__}")
+    return measure.om_functional()
 
 
-@prior_om.register(ProductMeasure)
 def _product_om(mu: ProductMeasure) -> OmFunctional:
     """The sum of the factors' negative log densities at the whitened eigen
     coordinates (u - mean) / scale, the OM functional of a product measure.
@@ -299,8 +301,8 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     mass over the supremum mass M_r must tend to 1.  M_r is the largest
     mass in the table, whose last rows are the measure's heaviest centres
     (``measures._heaviest_centers``: a product measure's mean by
-    Anderson's inequality, the component centres of the counterexample
-    measures), on the candidate's draws.  Below the reach of that rule
+    Anderson's inequality, those a counterexample's ``heaviest_centers``
+    names), on the candidate's draws.  Below the reach of that rule
     M_r is exact; elsewhere it is the largest over the competitors, so a
     caller who needs more passes a grid of them.  Weak: no competitor's
     extrapolated mass-ratio limit against the candidate may exceed 1; one

@@ -358,6 +358,30 @@ class TestPerturbation:
             perturbation_experiment("bogus", prior, obs, lambda n: obs.data, [1])
 
 
+class _RotatedBesov(BesovMeasure):
+    basis = property(lambda self: np.array([[0.6, -0.8], [0.8, 0.6]]))
+
+
+class _ShiftedBesov(BesovMeasure):
+    mean = property(lambda self: np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("prior", [_RotatedBesov(1.0, 1, 1.0, 2), _ShiftedBesov(1.0, 1, 1.0, 2)],
+                         ids=["rotated", "shifted"])
+def test_weighted_l1_rules_refuse_a_form_they_cannot_read(prior):
+    # the rules read a Laplace-factor prior as sum_k |u_k| / gamma_k, which
+    # is its functional only when it is centred in the coordinate basis
+    obs = observation([[1.0, 0.5]], [0.1], [3.0])
+    plain = map_solve(BesovMeasure(1.0, 1, 1.0, 2), obs).point  # (2.9, 0)
+    assert prior_om(prior)(plain) != prior_om(BesovMeasure(1.0, 1, 1.0, 2))(plain)
+    for solve in (lambda: map_solve(prior, obs),
+                  lambda: map_solve_besov(prior, quadratic_potential(obs)),
+                  lambda: map_solve_besov_linear(prior, obs),
+                  lambda: constrained_prior_minimum(prior, obs)):
+        with pytest.raises(InputError, match="centred prior in the coordinate basis"):
+            solve()
+
+
 class TestSmallNoise:
     def test_gaussian_constrained_point(self):
         prior = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))

@@ -21,6 +21,10 @@ from ommap.cli import _json_default, _schema, _write_csv, main, validate_config
 from ommap.errors import ConfigError
 
 
+_GAUSS_RATIO = {"kind": "ball_ratio", "x1": [0.5], "x2": [0.0],
+                "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}
+
+
 def run_cli(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -248,6 +252,30 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config {path}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("cfg,constant", [
+        ({"kind": "map_solve",
+          "prior": {"type": "gaussian", "mean": [math.nan, 0.0], "eigenvalues": [1.0, 1.0]},
+          "observation": {"matrix": [[1.0, 0.5]], "noise_cov": [1.0], "data": [2.0]}}, "NaN"),
+        ({"kind": "map_solve",
+          "prior": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]},
+          "observation": {"matrix": [[1.0]], "noise_cov": [1.0], "data": [-math.inf]}},
+         "-Infinity"),
+        ({**_GAUSS_RATIO, "radii": [0.2, 0.1, math.nan, 0.01]}, "NaN"),
+        ({**_GAUSS_RATIO, "radii": [math.inf, 0.1]}, "Infinity"),
+        ({**_GAUSS_RATIO, "schedule": {"r0": math.nan}}, "NaN"),
+    ], ids=["nan-mean", "minus-infinity-data", "nan-radius", "infinite-radius", "nan-r0"])
+    def test_non_standard_json_constants_exit_2(self, tmp_path, capsys, command, cfg, constant):
+        # Python's json reads NaN and +-Infinity, which JSON does not have
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert constant in path.read_text()
+        code = main(["--out", str(tmp_path / "out"), command, str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {path} holds {constant}, which is not a JSON number\n"
+        assert not (tmp_path / "out" / "results.json").exists()
 
     @pytest.mark.parametrize("cfg,field", [
         ({"kind": "ball_ratio", "x1": [0.5], "x2": [1.0],

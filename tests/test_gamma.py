@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError,
-                   LiminfOpts, ModeConvOpts, OmFunctional, SpectralOperator,
+                   LiminfOpts, ModeConvOpts, NormalFactor, OmFunctional, SpectralOperator,
                    besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                    density_om, equicoercivity_probe, gamma_liminf_probe,
                    gaussian_om_family, gaussian_recovery_sequence,
@@ -832,12 +832,15 @@ class TestEquicoercivityFails:
         assert entry.verdict == "pass" and entry.witness_index is None
 
     def test_cross_check_catches_a_wrong_halfwidth(self):
-        # a rule that ignores the basis rotation understates C_kk for some k;
-        # the mapped draw lands outside those half-widths
-        class Misread(GaussianMeasure):
-            pass
+        # a factor whose reach ignores the basis rotation understates C_kk
+        # for some k; the mapped draw lands outside those half-widths
+        class MisreadFactor(NormalFactor):
+            def sublevel_reach(self, measure, t):
+                return np.sqrt(2.0 * t * measure.cov.eigenvalues)
 
-        sublevel_halfwidth.register(Misread, lambda mu, t: np.sqrt(2.0 * t * mu.cov.eigenvalues))
+        class Misread(GaussianMeasure):
+            factor = MisreadFactor()
+
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
         eig = np.array([4.0, 1.0, 0.25])
         limit = Misread(np.zeros(3), SpectralOperator(eig, q))

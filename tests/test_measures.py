@@ -14,11 +14,12 @@ from scipy.stats import chi2, kstest
 
 from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, OmNotStrongMeasure,
-                   ParameterError, RatioOpts, SpectralOperator, WeightedSeqSpace,
+                   ParameterError, ProductMeasure, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights,
                    measure_from_json, measure_to_json, open_vs_closed_check,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap._seeds import child_rng
+import ommap.counterexamples
 import ommap.measures
 from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
@@ -866,6 +867,40 @@ class TestAntitheticPairs:
                 assert abs(got.estimate - want) < 4 * got.stderr
 
 
+class TestRadiusIsFiniteAndPositive:
+    """A NaN, infinite or nonpositive radius is refused before any mass is
+    computed: not answered by quadrature, Monte Carlo or a reach test."""
+
+    @staticmethod
+    def uniform():
+        return Density1D(pdf=lambda x: 1.0, support=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_ball_masses(self, radius):
+        gauss, opts = std_gaussian(2), BallOpts(n_samples=200, n_batches=2)
+        for call in (lambda: ball_mass(self.uniform(), 0.5, radius),
+                     lambda: ball_mass(gauss, np.zeros(2), radius, opts=opts),
+                     lambda: sup_ball_mass(gauss, radius),
+                     lambda: sup_ball_mass(self.uniform(), radius)):
+            with pytest.raises(InputError, match="finite and positive"):
+                call()
+
+    def test_sup_ball_mass_checks_the_radius_before_the_reach(self):
+        # a Density1D names no heaviest centres, so its reach is 0
+        for radius in (0.0, -1.0):
+            with pytest.raises(InputError, match="finite and positive"):
+                sup_ball_mass(self.uniform(), radius)
+
+    @pytest.mark.parametrize("radii", [[0.2, 0.1, math.nan, 0.01], [math.inf, 0.1]],
+                             ids=["nan", "inf"])
+    def test_ratio_curves(self, radii):
+        opts = RatioOpts(n_samples=200, n_batches=2)
+        for measure, x1, x2 in ((std_gaussian(2), np.ones(2), np.zeros(2)),
+                                (self.uniform(), 0.4, 0.6)):
+            with pytest.raises(InputError, match="finite, positive"):
+                ball_ratio_curve(measure, x1, x2, radii, opts=opts)
+
+
 class TestSupBallMass:
     @given(st.sampled_from(["aligned", "rotated", "besov"]),
            st.integers(min_value=1, max_value=4),
@@ -1016,14 +1051,18 @@ def _heaviest_centre_cases():
 
 
 class TestHeaviestCentres:
-    """Every ``_heaviest_centers`` rule: below its reach no ball outweighs the
+    """Every ``_heaviest_centers`` rule, the product form's and each
+    ``heaviest_centers`` method: below its reach no ball outweighs the
     heaviest ball about its centres.  A new rule adds a case here."""
 
     def test_every_rule_has_a_case(self):
         measures_ = [case[0] for case in _heaviest_centre_cases().values()]
-        for cls in _heaviest_centers.registry:
-            if cls is not object:
-                assert any(isinstance(m, cls) for m in measures_), cls.__name__
+        rules = [ProductMeasure] + [cls for module in (ommap.measures, ommap.counterexamples)
+                                    for cls in vars(module).values()
+                                    if isinstance(cls, type) and hasattr(cls, "heaviest_centers")]
+        assert {"OmNotStrongMeasure", "CrossesMeasure"} <= {cls.__name__ for cls in rules}
+        for cls in rules:
+            assert any(isinstance(m, cls) for m in measures_), cls.__name__
 
     @pytest.mark.parametrize("name", list(_heaviest_centre_cases()))
     def test_no_centre_outweighs_the_rule(self, name):

@@ -1,11 +1,13 @@
 """Conformance of every product prior to the product-prior protocol.
 
 Each prior exposes its product form, which gives it ``prior_om``,
-``sublevel_halfwidth`` and ``recovery_sequence``, and registers one rule
-per remaining operation (``map_solve``, ...).  The
+``sublevel_halfwidth``, ``recovery_sequence`` and its heaviest centre,
+and a 1-d factor, whose type selects ``map_solve`` and
+``constrained_prior_minimum``; nothing is registered per prior.  The
 checks below run over ``PRIORS``, each against a formula or solver
 written out per type, independently of the code under test: a new
-product prior adds one ``PriorCase``.
+product prior adds one ``PriorCase``.  A measure that has neither form
+nor rule is refused by name.
 """
 
 import math
@@ -15,13 +17,14 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from ommap import (BesovMeasure, GaussianMeasure, LinearObservation, ProductMeasure,
-                   ProxOpts, SpectralOperator, coordinate_descent_weighted_l1, default_space,
-                   in_range_sqrt, map_solve, measure_from_json, measure_to_json, om_family,
-                   prior_om, recovery_gap, recovery_sequence, sample, sqrt_pinv_apply,
-                   sublevel_halfwidth)
+from ommap import (BesovMeasure, Density1D, FunctionalSequence, GaussianMeasure, InputError,
+                   LinearObservation, ProductMeasure, ProxOpts, SpectralOperator,
+                   WeightedSeqSpace, constrained_prior_minimum, coordinate_descent_weighted_l1,
+                   default_space, in_range_sqrt, map_solve, measure_from_json, measure_to_json,
+                   om_family, prior_om, recovery_gap, recovery_sequence, sample,
+                   sqrt_pinv_apply, sublevel_halfwidth)
 from ommap._seeds import child_rng
-from ommap.measures import _ProductSetup
+from ommap.measures import _heaviest_centers, _ProductSetup
 
 
 def _rotation(rng, k):
@@ -238,3 +241,35 @@ def test_recovery_gap_skips_points_off_the_limit_domain():
     limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
     seq = om_family([limit, limit], limit)
     assert recovery_gap(seq, np.array([0.0, 1.0])) is None
+
+
+_OBS_1D = LinearObservation(np.ones((1, 1)), SpectralOperator(np.ones(1)), np.ones(1))
+
+#: every operation that needs a product form or a factor, on one measure
+_NEEDS_A_RULE = {
+    "prior_om": prior_om,
+    "sublevel_halfwidth": lambda m: sublevel_halfwidth(m, 1.0),
+    "recovery_sequence": lambda m: recovery_sequence(m, [m], np.zeros(1)),
+    "map_solve": lambda m: map_solve(m, _OBS_1D),
+    "constrained_prior_minimum": lambda m: constrained_prior_minimum(m, _OBS_1D),
+}
+
+
+@pytest.mark.parametrize("op", list(_NEEDS_A_RULE))
+@pytest.mark.parametrize("build", [object, lambda: Density1D(lambda x: 1.0, ((0.0, 1.0),))],
+                         ids=["object", "Density1D"])
+def test_a_measure_without_a_rule_is_refused_by_name(op, build):
+    measure = build()
+    with pytest.raises(InputError, match=rf"for (measure|prior) type {type(measure).__name__}$"):
+        _NEEDS_A_RULE[op](measure)
+
+
+def test_a_measure_without_a_rule_names_no_heaviest_centre():
+    assert _heaviest_centers(object(), WeightedSeqSpace.unweighted(2.0, 1)) == ((), 0.0)
+
+
+def test_recovery_gap_needs_a_family_built_from_measures():
+    fn = prior_om(GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2))))
+    seq = FunctionalSequence([1, 2], [fn, fn], fn)
+    with pytest.raises(InputError, match="needs a non-empty family built from measures"):
+        recovery_gap(seq, np.zeros(2))

@@ -51,6 +51,13 @@ SEEDS = (1, 2, 3)
 _BESOV = {"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0}
 _OBS_3X4 = {"matrix": [[1.0, 0.4, 0.0, -0.3], [0.0, 1.0, 0.5, 0.2], [0.3, 0.0, 1.0, 0.6]],
             "noise_cov": [0.5, 1.0, 2.0], "data": [3.0, -2.5, 2.0]}
+# a rotated basis (the 4x4 Hadamard matrix over 2, orthogonal in floats), a
+# nonzero mean and one zero eigenvalue: the reduced map of the normal equations
+# and of the pseudoinverse point, lifted back through the basis
+_GAUSS_ROTATED_DEGENERATE = {
+    "type": "gaussian", "mean": [0.3, -0.2, 0.1, 0.4], "eigenvalues": [2.0, 1.0, 0.0, 0.5],
+    "basis": [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5],
+              [0.5, -0.5, -0.5, 0.5]]}
 
 #: (label, config) of the CLI configs outside the benchmark
 EXTRA_CONFIGS = (
@@ -63,6 +70,12 @@ EXTRA_CONFIGS = (
         "prior": {"type": "gaussian", "mean": [0.0, 0.0, 0.0, 0.0],
                   "eigenvalues": [2.0, 1.0, 0.5, 0.25]},
         "observation": _OBS_3X4, "indices": [1, 2, 3, 4, 5, 6]}),
+    ("map_solve.gaussian_rotated_degenerate", {
+        "kind": "map_solve", "seed": 0, "prior": _GAUSS_ROTATED_DEGENERATE,
+        "observation": _OBS_3X4}),
+    ("small_noise.gaussian_rotated_degenerate", {
+        "kind": "small_noise", "seed": 0, "prior": _GAUSS_ROTATED_DEGENERATE,
+        "observation": _OBS_3X4, "n_list": [1, 10, 100, 1000]}),
     ("gamma_check.besov1", {
         "kind": "gamma_check", "seed": 3,
         "family": {**_BESOV, "dim": 6, "s_amplitude": 0.5},
