@@ -84,6 +84,8 @@ class LinearObservation:
         object.__setattr__(self, "matrix", o)
         y = _as_vector(self.data, o.shape[0])
         object.__setattr__(self, "data", y)
+        if not (np.all(np.isfinite(o)) and np.all(np.isfinite(y))):
+            raise InputError("observation matrix and data must be finite")
         if self.noise_cov.dim != o.shape[0]:
             raise ParameterError("noise covariance dimension must match the data")
         if np.min(self.noise_cov.eigenvalues) <= 0:

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts, WeightedSeqSpace,
-                       _log_mass_table, _ratio_curves, default_space, radius_schedule)
+                       _checked_radius, _log_mass_table, _ratio_curves, default_space,
+                       radius_schedule)
 from .om import OmFunctional
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -311,8 +312,7 @@ class LiminfOnlyMeasure:
         anchors (Sterbenz); the measure is atomless, so open and closed
         balls have equal mass.
         """
-        if radius <= 0:
-            raise InputError("ball radius must be positive")
+        radius = _checked_radius(radius)
         total = 0.0
         for _, side, lo, hi, h in self.intervals():
             off = center + 1.0 if side < 0 else 1.0 - center
@@ -425,8 +425,8 @@ class OmNotStrongMeasure:
                              f"got centres of shape {c.shape}")
         c = c.reshape(-1, 1)
         r = np.asarray(radii, dtype=float).reshape(1, -1)
-        if np.any(r <= 0):
-            raise InputError("ball radius must be positive")
+        if not np.all((r > 0) & (r < math.inf)):
+            raise InputError(f"ball radii must be finite and positive, got {radii!r}")
         # k_lo stops at levels + 1, where a ball meets no component: k stays finite
         k_lo = np.minimum(np.maximum(1.0, np.ceil(c - r - 0.5)), self.levels + 1.0)
         count = np.minimum(self.levels, np.floor(c + r + 0.5)) - k_lo + 1.0
@@ -610,8 +610,7 @@ class CrossesMeasure:
         kinks the part of the piece closer than ``radius`` follows from
         linear interpolation.
         """
-        if radius <= 0:
-            raise InputError("ball radius must be positive")
+        radius = _checked_radius(radius)
         c = np.asarray(center, dtype=float)
         reduce = np.sum if self.p == 1.0 else np.max
         total = 0.0
@@ -653,9 +652,7 @@ def crosses_ball_masses(measure: CrossesMeasure, center, r: float) -> float:
     4 sqrt(2) r at (-1, 0) and 4 r at (1, 0).  Valid while the ball
     stays inside one cross (r <= 1/2).
     """
-    if r <= 0:
-        raise InputError("ball radius must be positive")
-    if r > 0.5:
+    if _checked_radius(r) > 0.5:
         raise RegimeError("closed forms hold only for r <= 1/2 (ball inside one cross)")
     c = np.asarray(center, dtype=float)
     if np.array_equal(c, E1):

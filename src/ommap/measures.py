@@ -6,9 +6,11 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
 * product measures on truncated sequence spaces (Gaussian, and Besov-1 as
   a Laplace product), each a product of 1-d factors in eigen coordinates,
   plus generic 1-d densities;
-* exact ball masses of product measures where a closed form exists
-  (weighted sup-norm balls, one-dimensional balls), and Monte Carlo
-  masses and common-random-number ratio curves for the rest;
+* exact ball masses of product measures where an exact rule exists
+  (point masses, weighted sup-norm balls, one-dimensional balls, and
+  weighted l2 balls of Gaussians from Ruben's chi^2 series where it
+  certifies its truncation), and Monte Carlo masses and
+  common-random-number ratio curves for the rest;
 * the ball masses of measures off the product form (``Density1D``, the
   registered examples), whose own ``mass`` (or ``mass_table``) is the
   one rule, in the method their class names, for their own norm only;
@@ -181,6 +183,8 @@ class GaussianMeasure(ProductMeasure):
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _as_vector(self.mean, self.cov.dim))
+        if not np.all(np.isfinite(self.mean)):
+            raise InputError("Gaussian mean must be finite")
 
     @cached_property
     def scale(self):
@@ -307,8 +311,7 @@ class Density1D:
 
     def mass(self, center: float, radius: float) -> float:
         """Quadrature of the pdf over the open ball, interval by interval."""
-        if radius <= 0:
-            raise InputError("ball radius must be positive")
+        radius = _checked_radius(radius)
         from scipy.integrate import quad
 
         total = 0.0
@@ -358,8 +361,11 @@ class RatioOpts:
     n_batches: int = 20
     fit_points: int = 5           # smallest radii used in the fit
     fit_in: str = "r"             # "r" | "sqrt_r": abscissa of the log-ratio fit
+    method: str = "auto"          # auto | exact | mc, as for BallOpts
     closed: bool = False
     seed: int = 0
+
+    __post_init__ = BallOpts.__post_init__
 
 
 def radius_schedule(r0: float = 0.5, levels: int = 10, factor: float = 2.0) -> np.ndarray:
@@ -648,28 +654,45 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
 # exact ball masses for product measures
 # ---------------------------------------------------------------------------
 
-def _product_exact_log_mass(measure, center: np.ndarray, radii: np.ndarray,
-                            space: WeightedSeqSpace, closed: bool) -> Optional[np.ndarray]:
-    """Exact log masses of the balls about one centre, one per radius, for
-    a point mass or where per-coordinate factorisation applies; else None.
+def _product_exact_log_mass(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
+                            space: WeightedSeqSpace, closed: bool) -> Optional[tuple]:
+    """``(log masses, method)`` of the balls of every radius about every
+    centre, shape (n_centres, n_radii), where an exact rule covers the
+    whole table; else None.  This is the one place that decides between
+    an exact and a Monte Carlo product mass.  The rules, in order:
 
-    Ball masses factor over coordinates for a coordinate-aligned product
-    measure and a weighted sup-norm ball or a one-dimensional space.  A
-    factorising log mass is the sum of the coordinates' log interval
-    masses.  The coordinate densities are symmetric, so each interval is
-    reflected to lie on the upper side of its center of symmetry and its
-    mass taken as a difference of survival functions, sf(a) - sf(b),
-    computed from their logs; a far interval then neither cancels nor
-    underflows.  This is the one place that decides between an exact and
-    a Monte Carlo product mass.
+    * a point mass (no free coordinate), in any norm: "closed-form";
+    * a coordinate-aligned measure in a weighted sup norm, or any measure
+      on a one-dimensional space, whose balls factor over coordinates:
+      "closed-form", per centre by ``_factor_log_mass``;
+    * a Gaussian in a weighted l2 norm, any basis, pinned coordinates
+      too: Ruben's chi^2 series, "series" (``_gaussian_l2_log_mass``).
+      The table is None unless the series certifies every cell, so a
+      table is exact or Monte Carlo as a whole.
     """
     inside = np.less_equal if closed else np.less
     if np.all(measure.pinned):
         # a point mass at the mean: the ball holds all of it or none, in any norm
-        return np.where(inside(weighted_norm(center - measure.mean, space), radii), 0.0, -np.inf)
-    aligned = measure.basis is None or measure.dim == 1
-    if not (aligned and (math.isinf(space.p) or space.dim == 1)):
-        return None
+        return np.array([np.where(inside(weighted_norm(c - measure.mean, space), radii), 0.0,
+                                  -np.inf) for c in centers]), "closed-form"
+    if (measure.basis is None or measure.dim == 1) and (math.isinf(space.p) or space.dim == 1):
+        return np.array([_factor_log_mass(measure, c, radii, space, inside)
+                         for c in centers]), "closed-form"
+    if isinstance(measure.factor, NormalFactor) and space.p == 2.0:
+        return _gaussian_l2_log_mass(measure, np.array(centers), radii, space)
+    return None
+
+
+def _factor_log_mass(measure, center: np.ndarray, radii: np.ndarray, space: WeightedSeqSpace,
+                     inside) -> np.ndarray:
+    """Log masses of the balls about one centre, one per radius, for balls
+    that factor over coordinates: the sum of the coordinates' log interval
+    masses.  The coordinate densities are symmetric, so each interval is
+    reflected to lie on the upper side of its center of symmetry and its
+    mass taken as a difference of survival functions, sf(a) - sf(b),
+    computed from their logs; a far interval then neither cancels nor
+    underflows.
+    """
     c, mean = measure.to_eigen(center), measure.eigen_mean
     sd, log_sf = measure.scale, measure.factor.log_sf
     half = radii[:, None] * space.weights
@@ -685,6 +708,159 @@ def _product_exact_log_mass(measure, center: np.ndarray, radii: np.ndarray,
     # the masked terms come out F-ordered; a C-ordered copy sums each row in
     # numpy's pairwise order, as the sum over one radius's coordinates does
     return np.where(hits, np.ascontiguousarray(terms).sum(axis=1), -np.inf)
+
+
+# ---------------------------------------------------------------------------
+# exact l2 ball masses of Gaussian measures
+# ---------------------------------------------------------------------------
+
+_SERIES_RTOL = 1e-13     # certified relative truncation error of a series mass
+_SERIES_TERMS = 480      # series terms per table (blocks of 32, 64, 128, 256) before Monte Carlo
+_COEF_MAX = 1e150        # a series weight above this rescales its row
+_GAMMA_ITERS = 10_000    # steps of the incomplete gamma series or continued fraction
+_EPS = float(np.finfo(float).eps)
+
+
+def _gaussian_l2_log_mass(measure, centers: np.ndarray, radii: np.ndarray,
+                          space: WeightedSeqSpace) -> Optional[tuple]:
+    """``(log masses, "series")`` of the weighted-l2 balls of a Gaussian
+    about every centre, or None where the series leaves a cell uncertified.
+
+    With the free coordinates Z standard normal, the ball is
+    |e + A Z| < r for A = W^-1 B_free diag(scale_free) and e = W^-1 (m - c).
+    One SVD A = U diag(sigma) V^T per table turns it into
+    sum_j lam_j (Z_j + b_j)^2 < r^2 - |e_perp|^2 with lam = sigma^2,
+    b = U^T e / sigma and e_perp = e - U U^T e, the offset along pinned
+    directions, which ``_ruben_log_cdf`` sums.
+    """
+    free = ~measure.pinned
+    e = (measure.mean - centers) / space.weights
+    basis = np.eye(measure.dim) if measure.basis is None else measure.basis
+    u, sigma, _ = np.linalg.svd(basis[:, free] * measure.scale[free] / space.weights[:, None],
+                                full_matrices=False)
+    proj = e @ u
+    perp = e - proj @ u.T
+    t = radii * radii - np.einsum("ij,ij->i", perp, perp)[:, None]
+    log_mass, certified = _ruben_log_cdf(sigma * sigma, proj / sigma, t)
+    return (log_mass, "series") if certified.all() else None
+
+
+def _ruben_log_cdf(lam: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple:
+    """``(log P, certified)`` for P = P(sum_j lam_j (Z_j + b_j)^2 < t) with Z
+    standard normal, per row of b (n_centres, n) and entry of t (n_centres,
+    n_radii), by Ruben's (1962) mixture of central chi^2 CDFs F_nu:
+
+        P = sum_k c_k F_{n+2k}(t / beta),  beta = min lam,
+        c_0 = prod_j (beta / lam_j)^(1/2) exp(-|b|^2 / 2),
+        c_k = (1 / 2k) sum_{m=1..k} g_m c_{k-m},
+        g_m = sum_j gamma_j^m + m b_j^2 (beta / lam_j) gamma_j^(m-1),
+        gamma_j = 1 - beta / lam_j.
+
+    The c_k are nonnegative and sum to 1, and F_nu falls as nu grows, so the
+    terms after the first K add at most (1 - S_K) F_{n+2K}(t / beta), with
+    S_K = c_0 + ... + c_{K-1}; 1 - S_K is taken as at least K eps, the
+    rounding error of a sum of K terms, so a partial sum that rounds to 1
+    certifies no more than it can.  Terms come in blocks of doubling
+    length until that bound is within ``_SERIES_RTOL`` of the sum in every
+    cell, or ``_SERIES_TERMS`` are spent; ``certified`` marks the cells
+    where it is.  Each row carries c_k exp(-L) and a log scale L that grows
+    with them, so an underflowing c_0 or the large c_k of a far centre stay
+    in range.  A cell with t <= 0
+    holds no mass.
+    """
+    n = lam.size
+    beta = float(lam.min())
+    ratio = beta / lam
+    gam = 1.0 - ratio
+    wb = b * b * ratio
+    log_scale = 0.5 * float(np.sum(np.log(ratio))) - 0.5 * np.einsum("ij,ij->i", b, b)
+    empty = t <= 0.0
+    # F_nu(t / beta) = P(nu / 2, t / (2 beta)), the regularised lower incomplete gamma
+    x = np.where(empty, 1.0, t) / (2.0 * beta)
+    coef, g = np.ones((len(b), 1)), np.zeros((len(b), 1))  # c_0 e^-L = 1; g_0 is unused
+    total = np.full(t.shape, -np.inf)
+    lo, size = 0, 32
+    with np.errstate(divide="ignore"):
+        while True:
+            hi = min(lo + size, _SERIES_TERMS)
+            grow = np.zeros((len(b), hi - coef.shape[1]))  # the arrays grow block by block
+            coef, g = np.hstack([coef, grow]), np.hstack([g, grow])
+            m = np.arange(max(lo, 1), hi)
+            powers = gam[:, None] ** (m - 1)
+            g[:, m] = gam @ powers + m * (wb @ powers)
+            for k in m.tolist():
+                coef[:, k] = np.einsum("ij,ij->i", g[:, 1:k + 1], coef[:, k - 1::-1]) / (2 * k)
+                big = coef[:, k] > _COEF_MAX
+                if big.any():
+                    top = coef[big, k]
+                    coef[big, :k + 1] /= top[:, None]
+                    log_scale[big] += np.log(top)
+            # log F_{n+2k} for k in [lo, hi): down from F_{n+2hi}, as
+            # P(a, x) = P(a + 1, x) + x^a e^-x / Gamma(a + 1), all terms positive
+            a = 0.5 * n + np.arange(lo, hi)
+            log_top = _log_gamma_p(0.5 * n + hi, x)
+            log_d = _log_gamma_prefix(a, x[..., None])
+            steps = np.concatenate([log_top[..., None], log_d[..., ::-1]], axis=-1)
+            log_f = np.logaddexp.accumulate(steps, axis=-1)[..., :0:-1]
+            terms = np.log(coef[:, None, lo:hi]) + log_f
+            total = np.logaddexp(total, log_scale[:, None] + _log_mean_exp(terms)
+                                 + math.log(hi - lo))
+            log_sum = log_scale + np.log(coef[:, :hi].sum(axis=1))
+            log_rest = np.log(np.maximum(-np.expm1(np.minimum(log_sum, 0.0)), hi * _EPS))
+            certified = empty | (log_rest[:, None] + log_top <= math.log(_SERIES_RTOL) + total)
+            if certified.all() or hi == _SERIES_TERMS:
+                return np.where(empty, -np.inf, total), certified
+            lo, size = hi, 2 * size
+
+
+def _log_gamma_p(a: float, x: np.ndarray) -> np.ndarray:
+    """log P(a, x), the regularised lower incomplete gamma function, for one
+    a > 0 and an array of x > 0: the power series
+    P = x^a e^-x / Gamma(a + 1) sum_n x^n / ((a + 1) ... (a + n)) where
+    x < a + 1, else log(1 - Q) with Q from Legendre's continued fraction
+    by Lentz's method.  NaN where either has not converged."""
+    out = np.full(x.shape, np.nan)
+    low = x < a + 1.0
+    xs = x[low]
+    term, total = np.ones_like(xs), np.ones_like(xs)
+    for i in range(1, _GAMMA_ITERS):
+        if np.all(term <= 1e-17 * total):
+            out[low] = _log_gamma_prefix(a, xs) + np.log(total)
+            break
+        term *= xs / (a + i)
+        total += term
+    xs, tiny = x[~low], 1e-300
+    bb = xs + 1.0 - a
+    c, d = np.full_like(xs, 1.0 / tiny), 1.0 / bb
+    h, delta = d.copy(), np.zeros_like(xs)
+    for i in range(1, _GAMMA_ITERS):
+        if np.all(np.abs(delta - 1.0) <= 4e-16):
+            log_q = _log_gamma_prefix(a, xs) + math.log(a) + np.log(h)
+            out[~low] = np.log(-np.expm1(log_q))
+            break
+        an, bb = -i * (i - a), bb + 2.0
+        d, c = an * d + bb, bb + an / c
+        d, c = 1.0 / np.where(np.abs(d) < tiny, tiny, d), np.where(np.abs(c) < tiny, tiny, c)
+        delta = d * c
+        h *= delta
+    return out
+
+
+def _log_gamma_prefix(a, x):
+    """log(x^a e^-x / Gamma(a + 1)) for a scalar or vector a, broadcast
+    against x > 0.  From a = 50 on it is a log(x / a) - (x - a) - (Stirling's
+    series of log Gamma(a + 1) - a log a + a), with log(x / a) as
+    log1p((x - a) / a) from x = a / 2 on, which does not cancel a log x
+    against log Gamma(a + 1) near x = a.  The terms in a alone are computed
+    once per a, not once per element of the broadcast."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    big = a >= 50.0
+    inv = 1.0 / a
+    log_g = 0.5 * np.log(2.0 * math.pi * a) + inv * (
+        1 / 12 - inv * inv * (1 / 360 - inv * inv * (1 / 1260 - inv * inv / 1680)))
+    log_g[~big] = [math.lgamma(v + 1.0) for v in a[~big].tolist()]
+    log_ratio = np.where(x < 0.5 * a, np.log(x / a), np.log1p((x - a) / a))
+    return np.where(big, a * log_ratio - (x - a), a * np.log(x) - x) - log_g
 
 
 def default_space(measure) -> WeightedSeqSpace:
@@ -704,9 +880,11 @@ def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] 
 
     A product measure reads the one-cell mass table (``_log_mass_table``)
     that ratio curves, ``classify_mode`` and ``m_property_probe`` read,
-    exact where a closed form exists and ``opts.method`` allows it, else
-    Monte Carlo on ``opts.seed``'s own stream; a measure off the product
-    form reads its own ``mass`` (``_mass_table``), in its own norm only.
+    exact where an exact rule covers it (``_product_exact_log_mass``: a
+    closed form, or a certified series for a Gaussian's l2 balls) and
+    ``opts.method`` allows it, else Monte Carlo on ``opts.seed``'s own
+    stream; a measure off the product form reads its own ``mass``
+    (``_mass_table``), in its own norm only.
     """
     return _ball_masses(measure, [center], radius, space, opts)[0]
 
@@ -720,7 +898,7 @@ def _ball_masses(measure, centers: Sequence, radius: float, space, opts) -> list
     if not isinstance(measure, ProductMeasure):
         masses, method = _mass_table(measure, centers, radii, space, opts.method)
         return [BallMass(m, 0.0, method) for m in masses[:, 0].tolist()]
-    table, method = _log_mass_table(measure, centers, radii, space, opts, opts.method, "ball-mass")
+    table, method = _log_mass_table(measure, centers, radii, space, opts, "ball-mass")
     est, se = (v[:, 0].tolist() for v in _batch_mean_se(table))
     mc = method == "monte-carlo"
     return [BallMass(e, s, method, mc and (e == 0.0 or s > opts.max_rel_err * max(e, 1e-300)))
@@ -830,32 +1008,35 @@ def _exp_or_inf(v: float) -> float:
 
 
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
-                    opts, method: str = "auto", stream: str = "ratio-curve") -> tuple:
+                    opts, stream: str = "ratio-curve") -> tuple:
     """Per-batch log masses, shape (n_centers, n_radii, n_batches), and
     their method.  Every ball mass of a product measure comes from here.
 
     Measures off the product form give one batch, the logs of their own
     masses (``_mass_table``).  A product measure gives one exact batch
-    where ``_product_exact_log_mass`` has a closed form and ``method`` is
-    not "mc", else common-random-number Monte Carlo
-    with every center on the same draws of ``opts.seed``'s ``stream``.
-    ``opts`` is a ``RatioOpts`` or a ``BallOpts``: only its Monte Carlo
-    sizes, closure and seed are read.
+    where ``_product_exact_log_mass`` covers the whole table (closed
+    form, or a certified series: a certificate depends on
+    the centre and the radius, so one row does not decide for the others)
+    and ``opts.method`` is not "mc", else common-random-number Monte Carlo
+    with every center on the same draws of ``opts.seed``'s ``stream``;
+    "exact" refuses a table no exact rule covers.  ``opts`` is a
+    ``RatioOpts`` or a ``BallOpts``: only its method, Monte Carlo sizes,
+    closure and seed are read.
     """
     if not np.all((radii > 0) & (radii < math.inf)) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be finite, positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):
-        masses, method = _mass_table(measure, centers, radii, space, method)
+        masses, method = _mass_table(measure, centers, radii, space, opts.method)
         with np.errstate(divide="ignore"):
             return np.log(masses)[:, :, None], method
     _check_space(measure, space)
     centers = [_as_vector(c, space.dim) for c in centers]
-    if method != "mc":
-        rows = [_product_exact_log_mass(measure, c, radii, space, opts.closed) for c in centers]
-        if rows[0] is not None:  # a closed form depends on the measure and the norm only
-            return np.array(rows)[:, :, None], "closed-form"
-        if method == "exact":
-            raise InputError("no exact ball mass for this measure/norm combination")
+    if opts.method != "mc":
+        exact = _product_exact_log_mass(measure, centers, radii, space, opts.closed)
+        if exact is not None:
+            return exact[0][:, :, None], exact[1]
+        if opts.method == "exact":
+            raise InputError("no certified exact ball mass for this measure, norm and table")
     return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples, opts.n_batches,
                              child_rng(opts.seed, stream), opts.closed), "monte-carlo")
 
@@ -934,10 +1115,13 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     """Curve r -> mu(B_r(x1)) / mu(B_r(x2)) and its extrapolated limit.
 
     Masses are carried as logs and ratios formed from log differences,
-    so they neither underflow nor overflow at high dimension.  Product
-    measures without a closed form are handled by common-random-number
+    so they neither underflow nor overflow at high dimension.  A product
+    measure's masses are exact where ``_product_exact_log_mass`` covers
+    both centres (a Gaussian's weighted-l2 balls among them) and
+    ``opts.method`` is not "mc"; else they come from common-random-number
     Monte Carlo: the same proposal draws enter the numerator and the
-    denominator, so the curve for x1 == x2 is exactly 1.
+    denominator, so the curve for x1 == x2 is exactly 1.  ``method``
+    names the rule: "closed-form", "series" or "monte-carlo".
     """
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)

@@ -191,8 +191,11 @@ def test_criterion_06_crosses_norm_dependence():
 
 
 def test_criterion_07_gaussian_ratio_limits():
+    # Monte Carlo curves, and beside them the exact curves of the same
+    # balls (closed form in 1-d, Ruben's series above), whose interval is
+    # the fit's model error alone
     t0 = time.time()
-    trials, hits = 0, 0
+    trials, hits, exact_hits, worst_rel = 0, 0, 0, 0.0
     for k_dim in (1, 2, 3):
         for rep in range(34 if k_dim == 1 else 33):
             rng = child_rng(777, "c7", k_dim, rep)
@@ -204,17 +207,25 @@ def test_criterion_07_gaussian_ratio_limits():
             w1, w2 = rng.normal(size=(2, k_dim)) * 0.6
             x1 = mean + cov.sqrt_apply(w1)
             x2 = mean + cov.sqrt_apply(w2)
-            cur = ball_ratio_curve(mu, x1, x2, radius_schedule(0.2, 10),
-                                   WeightedSeqSpace.unweighted(2.0, k_dim),
-                                   RatioOpts(n_samples=40_000,
+            radii, space = radius_schedule(0.2, 10), WeightedSeqSpace.unweighted(2.0, k_dim)
+            cur = ball_ratio_curve(mu, x1, x2, radii, space,
+                                   RatioOpts(n_samples=40_000, method="mc",
                                              seed=int(rng.integers(2 ** 31))))
+            exact = ball_ratio_curve(mu, x1, x2, radii, space, RatioOpts(method="exact"))
             expected = math.exp(fn(x2) - fn(x1))
             trials += 1
             if abs(cur.extrapolated_limit - expected) <= 3 * max(cur.se_limit, 1e-9):
                 hits += 1
+            if abs(exact.extrapolated_limit - expected) <= 3 * exact.se_limit:
+                exact_hits += 1
+            worst_rel = max(worst_rel, abs(exact.extrapolated_limit / expected - 1.0))
     _report(7, "gaussian functional vs ball-ratio limits", 300.0, t0,
             [("limit within 3 combined stderr in >= 95% of 100 trials",
-              hits >= 95, f"{hits}/{trials}")])
+              hits >= 95, f"{hits}/{trials}"),
+             ("exact limit within 3 model stderr in every trial",
+              exact_hits == trials, f"{exact_hits}/{trials}"),
+             ("exact limit within 1e-5 relative in every trial",
+              worst_rel < 1e-5, f"worst {worst_rel:.1e}")])
 
 
 def test_criterion_08_gaussian_family_theorem():

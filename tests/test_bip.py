@@ -69,6 +69,21 @@ def cd_oracle(obs, gamma, sweeps=20000, tol=1e-14):
     return u
 
 
+class TestFiniteParameters:
+    @pytest.mark.parametrize("matrix,data", [([[1.0, 0.0], [0.0, 1.0]], [math.nan, 1.0]),
+                                             ([[1.0, math.inf], [0.0, 1.0]], [0.5, 1.0]),
+                                             ([[1.0, 0.0], [math.nan, 1.0]], [0.5, 1.0])],
+                             ids=["nan-data", "inf-matrix", "nan-matrix"])
+    def test_observation_refuses_non_finite_entries(self, matrix, data):
+        with pytest.raises(InputError, match="finite"):
+            observation(matrix, [1.0, 1.0], data)
+
+    @pytest.mark.parametrize("mean", [[math.nan, 0.0], [0.0, -math.inf]])
+    def test_gaussian_refuses_a_non_finite_mean(self, mean):
+        with pytest.raises(InputError, match="finite"):
+            GaussianMeasure(np.array(mean), SpectralOperator(np.ones(2)))
+
+
 class TestPotential:
     def test_gradient_validated_against_finite_differences(self):
         good = Potential(eval=lambda u: float(u @ u), gradient=lambda u: 2.0 * u, dim=3)

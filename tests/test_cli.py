@@ -455,13 +455,13 @@ class TestMoreKinds:
             "sup mass exact: the largest over the measure's heaviest centres"
 
     def test_classify_mode_ball_masses_follow_mc_block_and_seed(self, tmp_path):
-        # l2 balls of a 2-d Gaussian have no closed form: every mass is
-        # Monte Carlo, so its standard error depends on the seed
+        # the mc block forces Monte Carlo masses for these l2 balls of a
+        # 2-d Gaussian, so their standard error depends on the seed
         cfg = {"kind": "classify_mode",
                "measure": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.5]},
                "candidate": [0.0, 0.0], "competitors": [[0.5, 0.0]],
                "schedule": {"r0": 0.4, "levels": 3}, "norm": {"p": 2},
-               "mc": {"n_samples": 2000, "n_batches": 4}}
+               "mc": {"n_samples": 2000, "n_batches": 4, "method": "mc"}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         stderr = []

@@ -426,13 +426,13 @@ def test_examples_refuse_monte_carlo(measure, center, method):
     with pytest.raises(InputError, match="Monte Carlo"):
         ball_mass(measure, center, 0.1, None, BallOpts(method="mc"))
     with pytest.raises(InputError, match="Monte Carlo"):
-        _log_mass_table(measure, [center], radii, own, RatioOpts(), "mc")
+        _log_mass_table(measure, [center], radii, own, RatioOpts(method="mc"))
     assert ball_mass(measure, center, 0.1, None, BallOpts(method="auto")).method == method
     if method == "closed-form":
         assert ball_mass(measure, center, 0.1, None, BallOpts(method="exact")).method == method
     else:
         with pytest.raises(InputError, match=method):
-            _log_mass_table(measure, [center], radii, own, RatioOpts(), "exact")
+            _log_mass_table(measure, [center], radii, own, RatioOpts(method="exact"))
     assert ball_mass(measure, center, 0.1, own).method == method
     assert ball_ratio_curve(measure, center, center, radii, own).method == method
     for space in (WeightedSeqSpace(own.p, 2.0 * own.weights),

@@ -2,6 +2,7 @@
 
 scipy's submodules and jsonschema are imported inside the functions that
 call them, so a short CLI run does not pay for them before it needs them.
+An l2 ratio curve of a Gaussian from Ruben's series needs none of them.
 """
 
 import subprocess
@@ -16,10 +17,28 @@ _PROBE = ("import sys; sys.path.insert(0, sys.argv[1]); import ommap, ommap.cli;
           "print(' '.join(sorted(sys.modules)))")
 
 
-def test_import_leaves_scipy_submodules_and_jsonschema_unloaded():
+_SERIES_CURVE = (
+    "import numpy as np; rng = np.random.default_rng(3); "
+    "mu = ommap.GaussianMeasure(rng.normal(0.0, 0.5, 8), "
+    "ommap.SpectralOperator(rng.uniform(0.5, 2.0, 8))); "
+    "c = ommap.ball_ratio_curve(mu, mu.mean + 0.3, mu.mean, ommap.radius_schedule(0.2, 10), "
+    "ommap.WeightedSeqSpace.unweighted(2.0, 8)); "
+    "assert c.method == 'series', c.method; ")
+
+
+def _loaded(code: str) -> set:
     src = str(Path(ommap.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _PROBE, src], capture_output=True,
-                          text=True, check=True, timeout=60)
-    loaded = set(done.stdout.split())
+    done = subprocess.run([sys.executable, "-c", _PROBE.replace("print(", code + "print("), src],
+                          capture_output=True, text=True, check=True, timeout=60)
+    return set(done.stdout.split())
+
+
+def test_import_leaves_scipy_submodules_and_jsonschema_unloaded():
+    loaded = _loaded("")
     assert "ommap.cli" in loaded
     assert sorted(loaded.intersection(LAZY)) == []
+
+
+def test_series_ratio_curve_loads_no_scipy():
+    # the mc_ratio geometry: an aligned 8-d Gaussian, 10 radii from 0.2
+    assert sorted(_loaded(_SERIES_CURVE).intersection(LAZY)) == []

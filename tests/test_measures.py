@@ -143,7 +143,8 @@ class TestBallMass:
                       WeightedSeqSpace.unweighted(2.0, 3))
 
     def test_exact_method_unavailable_raises(self):
-        sp = WeightedSeqSpace.unweighted(2.0, 2)
+        # no exact rule for a Gaussian's l1 balls in two dimensions
+        sp = WeightedSeqSpace.unweighted(1.0, 2)
         with pytest.raises(InputError):
             ball_mass(std_gaussian(2), np.zeros(2), 0.5, sp,
                       BallOpts(method="exact"))
@@ -156,7 +157,7 @@ class TestBallMass:
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0]), v))
         sp = WeightedSeqSpace.unweighted(2.0, 2)
         bm = ball_mass(mu, 0.3 * v[:, 1], 0.300001, sp,
-                       BallOpts(n_samples=2000, seed=12, max_rel_err=0.2))
+                       BallOpts(n_samples=2000, seed=12, max_rel_err=0.2, method="mc"))
         assert bm.low_confidence
 
     def test_degenerate_direction_zero_mass(self):
@@ -321,10 +322,12 @@ class TestMassTable:
         se = float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
         assert (got.estimate, got.stderr, got.method) == (est, se, "monte-carlo")
         assert got.low_confidence == (se > opts.max_rel_err * est)
-        # the same measure in the l2 norm has no closed form
-        assert ball_mass(mu, c, r, space, replace(opts, method="auto")) == got
-        with pytest.raises(InputError):
-            ball_mass(mu, c, r, space, replace(opts, method="exact"))
+        # in this weighted l2 norm "auto" reads the exact series mass, the
+        # Monte Carlo mass's expectation
+        exact = ball_mass(mu, c, r, space, replace(opts, method="auto"))
+        assert (exact.method, exact.stderr, exact.low_confidence) == ("series", 0.0, False)
+        assert abs(exact.estimate - got.estimate) < 4 * got.stderr
+        assert ball_mass(mu, c, r, space, replace(opts, method="exact")) == exact
 
 
 class TestRatioCurve:
@@ -636,7 +639,7 @@ class TestRatioCurves:
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_mass_table_rows(self, p):
-        # l2 balls have Monte Carlo masses, sup-norm balls exact ones; the
+        # l2 balls have series masses, sup-norm balls closed-form ones; the
         # last centre is off the support (zero variance in coordinate 2)
         mu = GaussianMeasure(np.array([0.1, 0.0]), SpectralOperator(np.array([1.0, 0.0])))
         space = WeightedSeqSpace.unweighted(p, 2)
@@ -644,7 +647,7 @@ class TestRatioCurves:
         radii = radius_schedule(0.4, 7)
         table, method = _log_mass_table(mu, centers, radii, space,
                                         RatioOpts(n_samples=4_000, seed=3))
-        assert method == ("monte-carlo" if p == 2.0 else "closed-form")
+        assert method == ("series" if p == 2.0 else "closed-form")
         many = _assert_same_curves(table[1:], table[:1], radii, RatioOpts())
         one = _assert_same_curves(table[:1], table[1:], radii, RatioOpts())
         assert many[-1] == "nonpositive-ratios-in-fit-window"
@@ -843,7 +846,8 @@ class TestAntitheticPairs:
         x1 = mu.mean + rng.normal(0.0, 0.5, 3)
         cur = ball_ratio_curve(mu, x1, mu.mean, radius_schedule(0.2, 10),
                                WeightedSeqSpace.unweighted(2.0, 3),
-                               RatioOpts(n_samples=100_000, n_batches=20, seed=seed))
+                               RatioOpts(n_samples=100_000, n_batches=20, seed=seed,
+                                         method="mc"))
         assert cur.method == "monte-carlo"
         assert cur.stderr[-1] / cur.ratios[-1] < 1e-9
 
@@ -860,11 +864,178 @@ class TestAntitheticPairs:
         radii = np.array([0.8, 0.3, 0.1])
         opts = BallOpts(n_samples=20_000, n_batches=20, method="mc", seed=4)
         for c in (mu.mean + rng.normal(0.0, 0.6, 4), mu.mean + np.array([0.9, 0.0, -0.4, 0.2])):
-            exact = np.exp(_product_exact_log_mass(mu, c, radii, space, closed=False))
+            table, method = _product_exact_log_mass(mu, [c], radii, space, closed=False)
+            assert method == "closed-form"
+            exact = np.exp(table[0])
             for r, want in zip(radii, exact):
                 got = ball_mass(mu, c, float(r), space, opts)
                 assert got.method == "monte-carlo" and got.stderr > 0
                 assert abs(got.estimate - want) < 4 * got.stderr
+
+
+class TestGaussianL2Exact:
+    """Weighted-l2 ball masses of Gaussians from Ruben's series against
+    exact oracles, and Monte Carlo where the series does not certify."""
+
+    @pytest.mark.parametrize("b,r", [(0.0, 0.5), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0),
+                                     (1.3, 0.5), (2.0, 1.0), (2.0, 2.0), (3.0, 1.0)])
+    def test_one_free_coordinate_matches_erf(self, b, r):
+        # a 2-d measure with one coordinate pinned: the ball's section is an
+        # interval of N(0, 1); at the mean the series sums to 1 by rounding
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        got = ball_mass(mu, np.array([b, 0.0]), r, WeightedSeqSpace.unweighted(2.0, 2))
+        s2 = math.sqrt(2.0)
+        want = (0.5 * (math.erfc((b - r) / s2) - math.erfc((b + r) / s2)) if b >= r else
+                0.5 * (math.erf((b + r) / s2) - math.erf((b - r) / s2)))
+        assert (got.method, got.stderr) == ("series", 0.0)
+        assert got.estimate == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
+    def test_planar_balls_match_dblquad(self, rotated):
+        from scipy.integrate import dblquad
+
+        th, eig = 0.6, np.array([1.5, 0.4])
+        basis = (np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+                 if rotated else None)
+        mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(eig, basis))
+        space = WeightedSeqSpace(2.0, np.array([1.0, 0.6]))
+        b = np.eye(2) if basis is None else basis
+        prec = b @ np.diag(1.0 / eig) @ b.T
+        norm = 1.0 / (2.0 * math.pi * math.sqrt(eig.prod()))
+        w0, w1 = space.weights
+        radii = np.array([1.0, 0.3, 0.05])
+        for c in (mu.mean, np.array([1.0, 0.4]), np.array([-0.8, -1.1])):
+            table, method = _log_mass_table(mu, [c], radii, space, RatioOpts())
+            assert method == "series"
+            for r, got in zip(radii, np.exp(table[0, :, 0])):
+                def pdf(x1, x0):
+                    d = np.array([x0, x1]) - mu.mean
+                    return norm * math.exp(-0.5 * d @ prec @ d)
+
+                def half(x0):
+                    return w1 * math.sqrt(max(0.0, r * r - ((x0 - c[0]) / w0) ** 2))
+
+                want = dblquad(pdf, c[0] - r * w0, c[0] + r * w0,
+                               lambda x0: c[1] - half(x0), lambda x0: c[1] + half(x0),
+                               epsabs=1e-15, epsrel=1e-13)[0]
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_slow_series_certifies_its_truncation(self):
+        # lam_2 / lam_1 = 0.04: the series weights fall by about 4% a term, and
+        # these balls certify only after hundreds of terms; a truncation at
+        # 1e-2 relative reads 0.99260 for 0.99597 at r = 3
+        mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.04])))
+        space = WeightedSeqSpace.unweighted(2.0, 2)
+        planar = _gaussian_planar(mu, space)
+        c, radii = np.array([0.0, -0.18]), np.array([4.0, 3.0, 1.0])
+        table, method = _log_mass_table(mu, [c], radii, space, RatioOpts())
+        assert method == "series"
+        for r, got in zip(radii, np.exp(table[0, :, 0])):
+            assert got == pytest.approx(planar(c, float(r)), rel=1e-12, abs=0)
+
+    def test_rotated_weighted_pinned_balls_match_monte_carlo(self):
+        rng = np.random.default_rng(5)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        mu = GaussianMeasure(np.array([0.3, -0.2, 0.1]),
+                             SpectralOperator(np.array([1.0, 0.5, 0.0]), basis))
+        space = WeightedSeqSpace(2.0, np.array([1.0, 2.0, 0.7]))
+        # off the mean along the pinned direction too: that offset shrinks the section
+        c = mu.mean + basis @ np.array([0.2, -0.3, 0.05])
+        for r in (0.6, 0.2):
+            exact = ball_mass(mu, c, r, space)
+            mc = ball_mass(mu, c, r, space, BallOpts(n_samples=2_000_000, method="mc", seed=3))
+            assert exact.method == "series" and mc.method == "monte-carlo"
+            assert abs(exact.estimate - mc.estimate) < 4 * mc.stderr
+
+    def test_high_dimension_small_ball_is_finite(self):
+        # lambda_j = j^-2 at dim 200: log mass about -491.52 (a 2e5-draw
+        # Monte Carlo estimate reads -491.520); the mass is far below the
+        # smallest double, its log is not
+        mu = GaussianMeasure(np.zeros(200),
+                             SpectralOperator(np.arange(1.0, 201.0) ** -2))
+        table, method = _log_mass_table(mu, [np.zeros(200)], np.array([0.01]),
+                                        WeightedSeqSpace.unweighted(2.0, 200), RatioOpts())
+        assert method == "series"
+        assert table[0, 0, 0] == pytest.approx(-491.52, abs=2e-3)
+
+    def test_far_centre_neither_overflows_nor_underflows(self):
+        from scipy.special import log_ndtr
+
+        # |b|^2 = 2000: c_0 = e^-1000 underflows and the series weights peak
+        # near k = 1000, e^1000 times c_0; at r = 10 the sum runs past k = 400,
+        # where the scaled weights would pass the largest float without rescaling
+        b, radii = math.sqrt(2000.0), np.array([10.0, 0.1])
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        table, method = _log_mass_table(mu, [np.array([b, 0.0])], radii,
+                                        WeightedSeqSpace.unweighted(2.0, 2), RatioOpts())
+        hi, lo = log_ndtr(-b + radii), log_ndtr(-b - radii)
+        assert method == "series"
+        np.testing.assert_allclose(table[0, :, 0], hi + np.log(-np.expm1(lo - hi)), rtol=1e-13)
+        # eight coordinates, far along all of them: the log masses about the
+        # far centre and the mean differ by I(c) = |b|^2 / 2 as r -> 0
+        eig = np.linspace(0.5, 2.0, 8)
+        mu = GaussianMeasure(np.zeros(8), SpectralOperator(eig))
+        c = np.sqrt(eig * 2000.0 / 8.0)
+        radii = np.array([1e-2, 1e-3])
+        table, method = _log_mass_table(mu, [c, np.zeros(8)], radii,
+                                        WeightedSeqSpace.unweighted(2.0, 8), RatioOpts())
+        assert method == "series" and np.all(np.isfinite(table))
+        assert table[0, -1, 0] - table[1, -1, 0] == pytest.approx(-1000.0, abs=1e-2)
+
+    def test_large_ball_falls_back_to_monte_carlo(self):
+        # at r = 1 the series is far from certified after its term budget:
+        # its partial sum is not the answer, and the table is Monte Carlo
+        lam = np.arange(1.0, 201.0) ** -2
+        certified = ommap.measures._ruben_log_cdf(lam, np.zeros((1, 200)), np.array([[1.0]]))[1]
+        assert not certified[0, 0]
+        mu = GaussianMeasure(np.zeros(200), SpectralOperator(lam))
+        space, radii = WeightedSeqSpace.unweighted(2.0, 200), np.array([1.0])
+        opts = RatioOpts(n_samples=200, n_batches=2)
+        assert _log_mass_table(mu, [np.zeros(200)], radii, space, opts)[1] == "monte-carlo"
+        with pytest.raises(InputError, match="exact"):
+            _log_mass_table(mu, [np.zeros(200)], radii, space, replace(opts, method="exact"))
+
+    def test_one_uncertified_cell_sends_the_whole_table_to_monte_carlo(self):
+        # a small ball certifies by the series, r = 1 at dim 200 does not:
+        # the table keeps its centres on common draws, so all of it is Monte Carlo
+        lam = np.arange(1.0, 201.0) ** -2
+        mu = GaussianMeasure(np.zeros(200), SpectralOperator(lam))
+        space, opts = WeightedSeqSpace.unweighted(2.0, 200), RatioOpts(n_samples=200, n_batches=2)
+        both = _log_mass_table(mu, [np.zeros(200)], np.array([1.0, 0.01]), space, opts)[1]
+        small = _log_mass_table(mu, [np.zeros(200)], np.array([0.01]), space, opts)[1]
+        assert (both, small) == ("monte-carlo", "series")
+
+    def test_a_sum_that_rounds_to_one_certifies_no_more_than_its_rounding(self):
+        # lam = (1, 0.1), centred: the partial sum of the weights rounds to 1
+        # within 480 terms; where F_{n+2K}(t / beta) is still about 1 (t = 1000)
+        # the rounding error of that sum, K eps, is above 1e-13 of the mass
+        # and the cell is not certified; where F has fallen (t = 100) it is
+        lam = np.array([1.0, 0.1])
+        log_p, certified = ommap.measures._ruben_log_cdf(lam, np.zeros((1, 2)),
+                                                         np.array([[1000.0, 100.0]]))
+        assert certified.tolist() == [[False, True]]
+        assert log_p[0, 1] == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("a", [0.5, 4.0, 100.5, 2100.0])
+    def test_log_incomplete_gamma(self, a):
+        # log P(a, x) against scipy, through its power-series form where P
+        # underflows: a log x - x - log Gamma(a + 1) does not cancel for x << a
+        from scipy.special import gammainc, gammaln
+
+        x = np.array([1e-3, 0.3, 0.5 * a, 0.9 * a, a + 0.99, a + 1.0, a + 1.5, 3.0 * a + 10.0])
+        got = ommap.measures._log_gamma_p(a, x)
+        with np.errstate(divide="ignore"):
+            want = np.log(gammainc(a, x))
+        tiny = gammainc(a, x) < 1e-280
+        xt = x[tiny][:, None]
+        terms = np.cumprod(xt / (a + np.arange(1.0, 41.0)), axis=1)
+        want[tiny] = (a * np.log(xt) - xt - gammaln(a + 1.0))[:, 0] + np.log1p(terms.sum(axis=1))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("method", ["quadrature", "exakt", "MC"])
+    def test_ratio_opts_refuse_unknown_methods(self, method):
+        with pytest.raises(ParameterError, match="method"):
+            RatioOpts(method=method)
 
 
 class TestRadiusIsFiniteAndPositive:
@@ -890,6 +1061,20 @@ class TestRadiusIsFiniteAndPositive:
         for radius in (0.0, -1.0):
             with pytest.raises(InputError, match="finite and positive"):
                 sup_ball_mass(self.uniform(), radius)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_own_mass_methods(self, radius):
+        # called directly, not through ball_mass: each measure's own rule checks
+        e1 = np.array([1.0, 0.0])
+        for call in (lambda: self.uniform().mass(0.5, radius),
+                     lambda: LiminfOnlyMeasure(depth=12).mass(1.0, radius),
+                     lambda: CrossesMeasure("1").mass(e1, radius),
+                     lambda: ommap.counterexamples.crosses_ball_masses(CrossesMeasure("1"), e1,
+                                                                       radius),
+                     lambda: OmNotStrongMeasure(levels=6).mass(1.0, radius),
+                     lambda: OmNotStrongMeasure(levels=6).mass_table([1.0], [0.1, radius])):
+            with pytest.raises(InputError, match="finite and positive"):
+                call()
 
     @pytest.mark.parametrize("radii", [[0.2, 0.1, math.nan, 0.01], [math.inf, 0.1]],
                              ids=["nan", "inf"])

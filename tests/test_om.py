@@ -291,7 +291,7 @@ class TestMPropertyProbe:
         fn = prior_om(mu)
         pts = [np.array([0.2, 0.0]), np.array([-0.5, -0.25]), np.array([1.0, 0.05])]
         radii, space = radius_schedule(0.4, 6), WeightedSeqSpace.unweighted(2.0, 2)
-        opts = ProbeOpts(ratio=RatioOpts(n_samples=20000, seed=7))
+        opts = ProbeOpts(ratio=RatioOpts(n_samples=20000, seed=7, method="mc"))
         rep = m_property_probe(mu, fn, pts, radii, space, opts)
         assert len(mc_calls) == 1
         for x, entry in zip(pts, rep.entries):
@@ -371,8 +371,8 @@ class TestSupremumPaths:
         assert res.caveat == f"{om._COMPETITORS_CAVEAT}; {om._EXACT_CAVEAT}"
 
     def test_monte_carlo_mean_reads_one(self, monkeypatch):
-        # l2 balls of a 2-d Gaussian have no closed form: the candidate's
-        # and the mean's masses are Monte Carlo, on the same draws
+        # forced Monte Carlo for these l2 balls of a 2-d Gaussian: the
+        # candidate's and the mean's masses are estimates on the same draws
         mc_calls = []
         mc_mass_batches = measures._mc_mass_batches
 
@@ -382,7 +382,7 @@ class TestSupremumPaths:
 
         monkeypatch.setattr(measures, "_mc_mass_batches", spy)
         mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.5])))
-        opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=4))
+        opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=4, method="mc"))
         res = classify_mode(mu, mu.mean, [], radius_schedule(0.5, 6), None, opts)
         assert len(mc_calls) == 1  # one table: no separate mass for the mean
         assert np.all(res.strong_ratio_stderr > 0)  # the masses are estimates

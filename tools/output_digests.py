@@ -101,13 +101,13 @@ EXTRA_CONFIGS = (
         "measure": {"type": "density1d", "name": "crosses", "params": {"norm_choice": "inf"}},
         "candidate": [1.0, 0.0], "competitors": [[-1.0, 0.0], [1.5, 0.0], [0.0, 1.0]],
         "schedule": {"r0": 0.2, "levels": 5}, "norm": {"p": "inf"}}),
-    # one Monte Carlo mass table serves the anchor and all three points
+    # one mass table serves the anchor and all three points
     ("m_property.three_points", {
         "kind": "m_property", "seed": 5,
         "measure": {"type": "gaussian", "mean": [0.2, -0.1], "eigenvalues": [1.5, 0.0]},
         "outside_points": [[0.2, 0.0], [-0.5, -0.25], [1.0, 0.05]],
         "schedule": {"r0": 0.4, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
-    # l2 balls of a Gaussian have no closed form: a Monte Carlo mass table
+    # l2 balls of a Gaussian: a mass table from Ruben's series
     ("classify_mode.gaussian_l2", {
         "kind": "classify_mode", "seed": 6,
         "measure": {"type": "gaussian", "mean": [0.3, -0.2], "eigenvalues": [1.0, 0.5]},
@@ -129,14 +129,22 @@ EXTRA_CONFIGS = (
         "measure": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.0]},
         "outside_points": [[0.5, 1e-4], [1.0, 0.05], [-0.3, 0.3], [0.8, -0.004]],
         "schedule": {"r0": 0.4, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
-    # 2100 over 20 batches is 105 evaluations a batch: 53 draws z, each at
-    # z and -z, the per-batch count rounded up to whole antithetic pairs
+    # forced Monte Carlo: 2100 over 20 batches is 105 evaluations a batch,
+    # 53 draws z, each at z and -z, the per-batch count rounded up to whole
+    # antithetic pairs
     ("ball_ratio.gaussian_l2_odd_batch", {
         "kind": "ball_ratio", "seed": 2,
         "measure": {"type": "gaussian", "mean": [0.1, -0.2, 0.0], "eigenvalues": [1.0, 0.5, 2.0]},
         "x1": [0.5, 0.1, -0.3], "x2": [0.1, -0.2, 0.0],
         "schedule": {"r0": 0.3, "levels": 6}, "norm": {"p": 2},
-        "mc": {"n_samples": 2100, "n_batches": 20}}),
+        "mc": {"n_samples": 2100, "n_batches": 20, "method": "mc"}}),
+    # Ruben's series on a rotated basis, with norm weights and one zero
+    # eigenvalue; x1 is the mean plus (0.5, -0.25, 0, 0.25) in eigen
+    # coordinates, so the limit is exp(-I(x1)) = 0.8553453
+    ("ball_ratio.gaussian_l2_rotated_series", {
+        "kind": "ball_ratio", "seed": 0, "measure": _GAUSS_ROTATED_DEGENERATE,
+        "x1": [0.55, 0.05, 0.1, 0.9], "x2": [0.3, -0.2, 0.1, 0.4],
+        "schedule": {"r0": 0.4, "levels": 10}, "norm": {"p": 2, "weights": [1.0, 0.5, 2.0, 0.8]}}),
     # Laplace factors in the sup norm: the exact product path
     ("ball_ratio.besov20_sup", {
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
