@@ -40,7 +40,6 @@ class Potential:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]]
     dim: int
     lipschitz_grad: Optional[float] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.gradient is not None:
@@ -135,8 +134,7 @@ def _misfit(w_mat: np.ndarray, w_y: np.ndarray) -> tuple:
 def quadratic_potential(obs: LinearObservation) -> Potential:
     """Half the squared whitened misfit."""
     value, grad, lip = _misfit(*obs.whitened())
-    return Potential(eval=value, gradient=grad, dim=obs.n_unknown, lipschitz_grad=lip,
-                     name="quadratic-misfit")
+    return Potential(eval=value, gradient=grad, dim=obs.n_unknown, lipschitz_grad=lip)
 
 
 def projected_potential(pot: Potential, n: int) -> Potential:
@@ -153,8 +151,7 @@ def projected_potential(pot: Potential, n: int) -> Potential:
             out[:n] = g[:n]
             return out
 
-    return Potential(eval=value, gradient=grad, dim=pot.dim,
-                     lipschitz_grad=pot.lipschitz_grad, name=f"{pot.name}|P_{n}")
+    return Potential(eval=value, gradient=grad, dim=pot.dim, lipschitz_grad=pot.lipschitz_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -689,13 +689,13 @@ def _mixture_density1d(t: float, r: float = 5.0) -> Density1D:
     t, r = _number("t", t), _number("r", r)
     fam = MixtureFamily(t, r)
     return Density1D(pdf=lambda x: float(fam.density(x)),
-                     support=((-r - 40.0, r + 40.0),), total_mass=1.0, name="mixture")
+                     support=((-r - 40.0, r + 40.0),), total_mass=1.0)
 
 
 def _spike_density1d(n) -> Density1D:
     fam = SpikeFamily(math.inf if n in ("inf", math.inf) else _number("n", n, integer=True))
     return Density1D(pdf=lambda x: float(fam.density(x)),
-                     support=((-40.0, 42.0),), total_mass=1.0, name="spike")
+                     support=((-40.0, 42.0),), total_mass=1.0)
 
 
 EXAMPLE_MEASURE_FACTORIES["mixture"] = _mixture_density1d

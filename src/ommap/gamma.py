@@ -22,10 +22,10 @@ import numpy as np
 
 from ._seeds import child_rng
 from .errors import InputError
-from .measures import (ProductMeasure, _in_range, _row_norms, _uniform_pball, default_space,
+from .measures import (ProductMeasure, _in_range, _uniform_pball, default_space,
                        sublevel_halfwidth)
 from .om import OmFunctional, posterior_om, prior_om
-from .spaces import WeightedSeqSpace, _as_vector
+from .spaces import WeightedSeqSpace, _as_vector, row_norms
 
 
 @dataclass
@@ -407,9 +407,9 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
     if k_tail < lim.dim:
         space = default_space(lim)
         tail_space = WeightedSeqSpace(space.p, space.weights[k_tail:])
-        tail_lim = _row_norms(h_lim[None, k_tail:], tail_space)[0]
+        tail_lim = row_norms(h_lim[None, k_tail:], tail_space)[0]
         if tail_lim > 0:
-            tails = _row_norms(h[:, k_tail:], tail_space) / tail_lim
+            tails = row_norms(h[:, k_tail:], tail_space) / tail_lim
             score = np.maximum(ratios, tails)
     widest = h.max(axis=1)
     grows = widest > 0
@@ -607,6 +607,8 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
     idx = list(indices) if indices is not None else list(range(1, len(phi_seq) + 1))
     if len(idx) != len(phi_seq):
         raise InputError("indices and phi_seq must have equal length")
+    if any(n < 1 for n in idx):
+        raise InputError(f"indices must be >= 1 (neighbourhood radius n^(-1/2)), got {min(idx)}")
     entries = []
     for pi, x in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))

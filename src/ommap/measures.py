@@ -32,7 +32,8 @@ import numpy as np
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
-from .spaces import RANGE_ATOL, SpectralOperator, WeightedSeqSpace, _as_vector, weighted_norm
+from .spaces import (RANGE_ATOL, SpectralOperator, WeightedSeqSpace, _as_vector, row_norms,
+                     weighted_norm)
 
 # ---------------------------------------------------------------------------
 # product measures: one 1-d factor per eigen coordinate
@@ -158,8 +159,8 @@ class ProductMeasure:
 def _in_range(c: np.ndarray, pinned: np.ndarray) -> np.ndarray:
     """Which rows of eigen coordinates c of u - mean put u on a product
     measure's domain: those whose components along the ``pinned``
-    coordinates stay below ``spaces.RANGE_ATOL * max(1, |c|)``, the
-    ``in_range_sqrt`` rule.  With no coordinate pinned every row does."""
+    coordinates stay below ``spaces.RANGE_ATOL * max(1, |c|)``.  With no
+    coordinate pinned every row does."""
     if not np.any(pinned):
         return np.ones(len(c), dtype=bool)
     scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
@@ -286,7 +287,6 @@ class Density1D:
     pdf: Callable[[float], float]
     support: tuple
     total_mass: Optional[float] = None
-    name: str = ""
 
     method = "quadrature"  # how ``mass`` is computed; a class constant, not a field
 
@@ -346,6 +346,12 @@ class BallOpts:
         if self.method not in ("auto", "exact", "mc"):
             raise ParameterError(f"ball-mass method must be 'auto', 'exact' or 'mc', "
                                  f"got {self.method!r}")
+        # a stderr needs two batches, and each batch at least one evaluation
+        if self.n_batches < 2:
+            raise ParameterError(f"n_batches must be >= 2, got {self.n_batches}")
+        if self.n_samples < self.n_batches:
+            raise ParameterError(f"n_samples must be >= n_batches ({self.n_batches}), "
+                                 f"got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -365,7 +371,10 @@ class RatioOpts:
     closed: bool = False
     seed: int = 0
 
-    __post_init__ = BallOpts.__post_init__
+    def __post_init__(self):
+        BallOpts.__post_init__(self)
+        if self.fit_points < 1:
+            raise ParameterError(f"fit_points must be >= 1, got {self.fit_points}")
 
 
 def radius_schedule(r0: float = 0.5, levels: int = 10, factor: float = 2.0) -> np.ndarray:
@@ -518,14 +527,6 @@ class _ProductSetup:
         self.spread = measure.spread[self.free]
 
 
-def _row_norms(x: np.ndarray, space: WeightedSeqSpace) -> np.ndarray:
-    """Norms ||x_i / weights||_p of the rows of an (n, dim) array."""
-    scaled = np.abs(x) / space.weights
-    if math.isinf(space.p):
-        return scaled.max(axis=1)
-    return (scaled ** space.p).sum(axis=1) ** (1.0 / space.p)
-
-
 class _Draws:
     """One batch of unit-ball draws z and the statistics all centers share.
 
@@ -542,7 +543,7 @@ class _Draws:
             self.zb = self.zb_norm = None
         else:
             self.zb = z @ setup.basis_free.T
-            self.zb_norm = _row_norms(self.zb, setup.space)
+            self.zb_norm = row_norms(self.zb, setup.space)
 
 
 class _CenterPlan:
@@ -628,7 +629,7 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     """
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, _as_vector(c, space.dim)) for c in centers]
-    half = (max(1, n_samples // n_batches) + 1) // 2
+    half = (n_samples // n_batches + 1) // 2
     radii = np.asarray(radii, dtype=float)
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
@@ -641,7 +642,7 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
                 if plan.fix_vec is None:
                     norms = np.tile(scales[:, None] * draws.zb_norm, 2)
                 else:  # at -z the norm of -rho zb + offset, that of rho zb - offset
-                    norms = np.array([np.concatenate([_row_norms(rho * draws.zb + f, space) for f
+                    norms = np.array([np.concatenate([row_norms(rho * draws.zb + f, space) for f
                                                       in (plan.fix_vec, -plan.fix_vec)])
                                       for rho in scales])
                 ld[~cmp(norms, radii[:, None])] = -np.inf
@@ -1201,11 +1202,3 @@ def _registered_measure(name: str, factory, params: dict):
         if param.default is param.empty and key not in params:
             raise ParameterError(f"registered measure {name!r} needs parameter {key!r}")
     return factory(**params)
-
-
-def measure_to_json(measure) -> dict:
-    """A measure's own ``to_json``; registered example measures give their
-    name and parameters."""
-    if hasattr(measure, "to_json"):
-        return measure.to_json()
-    raise ParameterError(f"cannot serialise measure of type {type(measure).__name__}")

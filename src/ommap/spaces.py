@@ -2,9 +2,10 @@
 
 Everything here works on finite truncations of sequence spaces: a vector
 ``u`` of length ``K`` stands for the first ``K`` coordinates of a
-sequence.  Weighted p-norms, coordinate projections, and spectral
-pseudoinverse operations are the primitives the measure and functional
-layers are built on.
+sequence.  The module holds the weighted p-norm, of one vector or of every
+row of an array at once, coordinate projections, and symmetric positive
+semi-definite operators in spectral form: their eigenbasis, the change of
+coordinates into it, and which eigenvalues count as zero.
 """
 
 from __future__ import annotations
@@ -67,21 +68,27 @@ class WeightedSeqSpace:
         return cls(p=p, weights=np.ones(dim))
 
 
-def weighted_norm(u, space: WeightedSeqSpace) -> float:
-    """Norm of ``u`` in ``space``; may be +inf for non-finite input."""
-    v = _as_vector(u, space.dim)
-    scaled = np.abs(v) / space.weights
+def row_norms(x: np.ndarray, space: WeightedSeqSpace) -> np.ndarray:
+    """Norms ``||x_i / weights||_p`` of the rows of an (n, dim) array; a
+    row with a non-finite entry gets the max of its ``|x_ik / weights_k|``."""
+    scaled = np.abs(x) / space.weights
     if math.isinf(space.p):
-        return float(np.max(scaled))
+        return scaled.max(axis=1)
     if space.p == 1.0:
-        return float(np.sum(scaled))
+        return scaled.sum(axis=1)
     if space.p == 2.0:
-        return float(np.sqrt(np.sum(scaled * scaled)))
-    # generic p: rescale by the max to avoid overflow for large p
-    m = float(np.max(scaled))
-    if m == 0.0 or not math.isfinite(m):
-        return m
-    return float(m * np.sum((scaled / m) ** space.p) ** (1.0 / space.p))
+        return np.sqrt((scaled * scaled).sum(axis=1))
+    # generic p: scale each row by its max, so |x/w|^p neither under- nor overflows
+    m = scaled.max(axis=1)
+    plain = (m == 0.0) | ~np.isfinite(m)
+    safe = np.where(plain, 1.0, m)[:, None]
+    return np.where(plain, m, m * ((scaled / safe) ** space.p).sum(axis=1) ** (1.0 / space.p))
+
+
+def weighted_norm(u, space: WeightedSeqSpace) -> float:
+    """Norm of ``u`` in ``space``, the one-row case of ``row_norms``; may be
+    +inf for non-finite input."""
+    return float(row_norms(_as_vector(u, space.dim)[None, :], space)[0])
 
 
 def project(u, n: int) -> np.ndarray:
@@ -146,20 +153,9 @@ class SpectralOperator:
         v = _as_vector(x, self.dim)
         return v if self.basis is None else self.basis.T @ v
 
-    def from_eigen(self, c) -> np.ndarray:
-        v = _as_vector(c, self.dim)
-        return v if self.basis is None else self.basis @ v
-
     def to_eigen_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Rows of ``mat`` re-expressed in the eigenbasis."""
         return mat if self.basis is None else self.basis.T @ mat
-
-    # -- applications ----------------------------------------------------
-    def apply(self, x) -> np.ndarray:
-        return self.from_eigen(self.eigenvalues * self.to_eigen(x))
-
-    def sqrt_apply(self, x) -> np.ndarray:
-        return self.from_eigen(np.sqrt(self.eigenvalues) * self.to_eigen(x))
 
     def zero_mask(self) -> np.ndarray:
         """Boolean mask of eigenvalues treated as zero at ``RANK_TOL``."""
@@ -167,42 +163,3 @@ class SpectralOperator:
         if top == 0.0:
             return np.ones(self.dim, dtype=bool)
         return self.eigenvalues <= RANK_TOL * top
-
-
-def pinv_apply(op: SpectralOperator, y) -> np.ndarray:
-    """Moore-Penrose pseudoinverse applied to ``y``.
-
-    In the eigenbasis the k-th component of the result is y_k / lam_k
-    where lam_k is a nonzero eigenvalue, and 0 on the kernel directions
-    (the pseudoinverse annihilates the orthogonal complement of the
-    range).
-    """
-    c = op.to_eigen(_as_vector(y, op.dim))
-    zero = op.zero_mask()
-    out = np.zeros_like(c)
-    out[~zero] = c[~zero] / op.eigenvalues[~zero]
-    return op.from_eigen(out)
-
-
-def sqrt_pinv_apply(op: SpectralOperator, v) -> np.ndarray:
-    """Pseudoinverse of the operator square root applied to ``v``."""
-    c = op.to_eigen(_as_vector(v, op.dim))
-    zero = op.zero_mask()
-    out = np.zeros_like(c)
-    out[~zero] = c[~zero] / np.sqrt(op.eigenvalues[~zero])
-    return op.from_eigen(out)
-
-
-def in_range_sqrt(op: SpectralOperator, v) -> bool:
-    """Range-membership test for the operator square root.
-
-    ``v`` lies in range(op^(1/2)) iff its components along the kernel
-    directions vanish; numerically, iff their magnitude stays below
-    ``RANGE_ATOL * max(1, |v|)``.
-    """
-    c = op.to_eigen(_as_vector(v, op.dim))
-    zero = op.zero_mask()
-    if not np.any(zero):
-        return True
-    scale = max(1.0, float(np.linalg.norm(c)))
-    return bool(np.max(np.abs(c[zero]), initial=0.0) <= RANGE_ATOL * scale)

@@ -18,6 +18,7 @@ from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import (_LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE, _PATH_ALPHAS,
                          _WINDOW_DISTANCE, _extrapolated_intercepts, _mapped_widths,
                          _single_linkage, default_paths)
+from pinv_reference import sqrt_apply
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -557,7 +558,7 @@ class TestGaussianRecovery:
         lim_fn = fam.limit
         for _ in range(100):
             w = rng.normal(size=3)
-            u = limit.mean + cov.sqrt_apply(w)
+            u = limit.mean + sqrt_apply(cov, w)
             rec = gaussian_recovery_sequence(members, limit, u)
             target = lim_fn(u)
             for i, u_n in enumerate(rec):
@@ -956,6 +957,13 @@ class TestContinuousConvergence:
         entries = continuous_convergence_probe([phi] * 12, phi, [np.array([0.3, 0.1])],
                                                seed=1)
         assert entries[0].verdict == "pass"
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_index_below_one_refused(self, index):
+        # the neighbourhood radius is n^(-1/2): no radius at 0, a complex one below
+        phi = lambda u: float(np.sum(u))
+        with pytest.raises(InputError, match="indices"):
+            continuous_convergence_probe([phi] * 3, phi, [np.zeros(2)], indices=[index, 2, 3])
 
     def test_projected_linear_functional_tail_decay(self):
         k_dim = 20

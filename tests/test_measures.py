@@ -16,7 +16,7 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
                    InputError, LiminfOnlyMeasure, OmNotStrongMeasure,
                    ParameterError, ProductMeasure, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights,
-                   measure_from_json, measure_to_json, open_vs_closed_check,
+                   measure_from_json, open_vs_closed_check,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap._seeds import child_rng
 import ommap.counterexamples
@@ -191,6 +191,27 @@ class TestBallMass:
     def test_unknown_method_rejected(self, method):
         with pytest.raises(ParameterError, match="method"):
             BallOpts(method=method)
+
+    @pytest.mark.parametrize("classes,field,value", [
+        ((BallOpts, RatioOpts), "n_batches", 0), ((BallOpts, RatioOpts), "n_batches", 1),
+        ((BallOpts, RatioOpts), "n_samples", 0), ((RatioOpts,), "fit_points", 0)],
+        ids=["n_batches=0", "n_batches=1", "n_samples=0", "fit_points=0"])
+    def test_unusable_monte_carlo_sizes_refused(self, classes, field, value):
+        # one batch has no stderr, an empty batch no estimate, no fit point no limit
+        for cls in classes:
+            with pytest.raises(ParameterError, match=field):
+                cls(**{field: value})
+
+    def test_mc_mass_at_large_p_stays_inside_the_sup_ball(self):
+        # B_p is inside B_inf; |x|^5000 underflows unless each row is scaled by its max
+        th = 0.3
+        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.5]), rot))
+        opts = BallOpts(n_samples=400_000, seed=1)
+        big_p, sup = (ball_mass(mu, np.zeros(2), 0.3, WeightedSeqSpace.unweighted(p, 2), opts)
+                      for p in (5000.0, math.inf))
+        assert big_p.method == sup.method == "monte-carlo"
+        assert big_p.estimate <= sup.estimate + 4 * math.hypot(big_p.stderr, sup.stderr)
 
     def test_density1d_refuses_what_it_cannot_do(self):
         plain = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),))
@@ -1291,22 +1312,22 @@ class TestOpenVsClosed:
 class TestSerialization:
     def test_gaussian_roundtrip(self):
         mu = GaussianMeasure(np.array([1.0, 2.0]), SpectralOperator(np.array([3.0, 0.5])))
-        back = measure_from_json(measure_to_json(mu))
+        back = measure_from_json(mu.to_json())
         np.testing.assert_array_equal(back.mean, mu.mean)
         np.testing.assert_array_equal(back.cov.eigenvalues, mu.cov.eigenvalues)
 
     def test_besov_roundtrip(self):
         mu = BesovMeasure(1.5, 2, 0.8, 6)
-        back = measure_from_json(measure_to_json(mu))
+        back = measure_from_json(mu.to_json())
         assert back == mu
 
     @pytest.mark.parametrize("mu", [LiminfOnlyMeasure(depth=12, variant="standard"),
                                     OmNotStrongMeasure(levels=7), CrossesMeasure("inf")],
                              ids=lambda m: type(m).__name__)
     def test_example_measure_roundtrip(self, mu):
-        back = measure_from_json(measure_to_json(mu))
+        back = measure_from_json(mu.to_json())
         assert type(back) is type(mu)
-        assert measure_to_json(back) == measure_to_json(mu)
+        assert back.to_json() == mu.to_json()
 
     def test_registered_names(self):
         m = measure_from_json({"type": "density1d", "name": "liminf_only",

@@ -11,11 +11,12 @@ from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, Gaussi
                    OmNotStrongMeasure,
                    ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_ratio_curve, classify_mode, density_om,
-                   in_range_sqrt, m_property_probe, om_difference_check, posterior_om,
-                   prior_om, quadratic_potential, radius_schedule, sqrt_pinv_apply,
+                   m_property_probe, om_difference_check, posterior_om,
+                   prior_om, quadratic_potential, radius_schedule,
                    sup_ball_mass, weighted_norm)
 from ommap import measures, om
 from ommap.counterexamples import _mixture_density1d, _spike_density1d
+from pinv_reference import in_range_sqrt, sqrt_apply, sqrt_pinv_apply
 
 
 def std_gaussian(k):
@@ -97,7 +98,7 @@ class TestBatchValues:
         mu = GaussianMeasure(rng.normal(size=k), SpectralOperator(eig, basis))
         # rows in the Cameron-Martin range, then rows pushed off it along
         # the kernel directions (none when the covariance has full rank)
-        inside = mu.mean + np.array([mu.cov.sqrt_apply(rng.normal(size=k)) for _ in range(7)])
+        inside = mu.mean + np.array([sqrt_apply(mu.cov, rng.normal(size=k)) for _ in range(7)])
         kernel = np.zeros(k)
         kernel[eig == 0.0] = rng.uniform(0.5, 2.0, int(np.sum(eig == 0.0)))
         off = inside[:3] + (kernel if basis is None else basis @ kernel)
@@ -524,7 +525,7 @@ def _conformance_cases():
     aligned = GaussianMeasure(rng.normal(size=4), SpectralOperator(rng.uniform(0.5, 2.0, 4)))
     rotated, degenerate = _rotated_gaussian(4, 0, 1), _rotated_gaussian(4, 2, 2)
     besov = BesovMeasure(1.1, 1, 1.0, 6)
-    on_degenerate = degenerate.mean + np.array([degenerate.cov.sqrt_apply(g)
+    on_degenerate = degenerate.mean + np.array([sqrt_apply(degenerate.cov, g)
                                                 for g in rng.normal(size=(6, 4))])
     obs = LinearObservation(rng.normal(size=(2, 4)), SpectralOperator(np.ones(2)),
                             rng.normal(size=2))

@@ -1,4 +1,5 @@
-"""Norms, projections, and spectral pseudoinverse operations."""
+"""Norms, projections, spectral operators, and the test-only pseudoinverse
+references of ``pinv_reference``."""
 
 import math
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ommap import (InputError, ParameterError, SpectralOperator, WeightedSeqSpace,
-                   in_range_sqrt, pinv_apply, project, sqrt_pinv_apply,
-                   weighted_norm)
+                   project, row_norms, weighted_norm)
+from pinv_reference import apply, in_range_sqrt, pinv_apply, sqrt_apply, sqrt_pinv_apply
 
 
 def vec_space(p, weights):
@@ -69,6 +70,24 @@ class TestWeightedNorm:
         assert lhs <= rhs + 1e-12
 
 
+class TestRowNorms:
+    def test_large_p_does_not_underflow(self):
+        # 0.5^2000 underflows: unscaled, the row would read 0
+        sp = vec_space(2000.0, [1.0, 1.0, 1.0])
+        assert row_norms(np.array([[0.5, 0.4, 0.3]]), sp)[0] == pytest.approx(0.5, rel=1e-14)
+
+    def test_large_p_does_not_overflow(self):
+        # |x / w| = (10, 0.1, 0.1) and 10^400 overflows: unscaled, the row would read inf
+        sp = vec_space(400.0, [1e-3, 1.0, 1.0])
+        assert row_norms(np.array([[0.01, 0.1, 0.1]]), sp)[0] == pytest.approx(10.0, rel=1e-14)
+
+    def test_zero_and_infinite_rows_beside_finite_ones(self):
+        got = row_norms(np.array([[0.0, 0.0], [math.inf, 1.0], [3.0, 8.0]]),
+                        vec_space(3.0, [1.0, 2.0]))
+        assert got[:2].tolist() == [0.0, math.inf]
+        assert got[2] == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-14)
+
+
 class TestProject:
     def test_basic(self):
         np.testing.assert_array_equal(project([1.0, 2.0, 3.0], 2), [1.0, 2.0, 0.0])
@@ -114,7 +133,7 @@ class TestSpectralOperator:
         mat = b @ b.T
         op = SpectralOperator.from_dense(mat)
         x = rng.normal(size=4)
-        np.testing.assert_allclose(op.apply(x), mat @ x, atol=1e-10)
+        np.testing.assert_allclose(apply(op, x), mat @ x, atol=1e-10)
 
     def test_from_dense_rejects_indefinite(self):
         with pytest.raises(ParameterError):
@@ -136,7 +155,7 @@ class TestPinv:
         x = pinv_apply(op, [6.0, 2.0])
         np.testing.assert_allclose(x, [2.0, 2.0])
         # brute-force oracle over the (here unique) solution set
-        assert np.linalg.norm(op.apply(x) - np.array([6.0, 2.0])) < 1e-12
+        assert np.linalg.norm(apply(op, x) - np.array([6.0, 2.0])) < 1e-12
 
     def test_minimum_norm_over_solution_set(self):
         # singular operator: solutions of A x = y form a line; the
@@ -146,7 +165,7 @@ class TestPinv:
         x_star = pinv_apply(op, y)
         for t in np.linspace(-5.0, 5.0, 101):
             cand = np.array([2.0, t])
-            np.testing.assert_allclose(op.apply(cand), y)
+            np.testing.assert_allclose(apply(op, cand), y)
             assert np.linalg.norm(x_star) <= np.linalg.norm(cand) + 1e-12
 
     def test_pinv_of_apply_is_projection(self):
@@ -157,7 +176,7 @@ class TestPinv:
             op = SpectralOperator(lam)
             x = rng.normal(size=5)
             proj = np.where(lam > 0, x, 0.0)
-            np.testing.assert_allclose(pinv_apply(op, op.apply(x)), proj, atol=1e-10)
+            np.testing.assert_allclose(pinv_apply(op, apply(op, x)), proj, atol=1e-10)
 
 
 class TestSqrtPinv:
@@ -178,4 +197,4 @@ class TestSqrtPinv:
         v = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         c = SpectralOperator(np.array([4.0, 1.0]), v)
         x = np.array([0.7, -0.2])
-        np.testing.assert_allclose(sqrt_pinv_apply(c, c.sqrt_apply(x)), x, atol=1e-12)
+        np.testing.assert_allclose(sqrt_pinv_apply(c, sqrt_apply(c, x)), x, atol=1e-12)

@@ -1,9 +1,17 @@
-"""tools/check_bench_json.py on hand-made benchmark records."""
+"""tools/check_bench_json.py on hand-made benchmark records, and the line format of
+tools/reach.py."""
 
+import importlib.util
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import ommap
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_bench_json.py"
 
@@ -81,3 +89,28 @@ def test_record_claiming_no_gain_gets_the_bound_check_only(tmp_path):
         "beyond.json: cli_kinds/ref_wall_s change median 0.126 is +26.0% worse than "
         "parent median 0.1, beyond its bound 0.25",
         "unclaimed.json: cannot read a claimed workload and metric: KeyError('claimed')"]
+
+
+def _reach_module():
+    spec = importlib.util.spec_from_file_location("reach", TOOL.parent / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reach_lists_unreached_functions_then_the_total():
+    reach = _reach_module()
+    funcs = reach.functions()
+    keys, out = reach.reached(lambda: ommap.project([1.0, 2.0], 1))
+    np.testing.assert_array_equal(out, [1.0, 0.0])
+    lines = reach.report(funcs, keys)
+    for line in lines[:-1]:
+        assert re.fullmatch(r"ommap\.\w+ \d+ \w+(\.\w+)* \d+", line), line
+    assert lines[-1] == (f"reached {len(funcs) - len(lines) + 1}/{len(funcs)} functions, "
+                         f"{sum(int(line.split()[-1]) for line in lines[:-1])} unreached lines")
+    # module, first line, dotted name, line count; nested functions count on their own
+    body, first = inspect.getsourcelines(ommap.weighted_norm)
+    assert f"ommap.spaces {first} weighted_norm {len(body)}" in lines
+    assert any(line.split()[2] == "SpectralOperator.zero_mask" for line in lines)
+    assert any(line.split()[2] == "projected_potential.value" for line in lines)
+    assert not any(line.split()[2] == "project" for line in lines)
