@@ -11,6 +11,8 @@ import zlib
 
 import numpy as np
 
+from .errors import InputError
+
 
 def _key_to_ints(key: tuple) -> tuple[int, ...]:
     out = []
@@ -25,7 +27,11 @@ def _key_to_ints(key: tuple) -> tuple[int, ...]:
 
 
 def child_seed_sequence(root: int, *key) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(root), spawn_key=_key_to_ints(key))
+    """The seed sequence of the stream (root, *key); every seed enters here."""
+    root = int(root)
+    if root < 0:
+        raise InputError(f"seed must be a non-negative integer, got {root}")
+    return np.random.SeedSequence(entropy=root, spawn_key=_key_to_ints(key))
 
 
 def child_rng(root: int, *key) -> np.random.Generator:

@@ -66,16 +66,30 @@ def _validator_class():
     return jsonschema.validators.extend(base, {"items": number_items})
 
 
+def _resolved(node, defs: dict):
+    """``node`` with every ``{"$ref": "#/$defs/<name>"}`` replaced by that
+    definition, itself resolved; the definitions refer to no cycle."""
+    if isinstance(node, list):
+        return [_resolved(item, defs) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if "$ref" in node:
+        return _resolved(defs[node["$ref"].removeprefix("#/$defs/")], defs)
+    return {key: _resolved(value, defs) for key, value in node.items()}
+
+
 @functools.cache
 def _validator(kind: str | None):
     """The validator of a known kind's branch of the schema, or of the
-    whole schema for ``kind`` None; built once per process."""
+    whole schema for ``kind`` None, with every reference resolved, so that
+    validation looks none up; built once per process."""
     schema = _schema()
+    defs = schema.pop("$defs")
     for branch in schema["oneOf"]:
         if branch["properties"]["kind"]["const"] == kind:
-            schema = {"$defs": schema["$defs"], **branch}
+            schema = branch
             break
-    return _validator_class()(schema)
+    return _validator_class()(_resolved(schema, defs))
 
 
 def validate_config(cfg: dict) -> None:
@@ -473,11 +487,13 @@ def _reproduce(figure_id: str, out: Path) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="ommap",
                                  description="small-ball mode analysis experiment runner")
     ap.add_argument("--seed", type=int, default=None,
-                    help="root seed; overrides the config seed")
+                    help="root seed, a non-negative integer; overrides the config seed")
     ap.add_argument("--out", type=str, default="ommap-out", help="output directory")
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute an experiment config")
@@ -492,6 +508,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        _parser().error(f"argument --seed: must be a non-negative integer, not {args.seed}")
     try:
         if args.command == "validate":
             validate_config(_read_config(args.config))

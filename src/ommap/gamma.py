@@ -211,18 +211,18 @@ def _liminf_margins(vals: np.ndarray, dists: np.ndarray, inv_n: np.ndarray,
     each path from its values on consecutive window members."""
     finite = np.isfinite(vals)
     at_x = vals[:, -1]  # the constant path sits at x
-    if np.all(finite[:, -1]):
-        # same-member deficits isolate the moving-path effect from the
-        # family's own (1/n) convergence drift, whose persistent part
-        # F(x) - F_n(x) is shared by all paths
-        m_pointwise = _extrapolated_intercepts(inv_n[:, None], (target - at_x)[:, None])[0]
-        deficits = at_x[:, None] - vals
-    else:
-        m_pointwise = 0.0
-        deficits = target - vals
+    drift = np.all(finite[:, -1])
+    # same-member deficits isolate the moving-path effect from the family's
+    # own (1/n) convergence drift, whose persistent part F(x) - F_n(x) is
+    # shared by all paths and fitted as one more column, in 1/n
+    deficits = at_x[:, None] - vals if drift else target - vals
     deficits[~finite] = np.nan
     # a path that escapes every domain has margin NaN: its liminf is +inf
-    return deficits, m_pointwise + _extrapolated_intercepts(dists, deficits)
+    if not drift:
+        return deficits, _extrapolated_intercepts(dists, deficits)
+    both = _extrapolated_intercepts(np.column_stack([inv_n, dists]),
+                                    np.column_stack([target - at_x, deficits]))
+    return deficits, both[0] + both[1:]
 
 
 def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -216,6 +217,92 @@ class TestBranchValidation:
             cli._validator.cache_clear()
         # one read per kind, and one for every config of no known kind
         assert len(reads) == len(VALID_CONFIGS) + 1
+
+
+def message_with_references(cfg):
+    """The first error of a validator built on the kind's branch with the
+    schema's $defs beside it, every $ref looked up as validation goes (the
+    reference for the resolved validators); None for a valid config."""
+    schema = _schema()
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    for branch in schema["oneOf"]:
+        if branch["properties"]["kind"]["const"] == kind:
+            schema = {"$defs": schema["$defs"], **branch}
+            break
+    validator = cli._validator_class()(schema)
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    loc = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
+    return f"config field {loc}: {errors[0].message}"
+
+
+def _digest_corpus():
+    """The invalid configs of tools/output_digests.py."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [pytest.param(cfg, id=f"digest-{label}") for label, cfg in module.INVALID_CONFIGS]
+
+
+class TestOncePerProcess:
+    """The parser and each kind's validator are built once per process; the
+    validators look no reference up and give the messages of a validator
+    that looks its references up."""
+
+    def test_parser_built_once(self, tmp_path):
+        cli._parser.cache_clear()
+        for i, cfg in enumerate(VALID_CONFIGS.values()):
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["validate", str(path)]) == 0
+        assert main(["--out", str(tmp_path / "out"), "reproduce", "figB1"]) == 0
+        map_solve = tmp_path / f"{list(VALID_CONFIGS).index('map_solve')}.json"
+        assert main(["--out", str(tmp_path / "out"), "run", str(map_solve)]) == 0
+        assert cli._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("kind", [*VALID_CONFIGS, None])
+    def test_resolved_validator_has_no_ref(self, kind):
+        assert "$ref" not in json.dumps(cli._validator(kind).schema)
+
+    @pytest.mark.parametrize("cfg", [*INVALID_CONFIGS, *_digest_corpus()])
+    def test_same_first_message_as_with_references(self, cfg):
+        want = message_with_references(cfg)
+        if want is None:  # a NaN passes the schema; reading the file refuses it
+            validate_config(cfg)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert str(err.value) == want
+
+
+class TestNegativeSeeds:
+    def test_schema_refuses_a_negative_seed(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**VALID_CONFIGS["counterexample"], "seed": -3}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config field seed: -3 is less than the minimum of 0\n"
+
+    @pytest.mark.parametrize("cfg", [
+        {**VALID_CONFIGS["gamma_check"], "sublevel_samples": 50},
+        {**VALID_CONFIGS["ball_ratio"], "mc": {"method": "mc", "n_samples": 200}}],
+        ids=["gamma_check", "ball_ratio-mc"])
+    def test_run_that_draws_refuses_a_negative_seed(self, tmp_path, capsys, cfg):
+        code, out = run_cli(tmp_path, {**cfg, "seed": -3})
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
+
+    def test_seed_option_refuses_a_negative_value(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**VALID_CONFIGS["ball_ratio"], "mc": {"method": "mc"}}))
+        with pytest.raises(SystemExit) as exit_:
+            main(["--seed", "-2", "--out", str(tmp_path / "out"), "run", str(path)])
+        assert exit_.value.code == 2
+        assert "argument --seed: must be a non-negative integer, not -2" in \
+            capsys.readouterr().err
 
 
 class TestRun:

@@ -15,7 +15,8 @@ from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError
                    sum_rule_check)
 from ommap._seeds import child_rng
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
-from ommap.gamma import (_LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE, _PATH_ALPHAS,
+from ommap.gamma import (_FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE,
+                         _PATH_ALPHAS,
                          _WINDOW_DISTANCE, _extrapolated_intercepts, _mapped_widths,
                          _single_linkage, default_paths)
 from pinv_reference import sqrt_apply
@@ -297,6 +298,31 @@ class TestExtrapolatedIntercepts:
         want = [reference_intercept(dists[present[:, c], c], deficits[present[:, c], c])
                 if present[:, c].any() else np.nan for c in range(4)]
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(LIMINF_CASES))
+    def test_column_stacked_drift_and_paths_fit_as_their_parts(self, case):
+        # the probe fits the 1/n drift at x as one more column of the
+        # paths' fit: on the whole window and on its last _FIT_POINTS
+        # members, the stacked fit returns exactly each part's own result
+        seq, x, opts = LIMINF_CASES[case]()
+        target = seq.limit.eval(x)
+        names, dirs, mags = default_paths(seq, x, opts)
+        start = len(seq.indices) - len(mags)
+        inv_n = 1.0 / np.asarray(seq.indices[start:], dtype=float)
+        vals = np.array([f.values(x + m[:, None] * dirs)
+                         for f, m in zip(seq.members[start:], mags)])
+        dists = mags * np.linalg.norm(dirs, axis=1)
+        finite = np.isfinite(vals)
+        at_x = vals[:, -1:] if finite[:, -1].all() else target
+        deficits = np.where(finite, at_x - vals, np.nan)
+        drift = np.where(finite[:, -1], target - vals[:, -1], np.nan)
+        for rows in (slice(None), slice(-_FIT_POINTS, None)):
+            both = _extrapolated_intercepts(np.column_stack([inv_n[rows], dists[rows]]),
+                                            np.column_stack([drift[rows], deficits[rows]]))
+            alone = _extrapolated_intercepts(inv_n[rows, None], drift[rows, None])
+            np.testing.assert_array_equal(both[:1], alone)
+            np.testing.assert_array_equal(both[1:],
+                                          _extrapolated_intercepts(dists[rows], deficits[rows]))
 
     def test_one_column(self):
         inv_n = 1.0 / np.arange(5.0, 17.0)

@@ -84,6 +84,10 @@ class TestSampling:
         with pytest.raises(InputError):
             sample(d, 10, seed=0)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            sample(std_gaussian(3), 3, -1)
+
 
 class TestBallMass:
     def test_uniform_density(self):

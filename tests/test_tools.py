@@ -1,5 +1,5 @@
-"""tools/check_bench_json.py on hand-made benchmark records, and the line format of
-tools/reach.py."""
+"""tools/check_bench_json.py on hand-made benchmark records, and the line formats of
+tools/reach.py and of the invalid-config lines of tools/output_digests.py."""
 
 import importlib.util
 import inspect
@@ -114,3 +114,22 @@ def test_reach_lists_unreached_functions_then_the_total():
     assert any(line.split()[2] == "SpectralOperator.zero_mask" for line in lines)
     assert any(line.split()[2] == "projected_potential.value" for line in lines)
     assert not any(line.split()[2] == "project" for line in lines)
+
+
+def test_output_digests_lists_each_invalid_config_with_exit_code_2():
+    # the invalid-config corpus alone, in a process of its own: the tool
+    # sets its BLAS threads and import path when it loads
+    script = ("import sys; sys.path.insert(0, 'tools'); import output_digests as od; "
+              "print(*(label for label, _ in od.INVALID_CONFIGS), file=sys.stderr); "
+              "sys.exit(od._invalid_digests())")
+    done = subprocess.run([sys.executable, "-c", script], cwd=TOOL.parents[1],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    labels = done.stderr.split()
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(labels)
+    for line, label in zip(lines, labels):
+        assert re.fullmatch(rf"cli_invalid {re.escape(label)} 2 [0-9a-f]{{16}}", line), line
+    # a bad value inside every $defs entry that a branch refers to
+    defs = json.loads((TOOL.parents[1] / "src" / "ommap" / "schema.json").read_text())["$defs"]
+    assert set(defs) <= {label.split(".")[0] for label in labels}

@@ -14,15 +14,19 @@ the config writes, ``cli_extra <seed> <label> <file> <sha256 of the
 file>``, so that a change to the CSV writer shows.  Last come the four
 ``reproduce`` figures, one line per file each writes (results.json and
 its CSVs), ``reproduce <figure> <file> <sha256 of the file>``, so a
-changed density value on a figure grid shows.
+changed density value on a figure grid shows.  Then the invalid configs
+of ``INVALID_CONFIGS`` go through ``ommap.cli.main`` ``run``, one line
+each, ``cli_invalid <label> <exit code> <sha256 of standard error>``
+(the config's path written as ``cfg.json``), so that a changed
+validation message shows.
 
 Run it from the repository root of each commit and diff the outputs:
 
     python3 tools/output_digests.py > digests.txt
 
-An op whose check fails or finds a quiet wrong answer, or an extra
-config or figure that does not exit 0, is also reported on standard
-error, and the exit code is then 1.
+An op whose check fails or finds a quiet wrong answer, an extra config
+or figure that does not exit 0, or an invalid config that does not exit
+2, is also reported on standard error, and the exit code is then 1.
 """
 
 import os
@@ -35,6 +39,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -160,6 +165,33 @@ EXTRA_CONFIGS = (
 )
 
 
+_BALL_RATIO = {"kind": "ball_ratio", "seed": 0,
+               "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]},
+               "x1": [0.5], "x2": [0.0]}
+_MAP_SOLVE = {"kind": "map_solve", "seed": 0, "prior": {**_BESOV, "dim": 1},
+              "observation": {"matrix": [[1.0]], "noise_cov": [1.0], "data": [1.0]}}
+
+#: (label, config) of configs the CLI must refuse with exit code 2: one bad
+#: value inside each $defs entry a branch refers to, an unknown kind, a
+#: config that is not a JSON object, a NaN constant and a negative seed
+INVALID_CONFIGS = (
+    ("vector.item_string", {**_BALL_RATIO, "x1": [0.5, "a"]}),
+    ("vectors.item_number", {"kind": "classify_mode", "measure": _BALL_RATIO["measure"],
+                             "candidate": [0.0], "competitors": [[0.5], 0.5]}),
+    ("measure.no_eigenvalues", {**_BALL_RATIO, "measure": {"type": "gaussian",
+                                                           "mean": [0.0]}}),
+    ("norm.negative_p", {**_BALL_RATIO, "norm": {"p": -1}}),
+    ("schedule.one_level", {**_BALL_RATIO, "schedule": {"r0": 0.2, "levels": 1}}),
+    ("mc.one_batch", {**_BALL_RATIO, "mc": {"n_batches": 1}}),
+    ("observation.no_data", {**_MAP_SOLVE, "observation": {"matrix": [[1.0]],
+                                                           "noise_cov": [1.0]}}),
+    ("kind.unknown", {"kind": "nope", "seed": 0}),
+    ("not_an_object", [_BALL_RATIO]),
+    ("nan_constant", {**_BALL_RATIO, "x1": [math.nan]}),
+    ("seed.negative", {**_MAP_SOLVE, "seed": -3}),
+)
+
+
 def _extra_digests() -> int:
     bad = 0
     for label, cfg in EXTRA_CONFIGS:
@@ -200,6 +232,23 @@ def _figure_digests() -> int:
     return bad
 
 
+def _invalid_digests() -> int:
+    bad = 0
+    for label, cfg in INVALID_CONFIGS:
+        with tempfile.TemporaryDirectory() as work:
+            path, err = Path(work) / "cfg.json", io.StringIO()
+            path.write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = ommap.cli.main(["--out", str(Path(work) / "out"), "run", str(path)])
+            text = err.getvalue().replace(str(path), "cfg.json")
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            print(f"cli_invalid {label} {code} {digest}", flush=True)
+            if code != 2:
+                bad += 1
+                print(f"cli_invalid {label}: exit code {code}", file=sys.stderr)
+    return bad
+
+
 def main() -> int:
     bad = 0
     for name in WORKLOADS:
@@ -214,6 +263,7 @@ def main() -> int:
                               file=sys.stderr)
     bad += _extra_digests()
     bad += _figure_digests()
+    bad += _invalid_digests()
     return 1 if bad else 0
 
 
