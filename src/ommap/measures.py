@@ -22,8 +22,11 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
 
 from __future__ import annotations
 
+import contextvars
 import inspect
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -38,6 +41,13 @@ from .spaces import (RANGE_ATOL, SpectralOperator, WeightedSeqSpace, _as_vector,
 # ---------------------------------------------------------------------------
 # product measures: one 1-d factor per eigen coordinate
 # ---------------------------------------------------------------------------
+
+def _row_dots(f, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """f(z) @ a, taken over blocks of 256 rows of z so that no temporary as
+    large as z is made: a Monte Carlo batch then holds one (draws, dim)
+    array, its draws z."""
+    return np.concatenate([f(z[i:i + 256]) @ a for i in range(0, len(z), 256)])
+
 
 class NormalFactor:
     """Standard normal factors: a coordinate of variance v is sqrt(v) X.
@@ -60,7 +70,7 @@ class NormalFactor:
         return rng.standard_normal(shape)
 
     def mc_draw_stat(self, setup, z):
-        return (z * z) @ (setup.w * setup.w / setup.spread)
+        return _row_dots(np.square, z, setup.w * setup.w / setup.spread)
 
     def mc_center(self, setup, d):
         """For d = c - m, the function (draws, scales) -> free-coordinate log
@@ -108,22 +118,24 @@ class LaplaceFactor:
         return rng.laplace(size=shape)
 
     def mc_draw_stat(self, setup, z):
-        return np.abs(z)
+        return _row_dots(np.abs, z, setup.w / setup.spread)
 
     def mc_center(self, setup, d):
         b, nz = setup.spread, d != 0.0
         log_norm, abs_w = float(np.sum(np.log(2.0 * b))), setup.w / b
-        zero_w, idx = np.where(nz, 0.0, abs_w), np.flatnonzero(nz)
+        idx = np.flatnonzero(nz)
         c_nz, w_nz = d[nz] / b[nz], abs_w[nz]
 
         def log_density(draws, scales):
             s = np.asarray(scales, dtype=float)[:, None]
-            ld, h = np.tile(-log_norm - s * (draws.stat @ zero_w), 2), len(draws.z)
-            if idx.size:
-                z_nz = draws.z[:, idx] * w_nz
-                for i, si in enumerate(s[:, 0]):
-                    ld[i, :h] -= np.abs(c_nz + si * z_nz).sum(axis=1)
-                    ld[i, h:] -= np.abs(c_nz - si * z_nz).sum(axis=1)
+            if not idx.size:
+                return np.tile(-log_norm - s * draws.stat, 2)
+            z_nz, h = draws.z[:, idx] * w_nz, len(draws.z)
+            # the coordinates where c = 0 give the draw statistic less the others' terms
+            ld = np.tile(-log_norm - s * (draws.stat - np.abs(z_nz).sum(axis=1)), 2)
+            for i, si in enumerate(s[:, 0]):
+                ld[i, :h] -= np.abs(c_nz + si * z_nz).sum(axis=1)
+                ld[i, h:] -= np.abs(c_nz - si * z_nz).sum(axis=1)
             return ld
 
         return log_density
@@ -331,8 +343,9 @@ class BallOpts:
     """Knobs for ball-mass estimation.
 
     Monte Carlo masses evaluate n_samples // n_batches points per batch,
-    the antithetic pairs z, -z of half as many draws (rounded up), so
-    their memory is O(n_samples / (2 n_batches) * dim).
+    the antithetic pairs z, -z of half as many draws (rounded up), batch b
+    on the stream (seed, stream, b); a thread holds one batch at a time,
+    so their memory is O(n_samples / (2 n_batches) * dim) per thread.
     """
 
     n_samples: int = 10 ** 6      # total MC evaluations, split across batches
@@ -359,8 +372,9 @@ class RatioOpts:
     """Knobs for ratio curves and their extrapolation.
 
     Monte Carlo curves evaluate n_samples // n_batches points per batch,
-    the antithetic pairs z, -z of half as many draws (rounded up), so
-    their memory is O(n_samples / (2 n_batches) * dim).
+    the antithetic pairs z, -z of half as many draws (rounded up), batch b
+    on the stream (seed, stream, b); a thread holds one batch at a time,
+    so their memory is O(n_samples / (2 n_batches) * dim) per thread.
     """
 
     n_samples: int = 10 ** 6
@@ -439,18 +453,24 @@ def sample(measure, n: int, seed: int) -> np.ndarray:
     return measure.mean + scaled
 
 
-def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float) -> np.ndarray:
-    """Uniform draws in the unit p-ball of R^k.
+def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniform draws in the unit p-ball of R^k, as rows of ``out`` when it
+    is given (an (n, k) float array).
 
     Barthe, Guedon, Mendelson & Naor: with Y_i i.i.d. of density
     proportional to exp(-|t|^p) and E ~ Exp(1), Y / (sum_i |Y_i|^p + E)^(1/p)
     is uniform in the unit p-ball.  For p = 2, Y = g / sqrt(2) with g
-    standard normal, which gives g / sqrt(|g|^2 + 2E).
+    standard normal, which gives g / sqrt(|g|^2 + 2E).  For p = inf the
+    coordinates are uniform on (-1, 1), as 2u - 1 for u uniform on [0, 1).
     """
     if math.isinf(p):
-        return rng.uniform(-1.0, 1.0, size=(n, k))
+        u = rng.random((n, k), out=out)
+        u *= 2.0
+        u -= 1.0
+        return u
     if p == 2.0:
-        g = rng.standard_normal((n, k))
+        g = rng.standard_normal((n, k), out=out)
         e = rng.standard_exponential(n)
         g /= np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * e)[:, None]
         return g
@@ -459,7 +479,7 @@ def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float) -> np.nda
     u = rng.random(size=(n, k))
     e = rng.standard_exponential(n)
     denom = (g.sum(axis=1) + e) ** (1.0 / p)
-    return np.copysign(g ** (1.0 / p) / denom[:, None], u - 0.5)
+    return np.copysign(g ** (1.0 / p) / denom[:, None], u - 0.5, out=out)
 
 
 def _log_pball_volume(r: float, k: int, p: float, weights: Optional[np.ndarray] = None) -> float:
@@ -601,23 +621,50 @@ def _log_mean_exp(x: np.ndarray) -> np.ndarray:
     """Log of the mean of exp(x) over the last axis; -inf where all of it is -inf."""
     top = np.max(x, axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    e = x - top
+    np.exp(e, out=e)  # one temporary the size of x
     with np.errstate(divide="ignore"):
-        return top[..., 0] + np.log(np.mean(np.exp(x - top), axis=-1))
+        return top[..., 0] + np.log(np.mean(e, axis=-1))
+
+
+_MC_THREADS_MAX = 4       # threads, the caller's included, that share one Monte Carlo table
+_MC_INLINE_SIZE = 2 ** 15  # draws x free dimensions per batch below which a table runs inline
+
+
+def _mc_threads(n_batches: int, batch_size: int) -> int:
+    """Threads, the caller's included, that share the batches of a Monte
+    Carlo table whose batches hold ``batch_size`` draws x free dimensions:
+    the CPUs this process may use, at most ``n_batches`` and
+    ``_MC_THREADS_MAX``, and 1 (inline) for batches smaller than
+    ``_MC_INLINE_SIZE``, which take less time than starting a thread."""
+    if batch_size < _MC_INLINE_SIZE:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_batches, _MC_THREADS_MAX)
 
 
 def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
                      space: WeightedSeqSpace, n_samples: int, n_batches: int,
-                     rng: np.random.Generator, closed: bool = False) -> np.ndarray:
+                     seed: int, stream: str, closed: bool = False) -> np.ndarray:
     """Per-batch log ball masses with common random numbers.
 
     Returns an array of shape (n_centers, n_radii, n_batches): the log
     of an unbiased per-batch estimate of mu(B_r(c)), -inf where the
-    batch finds no mass.  Batches are drawn from ``rng`` one at a time
-    and every center and radius is evaluated on the same draws before
-    the next batch, so memory is O(n_samples / (2 n_batches) * dim): a
-    batch draws (n_samples // n_batches + 1) // 2 points z of the symmetric
+    batch finds no mass.  Batch b draws from its own stream
+    (seed, stream, b), so it depends on nothing but b: the batches run
+    in any order, on ``_mc_threads`` threads (the caller and short-lived
+    workers, joined before the return), and the table is the same bit
+    for bit whatever the number of threads.  Every center and radius is
+    evaluated on a batch's draws before the thread takes its next batch,
+    so memory is O(n_samples / (2 n_batches) * dim) per thread: a batch
+    draws (n_samples // n_batches + 1) // 2 points z of the symmetric
     unit ball and evaluates each at z and at -z (antithetic pairs), which
     for Gaussian factors cancels the log density's first-order term.
+    Each worker runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too.
 
     Per batch the draw work is done once (``_Draws``); each center then
     costs O(n_radii * n) on top of its factor's log-density expansion,
@@ -634,20 +681,53 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
-    for b in range(n_batches):
-        draws = _Draws(setup, _uniform_pball(rng, half, setup.k_free, setup.draw_p))
-        for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
-            ld = plan.log_density(draws, scales)  # columns z, then -z
-            if draws.zb is not None:
-                if plan.fix_vec is None:
-                    norms = np.tile(scales[:, None] * draws.zb_norm, 2)
-                else:  # at -z the norm of -rho zb + offset, that of rho zb - offset
-                    norms = np.array([np.concatenate([row_norms(rho * draws.zb + f, space) for f
-                                                      in (plan.fix_vec, -plan.fix_vec)])
-                                      for rho in scales])
-                ld[~cmp(norms, radii[:, None])] = -np.inf
-            out[ci, :, b] = _log_mean_exp(ld) + logv
-        del draws  # free this batch before the next one is drawn
+    todo, lock = iter(range(n_batches)), threading.Lock()
+
+    def run_batches(z):
+        # each thread takes the next batch not yet taken, so one on a busy
+        # core takes fewer, and writes only that batch's column
+        while True:
+            with lock:
+                b = next(todo, None)
+            if b is None:
+                return
+            draws = _Draws(setup, _uniform_pball(child_rng(seed, stream, b), half,
+                                                 setup.k_free, setup.draw_p, z))
+            for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
+                ld = plan.log_density(draws, scales)  # columns z, then -z
+                if draws.zb is not None:
+                    if plan.fix_vec is None:
+                        norms = np.tile(scales[:, None] * draws.zb_norm, 2)
+                    else:  # at -z the norm of -rho zb + offset, that of rho zb - offset
+                        norms = np.array([np.concatenate([row_norms(rho * draws.zb + f, space)
+                                                          for f in (plan.fix_vec, -plan.fix_vec)])
+                                          for rho in scales])
+                    ld[~cmp(norms, radii[:, None])] = -np.inf
+                out[ci, :, b] = _log_mean_exp(ld) + logv
+                del ld  # free it before the next center's is made
+            del draws  # free this batch's statistics before the next one is drawn
+
+    n_threads = _mc_threads(n_batches, half * setup.k_free)
+    # every thread draws into a buffer of its own made here, by the caller:
+    # glibc's malloc keeps what a worker thread frees in that thread's arena,
+    # so draws a worker allocated would add a batch per worker to peak memory
+    bufs = [np.empty((half, setup.k_free)) for _ in range(n_threads)]
+    if n_threads == 1:
+        run_batches(bufs[0])
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        workers = [pool.submit(contextvars.copy_context().run, run_batches, z)
+                   for z in bufs[1:]]
+        try:
+            run_batches(bufs[0])
+        finally:
+            with lock:  # after an error here the workers stop at their current batch
+                for _ in todo:
+                    pass
+        for worker in workers:
+            worker.result()
     return out
 
 
@@ -1039,7 +1119,7 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
         if opts.method == "exact":
             raise InputError("no certified exact ball mass for this measure, norm and table")
     return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples, opts.n_batches,
-                             child_rng(opts.seed, stream), opts.closed), "monte-carlo")
+                             opts.seed, stream, opts.closed), "monte-carlo")
 
 
 def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,

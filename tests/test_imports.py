@@ -1,7 +1,8 @@
 """What importing the package loads: numpy and the standard library only.
 
-scipy's submodules and jsonschema are imported inside the functions that
-call them, so a short CLI run does not pay for them before it needs them.
+scipy's submodules, jsonschema and concurrent.futures (the Monte Carlo
+worker threads) are imported inside the functions that call them, so a
+short CLI run does not pay for them before it needs them.
 An l2 ratio curve of a Gaussian from Ruben's series needs none of them.
 """
 
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import ommap
 
-LAZY = ("scipy.integrate", "scipy.optimize", "scipy.special", "jsonschema")
+LAZY = ("scipy.integrate", "scipy.optimize", "scipy.special", "jsonschema", "concurrent.futures")
 
 _PROBE = ("import sys; sys.path.insert(0, sys.argv[1]); import ommap, ommap.cli; "
           "print(' '.join(sorted(sys.modules)))")

@@ -1,6 +1,10 @@
 """Measures, sampling, ball masses, and ratio curves."""
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -21,7 +25,7 @@ from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMe
 from ommap._seeds import child_rng
 import ommap.counterexamples
 import ommap.measures
-from ommap.measures import (NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
+from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
                             _product_exact_log_mass, _ratio_curves, _uniform_pball)
 
@@ -341,8 +345,7 @@ class TestMassTable:
         opts = BallOpts(n_samples=4000, n_batches=8, seed=11, method="mc", closed=closed)
         got = ball_mass(mu, c, r, space, opts)
         batches = np.exp(_mc_mass_batches(mu, [c], np.array([r]), space, opts.n_samples,
-                                          opts.n_batches, child_rng(opts.seed, "ball-mass"),
-                                          closed)[0, 0])
+                                          opts.n_batches, opts.seed, "ball-mass", closed)[0, 0])
         est = float(np.mean(batches))
         se = float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
         assert (got.estimate, got.stderr, got.method) == (est, se, "monte-carlo")
@@ -438,7 +441,7 @@ class TestRatioCurve:
         x1 = np.zeros(20)
         x1[:3] = [1.6, -1.2, 1.0]
         cur = ball_ratio_curve(mu, x1, np.zeros(20), [5.0], WeightedSeqSpace.unweighted(2.0, 20),
-                               RatioOpts(n_samples=400, n_batches=8, seed=8))
+                               RatioOpts(n_samples=400, n_batches=8, seed=0))
         y, se = cur.ratios[0], cur.stderr[0]
         assert se / y > 0.5  # wide enough that y - 1.96 se < 0
         assert cur.diagnostic == "single-radius-no-extrapolation"
@@ -723,18 +726,20 @@ def _direct_log_density(factor, pts, mean, spread):
     return -np.sum(np.abs(pts) / spread, axis=1) - np.sum(np.log(2.0 * spread))
 
 
-def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches, rng,
-                            closed):
+def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches, seed,
+                            stream, closed):
     """Rotated-basis ``_mc_mass_batches`` with the ball indicator taken per
     radius from the direct norms of rho zb + offset and -rho zb + offset,
-    the antithetic pairs of half as many draws."""
+    the antithetic pairs of half as many draws, batch b on the stream
+    (seed, stream, b)."""
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, c) for c in centers]
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
     for b in range(n_batches):
-        z = _uniform_pball(rng, (n_samples // n_batches + 1) // 2, setup.k_free, setup.draw_p)
+        z = _uniform_pball(child_rng(seed, stream, b), (n_samples // n_batches + 1) // 2,
+                           setup.k_free, setup.draw_p)
         draws = _Draws(setup, z)
         for ci, (center, plan, (scales, logv)) in enumerate(zip(centers, plans, props)):
             ld = plan.log_density(draws, scales)
@@ -810,8 +815,8 @@ class TestMcKernel:
         centers = [on_mean, mu.mean + rng.normal(0.0, 0.5, k)]
         radii = radius_schedule(2.0, 6)
         args = (mu, centers, radii, sp, 2_000, 4)
-        got = _mc_mass_batches(*args, np.random.default_rng(seed), closed)
-        want = _direct_norm_mc_batches(*args, np.random.default_rng(seed), closed)
+        got = _mc_mass_batches(*args, seed, "indicator", closed)
+        want = _direct_norm_mc_batches(*args, seed, "indicator", closed)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
@@ -844,9 +849,9 @@ class TestAntitheticPairs:
         # each batch draws (n_samples // n_batches + 1) // 2 points, each used at z and -z
         calls = []
 
-        def spy(rng, n, k, p):
+        def spy(rng, n, k, p, out=None):
             calls.append(n)
-            return _uniform_pball(rng, n, k, p)
+            return _uniform_pball(rng, n, k, p, out)
 
         monkeypatch.setattr(ommap.measures, "_uniform_pball", spy)
         basis = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0] if rotated else None
@@ -854,7 +859,7 @@ class TestAntitheticPairs:
         centers = [np.zeros(3), np.array([0.2, -0.1, 0.3])]
         out = _mc_mass_batches(mu, centers, radius_schedule(0.5, 3),
                                WeightedSeqSpace.unweighted(2.0, 3), n_samples, n_batches,
-                               np.random.default_rng(0))
+                               0, "pairs")
         assert calls == [half] * n_batches
         assert out.shape == (2, 3, n_batches) and np.all(np.isfinite(out))
 
@@ -896,6 +901,141 @@ class TestAntitheticPairs:
                 got = ball_mass(mu, c, float(r), space, opts)
                 assert got.method == "monte-carlo" and got.stderr > 0
                 assert abs(got.estimate - want) < 4 * got.stderr
+
+
+def _thread_case(kind):
+    """(measure, centres, radii, space) of a Monte Carlo table for the
+    thread tests: an aligned Besov-1 l2 table, or a rotated Gaussian with
+    one pinned coordinate and a centre off the mean there."""
+    if kind == "besov_aligned":
+        x = np.zeros(20)
+        x[:3] = [0.4, -0.3, 0.2]
+        return (BesovMeasure(1.0, 1, 1.0, 20), [x, np.zeros(20)], radius_schedule(0.6, 5),
+                WeightedSeqSpace.unweighted(2.0, 20))
+    rng = np.random.default_rng(33)
+    basis = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    mu = GaussianMeasure(rng.normal(0.0, 0.5, 4),
+                         SpectralOperator(np.array([1.0, 0.0, 0.5, 2.0]), basis))
+    off = mu.mean + basis @ np.array([0.3, 0.05, -0.2, 0.1])
+    space = WeightedSeqSpace(2.0, np.array([1.0, 0.5, 2.0, 0.8]))
+    assert _CenterPlan(_ProductSetup(mu, space), off).fix_vec is not None
+    return mu, [off, mu.mean], radius_schedule(0.8, 5), space
+
+
+class TestBatchThreads:
+    """Batch b of a Monte Carlo table draws from the stream (seed, stream, b),
+    so the batches may run on any number of threads."""
+
+    def test_thread_count(self, monkeypatch):
+        pick, size = ommap.measures._mc_threads, ommap.measures._MC_INLINE_SIZE
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert pick(20, size) == min(8, ommap.measures._MC_THREADS_MAX)
+        assert pick(3, size) == 3  # at most one thread a batch
+        assert pick(20, size - 1) == 1  # small batches run inline
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert pick(20, size) == 2
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize("kind", ["besov_aligned", "gauss_rotated_pinned"])
+    def test_same_table_on_any_number_of_threads(self, monkeypatch, kind, closed):
+        tables = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a, n=n: n)
+            tables.append(_mc_mass_batches(*_thread_case(kind), 2_000, 8, 5, "threads", closed))
+        assert np.all(np.isfinite(tables[0]))
+        assert tables[1].tobytes() == tables[0].tobytes()
+        assert tables[2].tobytes() == tables[0].tobytes()
+
+    def test_more_threads_than_cores_under_frequent_switches(self, monkeypatch):
+        args = (*_thread_case("besov_aligned"), 40_000, 40, 6, "threads")
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 1)
+        want = _mc_mass_batches(*args)
+        monkeypatch.setattr(ommap.measures, "_mc_threads",
+                            lambda *a: min((os.cpu_count() or 1) + 1, 40))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [_mc_mass_batches(*args) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(table.tobytes() == want.tobytes() for table in got)
+
+    def test_each_batch_is_a_one_batch_table_on_its_stream(self, monkeypatch):
+        mu, centers, radii, space = _thread_case("gauss_rotated_pinned")
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
+        table = _mc_mass_batches(mu, centers, radii, space, 2_000, 8, 5, "threads")
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 1)
+        for b in range(8):
+            def stream_b(seed, *key, b=b):
+                # a one-batch table draws its batch 0 from (seed, stream, 0)
+                assert (seed, key) == (5, ("threads", 0))
+                return child_rng(5, "threads", b)
+
+            monkeypatch.setattr(ommap.measures, "child_rng", stream_b)
+            one = _mc_mass_batches(mu, centers, radii, space, 2_000 // 8, 1, 5, "threads")
+            assert one[:, :, 0].tobytes() == table[:, :, b].tobytes()
+
+    def test_workers_are_joined(self, monkeypatch):
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 3)
+        before = threading.active_count()
+        _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
+        assert threading.active_count() == before
+
+    def test_an_error_in_a_worker_batch_reaches_the_caller(self, monkeypatch):
+        draw, caller = ommap.measures._uniform_pball, threading.get_ident()
+
+        class BatchError(Exception):
+            pass
+
+        def failing_in_workers(rng, n, k, p, out=None):
+            if threading.get_ident() != caller:
+                raise BatchError
+            time.sleep(0.01)  # leave batches to the worker
+            return draw(rng, n, k, p, out)
+
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", failing_in_workers)
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
+        before = threading.active_count()
+        with pytest.raises(BatchError):
+            _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
+        assert threading.active_count() == before
+
+    def test_an_error_in_the_callers_batch_stops_the_workers(self, monkeypatch):
+        draw, caller, drawn = ommap.measures._uniform_pball, threading.get_ident(), []
+
+        class BatchError(Exception):
+            pass
+
+        def failing_in_caller(rng, n, k, p, out=None):
+            if threading.get_ident() == caller:
+                raise BatchError
+            drawn.append(n)
+            time.sleep(0.01)
+            return draw(rng, n, k, p, out)
+
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", failing_in_caller)
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
+        with pytest.raises(BatchError):
+            _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
+        assert len(drawn) <= 2  # not the 7 batches the caller left
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_callers_errstate_holds_in_every_thread(self, monkeypatch, n_threads):
+        # numpy keeps errstate in a context variable; a thread started
+        # without the caller's context would only warn
+        stat, caller = LaplaceFactor.mc_draw_stat, threading.get_ident()
+
+        def dividing(self, setup, z):
+            if n_threads > 1 and threading.get_ident() == caller:
+                time.sleep(0.01)  # leave batches to the worker
+                return stat(self, setup, z)
+            return stat(self, setup, z) + np.ones(len(z)) / np.zeros(len(z))
+
+        monkeypatch.setattr(LaplaceFactor, "mc_draw_stat", dividing)
+        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: n_threads)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
 
 
 class TestGaussianL2Exact:
