@@ -14,8 +14,8 @@ from .spaces import RANK_TOL, SpectralOperator, WeightedSeqSpace, project, row_n
 from .measures import (BallMass, BallOpts, BallRatioEstimate, BesovMeasure, Density1D,
                        GaussianMeasure, LaplaceFactor, NormalFactor, ProductMeasure,
                        RatioOpts, ball_mass, ball_ratio_curve, besov_weights, default_space,
-                       measure_from_json, open_vs_closed_check,
-                       radius_schedule, sample, sublevel_halfwidth, sup_ball_mass)
+                       measure_from_json, radius_schedule, sample, sublevel_halfwidth,
+                       sup_ball_mass)
 from .om import (ClassifyOpts, ModeClassification, OmFunctional, ProbeOpts, classify_mode,
                  density_om, m_property_probe, om_difference_check, posterior_om, prior_om)
 from .gamma import (FunctionalSequence, GammaReport, LiminfOpts, ModeConvOpts,

@@ -14,7 +14,7 @@ prior along a schedule and track the MAP trajectory against the limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -406,17 +406,12 @@ def map_solve_besov_linear(prior, obs: LinearObservation,
 
 @dataclass(frozen=True)
 class PerturbationEntry:
-    index: int
-    point: np.ndarray
+    index: int = field(metadata={"json": "n"})
+    point: np.ndarray = field(metadata={"json": "map"})
     objective: float
     residual: float
     distance_to_limit: float
     flags: tuple
-
-    def to_dict(self) -> dict:
-        out = dict(vars(self))
-        out["n"], out["map"] = out.pop("index"), out.pop("point")
-        return out
 
 
 @dataclass(frozen=True)
@@ -430,20 +425,14 @@ class PerturbationReport:
     for the data and projection kinds; the largest recovery gap (a float,
     or None), a list of ``LiminfReport`` and one ``EquicoercivityEntry``
     under ``prior_recovery_max_gap``, ``prior_liminf`` and
-    ``prior_equicoercivity`` for the prior kind.  results.json writes
-    ``limit_solution`` under the key ``limit``.
+    ``prior_equicoercivity`` for the prior kind.
     """
 
     kind: str
     entries: list
-    limit_solution: MapSolution
+    limit_solution: MapSolution = field(metadata={"json": "limit"})
     mode_convergence: ModeConvReport
     prerequisite_probes: dict
-
-    def to_dict(self) -> dict:
-        out = dict(vars(self))
-        out["limit"] = out.pop("limit_solution")
-        return out
 
 
 def perturbation_experiment(kind: str, prior, obs: LinearObservation,

@@ -122,15 +122,13 @@ def _read_config(path: str):
 
 def _json_default(obj):
     """The JSON form of what ``json`` cannot write itself: a numpy array or
-    scalar as its Python value, a record through its ``to_dict`` (the
-    records that rename a field or add a derived key), any other dataclass
-    as its fields."""
+    scalar as its Python value, a record (any dataclass) as its fields,
+    each under its ``json`` metadata key if it has one, else its name."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
     if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {f.metadata.get("json", f.name): getattr(obj, f.name)
+                for f in dataclasses.fields(obj)}
     raise TypeError(f"results.json cannot hold a {type(obj).__name__}")
 
 
@@ -265,7 +263,7 @@ def _run_gamma_check(cfg, seed):
     for x in (np.asarray(v, dtype=float) for v in cfg.get("recovery_points", [])):
         gap = recovery_gap(seq, x)
         if gap is not None:
-            gaps.append((x, gap))
+            gaps.append({"x": x, "gap": gap})
 
     samples = cfg.get("sublevel_samples", 2000)
     equi = [equicoercivity_probe(seq, float(t), samples, seed)
@@ -280,7 +278,8 @@ def _run_gamma_check(cfg, seed):
     report = GammaReport(liminf=liminf, recovery_gaps=gaps, equicoercivity=equi,
                          mode_convergence=mode_rep)
     rows = [("liminf", r.verdict, len(r.violations)) for r in liminf]
-    rows += [("recovery", "pass" if g <= 1e-10 else "fail", float(g)) for _, g in gaps]
+    rows += [("recovery", "pass" if g["gap"] <= 1e-10 else "fail", float(g["gap"]))
+             for g in gaps]
     rows += [("equicoercivity", e.verdict, e.violations) for e in equi]
     if mode_rep is not None:
         rows.append(("mode_convergence", mode_rep.verdict, mode_rep.min_gap))

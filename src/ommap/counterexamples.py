@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -264,10 +264,6 @@ class LiminfOnlyMeasure:
             if np.any(w <= 0) or np.any(w[:-1] <= 2.0 * w[1:]):
                 raise ParameterError("interval widths must decrease by more than a factor 2")
 
-    def to_json(self) -> dict:
-        return {"type": "density1d", "name": "liminf_only",
-                "params": {"depth": self.depth, "variant": self.variant}}
-
     def a(self, n: int) -> float:
         e = (n - 1) * (n + 6) // 2 if self.variant == "standard" else n * (n - 1)
         return math.ldexp(1.0, -e)
@@ -379,9 +375,6 @@ class OmNotStrongMeasure:
         if self.levels < 2:
             raise ParameterError("need at least two components")
 
-    def to_json(self) -> dict:
-        return {"type": "density1d", "name": "om_not_strong", "params": {"levels": self.levels}}
-
     #: normalisation of the untruncated density; kept symbolic so that
     #: all reported quantities stay ratios of unnormalised masses
     @property
@@ -484,23 +477,15 @@ class OmNotStrongMeasure:
 
 @dataclass(frozen=True)
 class OmNotStrongReport:
-    ratio_limits: dict          # k -> extrapolated small-ball ratio mu(B(1))/mu(B(k))
-    ratio_rel_errors: dict      # k -> |limit - k^2| / k^2
+    ratio_limits: dict          # str(k) -> extrapolated small-ball ratio mu(B(1))/mu(B(k))
+    ratio_rel_errors: dict      # str(k) -> |limit - k^2| / k^2
     off_domain_decay_exponent: float
     dip_radius: float
     dip_value: float
     dip_bound: float
     dip_limit: float
-    weak_verdict: str
-    strong_verdict: str
-
-    def to_dict(self) -> dict:
-        # str keys: results.json sorts them as text ("10" before "2"), int keys would not
-        out = dict(vars(self))
-        out["weak"], out["strong"] = out.pop("weak_verdict"), out.pop("strong_verdict")
-        for key in ("ratio_limits", "ratio_rel_errors"):
-            out[key] = {str(k): v for k, v in out[key].items()}
-        return out
+    weak_verdict: str = field(metadata={"json": "weak"})
+    strong_verdict: str = field(metadata={"json": "strong"})
 
 
 def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 5),
@@ -531,8 +516,10 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
     space = default_space(measure)
     table, _ = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
                                radii, space, ropts)
-    limits = dict(zip(ks, _ratio_curves(table[:1], table[1:], radii, ropts)["extrapolated_limit"]))
-    rel_errors = {k: abs(limit - k ** 2) / k ** 2 for k, limit in limits.items()}
+    fitted = _ratio_curves(table[:1], table[1:], radii, ropts)["extrapolated_limit"]
+    # str keys: results.json sorts them as text ("10" before "2"), int keys would not
+    limits = {str(k): limit for k, limit in zip(ks, fitted)}
+    rel_errors = {str(k): abs(limit - k ** 2) / k ** 2 for k, limit in zip(ks, fitted)}
 
     # off-domain point m + delta: mass ~ rho(x) 2r, anchored mass ~ sqrt(r)
     x_off = 2.1
@@ -580,10 +567,6 @@ class CrossesMeasure:
     def __post_init__(self):
         if self.norm_choice not in ("1", "inf"):
             raise ParameterError("norm_choice must be '1' or 'inf'")
-
-    def to_json(self) -> dict:
-        return {"type": "density1d", "name": "crosses",
-                "params": {"norm_choice": self.norm_choice}}
 
     @property
     def p(self) -> float:

@@ -82,15 +82,10 @@ _FIT_POINTS = 8  # nearest points of a path that its extrapolation reads
 
 @dataclass(frozen=True)
 class LiminfViolation:
-    path_name: str
+    path_name: str = field(metadata={"json": "path"})
     margin: float
     at_index: int
     witness_point: np.ndarray
-
-    def to_dict(self) -> dict:
-        out = dict(vars(self))
-        out["path"] = out.pop("path_name")
-        return out
 
 
 @dataclass(frozen=True)
@@ -683,18 +678,16 @@ class GammaReport:
     recovery_gaps: list = field(default_factory=list)
     equicoercivity: list = field(default_factory=list)
     mode_convergence: Optional[ModeConvReport] = None
+    verdict: str = field(init=False)
 
-    @property
-    def verdict(self) -> str:
+    def __post_init__(self):
         parts = [r.verdict for r in self.liminf] + [e.verdict for e in self.equicoercivity]
         if self.mode_convergence is not None:
             parts.append(self.mode_convergence.verdict)
         if any(p == "fail" for p in parts):
-            return "fail"
-        if all(p in ("pass", "vacuous-pass", "skipped") for p in parts):
-            return "pass"
-        return "mixed"
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "verdict": self.verdict,
-                "recovery_gaps": [{"x": x, "gap": g} for x, g in self.recovery_gaps]}
+            verdict = "fail"
+        elif all(p in ("pass", "vacuous-pass", "skipped") for p in parts):
+            verdict = "pass"
+        else:
+            verdict = "mixed"
+        object.__setattr__(self, "verdict", verdict)

@@ -27,7 +27,7 @@ import inspect
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -206,13 +206,6 @@ class GaussianMeasure(ProductMeasure):
     def default_space(self) -> WeightedSeqSpace:
         return WeightedSeqSpace.unweighted(2.0, self.dim)
 
-    def to_json(self) -> dict:
-        out = {"type": "gaussian", "mean": list(map(float, self.mean)),
-               "eigenvalues": list(map(float, self.cov.eigenvalues))}
-        if self.cov.basis is not None:
-            out["basis"] = [list(map(float, row)) for row in self.cov.basis]
-        return out
-
 
 @dataclass(frozen=True)
 class BesovMeasure(ProductMeasure):
@@ -260,10 +253,6 @@ class BesovMeasure(ProductMeasure):
         return WeightedSeqSpace(p=1.0, weights=self.delta)
 
     default_space = ambient_space
-
-    def to_json(self) -> dict:
-        return {"type": "besov1", "s": float(self.s), "d": int(self.d),
-                "eta": float(self.eta), "dim": int(self.dim)}
 
 
 def besov_weights(s: float, d: int, eta: float, dim: int):
@@ -411,7 +400,7 @@ class BallRatioEstimate:
     radii: np.ndarray
     ratios: np.ndarray
     stderr: np.ndarray
-    extrapolated_limit: float
+    extrapolated_limit: float = field(metadata={"json": "limit"})
     ci: tuple
     method: str
     fit_in: str = "r"
@@ -429,11 +418,6 @@ class BallRatioEstimate:
         good = np.isfinite(self.ratios)
         if np.any(np.asarray(self.ratios)[good] < 0):
             raise InputError("ratios must be non-negative")
-
-    def to_dict(self) -> dict:
-        out = dict(vars(self))
-        out["limit"] = out.pop("extrapolated_limit")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1211,35 +1195,6 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     fit = _ratio_curves(table[:1], table[1:], radii, opts)
     return BallRatioEstimate(radii, method=method, fit_in=opts.fit_in, norm_p=space.p,
                              **{key: v[0] for key, v in fit.items()})
-
-
-@dataclass(frozen=True)
-class OpenClosedReport:
-    open_curve: BallRatioEstimate
-    closed_curve: BallRatioEstimate
-    max_ratio_discrepancy: float
-    limit_discrepancy: float
-    agree: bool
-
-
-def open_vs_closed_check(measure, x1, x2, radii, space=None,
-                         opts: Optional[RatioOpts] = None) -> OpenClosedReport:
-    """Compare ratio curves computed with open and with closed balls.
-
-    For atomless measures on the line the two mass functions coincide at
-    every radius, so the curves agree except for estimator noise; the
-    report records the worst pointwise discrepancy and whether the two
-    extrapolated limits agree within their combined confidence width.
-    """
-    opts = opts or RatioOpts()
-    open_c = ball_ratio_curve(measure, x1, x2, radii, space, replace(opts, closed=False))
-    closed_c = ball_ratio_curve(measure, x1, x2, radii, space, replace(opts, closed=True))
-    good = np.isfinite(open_c.ratios) & np.isfinite(closed_c.ratios)
-    max_disc = float(np.max(np.abs(open_c.ratios[good] - closed_c.ratios[good]), initial=0.0))
-    lim_disc = abs(open_c.extrapolated_limit - closed_c.extrapolated_limit)
-    width = (open_c.ci[1] - open_c.ci[0]) + (closed_c.ci[1] - closed_c.ci[0])
-    agree = bool(lim_disc <= max(width, 1e-10))
-    return OpenClosedReport(open_c, closed_c, max_disc, lim_disc, agree)
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,10 @@ class MPropertyEntry:
 class MPropertyReport:
     anchor: np.ndarray
     entries: list
+    all_pass: bool = field(init=False)
 
-    @property
-    def all_pass(self) -> bool:
-        return all(e.verdict == "pass" for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "all_pass": self.all_pass}
+    def __post_init__(self):
+        object.__setattr__(self, "all_pass", all(e.verdict == "pass" for e in self.entries))
 
 
 def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,

@@ -12,10 +12,10 @@ import pytest
 from scipy.integrate import quad
 
 import ommap
-from ommap import (BesovMeasure, CrossesMeasure, GaussianMeasure,
+from ommap import (BallOpts, BesovMeasure, CrossesMeasure, GaussianMeasure,
                    LiminfOnlyMeasure, LinearObservation, ModeConvOpts,
                    OmNotStrongMeasure, ProbeOpts, ProxOpts, RatioOpts,
-                   SpectralOperator, WeightedSeqSpace, ball_ratio_curve,
+                   SpectralOperator, WeightedSeqSpace, ball_mass, ball_ratio_curve,
                    besov_om_family, besov_recovery_sequence,
                    classify_mode, constrained_prior_minimum, crosses_ball_masses,
                    crosses_om_difference, equicoercivity_probe,
@@ -23,7 +23,7 @@ from ommap import (BesovMeasure, CrossesMeasure, GaussianMeasure,
                    kl_gaussians, kl_gaussians_quadrature, liminf_only_ratios,
                    map_solve, map_solve_besov_linear,
                    mixture_kl_exponent, mixture_modes, mode_convergence_check,
-                   om_not_strong_suite, open_vs_closed_check,
+                   om_not_strong_suite,
                    perturbation_experiment, posterior_om, prior_om, quadratic_potential,
                    radius_schedule, small_noise_experiment, spike_kl, spike_mode)
 from ommap._seeds import child_rng
@@ -451,16 +451,39 @@ def test_criterion_12_property_suite():
     t0 = time.time()
     checks = []
 
-    # open vs closed balls
+    # open vs closed balls: the same curves for atomless laws on the line
+    def open_closed(measure, x1, x2, radii):
+        return [ball_ratio_curve(measure, x1, x2, radii, None, RatioOpts(closed=closed))
+                for closed in (False, True)]
+
     m = LiminfOnlyMeasure(depth=40)
     radii = np.array([m.eps_radius(n) for n in range(1, 11)])
-    oc = open_vs_closed_check(m, -1.0, 1.0, radii)
+    osc_open, osc_closed = open_closed(m, -1.0, 1.0, radii)
+    good = np.isfinite(osc_open.ratios) & np.isfinite(osc_closed.ratios)
+    osc_disc = float(np.max(np.abs(osc_open.ratios[good] - osc_closed.ratios[good]), initial=0.0))
     g1 = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
-    oc2 = open_vs_closed_check(g1, np.array([1.0]), np.array([0.0]),
-                               radius_schedule(0.5, 8))
+    g_open, g_closed = open_closed(g1, np.array([1.0]), np.array([0.0]), radius_schedule(0.5, 8))
+    g_disc = abs(g_open.extrapolated_limit - g_closed.extrapolated_limit)
     checks.append(("open and closed ball ratio limits agree",
-                   oc.max_ratio_discrepancy == 0.0 and oc2.limit_discrepancy < 1e-10,
-                   f"osc={oc.max_ratio_discrepancy:.1e}, gauss={oc2.limit_discrepancy:.1e}"))
+                   osc_disc == 0.0 and g_disc < 1e-10,
+                   f"osc={osc_disc:.1e}, gauss={g_disc:.1e}"))
+
+    # ... and not where the law charges a ball's boundary: N(0, diag(1, 0))
+    # lives on the line u_2 = 0, which the sup-norm sphere of radius 0.05
+    # about (0, 0.05) touches
+    edge = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+    sup = WeightedSeqSpace.unweighted(math.inf, 2)
+    r_edge = radius_schedule(0.2, 6)
+    masses = np.array([[ball_mass(edge, np.array([0.0, 0.05]), r, sup,
+                                  BallOpts(closed=closed)).estimate for r in r_edge]
+                       for closed in (False, True)])
+    differ = masses[0] != masses[1]
+    at = int(np.argmax(differ))
+    checks.append(("closed ball holds the boundary line's mass, open ball none, at r = 0.05 only",
+                   r_edge[differ].tolist() == [0.05] and masses[0, at] == 0.0
+                   and masses[1, at] == pytest.approx(math.erf(0.05 / math.sqrt(2.0)), rel=1e-12),
+                   f"r={r_edge[at]:g}: closed={masses[1, at]:.5f}, open={masses[0, at]:.5f}, "
+                   f"differ at {int(differ.sum())} of {len(r_edge)} radii"))
 
     # minimum-norm pseudoinverse property
     rng = child_rng(12, "pinv")

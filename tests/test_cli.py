@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import math
+import pkgutil
 import warnings
 from pathlib import Path
 
@@ -638,6 +639,32 @@ class TestJsonDefault:
             _json_default(Widget())
         with pytest.raises(TypeError, match="Widget"):
             json.dumps({"a": [Widget()]}, default=_json_default)
+
+    def test_record_is_written_as_its_fields(self):
+        @dataclasses.dataclass(frozen=True)
+        class Stub:
+            long_name: float = dataclasses.field(metadata={"json": "short"})
+            parts: list
+            total: float = dataclasses.field(init=False)
+
+            def __post_init__(self):
+                object.__setattr__(self, "total", float(sum(self.parts)))
+
+        assert _json_default(Stub(0.5, [1, 2])) == {"short": 0.5, "parts": [1, 2], "total": 3.0}
+
+    def test_every_record_has_one_writer(self):
+        # records write no JSON of their own, and no two fields share a key:
+        # the encoder's dict would keep only the last of them
+        modules = [importlib.import_module(f"ommap.{m.name}")
+                   for m in pkgutil.iter_modules(ommap.__path__) if not m.name.startswith("__")]
+        records = [cls for mod in modules for cls in vars(mod).values()
+                   if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                   and cls.__module__ == mod.__name__]
+        assert len(records) > 20
+        for cls in records:
+            assert not hasattr(cls, "to_dict") and not hasattr(cls, "to_json"), cls.__name__
+            keys = [f.metadata.get("json", f.name) for f in dataclasses.fields(cls)]
+            assert len(set(keys)) == len(keys), cls.__name__
 
 
 class TestReproduce:

@@ -271,8 +271,8 @@ class TestOmNotStrong:
         for k in (2, 3, 5):
             curve = ball_ratio_curve(m, np.array([1.0]), np.array([float(k)]), radii,
                                      None, RatioOpts(fit_in="sqrt_r"))
-            assert rep.ratio_limits[k] == curve.extrapolated_limit
-            assert rep.ratio_rel_errors[k] == abs(curve.extrapolated_limit - k ** 2) / k ** 2
+            assert rep.ratio_limits[str(k)] == curve.extrapolated_limit
+            assert rep.ratio_rel_errors[str(k)] == abs(curve.extrapolated_limit - k ** 2) / k ** 2
 
     def test_functional_values(self):
         m = OmNotStrongMeasure()
