@@ -11,12 +11,12 @@ of closed-form counterexample measures that act as ground-truth oracles.
 from .errors import (ConfigError, InputError, NumericsError, OmmapError,
                      ParameterError, RegimeError)
 from .spaces import RANK_TOL, SpectralOperator, WeightedSeqSpace, project, row_norms, weighted_norm
-from .measures import (BallMass, BallOpts, BallRatioEstimate, BesovMeasure, Density1D,
+from .measures import (BallMass, BallRatioEstimate, BesovMeasure, Density1D,
                        GaussianMeasure, LaplaceFactor, NormalFactor, ProductMeasure,
                        RatioOpts, ball_mass, ball_ratio_curve, besov_weights, default_space,
                        measure_from_json, radius_schedule, sample, sublevel_halfwidth,
                        sup_ball_mass)
-from .om import (ClassifyOpts, ModeClassification, OmFunctional, ProbeOpts, classify_mode,
+from .om import (ClassifyOpts, ModeClassification, OmFunctional, classify_mode,
                  density_om, m_property_probe, om_difference_check, posterior_om, prior_om)
 from .gamma import (FunctionalSequence, GammaReport, LiminfOpts, ModeConvOpts,
                     besov_om_family, besov_recovery_sequence, continuous_convergence_probe,

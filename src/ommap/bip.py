@@ -436,26 +436,25 @@ class PerturbationReport:
 
 
 def perturbation_experiment(kind: str, prior, obs: LinearObservation,
-                            schedule: Callable[[int], object], indices: Sequence[int],
-                            prox: Optional[ProxOpts] = None,
-                            mode_opts: Optional[ModeConvOpts] = None,
-                            probe_points: Optional[Sequence] = None) -> PerturbationReport:
+                            schedule: Callable[[int], object],
+                            indices: Sequence[int]) -> PerturbationReport:
     """Solve the MAP problem along a perturbation schedule.
 
     kind "data": schedule(n) returns the perturbed data vector;
     kind "potential_projection": schedule(n) returns the projection
     dimension (Galerkin truncation of the observation);
     kind "prior": schedule(n) returns the perturbed prior measure.
-    The limit problem uses the unperturbed ingredients.  Solutions are
-    tracked with the mode-convergence detector and the report bundles
-    the convergence probes licensing the limit interchange (potential
-    continuity for data/projection, functional-family probes for
-    priors).
+    The limit problem uses the unperturbed ingredients; all solve with
+    ``map_solve``'s defaults.  Solutions are tracked with the
+    mode-convergence detector against the limit objective and the report
+    bundles the convergence probes at the limit point licensing the limit
+    interchange (potential continuity for data/projection,
+    functional-family probes for priors).
     """
     if kind not in ("data", "potential_projection", "prior"):
         raise InputError(f"unknown perturbation kind {kind!r}")
     indices = list(indices)
-    limit_sol = map_solve(prior, obs, prox)
+    limit_sol = map_solve(prior, obs)
 
     limit_pot = quadratic_potential(obs)
     priors, pot_members, solutions = [], [], []
@@ -477,7 +476,7 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
             prior_n = schedule(n)
         priors.append(prior_n)
         pot_members.append(pot_n)
-        solutions.append(map_solve(prior_n, obs_n, prox))
+        solutions.append(map_solve(prior_n, obs_n))
 
     entries = [PerturbationEntry(n, s.point, s.objective, s.optimality_residual,
                                  float(np.linalg.norm(s.point - limit_sol.point)), s.flags)
@@ -488,18 +487,16 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
         indices, [posterior_om(prior_om(pr), pt) for pr, pt in zip(priors, pot_members)],
         posterior_om(prior_om(prior), limit_pot))
     mode_report = mode_convergence_check(fam, [s.point for s in solutions],
-                                         mode_opts or ModeConvOpts(
-                                             limit_min=limit_sol.objective))
+                                         ModeConvOpts(limit_min=limit_sol.objective))
 
     probes: dict = {}
-    pts = list(probe_points) if probe_points is not None else [limit_sol.point]
     if kind in ("data", "potential_projection"):
         probes["potential_continuous_convergence"] = continuous_convergence_probe(
-            pot_members, limit_pot, pts, indices)
+            pot_members, limit_pot, [limit_sol.point], indices)
     else:
         fam_prior = om_family(priors, prior, indices)
         probes["prior_recovery_max_gap"] = recovery_gap(fam_prior, limit_sol.point)
-        probes["prior_liminf"] = [gamma_liminf_probe(fam_prior, x) for x in pts]
+        probes["prior_liminf"] = [gamma_liminf_probe(fam_prior, limit_sol.point)]
         probes["prior_equicoercivity"] = equicoercivity_probe(fam_prior, 1.0, 200)
 
     return PerturbationReport(kind, entries, limit_sol, mode_report, probes)
@@ -573,9 +570,9 @@ def _factor_rules(prior, what: str) -> tuple:
 
 
 def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
-                           prox: Optional[ProxOpts] = None,
                            probe_points: Optional[Sequence] = None) -> SmallNoiseReport:
-    """Minimise n*Phi + I0 along n and compare with the constrained point."""
+    """Minimise n*Phi + I0 along n with ``map_solve``'s defaults and
+    compare with the constrained point."""
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise InputError("noise-scaling indices must be positive")
@@ -586,7 +583,7 @@ def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
                                    SpectralOperator(obs.noise_cov.eigenvalues / n,
                                                     obs.noise_cov.basis),
                                    obs.data)
-        sol = map_solve(prior, scaled, prox)
+        sol = map_solve(prior, scaled)
         points.append(sol.point)
         dists.append(float(np.linalg.norm(sol.point - star)))
 

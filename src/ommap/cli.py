@@ -34,7 +34,7 @@ from .gamma import (GammaReport, ModeConvOpts, equicoercivity_probe, gamma_limin
                     mode_convergence_check, om_family, recovery_gap)
 from .measures import (BesovMeasure, GaussianMeasure, RatioOpts, WeightedSeqSpace,
                        ball_ratio_curve, measure_from_json, radius_schedule)
-from .om import ClassifyOpts, ProbeOpts, classify_mode, m_property_probe, prior_om
+from .om import ClassifyOpts, classify_mode, m_property_probe, prior_om
 from .spaces import SpectralOperator
 
 
@@ -210,7 +210,7 @@ def _run_m_property(cfg, seed):
     pts = [np.asarray(x, dtype=float) for x in cfg["outside_points"]]
     space = _norm_from(cfg, pts[0].size)
     report = m_property_probe(measure, prior_om(measure), pts, radii, space,
-                              ProbeOpts(ratio=_ratio_opts(cfg, seed)))
+                              _ratio_opts(cfg, seed))
     rows = []
     for i, entry in enumerate(report.entries):
         for r, q in zip(radii, entry.ratios):

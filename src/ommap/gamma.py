@@ -602,6 +602,8 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
     idx = list(indices) if indices is not None else list(range(1, len(phi_seq) + 1))
     if len(idx) != len(phi_seq):
         raise InputError("indices and phi_seq must have equal length")
+    if not idx:
+        raise InputError("phi_seq is empty: a trend needs at least one potential")
     if any(n < 1 for n in idx):
         raise InputError(f"indices must be >= 1 (neighbourhood radius n^(-1/2)), got {min(idx)}")
     entries = []
@@ -635,7 +637,7 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
 @dataclass(frozen=True)
 class SumRuleReport:
     liminf: list
-    recovery_gaps: list
+    recovery_gaps: list            # {"x": point, "gap": value}, as GammaReport's
     verdict: str
 
 
@@ -664,9 +666,9 @@ def sum_rule_check(f_seq: FunctionalSequence, g_seq: Sequence, g_limit,
             continue
         rec = recovery_fn(x)
         vals = [summed.members[i].eval(rec[i]) for i in range(start, len(rec))]
-        gaps.append((np.atleast_1d(x), max(0.0, max(vals) - target)))
+        gaps.append({"x": np.atleast_1d(x), "gap": max(0.0, max(vals) - target)})
     ok = all(r.verdict == "pass" for r in liminf_reports) and \
-        all(g <= recovery_tol for _, g in gaps)
+        all(g["gap"] <= recovery_tol for g in gaps)
     return SumRuleReport(liminf_reports, gaps, "pass" if ok else "fail")
 
 
@@ -675,7 +677,7 @@ class GammaReport:
     """Bundle of probe outcomes for one functional family."""
 
     liminf: list = field(default_factory=list)
-    recovery_gaps: list = field(default_factory=list)
+    recovery_gaps: list = field(default_factory=list)  # {"x": point, "gap": value}
     equicoercivity: list = field(default_factory=list)
     mode_convergence: Optional[ModeConvReport] = None
     verdict: str = field(init=False)

@@ -328,8 +328,10 @@ class Density1D:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BallOpts:
-    """Knobs for ball-mass estimation.
+class RatioOpts:
+    """Knobs for ball masses, ratio curves and their extrapolation: every
+    small-ball mass table reads its method, Monte Carlo sizes, closure and
+    seed, and only ratio curves read ``fit_points`` and ``fit_in``.
 
     Monte Carlo masses evaluate n_samples // n_batches points per batch,
     the antithetic pairs z, -z of half as many draws (rounded up), batch b
@@ -339,7 +341,8 @@ class BallOpts:
 
     n_samples: int = 10 ** 6      # total MC evaluations, split across batches
     n_batches: int = 20
-    max_rel_err: float = 0.5      # stderr/estimate above this -> low confidence
+    fit_points: int = 5           # smallest radii used in the fit
+    fit_in: str = "r"             # "r" | "sqrt_r": abscissa of the log-ratio fit
     method: str = "auto"          # auto | exact | mc
     closed: bool = False          # closed balls (open is the default everywhere)
     seed: int = 0
@@ -354,30 +357,10 @@ class BallOpts:
         if self.n_samples < self.n_batches:
             raise ParameterError(f"n_samples must be >= n_batches ({self.n_batches}), "
                                  f"got {self.n_samples}")
-
-
-@dataclass(frozen=True)
-class RatioOpts:
-    """Knobs for ratio curves and their extrapolation.
-
-    Monte Carlo curves evaluate n_samples // n_batches points per batch,
-    the antithetic pairs z, -z of half as many draws (rounded up), batch b
-    on the stream (seed, stream, b); a thread holds one batch at a time,
-    so their memory is O(n_samples / (2 n_batches) * dim) per thread.
-    """
-
-    n_samples: int = 10 ** 6
-    n_batches: int = 20
-    fit_points: int = 5           # smallest radii used in the fit
-    fit_in: str = "r"             # "r" | "sqrt_r": abscissa of the log-ratio fit
-    method: str = "auto"          # auto | exact | mc, as for BallOpts
-    closed: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        BallOpts.__post_init__(self)
         if self.fit_points < 1:
             raise ParameterError(f"fit_points must be >= 1, got {self.fit_points}")
+        if self.fit_in not in ("r", "sqrt_r"):
+            raise ParameterError(f"fit_in must be 'r' or 'sqrt_r', got {self.fit_in!r}")
 
 
 def radius_schedule(r0: float = 0.5, levels: int = 10, factor: float = 2.0) -> np.ndarray:
@@ -940,7 +923,7 @@ def default_space(measure) -> WeightedSeqSpace:
 # ---------------------------------------------------------------------------
 
 def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] = None,
-              opts: Optional[BallOpts] = None) -> BallMass:
+              opts: Optional[RatioOpts] = None) -> BallMass:
     """mu(B_radius(center)) with a standard error and the method that gave it.
 
     A product measure reads the one-cell mass table (``_log_mass_table``)
@@ -948,25 +931,29 @@ def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] 
     exact where an exact rule covers it (``_product_exact_log_mass``: a
     closed form, or a certified series for a Gaussian's l2 balls) and
     ``opts.method`` allows it, else Monte Carlo on ``opts.seed``'s own
-    stream; a measure off the product form reads its own ``mass``
-    (``_mass_table``), in its own norm only.
+    stream (low-confidence past ``_LOW_CONFIDENCE_REL_ERR``); a measure
+    off the product form reads its own ``mass`` (``_mass_table``), in its
+    own norm only.
     """
     return _ball_masses(measure, [center], radius, space, opts)[0]
+
+
+_LOW_CONFIDENCE_REL_ERR = 0.5  # MC stderr/estimate above this -> low confidence
 
 
 def _ball_masses(measure, centers: Sequence, radius: float, space, opts) -> list:
     """One ``BallMass`` per centre for the balls of one radius, the rule of
     ``ball_mass`` and ``sup_ball_mass``.  Off the product form the estimates
     are ``_mass_table``'s raw masses, each the measure's ``mass`` bit for bit."""
-    opts, radii = opts or BallOpts(), np.array([_checked_radius(radius)])
+    opts, radii = opts or RatioOpts(), np.array([_checked_radius(radius)])
     space = space or default_space(measure)
     if not isinstance(measure, ProductMeasure):
         masses, method = _mass_table(measure, centers, radii, space, opts.method)
         return [BallMass(m, 0.0, method) for m in masses[:, 0].tolist()]
     table, method = _log_mass_table(measure, centers, radii, space, opts, "ball-mass")
     est, se = (v[:, 0].tolist() for v in _batch_mean_se(table))
-    mc = method == "monte-carlo"
-    return [BallMass(e, s, method, mc and (e == 0.0 or s > opts.max_rel_err * max(e, 1e-300)))
+    mc, rel = method == "monte-carlo", _LOW_CONFIDENCE_REL_ERR
+    return [BallMass(e, s, method, mc and (e == 0.0 or s > rel * max(e, 1e-300)))
             for e, s in zip(est, se)]
 
 
@@ -1040,7 +1027,7 @@ def _heaviest_centers(measure, space: WeightedSeqSpace) -> tuple:
 
 
 def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = None,
-                  opts: Optional[BallOpts] = None) -> Optional[BallMass]:
+                  opts: Optional[RatioOpts] = None) -> Optional[BallMass]:
     """sup_z mu(B_radius(z)) where a rule gives it without a search, else None:
     the heaviest of the balls about the measure's heaviest centres, when the
     radius is below the reach of its rule."""
@@ -1084,10 +1071,11 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     the centre and the radius, so one row does not decide for the others)
     and ``opts.method`` is not "mc", else common-random-number Monte Carlo
     with every center on the same draws of ``opts.seed``'s ``stream``;
-    "exact" refuses a table no exact rule covers.  ``opts`` is a
-    ``RatioOpts`` or a ``BallOpts``: only its method, Monte Carlo sizes,
-    closure and seed are read.
+    "exact" refuses a table no exact rule covers.  Of the ``RatioOpts``
+    only the method, Monte Carlo sizes, closure and seed are read.
     """
+    if radii.size == 0:
+        raise InputError("the radius schedule is empty")
     if not np.all((radii > 0) & (radii < math.inf)) or np.any(np.diff(radii) >= 0):
         raise InputError("radii must be finite, positive and strictly decreasing")
     if not isinstance(measure, ProductMeasure):

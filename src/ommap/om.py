@@ -145,12 +145,6 @@ def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProbeOpts:
-    abs_tol: float = 1e-2
-    ratio: RatioOpts = field(default_factory=RatioOpts)
-
-
-@dataclass(frozen=True)
 class OmDifferenceReport:
     x1: np.ndarray
     x2: np.ndarray
@@ -165,16 +159,17 @@ _WIDE_CI_FACTOR = 0.5  # CI halfwidth above this fraction of the target -> incon
 
 def om_difference_check(measure, om: OmFunctional, x1, x2, radii,
                         space: Optional[WeightedSeqSpace] = None,
-                        opts: Optional[ProbeOpts] = None) -> OmDifferenceReport:
-    """Check that the ball-ratio limit equals exp(I(x2) - I(x1))."""
-    opts = opts or ProbeOpts()
+                        opts: Optional[RatioOpts] = None,
+                        abs_tol: float = 1e-2) -> OmDifferenceReport:
+    """Check that the ball-ratio limit equals exp(I(x2) - I(x1)), within
+    the half-width of the curve's interval plus ``abs_tol``."""
     i1, i2 = om.eval(x1), om.eval(x2)
     if not (math.isfinite(i1) and math.isfinite(i2)):
         raise InputError("both points must lie in the functional's effective domain")
     expected = math.exp(i2 - i1)
-    curve = ball_ratio_curve(measure, x1, x2, radii, space, opts.ratio)
+    curve = ball_ratio_curve(measure, x1, x2, radii, space, opts)
     half = 0.5 * (curve.ci[1] - curve.ci[0])
-    tol = half + opts.abs_tol
+    tol = half + abs_tol
     diff = abs(curve.extrapolated_limit - expected)
     if not math.isfinite(curve.extrapolated_limit):
         verdict = "inconclusive"
@@ -208,7 +203,7 @@ class MPropertyReport:
 
 def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
                      space: Optional[WeightedSeqSpace] = None,
-                     opts: Optional[ProbeOpts] = None) -> MPropertyReport:
+                     opts: Optional[RatioOpts] = None) -> MPropertyReport:
     """Check that ratio curves against the anchor vanish off the domain.
 
     For each point that fails the domain test, the curve
@@ -216,17 +211,17 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
     radius schedule; the report records the smallest achieved ratio and
     the fraction of decreasing steps.  Every point is tested before any
     mass is computed.  The curves read one mass table over the anchor and
-    the points, the masses ``ball_ratio_curve`` computes: Monte Carlo
-    draws once for all of them, and one solve fits them all.  A functional
-    whose meta carries ``finite_everywhere`` has no off-domain points, and
-    is refused.
+    the points, the masses ``ball_ratio_curve`` computes with the same
+    ``opts``: Monte Carlo draws once for all of them, and one solve fits
+    them all.  A functional whose meta carries ``finite_everywhere`` has
+    no off-domain points, and is refused.
     """
     reason = om.meta.get("finite_everywhere")
     if reason:
         raise InputError(f"the {om.meta.get('kind', 'given')} functional is finite on all of "
                          f"R^{om.anchor.size} ({reason}), so the measure has no off-domain "
                          "points to probe")
-    opts = opts or ProbeOpts()
+    opts = opts or RatioOpts()
     points = list(outside_points)
     for x in points:
         if om.domain_test(x):
@@ -235,8 +230,8 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
         return MPropertyReport(om.anchor, [])
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
-    table, _ = _log_mass_table(measure, [om.anchor, *points], radii, space, opts.ratio)
-    curves = _ratio_curves(table[1:], table[:1], radii, opts.ratio)
+    table, _ = _log_mass_table(measure, [om.anchor, *points], radii, space, opts)
+    curves = _ratio_curves(table[1:], table[:1], radii, opts)
     ratios, stderr = np.nan_to_num(curves["ratios"], nan=0.0), curves["stderr"]
     slack = 5.0 * np.maximum(stderr[:, 1:], stderr[:, :-1])
     dec = np.mean(np.diff(ratios) <= slack, axis=1) if len(radii) > 1 else np.ones(len(points))

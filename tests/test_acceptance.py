@@ -12,9 +12,9 @@ import pytest
 from scipy.integrate import quad
 
 import ommap
-from ommap import (BallOpts, BesovMeasure, CrossesMeasure, GaussianMeasure,
+from ommap import (BesovMeasure, CrossesMeasure, GaussianMeasure,
                    LiminfOnlyMeasure, LinearObservation, ModeConvOpts,
-                   OmNotStrongMeasure, ProbeOpts, ProxOpts, RatioOpts,
+                   OmNotStrongMeasure, ProxOpts, RatioOpts,
                    SpectralOperator, WeightedSeqSpace, ball_mass, ball_ratio_curve,
                    besov_om_family, besov_recovery_sequence,
                    classify_mode, constrained_prior_minimum, crosses_ball_masses,
@@ -475,7 +475,7 @@ def test_criterion_12_property_suite():
     sup = WeightedSeqSpace.unweighted(math.inf, 2)
     r_edge = radius_schedule(0.2, 6)
     masses = np.array([[ball_mass(edge, np.array([0.0, 0.05]), r, sup,
-                                  BallOpts(closed=closed)).estimate for r in r_edge]
+                                  RatioOpts(closed=closed)).estimate for r in r_edge]
                        for closed in (False, True)])
     differ = masses[0] != masses[1]
     at = int(np.argmax(differ))

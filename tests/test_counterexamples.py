@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from ommap import (BallOpts, CrossesMeasure, Density1D, InputError,
+from ommap import (CrossesMeasure, Density1D, InputError,
                    LiminfOnlyMeasure, MixtureFamily, OmNotStrongMeasure, ParameterError, RatioOpts,
                    RegimeError, SpikeFamily, ball_ratio_curve, crosses_ball_masses,
                    crosses_om_difference, kl_gaussians, kl_gaussians_quadrature,
@@ -424,12 +424,12 @@ def test_examples_refuse_monte_carlo(measure, center, method):
     assert measure.method == method
     radii, own = np.array([0.1, 0.05]), default_space(measure)
     with pytest.raises(InputError, match="Monte Carlo"):
-        ball_mass(measure, center, 0.1, None, BallOpts(method="mc"))
+        ball_mass(measure, center, 0.1, None, RatioOpts(method="mc"))
     with pytest.raises(InputError, match="Monte Carlo"):
         _log_mass_table(measure, [center], radii, own, RatioOpts(method="mc"))
-    assert ball_mass(measure, center, 0.1, None, BallOpts(method="auto")).method == method
+    assert ball_mass(measure, center, 0.1, None, RatioOpts(method="auto")).method == method
     if method == "closed-form":
-        assert ball_mass(measure, center, 0.1, None, BallOpts(method="exact")).method == method
+        assert ball_mass(measure, center, 0.1, None, RatioOpts(method="exact")).method == method
     else:
         with pytest.raises(InputError, match=method):
             _log_mass_table(measure, [center], radii, own, RatioOpts(method="exact"))
@@ -471,7 +471,7 @@ def test_om_not_strong_sup_rule_refuses_a_weighted_norm():
     with pytest.raises(InputError, match="own norm"):
         sup_ball_mass(m, 1e-3, WeightedSeqSpace(2.0, [3.0]))
     with pytest.raises(InputError, match="Monte Carlo"):
-        sup_ball_mass(m, 1e-3, None, BallOpts(method="mc"))
+        sup_ball_mass(m, 1e-3, None, RatioOpts(method="mc"))
     assert sup_ball_mass(m, 1e-3, default_space(m)).estimate == \
         max(m.mass(float(k), 1e-3) for k in range(1, 7))
 

@@ -1,5 +1,6 @@
 """Variational-convergence probes on families with known behaviour."""
 
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError
                    mode_convergence_check, prior_om, project, sublevel_halfwidth,
                    sum_rule_check)
 from ommap._seeds import child_rng
+from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import (_FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE,
                          _PATH_ALPHAS,
@@ -991,6 +993,13 @@ class TestContinuousConvergence:
         with pytest.raises(InputError, match="indices"):
             continuous_convergence_probe([phi] * 3, phi, [np.zeros(2)], indices=[index, 2, 3])
 
+    def test_empty_sequence_refused(self):
+        # no potential gives no suprema to trend
+        phi = lambda u: float(np.sum(u))
+        for indices in (None, []):
+            with pytest.raises(InputError, match="phi_seq is empty"):
+                continuous_convergence_probe([], phi, [np.zeros(2)], indices=indices)
+
     def test_projected_linear_functional_tail_decay(self):
         k_dim = 20
         coef = 1.0 / np.arange(1, k_dim + 1)
@@ -1042,3 +1051,16 @@ class TestSumRule:
         rep = sum_rule_check(seq, phis, phi, [np.zeros(2), np.array([0.3, 0.2])], rec,
                              recovery_tol=1e-2)
         assert rep.verdict == "pass"
+
+    def test_gaps_are_written_as_gamma_reports_write_them(self):
+        seq = gaussian_family_scale(16)
+        zero = lambda u: 0.0
+        rec = lambda x: gaussian_recovery_sequence(seq.measures, seq.limit_measure, x)
+        summed = sum_rule_check(seq, [zero] * 16, zero, [np.array([0.5, -0.5])], rec)
+        gamma, _ = _run_gamma_check(
+            {"indices": [1, 2, 3], "recovery_points": [[0.5, -0.5]], "t_values": [],
+             "check_modes": False,
+             "family": {"type": "besov1", "s": 1.0, "d": 1, "eta": 1.0, "dim": 2}}, 0)
+        for report in (summed, gamma):
+            gaps = json.loads(json.dumps(report, default=_json_default))["recovery_gaps"]
+            assert gaps and all(set(g) == {"x", "gap"} for g in gaps)

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import chi2, kstest
 
-from ommap import (BallOpts, BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
+from ommap import (BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, OmNotStrongMeasure,
                    ParameterError, ProductMeasure, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights, measure_from_json,
@@ -26,7 +26,8 @@ import ommap.counterexamples
 import ommap.measures
 from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
-                            _product_exact_log_mass, _ratio_curves, _uniform_pball)
+                            _product_exact_log_mass, _ratio_curves, _uniform_pball,
+                            _LOW_CONFIDENCE_REL_ERR)
 
 
 def std_gaussian(k):
@@ -108,7 +109,7 @@ class TestBallMass:
         assert expected == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
         sp = WeightedSeqSpace.unweighted(2.0, 2)
         bm = ball_mass(std_gaussian(2), np.zeros(2), 1.0, sp,
-                       BallOpts(n_samples=200_000, seed=3))
+                       RatioOpts(n_samples=200_000, seed=3))
         assert abs(bm.estimate - expected) < 4 * bm.stderr + 1e-4
 
     def test_sup_norm_mc_matches_product_formula(self):
@@ -117,7 +118,7 @@ class TestBallMass:
         sp = WeightedSeqSpace(math.inf, np.array([1.0, 2.0, 0.7]))
         c = np.array([0.3, 0.0, -0.2])
         exact = ball_mass(mu, c, 0.5, sp).estimate
-        mc = ball_mass(mu, c, 0.5, sp, BallOpts(n_samples=400_000, seed=4, method="mc"))
+        mc = ball_mass(mu, c, 0.5, sp, RatioOpts(n_samples=400_000, seed=4, method="mc"))
         assert abs(mc.estimate - exact) < 3 * mc.stderr
 
     def test_besov_sup_norm_product(self):
@@ -138,7 +139,7 @@ class TestBallMass:
     def test_monotone_in_radius(self):
         mu = std_gaussian(2)
         sp = WeightedSeqSpace.unweighted(2.0, 2)
-        opts = BallOpts(n_samples=50_000, seed=5)
+        opts = RatioOpts(n_samples=50_000, seed=5)
         masses = [ball_mass(mu, np.zeros(2), r, sp, opts).estimate
                   for r in [0.25, 0.5, 1.0, 2.0]]
         assert all(a <= b * (1 + 1e-6) for a, b in zip(masses, masses[1:]))
@@ -154,7 +155,7 @@ class TestBallMass:
         sp = WeightedSeqSpace.unweighted(1.0, 2)
         with pytest.raises(InputError):
             ball_mass(std_gaussian(2), np.zeros(2), 0.5, sp,
-                      BallOpts(method="exact"))
+                      RatioOpts(method="exact"))
 
     def test_low_confidence_flag(self):
         # thin sliver: a ball barely reaching a degenerate rotated support
@@ -164,14 +165,14 @@ class TestBallMass:
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0]), v))
         sp = WeightedSeqSpace.unweighted(2.0, 2)
         bm = ball_mass(mu, 0.3 * v[:, 1], 0.300001, sp,
-                       BallOpts(n_samples=2000, seed=12, max_rel_err=0.2, method="mc"))
+                       RatioOpts(n_samples=2000, seed=12, method="mc"))
         assert bm.low_confidence
 
     def test_degenerate_direction_zero_mass(self):
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
         sp = WeightedSeqSpace.unweighted(2.0, 2)
         bm = ball_mass(mu, np.array([0.0, 1.0]), 0.5, sp,
-                       BallOpts(n_samples=10_000, seed=6))
+                       RatioOpts(n_samples=10_000, seed=6))
         assert bm.estimate == 0.0
 
     def test_rotated_point_mass_is_exact(self):
@@ -188,7 +189,7 @@ class TestBallMass:
         assert (inside.estimate, inside.stderr) == (1.0, 0.0)
         assert (outside.estimate, outside.stderr) == (0.0, 0.0)
         mc = ball_mass(mu, np.array([0.06, 0.06]), 0.1, sp,
-                       BallOpts(method="mc", n_samples=1000))
+                       RatioOpts(method="mc", n_samples=1000))
         assert (mc.estimate, mc.stderr) == (1.0, 0.0)
         curve = ball_ratio_curve(mu, np.array([0.0, 0.03]), np.zeros(2),
                                  np.array([0.1, 0.05]), sp)
@@ -197,24 +198,24 @@ class TestBallMass:
     @pytest.mark.parametrize("method", ["quadrature", "exakt", "MC"])
     def test_unknown_method_rejected(self, method):
         with pytest.raises(ParameterError, match="method"):
-            BallOpts(method=method)
+            RatioOpts(method=method)
 
-    @pytest.mark.parametrize("classes,field,value", [
-        ((BallOpts, RatioOpts), "n_batches", 0), ((BallOpts, RatioOpts), "n_batches", 1),
-        ((BallOpts, RatioOpts), "n_samples", 0), ((RatioOpts,), "fit_points", 0)],
-        ids=["n_batches=0", "n_batches=1", "n_samples=0", "fit_points=0"])
-    def test_unusable_monte_carlo_sizes_refused(self, classes, field, value):
-        # one batch has no stderr, an empty batch no estimate, no fit point no limit
-        for cls in classes:
-            with pytest.raises(ParameterError, match=field):
-                cls(**{field: value})
+    @pytest.mark.parametrize("field,value", [
+        ("n_batches", 0), ("n_batches", 1), ("n_samples", 0), ("fit_points", 0),
+        ("fit_in", "r^2")],
+        ids=["n_batches=0", "n_batches=1", "n_samples=0", "fit_points=0", "fit_in=r^2"])
+    def test_unusable_monte_carlo_sizes_refused(self, field, value):
+        # one batch has no stderr, an empty batch no estimate, no fit point no
+        # limit, and an unknown abscissa would label a fit in r as something else
+        with pytest.raises(ParameterError, match=field):
+            RatioOpts(**{field: value})
 
     def test_mc_mass_at_large_p_stays_inside_the_sup_ball(self):
         # B_p is inside B_inf; |x|^5000 underflows unless each row is scaled by its max
         th = 0.3
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.5]), rot))
-        opts = BallOpts(n_samples=400_000, seed=1)
+        opts = RatioOpts(n_samples=400_000, seed=1)
         big_p, sup = (ball_mass(mu, np.zeros(2), 0.3, WeightedSeqSpace.unweighted(p, 2), opts)
                       for p in (5000.0, math.inf))
         assert big_p.method == sup.method == "monte-carlo"
@@ -223,9 +224,9 @@ class TestBallMass:
     def test_density1d_refuses_what_it_cannot_do(self):
         plain = Density1D(pdf=lambda x: 0.5, support=((-1.0, 1.0),))
         with pytest.raises(InputError, match="Monte Carlo"):
-            ball_mass(plain, 0.0, 0.2, None, BallOpts(method="mc"))
+            ball_mass(plain, 0.0, 0.2, None, RatioOpts(method="mc"))
         with pytest.raises(InputError, match="quadrature"):
-            ball_mass(plain, 0.0, 0.2, None, BallOpts(method="exact"))
+            ball_mass(plain, 0.0, 0.2, None, RatioOpts(method="exact"))
         assert ball_mass(plain, 0.0, 0.2).method == "quadrature"
 
     def test_density1d_curve_names_quadrature(self):
@@ -328,7 +329,7 @@ class TestMassTable:
         mu, centers, radii, space = _exact_table_case("gaussian", 50)
         for c in centers:
             for r in radii[::3]:
-                got = ball_mass(mu, c, float(r), space, BallOpts(method="exact", closed=closed))
+                got = ball_mass(mu, c, float(r), space, RatioOpts(method="exact", closed=closed))
                 ref = _reference_exact_log_mass(mu, c, float(r), space, closed)
                 assert (got.estimate, got.stderr, got.method) == (float(np.exp(ref)), 0.0,
                                                                    "closed-form")
@@ -341,14 +342,14 @@ class TestMassTable:
                              SpectralOperator(np.array([1.0, 0.5, 0.0])))
         space = WeightedSeqSpace(2.0, np.array([1.0, 2.0, 0.7]))
         c, r = np.array([0.5, 0.0, 0.1]), 0.6
-        opts = BallOpts(n_samples=4000, n_batches=8, seed=11, method="mc", closed=closed)
+        opts = RatioOpts(n_samples=4000, n_batches=8, seed=11, method="mc", closed=closed)
         got = ball_mass(mu, c, r, space, opts)
         batches = np.exp(_mc_mass_batches(mu, [c], np.array([r]), space, opts.n_samples,
                                           opts.n_batches, opts.seed, "ball-mass", closed)[0, 0])
         est = float(np.mean(batches))
         se = float(np.std(batches, ddof=1) / math.sqrt(len(batches)))
         assert (got.estimate, got.stderr, got.method) == (est, se, "monte-carlo")
-        assert got.low_confidence == (se > opts.max_rel_err * est)
+        assert got.low_confidence == (se > _LOW_CONFIDENCE_REL_ERR * est)
         # in this weighted l2 norm "auto" reads the exact series mass, the
         # Monte Carlo mass's expectation
         exact = ball_mass(mu, c, r, space, replace(opts, method="auto"))
@@ -891,7 +892,7 @@ class TestAntitheticPairs:
             mu = BesovMeasure(1.1, 1, 1.0, 4)
         space = WeightedSeqSpace(math.inf, rng.uniform(0.5, 2.0, 4))
         radii = np.array([0.8, 0.3, 0.1])
-        opts = BallOpts(n_samples=20_000, n_batches=20, method="mc", seed=4)
+        opts = RatioOpts(n_samples=20_000, n_batches=20, method="mc", seed=4)
         for c in (mu.mean + rng.normal(0.0, 0.6, 4), mu.mean + np.array([0.9, 0.0, -0.4, 0.2])):
             table, method = _product_exact_log_mass(mu, [c], radii, space, closed=False)
             assert method == "closed-form"
@@ -1107,7 +1108,7 @@ class TestGaussianL2Exact:
         c = mu.mean + basis @ np.array([0.2, -0.3, 0.05])
         for r in (0.6, 0.2):
             exact = ball_mass(mu, c, r, space)
-            mc = ball_mass(mu, c, r, space, BallOpts(n_samples=2_000_000, method="mc", seed=3))
+            mc = ball_mass(mu, c, r, space, RatioOpts(n_samples=2_000_000, method="mc", seed=3))
             assert exact.method == "series" and mc.method == "monte-carlo"
             assert abs(exact.estimate - mc.estimate) < 4 * mc.stderr
 
@@ -1212,7 +1213,7 @@ class TestRadiusIsFiniteAndPositive:
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
     def test_ball_masses(self, radius):
-        gauss, opts = std_gaussian(2), BallOpts(n_samples=200, n_batches=2)
+        gauss, opts = std_gaussian(2), RatioOpts(n_samples=200, n_batches=2)
         for call in (lambda: ball_mass(self.uniform(), 0.5, radius),
                      lambda: ball_mass(gauss, np.zeros(2), radius, opts=opts),
                      lambda: sup_ball_mass(gauss, radius),
@@ -1279,7 +1280,7 @@ class TestSupBallMass:
         if k > 1 and kind != "rotated":
             p = math.inf
         sp = WeightedSeqSpace(p, weights)
-        opts = BallOpts(method="exact", closed=closed)
+        opts = RatioOpts(method="exact", closed=closed)
         radius = float(10.0 ** rng.uniform(-3.0, 0.5))
         sup = sup_ball_mass(mu, radius, sp, opts)
         if kind == "rotated" and k > 1 and p < 1:

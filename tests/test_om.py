@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, LinearObservation, OmFunctional,
                    OmNotStrongMeasure,
-                   ProbeOpts, RatioOpts, SpectralOperator, WeightedSeqSpace,
+                   RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_ratio_curve, classify_mode, density_om,
                    m_property_probe, om_difference_check, posterior_om,
                    prior_om, quadratic_potential, radius_schedule,
@@ -190,7 +190,7 @@ class TestOmDifferenceCheck:
         mu = std_gaussian(1)
         rep = om_difference_check(mu, prior_om(mu), np.array([1.0]), np.array([0.0]),
                                   radius_schedule(0.5, 10),
-                                  opts=ProbeOpts(abs_tol=1e-3))
+                                  abs_tol=1e-3)
         assert rep.expected == pytest.approx(math.exp(-0.5))
         assert rep.verdict == "pass"
 
@@ -200,7 +200,7 @@ class TestOmDifferenceCheck:
         rep = om_difference_check(
             mu, prior_om(mu), np.array([2.0, 0.0]), np.zeros(2),
             radius_schedule(0.2, 10), sp,
-            ProbeOpts(abs_tol=5e-3, ratio=RatioOpts(n_samples=40_000, seed=2)))
+            RatioOpts(n_samples=40_000, seed=2), abs_tol=5e-3)
         assert rep.expected == pytest.approx(math.exp(-0.5))
         assert rep.verdict == "pass"
 
@@ -209,7 +209,7 @@ class TestOmDifferenceCheck:
         rep = om_difference_check(
             mu, prior_om(mu), np.array([1.0, 1.0]), np.zeros(2),
             radius_schedule(0.2, 10), None,
-            ProbeOpts(abs_tol=5e-3, ratio=RatioOpts(n_samples=60_000, seed=3)))
+            RatioOpts(n_samples=60_000, seed=3), abs_tol=5e-3)
         assert rep.expected == pytest.approx(math.exp(-(1 + math.sqrt(2))))
         assert rep.verdict == "pass"
 
@@ -220,7 +220,7 @@ class TestOmDifferenceCheck:
             rep = om_difference_check(
                 m, fn, np.array([1.0]), np.array([float(k)]),
                 radius_schedule(1e-8, 8, factor=4.0), None,
-                ProbeOpts(abs_tol=1e-2, ratio=RatioOpts(fit_in="sqrt_r")))
+                RatioOpts(fit_in="sqrt_r"), abs_tol=1e-2)
             assert rep.expected == pytest.approx(float(k * k))
             assert rep.verdict == "pass"
 
@@ -237,7 +237,7 @@ class TestMPropertyProbe:
         rep = m_property_probe(mu, prior_om(mu), [np.array([0.0, 1.0])],
                                radius_schedule(0.4, 8),
                                WeightedSeqSpace.unweighted(2.0, 2),
-                               ProbeOpts(ratio=RatioOpts(n_samples=5_000, seed=4)))
+                               RatioOpts(n_samples=5_000, seed=4))
         entry = rep.entries[0]
         assert entry.min_ratio == 0.0
         assert entry.verdict == "pass"
@@ -292,11 +292,11 @@ class TestMPropertyProbe:
         fn = prior_om(mu)
         pts = [np.array([0.2, 0.0]), np.array([-0.5, -0.25]), np.array([1.0, 0.05])]
         radii, space = radius_schedule(0.4, 6), WeightedSeqSpace.unweighted(2.0, 2)
-        opts = ProbeOpts(ratio=RatioOpts(n_samples=20000, seed=7, method="mc"))
+        opts = RatioOpts(n_samples=20000, seed=7, method="mc")
         rep = m_property_probe(mu, fn, pts, radii, space, opts)
         assert len(mc_calls) == 1
         for x, entry in zip(pts, rep.entries):
-            curve = ball_ratio_curve(mu, x, fn.anchor, radii, space, opts.ratio)
+            curve = ball_ratio_curve(mu, x, fn.anchor, radii, space, opts)
             np.testing.assert_array_equal(entry.ratios, np.nan_to_num(curve.ratios))
             # the balls about each point reach the support at the larger radii only
             assert entry.ratios[0] > 0.0 and entry.ratios[-1] == 0.0
@@ -459,6 +459,16 @@ EXACT_CASES = {
 
 
 class TestMassTable:
+    def test_empty_radius_schedule_refused(self):
+        # no radius gives no mass, no curve and no verdict
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        x, none = np.array([0.0, 1.0]), np.array([])
+        for call in (lambda: ball_ratio_curve(mu, x, np.zeros(2), none),
+                     lambda: m_property_probe(mu, prior_om(mu), [x], none),
+                     lambda: classify_mode(mu, np.zeros(2), [x], none)):
+            with pytest.raises(InputError, match="radius schedule is empty"):
+                call()
+
     def test_nearby_competitor_enters_the_weak_check(self):
         # 1 and 1 + 5e-7 are distinct points at radii down to 1e-10: the
         # spike at 1 makes the competitor's mass dominate the candidate's
