@@ -569,10 +569,11 @@ def _factor_rules(prior, what: str) -> tuple:
     return rules
 
 
-def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
-                           probe_points: Optional[Sequence] = None) -> SmallNoiseReport:
+def small_noise_experiment(prior, obs: LinearObservation,
+                           n_list: Sequence[int]) -> SmallNoiseReport:
     """Minimise n*Phi + I0 along n with ``map_solve``'s defaults and
-    compare with the constrained point."""
+    compare with the constrained point.  The pointwise table reads
+    n*Phi + I0 at the constrained point and at that point + 0.1."""
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise InputError("noise-scaling indices must be positive")
@@ -589,10 +590,8 @@ def small_noise_experiment(prior, obs: LinearObservation, n_list: Sequence[int],
 
     prior_fn = prior_om(prior)
     pot = quadratic_potential(obs)
-    pts = list(probe_points) if probe_points is not None else [star, star + 0.1]
     table = []
-    for x in pts:
-        x = _as_vector(x, prior.dim)
+    for x in (star, star + 0.1):
         phi, prior_value = pot.eval(x), prior_fn.eval(x)
         table.append({"x": list(map(float, x)), "phi": float(phi),
                       "values": [float(n * phi + prior_value) for n in n_list]})

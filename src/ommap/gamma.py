@@ -130,12 +130,16 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     names.append("constant")
     dirs = np.zeros((len(names), dim))
     mags = np.zeros((n_win.size, len(names)))
-    for j in range(opts.n_random):
-        alpha = _PATH_ALPHAS[j % len(_PATH_ALPHAS)]
-        c = float(rng.uniform(*_MAGNITUDE_RANGE)) * _WINDOW_DISTANCE * n_last ** alpha
-        d = rng.standard_normal(dim)
-        dirs[j] = d / math.sqrt(d.dot(d))
-        mags[:, j] = c * decay[alpha]
+    u = np.empty(opts.n_random)
+    for j in range(opts.n_random):  # the stream: path j's magnitude, then its direction
+        u[j] = rng.uniform(*_MAGNITUDE_RANGE)
+        rng.standard_normal(out=dirs[j])
+    rand = dirs[:opts.n_random]
+    # a stacked matmul takes each row's dot as d.dot(d) does, bit for bit
+    rand /= np.sqrt(np.matmul(rand[:, None, :], rand[:, :, None])[:, :, 0])
+    for k, alpha in enumerate(_PATH_ALPHAS):  # random path j decays at rate j % 3
+        cols = slice(k, opts.n_random, len(_PATH_ALPHAS))
+        mags[:, cols] = (u[cols] * _WINDOW_DISTANCE * n_last ** alpha) * decay[alpha][:, None]
     dirs[opts.n_random:axes] = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(-1, dim)
     if nrm > 0:
         dirs[axes] = toward / nrm
@@ -267,6 +271,20 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
 # recovery sequences
 # ---------------------------------------------------------------------------
 
+def _shared_forms(*columns: list) -> list:
+    """Rows grouped by the identity of their objects in every column (a
+    member's basis, say): ``(objects, rows)`` per group, in order of first
+    appearance, so that each group is computed as one stack.  ``rows`` is
+    ``slice(None)`` when all rows are one group."""
+    keys = list(zip(*(map(id, c) for c in columns)))
+    if len(set(keys)) == 1:
+        return [(tuple(c[0] for c in columns), slice(None))]
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, (tuple(c[i] for c in columns), []))[1].append(i)
+    return list(groups.values())
+
+
 def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
     """Explicit recovery sequence x_n -> u for a family of product measures:
     x_n = m_n + S_n S^+ (u - m), read from the product forms, where
@@ -291,12 +309,10 @@ def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
     v = w if mu_limit.basis is None else mu_limit.basis @ w
     means = np.array([m.mean for m in mu_seq])
     scales = np.array([m.scale for m in mu_seq])
-    bases = [m.basis for m in mu_seq]
     out = np.empty_like(means)
-    # one stack per basis object; matmul's batch of B y_n keeps the bits of
-    # the one-member product B @ y_n, where y @ B.T would not
-    for basis in {id(b): b for b in bases}.values():
-        rows = [i for i, b in enumerate(bases) if b is basis]
+    # matmul's batch of B y_n keeps the bits of the one-member product
+    # B @ y_n, where y @ B.T would not
+    for (basis,), rows in _shared_forms([m.basis for m in mu_seq]):
         y = scales[rows] * (v if basis is None else basis.T @ v)
         out[rows] = means[rows] + (y if basis is None else np.matmul(basis, y[:, :, None])[:, :, 0])
     return list(out)
@@ -391,9 +407,12 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
     h_lim = sublevel_halfwidth(lim, t)
     start = int(len(seq.measures) * (1.0 - _EQUI_WINDOW_FRAC))
     window, idx = seq.measures[start:], seq.indices[start:]
-    if any(mu.dim != lim.dim for mu in window):
-        raise InputError("family members and limit differ in dimension")
-    h = np.stack([sublevel_halfwidth(mu, t) for mu in window])
+    for mu in window:
+        if not isinstance(mu, ProductMeasure):
+            raise InputError(f"no sublevel half-width for measure type {type(mu).__name__}")
+        if mu.dim != lim.dim:
+            raise InputError("family members and limit differ in dimension")
+    h = _halfwidths(window, t)
 
     k_tail = (lim.dim + 1) // 2
     scaled = np.flatnonzero(h_lim[:k_tail] > 0)
@@ -443,6 +462,19 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
         tail_ratio=None if tails is None else float(tails.max()), slope=slope, note=note)
 
 
+def _halfwidths(measures: Sequence, t: float) -> np.ndarray:
+    """``sublevel_halfwidth`` of each product measure, bit for bit, as one
+    (measures, dim) array: one ``sublevel_reach`` call per group of
+    measures that share a factor and a basis object."""
+    h = np.abs(np.array([mu.mean for mu in measures]))
+    scales = np.array([mu.scale for mu in measures])
+    spreads = np.array([mu.spread for mu in measures])
+    for (factor, basis), rows in _shared_forms([mu.factor for mu in measures],
+                                               [mu.basis for mu in measures]):
+        h[rows] += factor.sublevel_reach(basis, scales[rows], spreads[rows], t)
+    return h
+
+
 def _mapped_widths(window: Sequence, g: np.ndarray) -> np.ndarray:
     """max_j |u_k| over the rows g_j mapped through each member's form
     u = m + B diag(scale) g, as a (members, dim) array.
@@ -452,8 +484,8 @@ def _mapped_widths(window: Sequence, g: np.ndarray) -> np.ndarray:
     mapped in chunks of at most ``_CROSS_CHECK_CHUNK`` coordinates, never
     as one members x samples x dim array.
     """
-    means = np.stack([mu.mean for mu in window])
-    scales = np.stack([mu.scale for mu in window])
+    means = np.array([mu.mean for mu in window])
+    scales = np.array([mu.scale for mu in window])
     out = np.maximum(np.abs(means + scales * g.max(axis=0)),
                      np.abs(means + scales * g.min(axis=0)))
     rotated = [i for i, mu in enumerate(window) if mu.basis is not None]
@@ -461,7 +493,7 @@ def _mapped_widths(window: Sequence, g: np.ndarray) -> np.ndarray:
     for lo in range(0, len(rotated), step):
         part = rotated[lo:lo + step]
         # column (c, k) of pts holds u_k of member c: one product per chunk
-        forms = np.stack([window[i].basis for i in part]) * scales[part][:, None, :]
+        forms = np.array([window[i].basis for i in part]) * scales[part][:, None, :]
         pts = g @ forms.reshape(-1, g.shape[1]).T
         pts += means[part].reshape(-1)
         out[part] = np.abs(pts, out=pts).max(axis=0).reshape(len(part), -1)
@@ -533,7 +565,9 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
     opts = opts or ModeConvOpts()
     if len(minimizers) != len(seq.indices):
         raise InputError("need one minimiser per family member")
-    pts = np.stack([np.atleast_1d(np.asarray(m, dtype=float)) for m in minimizers])
+    pts = np.asarray(minimizers, dtype=float)
+    if pts.ndim == 1:  # scalar minimisers, one coordinate each
+        pts = pts[:, None]
     start = int(math.floor(len(pts) * (1.0 - _MODE_WINDOW_FRAC)))
     window = pts[start:]
     if len(window) > _MAX_CLUSTER_POINTS:

@@ -93,10 +93,12 @@ class NormalFactor:
         w = c * inv_scale
         return 0.5 * np.einsum("ij,ij->i", w, w)
 
-    def sublevel_reach(self, measure, t):
-        """max |(B diag(scale) g)_k| over {|g|^2 / 2 <= t}: sqrt(2t ((B*B) v)_k)."""
-        v, basis = measure.spread, measure.basis
-        return np.sqrt(2.0 * t * (v if basis is None else (basis * basis) @ v))
+    def sublevel_reach(self, basis, scale, spread, t):
+        """Per row of the (n, dim) stacks, max |(B diag(scale) g)_k| over
+        {|g|^2 / 2 <= t}: sqrt(2t ((B*B) v)_k), v the row of ``spread``."""
+        # matmul's batch of (B*B) v keeps the bits of the one-row product
+        v = spread if basis is None else np.matmul(basis * basis, spread[:, :, None])[:, :, 0]
+        return np.sqrt(2.0 * t * v)
 
 
 class LaplaceFactor:
@@ -144,11 +146,10 @@ class LaplaceFactor:
         """Per row of c, sum_k -log density of c_k * inv_scale_k, up to a constant."""
         return np.abs(c) @ inv_scale
 
-    def sublevel_reach(self, measure, t):
-        """max |(B diag(scale) g)_k| over {sum |g| <= t}, reached at a vertex t e_j:
-        t max_j |B_kj scale_j|."""
-        b, basis = measure.scale, measure.basis
-        return (b if basis is None else np.abs(basis * b).max(axis=1)) * t
+    def sublevel_reach(self, basis, scale, spread, t):
+        """Per row b of the (n, dim) ``scale``, max |(B diag(b) g)_k| over
+        {sum |g| <= t}, reached at a vertex t e_j: t max_j |B_kj b_j|."""
+        return (scale if basis is None else np.abs(basis * scale[:, None, :]).max(axis=2)) * t
 
 
 class ProductMeasure:
@@ -1040,11 +1041,15 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
 
 def sublevel_halfwidth(measure, t: float) -> np.ndarray:
     """Coordinate half-widths of the OM sublevel set {I <= t} of a product
-    measure: the k-th entry is max |u_k| over the set."""
+    measure: the k-th entry is max |u_k| over the set.  The one-row case of
+    its factor's ``sublevel_reach``, which ``gamma.equicoercivity_probe``
+    calls on the stacked forms of the members that share a basis."""
     if not isinstance(measure, ProductMeasure):
         raise InputError(f"no sublevel half-width for measure type {type(measure).__name__}")
     # {I <= t} = m + B diag(scale) {g : sum_k |g_k|^p / p <= t}
-    return np.abs(measure.mean) + measure.factor.sublevel_reach(measure, t)
+    reach = measure.factor.sublevel_reach(measure.basis, measure.scale[None, :],
+                                          measure.spread[None, :], t)
+    return np.abs(measure.mean) + reach[0]
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,19 @@ class OmFunctional:
 
     @cached_property
     def eval(self) -> Callable[[np.ndarray], float]:
-        """The value at one point, the one-row case of ``kernel``.  Bound
-        per instance, so one functional's evaluations can be wrapped."""
+        """The value at one point, the one-row case of ``kernel``; a 0-d
+        value is read as a 1-vector.  Bound per instance, so one
+        functional's evaluations can be wrapped."""
         kernel, dim = self.kernel, self.anchor.size
-        return lambda u: float(kernel(_as_vector(np.atleast_1d(u), dim)[None, :])[0])
+        shape = (dim,)
+
+        def value(u) -> float:
+            v = np.asarray(u, dtype=float)
+            if v.shape != shape:  # _as_vector's checks and messages
+                v = _as_vector(v.reshape(1) if v.ndim == 0 else v, dim)
+            return float(kernel(v[None, :])[0])
+
+        return value
 
     def values(self, pts) -> np.ndarray:
         """Functional values at the rows of an ``(n, k)`` array."""

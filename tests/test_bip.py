@@ -426,9 +426,8 @@ class TestSmallNoise:
     def test_pointwise_table_diverges_off_feasible_set(self):
         prior = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
         obs = observation([[1.0, 1.0]], [1.0], [1.0])
-        rep = small_noise_experiment(prior, obs, [1, 10, 100],
-                                     probe_points=[np.array([0.5, 0.5]),
-                                                   np.array([0.0, 0.0])])
+        rep = small_noise_experiment(prior, obs, [1, 10, 100])
+        # the default table: the constrained point, then that point + 0.1
         feasible, infeasible = rep.pointwise_table
         assert feasible["phi"] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(feasible["values"]) == 0.0)

@@ -18,9 +18,8 @@ from ommap._seeds import child_rng
 from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import (_FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE,
-                         _PATH_ALPHAS,
-                         _WINDOW_DISTANCE, _extrapolated_intercepts, _mapped_widths,
-                         _single_linkage, default_paths)
+                         _PATH_ALPHAS, _WINDOW_DISTANCE, _extrapolated_intercepts,
+                         _halfwidths, _mapped_widths, _single_linkage, default_paths)
 from pinv_reference import sqrt_apply
 
 
@@ -782,6 +781,56 @@ class TestMappedWidths:
         assert peak < 4 * 2 ** 20
 
 
+def reference_halfwidth(mu, t):
+    """One member's half-widths written out per factor: |m| + sqrt(2t (B*B) v)
+    for a Gaussian of variances v, |m| + t max_j |B_kj b_j| for Besov-1."""
+    basis = mu.basis
+    if isinstance(mu.factor, NormalFactor):
+        return np.abs(mu.mean) + np.sqrt(2.0 * t * (mu.spread if basis is None
+                                                   else (basis * basis) @ mu.spread))
+    return np.abs(mu.mean) + (mu.scale if basis is None
+                              else np.abs(basis * mu.scale).max(axis=1)) * t
+
+
+def _halfwidth_windows():
+    rng = np.random.default_rng(36)
+    q = _rotation(rng, 5)
+
+    def gauss(basis=None, pinned=0):
+        eig = rng.uniform(0.2, 3.0, 5)
+        eig[5 - pinned:] = 0.0
+        return GaussianMeasure(rng.normal(size=5), SpectralOperator(eig, basis))
+
+    aligned = [gauss() for _ in range(9)]
+    shared = [gauss(q) for _ in range(9)]
+    own = [gauss(_rotation(rng, 5)) for _ in range(9)]
+    return {"aligned-gaussian": aligned, "rotated-shared-basis": shared,
+            "rotated-own-basis": own,
+            "degenerate-gaussian": [gauss(q, pinned=2) for _ in range(4)] + [gauss(pinned=1)],
+            "besov1": [BesovMeasure(float(s), 1, 1.0, 40) for s in rng.uniform(0.6, 1.4, 9)],
+            "interleaved": [m for trio in zip(aligned, shared, own) for m in trio]}
+
+
+class TestStackedHalfwidths:
+    """The window's half-widths, one sublevel_reach call per shared basis,
+    keep the bits of each member's own sublevel_halfwidth."""
+
+    @pytest.mark.parametrize("name", ["aligned-gaussian", "rotated-shared-basis",
+                                      "rotated-own-basis", "degenerate-gaussian", "besov1",
+                                      "interleaved"])
+    def test_equal_per_member_halfwidths(self, name):
+        window = _halfwidth_windows()[name]
+        bases = {id(mu.basis) for mu in window}
+        assert len(bases) == {"rotated-own-basis": 9, "degenerate-gaussian": 2,
+                              "interleaved": 11}.get(name, 1)
+        for t in (0.0, 0.37, 1.0, 5.0):
+            h = _halfwidths(window, t)
+            np.testing.assert_array_equal(h, np.stack([sublevel_halfwidth(mu, t)
+                                                       for mu in window]))
+            np.testing.assert_array_equal(h, np.stack([reference_halfwidth(mu, t)
+                                                       for mu in window]))
+
+
 def _escaping_gaussians(member):
     """Members N(m_n, C_n) from ``member(n)`` for n = 1..39 against the
     limit N(0, I) in R^4."""
@@ -864,8 +913,8 @@ class TestEquicoercivityFails:
         # a factor whose reach ignores the basis rotation understates C_kk
         # for some k; the mapped draw lands outside those half-widths
         class MisreadFactor(NormalFactor):
-            def sublevel_reach(self, measure, t):
-                return np.sqrt(2.0 * t * measure.cov.eigenvalues)
+            def sublevel_reach(self, basis, scale, spread, t):
+                return np.sqrt(2.0 * t * spread)
 
         class Misread(GaussianMeasure):
             factor = MisreadFactor()
@@ -971,6 +1020,30 @@ class TestModeConvergence:
         seq = gaussian_om_family([mu] * 4, mu)
         with pytest.raises(InputError):
             mode_convergence_check(seq, [np.zeros(1)] * 3)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_same_report_for_every_minimiser_container(self, dim):
+        # two clusters, at +-0.5 in the first coordinate, neither the limit's mode
+        idx = list(range(1, 41))
+        limit = GaussianMeasure(np.zeros(dim), SpectralOperator(np.ones(dim)))
+        members = [GaussianMeasure(np.r_[(-1.0) ** n * 0.5 + 1e-4 / n, np.full(dim - 1, 0.1 / n)],
+                                   SpectralOperator(np.ones(dim))) for n in idx]
+        seq = gaussian_om_family(members, limit, idx)
+        arrays = [m.mean for m in members]
+        want = mode_convergence_check(seq, arrays)
+        assert want.cluster_sizes == [5, 5] and want.verdict == "fail"
+        given = [[a.tolist() for a in arrays], np.array(arrays)]
+        if dim == 1:  # scalar minimisers, as a list and as a 1-d array
+            given += [[float(a[0]) for a in arrays], np.array(arrays)[:, 0]]
+        for minimizers in given:
+            rep = mode_convergence_check(seq, minimizers)
+            assert len(rep.cluster_points) == len(want.cluster_points)
+            for got, ref in zip(rep.cluster_points, want.cluster_points):
+                np.testing.assert_array_equal(got, ref)
+            assert (rep.cluster_sizes, rep.limit_min, rep.value_errors, rep.min_gap,
+                    rep.verdict, rep.note) == (want.cluster_sizes, want.limit_min,
+                                               want.value_errors, want.min_gap,
+                                               want.verdict, want.note)
 
 
 def _mixture_density(fam):

@@ -1197,11 +1197,6 @@ class TestGaussianL2Exact:
         want[tiny] = (a * np.log(xt) - xt - gammaln(a + 1.0))[:, 0] + np.log1p(terms.sum(axis=1))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("method", ["quadrature", "exakt", "MC"])
-    def test_ratio_opts_refuse_unknown_methods(self, method):
-        with pytest.raises(ParameterError, match="method"):
-            RatioOpts(method=method)
-
 
 class TestRadiusIsFiniteAndPositive:
     """A NaN, infinite or nonpositive radius is refused before any mass is

@@ -143,6 +143,30 @@ class TestBatchValues:
             with pytest.raises(InputError):
                 fn.values(bad)
 
+    @pytest.mark.parametrize("bad,message", [
+        (np.zeros((1, 3)), r"expected a vector, got array of shape \(1, 3\)"),
+        (np.zeros(2), "dimension mismatch: expected 3, got 2"),
+        ([0.1, 0.2, 0.3, 0.4], "dimension mismatch: expected 3, got 4"),
+        (0.5, "dimension mismatch: expected 3, got 1"),
+        (np.float64(0.5), "dimension mismatch: expected 3, got 1")])
+    def test_eval_refuses_anything_but_one_point(self, bad, message):
+        fn = prior_om(std_gaussian(3))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            fn.eval(bad)
+
+    def test_eval_reads_sequences_and_a_scalar_at_k_1(self):
+        u = np.array([0.3, -1.2, 0.7])
+        fn = prior_om(GaussianMeasure(np.array([0.1, 0.0, -0.4]),
+                                      SpectralOperator(np.array([2.0, 0.5, 1.5]))))
+        want = float(fn.kernel(u[None, :])[0])
+        assert fn.eval(u) == fn.eval(list(u)) == fn.eval(tuple(u)) == want
+        assert fn.eval(u.astype(np.float32)) == float(fn.kernel(
+            u.astype(np.float32).astype(float)[None, :])[0])
+        one = prior_om(GaussianMeasure(np.array([0.2]), SpectralOperator(np.array([3.0]))))
+        want = float(one.kernel(np.array([[1.7]]))[0])
+        for scalar in (1.7, np.float64(1.7), np.array(1.7), [1.7], (1.7,), np.array([1.7])):
+            assert one.eval(scalar) == want
+
 
 class TestPosteriorFunctional:
     def test_zero_potential_is_identity(self):
