@@ -24,9 +24,9 @@ from .gamma import (FunctionalSequence, GammaReport, LiminfOpts, ModeConvOpts,
                     gaussian_recovery_sequence, mode_convergence_check, om_family,
                     recovery_gap, recovery_sequence, sum_rule_check)
 from .bip import (LinearObservation, MapSolution, Potential, ProxOpts,
-                  constrained_prior_minimum, coordinate_descent_weighted_l1, kkt_residual,
-                  map_solve, map_solve_besov, map_solve_besov_linear, perturbation_experiment,
-                  projected_potential, quadratic_potential, small_noise_experiment)
+                  constrained_prior_minimum, kkt_residual, map_solve, map_solve_besov,
+                  map_solve_besov_linear, perturbation_experiment, projected_potential,
+                  quadratic_potential, small_noise_experiment)
 from .counterexamples import (CrossesMeasure, LiminfOnlyMeasure,
                               MixtureFamily, OmNotStrongMeasure, SpikeFamily,
                               crosses_ball_masses, crosses_om_difference,

@@ -2,10 +2,11 @@
 
 MAP estimators are computed as minimisers of potential + prior
 functional: a reduced normal-equations solve for linear observations
-under a Gaussian prior, and an accelerated proximal-gradient
-(soft-thresholding) iteration for the weighted-l1 functional of a
-Besov-1 prior, which stops on its optimality residual or, for a linear
-observation, on an exact solve over its settled support.
+under a Gaussian prior; for the weighted-l1 functional of a Besov-1
+prior, the lasso homotopy for a linear observation (exact, with
+``MapSolution.iterations`` counting its events and a uniqueness flag
+every time) and an accelerated proximal-gradient (soft-thresholding)
+iteration, stopping on its optimality residual, for a general potential.
 ``map_solve`` and ``constrained_prior_minimum`` take their rules from
 the prior's 1-d factor.  The experiments perturb data, potential, or
 prior along a schedule and track the MAP trajectory against the limit.
@@ -14,7 +15,7 @@ prior along a schedule and track the MAP trajectory against the limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -210,18 +211,14 @@ def _map_solve_gaussian(prior, obs: LinearObservation,
 
 @dataclass(frozen=True)
 class ProxOpts:
+    """A residual below ``tol`` certifies a weighted-l1 MAP point;
+    ``max_iter`` caps FISTA's iterations or the homotopy's events."""
+
     tol: float = 1e-8
     max_iter: int = 10 ** 5
-    check_uniqueness: bool = False
 
 
 _BACKTRACK = 2.0  # step shrink factor of the line search
-_UNIQUENESS_POINT_TOL = 1e-4
-_UNIQUENESS_OBJ_TOL = 1e-10
-
-
-def _soft_threshold(x: np.ndarray, thresh: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
 
 
 def kkt_residual(grad: np.ndarray, u: np.ndarray, inv_gamma: np.ndarray) -> float:
@@ -244,29 +241,8 @@ def map_solve_besov(prior, pot: Potential, opts: Optional[ProxOpts] = None) -> M
         raise InputError("potential and prior dimensions differ")
     if pot.gradient is None:
         raise InputError("the proximal solver needs a potential gradient")
-    return _proximal_solve(_l1_weights(prior), (pot.eval, pot.gradient, pot.lipschitz_grad),
-                           opts or ProxOpts())
-
-
-def _l1_weights(prior) -> np.ndarray:
-    """1 / scale, the weights of a Laplace-factor prior's weighted-l1 functional;
-    refused unless its form is centred and in the coordinate basis."""
-    if prior.basis is not None or np.any(prior.mean):
-        raise InputError(f"the weighted-l1 solvers need a centred prior in the coordinate "
-                         f"basis; this {type(prior).__name__} has a basis or a nonzero mean")
-    return 1.0 / prior.scale
-
-
-def _proximal_solve(inv_gamma: np.ndarray, misfit: tuple, opts: ProxOpts,
-                    polish: Optional[Callable[[np.ndarray], Optional[np.ndarray]]] = None
-                    ) -> MapSolution:
-    """The loop of ``map_solve_besov`` for the weights ``inv_gamma`` on
-    ``misfit`` = (value, gradient, gradient Lipschitz constant or None).
-    At a residual check that fails with the sign pattern unchanged since
-    the previous check, ``polish(u)`` may propose a point; the run stops
-    on it once its own residual is below the tolerance.
-    """
-    value, gradient, lip = misfit
+    inv_gamma, opts = _l1_weights(prior), opts or ProxOpts()
+    value, gradient = pot.eval, pot.gradient
 
     def full_obj(u):
         return value(u) + float(np.abs(u) @ inv_gamma)
@@ -274,19 +250,18 @@ def _proximal_solve(inv_gamma: np.ndarray, misfit: tuple, opts: ProxOpts,
     def residual(u):
         return kkt_residual(np.asarray(gradient(u), dtype=float), u, inv_gamma)
 
-    step = 1.0 / max(lip or 1.0, 1e-12)
+    step = 1.0 / max(pot.lipschitz_grad or 1.0, 1e-12)
     u = np.zeros(inv_gamma.size)
     z = u.copy()
     t_acc = 1.0
     f_prev = full_obj(u)
-    solver = "fista-backtracking"
-    signs = None
     it = 0
     for it in range(1, opts.max_iter + 1):
         g = np.asarray(gradient(z), dtype=float)
         fz = value(z)
         while True:
-            u_new = _soft_threshold(z - step * g, step * inv_gamma)
+            x = z - step * g
+            u_new = np.sign(x) * np.maximum(np.abs(x) - step * inv_gamma, 0.0)
             diff = u_new - z
             quad_model = fz + float(g @ diff) + float(diff @ diff) / (2.0 * step)
             if value(u_new) <= quad_model + 1e-15 or step < 1e-18:
@@ -301,103 +276,117 @@ def _proximal_solve(inv_gamma: np.ndarray, misfit: tuple, opts: ProxOpts,
         f_prev = f_new
         u = u_new
         t_acc = t_next
-        if it % 10 == 0 or it == 1:
-            if residual(u) < opts.tol:
-                break
-            if polish is not None and np.array_equal(np.sign(u), signs):
-                candidate = polish(u)
-                if candidate is not None and residual(candidate) < opts.tol:
-                    u, solver = candidate, "fista+active-set-polish"
-                    break
-            signs = np.sign(u)
+        if (it % 10 == 0 or it == 1) and residual(u) < opts.tol:
+            break
     res = residual(u)
     flags = [] if res < opts.tol else ["not-converged"]
     if not np.all(np.isfinite(u)):
         raise NumericsError("proximal iteration produced non-finite values")
-    return MapSolution(u, full_obj(u), res, it, solver, tuple(flags))
+    return MapSolution(u, full_obj(u), res, it, "fista-backtracking", tuple(flags))
 
 
-_CD_MAX_SWEEPS = 10 ** 4
-_CD_TOL = 1e-12  # stop once no coordinate moves by more than this in a sweep
+def _l1_weights(prior) -> np.ndarray:
+    """1 / scale, the weights of a Laplace-factor prior's weighted-l1 functional;
+    refused unless its form is centred and in the coordinate basis."""
+    if prior.basis is not None or np.any(prior.mean):
+        raise InputError(f"the weighted-l1 solvers need a centred prior in the coordinate "
+                         f"basis; this {type(prior).__name__} has a basis or a nonzero mean")
+    return 1.0 / prior.scale
 
 
-def coordinate_descent_weighted_l1(obs: LinearObservation, gamma: np.ndarray) -> np.ndarray:
-    """Cyclic coordinate descent from zero for the whitened misfit + weighted l1.
+_TIE = 1e-9  # relative gap under which a correlation counts as equal to lambda
 
-    A secondary solver: it shares no code with the proximal path and is
-    used to surface non-uniqueness.
+
+def _lasso_homotopy(a_mat: np.ndarray, y: np.ndarray, max_events: int) -> tuple:
+    """Minimiser of |y - A v|^2 / 2 + |v|_1 by the lasso homotopy (Osborne,
+    Presnell & Turlach 2000): v(lam), the minimiser at weight lam, is
+    piecewise affine, and the path runs from lam_max = |A^T y|_inf, where
+    v = 0, down to lam = 1.  On each piece the active coordinates solve
+    their stationarity system exactly; a piece ends where an inactive
+    correlation reaches lam (a join) or an active coordinate reaches zero
+    (a drop).  Returns v, the events passed, whether lam = 1 was reached
+    within ``max_events``, and whether the columns of A over the
+    equicorrelation set are rank-deficient, when the minimiser need not be
+    unique (Tibshirani 2013).
     """
-    w_mat, w_y = obs.whitened()
-    k = obs.n_unknown
-    g_mat = w_mat.T @ w_mat
-    b = w_mat.T @ w_y
-    u = np.zeros(k)
-    inv_gamma = 1.0 / np.asarray(gamma, dtype=float)
-    for _ in range(_CD_MAX_SWEEPS):
-        delta = 0.0
-        for j in range(k):
-            if g_mat[j, j] == 0.0:
-                continue
-            rho = b[j] - g_mat[j] @ u + g_mat[j, j] * u[j]
-            new = math.copysign(max(abs(rho) - inv_gamma[j], 0.0), rho) / g_mat[j, j]
-            delta = max(delta, abs(new - u[j]))
-            u[j] = new
-        if delta < _CD_TOL:
-            break
-    return u
+    gram, corr0 = a_mat.T @ a_mat, a_mat.T @ y
+    v, events = np.zeros(corr0.size), 0
+    lam = float(np.max(np.abs(corr0), initial=0.0))
+    if lam > 1.0:
+        first = int(np.argmax(np.abs(corr0)))
+        active, signs, events = [first], [math.copysign(1.0, corr0[first])], 1
+        joined, dropped = True, None
+        while True:
+            act, s = np.array(active), np.array(signs)
+            g_act = gram[np.ix_(act, act)]
+            d, v_act = np.linalg.solve(g_act, np.column_stack([s, corr0[act] - lam * s])).T
+            corr = corr0 - gram[:, act] @ v_act
+            slope = gram[:, act] @ d  # d corr / d(-lam)
+            # join: corr - t slope reaches +-(lam - t); a tie within _TIE never joins
+            up = _first_hit(lam - corr, 1.0 - slope, 1.0 - slope > _TIE)
+            down = _first_hit(lam + corr, 1.0 + slope, 1.0 + slope > _TIE)
+            if dropped is not None:  # it left at corr = sign lam: not back on that side at once
+                (up if dropped[1] > 0 else down)[dropped[0]] = np.inf
+            join = np.minimum(up, down)
+            join[act] = np.inf
+            # drop: an active coordinate v + t d reaches zero
+            shrink = s * d < 0
+            shrink[-1] &= not joined  # the last coordinate, just joined at zero, stays
+            drop = _first_hit(s * v_act, -s * d, shrink)
+            j, i = int(np.argmin(join)), int(np.argmin(drop))
+            if min(join[j], drop[i]) >= lam - 1.0:
+                v[act] = np.linalg.solve(g_act, corr0[act] - s)
+                break
+            if events >= max_events:
+                v[act] = v_act
+                return v, events, False, False
+            lam -= min(join[j], drop[i])
+            events += 1
+            if join[j] <= drop[i]:
+                active.append(j)
+                signs.append(1.0 if up[j] <= down[j] else -1.0)
+                joined, dropped = True, None
+            else:
+                joined, dropped = False, (active.pop(i), signs.pop(i))
+    tied = np.abs(corr0 - gram @ v) >= 1.0 - _TIE
+    return v, events, True, bool(np.linalg.matrix_rank(a_mat[:, tied]) < tied.sum())
 
 
-def _active_set_polish(w_mat: np.ndarray, w_y: np.ndarray, inv_gamma: np.ndarray,
-                       u: np.ndarray) -> Optional[np.ndarray]:
-    """Solve the stationarity system of the whitened misfit (W, y) on
-    the support of u exactly.
-
-    With the support and signs frozen, the optimality condition is
-    linear; the solution is returned only when no sign flips.
-    """
-    active = u != 0.0
-    if not np.any(active):
-        return None
-    signs = np.sign(u[active])
-    a = w_mat[:, active]
-    rhs = a.T @ w_y - signs * inv_gamma[active]
-    u_act = np.linalg.lstsq(a.T @ a, rhs, rcond=None)[0]
-    if np.any(u_act * signs < 0):
-        return None
-    out = np.zeros_like(u)
-    out[active] = u_act
-    return out
+def _first_hit(dist: np.ndarray, rate: np.ndarray, moving: np.ndarray) -> np.ndarray:
+    """dist / rate where ``moving``, else inf: the step in lam at which each
+    gap closes, a negative (round-off) gap counting as closed."""
+    return np.divide(np.maximum(dist, 0.0), rate, out=np.full(dist.shape, np.inf), where=moving)
 
 
 def map_solve_besov_linear(prior, obs: LinearObservation,
                            opts: Optional[ProxOpts] = None) -> MapSolution:
-    """Laplace-factor (Besov-1) prior MAP for a linear observation, with a uniqueness flag.
+    """Laplace-factor (Besov-1) prior MAP for a linear observation, exactly.
 
-    Runs the proximal solver on the quadratic misfit.  Once the sign
-    pattern holds between two residual checks, it also solves the
-    stationarity system on that support exactly, and stops with solver
-    ``fista+active-set-polish`` when that point's residual is below the
-    tolerance, where the first-order iteration alone would crawl.  A run
-    that reaches ``max_iter`` with neither certificate is flagged
-    ``not-converged``.  When requested, a coordinate-descent pass
-    restarted elsewhere flags solutions that land far away at
-    numerically equal objective.  The misfit's gradient is analytic and
-    skips the finite-difference check of a ``Potential``.
+    In the scaled unknowns v_k = u_k / gamma_k with A = W diag(gamma),
+    W and y the whitened observation, the MAP point minimises
+    |y - A v|^2 / 2 + |v|_1, a lasso, and is found by its homotopy
+    (``_lasso_homotopy``).  ``iterations`` counts the homotopy's events
+    and ``opts.max_iter`` caps them; ``optimality_residual`` is the
+    subdifferential residual in u, at round-off on the solved path.  A
+    run that stops on the cap or with a residual not below ``opts.tol``
+    is flagged ``not-converged``; one whose equicorrelation columns are
+    rank-deficient is flagged ``non-unique-minimiser``.  The misfit's
+    gradient is analytic and skips the finite-difference check of a
+    ``Potential``.
     """
     if obs.n_unknown != prior.dim:
         raise InputError("observation and prior dimensions differ")
-    opts = opts or ProxOpts()
-    w_mat, w_y = obs.whitened()
-    misfit, inv_g = _misfit(w_mat, w_y), _l1_weights(prior)
-    sol = _proximal_solve(inv_g, misfit, opts,
-                          lambda u: _active_set_polish(w_mat, w_y, inv_g, u))
-    if opts.check_uniqueness:
-        alt = coordinate_descent_weighted_l1(obs, prior.scale)
-        obj_alt = misfit[0](alt) + float(np.abs(alt) @ inv_g)
-        if (np.linalg.norm(alt - sol.point) > _UNIQUENESS_POINT_TOL
-                and abs(obj_alt - sol.objective) <= _UNIQUENESS_OBJ_TOL):
-            sol = replace(sol, flags=sol.flags + ("non-unique-minimiser",))
-    return sol
+    opts, inv_g, (w_mat, w_y) = opts or ProxOpts(), _l1_weights(prior), obs.whitened()
+    value, gradient, _ = _misfit(w_mat, w_y)
+    v, events, reached, degenerate = _lasso_homotopy(w_mat * prior.scale, w_y, opts.max_iter)
+    u = v * prior.scale
+    if not np.all(np.isfinite(u)):
+        raise NumericsError("lasso homotopy produced non-finite values")
+    res = kkt_residual(gradient(u), u, inv_g)
+    flags = ((() if reached and res < opts.tol else ("not-converged",))
+             + (("non-unique-minimiser",) if degenerate else ()))
+    return MapSolution(u, value(u) + float(np.abs(u) @ inv_g), res, events, "lasso-homotopy",
+                       flags)
 
 
 # ---------------------------------------------------------------------------

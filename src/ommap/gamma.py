@@ -412,7 +412,8 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
             raise InputError(f"no sublevel half-width for measure type {type(mu).__name__}")
         if mu.dim != lim.dim:
             raise InputError("family members and limit differ in dimension")
-    h = _halfwidths(window, t)
+    forms = _stacked_forms(window)
+    h = _halfwidths(forms, t)
 
     k_tail = (lim.dim + 1) // 2
     scaled = np.flatnonzero(h_lim[:k_tail] > 0)
@@ -437,7 +438,7 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
     p = lim.factor.exponent
     rng = child_rng(seed, "equicoercivity")
     g = _uniform_pball(rng, samples, lim.dim, p) * (p * t) ** (1.0 / p) * (1.0 - 1e-9)
-    outside = np.any(_mapped_widths(window, g) > h * (1.0 + 1e-12), axis=1)
+    outside = np.any(_mapped_widths(forms, g) > h * (1.0 + 1e-12), axis=1)
 
     over = score > _EQUI_RATIO_BOUND
     # a short family approaching the limit from below also has a positive
@@ -462,41 +463,49 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples: int,
         tail_ratio=None if tails is None else float(tails.max()), slope=slope, note=note)
 
 
-def _halfwidths(measures: Sequence, t: float) -> np.ndarray:
-    """``sublevel_halfwidth`` of each product measure, bit for bit, as one
-    (measures, dim) array: one ``sublevel_reach`` call per group of
-    measures that share a factor and a basis object."""
-    h = np.abs(np.array([mu.mean for mu in measures]))
-    scales = np.array([mu.scale for mu in measures])
-    spreads = np.array([mu.spread for mu in measures])
-    for (factor, basis), rows in _shared_forms([mu.factor for mu in measures],
-                                               [mu.basis for mu in measures]):
+def _stacked_forms(measures: Sequence) -> tuple:
+    """(means, scales, spreads, groups): the product forms of ``measures``
+    as (measures, dim) arrays, and their rows grouped by shared factor and
+    basis object (``_shared_forms``)."""
+    return (*(np.array([getattr(mu, a) for mu in measures]) for a in ("mean", "scale", "spread")),
+            _shared_forms([mu.factor for mu in measures], [mu.basis for mu in measures]))
+
+
+def _halfwidths(forms: tuple, t: float) -> np.ndarray:
+    """``sublevel_halfwidth`` of each of the ``_stacked_forms``, bit for
+    bit, as one (measures, dim) array: one ``sublevel_reach`` call per
+    group of measures that share a factor and a basis object."""
+    means, scales, spreads, groups = forms
+    h = np.abs(means)
+    for (factor, basis), rows in groups:
         h[rows] += factor.sublevel_reach(basis, scales[rows], spreads[rows], t)
     return h
 
 
-def _mapped_widths(window: Sequence, g: np.ndarray) -> np.ndarray:
-    """max_j |u_k| over the rows g_j mapped through each member's form
-    u = m + B diag(scale) g, as a (members, dim) array.
+def _mapped_widths(forms: tuple, g: np.ndarray) -> np.ndarray:
+    """max_j |u_k| over the rows g_j mapped through each of the
+    ``_stacked_forms``, u = m + B diag(scale) g, as a (measures, dim) array.
 
     In the coordinate basis u_k is affine in g_k with a non-negative
-    slope, so the column extremes of g give it; rotated members are
-    mapped in chunks of at most ``_CROSS_CHECK_CHUNK`` coordinates, never
-    as one members x samples x dim array.
+    slope, so the column extremes of g give it; the members of a rotated
+    group are mapped in chunks of at most ``_CROSS_CHECK_CHUNK``
+    coordinates, never as one members x samples x dim array.
     """
-    means = np.array([mu.mean for mu in window])
-    scales = np.array([mu.scale for mu in window])
+    means, scales, _, groups = forms
     out = np.maximum(np.abs(means + scales * g.max(axis=0)),
                      np.abs(means + scales * g.min(axis=0)))
-    rotated = [i for i, mu in enumerate(window) if mu.basis is not None]
     step = max(1, _CROSS_CHECK_CHUNK // g.size)
-    for lo in range(0, len(rotated), step):
-        part = rotated[lo:lo + step]
-        # column (c, k) of pts holds u_k of member c: one product per chunk
-        forms = np.array([window[i].basis for i in part]) * scales[part][:, None, :]
-        pts = g @ forms.reshape(-1, g.shape[1]).T
-        pts += means[part].reshape(-1)
-        out[part] = np.abs(pts, out=pts).max(axis=0).reshape(len(part), -1)
+    members = np.arange(len(means))
+    for (_, basis), rows in groups:
+        if basis is None:
+            continue
+        group = members[rows]
+        for lo in range(0, len(group), step):
+            part = group[lo:lo + step]
+            # column (c, k) of pts holds u_k of member c: one product per chunk
+            pts = g @ (basis * scales[part][:, None, :]).reshape(-1, g.shape[1]).T
+            pts += means[part].reshape(-1)
+            out[part] = np.abs(pts, out=pts).max(axis=0).reshape(len(part), -1)
     return out
 
 

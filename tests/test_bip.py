@@ -12,6 +12,7 @@ from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    kkt_residual, map_solve, map_solve_besov, map_solve_besov_linear,
                    perturbation_experiment, posterior_om, prior_om, projected_potential,
                    quadratic_potential, small_noise_experiment)
+from l1_reference import coordinate_descent
 
 
 def observation(matrix, noise_eigs, data):
@@ -43,30 +44,6 @@ def conjugacy_mean(prior, obs):
     n_mat = np.diag(obs.noise_cov.eigenvalues)
     gain = c_mat @ o.T @ np.linalg.inv(o @ c_mat @ o.T + n_mat)
     return prior.mean + gain @ (obs.data - o @ prior.mean)
-
-
-def cd_oracle(obs, gamma, sweeps=20000, tol=1e-14):
-    """Independent cyclic coordinate descent for the weighted-l1 MAP."""
-    w = 1.0 / np.sqrt(obs.noise_cov.eigenvalues)
-    a = obs.matrix * w[:, None]
-    b = obs.data * w
-    k = a.shape[1]
-    g = a.T @ a
-    rhs = a.T @ b
-    u = np.zeros(k)
-    thr = 1.0 / np.asarray(gamma, dtype=float)
-    for _ in range(sweeps):
-        delta = 0.0
-        for i in range(k):
-            if g[i, i] == 0.0:
-                continue
-            rho = rhs[i] - g[i] @ u + g[i, i] * u[i]
-            new = math.copysign(max(abs(rho) - thr[i], 0.0), rho) / g[i, i]
-            delta = max(delta, abs(new - u[i]))
-            u[i] = new
-        if delta < tol:
-            break
-    return u
 
 
 class TestFiniteParameters:
@@ -197,7 +174,7 @@ class TestBesovSolver:
         for _ in range(15):
             prior, obs = random_problem(rng, 5, 4, prior="besov")
             sol = map_solve_besov_linear(prior, obs)
-            oracle = cd_oracle(obs, prior.gamma)
+            oracle = coordinate_descent(obs, prior.gamma)
             np.testing.assert_allclose(sol.point, oracle, atol=1e-6)
 
     def test_kkt_residual_at_solution(self):
@@ -223,18 +200,65 @@ class TestBesovSolver:
         # between them has the same objective
         prior = BesovMeasure(0.5, 1, 1.0, 2)
         np.testing.assert_array_equal(prior.gamma, [1.0, 1.0])
-        opts = ProxOpts(check_uniqueness=True)
         equal = map_solve(prior, observation([[1.0, 1.0], [0.5, 0.5]], [1.0, 1.0],
-                                             [2.0, 1.0]), opts)
+                                             [2.0, 1.0]))
         assert "non-unique-minimiser" in equal.flags
         distinct = map_solve(prior, observation([[1.0, 0.3], [0.5, -0.2]], [1.0, 1.0],
-                                                [2.0, 1.0]), opts)
+                                                [2.0, 1.0]))
         assert "non-unique-minimiser" not in distinct.flags
+        # columns equal once scaled by gamma: the minimisers form a segment,
+        # and the flag needs no option
+        prior = BesovMeasure(1.0, 1, 1.0, 2)
+        obs = observation([1.0 / prior.gamma], [0.01], [1.0])
+        sol = map_solve(prior, obs)
+        assert "non-unique-minimiser" in sol.flags
+        assert "not-converged" not in sol.flags
+        assert sol.optimality_residual < 1e-12
+
+    def test_matches_fista_on_criterion_10_problems(self):
+        # 200 problems drawn like acceptance criterion 10: every homotopy point
+        # is certified at round-off and never above FISTA's objective; where
+        # FISTA certifies its own point to 1e-12, the two points agree
+        rng = np.random.default_rng(10)
+        agreed = 0
+        for _ in range(200):
+            k, j = int(rng.integers(2, 21)), int(rng.integers(1, 11))
+            o = rng.normal(size=(j, k))
+            u_true = np.zeros(k)
+            nnz = int(rng.integers(1, min(4, k) + 1))
+            u_true[rng.choice(k, nnz, replace=False)] = rng.normal(size=nnz) * 2
+            obs = observation(o, rng.uniform(0.5, 2.0, j), o @ u_true + 0.1 * rng.normal(size=j))
+            prior = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, k)
+            sol = map_solve_besov_linear(prior, obs)
+            ref = map_solve_besov(prior, quadratic_potential(obs),
+                                  ProxOpts(tol=1e-12, max_iter=2000))
+            assert sol.flags == ()
+            assert sol.optimality_residual <= 1e-12
+            assert sol.objective <= ref.objective + 1e-12
+            if ref.flags == ():
+                agreed += 1
+                np.testing.assert_allclose(sol.point, ref.point, rtol=0, atol=1e-8)
+                assert sol.objective == pytest.approx(ref.objective, rel=0, abs=1e-12)
+        assert agreed >= 150
+
+    def test_drop_and_rejoin_with_the_other_sign(self):
+        # on this path u_2 joins positive, drops at zero and joins again
+        # negative: four events, the last of which a rule that kept a dropped
+        # coordinate out of the next piece altogether would miss
+        prior = BesovMeasure(0.5, 1, 1.0, 2)  # gamma = 1
+        obs = observation([[-0.4, -0.2], [-0.5, -2.9], [0.1, -1.1]], np.ones(3),
+                          [-4.0, -2.6, 2.9])
+        sol = map_solve_besov_linear(prior, obs)
+        assert sol.iterations == 4
+        assert sol.flags == ()
+        assert sol.point[1] < 0
+        assert sol.optimality_residual < 1e-12
+        np.testing.assert_allclose(sol.point, coordinate_descent(obs, prior.gamma), atol=1e-9)
 
     def test_stops_on_active_set_certificate(self):
         # a sparse problem drawn like acceptance criterion 10 on which plain
-        # FISTA crawls to max_iter = 10^5: the exact solve on the settled
-        # support certifies the minimiser within a few residual checks
+        # FISTA crawls to max_iter = 10^5: the homotopy's exact solve on its
+        # final active set certifies the minimiser after a few events
         rng = np.random.default_rng(17)
         o = rng.normal(size=(5, 8))
         u_true = np.zeros(8)
@@ -245,21 +269,21 @@ class TestBesovSolver:
         prior = BesovMeasure(float(rng.uniform(0.6, 1.4)), 1, 1.0, 8)
         sol = map_solve_besov_linear(prior, obs)
         assert sol.iterations <= 200
-        assert sol.solver == "fista+active-set-polish"
+        assert sol.solver == "lasso-homotopy"
         assert sol.flags == ()
         res = kkt_residual(quadratic_potential(obs).gradient(sol.point), sol.point,
                            1.0 / prior.gamma)
         assert res == sol.optimality_residual < ProxOpts().tol
-        np.testing.assert_allclose(sol.point, cd_oracle(obs, prior.gamma), atol=1e-6)
+        np.testing.assert_allclose(sol.point, coordinate_descent(obs, prior.gamma), atol=1e-6)
 
     def test_genuine_stall_stays_visible(self):
         prior, obs = random_problem(np.random.default_rng(6), 6, 4, prior="besov")
-        # the generic solver has no second certificate
+        # the generic solver stops on its residual alone
         opts = ProxOpts(max_iter=20)
         assert map_solve_besov(prior, quadratic_potential(obs), opts).flags == ("not-converged",)
-        # one residual check: no sign pattern to compare, so no polish
+        # one homotopy event: the path stops short of its end
         stalled = map_solve_besov_linear(prior, obs, ProxOpts(max_iter=1))
-        assert stalled.solver == "fista-backtracking"
+        assert stalled.solver == "lasso-homotopy"
         assert stalled.iterations == 1
         assert stalled.optimality_residual >= ProxOpts().tol
         assert stalled.flags == ("not-converged",)
@@ -271,7 +295,7 @@ class TestBesovSolver:
         central = bip._central_diff
         monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
         prior, obs = random_problem(np.random.default_rng(6), 6, 4, prior="besov")
-        map_solve_besov_linear(prior, obs, ProxOpts(check_uniqueness=True))
+        map_solve_besov_linear(prior, obs)
         assert calls == []
         quadratic_potential(obs)
         assert len(calls) == 5

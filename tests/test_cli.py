@@ -126,7 +126,7 @@ _BREAKS = {
                    ("outside_points", None)],
     "gamma_check": [("family", {"type": "laplace"}), ("family", None), ("indices", "x")],
     "map_solve": [("prior", {"type": "density1d"}), ("observation", {"matrix": [[1.0]]}),
-                  ("solver", [])],
+                  ("solver", []), ("solver", {"check_uniqueness": True})],
     "perturbation": [("perturb", "noise"), ("prior", None), ("data_direction", ["a"])],
     "small_noise": [("prior", {**_GAUSS_1D, "basis": 1}), ("n_list", None), ("seed", 1.5)],
     "counterexample": [("name", "nope"), ("params", 3), ("name", None)],

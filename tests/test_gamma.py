@@ -19,7 +19,8 @@ from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import (_FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE,
                          _PATH_ALPHAS, _WINDOW_DISTANCE, _extrapolated_intercepts,
-                         _halfwidths, _mapped_widths, _single_linkage, default_paths)
+                         _halfwidths, _mapped_widths, _single_linkage, _stacked_forms,
+                         default_paths)
 from pinv_reference import sqrt_apply
 
 
@@ -759,7 +760,7 @@ class TestMappedWidths:
                          for mu in window])
         for chunk in (1 << 16, 2 * g.size, 1):  # one, several and single-member chunks
             monkeypatch.setattr("ommap.gamma._CROSS_CHECK_CHUNK", chunk)
-            np.testing.assert_allclose(_mapped_widths(window, g), want, rtol=1e-12)
+            np.testing.assert_allclose(_mapped_widths(_stacked_forms(window), g), want, rtol=1e-12)
 
     def test_rotated_probe_memory_flat(self):
         # 399 rotated 6-d members and 2,000 cross-check points: one members x
@@ -824,7 +825,7 @@ class TestStackedHalfwidths:
         assert len(bases) == {"rotated-own-basis": 9, "degenerate-gaussian": 2,
                               "interleaved": 11}.get(name, 1)
         for t in (0.0, 0.37, 1.0, 5.0):
-            h = _halfwidths(window, t)
+            h = _halfwidths(_stacked_forms(window), t)
             np.testing.assert_array_equal(h, np.stack([sublevel_halfwidth(mu, t)
                                                        for mu in window]))
             np.testing.assert_array_equal(h, np.stack([reference_halfwidth(mu, t)

@@ -19,12 +19,12 @@ import pytest
 
 from ommap import (BesovMeasure, Density1D, FunctionalSequence, GaussianMeasure, InputError,
                    LinearObservation, ProductMeasure, ProxOpts, SpectralOperator,
-                   WeightedSeqSpace, constrained_prior_minimum, coordinate_descent_weighted_l1,
-                   default_space, map_solve, measure_from_json,
-                   om_family, prior_om, recovery_gap, recovery_sequence, sample,
-                   sublevel_halfwidth)
+                   WeightedSeqSpace, constrained_prior_minimum, default_space, map_solve,
+                   measure_from_json, om_family, prior_om, recovery_gap, recovery_sequence,
+                   sample, sublevel_halfwidth)
 from ommap._seeds import child_rng
 from ommap.measures import _heaviest_centers, _ProductSetup
+from l1_reference import coordinate_descent
 from pinv_reference import in_range_sqrt, sqrt_apply, sqrt_pinv_apply
 
 
@@ -128,8 +128,8 @@ PRIORS = [
     _gaussian(rotated=False),
     _gaussian(rotated=True),
     PriorCase("besov1", lambda k, shift: BesovMeasure(1.1 + shift, 1, 1.0, k), _besov_om,
-              _besov_recovery, lambda mu, obs: coordinate_descent_weighted_l1(
-                  obs, mu.gamma), 1e-6, _besov_draws, lambda mu: (1.0, mu.delta),
+              _besov_recovery, lambda mu, obs: coordinate_descent(obs, mu.gamma), 1e-6,
+              _besov_draws, lambda mu: (1.0, mu.delta),
               _besov_maximiser, _besov_config),
 ]
 K = 4
