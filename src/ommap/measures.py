@@ -338,6 +338,10 @@ class RatioOpts:
     the antithetic pairs z, -z of half as many draws (rounded up), batch b
     on the stream (seed, stream, b); a thread holds one batch at a time,
     so their memory is O(n_samples / (2 n_batches) * dim) per thread.
+    Ball masses, ``classify_mode`` and ``m_property_probe`` draw every
+    batch; a ratio curve draws its batches in rounds and stops once its
+    limit has settled (``ball_ratio_curve``), so for it ``n_samples`` and
+    ``n_batches`` are a cap.
     """
 
     n_samples: int = 10 ** 6      # total MC evaluations, split across batches
@@ -392,6 +396,7 @@ class BallRatioEstimate:
     se_limit: float = 0.0
     norm_p: Optional[float] = None
     diagnostic: Optional[str] = None
+    n_samples: int = 0            # Monte Carlo evaluations the curve read; 0 for exact masses
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -597,6 +602,7 @@ def _log_mean_exp(x: np.ndarray) -> np.ndarray:
 
 _MC_THREADS_MAX = 4       # threads, the caller's included, that share one Monte Carlo table
 _MC_INLINE_SIZE = 2 ** 15  # draws x free dimensions per batch below which a table runs inline
+_MC_MIN_BATCHES = 4       # batches per round of a table that may stop early
 
 
 def _mc_threads(n_batches: int, batch_size: int) -> int:
@@ -616,7 +622,8 @@ def _mc_threads(n_batches: int, batch_size: int) -> int:
 
 def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
                      space: WeightedSeqSpace, n_samples: int, n_batches: int,
-                     seed: int, stream: str, closed: bool = False) -> np.ndarray:
+                     seed: int, stream: str, closed: bool = False,
+                     settled: Optional[Callable[[np.ndarray], bool]] = None) -> np.ndarray:
     """Per-batch log ball masses with common random numbers.
 
     Returns an array of shape (n_centers, n_radii, n_batches): the log
@@ -634,6 +641,14 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     Each worker runs in a copy of the caller's context, so the caller's
     ``np.errstate`` holds there too.
 
+    With ``settled``, the batches are drawn in rounds of
+    ``_MC_MIN_BATCHES`` (the last one may be short), the threads sharing
+    a round's batches, and after each round but the last ``settled`` is
+    called on the first B columns drawn so far; once it returns true,
+    those B columns are the table.  They are the first B columns of the
+    whole table, so a table that stops is, bit for bit, the one of B
+    batches of the same size, and one that never does is the whole table.
+
     Per batch the draw work is done once (``_Draws``); each center then
     costs O(n_radii * n) on top of its factor's log-density expansion,
     whose odd terms alone are formed at both signs.  In a rotated basis
@@ -649,11 +664,11 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
-    todo, lock = iter(range(n_batches)), threading.Lock()
+    lock = threading.Lock()
 
-    def run_batches(z):
-        # each thread takes the next batch not yet taken, so one on a busy
-        # core takes fewer, and writes only that batch's column
+    def run_batches(z, todo):
+        # each thread takes the next batch of the round not yet taken, so
+        # one on a busy core takes fewer, and writes only that batch's column
         while True:
             with lock:
                 b = next(todo, None)
@@ -675,27 +690,36 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
                 del ld  # free it before the next center's is made
             del draws  # free this batch's statistics before the next one is drawn
 
-    n_threads = _mc_threads(n_batches, half * setup.k_free)
+    size = n_batches if settled is None else _MC_MIN_BATCHES
+    n_threads = _mc_threads(min(size, n_batches), half * setup.k_free)
     # every thread draws into a buffer of its own made here, by the caller:
     # glibc's malloc keeps what a worker thread frees in that thread's arena,
     # so draws a worker allocated would add a batch per worker to peak memory
     bufs = [np.empty((half, setup.k_free)) for _ in range(n_threads)]
-    if n_threads == 1:
-        run_batches(bufs[0])
-        return out
-    from concurrent.futures import ThreadPoolExecutor
+    pool = None
+    if n_threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(n_threads - 1) as pool:
-        workers = [pool.submit(contextvars.copy_context().run, run_batches, z)
-                   for z in bufs[1:]]
-        try:
-            run_batches(bufs[0])
-        finally:
-            with lock:  # after an error here the workers stop at their current batch
-                for _ in todo:
-                    pass
-        for worker in workers:
-            worker.result()
+        pool = ThreadPoolExecutor(n_threads - 1)
+    try:
+        for lo in range(0, n_batches, size):
+            hi = min(lo + size, n_batches)
+            todo = iter(range(lo, hi))
+            workers = [pool.submit(contextvars.copy_context().run, run_batches, z, todo)
+                       for z in bufs[1:]]
+            try:
+                run_batches(bufs[0], todo)
+            finally:
+                with lock:  # after an error here the workers stop at their current batch
+                    for _ in todo:
+                        pass
+            for worker in workers:
+                worker.result()
+            if hi < n_batches and settled(out[:, :, :hi]):
+                return out[:, :, :hi].copy()
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return out
 
 
@@ -1065,7 +1089,7 @@ def _exp_or_inf(v: float) -> float:
 
 
 def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: WeightedSeqSpace,
-                    opts, stream: str = "ratio-curve") -> tuple:
+                    opts, stream: str = "ratio-curve", settled=None) -> tuple:
     """Per-batch log masses, shape (n_centers, n_radii, n_batches), and
     their method.  Every ball mass of a product measure comes from here.
 
@@ -1077,7 +1101,8 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     and ``opts.method`` is not "mc", else common-random-number Monte Carlo
     with every center on the same draws of ``opts.seed``'s ``stream``;
     "exact" refuses a table no exact rule covers.  Of the ``RatioOpts``
-    only the method, Monte Carlo sizes, closure and seed are read.
+    only the method, Monte Carlo sizes, closure and seed are read.  A
+    Monte Carlo table with ``settled`` may stop early (``_mc_mass_batches``).
     """
     if radii.size == 0:
         raise InputError("the radius schedule is empty")
@@ -1096,7 +1121,7 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
         if opts.method == "exact":
             raise InputError("no certified exact ball mass for this measure, norm and table")
     return (_mc_mass_batches(measure, centers, radii, space, opts.n_samples, opts.n_batches,
-                             opts.seed, stream, opts.closed), "monte-carlo")
+                             opts.seed, stream, opts.closed, settled), "monte-carlo")
 
 
 def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
@@ -1120,11 +1145,18 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     Infinite or nonpositive ratios in the fit window give no fit, an
     exponent beyond the largest float reads +inf, and a denominator of
     zero mass is named, each in a diagnostic.
+
+    ``settled`` marks the curves whose limit the draws can no longer move
+    against its model error: over B >= 2 batches, every per-batch ratio in
+    the fit window is finite and positive, and the batch-means stderr of
+    the intercept, sd_b(P[0] . log r_b) / sqrt(B), is at most se_model / 4.
+    A fit window of one radius never settles.
     """
     log1, log2 = _log_mean_exp(log_num), _log_mean_exp(log_den)
     outside = np.isneginf(log2)
     with np.errstate(invalid="ignore", over="ignore"):
-        rb = np.where(np.isneginf(log_den), np.nan, np.exp(log_num - log_den))
+        log_rb = log_num - log_den
+        rb = np.where(np.isneginf(log_den), np.nan, np.exp(log_rb))
         ratios = np.where(outside, np.nan, np.exp(log1 - log2))
     count = np.sum(np.isfinite(rb), axis=-1)
     k = count > 1
@@ -1148,11 +1180,21 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     se_fit = np.sqrt(np.sum((p0 * se[good] / y[good]) ** 2, axis=1))
     half = 1.96 * se_fit + 2.0 * se_model
 
+    settled = np.zeros(len(y), dtype=bool)
+    n_b = rb.shape[-1]
+    if n_fit > 1 and n_b > 1:
+        r_fit = rb[:, idx]
+        ok = good & np.all((r_fit > 0) & (r_fit < np.inf), axis=(1, 2))
+        intercepts = np.einsum("i,cib->cb", p0, log_rb[ok][:, idx])
+        se_draws = np.std(intercepts, axis=1, ddof=1) / math.sqrt(n_b)
+        settled[ok] = se_draws <= 0.25 * se_model[ok[good]]
+
     nan = float("nan")
     out = {"ratios": ratios, "stderr": ses, "extrapolated_limit": [nan] * len(y),
            "ci": [(nan, nan)] * len(y), "se_model": [nan] * len(y), "se_limit": [nan] * len(y),
            "diagnostic": [("infinite-ratios-in-fit-window" if np.any(np.isposinf(row))
-                           else "nonpositive-ratios-in-fit-window") for row in y]}
+                           else "nonpositive-ratios-in-fit-window") for row in y],
+           "settled": settled.tolist()}
     for i, c0, h, sf, sm in zip(np.flatnonzero(good), coef[0], half.tolist(), se_fit.tolist(),
                                 se_model.tolist()):
         limit = _exp_or_inf(c0)
@@ -1180,14 +1222,31 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     Monte Carlo: the same proposal draws enter the numerator and the
     denominator, so the curve for x1 == x2 is exactly 1.  ``method``
     names the rule: "closed-form", "series" or "monte-carlo".
+
+    Monte Carlo draws its batches in rounds of ``_MC_MIN_BATCHES`` and
+    stops after the first round whose B batches have settled the limit
+    (``_ratio_curves``: the draws' stderr of the intercept is at most a
+    quarter of the fit's rms residual), with ``opts.n_batches`` as the
+    cap.  The curve is then, bit for bit, the one of ``RatioOpts`` with
+    ``n_batches`` = B and ``n_samples`` = B (n_samples // n_batches), and
+    ``n_samples`` on the estimate counts the evaluations it read (0 for
+    exact masses).
     """
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)
     space = space or default_space(measure)
-    table, method = _log_mass_table(measure, [x1, x2], radii, space, opts)
+
+    def settled(table):
+        return _ratio_curves(table[:1], table[1:], radii, opts)["settled"][0]
+
+    table, method = _log_mass_table(measure, [x1, x2], radii, space, opts, settled=settled)
     fit = _ratio_curves(table[:1], table[1:], radii, opts)
+    del fit["settled"]
+    n_samples = 0
+    if method == "monte-carlo":
+        n_samples = 2 * ((opts.n_samples // opts.n_batches + 1) // 2) * table.shape[-1]
     return BallRatioEstimate(radii, method=method, fit_in=opts.fit_in, norm_p=space.p,
-                             **{key: v[0] for key, v in fit.items()})
+                             n_samples=n_samples, **{key: v[0] for key, v in fit.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import InputError
 from .measures import (BallRatioEstimate, Density1D, ProductMeasure, RatioOpts, _batch_mean_se,
-                       _heaviest_centers, _in_range, _log_mass_table, _ratio_curves,
-                       ball_ratio_curve, default_space)
+                       _heaviest_centers, _in_range, _log_mass_table, _log_mean_exp,
+                       _ratio_curves, ball_ratio_curve, default_space)
 from .spaces import WeightedSeqSpace, _as_vector
 
 
@@ -326,17 +326,21 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     new = ~np.any(np.all(centres[:, None] == points[None], axis=2), axis=1)
     rows = np.concatenate([points, centres[new]])
     table, _ = _log_mass_table(measure, rows, radii, space, opts.ratio)
-    est, se = _batch_mean_se(table)
-    cand_mass, cand_se = est[0], se[0]
-    if np.any(cand_mass <= 0):
+    log_mass = _log_mean_exp(table)
+    if np.any(np.isneginf(log_mass[0])):
         raise InputError("candidate has zero ball mass; it must lie in the support")
 
-    best = np.argmax(est, axis=0)
-    sup_mass, sup_se = est.max(axis=0), se[best, np.arange(len(radii))]
+    # from log masses: at high dimension the masses themselves underflow.
+    # Each row's batches over its own mean give its relative stderr
+    own = np.where(np.isfinite(log_mass), log_mass, 0.0)
+    est, se = _batch_mean_se(table - own[:, :, None])
+    rel_se = np.divide(se, est, out=np.zeros_like(se), where=est > 0)
+    best = np.argmax(log_mass, axis=0)
+    cols = np.arange(len(radii))
     caveats = [_EXACT_CAVEAT if r < r_max else _COMPETITORS_CAVEAT for r in radii]
 
-    strong_curve = cand_mass / sup_mass
-    strong_se = strong_curve * np.sqrt((cand_se / cand_mass) ** 2 + (sup_se / sup_mass) ** 2)
+    strong_curve = np.exp(log_mass[0] - log_mass[best, cols])
+    strong_se = strong_curve * np.hypot(rel_se[0], rel_se[best, cols])
 
     # strong verdict: a dip below the noise-aware threshold at any radius
     # is a witness against the limit being 1

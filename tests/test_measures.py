@@ -1,5 +1,9 @@
 """Measures, sampling, ball masses, and ratio curves."""
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
 import os
 import sys
@@ -16,12 +20,13 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import chi2, kstest
 
-from ommap import (BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
+from ommap import (BallRatioEstimate, BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, OmNotStrongMeasure,
                    ParameterError, ProductMeasure, RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_mass, ball_ratio_curve, besov_weights, measure_from_json,
                    default_space, prior_om, radius_schedule, sample, sup_ball_mass)
 from ommap._seeds import child_rng
+import ommap.cli
 import ommap.counterexamples
 import ommap.measures
 from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
@@ -1036,6 +1041,146 @@ class TestBatchThreads:
         monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: n_threads)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
+
+
+def _budget_case():
+    """(measure, x1, x2, radii, space) of a curve whose masses only Monte
+    Carlo gives: l2 balls of a Besov-1 measure in dimension 20."""
+    x1 = np.zeros(20)
+    x1[:3] = [0.4, -0.3, 0.2]
+    return (BesovMeasure(1.0, 1, 1.0, 20), x1, np.zeros(20), radius_schedule(0.2, 10),
+            WeightedSeqSpace.unweighted(2.0, 20))
+
+
+def _assert_same_estimate(a, b):
+    """Every field of two ``BallRatioEstimate``s equal, floats bit for bit."""
+    for f in dataclasses.fields(BallRatioEstimate):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or isinstance(x, str):
+            assert x == y, f.name
+        else:
+            assert np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes(), \
+                f.name
+
+
+def _spy_tables(monkeypatch):
+    """Make every ``_mc_mass_batches`` call record (args, kwargs, table) in
+    the returned list, ``settled`` left out of the kwargs."""
+    calls, mc_mass_batches = [], ommap.measures._mc_mass_batches
+
+    def spy(*args, **kwargs):
+        table = mc_mass_batches(*args, **kwargs)
+        calls.append((args, {k: v for k, v in kwargs.items() if k != "settled"}, table))
+        return table
+
+    monkeypatch.setattr(ommap.measures, "_mc_mass_batches", spy)
+    return calls
+
+
+class TestDrawBudget:
+    """A ratio curve draws its Monte Carlo batches in rounds of
+    ``_MC_MIN_BATCHES`` and stops once its limit has settled; the batches
+    it reads are the first of the table every batch would give."""
+
+    @pytest.mark.parametrize("n_samples,seed", [(2000, 0), (2000, 1), (2100, 1), (400, 1)])
+    def test_a_stopped_curve_is_the_curve_of_its_batches(self, monkeypatch, n_samples, seed):
+        calls = _spy_tables(monkeypatch)
+        cur = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=n_samples, n_batches=20,
+                                                          seed=seed))
+        b = calls[0][2].shape[-1]
+        assert b < 20 and b % ommap.measures._MC_MIN_BATCHES == 0
+        per_batch = n_samples // 20
+        assert cur.method == "monte-carlo"
+        assert cur.n_samples == 2 * math.ceil(per_batch / 2) * b
+        short = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=b * per_batch, n_batches=b,
+                                                            seed=seed))
+        _assert_same_estimate(cur, short)
+
+    @pytest.mark.parametrize("n_batches,fit_points,n_samples,seed",
+                             [(3, 5, 2000, 0), (20, 1, 2000, 0), (20, 5, 400, 0)],
+                             ids=["three-batches", "one-radius-window", "unsettled"])
+    def test_short_or_unsettled_tables_draw_every_batch(self, monkeypatch, n_batches, fit_points,
+                                                        n_samples, seed):
+        calls = _spy_tables(monkeypatch)
+        opts = RatioOpts(n_samples=n_samples, n_batches=n_batches, fit_points=fit_points,
+                         seed=seed)
+        cur = ball_ratio_curve(*_budget_case(), opts)
+        (args, kwargs, table), = calls
+        assert table.shape[-1] == n_batches
+        assert table.tobytes() == _mc_mass_batches(*args, **kwargs).tobytes()
+        assert cur.n_samples == 2 * math.ceil(n_samples // n_batches / 2) * n_batches
+
+    def test_same_stop_on_any_number_of_threads(self, monkeypatch):
+        calls = _spy_tables(monkeypatch)
+        curves = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a, n=n: n)
+            curves.append(ball_ratio_curve(*_budget_case(),
+                                           RatioOpts(n_samples=2000, n_batches=20, seed=1)))
+        tables = [table for _, _, table in calls]
+        assert 4 < tables[0].shape[-1] < 20  # more than one round, fewer than all
+        assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
+        for cur in curves[1:]:
+            _assert_same_estimate(cur, curves[0])
+
+    def test_the_rule(self):
+        # log ratios off a line by about 7e-3 rms: draw noise of 1e-4 per
+        # batch leaves the limit settled, noise of 0.1 does not
+        radii = radius_schedule(0.16, 8)
+        line = (-0.4 + 3.0 * radii + 0.01 * np.cos(40.0 * radii))[None, :, None]
+        noise = np.random.default_rng(0).normal(0.0, 1.0, (1, 8, 4))
+        den = np.zeros((1, 8, 4))
+        settled = lambda num, opts=RatioOpts(): _ratio_curves(num, den, radii, opts)["settled"]
+        assert settled(line + 1e-4 * noise) == [True]
+        assert settled(line + 0.1 * noise) == [False]
+        assert settled(line + 0.0 * noise) == [True]
+        # a fit window of one radius, an empty batch in the window, one batch
+        assert settled(line + 0.0 * noise, RatioOpts(fit_points=1)) == [False]
+        empty = line + 1e-4 * noise
+        empty[0, -1, 2] = -np.inf
+        assert settled(empty) == [False]
+        assert _ratio_curves(line, den[:, :, :1], radii, RatioOpts())["settled"] == [False]
+
+    def test_masses_and_verdicts_draw_every_batch(self, monkeypatch):
+        draw, drawn = ommap.measures._uniform_pball, []
+
+        def counted(rng, n, k, p, out=None):
+            drawn.append(n)
+            return draw(rng, n, k, p, out)
+
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", counted)
+        mu, x1, x2, radii, space = _budget_case()
+        opts = RatioOpts(n_samples=2000, n_batches=20, seed=0)
+        ball_ratio_curve(mu, x1, x2, radii, space, opts)
+        assert len(drawn) < 20  # the curve stops early on these draws
+        drawn.clear()
+        ommap.classify_mode(mu, x2, [x1], radii, space, ommap.ClassifyOpts(ratio=opts))
+        assert len(drawn) == 20
+        drawn.clear()
+        ball_mass(mu, x1, 0.1, space, opts)
+        assert len(drawn) == 20
+        drawn.clear()
+        gauss = GaussianMeasure(np.array([0.2, -0.1]), SpectralOperator(np.array([1.5, 0.0])))
+        ommap.m_property_probe(gauss, prior_om(gauss), [np.array([0.2, 0.0])],
+                               radius_schedule(0.4, 6), WeightedSeqSpace.unweighted(2.0, 2),
+                               replace(opts, method="mc"))
+        assert len(drawn) == 20
+
+    def test_results_json_reports_the_evaluations_read(self, tmp_path):
+        mu, x1, x2, radii, space = _budget_case()
+        mc = {"kind": "ball_ratio", "seed": 1, "measure": {"type": "besov1", "s": 1.0, "d": 1,
+                                                           "eta": 1.0, "dim": 20},
+              "x1": x1.tolist(), "x2": x2.tolist(), "schedule": {"r0": 0.2, "levels": 10},
+              "norm": {"p": 2}, "mc": {"n_samples": 2000}}
+        exact = {**mc, "norm": {"p": "inf"}}
+        want = ball_ratio_curve(mu, x1, x2, radii, space, RatioOpts(n_samples=2000, seed=1))
+        assert 0 < want.n_samples < 2000
+        for cfg, n in ((mc, want.n_samples), (exact, 0)):
+            path, out = tmp_path / "cfg.json", tmp_path / str(cfg["norm"]["p"])
+            path.write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ommap.cli.main(["--out", str(out), "run", str(path)]) == 0
+            assert json.loads((out / "results.json").read_text())["results"]["n_samples"] == n
 
 
 class TestGaussianL2Exact:

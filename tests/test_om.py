@@ -415,6 +415,22 @@ class TestSupremumPaths:
         assert res.strong == "yes"
         assert res.caveat == om._EXACT_CAVEAT
 
+    def test_high_dimension_masses_do_not_underflow(self):
+        # sup-norm balls of N(0, I_200): below r = 0.03 every mass underflows
+        # a float; the strong curve, a ratio, is formed from log masses
+        mu, sp = std_gaussian(200), WeightedSeqSpace.unweighted(math.inf, 200)
+        radii, e1 = radius_schedule(0.2, 10), np.eye(200)[0]
+        res = classify_mode(mu, mu.mean, [0.01 * e1], radii, sp)
+        assert (res.strong, res.global_weak) == ("yes", "yes")
+        np.testing.assert_array_equal(res.strong_ratio_curve, 1.0)
+        # off the mean only the first coordinate's factor differs: the
+        # curve is the one-dimensional one, where nothing underflows
+        res = classify_mode(mu, 0.5 * e1, [], radii, sp)
+        one = classify_mode(std_gaussian(1), np.array([0.5]), [], radii,
+                            WeightedSeqSpace.unweighted(math.inf, 1))
+        assert res.strong == one.strong == "no"
+        np.testing.assert_allclose(res.strong_ratio_curve, one.strong_ratio_curve, rtol=1e-12)
+
     @pytest.mark.parametrize("measure, x", [(lambda: _mixture_density1d(0.0, 5.0), 4.3),
                                             (lambda: _spike_density1d(10), 0.5)],
                              ids=["mixture", "spike"])

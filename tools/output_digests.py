@@ -155,6 +155,12 @@ EXTRA_CONFIGS = (
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
         "x1": [0.05 * (-1) ** k / (k + 1) for k in range(20)], "x2": [0.0] * 20,
         "schedule": {"r0": 0.2, "levels": 10}, "norm": {"p": "inf"}}),
+    # the measure's own l1_delta norm and the default Monte Carlo size: the
+    # p = 1 draw branch, and a curve that stops drawing once its limit settles
+    ("ball_ratio.besov1_default_norm", {
+        "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
+        "x1": [0.3, 0.0, -0.2] + [0.0] * 17, "x2": [0.0] * 20,
+        "schedule": {"r0": 0.2, "levels": 10}}),
     ("counterexample.crosses", {"kind": "counterexample", "seed": 0, "name": "crosses"}),
     ("counterexample.liminf_only", {"kind": "counterexample", "seed": 0,
                                     "name": "liminf_only", "params": {"n_max": 8}}),
