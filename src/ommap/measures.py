@@ -339,9 +339,11 @@ class RatioOpts:
     on the stream (seed, stream, b); a thread holds one batch at a time,
     so their memory is O(n_samples / (2 n_batches) * dim) per thread.
     Ball masses, ``classify_mode`` and ``m_property_probe`` draw every
-    batch; a ratio curve draws its batches in rounds and stops once its
-    limit has settled (``ball_ratio_curve``), so for it ``n_samples`` and
-    ``n_batches`` are a cap.
+    batch, each in one piece; a ratio curve draws its first four batches
+    in chunks that end at 512 2^j draws, and stops once its limit has
+    settled, at a chunk end of those four batches or after a round of
+    four whole batches (``ball_ratio_curve``), so for it ``n_samples``
+    and ``n_batches`` are a cap.
     """
 
     n_samples: int = 10 ** 6      # total MC evaluations, split across batches
@@ -590,19 +592,40 @@ class _CenterPlan:
         return rho, _log_euclid_volume(rho, setup.k_free)
 
 
+def _log_sum_exp_parts(x: np.ndarray) -> tuple:
+    """``(top, total)`` over the last axis of x: its max and the sum of
+    exp(x - top), the max taken as 0 in that sum where it is not finite."""
+    top = np.max(x, axis=-1)
+    e = x - np.where(np.isfinite(top), top, 0.0)[..., None]
+    np.exp(e, out=e)  # one temporary the size of x
+    return top, np.sum(e, axis=-1)
+
+
+def _log_mean_of_parts(top: np.ndarray, total: np.ndarray, count: int) -> np.ndarray:
+    """Log of the mean of exp(x) over ``count`` values of x whose
+    ``_log_sum_exp_parts`` are ``(top, total)``; -inf where all of x is -inf."""
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(top), top, 0.0) + np.log(total / count)
+
+
+def _merge_log_sum_exp(top: np.ndarray, total: np.ndarray, top2: np.ndarray,
+                       total2: np.ndarray) -> tuple:
+    """The ``_log_sum_exp_parts`` of the concatenation of two arrays from
+    those of each: a running log-sum-exp, each sum rescaled to the larger max."""
+    new = np.maximum(top, top2)
+    base = np.where(np.isfinite(new), new, 0.0)
+    return new, total * np.exp(top - base) + total2 * np.exp(top2 - base)
+
+
 def _log_mean_exp(x: np.ndarray) -> np.ndarray:
     """Log of the mean of exp(x) over the last axis; -inf where all of it is -inf."""
-    top = np.max(x, axis=-1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    e = x - top
-    np.exp(e, out=e)  # one temporary the size of x
-    with np.errstate(divide="ignore"):
-        return top[..., 0] + np.log(np.mean(e, axis=-1))
+    return _log_mean_of_parts(*_log_sum_exp_parts(x), x.shape[-1])
 
 
 _MC_THREADS_MAX = 4       # threads, the caller's included, that share one Monte Carlo table
 _MC_INLINE_SIZE = 2 ** 15  # draws x free dimensions per batch below which a table runs inline
 _MC_MIN_BATCHES = 4       # batches per round of a table that may stop early
+_MC_CHUNK = 512           # draws of a batch's first chunk; each later chunk doubles the draws
 
 
 def _mc_threads(n_batches: int, batch_size: int) -> int:
@@ -620,36 +643,58 @@ def _mc_threads(n_batches: int, batch_size: int) -> int:
     return min(cpus, n_batches, _MC_THREADS_MAX)
 
 
+def _chunk_ends(half: int) -> list:
+    """The draw counts at which a batch of ``half`` draws ends its chunks:
+    ``_MC_CHUNK`` 2^j below ``half``, then ``half``."""
+    ends, end = [], _MC_CHUNK
+    while end < half:
+        ends.append(end)
+        end *= 2
+    return ends + [half]
+
+
 def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
                      space: WeightedSeqSpace, n_samples: int, n_batches: int,
                      seed: int, stream: str, closed: bool = False,
-                     settled: Optional[Callable[[np.ndarray], bool]] = None) -> np.ndarray:
+                     settled: Optional[Callable[[np.ndarray, int], bool]] = None) -> np.ndarray:
     """Per-batch log ball masses with common random numbers.
 
     Returns an array of shape (n_centers, n_radii, n_batches): the log
     of an unbiased per-batch estimate of mu(B_r(c)), -inf where the
-    batch finds no mass.  Batch b draws from its own stream
+    batch finds no mass.  A batch draws (n_samples // n_batches + 1) // 2
+    points z of the symmetric unit ball and evaluates each at z and at -z
+    (antithetic pairs), which for Gaussian factors cancels the log
+    density's first-order term.  Batch b draws from its own stream
     (seed, stream, b), so it depends on nothing but b: the batches run
     in any order, on ``_mc_threads`` threads (the caller and short-lived
     workers, joined before the return), and the table is the same bit
     for bit whatever the number of threads.  Every center and radius is
-    evaluated on a batch's draws before the thread takes its next batch,
-    so memory is O(n_samples / (2 n_batches) * dim) per thread: a batch
-    draws (n_samples // n_batches + 1) // 2 points z of the symmetric
-    unit ball and evaluates each at z and at -z (antithetic pairs), which
-    for Gaussian factors cancels the log density's first-order term.
-    Each worker runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds there too.
+    evaluated on a call's draws before the thread draws again, so memory
+    is O(n_samples / (2 n_batches) * dim) per thread.  Each worker runs
+    in a copy of the caller's context, so the caller's ``np.errstate``
+    holds there too.
 
-    With ``settled``, the batches are drawn in rounds of
-    ``_MC_MIN_BATCHES`` (the last one may be short), the threads sharing
-    a round's batches, and after each round but the last ``settled`` is
-    called on the first B columns drawn so far; once it returns true,
-    those B columns are the table.  They are the first B columns of the
-    whole table, so a table that stops is, bit for bit, the one of B
-    batches of the same size, and one that never does is the whole table.
+    With ``settled`` and at least ``_MC_MIN_BATCHES`` batches, the table
+    is drawn in stages, the threads sharing a stage's batches.  The first
+    ``_MC_MIN_BATCHES`` batches are drawn one chunk at a time, one
+    ``_uniform_pball`` call each, the chunks ending at ``_MC_CHUNK`` 2^j
+    draws and, the last one cut short, at the batch's size
+    (``_chunk_ends``); a batch's log mass is a running log-sum-exp over
+    its chunks (``_merge_log_sum_exp``), so after j chunks it is, bit for
+    bit, that of a batch as large as its j-th chunk end, and a batch of at
+    most ``_MC_CHUNK`` draws is one chunk, its log mass ``_log_mean_exp``
+    of its evaluations.  The other batches follow in rounds of
+    ``_MC_MIN_BATCHES`` (the last one may be short).  After each stage
+    but the last, ``settled`` is called on the B columns drawn so far and
+    their draws m per batch; once it returns true, those columns are the
+    table.  A table that stops is thus, bit for bit, the one of B batches
+    of 2m evaluations each with ``settled``, and one that never does is
+    the whole table.  Every other batch, and every batch of a table
+    without ``settled``, is drawn whole, in one call.  The thread count is
+    set once, by what a batch draws in the first stage: its first chunk
+    for a table that may stop, the whole batch for any other.
 
-    Per batch the draw work is done once (``_Draws``); each center then
+    Per call the draw work is done once (``_Draws``); each center then
     costs O(n_radii * n) on top of its factor's log-density expansion,
     whose odd terms alone are formed at both signs.  In a rotated basis
     the ball indicator is homogeneous in the proposal scale,
@@ -662,61 +707,82 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     half = (n_samples // n_batches + 1) // 2
     radii = np.asarray(radii, dtype=float)
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
+    log_vol = np.array([logv for _, logv in props])
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
+    # a batch's generator and the log-sum-exp parts of its chunks, from one chunk to the next
+    between = {}
     lock = threading.Lock()
 
-    def run_batches(z, todo):
-        # each thread takes the next batch of the round not yet taken, so
+    def log_density(plan, scales, draws):
+        ld = plan.log_density(draws, scales)  # columns z, then -z
+        if draws.zb is not None:
+            if plan.fix_vec is None:
+                norms = np.tile(scales[:, None] * draws.zb_norm, 2)
+            else:  # at -z the norm of -rho zb + offset, that of rho zb - offset
+                norms = np.array([np.concatenate([row_norms(rho * draws.zb + f, space)
+                                                  for f in (plan.fix_vec, -plan.fix_vec)])
+                                  for rho in scales])
+            ld[~cmp(norms, radii[:, None])] = -np.inf
+        return ld
+
+    def run_batches(z, todo, lo, hi):
+        # each thread takes the next batch of the stage not yet taken, so
         # one on a busy core takes fewer, and writes only that batch's column
         while True:
             with lock:
                 b = next(todo, None)
             if b is None:
                 return
-            draws = _Draws(setup, _uniform_pball(child_rng(seed, stream, b), half,
-                                                 setup.k_free, setup.draw_p, z))
-            for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
-                ld = plan.log_density(draws, scales)  # columns z, then -z
-                if draws.zb is not None:
-                    if plan.fix_vec is None:
-                        norms = np.tile(scales[:, None] * draws.zb_norm, 2)
-                    else:  # at -z the norm of -rho zb + offset, that of rho zb - offset
-                        norms = np.array([np.concatenate([row_norms(rho * draws.zb + f, space)
-                                                          for f in (plan.fix_vec, -plan.fix_vec)])
-                                          for rho in scales])
-                    ld[~cmp(norms, radii[:, None])] = -np.inf
-                out[ci, :, b] = _log_mean_exp(ld) + logv
-                del ld  # free it before the next center's is made
+            rng, top, total = between.pop(b) if lo else (child_rng(seed, stream, b), None, None)
+            draws = _Draws(setup, _uniform_pball(rng, hi - lo, setup.k_free, setup.draw_p,
+                                                 z[:hi - lo]))
+            # each center's log densities are freed before the next one's are made
+            parts = [_log_sum_exp_parts(log_density(plan, scales, draws))
+                     for plan, (scales, _) in zip(plans, props)]
             del draws  # free this batch's statistics before the next one is drawn
+            new = np.array(parts).transpose(1, 0, 2)
+            top, total = _merge_log_sum_exp(top, total, *new) if lo else new
+            if hi < half:
+                between[b] = rng, top, total
+            out[:, :, b] = _log_mean_of_parts(top, total, 2 * hi) + log_vol
 
-    size = n_batches if settled is None else _MC_MIN_BATCHES
-    n_threads = _mc_threads(min(size, n_batches), half * setup.k_free)
+    # (batches, draws from, draws to) of each stage
+    if settled is None or n_batches < _MC_MIN_BATCHES:
+        stages = [(range(n_batches), 0, half)]
+    else:
+        ends = _chunk_ends(half)
+        stages = [(range(_MC_MIN_BATCHES), lo, hi) for lo, hi in zip([0] + ends, ends)]
+        stages += [(range(lo, min(lo + _MC_MIN_BATCHES, n_batches)), 0, half)
+                   for lo in range(_MC_MIN_BATCHES, n_batches, _MC_MIN_BATCHES)]
+    n_threads = _mc_threads(len(stages[0][0]), stages[0][2] * setup.k_free)
+    largest = max(hi - lo for _, lo, hi in stages)
     # every thread draws into a buffer of its own made here, by the caller:
     # glibc's malloc keeps what a worker thread frees in that thread's arena,
     # so draws a worker allocated would add a batch per worker to peak memory
-    bufs = [np.empty((half, setup.k_free)) for _ in range(n_threads)]
+    bufs = [np.empty((largest, setup.k_free)) for _ in range(n_threads)]
     pool = None
     if n_threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(n_threads - 1)
     try:
-        for lo in range(0, n_batches, size):
-            hi = min(lo + size, n_batches)
-            todo = iter(range(lo, hi))
-            workers = [pool.submit(contextvars.copy_context().run, run_batches, z, todo)
+        for i, (batches, lo, hi) in enumerate(stages):
+            todo = iter(batches)
+            workers = [pool.submit(contextvars.copy_context().run, run_batches, z, todo, lo, hi)
                        for z in bufs[1:]]
             try:
-                run_batches(bufs[0], todo)
+                run_batches(bufs[0], todo, lo, hi)
             finally:
                 with lock:  # after an error here the workers stop at their current batch
                     for _ in todo:
                         pass
             for worker in workers:
                 worker.result()
-            if hi < n_batches and settled(out[:, :, :hi]):
-                return out[:, :, :hi].copy()
+            if i + 1 < len(stages):
+                table = out[:, :, :batches.stop].copy()
+                if settled(table, hi):
+                    return table
     finally:
         if pool is not None:
             pool.shutdown()
@@ -1102,7 +1168,10 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     with every center on the same draws of ``opts.seed``'s ``stream``;
     "exact" refuses a table no exact rule covers.  Of the ``RatioOpts``
     only the method, Monte Carlo sizes, closure and seed are read.  A
-    Monte Carlo table with ``settled`` may stop early (``_mc_mass_batches``).
+    Monte Carlo table with ``settled``, called with the columns drawn so
+    far and their draws per batch, draws its first batches in chunks and
+    may stop at a chunk end of those or after a round of whole batches
+    (``_mc_mass_batches``).
     """
     if radii.size == 0:
         raise InputError("the radius schedule is empty")
@@ -1223,28 +1292,35 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     denominator, so the curve for x1 == x2 is exactly 1.  ``method``
     names the rule: "closed-form", "series" or "monte-carlo".
 
-    Monte Carlo draws its batches in rounds of ``_MC_MIN_BATCHES`` and
-    stops after the first round whose B batches have settled the limit
-    (``_ratio_curves``: the draws' stderr of the intercept is at most a
-    quarter of the fit's rms residual), with ``opts.n_batches`` as the
-    cap.  The curve is then, bit for bit, the one of ``RatioOpts`` with
-    ``n_batches`` = B and ``n_samples`` = B (n_samples // n_batches), and
-    ``n_samples`` on the estimate counts the evaluations it read (0 for
-    exact masses).
+    Monte Carlo extends its first ``_MC_MIN_BATCHES`` batches one chunk
+    at a time, then draws whole batches in rounds of ``_MC_MIN_BATCHES``
+    (``_mc_mass_batches``), and stops at the first chunk end or round
+    whose B batches of m draws have settled the limit (``_ratio_curves``:
+    the draws' stderr of the intercept is at most a quarter of the fit's
+    rms residual), with ``opts.n_samples`` and ``opts.n_batches`` as the
+    cap.  The curve is then the fit that settled it, bit for bit the
+    curve of ``RatioOpts`` with ``n_batches`` = B and ``n_samples`` = 2mB,
+    and ``n_samples`` on the estimate counts the evaluations it read, 2mB
+    (0 for exact masses).
     """
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)
     space = space or default_space(measure)
+    stop = {}
 
-    def settled(table):
-        return _ratio_curves(table[:1], table[1:], radii, opts)["settled"][0]
+    def settled(table, draws):
+        fit = _ratio_curves(table[:1], table[1:], radii, opts)
+        if fit["settled"][0]:
+            stop.update(fit=fit, n_samples=2 * draws * table.shape[-1])
+        return fit["settled"][0]
 
     table, method = _log_mass_table(measure, [x1, x2], radii, space, opts, settled=settled)
-    fit = _ratio_curves(table[:1], table[1:], radii, opts)
+    fit = stop.get("fit") or _ratio_curves(table[:1], table[1:], radii, opts)
     del fit["settled"]
     n_samples = 0
     if method == "monte-carlo":
-        n_samples = 2 * ((opts.n_samples // opts.n_batches + 1) // 2) * table.shape[-1]
+        n_samples = stop.get("n_samples",
+                             2 * ((opts.n_samples // opts.n_batches + 1) // 2) * table.shape[-1])
     return BallRatioEstimate(radii, method=method, fit_in=opts.fit_in, norm_p=space.p,
                              n_samples=n_samples, **{key: v[0] for key, v in fit.items()})
 

@@ -31,6 +31,7 @@ import ommap.counterexamples
 import ommap.measures
 from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
+                            _log_mean_of_parts, _log_sum_exp_parts, _merge_log_sum_exp,
                             _product_exact_log_mass, _ratio_curves, _uniform_pball,
                             _LOW_CONFIDENCE_REL_ERR)
 
@@ -732,20 +733,21 @@ def _direct_log_density(factor, pts, mean, spread):
 
 
 def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches, seed,
-                            stream, closed):
+                            stream, closed, z=None):
     """Rotated-basis ``_mc_mass_batches`` with the ball indicator taken per
     radius from the direct norms of rho zb + offset and -rho zb + offset,
     the antithetic pairs of half as many draws, batch b on the stream
-    (seed, stream, b)."""
+    (seed, stream, b), or the one batch on the draws ``z`` where given."""
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, c) for c in centers]
     props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
     for b in range(n_batches):
-        z = _uniform_pball(child_rng(seed, stream, b), (n_samples // n_batches + 1) // 2,
-                           setup.k_free, setup.draw_p)
-        draws = _Draws(setup, z)
+        draws = _Draws(setup, z if z is not None else
+                       _uniform_pball(child_rng(seed, stream, b),
+                                      (n_samples // n_batches + 1) // 2, setup.k_free,
+                                      setup.draw_p))
         for ci, (center, plan, (scales, logv)) in enumerate(zip(centers, plans, props)):
             ld = plan.log_density(draws, scales)
             # ambient offset of the pinned coordinates from the mean
@@ -1181,6 +1183,178 @@ class TestDrawBudget:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert ommap.cli.main(["--out", str(out), "run", str(path)]) == 0
             assert json.loads((out / "results.json").read_text())["results"]["n_samples"] == n
+
+
+def _chunk_spy(monkeypatch):
+    """Make every ``_uniform_pball`` call append its draw count to the
+    returned list."""
+    draw, drawn = ommap.measures._uniform_pball, []
+
+    def counted(rng, n, k, p, out=None):
+        drawn.append(n)
+        return draw(rng, n, k, p, out)
+
+    monkeypatch.setattr(ommap.measures, "_uniform_pball", counted)
+    return drawn
+
+
+def _never(table, draws):
+    """A ``settled`` that never accepts."""
+    return False
+
+
+class TestChunkedBatches:
+    """A table that may stop draws its first four batches in chunks that
+    end at 512 2^j draws, and its ratio curve may stop at a chunk end;
+    every other batch is drawn whole."""
+
+    def test_chunk_sizes(self, monkeypatch):
+        drawn, case = _chunk_spy(monkeypatch), _thread_case("besov_aligned")
+        _mc_mass_batches(*case, 20_000, 4, 0, "chunks", False, _never)
+        assert drawn == [512] * 4 + [512] * 4 + [1024] * 4 + [452] * 4
+        drawn.clear()
+        _mc_mass_batches(*case, 8_192, 4, 0, "chunks", False, _never)
+        assert drawn == [512] * 8  # a batch of 512 draws is one chunk
+        drawn.clear()
+        _mc_mass_batches(*case, 20_000, 4, 0, "chunks")
+        assert drawn == [2_500] * 4  # a table that cannot stop is drawn whole
+        drawn.clear()
+        _mc_mass_batches(*case, 15_000, 3, 0, "chunks", False, _never)
+        assert drawn == [2_500] * 3  # so is one of fewer than four batches
+
+    @pytest.mark.parametrize("n_samples,n_batches", [(4_096, 4), (2_100, 20), (7, 7),
+                                                     (20_000, 4)])
+    @pytest.mark.parametrize("kind", ["besov_l2", "gauss_l1_weighted"])
+    def test_a_one_call_batch_is_its_log_mean_exp(self, kind, n_samples, n_batches):
+        # the reference draws each batch in one call and takes the log mean
+        # of its evaluations: a table without settled at any batch size
+        if kind == "besov_l2":
+            mu, centers, radii, space = _thread_case("besov_aligned")
+        else:
+            mu = GaussianMeasure(np.array([0.1, -0.2, 0.3]),
+                                 SpectralOperator(np.array([1.0, 0.5, 2.0])))
+            centers = [np.array([0.4, 0.1, -0.2]), mu.mean]
+            radii = radius_schedule(0.5, 4)
+            space = WeightedSeqSpace(1.0, np.array([1.0, 2.0, 0.5]))
+        table = _mc_mass_batches(mu, centers, radii, space, n_samples, n_batches, 3, "one")
+        setup = _ProductSetup(mu, space)
+        plans = [_CenterPlan(setup, c) for c in centers]
+        props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
+        half = (n_samples // n_batches + 1) // 2
+        for b in range(n_batches):
+            draws = _Draws(setup, _uniform_pball(child_rng(3, "one", b), half, setup.k_free,
+                                                 setup.draw_p))
+            for ci, (plan, (scales, logv)) in enumerate(zip(plans, props)):
+                ld = plan.log_density(draws, scales)
+                top = np.max(ld, axis=-1, keepdims=True)
+                mean = np.mean(np.exp(ld - top), axis=-1)
+                assert _log_mean_exp(ld).tobytes() == (top[:, 0] + np.log(mean)).tobytes()
+                assert table[ci, :, b].tobytes() == (_log_mean_exp(ld) + logv).tobytes()
+
+    def test_chunks_merge_to_the_log_mean_exp_of_the_batch(self):
+        # rows with no mass in one part, in both, and log values far below
+        # exp's range, where a placeholder max of 0 would underflow the sum
+        rng = np.random.default_rng(0)
+        x = rng.normal(-800.0, 3.0, (5, 30))
+        x[1, :12] = x[2, 12:] = x[3] = -np.inf
+        x[4] += 800.0
+        cut = 12
+        merged = _merge_log_sum_exp(*_log_sum_exp_parts(x[:, :cut]),
+                                    *_log_sum_exp_parts(x[:, cut:]))
+        got = _log_mean_of_parts(*merged, x.shape[-1])
+        want = _log_mean_exp(x)
+        assert np.isneginf(got[3]) and np.isneginf(want[3])
+        np.testing.assert_allclose(np.delete(got, 3), np.delete(want, 3), rtol=1e-14)
+
+    def test_a_chunked_batch_is_the_log_mean_exp_of_its_draws(self):
+        # the batch's chunks drawn by hand and evaluated in one piece: the
+        # running log-sum-exp rounds apart from one sum, but no further
+        mu, centers, radii, space = _thread_case("gauss_rotated_pinned")
+        table = _mc_mass_batches(mu, centers, radii, space, 20_000, 4, 2, "merge", False,
+                                 _never)[:, :, :1]
+        setup = _ProductSetup(mu, space)
+        rng = child_rng(2, "merge", 0)
+        z = np.concatenate([_uniform_pball(rng, n, setup.k_free, setup.draw_p)
+                            for n in (512, 512, 1024, 452)])
+        want = _direct_norm_mc_batches(mu, centers, radii, space, 5_000, 1, 2, "merge", False, z)
+        np.testing.assert_allclose(table, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_settled_sees_the_tables_of_smaller_batches(self, seed):
+        case, seen = _thread_case("besov_aligned"), []
+
+        def never(table, draws):
+            seen.append((table.copy(), draws))
+            return False
+
+        full = _mc_mass_batches(*case, 100_000, 20, seed, "stages", False, never)
+        # the first four batches at each chunk end, then rounds of whole batches
+        assert [(t.shape[-1], m) for t, m in seen] == [(4, 512), (4, 1024), (4, 2048), (4, 2500),
+                                                       (8, 2500), (12, 2500), (16, 2500)]
+        for table, m in seen[:3]:
+            want = _mc_mass_batches(*case, 8 * m, 4, seed, "stages", False, _never)
+            assert table.tobytes() == want.tobytes()
+        for table, _ in seen[3:]:
+            assert table.tobytes() == full[:, :, :table.shape[-1]].tobytes()
+        # the batches after the first four are drawn whole
+        whole = _mc_mass_batches(*case, 100_000, 20, seed, "stages")
+        assert full[:, :, 4:].tobytes() == whole[:, :, 4:].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_curve_stops_at_its_first_chunk_end(self, monkeypatch, seed):
+        calls, curves = _spy_tables(monkeypatch), []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a, n=n: n)
+            curves.append(ball_ratio_curve(*_budget_case(),
+                                           RatioOpts(n_samples=100_000, n_batches=20, seed=seed)))
+        tables = [table for _, _, table in calls]
+        assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
+        short = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=4_096, n_batches=4,
+                                                            seed=seed))
+        assert short.n_samples == 4_096
+        for cur in curves:
+            _assert_same_estimate(cur, short)
+
+    def test_threads_are_sized_by_the_first_stage(self, monkeypatch):
+        # a table drawn in full runs on the threads of an unchunked table of
+        # its batches, and one that may stop on those of its first chunk
+        sizes, pick = [], ommap.measures._mc_threads
+
+        def spy(n_batches, size):
+            sizes.append((n_batches, size))
+            return pick(n_batches, size)
+
+        monkeypatch.setattr(ommap.measures, "_mc_threads", spy)
+        case = _thread_case("besov_aligned")
+        _mc_mass_batches(*case, 100_000, 20, 0, "threads")
+        _mc_mass_batches(*case, 100_000, 20, 0, "threads", False, lambda table, m: True)
+        _mc_mass_batches(*case, 100_000, 3, 0, "threads", False, lambda table, m: True)
+        assert sizes == [(20, 2_500 * 20), (4, 512 * 20), (3, 16_667 * 20)]
+
+    def test_one_fit_per_stopped_curve(self, monkeypatch):
+        fits, ratio_curves = [], ommap.measures._ratio_curves
+
+        def counted(*args):
+            fits.append(args[0].shape[-1])
+            return ratio_curves(*args)
+
+        monkeypatch.setattr(ommap.measures, "_ratio_curves", counted)
+        cur = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=100_000, n_batches=20))
+        assert cur.n_samples == 4_096 and fits == [4]
+
+    def test_an_unsettled_curve_draws_every_batch_in_full(self, monkeypatch):
+        calls, drawn = _spy_tables(monkeypatch), _chunk_spy(monkeypatch)
+        mu, x1, x2, radii, space = _budget_case()
+        cur = ball_ratio_curve(mu, x1, x2, radii, space,
+                               RatioOpts(n_samples=100_000, n_batches=20, fit_points=1))
+        (_, _, table), = calls
+        assert drawn == [512] * 8 + [1024] * 4 + [452] * 4 + [2_500] * 16
+        want = _mc_mass_batches(mu, [x1, x2], radii, space, 100_000, 20, 0, "ratio-curve")
+        assert table[:, :, 4:].tobytes() == want[:, :, 4:].tobytes()
+        first = _mc_mass_batches(mu, [x1, x2], radii, space, 20_000, 4, 0, "ratio-curve",
+                                 False, _never)
+        assert table[:, :, :4].tobytes() == first.tobytes()
+        assert cur.n_samples == 100_000
 
 
 class TestGaussianL2Exact:

@@ -127,6 +127,13 @@ EXTRA_CONFIGS = (
         "competitors": [[0.9, 0.1], [0.5, -0.1], [-0.4, -0.6], [0.3, -0.2], [0.0, 0.0],
                         [1.2, -0.9], [0.6, -0.15], [0.3, 0.4]],
         "schedule": {"r0": 0.3, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 20000}}),
+    # Monte Carlo l2 balls of a Besov-1 measure, every batch drawn: 20
+    # batches of 2,500 draws, each drawn whole, in one call, since only a
+    # table that may stop draws its first batches in chunks
+    ("classify_mode.besov1_l2_whole_batches", {
+        "kind": "classify_mode", "seed": 0, "measure": {**_BESOV, "dim": 20},
+        "candidate": [0.0] * 20, "competitors": [[0.3, 0.0, -0.2] + [0.0] * 17],
+        "schedule": {"r0": 0.2, "levels": 6}, "norm": {"p": 2}, "mc": {"n_samples": 100000}}),
     # two points within the smallest radius of the range fit a limit; the
     # two farther ones have zero mass at the small radii and fit none
     ("m_property.mixed_fits", {
