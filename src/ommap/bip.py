@@ -25,19 +25,23 @@ from .gamma import (FunctionalSequence, ModeConvOpts, ModeConvReport,
                     continuous_convergence_probe, equicoercivity_probe, gamma_liminf_probe,
                     mode_convergence_check, om_family, recovery_gap)
 from .measures import LaplaceFactor, NormalFactor
-from .om import posterior_om, prior_om
+from .om import _RowKernel, posterior_om, prior_om
 from .spaces import SpectralOperator, _as_vector, project
 
 
 @dataclass
-class Potential:
-    """Real-valued misfit with gradient and optional smoothness metadata.
+class Potential(_RowKernel):
+    """Real-valued misfit Phi on R^dim, a row kernel as an ``OmFunctional``
+    is: ``kernel`` maps the rows of an ``(n, dim)`` array to their n
+    values, ``values`` is its checked many-row case and ``eval`` its
+    one-row case.  ``gradient`` maps one point to its gradient.
 
     When a gradient is supplied it is validated against central finite
-    differences at a few random points (1e-6 relative tolerance).
+    differences at a few random points (1e-6 relative tolerance); the
+    2*dim shifted points of each are one kernel call.
     """
 
-    eval: Callable[[np.ndarray], float]
+    kernel: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]]
     dim: int
     lipschitz_grad: Optional[float] = None
@@ -48,25 +52,21 @@ class Potential:
             for _ in range(5):
                 u = rng.uniform(-1.0, 1.0, self.dim)
                 g = np.asarray(self.gradient(u), dtype=float)
-                fd = _central_diff(self.eval, u)
+                fd = _central_diff(self.kernel, u)
                 scale = max(1.0, float(np.linalg.norm(g)))
                 if np.linalg.norm(g - fd) > 1e-6 * scale:
                     raise ParameterError(
                         f"gradient disagrees with finite differences by "
                         f"{np.linalg.norm(g - fd) / scale:.2e} (relative)")
 
-    def __call__(self, u) -> float:
-        return float(self.eval(u))
 
-
-def _central_diff(f, u, h: float = 1e-6) -> np.ndarray:
+def _central_diff(kernel, u, h: float = 1e-6) -> np.ndarray:
+    """Central differences of a row kernel at u, from one call on the
+    points u + h e_k followed by the points u - h e_k."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    for k in range(u.size):
-        e = np.zeros_like(u)
-        e[k] = h
-        out[k] = (f(u + e) - f(u - e)) / (2.0 * h)
-    return out
+    shifts = h * np.eye(u.size)
+    vals = kernel(np.vstack([u + shifts, u - shifts]))
+    return (vals[:u.size] - vals[u.size:]) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -119,31 +119,45 @@ class MapSolution:
 
 
 def _misfit(w_mat: np.ndarray, w_y: np.ndarray) -> tuple:
-    """Value, gradient and gradient Lipschitz constant of |w_y - W u|^2 / 2."""
+    """Row kernel and gradient of |w_y - W u|^2 / 2.  The kernel's stacked
+    products give each row the bits of the one-row products
+    ``w_y - W @ u`` and ``r @ r``."""
 
-    def value(u):
-        r = w_y - w_mat @ np.asarray(u, dtype=float)
-        return 0.5 * float(r @ r)
+    def kernel(pts: np.ndarray) -> np.ndarray:
+        r = w_y - np.matmul(w_mat, pts[:, :, None])[:, :, 0]
+        return 0.5 * np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
 
     def grad(u):
         r = w_y - w_mat @ np.asarray(u, dtype=float)
         return -(w_mat.T @ r)
 
-    return value, grad, float(np.linalg.norm(w_mat, 2)) ** 2  # exact: top eigenvalue of W^T W
+    return kernel, grad
 
 
 def quadratic_potential(obs: LinearObservation) -> Potential:
     """Half the squared whitened misfit."""
-    value, grad, lip = _misfit(*obs.whitened())
-    return Potential(eval=value, gradient=grad, dim=obs.n_unknown, lipschitz_grad=lip)
+    w_mat, w_y = obs.whitened()
+    lip = float(np.linalg.norm(w_mat, 2)) ** 2  # exact: top eigenvalue of W^T W
+    return Potential(*_misfit(w_mat, w_y), obs.n_unknown, lip)
+
+
+def _projected(kernel, n: int, dim: int):
+    """A row kernel composed with the projection onto the first n of dim
+    coordinates (``spaces.project`` on every row)."""
+    if not (1 <= n <= dim):
+        raise InputError(f"projection dimension {n} out of range [1, {dim}]")
+
+    def cut(pts: np.ndarray) -> np.ndarray:
+        out = np.array(pts, dtype=float)
+        out[:, n:] = 0.0
+        return kernel(out)
+
+    return cut
 
 
 def projected_potential(pot: Potential, n: int) -> Potential:
     """pot composed with the projection onto the first n coordinates."""
-
-    def value(u):
-        return pot.eval(project(u, n))
-
+    kernel = _projected(pot.kernel, n, pot.dim)
     grad = None
     if pot.gradient is not None:
         def grad(u):
@@ -152,7 +166,7 @@ def projected_potential(pot: Potential, n: int) -> Potential:
             out[:n] = g[:n]
             return out
 
-    return Potential(eval=value, gradient=grad, dim=pot.dim, lipschitz_grad=pot.lipschitz_grad)
+    return Potential(kernel, grad, pot.dim, pot.lipschitz_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +391,7 @@ def map_solve_besov_linear(prior, obs: LinearObservation,
     if obs.n_unknown != prior.dim:
         raise InputError("observation and prior dimensions differ")
     opts, inv_g, (w_mat, w_y) = opts or ProxOpts(), _l1_weights(prior), obs.whitened()
-    value, gradient, _ = _misfit(w_mat, w_y)
+    kernel, gradient = _misfit(w_mat, w_y)
     v, events, reached, degenerate = _lasso_homotopy(w_mat * prior.scale, w_y, opts.max_iter)
     u = v * prior.scale
     if not np.all(np.isfinite(u)):
@@ -385,8 +399,8 @@ def map_solve_besov_linear(prior, obs: LinearObservation,
     res = kkt_residual(gradient(u), u, inv_g)
     flags = ((() if reached and res < opts.tol else ("not-converged",))
              + (("non-unique-minimiser",) if degenerate else ()))
-    return MapSolution(u, value(u) + float(np.abs(u) @ inv_g), res, events, "lasso-homotopy",
-                       flags)
+    objective = float(kernel(u[None, :])[0]) + float(np.abs(u) @ inv_g)
+    return MapSolution(u, objective, res, events, "lasso-homotopy", flags)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +449,15 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
     kind "prior": schedule(n) returns the perturbed prior measure.
     The limit problem uses the unperturbed ingredients; all solve with
     ``map_solve``'s defaults.  Solutions are tracked with the
-    mode-convergence detector against the limit objective and the report
-    bundles the convergence probes at the limit point licensing the limit
+    mode-convergence detector against the limit objective, on the
+    posterior functionals ``posterior_om`` builds, and the report bundles
+    the convergence probes at the limit point licensing the limit
     interchange (potential continuity for data/projection,
-    functional-family probes for priors).
+    functional-family probes for priors).  A data member is the misfit's
+    row kernel at the perturbed data and a projection member the limit
+    kernel composed with the projection, each a ``Potential`` with no
+    gradient, so neither runs the finite-difference check; only the limit
+    potential does.
     """
     if kind not in ("data", "potential_projection", "prior"):
         raise InputError(f"unknown perturbation kind {kind!r}")
@@ -447,20 +466,20 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
 
     limit_pot = quadratic_potential(obs)
     priors, pot_members, solutions = [], [], []
-    # the probes only call a perturbed member's value: it is a plain callable,
-    # not a Potential, whose finite-difference check the analytic gradient
-    # does not need
+    # a perturbed member is a Potential without a gradient: the probes read
+    # only its kernel, so it skips the finite-difference check
     for n in indices:
         prior_n, obs_n, pot_n = prior, obs, limit_pot
         if kind == "data":
             obs_n = LinearObservation(obs.matrix, obs.noise_cov, schedule(n))
-            pot_n = _misfit(*obs_n.whitened())[0]
+            pot_n = Potential(_misfit(*obs_n.whitened())[0], None, limit_pot.dim)
         elif kind == "potential_projection":
             dim_n = int(schedule(n))
             o_n = obs.matrix.copy()
             o_n[:, dim_n:] = 0.0
             obs_n = LinearObservation(o_n, obs.noise_cov, obs.data)
-            pot_n = lambda u, dim_n=dim_n: limit_pot.eval(project(u, dim_n))
+            pot_n = Potential(_projected(limit_pot.kernel, dim_n, limit_pot.dim), None,
+                              limit_pot.dim)
         else:
             prior_n = schedule(n)
         priors.append(prior_n)
@@ -471,10 +490,13 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
                                  float(np.linalg.norm(s.point - limit_sol.point)), s.flags)
                for n, s in zip(indices, solutions)]
 
-    # posterior functional family for the convergence check
+    # posterior functional family for the convergence check; the data and
+    # projection kinds share the limit's prior functional
+    base = prior_om(prior)
     fam = FunctionalSequence(
-        indices, [posterior_om(prior_om(pr), pt) for pr, pt in zip(priors, pot_members)],
-        posterior_om(prior_om(prior), limit_pot))
+        indices, [posterior_om(base if pr is prior else prior_om(pr), pt)
+                  for pr, pt in zip(priors, pot_members)],
+        posterior_om(base, limit_pot))
     mode_report = mode_convergence_check(fam, [s.point for s in solutions],
                                          ModeConvOpts(limit_min=limit_sol.objective))
 
@@ -503,11 +525,15 @@ class SmallNoiseReport:
     members it Gamma-converges to its pointwise supremum (Dal Maso 1993,
     Prop. 5.4).  The experiment does not probe that limit, so
     ``gamma_liminf_asserted`` stays False; it measures the trajectory.
+    ``flags`` holds each solve's ``MapSolution.flags``, one tuple per n: a
+    ``non-unique-minimiser`` there means the distance is to one of several
+    minimisers.
     """
 
     n_values: list
     points: list
     distances: list
+    flags: list
     constrained_point: np.ndarray
     constrained_value: float
     pointwise_table: list
@@ -567,7 +593,7 @@ def small_noise_experiment(prior, obs: LinearObservation,
     if any(n < 1 for n in n_list):
         raise InputError("noise-scaling indices must be positive")
     star = constrained_prior_minimum(prior, obs)
-    points, dists = [], []
+    points, dists, flags = [], [], []
     for n in n_list:
         scaled = LinearObservation(obs.matrix,
                                    SpectralOperator(obs.noise_cov.eigenvalues / n,
@@ -576,6 +602,7 @@ def small_noise_experiment(prior, obs: LinearObservation,
         sol = map_solve(prior, scaled)
         points.append(sol.point)
         dists.append(float(np.linalg.norm(sol.point - star)))
+        flags.append(sol.flags)
 
     prior_fn = prior_om(prior)
     pot = quadratic_potential(obs)
@@ -584,4 +611,5 @@ def small_noise_experiment(prior, obs: LinearObservation,
         phi, prior_value = pot.eval(x), prior_fn.eval(x)
         table.append({"x": list(map(float, x)), "phi": float(phi),
                       "values": [float(n * phi + prior_value) for n in n_list]})
-    return SmallNoiseReport(n_list, points, dists, star, float(prior_fn.eval(star)), table)
+    return SmallNoiseReport(n_list, points, dists, flags, star, float(prior_fn.eval(star)),
+                            table)

@@ -637,10 +637,13 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
                                  seed: int = 0) -> list:
     """Sampled check of locally-uniform convergence of potentials.
 
-    For each test point x the probe records
+    ``phi_seq`` and ``phi_limit`` are potentials (``bip.Potential``).  For
+    each test point x the probe records
     sup_{x' in U_n} |phi_n(x') - phi_limit(x)| over shrinking sampled
     neighbourhoods U_n of radius ``_CC_RHO0`` * n^(-1/2), and requires
-    the recorded suprema to trend down to zero.
+    the recorded suprema to trend down to zero.  U_n is ``_CC_SAMPLES``
+    uniform draws from the ball and x itself, with 51 grid points of the
+    interval in 1-d, and each member reads it in one call of its kernel.
     """
     idx = list(indices) if indices is not None else list(range(1, len(phi_seq) + 1))
     if len(idx) != len(phi_seq):
@@ -653,7 +656,7 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
     for pi, x in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         dim = x.size
-        target = float(phi_limit(x))
+        target = phi_limit.eval(x)
         sups = np.empty(len(idx))
         for j, (n, phi) in enumerate(zip(idx, phi_seq)):
             rho = _CC_RHO0 * n ** -0.5
@@ -663,7 +666,7 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
             if dim == 1:
                 grid = np.linspace(x[0] - rho, x[0] + rho, 51)[:, None]
                 pts = np.vstack([pts, grid])
-            sups[j] = max(abs(float(phi(p)) - target) for p in pts)
+            sups[j] = np.max(np.abs(phi.values(pts) - target))
         blocks = np.array_split(sups, min(4, len(sups)))
         means = np.array([b.mean() for b in blocks])
         trend = bool(np.all(np.diff(means) <= 0.05 * means[0] + _CC_ABS_TOL))
@@ -690,10 +693,11 @@ def sum_rule_check(f_seq: FunctionalSequence, g_seq: Sequence, g_limit,
                    recovery_tol: float = 1e-8) -> SumRuleReport:
     """Probe the summed family F_n + G_n against F + G.
 
-    G_n is assumed continuously convergent (verify separately with
-    ``continuous_convergence_probe``); the recovery sequence for F is
-    reused for the sum, and its trailing values must not exceed
-    F(x) + G(x) beyond the tolerance.
+    G_n and G are potentials (``bip.Potential``), added to F_n and F by
+    ``posterior_om``.  G_n is assumed continuously convergent (verify
+    separately with ``continuous_convergence_probe``); the recovery
+    sequence for F is reused for the sum, and its trailing values must not
+    exceed F(x) + G(x) beyond the tolerance.
     """
     opts = opts or LiminfOpts()
     limit = posterior_om(f_seq.limit, g_limit)

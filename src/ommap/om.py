@@ -31,34 +31,18 @@ from .measures import (BallRatioEstimate, Density1D, ProductMeasure, RatioOpts, 
 from .spaces import WeightedSeqSpace, _as_vector
 
 
-@dataclass
-class OmFunctional:
-    """Extended-real functional, +inf exactly off its effective domain.
-
-    ``kernel`` maps the rows of an ``(n, k)`` array to their n values in
-    (-inf, +inf]; every other reading derives from it.  The anchor is a
-    reference point with finite value (the minimiser for the measures
-    constructed here).
-    """
-
-    kernel: Callable[[np.ndarray], np.ndarray]
-    anchor: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.anchor = np.atleast_1d(np.asarray(self.anchor, dtype=float))
-        if not math.isfinite(self.eval(self.anchor)):
-            raise InputError("anchor must have a finite functional value")
-
-    def __call__(self, u) -> float:
-        return self.eval(u)
+class _RowKernel:
+    """The readings of a row kernel on R^dim, shared by functionals and
+    potentials: ``kernel`` maps the rows of an ``(n, dim)`` array to their
+    n values, ``values`` is its checked many-row case and ``eval`` its
+    one-row case."""
 
     @cached_property
     def eval(self) -> Callable[[np.ndarray], float]:
         """The value at one point, the one-row case of ``kernel``; a 0-d
         value is read as a 1-vector.  Bound per instance, so one
-        functional's evaluations can be wrapped."""
-        kernel, dim = self.kernel, self.anchor.size
+        instance's evaluations can be wrapped."""
+        kernel, dim = self.kernel, self.dim
         shape = (dim,)
 
         def value(u) -> float:
@@ -70,12 +54,36 @@ class OmFunctional:
         return value
 
     def values(self, pts) -> np.ndarray:
-        """Functional values at the rows of an ``(n, k)`` array."""
+        """Values at the rows of an ``(n, dim)`` array."""
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.anchor.size:
-            raise InputError(f"expected an (n, {self.anchor.size}) array of points, "
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise InputError(f"expected an (n, {self.dim}) array of points, "
                              f"got shape {pts.shape}")
         return self.kernel(pts)
+
+
+@dataclass
+class OmFunctional(_RowKernel):
+    """Extended-real functional, +inf exactly off its effective domain.
+
+    ``kernel`` maps the rows of an ``(n, k)`` array to their n values in
+    (-inf, +inf]; ``eval``, ``values`` and ``domain_test`` derive from it.
+    The anchor is a reference point with finite value (the minimiser for
+    the measures constructed here).
+    """
+
+    kernel: Callable[[np.ndarray], np.ndarray]
+    anchor: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.anchor = np.atleast_1d(np.asarray(self.anchor, dtype=float))
+        if not math.isfinite(self.eval(self.anchor)):
+            raise InputError("anchor must have a finite functional value")
+
+    @property
+    def dim(self) -> int:
+        return self.anchor.size
 
     def domain_test(self, u) -> bool:
         """Whether u lies in the effective domain, where the value is finite."""
@@ -137,16 +145,28 @@ def density_om(measure: Density1D, anchor: float) -> OmFunctional:
                         anchor, {"kind": "density1d"})
 
 
-def posterior_om(prior_om: OmFunctional, phi) -> OmFunctional:
-    """Add a real-valued potential ``phi``, any callable, to a prior
-    functional, one point at a time.  The domain is unchanged."""
+def posterior_om(prior_om: OmFunctional, pot) -> OmFunctional:
+    """The posterior functional I + Phi of a prior functional I and a
+    potential Phi (a ``bip.Potential``), itself a row kernel: the
+    potential's kernel is added on the rows where the prior's value is
+    finite, and is not called on the others, which stay +inf.  The domain
+    is the prior's."""
+    if pot.dim != prior_om.dim:
+        raise InputError(f"a potential on R^{pot.dim} and a functional on "
+                         f"R^{prior_om.dim} do not add")
+    base, phi = prior_om.kernel, pot.kernel
 
-    def value(u: np.ndarray) -> float:
-        base = prior_om.eval(u)
-        return base if math.isinf(base) else base + float(phi(u))
+    def kernel(pts: np.ndarray) -> np.ndarray:
+        vals = base(pts)
+        on = np.isfinite(vals)
+        if on.all():
+            return vals + phi(pts)
+        out = np.array(vals, dtype=float)
+        if on.any():
+            out[on] += phi(pts[on])
+        return out
 
-    return OmFunctional(lambda pts: np.array([value(u) for u in pts]), prior_om.anchor,
-                        dict(prior_om.meta))
+    return OmFunctional(kernel, prior_om.anchor, dict(prior_om.meta))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from ommap.counterexamples import E1
 from ommap.gamma import _single_linkage
 from l1_reference import coordinate_descent
 from pinv_reference import apply, pinv_apply, sqrt_apply
+from pointwise import pointwise
 
 
 def _report(num: int, name: str, budget_s: float, t_start: float, checks):
@@ -214,7 +215,7 @@ def test_criterion_07_gaussian_ratio_limits():
                                    RatioOpts(n_samples=40_000, method="mc",
                                              seed=int(rng.integers(2 ** 31))))
             exact = ball_ratio_curve(mu, x1, x2, radii, space, RatioOpts(method="exact"))
-            expected = math.exp(fn(x2) - fn(x1))
+            expected = math.exp(fn.eval(x2) - fn.eval(x1))
             trials += 1
             if abs(cur.extrapolated_limit - expected) <= 3 * max(cur.se_limit, 1e-9):
                 hits += 1
@@ -250,10 +251,10 @@ def test_criterion_08_gaussian_family_theorem():
     for _ in range(1000):
         w = rng.normal(size=3) * 0.8
         u = mean + sqrt_apply(limit.cov, w)
-        target = seq.limit(u)
+        target = seq.limit.eval(u)
         rec = gaussian_recovery_sequence(members, limit, u)
         worst_gap = max(worst_gap,
-                        max(seq.members[i](rec[i]) - target for i in range(len(rec))))
+                        max(seq.members[i].eval(rec[i]) - target for i in range(len(rec))))
     checks = [("recovery inequality at 1000 random points",
                worst_gap <= 1e-12, f"worst gap={worst_gap:.2e}")]
 
@@ -286,9 +287,9 @@ def test_criterion_09_besov_family_theorem():
     worst = 0.0
     for _ in range(200):
         u = rng.laplace(scale=limit.gamma)
-        target = seq.limit(u)
+        target = seq.limit.eval(u)
         rec = besov_recovery_sequence(members, limit, u)
-        worst = max(worst, max(abs(seq.members[i](rec[i]) - target)
+        worst = max(worst, max(abs(seq.members[i].eval(rec[i]) - target)
                                for i in range(len(rec))))
     checks = [("recovery value identity exact to 1e-12", worst <= 1e-12,
                f"worst |gap|={worst:.2e}")]
@@ -421,7 +422,7 @@ def test_criterion_11_small_noise_limit():
     brute = np.array([1.0 - grid[np.argmin(vals)], grid[np.argmin(vals)]])
     checks.append(("weighted-l1 constrained point matches brute force within 1e-3",
                    float(np.max(np.abs(star - brute))) < 1e-3
-                   and fn(star) <= vals.min() + 1e-9,
+                   and fn.eval(star) <= vals.min() + 1e-9,
                    f"point={star.round(6).tolist()} vs {brute.tolist()}"))
     _report(11, "small-noise limit", 30.0, t0, checks)
 
@@ -487,7 +488,7 @@ def test_criterion_12_property_suite():
         pot = quadratic_potential(obs)
         u = rng.normal(size=k)
         h = 1e-6
-        fd = np.array([(pot(u + h * e) - pot(u - h * e)) / (2 * h) for e in np.eye(k)])
+        fd = np.array([(pot.eval(u + h * e) - pot.eval(u - h * e)) / (2 * h) for e in np.eye(k)])
         g = pot.gradient(u)
         ok_grad &= np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
     checks.append(("potential gradients match central differences", ok_grad,
@@ -502,21 +503,21 @@ def test_criterion_12_property_suite():
     for _ in range(200):
         h = rng.normal(size=3)
         c = float(rng.uniform(-3, 3))
-        ok_homog &= abs(fn_g(mu_g.mean + c * h) - c * c * fn_g(mu_g.mean + h)) \
-            <= 1e-10 * max(1.0, abs(fn_g(mu_g.mean + h)))
+        ok_homog &= abs(fn_g.eval(mu_g.mean + c * h) - c * c * fn_g.eval(mu_g.mean + h)) \
+            <= 1e-10 * max(1.0, abs(fn_g.eval(mu_g.mean + h)))
         v = rng.normal(size=5)
-        ok_homog &= abs(fn_b(c * v) - abs(c) * fn_b(v)) <= 1e-10 * max(1.0, fn_b(v))
+        ok_homog &= abs(fn_b.eval(c * v) - abs(c) * fn_b.eval(v)) <= 1e-10 * max(1.0, fn_b.eval(v))
     checks.append(("functional homogeneity (quadratic / absolutely one-homogeneous)",
                    ok_homog, "200 random points"))
 
     # posterior difference identity
     prior_fn = prior_om(mu_g)
     phi = lambda u: float(np.sin(u[0]) - 0.3 * u[1] ** 2 + u[2])
-    post = posterior_om(prior_fn, phi)
+    post = posterior_om(prior_fn, pointwise(phi, 3))
     ok_post = True
     for _ in range(200):
         x1, x2 = rng.normal(size=(2, 3))
-        lhs = (post(x1) - post(x2)) - (prior_fn(x1) - prior_fn(x2))
+        lhs = (post.eval(x1) - post.eval(x2)) - (prior_fn.eval(x1) - prior_fn.eval(x2))
         ok_post &= abs(lhs - (phi(x1) - phi(x2))) < 1e-12
     checks.append(("reweighted-functional difference identity", ok_post,
                    "200 random pairs"))

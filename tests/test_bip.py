@@ -10,9 +10,10 @@ from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    ParameterError, Potential, ProxOpts,
                    SpectralOperator, constrained_prior_minimum, continuous_convergence_probe,
                    kkt_residual, map_solve, map_solve_besov, map_solve_besov_linear,
-                   perturbation_experiment, posterior_om, prior_om, projected_potential,
-                   quadratic_potential, small_noise_experiment)
+                   perturbation_experiment, posterior_om, prior_om, project,
+                   projected_potential, quadratic_potential, small_noise_experiment)
 from l1_reference import coordinate_descent
+from pointwise import pointwise
 
 
 def observation(matrix, noise_eigs, data):
@@ -63,17 +64,17 @@ class TestFiniteParameters:
 
 class TestPotential:
     def test_gradient_validated_against_finite_differences(self):
-        good = Potential(eval=lambda u: float(u @ u), gradient=lambda u: 2.0 * u, dim=3)
+        good = pointwise(lambda u: float(u @ u), 3, gradient=lambda u: 2.0 * u)
         assert good.lipschitz_grad is None
         with pytest.raises(ParameterError):
-            Potential(eval=lambda u: float(u @ u), gradient=lambda u: 3.0 * u, dim=3)
+            pointwise(lambda u: float(u @ u), 3, gradient=lambda u: 3.0 * u)
 
     def test_quadratic_values(self):
         obs = observation([[1.0]], [1.0], [2.0])
         pot = quadratic_potential(obs)
-        assert pot(np.array([2.0])) == 0.0
+        assert pot.eval(np.array([2.0])) == 0.0
         np.testing.assert_allclose(pot.gradient(np.array([2.0])), [0.0])
-        assert pot(np.array([0.0])) == pytest.approx(2.0)
+        assert pot.eval(np.array([0.0])) == pytest.approx(2.0)
 
     def test_quadratic_gradient_random(self):
         rng = np.random.default_rng(0)
@@ -81,7 +82,7 @@ class TestPotential:
         pot = quadratic_potential(obs)
         u = rng.normal(size=4)
         h = 1e-6
-        fd = np.array([(pot(u + h * e) - pot(u - h * e)) / (2 * h)
+        fd = np.array([(pot.eval(u + h * e) - pot.eval(u - h * e)) / (2 * h)
                        for e in np.eye(4)])
         g = pot.gradient(u)
         assert np.linalg.norm(g - fd) < 1e-6 * max(1.0, np.linalg.norm(g))
@@ -91,7 +92,38 @@ class TestPotential:
         _, obs = random_problem(rng, 3, 2)
         pot = quadratic_potential(obs)
         for _ in range(1000):
-            assert pot(rng.normal(size=3) * 3) >= 0.0
+            assert pot.eval(rng.normal(size=3) * 3) >= 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 20])
+    def test_values_rows_are_eval_bit_for_bit(self, dim):
+        # each row of the stacked products has the bits of its one-row
+        # products, and eval has the bits of w_y - W @ u and r @ r
+        rng = np.random.default_rng(30 + dim)
+        _, obs = random_problem(rng, dim, 3)
+        w_mat, w_y = obs.whitened()
+        pot = quadratic_potential(obs)
+        proj = projected_potential(pot, max(1, dim // 2))
+        pts = 2.0 * rng.normal(size=(50, dim))
+        for p in (pot, proj):
+            np.testing.assert_array_equal(p.values(pts), [p.eval(u) for u in pts])
+        for u in pts:
+            r = w_y - w_mat @ u
+            assert pot.eval(u) == 0.5 * float(r @ r)
+            assert proj.eval(u) == pot.eval(project(u, max(1, dim // 2)))
+
+    def test_values_refuses_a_wrong_shape(self):
+        pot = quadratic_potential(observation([[1.0, 2.0]], [1.0], [0.5]))
+        with pytest.raises(InputError, match=r"\(n, 2\) array"):
+            pot.values(np.zeros((4, 3)))
+
+    def test_gradient_check_reads_each_point_in_one_kernel_call(self):
+        obs = random_problem(np.random.default_rng(31), 6, 3)[1]
+        kernel, shapes = quadratic_potential(obs).kernel, []
+        pot = Potential(lambda pts: shapes.append(pts.shape) or kernel(pts),
+                        quadratic_potential(obs).gradient, 6)
+        assert shapes == [(12, 6)] * 5
+        with pytest.raises(ParameterError):
+            Potential(kernel, lambda u: 2.0 * pot.gradient(u), 6)
 
     def test_noise_must_be_positive_definite(self):
         with pytest.raises(ParameterError):
@@ -105,7 +137,7 @@ class TestPotential:
         u = rng.normal(size=4)
         u_cut = u.copy()
         u_cut[2:] = 0.0
-        assert proj(u) == pot(u_cut)
+        assert proj.eval(u) == pot.eval(u_cut)
         assert proj.gradient(u)[3] == 0.0
 
 
@@ -158,8 +190,7 @@ class TestGaussianLinearSolver:
 class TestBesovSolver:
     def test_zero_potential_returns_zero(self):
         prior = BesovMeasure(1.0, 1, 1.0, 3)
-        pot = Potential(eval=lambda u: 0.0, gradient=lambda u: np.zeros(3), dim=3,
-                        lipschitz_grad=1.0)
+        pot = pointwise(lambda u: 0.0, 3, gradient=lambda u: np.zeros(3), lipschitz_grad=1.0)
         sol = map_solve_besov(prior, pot)
         np.testing.assert_array_equal(sol.point, np.zeros(3))
 
@@ -191,9 +222,9 @@ class TestBesovSolver:
         prior, obs = random_problem(rng, 4, 3, prior="besov")
         sol = map_solve_besov_linear(prior, obs)
         post = posterior_om(prior_om(prior), quadratic_potential(obs))
-        best = post(sol.point)
+        best = post.eval(sol.point)
         for _ in range(1000):
-            assert best <= post(sol.point + 0.5 * rng.normal(size=4)) + 1e-12
+            assert best <= post.eval(sol.point + 0.5 * rng.normal(size=4)) + 1e-12
 
     def test_non_unique_minimiser_flagged(self):
         # gamma = 1: with two equal columns every split of the coefficient
@@ -302,7 +333,7 @@ class TestBesovSolver:
 
     def test_gradient_required(self):
         prior = BesovMeasure(1.0, 1, 1.0, 2)
-        pot = Potential(eval=lambda u: 0.0, gradient=None, dim=2)
+        pot = pointwise(lambda u: 0.0, 2)
         with pytest.raises(InputError):
             map_solve_besov(prior, pot)
 
@@ -412,7 +443,7 @@ def test_weighted_l1_rules_refuse_a_form_they_cannot_read(prior):
     # is its functional only when it is centred in the coordinate basis
     obs = observation([[1.0, 0.5]], [0.1], [3.0])
     plain = map_solve(BesovMeasure(1.0, 1, 1.0, 2), obs).point  # (2.9, 0)
-    assert prior_om(prior)(plain) != prior_om(BesovMeasure(1.0, 1, 1.0, 2))(plain)
+    assert prior_om(prior).eval(plain) != prior_om(BesovMeasure(1.0, 1, 1.0, 2)).eval(plain)
     for solve in (lambda: map_solve(prior, obs),
                   lambda: map_solve_besov(prior, quadratic_potential(obs)),
                   lambda: map_solve_besov_linear(prior, obs),
@@ -444,8 +475,8 @@ class TestSmallNoise:
         obs = observation([[1.0, 1.0]], [1.0], [1.0])
         star = constrained_prior_minimum(prior, obs)
         fn = prior_om(prior)
-        best = min(fn(np.array([1.0 - a, a])) for a in np.linspace(-2, 2, 100001))
-        assert fn(star) <= best + 1e-9
+        best = min(fn.eval(np.array([1.0 - a, a])) for a in np.linspace(-2, 2, 100001))
+        assert fn.eval(star) <= best + 1e-9
 
     def test_pointwise_table_diverges_off_feasible_set(self):
         prior = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
@@ -456,6 +487,18 @@ class TestSmallNoise:
         assert feasible["phi"] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(feasible["values"]) == 0.0)
         assert infeasible["values"][-1] > infeasible["values"][0]
+
+    def test_flags_kept_per_n(self):
+        # gamma = (1, 2^(-1/2)) and O = (1/gamma_1, 1/gamma_2): the two scaled
+        # columns are equal, so every solve has a segment of minimisers
+        prior = BesovMeasure(1, 1, 1, 2)
+        obs = observation([1.0 / prior.gamma], [0.01], [1.0])
+        n_list = [1, 10, 100, 1000, 10_000]
+        rep = small_noise_experiment(prior, obs, n_list)
+        assert rep.flags == [("non-unique-minimiser",)] * len(n_list)
+        gauss = small_noise_experiment(GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2))),
+                                       obs, n_list)
+        assert gauss.flags == [()] * len(n_list)
 
     def test_n_must_be_positive(self):
         prior = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))

@@ -8,20 +8,23 @@ import numpy as np
 import pytest
 
 from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError,
-                   LiminfOpts, ModeConvOpts, NormalFactor, OmFunctional, SpectralOperator,
+                   LinearObservation, LiminfOpts, ModeConvOpts, NormalFactor, OmFunctional,
+                   Potential, SpectralOperator,
                    besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                    density_om, equicoercivity_probe, gamma_liminf_probe,
                    gaussian_om_family, gaussian_recovery_sequence,
-                   mode_convergence_check, prior_om, project, sublevel_halfwidth,
-                   sum_rule_check)
+                   mode_convergence_check, prior_om, project, projected_potential,
+                   quadratic_potential, sublevel_halfwidth, sum_rule_check)
 from ommap._seeds import child_rng
 from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
-from ommap.gamma import (_FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC, _MAGNITUDE_RANGE,
-                         _PATH_ALPHAS, _WINDOW_DISTANCE, _extrapolated_intercepts,
+from ommap.gamma import (_CC_RHO0, _CC_SAMPLES, _FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC,
+                         _MAGNITUDE_RANGE, _PATH_ALPHAS, _WINDOW_DISTANCE, _extrapolated_intercepts,
                          _halfwidths, _mapped_widths, _single_linkage, _stacked_forms,
                          default_paths)
+from ommap.measures import _uniform_pball
 from pinv_reference import sqrt_apply
+from pointwise import pointwise
 
 
 def gaussian_family_scale(n_members=24, factor=1.0):
@@ -560,7 +563,7 @@ class TestGaussianRecovery:
         rec = gaussian_recovery_sequence(members, limit, np.array([1.0]))
         for n, u_n in enumerate(rec, start=1):
             assert u_n[0] == pytest.approx(1 + 1.0 / n)
-            assert prior_om(members[n - 1])(u_n) == pytest.approx(0.5, abs=1e-14)
+            assert prior_om(members[n - 1]).eval(u_n) == pytest.approx(0.5, abs=1e-14)
 
     def test_off_range_constant_branch(self):
         limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
@@ -588,9 +591,9 @@ class TestGaussianRecovery:
             w = rng.normal(size=3)
             u = limit.mean + sqrt_apply(cov, w)
             rec = gaussian_recovery_sequence(members, limit, u)
-            target = lim_fn(u)
+            target = lim_fn.eval(u)
             for i, u_n in enumerate(rec):
-                assert fam.members[i](u_n) <= target + 1e-12
+                assert fam.members[i].eval(u_n) <= target + 1e-12
 
 
 class TestBesovRecovery:
@@ -615,10 +618,10 @@ class TestBesovRecovery:
         fam = besov_om_family(members, limit, list(range(2, 22)))
         for _ in range(50):
             u = rng.laplace(scale=limit.gamma)
-            target = fam.limit(u)
+            target = fam.limit.eval(u)
             rec = besov_recovery_sequence(members, limit, u)
             for i, u_n in enumerate(rec):
-                assert abs(fam.members[i](u_n) - target) <= 1e-12 * max(1.0, target)
+                assert abs(fam.members[i].eval(u_n) - target) <= 1e-12 * max(1.0, target)
 
     def test_zero_maps_to_zero(self):
         limit = BesovMeasure(1.0, 1, 1.0, 3)
@@ -1053,9 +1056,71 @@ def _mixture_density(fam):
                      support=((-45.0, 45.0),), total_mass=1.0)
 
 
+def _per_point_suprema(phi_seq, phi_limit, x, indices, seed=0, point_index=0):
+    """The probe's suprema by its earlier loop, one ``eval`` per sampled point."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    target = phi_limit.eval(x)
+    sups = []
+    for j, (n, phi) in enumerate(zip(indices, phi_seq)):
+        rho = _CC_RHO0 * n ** -0.5
+        rng = child_rng(seed, "cont-conv", point_index, j)
+        pts = x[None, :] + rho * _uniform_pball(rng, _CC_SAMPLES, x.size, 2.0)
+        pts = np.vstack([pts, x[None, :]])
+        if x.size == 1:
+            pts = np.vstack([pts, np.linspace(x[0] - rho, x[0] + rho, 51)[:, None]])
+        sups.append(max(abs(float(phi.eval(p)) - target) for p in pts))
+    return np.array(sups)
+
+
+def _misfit_members(rng, k, j, indices):
+    """A linear observation's potential and its potentials at data y + d / n."""
+    obs = LinearObservation(rng.normal(size=(j, k)), SpectralOperator(rng.uniform(0.5, 2.0, j)),
+                            rng.normal(size=j))
+    d = rng.normal(size=j)
+    return quadratic_potential(obs), [
+        quadratic_potential(LinearObservation(obs.matrix, obs.noise_cov, obs.data + d / n))
+        for n in indices]
+
+
 class TestContinuousConvergence:
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_data_members_match_the_per_point_loop(self, k):
+        # in 1-d each member reads 252 points: 200 draws, x and 51 grid points
+        indices = [1, 2, 4, 8, 16]
+        limit, members = _misfit_members(np.random.default_rng(40 + k), k, 3, indices)
+        points = np.random.default_rng(41).normal(size=(2, k))
+        entries = continuous_convergence_probe(members, limit, points, indices, seed=5)
+        for pi, (x, e) in enumerate(zip(points, entries)):
+            np.testing.assert_array_equal(
+                e.suprema, _per_point_suprema(members, limit, x, indices, 5, pi))
+
+    def test_projection_members_match_the_per_point_loop(self):
+        indices = list(range(1, 7))
+        limit = _misfit_members(np.random.default_rng(42), 6, 4, [])[0]
+        members = [projected_potential(limit, n) for n in indices]
+        x = np.random.default_rng(43).normal(size=6)
+        entry = continuous_convergence_probe(members, limit, [x], indices)[0]
+        np.testing.assert_array_equal(entry.suprema,
+                                      _per_point_suprema(members, limit, x, indices))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_member_infinite_on_part_of_its_neighbourhood(self, k):
+        # phi_n is +inf past u_1 = 0.6: the neighbourhoods of radius n^(-1/2)
+        # about 0 cross it for n = 1, 2, whose suprema are +inf
+        def member(n):
+            return Potential(lambda pts: np.where(pts[:, 0] > 0.6, math.inf,
+                                                  np.sum(pts * pts, axis=1) + 1.0 / n), None, k)
+
+        indices = [1, 2, 4, 8, 16, 32]
+        members, limit = [member(n) for n in indices], member(math.inf)
+        x = np.zeros(k)
+        entry = continuous_convergence_probe(members, limit, [x], indices, seed=7)[0]
+        want = _per_point_suprema(members, limit, x, indices, 7)
+        np.testing.assert_array_equal(entry.suprema, want)
+        assert np.all(np.isinf(want[:2])) and np.all(np.isfinite(want[2:]))
+
     def test_constant_continuous_potential(self):
-        phi = lambda u: float(np.sin(np.sum(u)))
+        phi = pointwise(lambda u: float(np.sin(np.sum(u))), 2)
         entries = continuous_convergence_probe([phi] * 12, phi, [np.array([0.3, 0.1])],
                                                seed=1)
         assert entries[0].verdict == "pass"
@@ -1063,13 +1128,13 @@ class TestContinuousConvergence:
     @pytest.mark.parametrize("index", [0, -1])
     def test_index_below_one_refused(self, index):
         # the neighbourhood radius is n^(-1/2): no radius at 0, a complex one below
-        phi = lambda u: float(np.sum(u))
+        phi = pointwise(lambda u: float(np.sum(u)), 2)
         with pytest.raises(InputError, match="indices"):
             continuous_convergence_probe([phi] * 3, phi, [np.zeros(2)], indices=[index, 2, 3])
 
     def test_empty_sequence_refused(self):
         # no potential gives no suprema to trend
-        phi = lambda u: float(np.sum(u))
+        phi = pointwise(lambda u: float(np.sum(u)), 2)
         for indices in (None, []):
             with pytest.raises(InputError, match="phi_seq is empty"):
                 continuous_convergence_probe([], phi, [np.zeros(2)], indices=indices)
@@ -1082,9 +1147,10 @@ class TestContinuousConvergence:
         def phi(u):
             return 0.5 * (y - float(coef @ u)) ** 2
 
-        phis = [(lambda n: (lambda u: phi(project(u, n))))(n) for n in range(1, k_dim + 1)]
+        phis = [pointwise((lambda n: (lambda u: phi(project(u, n))))(n), k_dim)
+                for n in range(1, k_dim + 1)]
         x = np.full(k_dim, 0.2)
-        entries = continuous_convergence_probe(phis, phi, [x], seed=2)
+        entries = continuous_convergence_probe(phis, pointwise(phi, k_dim), [x], seed=2)
         e = entries[0]
         assert e.verdict == "pass"
         assert e.suprema[-1] < 0.25 * e.suprema[0]
@@ -1094,11 +1160,12 @@ class TestContinuousConvergence:
 
         def make_phi(n):
             fam = SpikeFamily(n)
-            return lambda u: -math.log(float(fam.density(u[0])) /
-                                       float(lim.density(u[0])))
+            return pointwise(lambda u: -math.log(float(fam.density(u[0])) /
+                                                 float(lim.density(u[0]))), 1)
 
         phis = [make_phi(n) for n in range(1, 121)]
-        entries = continuous_convergence_probe(phis, lambda u: 0.0, [np.array([0.0])], seed=3)
+        entries = continuous_convergence_probe(phis, pointwise(lambda u: 0.0, 1),
+                                               [np.array([0.0])], seed=3)
         assert entries[0].verdict == "fail"
         assert entries[0].final_sup > 0.5
 
@@ -1106,7 +1173,7 @@ class TestContinuousConvergence:
 class TestSumRule:
     def test_zero_perturbation_reduces_to_base(self):
         seq = gaussian_family_scale(16)
-        zero = lambda u: 0.0
+        zero = pointwise(lambda u: 0.0, 2)
         rec = lambda x: gaussian_recovery_sequence(seq.measures, seq.limit_measure, x)
         rep = sum_rule_check(seq, [zero] * 16, zero,
                              [np.zeros(2), np.array([0.5, -0.5])], rec)
@@ -1119,16 +1186,16 @@ class TestSumRule:
         def phi(u):
             return 0.5 * (1.0 - float(coef @ u)) ** 2
 
-        phis = [(lambda n: (lambda u: phi(project(u, min(n, 2)))))(n)
+        phis = [pointwise((lambda n: (lambda u: phi(project(u, min(n, 2)))))(n), 2)
                 for n in range(1, 17)]
         rec = lambda x: gaussian_recovery_sequence(seq.measures, seq.limit_measure, x)
-        rep = sum_rule_check(seq, phis, phi, [np.zeros(2), np.array([0.3, 0.2])], rec,
+        rep = sum_rule_check(seq, phis, pointwise(phi, 2), [np.zeros(2), np.array([0.3, 0.2])], rec,
                              recovery_tol=1e-2)
         assert rep.verdict == "pass"
 
     def test_gaps_are_written_as_gamma_reports_write_them(self):
         seq = gaussian_family_scale(16)
-        zero = lambda u: 0.0
+        zero = pointwise(lambda u: 0.0, 2)
         rec = lambda x: gaussian_recovery_sequence(seq.measures, seq.limit_measure, x)
         summed = sum_rule_check(seq, [zero] * 16, zero, [np.array([0.5, -0.5])], rec)
         gamma, _ = _run_gamma_check(

@@ -399,7 +399,7 @@ class TestRatioCurve:
         sp = WeightedSeqSpace.unweighted(2.0, 2)
         x1, x2 = np.array([0.5, 0.2]), np.array([-0.3, 0.1])
         fn = prior_om(mu)
-        expected = math.exp(fn(x2) - fn(x1))
+        expected = math.exp(fn.eval(x2) - fn.eval(x1))
         cur = ball_ratio_curve(mu, x1, x2, radius_schedule(0.2, 10), sp,
                                RatioOpts(n_samples=40_000, seed=11))
         half = 0.5 * (cur.ci[1] - cur.ci[0])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, LinearObservation, OmFunctional,
-                   OmNotStrongMeasure,
+                   OmNotStrongMeasure, Potential,
                    RatioOpts, SpectralOperator, WeightedSeqSpace,
                    ball_ratio_curve, classify_mode, density_om,
                    m_property_probe, om_difference_check, posterior_om,
@@ -17,6 +17,7 @@ from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, Gaussi
 from ommap import measures, om
 from ommap.counterexamples import _mixture_density1d, _spike_density1d
 from pinv_reference import in_range_sqrt, sqrt_apply, sqrt_pinv_apply
+from pointwise import pointwise
 
 
 def std_gaussian(k):
@@ -27,20 +28,20 @@ class TestGaussianFunctional:
     def test_anchor_is_zero_and_unique_minimum(self):
         mu = GaussianMeasure(np.array([0.5, -1.0]), SpectralOperator(np.array([2.0, 1.0])))
         fn = prior_om(mu)
-        assert fn(mu.mean) == 0.0
+        assert fn.eval(mu.mean) == 0.0
         rng = np.random.default_rng(0)
         for _ in range(50):
             u = mu.mean + rng.normal(size=2)
-            assert fn(u) > 0.0
+            assert fn.eval(u) > 0.0
 
     def test_halved_squared_preimage(self):
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([4.0, 1.0])))
-        assert prior_om(mu)(np.array([2.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
+        assert prior_om(mu).eval(np.array([2.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
 
     def test_off_range_is_infinite(self):
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([4.0, 0.0])))
         fn = prior_om(mu)
-        assert fn(np.array([0.0, 1.0])) == math.inf
+        assert fn.eval(np.array([0.0, 1.0])) == math.inf
         assert not fn.domain_test(np.array([0.0, 1.0]))
 
     @given(st.floats(min_value=-4, max_value=4, allow_nan=False),
@@ -52,8 +53,8 @@ class TestGaussianFunctional:
                              SpectralOperator(rng.uniform(0.5, 2.0, 3)))
         fn = prior_om(mu)
         h = rng.normal(size=3)
-        lhs = fn(mu.mean + c * h)
-        rhs = c * c * fn(mu.mean + h)
+        lhs = fn.eval(mu.mean + c * h)
+        rhs = c * c * fn.eval(mu.mean + h)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -61,9 +62,9 @@ class TestBesovFunctional:
     def test_values(self):
         mu = BesovMeasure(1.0, 1, 1.0, 4)
         fn = prior_om(mu)
-        assert fn(np.zeros(4)) == 0.0
-        assert fn(np.array([1.0, 0, 0, 0])) == 1.0
-        assert fn(np.array([1.0, 1.0, 0, 0])) == pytest.approx(1 + math.sqrt(2), abs=1e-14)
+        assert fn.eval(np.zeros(4)) == 0.0
+        assert fn.eval(np.array([1.0, 0, 0, 0])) == 1.0
+        assert fn.eval(np.array([1.0, 1.0, 0, 0])) == pytest.approx(1 + math.sqrt(2), abs=1e-14)
 
     @given(st.floats(min_value=-3, max_value=3, allow_nan=False),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -73,7 +74,7 @@ class TestBesovFunctional:
         mu = BesovMeasure(1.0, 1, 1.0, 5)
         fn = prior_om(mu)
         u = rng.normal(size=5)
-        assert fn(c * u) == pytest.approx(abs(c) * fn(u), rel=1e-12, abs=1e-12)
+        assert fn.eval(c * u) == pytest.approx(abs(c) * fn.eval(u), rel=1e-12, abs=1e-12)
 
 
 def _reference_gaussian_om(mu, u) -> float:
@@ -172,23 +173,23 @@ class TestPosteriorFunctional:
     def test_zero_potential_is_identity(self):
         mu = std_gaussian(2)
         prior = prior_om(mu)
-        post = posterior_om(prior, lambda u: 0.0)
+        post = posterior_om(prior, pointwise(lambda u: 0.0, 2))
         rng = np.random.default_rng(1)
         for _ in range(20):
             u = rng.normal(size=2)
-            assert post(u) == prior(u)
+            assert post.eval(u) == prior.eval(u)
 
     def test_scalar_posterior_minimiser(self):
         prior = prior_om(std_gaussian(1))
-        post = posterior_om(prior, lambda u: 0.5 * (2.0 - u[0]) ** 2)
+        post = posterior_om(prior, pointwise(lambda u: 0.5 * (2.0 - u[0]) ** 2, 1))
         xs = np.linspace(-1, 3, 4001)
-        best = xs[np.argmin([post(np.array([x])) for x in xs])]
+        best = xs[np.argmin([post.eval(np.array([x])) for x in xs])]
         assert best == pytest.approx(1.0, abs=1e-3)
 
     def test_constant_shift(self):
         prior = prior_om(std_gaussian(1))
-        post = posterior_om(prior, lambda u: 7.0)
-        assert post(np.array([0.3])) == pytest.approx(prior(np.array([0.3])) + 7.0)
+        post = posterior_om(prior, pointwise(lambda u: 7.0, 1))
+        assert post.eval(np.array([0.3])) == pytest.approx(prior.eval(np.array([0.3])) + 7.0)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -196,10 +197,55 @@ class TestPosteriorFunctional:
         rng = np.random.default_rng(seed)
         prior = prior_om(std_gaussian(3))
         phi = lambda u: float(np.sin(u[0]) + u[1] ** 2)
-        post = posterior_om(prior, phi)
+        post = posterior_om(prior, pointwise(phi, 3))
         x1, x2 = rng.normal(size=(2, 3))
-        lhs = (post(x1) - post(x2)) - (prior(x1) - prior(x2))
+        lhs = (post.eval(x1) - post.eval(x2)) - (prior.eval(x1) - prior.eval(x2))
         assert lhs == pytest.approx(phi(x1) - phi(x2), abs=1e-12)
+
+
+def _posterior_priors():
+    """(measure, points on its domain, points off it) for the posterior cases."""
+    rng = np.random.default_rng(21)
+    degenerate = _rotated_gaussian(5, 2, 22)
+    on = degenerate.mean + np.array([sqrt_apply(degenerate.cov, g)
+                                     for g in rng.normal(size=(8, 5))])
+    off = degenerate.mean + rng.normal(size=(4, 5))
+    return {
+        "gaussian-diagonal": (GaussianMeasure(rng.normal(size=5),
+                                              SpectralOperator(rng.uniform(0.5, 2.0, 5))),
+                              rng.normal(size=(8, 5)), np.empty((0, 5))),
+        "gaussian-rotated": (_rotated_gaussian(5, 0, 23), rng.normal(size=(8, 5)),
+                             np.empty((0, 5))),
+        "gaussian-degenerate": (degenerate, on, off),
+        "besov1": (BesovMeasure(1.2, 1, 1.0, 5), rng.laplace(size=(8, 5)), np.empty((0, 5))),
+    }
+
+
+class TestPosteriorKernel:
+    @pytest.mark.parametrize("name", ["gaussian-diagonal", "gaussian-rotated",
+                                      "gaussian-degenerate", "besov1"])
+    def test_eval_is_prior_plus_potential_bit_for_bit(self, name):
+        mu, on, off = _posterior_priors()[name]
+        rng = np.random.default_rng(24)
+        obs = LinearObservation(rng.normal(size=(3, 5)), SpectralOperator(np.ones(3)),
+                                rng.normal(size=3))
+        misfit, seen = quadratic_potential(obs), []
+        pot = Potential(lambda pts: seen.append(pts.copy()) or misfit.kernel(pts), None, 5)
+        prior = prior_om(mu)
+        post = posterior_om(prior, pot)
+        for u in on:
+            assert post.eval(u) == prior.eval(u) + pot.eval(u)
+        seen.clear()
+        for u in off:
+            assert post.eval(u) == math.inf
+        vals = post.values(np.vstack([on, off]))
+        assert np.all(np.isfinite(vals[:len(on)])) and np.all(np.isinf(vals[len(on):]))
+        # the potential read only the rows on the prior's domain
+        assert len(seen) == 1 and np.array_equal(seen[0], on)
+
+    def test_dimensions_must_agree(self):
+        with pytest.raises(InputError, match="do not add"):
+            posterior_om(prior_om(std_gaussian(2)), pointwise(lambda u: 0.0, 3))
 
 
 class TestOmDifferenceCheck:
@@ -357,8 +403,8 @@ class TestClassifyMode:
         grid = [np.array([x]) for x in np.linspace(-2, 3, 41)]
         res = classify_mode(mu, np.array([0.7]), grid, radius_schedule(0.25, 8))
         assert res.global_weak == "yes"
-        vals = [fn(g) for g in grid]
-        assert fn(np.array([0.7])) <= min(vals) + 1e-12
+        vals = [fn.eval(g) for g in grid]
+        assert fn.eval(np.array([0.7])) <= min(vals) + 1e-12
 
     def test_mode_minimiser_correspondence_besov(self):
         mu = BesovMeasure(1.0, 1, 1.0, 1)
@@ -366,7 +412,7 @@ class TestClassifyMode:
         grid = [np.array([x]) for x in np.linspace(-1.5, 1.5, 31)]
         res = classify_mode(mu, np.zeros(1), grid, radius_schedule(0.25, 8))
         assert res.global_weak == "yes"
-        assert fn(np.zeros(1)) <= min(fn(g) for g in grid) + 1e-12
+        assert fn.eval(np.zeros(1)) <= min(fn.eval(g) for g in grid) + 1e-12
 
 
 class TestSupremumPaths:
@@ -556,8 +602,8 @@ class TestDensityFunctional:
         d = _spike_density1d(5)
         fn = density_om(d, anchor=0.2)
         x = 0.7
-        assert fn(np.array([x])) == pytest.approx(-math.log(d.pdf(x)))
-        assert fn(np.array([-30.0])) > 100 or math.isinf(fn(np.array([-30.0])))
+        assert fn.eval(np.array([x])) == pytest.approx(-math.log(d.pdf(x)))
+        assert fn.eval(np.array([-30.0])) > 100 or math.isinf(fn.eval(np.array([-30.0])))
 
 
 def _rotated_gaussian(k, n_pinned, seed):
@@ -594,15 +640,17 @@ def _conformance_cases():
                       np.vstack([on_degenerate, rng.normal(size=(6, 4))])),
         "liminf-only": (prior_om(liminf), np.vstack([line, [[1.0]]])),
         "om-not-strong": (OmNotStrongMeasure().om_functional(), integers),
-        # sum_rule_check sums a family member and a bare callable this way
-        "sum-rule-member": (posterior_om(prior_om(besov), lambda u: float(np.sin(u[0]))),
+        # sum_rule_check sums a family member and a potential this way
+        "sum-rule-member": (posterior_om(prior_om(besov),
+                                         pointwise(lambda u: float(np.sin(u[0])), 6)),
                             rng.laplace(scale=besov.gamma, size=(12, 6))),
     }
 
 
-#: product priors evaluate a batch by one matrix product, whose sums may
-#: round differently from those of a one-row product
-_BATCHED = ("gaussian-aligned", "gaussian-rotated", "gaussian-degenerate", "besov1")
+#: product priors, and posteriors over them, evaluate a batch by one matrix
+#: product, whose sums may round differently from those of a one-row product
+_BATCHED = ("gaussian-aligned", "gaussian-rotated", "gaussian-degenerate", "besov1",
+            "posterior", "sum-rule-member")
 
 
 @pytest.mark.parametrize("name", list(_conformance_cases()))
@@ -618,6 +666,5 @@ def test_eval_values_and_domain_test_derive_from_one_kernel(name):
         np.testing.assert_array_equal(got, one_by_one)
     assert [fn.domain_test(u) for u in pts] == [math.isfinite(v) for v in one_by_one]
     assert math.isfinite(fn.eval(fn.anchor))
-    assert fn(pts[0]) == fn.eval(pts[0])
     if name in ("gaussian-degenerate", "posterior", "liminf-only", "om-not-strong"):
         assert not np.all(np.isfinite(one_by_one)), "no off-domain point in the case"

@@ -112,7 +112,7 @@ def test_reach_lists_unreached_functions_then_the_total():
     body, first = inspect.getsourcelines(ommap.weighted_norm)
     assert f"ommap.spaces {first} weighted_norm {len(body)}" in lines
     assert any(line.split()[2] == "SpectralOperator.zero_mask" for line in lines)
-    assert any(line.split()[2] == "projected_potential.value" for line in lines)
+    assert any(line.split()[2] == "projected_potential.grad" for line in lines)
     assert not any(line.split()[2] == "project" for line in lines)
 
 

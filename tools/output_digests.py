@@ -75,6 +75,12 @@ EXTRA_CONFIGS = (
         "prior": {"type": "gaussian", "mean": [0.0, 0.0, 0.0, 0.0],
                   "eigenvalues": [2.0, 1.0, 0.5, 0.25]},
         "observation": _OBS_3X4, "indices": [1, 2, 3, 4, 5, 6]}),
+    # data perturbation under a Besov-1 prior: lasso-homotopy solves, and
+    # misfit members at shifted data in the continuity probe
+    ("perturbation.data_besov1", {
+        "kind": "perturbation", "seed": 0, "perturb": "data",
+        "prior": {**_BESOV, "dim": 4}, "observation": _OBS_3X4,
+        "indices": [1, 2, 4, 8, 16, 32, 64], "data_direction": [1.0, -0.5, 0.25]}),
     ("map_solve.gaussian_rotated_degenerate", {
         "kind": "map_solve", "seed": 0, "prior": _GAUSS_ROTATED_DEGENERATE,
         "observation": _OBS_3X4}),
