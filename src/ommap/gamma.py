@@ -155,9 +155,11 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     path whenever the functionals are merely smooth, so the probe
     estimates the liminf along each path instead: the deficit
     F(x) - F_n(x_n) over the trailing index window is extrapolated to
-    zero path distance (``_extrapolated_intercepts``), and a positive
-    intercept beyond ``_LIMINF_TOL`` is a violation, recorded with its
-    witness point, the path's point of largest deficit in the window.
+    zero path distance (``_extrapolated_intercepts``: the least-squares
+    polynomials of degree 1..3 of every path at once, from one three-term
+    recurrence), and a positive intercept beyond ``_LIMINF_TOL`` is a
+    violation, recorded with its witness point, the path's point of
+    largest deficit in the window.
 
     Every path distance shrinks strictly with n, so a fit reads the last
     ``_FIT_POINTS`` window members of a path that is finite on all of
@@ -232,39 +234,68 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
     polynomial models of degree 1..3, and the smallest intercept is kept:
     smooth functionals produce transient humps that a single linear fit
     would misread as persistent, while genuinely persistent
-    (near-constant) deficits survive every fit.  With fewer than 2
-    points, or all of them at distance zero, the column's maximum deficit
-    is returned, and NaN for a column without points.  All columns are
-    fitted at once from one batched QR factorisation of the degree-3
-    design, absent points entering as zero rows: the degree-q fit solves
-    the leading q + 1 block of R against the leading part of Q^T y, made
-    where a column has at least q + 1 points (of distinct abscissae, as
-    every caller's are).
+    (near-constant) deficits survive every fit.  The degree-q fit is made
+    where a column has at least q + 1 distinct abscissae.  With fewer
+    than 2, or all points at distance zero, the column's maximum deficit
+    is returned, and NaN for a column without points.
+
+    All columns are fitted at once by Forsythe's discrete orthogonal
+    polynomials.  The present abscissae are mapped onto s in [-1, 1] by
+    their midpoint m and half-range h, and the Stieltjes recurrence
+    p_{k+1} = (s - a_k) p_k - b_k p_{k-1}, with p_0 = 1 on the present
+    points and 0 on the absent ones, a_k = <s p_k, p_k> / <p_k, p_k> and
+    b_k = <p_k, p_k> / <p_{k-1}, p_{k-1}>, gives every degree's
+    least-squares fit as sum_{j<=k} c_j p_j.  c_j = <y, p_j> / <p_j, p_j>
+    is taken from the residual of the degree j - 1 fit in place of y,
+    equal in exact arithmetic and robust to the p_j's rounding away from
+    orthogonality.  The same recurrence evaluates each p_j at
+    s_0 = -m/h, the zero abscissa.  Sums run over each column's points
+    alone, so every column's result is the one it has when fitted by
+    itself.
     """
     present = ~np.isnan(deficits)
     order = np.argsort(np.where(present, dists, np.inf), axis=0,
                        kind="stable")[:_FIT_POINTS]
-    near = np.take_along_axis(present, order, axis=0)
-    d = np.where(near, np.take_along_axis(dists, order, axis=0), 0.0)
-    de = np.where(near, np.take_along_axis(deficits, order, axis=0), 0.0)
-    count = near.sum(axis=0)
+    flat = order * dists.shape[1] + np.arange(dists.shape[1])  # one gather index for all three
+    near = present.ravel()[flat]
+    d = np.where(near, dists.ravel()[flat], 0.0)
+    de = np.where(near, deficits.ravel()[flat], 0.0)
     scale = d.max(axis=0)
-    best = np.where(count > 0, np.max(np.where(near, de, -np.inf), axis=0), np.nan)
-    fit = (count >= 2) & (scale >= 1e-14)
-    t = (d[:, fit] / scale[fit]).T                            # (columns, points)
-    # absent points are zero rows: their t is 0 and so is their constant term
-    q, r = np.linalg.qr(np.stack([near[:, fit].T.astype(float), t, t ** 2, t ** 3], axis=2))
-    qty = np.einsum("cpk,cp->ck", q, de[:, fit].T)
-    lowest = np.full(t.shape[0], np.inf)
-    for k in (1, 2, 3):
-        # count <= points, so R has the leading block wherever ok holds
-        ok = count[fit] >= k + 1
-        if not np.any(ok):
+    # the present points come first, by ascending abscissa
+    distinct = near[0] + np.sum(near[1:] & (d[1:] > d[:-1]), axis=0)
+    best = np.where(near[0], np.max(np.where(near, de, -np.inf), axis=0), np.nan)
+    fit = (distinct >= 2) & (scale >= 1e-14)
+    s, y, p = d[:, fit], de[:, fit], near[:, fit].astype(float)
+    lo, half = s[0], (scale[fit] - s[0]) / 2
+    # (s - m) / h, with s - lo exact on a clustered window
+    s, s0, at0 = (s - lo) / half - 1, -lo / half - 1, np.ones_like(lo)
+    p_prev = at0_prev = inv_prev = intercept = 0.0
+    fits = []
+    for k in range(4):
+        pp = p * p
+        norm = _column_sums(pp)
+        # p_k vanishes on the points once k reaches their distinct count,
+        # and its coefficients with it
+        inv = 1.0 / np.maximum(norm, np.finfo(float).tiny)
+        c = _column_sums(y * p) * inv
+        intercept = intercept + c * at0
+        fits.append(intercept)
+        if k == 3:
             break
-        coef = np.linalg.solve(r[ok, :k + 1, :k + 1], qty[ok, :k + 1, None])
-        lowest[ok] = np.minimum(lowest[ok], coef[:, 0, 0])
-    best[fit] = lowest
+        y = y - c * p
+        a, b = _column_sums(s * pp) * inv, norm * inv_prev
+        p, p_prev = (s - a) * p - b * p_prev, p
+        at0, at0_prev = (s0 - a) * at0 - b * at0_prev, at0
+        inv_prev = inv
+    degree = np.arange(1, 4)[:, None]  # fits[0] is the mean, not a candidate
+    best[fit] = np.min(np.where(distinct[fit] > degree, fits[1:], np.inf), axis=0)
     return best
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis as a running sum, in the same order for any
+    number of columns (a reduction may pair the terms of a lone column)."""
+    return np.add.accumulate(a, axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +700,11 @@ def continuous_convergence_probe(phi_seq: Sequence, phi_limit, points: Sequence,
             sups[j] = np.max(np.abs(phi.values(pts) - target))
         blocks = np.array_split(sups, min(4, len(sups)))
         means = np.array([b.mean() for b in blocks])
-        trend = bool(np.all(np.diff(means) <= 0.05 * means[0] + _CC_ABS_TOL))
+        # +inf -> +inf does not decrease, +inf -> finite does, finite -> +inf
+        # increases: a step is never taken as inf - inf
+        rise = 0.05 * means[0] + _CC_ABS_TOL
+        trend = all(math.isfinite(b) and (math.isinf(a) or b - a <= rise)
+                    for a, b in zip(means, means[1:]))
         final = float(sups[-1])
         ok = final <= _CC_ABS_TOL or (trend and means[-1] <= _CC_DECAY * means[0])
         entries.append(ContinuousConvEntry(x, sups, trend, final, "pass" if ok else "fail"))

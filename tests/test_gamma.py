@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,17 +135,35 @@ def assert_violations(rep, expected):
                                [m for _, _, m, _ in expected], rtol=0, atol=1e-9)
 
 
+def exact_lstsq_intercept(d, y, degree):
+    """The constant term of the least-squares polynomial of the given
+    degree through (d, y), in exact rational arithmetic: the normal
+    equations of the Fraction design, solved by Gauss-Jordan elimination."""
+    d, y = [Fraction(float(v)) for v in d], [Fraction(float(v)) for v in y]
+    rows = [[sum(t ** (i + j) for t in d) for j in range(degree + 1)]
+            + [sum(v * t ** i for t, v in zip(d, y))] for i in range(degree + 1)]
+    for i in range(degree + 1):
+        pivot = next(r for r in range(i, degree + 1) if rows[r][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(degree + 1):
+            if r != i:
+                rows[r] = [v - rows[r][i] * w for v, w in zip(rows[r], rows[i])]
+    return rows[0][-1]
+
+
 def reference_intercept(dists, deficits):
-    """One column's intercept by np.linalg.lstsq: the 8 nearest points,
-    fits of degree 1..3, the smallest intercept; the maximum deficit with
-    fewer than 2 points or all of them at distance zero."""
+    """One column's intercept by exact least squares: the 8 nearest
+    points, fits of degree 1..3 (up to one less than the distinct
+    abscissae), the smallest intercept; the maximum deficit with fewer
+    than 2 distinct abscissae or all points at distance zero."""
     order = np.argsort(dists, kind="stable")
     d, de = dists[order][:8], deficits[order][:8]
-    if len(d) < 2 or d[-1] < 1e-14:
+    distinct = len(set(d.tolist()))
+    if distinct < 2 or d[-1] < 1e-14:
         return float(np.max(de))
-    return min(np.linalg.lstsq(np.vander(d / d[-1], q + 1, increasing=True), de,
-                               rcond=None)[0][0]
-               for q in range(1, min(3, len(d) - 1) + 1))
+    return float(min(exact_lstsq_intercept(d, de, q)
+                     for q in range(1, min(3, distinct - 1) + 1)))
 
 
 def besov_family_399():
@@ -289,7 +308,7 @@ class TestExtrapolatedIntercepts:
         want = [reference_intercept(dists[~np.isnan(deficits[:, c]), c],
                                     deficits[~np.isnan(deficits[:, c]), c])
                 for c in range(1, cols)]
-        np.testing.assert_allclose(got[1:], want, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(got[1:], want, rtol=1e-11, atol=0)
         assert got[1] == deficits[~np.isnan(deficits[:, 1]), 1][0]
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -302,7 +321,22 @@ class TestExtrapolatedIntercepts:
         present = ~np.isnan(deficits)
         want = [reference_intercept(dists[present[:, c], c], deficits[present[:, c], c])
                 if present[:, c].any() else np.nan for c in range(4)]
-        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+    def test_coinciding_abscissae(self):
+        # all points at one abscissa: no slope to fit, so the maximum
+        # deficit, as at distance zero; with 2 and 3 distinct abscissae the
+        # fits stop at degree 1 and 2, the exact least-squares ones
+        dists = np.array([[0.5, 0.2, 0.1], [0.5, 0.2, 0.1], [0.5, 0.5, 0.3],
+                          [0.5, 0.5, 0.6], [0.5, 0.5, 0.6], [0.9, 0.9, 0.6]])
+        deficits = np.random.default_rng(7).normal(size=dists.shape)
+        deficits[-1, :2] = np.nan                               # left out
+        got = _extrapolated_intercepts(dists, deficits)
+        assert got[0] == np.nanmax(deficits[:, 0])
+        present = ~np.isnan(deficits)
+        want = [reference_intercept(dists[present[:, c], c], deficits[present[:, c], c])
+                for c in range(3)]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("case", sorted(LIMINF_CASES))
     def test_column_stacked_drift_and_paths_fit_as_their_parts(self, case):
@@ -1118,6 +1152,21 @@ class TestContinuousConvergence:
         want = _per_point_suprema(members, limit, x, indices, 7)
         np.testing.assert_array_equal(entry.suprema, want)
         assert np.all(np.isinf(want[:2])) and np.all(np.isfinite(want[2:]))
+
+    def test_infinite_block_means_are_not_subtracted(self):
+        # indices 1, 2, 4, 8 are one block each: the means of n = 1, 2 are
+        # +inf, and the trend compares them without taking inf - inf, so no
+        # invalid-value warning; +inf -> +inf is not a decrease
+        def member(n):
+            return Potential(lambda pts: np.where(pts[:, 0] > 0.6, math.inf,
+                                                  np.sum(pts * pts, axis=1) + 1.0 / n), None, 1)
+
+        indices = [1, 2, 4, 8]
+        entry = continuous_convergence_probe([member(n) for n in indices], member(math.inf),
+                                             [np.zeros(1)], indices, seed=7)[0]
+        assert np.all(np.isinf(entry.suprema[:2])) and np.all(np.isfinite(entry.suprema[2:]))
+        assert not entry.trend_decreasing
+        assert entry.verdict == "fail"
 
     def test_constant_continuous_potential(self):
         phi = pointwise(lambda u: float(np.sin(np.sum(u))), 2)
