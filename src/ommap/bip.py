@@ -5,8 +5,9 @@ functional: a reduced normal-equations solve for linear observations
 under a Gaussian prior; for the weighted-l1 functional of a Besov-1
 prior, the lasso homotopy for a linear observation (exact, with
 ``MapSolution.iterations`` counting its events and a uniqueness flag
-every time) and an accelerated proximal-gradient (soft-thresholding)
-iteration, stopping on its optimality residual, for a general potential.
+every time) and, for a general potential, a proximal Newton iteration
+whose every step is a homotopy solve, stopping on its optimality
+residual.
 ``map_solve`` and ``constrained_prior_minimum`` take their rules from
 the prior's 1-d factor.  The experiments perturb data, potential, or
 prior along a schedule and track the MAP trajectory against the limit.
@@ -36,15 +37,15 @@ class Potential(_RowKernel):
     values, ``values`` is its checked many-row case and ``eval`` its
     one-row case.  ``gradient`` maps one point to its gradient.
 
-    When a gradient is supplied it is validated against central finite
-    differences at a few random points (1e-6 relative tolerance); the
-    2*dim shifted points of each are one kernel call.
+    When a gradient is supplied its values must have shape ``(dim,)``, and
+    it is validated against central finite differences at a few random
+    points (1e-6 relative tolerance); the 2*dim shifted points of each are
+    one kernel call.
     """
 
     kernel: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]]
     dim: int
-    lipschitz_grad: Optional[float] = None
 
     def __post_init__(self):
         if self.gradient is not None:
@@ -52,6 +53,9 @@ class Potential(_RowKernel):
             for _ in range(5):
                 u = rng.uniform(-1.0, 1.0, self.dim)
                 g = np.asarray(self.gradient(u), dtype=float)
+                if g.shape != (self.dim,):
+                    raise ParameterError(f"gradient has shape {g.shape}, "
+                                         f"expected ({self.dim},)")
                 fd = _central_diff(self.kernel, u)
                 scale = max(1.0, float(np.linalg.norm(g)))
                 if np.linalg.norm(g - fd) > 1e-6 * scale:
@@ -137,22 +141,14 @@ def _misfit(w_mat: np.ndarray, w_y: np.ndarray) -> tuple:
 def quadratic_potential(obs: LinearObservation) -> Potential:
     """Half the squared whitened misfit."""
     w_mat, w_y = obs.whitened()
-    lip = float(np.linalg.norm(w_mat, 2)) ** 2  # exact: top eigenvalue of W^T W
-    return Potential(*_misfit(w_mat, w_y), obs.n_unknown, lip)
+    return Potential(*_misfit(w_mat, w_y), obs.n_unknown)
 
 
 def _projected(kernel, n: int, dim: int):
-    """A row kernel composed with the projection onto the first n of dim
-    coordinates (``spaces.project`` on every row)."""
-    if not (1 <= n <= dim):
-        raise InputError(f"projection dimension {n} out of range [1, {dim}]")
-
-    def cut(pts: np.ndarray) -> np.ndarray:
-        out = np.array(pts, dtype=float)
-        out[:, n:] = 0.0
-        return kernel(out)
-
-    return cut
+    """A row kernel composed with ``spaces.project`` onto the first n of dim
+    coordinates; an n out of range is refused here, not at the first call."""
+    project(np.zeros(dim), n)
+    return lambda pts: kernel(project(pts, n))
 
 
 def projected_potential(pot: Potential, n: int) -> Potential:
@@ -161,12 +157,9 @@ def projected_potential(pot: Potential, n: int) -> Potential:
     grad = None
     if pot.gradient is not None:
         def grad(u):
-            g = np.asarray(pot.gradient(project(u, n)), dtype=float)
-            out = np.zeros_like(g)
-            out[:n] = g[:n]
-            return out
+            return project(pot.gradient(project(u, n)), n)
 
-    return Potential(kernel, grad, pot.dim, pot.lipschitz_grad)
+    return Potential(kernel, grad, pot.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +219,11 @@ def _map_solve_gaussian(prior, obs: LinearObservation,
 @dataclass(frozen=True)
 class ProxOpts:
     """A residual below ``tol`` certifies a weighted-l1 MAP point;
-    ``max_iter`` caps FISTA's iterations or the homotopy's events."""
+    ``max_iter`` caps the homotopy's events, and the proximal Newton's
+    steps as well as each step's events."""
 
     tol: float = 1e-8
     max_iter: int = 10 ** 5
-
-
-_BACKTRACK = 2.0  # step shrink factor of the line search
 
 
 def kkt_residual(grad: np.ndarray, u: np.ndarray, inv_gamma: np.ndarray) -> float:
@@ -243,60 +234,66 @@ def kkt_residual(grad: np.ndarray, u: np.ndarray, inv_gamma: np.ndarray) -> floa
     return float(max(res_on.max(initial=0.0), res_off.max(initial=0.0)))
 
 
+_FLOOR = 1e-10  # least eigenvalue of a step's model, relative to its largest
+_STALL = 1e-14  # a step no larger, relative to |u|, is steered by round-off
+
+
 def map_solve_besov(prior, pot: Potential, opts: Optional[ProxOpts] = None) -> MapSolution:
-    """Accelerated proximal gradient for pot(u) + sum_k |u_k| / gamma_k
+    """Proximal Newton (Lee, Sun & Saunders 2014) for pot(u) + sum_k |u_k| / gamma_k
     under a centred prior of Laplace factors of scales gamma_k.
 
-    Backtracking line search from the step 1 / ``pot.lipschitz_grad``,
-    with function-value restarts; stops when the subdifferential
-    optimality residual drops below the tolerance.
+    A step at u models pot by its gradient g and M = V diag(lam) V^T, the
+    symmetrised central differences of the gradient, its eigenvalues
+    raised to _FLOOR times the largest |lam| plus a Levenberg-Marquardt
+    damping mu.  In v = u / gamma the model plus the weighted l1 term is
+    the lasso |b - A v|^2 / 2 + |v|_1, A = diag(sqrt lam) V^T diag(gamma)
+    and b = sqrt(lam) V^T u - V^T g / sqrt(lam), strictly convex, which
+    ``_lasso_homotopy`` solves exactly.  An Armijo search on the full
+    objective F, allowing 4e-16 |F| of round-off, takes the step; mu
+    grows after a short step and shrinks after a full one.  The run stops
+    once ``kkt_residual`` is below ``opts.tol``, a certificate of
+    stationarity only when pot is nonconvex, and otherwise, flagged
+    ``not-converged``, after a step of round-off size (_STALL), at
+    ``opts.max_iter`` steps, or at a step whose path that cap cut short.
     """
     if pot.dim != prior.dim:
         raise InputError("potential and prior dimensions differ")
     if pot.gradient is None:
         raise InputError("the proximal solver needs a potential gradient")
-    inv_gamma, opts = _l1_weights(prior), opts or ProxOpts()
-    value, gradient = pot.eval, pot.gradient
+    inv_gamma, gamma, opts = _l1_weights(prior), prior.scale, opts or ProxOpts()
+
+    def gradient(u):
+        return np.asarray(pot.gradient(u), dtype=float)
 
     def full_obj(u):
-        return value(u) + float(np.abs(u) @ inv_gamma)
+        return pot.eval(u) + float(np.abs(u) @ inv_gamma)
 
-    def residual(u):
-        return kkt_residual(np.asarray(gradient(u), dtype=float), u, inv_gamma)
-
-    step = 1.0 / max(pot.lipschitz_grad or 1.0, 1e-12)
-    u = np.zeros(inv_gamma.size)
-    z = u.copy()
-    t_acc = 1.0
-    f_prev = full_obj(u)
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        g = np.asarray(gradient(z), dtype=float)
-        fz = value(z)
-        while True:
-            x = z - step * g
-            u_new = np.sign(x) * np.maximum(np.abs(x) - step * inv_gamma, 0.0)
-            diff = u_new - z
-            quad_model = fz + float(g @ diff) + float(diff @ diff) / (2.0 * step)
-            if value(u_new) <= quad_model + 1e-15 or step < 1e-18:
-                break
-            step /= _BACKTRACK
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = u_new + ((t_acc - 1.0) / t_next) * (u_new - u)
-        f_new = full_obj(u_new)
-        if f_new > f_prev:  # function-value restart
-            z = u_new
-            t_next = 1.0
-        f_prev = f_new
-        u = u_new
-        t_acc = t_next
-        if (it % 10 == 0 or it == 1) and residual(u) < opts.tol:
-            break
-    res = residual(u)
-    flags = [] if res < opts.tol else ["not-converged"]
+    u, mu, steps, moved = np.zeros(inv_gamma.size), 0.0, 0, True
+    g, f = gradient(u), full_obj(u)
+    while moved and kkt_residual(g, u, inv_gamma) >= opts.tol and steps < opts.max_iter:
+        steps += 1
+        hess = _central_diff(lambda pts: np.array([gradient(p) for p in pts]), u)
+        lam, vec = np.linalg.eigh(0.5 * (hess + hess.T))
+        top = float(np.max(np.abs(lam))) or 1.0
+        root = np.sqrt(np.maximum(lam, _FLOOR * top) + mu)
+        v, _, reached, _ = _lasso_homotopy((root[:, None] * vec.T) * gamma,
+                                           root * (vec.T @ u) - (vec.T @ g) / root, opts.max_iter)
+        if not reached:
+            break  # the cap cut this step's path short of its minimiser
+        d = gamma * v - u
+        decrease = float(g @ d) + float(np.abs(u + d) @ inv_gamma) - float(np.abs(u) @ inv_gamma)
+        t = 1.0
+        while full_obj(u + t * d) > f + 1e-4 * t * decrease + 4e-16 * abs(f):
+            t *= 0.5
+        moved = np.max(np.abs(t * d)) > _STALL * np.max(np.abs(u))
+        u = u + t * d
+        g, f = gradient(u), full_obj(u)
+        mu = mu / 4.0 if t == 1.0 else max(4.0 * mu, 1e-3 * top)
+    res = kkt_residual(g, u, inv_gamma)
     if not np.all(np.isfinite(u)):
-        raise NumericsError("proximal iteration produced non-finite values")
-    return MapSolution(u, full_obj(u), res, it, "fista-backtracking", tuple(flags))
+        raise NumericsError("proximal Newton produced non-finite values")
+    return MapSolution(u, f, res, steps, "proximal-newton",
+                       () if res < opts.tol else ("not-converged",))
 
 
 def _l1_weights(prior) -> np.ndarray:

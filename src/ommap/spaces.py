@@ -92,13 +92,15 @@ def weighted_norm(u, space: WeightedSeqSpace) -> float:
 
 
 def project(u, n: int) -> np.ndarray:
-    """Keep coordinates 1..n, zero the rest.  Idempotent, norm-1 in any
-    weighted l^p."""
-    v = _as_vector(u)
-    if not (1 <= n <= v.size):
-        raise InputError(f"projection dimension {n} out of range [1, {v.size}]")
+    """Keep coordinates 1..n of a vector, or of every row of an (m, dim)
+    array, and zero the rest.  Idempotent, norm-1 in any weighted l^p."""
+    v = np.asarray(u, dtype=float)
+    if v.ndim != 2:
+        v = _as_vector(v)
+    if not (1 <= n <= v.shape[-1]):
+        raise InputError(f"projection dimension {n} out of range [1, {v.shape[-1]}]")
     out = v.copy()
-    out[n:] = 0.0
+    out[..., n:] = 0.0
     return out
 
 

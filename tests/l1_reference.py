@@ -2,10 +2,10 @@
 
 The library solves the MAP point of a Laplace-factor (Besov-1) prior
 under a linear observation by the lasso homotopy and, for a general
-potential, by accelerated proximal gradient.  Tests check both against
-this third method, which shares no code with either: coordinate descent
-from zero on the whitened misfit plus sum_k |u_k| / gamma_k, for a noise
-covariance in the coordinate basis.
+potential, by a proximal Newton iteration whose steps are homotopy
+solves.  Tests check the homotopy against this method, which shares no
+code with it: coordinate descent from zero on the whitened misfit plus
+sum_k |u_k| / gamma_k, for a noise covariance in the coordinate basis.
 """
 
 import math

@@ -10,7 +10,7 @@ import numpy as np
 from ommap import Potential
 
 
-def pointwise(f, dim: int, gradient=None, lipschitz_grad=None) -> Potential:
+def pointwise(f, dim: int, gradient=None) -> Potential:
     """The Potential on R^dim whose value at each row u is ``f(u)``."""
     return Potential(lambda pts: np.array([float(f(u)) for u in pts], dtype=float),
-                     gradient, dim, lipschitz_grad)
+                     gradient, dim)

@@ -102,10 +102,20 @@ class TestProject:
         np.testing.assert_array_equal(project(project(u, 2), 2), project(u, 2))
 
     def test_out_of_range(self):
-        with pytest.raises(InputError):
-            project([1.0, 2.0], 3)
-        with pytest.raises(InputError):
-            project([1.0, 2.0], 0)
+        for u in ([1.0, 2.0], np.zeros((3, 2))):
+            for n in (3, 0):
+                with pytest.raises(InputError, match=rf"dimension {n} out of range \[1, 2\]"):
+                    project(u, n)
+
+    def test_rows_are_projected_one_by_one(self):
+        pts = np.random.default_rng(8).normal(size=(5, 4))
+        np.testing.assert_array_equal(project(pts, 2), [project(u, 2) for u in pts])
+        assert project(np.zeros((0, 4)), 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_refuses_other_shapes(self, shape):
+        with pytest.raises(InputError, match="expected a vector"):
+            project(np.zeros(shape), 1)
 
     @given(st.integers(min_value=1, max_value=6),
            st.sampled_from([1.0, 2.0, math.inf]),
