@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts, WeightedSeqSpace,
-                       _checked_radius, _log_mass_table, _ratio_curves, default_space,
-                       radius_schedule)
+                       _checked_radius, _log_mass_table, _ratio_curves, _table_axes,
+                       default_space, radius_schedule)
 from .om import OmFunctional
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -252,7 +252,7 @@ class LiminfOnlyMeasure:
     depth: int = 40
     variant: str = "standard"
 
-    method = "closed-form"  # how ``mass`` is computed; a class constant, not a field
+    method = "closed-form"  # how ``mass_table`` is computed; a class constant, not a field
 
     def __post_init__(self):
         if self.variant not in ("standard", "extreme"):
@@ -301,22 +301,20 @@ class LiminfOnlyMeasure:
             out.append((n, +1, wp, 2.0 * wp, h))
         return out
 
-    def mass(self, center: float, radius: float) -> float:
-        """Ball mass via interval overlaps in offset coordinates.
+    def mass_table(self, centers, radii) -> np.ndarray:
+        """Masses of the balls B_r(c), shape (len(centers), len(radii)), via
+        interval overlaps in offset coordinates.
 
-        Offsets center +- 1 are exact for centers within 0.5 of the
-        anchors (Sterbenz); the measure is atomless, so open and closed
-        balls have equal mass.
+        Offsets c +- 1 are exact for centres within 0.5 of the anchors
+        (Sterbenz); the measure is atomless, so open and closed balls have
+        equal mass.  Every ball adds up its overlaps interval by interval,
+        in the order of ``intervals``, a missed interval adding 0.0.
         """
-        radius = _checked_radius(radius)
-        total = 0.0
-        for _, side, lo, hi, h in self.intervals():
-            off = center + 1.0 if side < 0 else 1.0 - center
-            b_lo, b_hi = off - radius, off + radius
-            overlap = min(hi, b_hi) - max(lo, b_lo)
-            if overlap > 0:
-                total += h * overlap
-        return total
+        c, r = _table_axes(self, centers, radii)
+        _, side, lo, hi, h = np.array(self.intervals()).T[:, :, None, None]
+        off = np.where(side < 0, c + 1.0, 1.0 - c)
+        overlap = np.minimum(hi, off + r) - np.maximum(lo, off - r)
+        return np.add.accumulate(np.where(overlap > 0, h * overlap, 0.0))[-1]
 
     def om_functional(self) -> OmFunctional:
         """Functional with the single domain point +1, against which the
@@ -369,7 +367,7 @@ class OmNotStrongMeasure:
 
     levels: int = 30
 
-    method = "closed-form"  # how ``mass`` and ``mass_table`` are computed
+    method = "closed-form"  # how ``mass_table`` is computed
 
     def __post_init__(self):
         if self.levels < 2:
@@ -386,13 +384,6 @@ class OmNotStrongMeasure:
         """Odd primitive of the base spike shape: integral over [0, t]."""
         a = np.minimum(np.abs(t), 0.25)
         return np.copysign((np.sqrt(a) - a) / 2.0, t)
-
-    @staticmethod
-    def base_spike_mass(r: float) -> float:
-        """Mass of the unnormalised base spike shape on (-r, r):
-        sqrt(r) - r for r <= 1/4, and 1/4 beyond."""
-        r = min(r, 0.25)
-        return math.sqrt(r) - r
 
     def component_mass(self, k, lo, hi):
         """Unnormalised mass of component k on [k + lo, k + hi]: the ends are
@@ -412,14 +403,7 @@ class OmNotStrongMeasure:
         components k_lo..k_hi it meets, in increasing k; the others would
         add exactly 0.0.
         """
-        c = np.asarray(centers, dtype=float)
-        if c.ndim not in (1, 2) or c.size != len(c):
-            raise InputError(f"an OmNotStrongMeasure ball needs a centre on the line, "
-                             f"got centres of shape {c.shape}")
-        c = c.reshape(-1, 1)
-        r = np.asarray(radii, dtype=float).reshape(1, -1)
-        if not np.all((r > 0) & (r < math.inf)):
-            raise InputError(f"ball radii must be finite and positive, got {radii!r}")
+        c, r = _table_axes(self, centers, radii)
         # k_lo stops at levels + 1, where a ball meets no component: k stays finite
         k_lo = np.minimum(np.maximum(1.0, np.ceil(c - r - 0.5)), self.levels + 1.0)
         count = np.minimum(self.levels, np.floor(c + r + 0.5)) - k_lo + 1.0
@@ -429,10 +413,6 @@ class OmNotStrongMeasure:
             raw = np.where(j < count, raw + self.component_mass(k, (c - k) - r, (c - k) + r),
                            raw)
         return self.norm_constant * raw
-
-    def mass(self, center: float, radius: float) -> float:
-        """Normalised ball mass: the one-cell ``mass_table``."""
-        return float(self.mass_table([center], [radius])[0, 0])
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -447,16 +427,11 @@ class OmNotStrongMeasure:
             out += spike + plateau
         return self.norm_constant * out
 
-    def om_value(self, k: int) -> float:
-        """Functional value 2 log k on the integer domain, anchored at 1."""
-        if not (1 <= k <= self.levels):
-            raise InputError(f"domain point must be an integer in [1, {self.levels}]")
-        return 2.0 * math.log(k)
-
     def om_functional(self) -> OmFunctional:
+        """2 log k at the integers k = 1..levels, anchored at 1; +inf elsewhere."""
         def value(x: float) -> float:
             k = round(x)
-            return self.om_value(k) if abs(x - k) <= 1e-9 and 1 <= k <= self.levels else math.inf
+            return 2.0 * math.log(k) if abs(x - k) <= 1e-9 and 1 <= k <= self.levels else math.inf
 
         return OmFunctional(lambda pts: np.array([value(float(x)) for x in pts[:, 0]]),
                             np.array([1.0]), {"kind": "om-not-strong"})
@@ -470,7 +445,7 @@ class OmNotStrongMeasure:
         may reach from the plateau of component 1 (which ends at 3/2) into
         component 2 (which starts at 7/4).  Its unnormalised mass is then at
         most 1/4 from the plateau plus 1/32 + 1/8 from component 2, below
-        mass(1, r) / norm_constant = sqrt(r) + r > 0.47.
+        the unnormalised mass sqrt(r) + r > 0.47 of B_r(1).
         """
         return tuple(np.array([float(k)]) for k in range(1, self.levels + 1)), 0.25
 
@@ -562,7 +537,7 @@ class CrossesMeasure:
 
     norm_choice: str = "1"  # "1" or "inf"
     dim = 2  # a class constant, not a field: the crosses lie in the plane
-    method = "closed-form"  # how ``mass`` is computed
+    method = "closed-form"  # how ``mass_table`` is computed
 
     def __post_init__(self):
         if self.norm_choice not in ("1", "inf"):
@@ -584,33 +559,38 @@ class CrossesMeasure:
             (np.array([-1.0 - h, h]), np.array([-1.0 + h, -h])),   # rotated
         ]
 
-    def mass(self, center, radius: float) -> float:
-        """Arc length of the crosses inside the open norm ball, exact.
+    def mass_table(self, centers, radii) -> np.ndarray:
+        """Arc length of the crosses inside each open norm ball B_r(c), exact,
+        shape (len(centers), len(radii)).
 
-        Along a segment v(t) = a + t unit - center the l^1 or sup-norm
-        distance is convex and piecewise linear in t, with kinks where a
-        component of v, or their sum or difference, vanishes.  Between
-        kinks the part of the piece closer than ``radius`` follows from
-        linear interpolation.
+        Along a segment v(t) = a + t unit - c the l^1 or sup-norm distance
+        is convex and piecewise linear in t, with kinks where a component of
+        v, or their sum or difference, vanishes: each centre finds them once
+        for all radii.  Between kinks the part of a piece closer than r
+        follows from linear interpolation.  Every ball adds up its pieces
+        segment by segment and in increasing t; a piece it misses, or one
+        of length 0 between repeated kinks, adds 0.0.
         """
-        radius = _checked_radius(radius)
-        c = np.asarray(center, dtype=float)
+        cs, r = _table_axes(self, centers, radii)
+        a, b = np.array(self.segments()).transpose(1, 0, 2)  # (segment, coordinate)
+        length = np.linalg.norm(b - a, axis=1)[:, None]
+        unit, start = (b - a) / length, a - cs[:, None, :]  # start: (centre, segment, coordinate)
+        u0, u1, s0, s1 = unit[:, 0], unit[:, 1], start[..., 0], start[..., 1]
+        rates = np.stack([u0, u1, u0 - u1, u0 + u1], axis=-1)
+        starts = np.stack([s0, s1, s0 - s1, s0 + s1], axis=-1)
+        # a rate of 0 gives no kink: its entry stands at t = 0, before a piece of length 0
+        kinks = np.clip(np.divide(-starts, rates, out=np.zeros_like(starts), where=rates != 0.0),
+                        0.0, length)
+        zero = np.zeros(kinks.shape[:-1] + (1,))
+        t = np.sort(np.concatenate([zero, zero + length, kinks], axis=-1), axis=-1)
         reduce = np.sum if self.p == 1.0 else np.max
-        total = 0.0
-        for a, b in self.segments():
-            length = float(np.linalg.norm(b - a))
-            unit, start = (b - a) / length, a - c
-            rates = np.array([unit[0], unit[1], unit[0] - unit[1], unit[0] + unit[1]])
-            starts = np.array([start[0], start[1], start[0] - start[1], start[0] + start[1]])
-            moving = rates != 0.0
-            kinks = np.clip(-starts[moving] / rates[moving], 0.0, length)
-            t = np.unique(np.concatenate([[0.0, length], kinks]))
-            g = reduce(np.abs(start + t[:, None] * unit), axis=1) - radius
-            for t0, t1, g0, g1 in zip(t[:-1], t[1:], g[:-1], g[1:]):
-                if min(g0, g1) < 0.0:
-                    share = 1.0 if max(g0, g1) <= 0.0 else -min(g0, g1) / abs(g1 - g0)
-                    total += float((t1 - t0) * share)
-        return total
+        g = reduce(np.abs(start[:, :, None, :] + t[..., None] * unit[:, None, :]), axis=-1)
+        g = g[..., None] - r  # (centre, segment, kink, radius)
+        lo, hi = np.minimum(g[:, :, :-1], g[:, :, 1:]), np.maximum(g[:, :, :-1], g[:, :, 1:])
+        share = np.divide(-lo, hi - lo, out=np.ones_like(lo), where=(lo < 0.0) & (hi > 0.0))
+        pieces = np.where(lo < 0.0, np.diff(t)[..., None] * share, 0.0)
+        n = lo.shape[1] * lo.shape[2]  # the pieces of every segment, in order
+        return np.add.accumulate(pieces.reshape(len(cs), n, r.size), axis=1)[:, -1]
 
     def heaviest_centers(self, space) -> tuple:
         """The cross centres e1 and -e1, for r < 1/4.

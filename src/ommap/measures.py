@@ -12,8 +12,8 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
   certifies its truncation), and Monte Carlo masses and
   common-random-number ratio curves for the rest;
 * the ball masses of measures off the product form (``Density1D``, the
-  registered examples), whose own ``mass`` (or ``mass_table``) is the
-  one rule, in the method their class names, for their own norm only;
+  registered examples), whose own ``mass_table`` is the one rule, in the
+  method their class names, for their own norm only;
 * the supremum of the ball mass over all centres, where a symmetry
   argument places it (product measures: at the mean);
 * the coordinate half-widths of the OM sublevel sets {I <= t};
@@ -290,7 +290,7 @@ class Density1D:
     support: tuple
     total_mass: Optional[float] = None
 
-    method = "quadrature"  # how ``mass`` is computed; a class constant, not a field
+    method = "quadrature"  # how ``mass_table`` is computed; a class constant, not a field
 
     def __post_init__(self):
         sup = tuple((float(a), float(b)) for a, b in self.support)
@@ -311,17 +311,20 @@ class Density1D:
         if min(self.pdf(float(x)) for x in xs) < 0:
             raise ParameterError("density is negative on its support")
 
-    def mass(self, center: float, radius: float) -> float:
-        """Quadrature of the pdf over the open ball, interval by interval."""
-        radius = _checked_radius(radius)
+    def mass_table(self, centers, radii) -> np.ndarray:
+        """Quadrature of the pdf over each open ball B_r(c), interval by
+        interval, shape (len(centers), len(radii))."""
         from scipy.integrate import quad
 
-        total = 0.0
-        for a, b in self.support:
-            lo, hi = max(a, center - radius), min(b, center + radius)
-            if lo < hi:
-                total += quad(self.pdf, lo, hi, epsabs=_QUAD_TOL, limit=200)[0]
-        return total
+        cs, rs = _table_axes(self, centers, radii)
+        out = np.zeros((len(cs), len(rs)))
+        for i, c in enumerate(cs[:, 0].tolist()):
+            for j, r in enumerate(rs.tolist()):
+                for a, b in self.support:
+                    lo, hi = max(a, c - r), min(b, c + r)
+                    if lo < hi:
+                        out[i, j] += quad(self.pdf, lo, hi, epsabs=_QUAD_TOL, limit=200)[0]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +472,6 @@ def _log_pball_volume(r: float, k: int, p: float, weights: Optional[np.ndarray] 
     return logv
 
 
-def _log_euclid_volume(r: float, k: int) -> float:
-    if r <= 0:
-        return -math.inf
-    return k * math.log(r) + 0.5 * k * math.log(math.pi) - math.lgamma(1.0 + 0.5 * k)
-
-
 # ---------------------------------------------------------------------------
 # product-measure geometry
 # ---------------------------------------------------------------------------
@@ -589,7 +586,7 @@ class _CenterPlan:
                 return 0.0, -math.inf
             return r_sec, _log_pball_volume(r_sec, setup.k_free, setup.space.p, setup.w)
         rho = (r + self.fix_norm) / setup.gain
-        return rho, _log_euclid_volume(rho, setup.k_free)
+        return rho, _log_pball_volume(rho, setup.k_free, 2.0)
 
 
 def _log_sum_exp_parts(x: np.ndarray) -> tuple:
@@ -1023,8 +1020,8 @@ def ball_mass(measure, center, radius: float, space: Optional[WeightedSeqSpace] 
     closed form, or a certified series for a Gaussian's l2 balls) and
     ``opts.method`` allows it, else Monte Carlo on ``opts.seed``'s own
     stream (low-confidence past ``_LOW_CONFIDENCE_REL_ERR``); a measure
-    off the product form reads its own ``mass`` (``_mass_table``), in its
-    own norm only.
+    off the product form reads the one-cell table of its own
+    ``mass_table`` (``_mass_table``), in its own norm only.
     """
     return _ball_masses(measure, [center], radius, space, opts)[0]
 
@@ -1035,7 +1032,7 @@ _LOW_CONFIDENCE_REL_ERR = 0.5  # MC stderr/estimate above this -> low confidence
 def _ball_masses(measure, centers: Sequence, radius: float, space, opts) -> list:
     """One ``BallMass`` per centre for the balls of one radius, the rule of
     ``ball_mass`` and ``sup_ball_mass``.  Off the product form the estimates
-    are ``_mass_table``'s raw masses, each the measure's ``mass`` bit for bit."""
+    are the cells of the measure's ``mass_table`` bit for bit."""
     opts, radii = opts or RatioOpts(), np.array([_checked_radius(radius)])
     space = space or default_space(measure)
     if not isinstance(measure, ProductMeasure):
@@ -1055,18 +1052,30 @@ def _checked_radius(radius) -> float:
     return float(radius)
 
 
+def _table_axes(measure, centers, radii) -> tuple:
+    """A ``mass_table``'s centres and radii as float arrays of shapes (n, dim)
+    and (m,), dim being the measure's ``dim`` (1 if it names none).  A centre
+    outside R^dim or a NaN, infinite or nonpositive radius is an InputError."""
+    dim, c = getattr(measure, "dim", 1), np.asarray(centers, dtype=float)
+    if c.ndim not in (1, 2) or c.size != len(c) * dim:
+        where = "on the line" if dim == 1 else f"in R^{dim}"
+        raise InputError(f"a {type(measure).__name__} ball needs a centre {where}, "
+                         f"got centres of shape {c.shape}")
+    r = np.asarray(radii, dtype=float).reshape(-1)
+    if not np.all((r > 0) & (r < math.inf)):
+        raise InputError(f"ball radii must be finite and positive, got {radii!r}")
+    return c.reshape(len(c), dim), r
+
+
 def _mass_table(measure, centers: Sequence, radii: np.ndarray, space, method: str) -> tuple:
     """``(masses, method)`` of the balls of every radius about every centre,
     shape (n_centers, n_radii), for a measure off the product form: its own
-    ``mass_table`` where it has one, else its ``mass`` one cell at a time,
-    and the method its class names.  Each centre passes ``_own_ball``."""
-    table, mass = getattr(measure, "mass_table", None), getattr(measure, "mass", None)
-    if table is None and mass is None:
+    ``mass_table`` and the method its class names.  Each centre passes
+    ``_own_ball``."""
+    if not hasattr(measure, "mass_table"):
         raise InputError(f"no ball-mass rule for measure type {type(measure).__name__}")
-    cs = [_own_ball(measure, space, method, c) for c in centers]
-    if table is None:
-        return np.array([[mass(c, r) for r in radii.tolist()] for c in cs]), measure.method
-    return table(cs, radii), measure.method
+    return measure.mass_table([_own_ball(measure, space, method, c) for c in centers],
+                              radii), measure.method
 
 
 def _own_ball(measure, space: WeightedSeqSpace, method: str, center):
@@ -1075,7 +1084,8 @@ def _own_ball(measure, space: WeightedSeqSpace, method: str, center):
     its masses are closed-form), a centre of another dimension and any
     norm but the measure's own: unweighted, of its ``dim`` (1 if it has
     none) and of its ``p`` where it names one.  Returns the centre, a
-    float on the line; it reads ``space``'s fields and builds no space."""
+    float for a measure on the line, else an array of its ``dim``
+    coordinates; it reads ``space``'s fields and builds no space."""
     name, dim, p = type(measure).__name__, getattr(measure, "dim", 1), getattr(measure, "p", None)
     if method == "mc":
         raise InputError(f"Monte Carlo ball masses need a product measure, not a {name}")

@@ -13,10 +13,10 @@ from ommap import (CrossesMeasure, Density1D, InputError,
                    RegimeError, SpikeFamily, ball_ratio_curve, crosses_ball_masses,
                    crosses_om_difference, kl_gaussians, kl_gaussians_quadrature,
                    liminf_only_ratios, mixture_kl, mixture_kl_exponent, mixture_modes,
-                   ball_mass, om_not_strong_suite, radius_schedule, spike_kl, spike_mode,
-                   WeightedSeqSpace, default_space, sup_ball_mass)
+                   ball_mass, om_not_strong_suite, prior_om, radius_schedule, spike_kl,
+                   spike_mode, WeightedSeqSpace, default_space, sup_ball_mass)
 from ommap.counterexamples import E1, SQRT_2PI
-from ommap.measures import EXAMPLE_MEASURE_FACTORIES, _log_mass_table
+from ommap.measures import _QUAD_TOL, EXAMPLE_MEASURE_FACTORIES, _log_mass_table
 
 
 class TestGaussianKL:
@@ -237,10 +237,10 @@ class TestLiminfOnly:
     def test_mass_function_consistent_with_ratio_sequences(self):
         m = LiminfOnlyMeasure(depth=40)
         for n in [1, 3, 7, 15, 20]:
-            r_eps, r_del = m.eps_radius(n), m.delta_radius(n)
-            assert m.mass(-1.0, r_eps) / m.mass(1.0, r_eps) == pytest.approx(2.0, rel=1e-12)
-            got = m.mass(-1.0, r_del) / m.mass(1.0, r_del)
-            assert got == pytest.approx(math.ldexp(1.0, -(n + 2)), rel=1e-12)
+            (neg_eps, neg_del), (pos_eps, pos_del) = m.mass_table(
+                [-1.0, 1.0], [m.eps_radius(n), m.delta_radius(n)])
+            assert neg_eps / pos_eps == pytest.approx(2.0, rel=1e-12)
+            assert neg_del / pos_del == pytest.approx(math.ldexp(1.0, -(n + 2)), rel=1e-12)
 
     def test_limsup_two_and_liminf_zero_pattern(self):
         m = LiminfOnlyMeasure(depth=40)
@@ -275,9 +275,10 @@ class TestOmNotStrong:
             assert rep.ratio_rel_errors[str(k)] == abs(curve.extrapolated_limit - k ** 2) / k ** 2
 
     def test_functional_values(self):
-        m = OmNotStrongMeasure()
-        assert m.om_value(1) == 0.0
-        assert m.om_value(3) == pytest.approx(2.0 * math.log(3.0))
+        value = prior_om(OmNotStrongMeasure()).eval
+        assert value(1.0) == 0.0
+        assert value(3.0) == pytest.approx(2.0 * math.log(3.0))
+        assert value(2.5) == value(31.0) == math.inf
 
     def test_component_masses(self):
         m = OmNotStrongMeasure()
@@ -285,23 +286,19 @@ class TestOmNotStrong:
             got = m.component_mass(k, -0.6, 0.6)
             assert got == pytest.approx(1.25 / k ** 2, rel=1e-14)
 
-    def test_base_spike_mass(self):
-        m = OmNotStrongMeasure()
-        for r in [0.01, 0.1, 0.25]:
-            assert m.base_spike_mass(r) == pytest.approx(math.sqrt(r) - r, abs=1e-15)
-
     def test_mass_agrees_with_density_quadrature_away_from_spikes(self):
         m = OmNotStrongMeasure(levels=6)
         for (lo, hi) in [(2.3, 2.42), (3.05, 3.2), (1.3, 1.7)]:
             oracle = quad(lambda x: float(m.density(x)), lo, hi, limit=200)[0]
             c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            assert m.mass(c, r) == pytest.approx(oracle, abs=1e-8)
+            assert ball_mass(m, c, r).estimate == pytest.approx(oracle, abs=1e-8)
 
     def test_ball_mass_formula_near_integer(self):
         m = OmNotStrongMeasure()
         k, r = 3, 1e-5  # r below both 1/4 and 1/(2 k^4)
         expected = (math.sqrt(r) - r) / k ** 2 + 2 * r * k ** 2
-        assert m.mass(float(k), r) == pytest.approx(m.norm_constant * expected, rel=1e-13)
+        assert ball_mass(m, float(k), r).estimate == \
+            pytest.approx(m.norm_constant * expected, rel=1e-13)
 
     @pytest.mark.parametrize("k", [1, 20, 30])
     @pytest.mark.parametrize("r", [1e-12, 6.1e-13])
@@ -309,7 +306,7 @@ class TestOmNotStrong:
         # the ball's ends are offsets from k, not k +- r rounded to the float grid
         m = OmNotStrongMeasure(levels=30)
         expected = m.norm_constant * ((math.sqrt(r) - r) / k ** 2 + 2 * r * k ** 2)
-        assert m.mass(float(k), r) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert ball_mass(m, float(k), r).estimate == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @given(st.data(), st.integers(min_value=2, max_value=30))
     @settings(max_examples=400, deadline=None)
@@ -329,7 +326,7 @@ class TestOmNotStrong:
         ref = m.norm_constant * sum(
             m.component_mass(j, (center - j) - radius, (center - j) + radius)
             for j in range(1, levels + 1))
-        assert m.mass(center, radius) == ref
+        assert ball_mass(m, center, radius).estimate == ref
 
     @pytest.mark.parametrize("levels", [2, 6, 30])
     def test_sup_ball_mass_bounds_every_centre(self, levels):
@@ -346,15 +343,17 @@ class TestOmNotStrong:
         # between the end of component 1's plateau and the start of component 2
         centres.update(np.linspace(1.5, 1.75, 11).tolist())
         radii = np.concatenate([np.geomspace(1e-12, 0.24, 40), np.linspace(0.12, 0.24, 7)])
-        for r in radii:
-            sup = sup_ball_mass(m, float(r))
-            assert sup.estimate == max(m.mass(float(k), r) for k in range(1, levels + 1))
-            for c in centres:
-                # mass() rounds the ends c +- r to the float grid near c, which
-                # widens or narrows the ball by up to an ulp of c: at r = 1e-12
-                # a relative change of about 1e-4
-                slack = 1e-12 + 2 * math.ulp(c + r) / r
-                assert m.mass(c, r) <= sup.estimate * (1 + slack)
+        centres = np.array(sorted(centres))
+        # the table rounds the ends c +- r to the float grid near c, which
+        # widens or narrows the ball by up to an ulp of c: at r = 1e-12 a
+        # relative change of about 1e-4
+        slack = 1e-12 + 2 * np.spacing(np.abs(centres[:, None] + radii)) / radii
+        table = m.mass_table(centres, radii)
+        heaviest = m.mass_table(np.arange(1.0, levels + 1.0), radii).max(axis=0)
+        for j, r in enumerate(radii.tolist()):
+            sup = sup_ball_mass(m, r)
+            assert sup.estimate == heaviest[j]
+            assert np.all(table[:, j] <= sup.estimate * (1 + slack[:, j]))
         assert sup_ball_mass(m, 0.25) is None
 
     def test_dip_bound_arithmetic_n10(self):
@@ -375,10 +374,10 @@ class TestCrosses:
     def test_generic_mass_matches_closed_forms(self):
         for norm in ("1", "inf"):
             m = CrossesMeasure(norm)
-            for c in (E1, -E1):
-                for r in (0.05, 0.2, 0.4, *np.linspace(0.01, 0.5, 50)):
-                    assert m.mass(c, r) == pytest.approx(
-                        crosses_ball_masses(m, c, r), rel=1e-14, abs=0)
+            radii = np.array([0.05, 0.2, 0.4, *np.linspace(0.01, 0.5, 50)])
+            for c, row in zip((E1, -E1), m.mass_table([E1, -E1], radii)):
+                for r, got in zip(radii.tolist(), row.tolist()):
+                    assert got == pytest.approx(crosses_ball_masses(m, c, r), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("norm", ["1", "inf"])
     def test_mass_matches_a_dense_grid_chord(self, norm):
@@ -392,7 +391,7 @@ class TestCrosses:
             for a, b in m.segments():
                 dist = reduce(np.abs(a + t[:, None] * (b - a) - c), axis=1)
                 want += float(np.linalg.norm(b - a)) * np.mean(dist < r)
-            assert m.mass(c, r) == pytest.approx(want, abs=1e-4)
+            assert m.mass_table([c], [r])[0, 0] == pytest.approx(want, abs=1e-4)
 
     def test_om_difference_sign_flip(self):
         d1 = crosses_om_difference("1")
@@ -408,8 +407,9 @@ class TestCrosses:
         m = CrossesMeasure("1")
         r = 0.1
         arm_point = np.array([1.5, 0.0])
-        assert m.mass(arm_point, r) == pytest.approx(2.0 * r, abs=1e-10)
-        assert m.mass(arm_point, r) < m.mass(E1, r)
+        arm, centre = m.mass_table([arm_point, E1], [r])[:, 0]
+        assert arm == pytest.approx(2.0 * r, abs=1e-10)
+        assert arm < centre
 
 
 @pytest.mark.parametrize("measure,center,method", [
@@ -473,7 +473,7 @@ def test_om_not_strong_sup_rule_refuses_a_weighted_norm():
     with pytest.raises(InputError, match="Monte Carlo"):
         sup_ball_mass(m, 1e-3, None, RatioOpts(method="mc"))
     assert sup_ball_mass(m, 1e-3, default_space(m)).estimate == \
-        max(m.mass(float(k), 1e-3) for k in range(1, 7))
+        m.mass_table(np.arange(1.0, 7.0), [1e-3]).max()
 
 
 def _coords(lo, hi, dim):
@@ -507,14 +507,13 @@ def test_every_measure_off_the_product_form_has_an_exact_mass_case():
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_ball_mass_is_the_exact_mass(measure, lo, hi, dim, data):
-    # the shared rule adds nothing to mass(): bit for bit, as in the mass
-    # table, and in the method the measure names
+    # the shared rule adds nothing to the measure's own table: bit for bit,
+    # one ball or a whole table, and in the method the measure names
     centers = [np.array(data.draw(_coords(lo, hi, dim))) for _ in range(2)]
     radii = np.array(sorted(data.draw(st.lists(st.floats(min_value=1e-9, max_value=1.5),
                                                 min_size=1, max_size=4, unique=True)),
                             reverse=True))
-    masses = np.array([[measure.mass(c if dim > 1 else float(c[0]), float(r)) for r in radii]
-                       for c in centers])
+    masses = measure.mass_table(centers, radii)
     got = [[ball_mass(measure, c, float(r)) for r in radii] for c in centers]
     np.testing.assert_array_equal([[m.estimate for m in row] for row in got], masses)
     assert {(m.stderr, m.method) for row in got for m in row} == {(0.0, measure.method)}
@@ -541,15 +540,82 @@ def _om_not_strong_reference(m, center, radius):
     return m.norm_constant * raw
 
 
+def _liminf_only_reference(m, center, radius):
+    """The interval overlaps one ball at a time, in offset coordinates."""
+    total = 0.0
+    for _, side, lo, hi, h in m.intervals():
+        off = center + 1.0 if side < 0 else 1.0 - center
+        overlap = min(hi, off + radius) - max(lo, off - radius)
+        if overlap > 0:
+            total += h * overlap
+    return total
+
+
+def _crosses_reference(m, center, radius):
+    """One ball at a time: along each segment, the share of every piece
+    between kinks of the distance that lies inside the ball."""
+    reduce = np.sum if m.p == 1.0 else np.max
+    total = 0.0
+    for a, b in m.segments():
+        length = float(np.linalg.norm(b - a))
+        unit, start = (b - a) / length, a - center
+        rates = np.array([unit[0], unit[1], unit[0] - unit[1], unit[0] + unit[1]])
+        starts = np.array([start[0], start[1], start[0] - start[1], start[0] + start[1]])
+        moving = rates != 0.0
+        kinks = np.clip(-starts[moving] / rates[moving], 0.0, length)
+        t = np.unique(np.concatenate([[0.0, length], kinks]))
+        g = reduce(np.abs(start + t[:, None] * unit), axis=1) - radius
+        for t0, t1, g0, g1 in zip(t[:-1], t[1:], g[:-1], g[1:]):
+            if min(g0, g1) < 0.0:
+                share = 1.0 if max(g0, g1) <= 0.0 else -min(g0, g1) / abs(g1 - g0)
+                total += float((t1 - t0) * share)
+    return total
+
+
+def _density1d_reference(m, center, radius):
+    """Quadrature over one ball, support interval by support interval."""
+    total = 0.0
+    for a, b in m.support:
+        lo, hi = max(a, center - radius), min(b, center + radius)
+        if lo < hi:
+            total += quad(m.pdf, lo, hi, epsabs=_QUAD_TOL, limit=200)[0]
+    return total
+
+
+#: measure type -> its masses one ball at a time, a float centre on the line
+_REFERENCES = {OmNotStrongMeasure: _om_not_strong_reference,
+               LiminfOnlyMeasure: _liminf_only_reference,
+               CrossesMeasure: _crosses_reference, Density1D: _density1d_reference}
+
+
+def _reference_table(m, centres, radii):
+    ref = _REFERENCES[type(m)]
+    return [[ref(m, c if np.ndim(c) else float(c), float(r)) for r in radii] for c in centres]
+
+
 def _assert_bits_equal(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("measure,lo,hi,dim", list(_EXACT_MASS_CASES.values()),
+                         ids=list(_EXACT_MASS_CASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mass_table_is_the_one_ball_reference(measure, lo, hi, dim, data):
+    centres = [np.array(data.draw(_coords(lo, hi, dim))) for _ in range(3)]
+    radii = sorted(data.draw(st.lists(st.floats(min_value=1e-9, max_value=1.5),
+                                      min_size=1, max_size=4, unique=True)), reverse=True)
+    _assert_bits_equal(measure.mass_table(centres, radii),
+                       _reference_table(measure, [c if dim > 1 else c[0] for c in centres],
+                                        radii))
+
+
 class TestMassTables:
-    """``OmNotStrongMeasure.mass_table`` computes every cell as ``mass`` does,
-    bit for bit, and as the closed form one ball at a time."""
+    """Every measure's ``mass_table`` computes each cell as its closed form
+    or quadrature does one ball at a time, bit for bit, also at the
+    anchors, kinks and interval ends where the cases above rarely land."""
 
     @pytest.mark.parametrize("levels", [2, 6, 30])
     def test_om_not_strong(self, levels):
@@ -564,10 +630,40 @@ class TestMassTables:
         radii = np.unique(np.concatenate([np.geomspace(1e-9, 2.0, 16), [0.25, 0.5, 1.0, 1.5],
                                           [0.5 / k ** 4 for k in range(1, 6)]]))[::-1]
         table = m.mass_table(centres, radii)
-        _assert_bits_equal(table, [[m.mass(c, r) for r in radii] for c in centres])
-        _assert_bits_equal(table, [[_om_not_strong_reference(m, c, float(r)) for r in radii]
-                                   for c in centres])
+        _assert_bits_equal(table, _reference_table(m, centres, radii))
         assert np.all(table[[i for i, c in enumerate(centres) if c == 1.0]] > 0.0)
+
+    @pytest.mark.parametrize("variant,depth", [("standard", 40), ("extreme", 20)])
+    def test_liminf_only(self, variant, depth):
+        # the anchors, the ends of every fourth level's interval, and the
+        # radii alpha_n and 2 alpha_n along which the ratios oscillate
+        m = LiminfOnlyMeasure(depth=depth, variant=variant)
+        centres = [x for a in (-1.0, 1.0) for x in (a, math.nextafter(a, 0.0),
+                                                     math.nextafter(a, 2 * a))]
+        for n in range(0, depth, 4):
+            for f in (1.0, 1.5, 2.0):
+                centres += [-1.0 + f * m.widths_neg[n], 1.0 - f * m.widths_pos[n]]
+        centres += np.linspace(-1.5, 1.5, 7).tolist()
+        radii = sorted({*(m.eps_radius(n) for n in range(1, depth, 2)),
+                        *(m.delta_radius(n) for n in range(1, depth, 2)), 0.5, 1.0, 2.0},
+                       reverse=True)
+        table = m.mass_table(centres, radii)
+        _assert_bits_equal(table, _reference_table(m, centres, radii))
+        assert np.all(table[[0, 3]] > 0.0)  # the anchors
+
+    @pytest.mark.parametrize("norm", ["1", "inf"])
+    def test_crosses(self, norm):
+        # the cross centres, points on every segment and off it, and radii
+        # that end inside one cross or reach both
+        m, h = CrossesMeasure(norm), math.sqrt(0.5)
+        on = [E1, -E1, np.array([1.5, 0.0])]
+        on += [a + t * (b - a) for a, b in m.segments() for t in np.linspace(0, 1, 6)]
+        off = [np.array([x, y]) for x in (-1.0 - h, -0.4, 0.6) for y in (-h, 0.3, 1.0)]
+        radii = sorted({*np.geomspace(1e-9, 3.0, 10).tolist(), 0.25, 0.5, h, 1.0, 2.0},
+                       reverse=True)
+        table = m.mass_table(on + off, radii)
+        _assert_bits_equal(table, _reference_table(m, on + off, radii))
+        assert np.all(table[:len(on)] > 0.0)
 
     def test_refuse_a_nonpositive_radius(self):
         with pytest.raises(InputError, match="positive"):
@@ -576,15 +672,20 @@ class TestMassTables:
     @pytest.mark.parametrize("centres", [[np.array([1.0, 2.0])], np.ones((3, 2)), 1.0,
                                          [[[1.0]]]], ids=["pair", "rows", "scalar", "nested"])
     def test_refuse_a_centre_off_the_line(self, centres):
-        m = OmNotStrongMeasure(levels=6)
-        with pytest.raises(InputError, match="centre on the line"):
-            m.mass_table(centres, [0.1])
-        with pytest.raises(InputError, match="centre on the line"):
-            m.mass(np.array([1.0, 2.0]), 0.1)
+        for m in (OmNotStrongMeasure(levels=6), LiminfOnlyMeasure(depth=12),
+                  _EXACT_MASS_CASES["density1d"][0]):
+            with pytest.raises(InputError, match="centre on the line"):
+                m.mass_table(centres, [0.1])
+
+    @pytest.mark.parametrize("centres", [E1, [np.ones(3)], [1.0, 2.0], np.ones((2, 2, 1))],
+                             ids=["one-point", "triple", "line", "nested"])
+    def test_crosses_refuse_a_centre_off_the_plane(self, centres):
+        with pytest.raises(InputError, match="centre in R\\^2"):
+            CrossesMeasure("1").mass_table(centres, [0.1])
 
     def test_far_centres_weigh_nothing(self):
         m = OmNotStrongMeasure(levels=6)
         with np.errstate(all="raise"):
             table = m.mass_table([1e308, -1e308, math.inf, -math.inf, 1.0], [2.0, 0.1])
         _assert_bits_equal(table[:4], np.zeros((4, 2)))
-        _assert_bits_equal(table[4], [m.mass(1.0, 2.0), m.mass(1.0, 0.1)])
+        _assert_bits_equal(table[4:], _reference_table(m, [1.0], [2.0, 0.1]))

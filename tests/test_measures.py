@@ -1541,16 +1541,15 @@ class TestRadiusIsFiniteAndPositive:
             with pytest.raises(InputError, match="finite and positive"):
                 sup_ball_mass(self.uniform(), radius)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
     def test_own_mass_methods(self, radius):
-        # called directly, not through ball_mass: each measure's own rule checks
+        # called directly, not through ball_mass: each measure's own table checks
         e1 = np.array([1.0, 0.0])
-        for call in (lambda: self.uniform().mass(0.5, radius),
-                     lambda: LiminfOnlyMeasure(depth=12).mass(1.0, radius),
-                     lambda: CrossesMeasure("1").mass(e1, radius),
+        for call in (lambda: self.uniform().mass_table([0.5], [radius]),
+                     lambda: LiminfOnlyMeasure(depth=12).mass_table([1.0], [0.1, radius]),
+                     lambda: CrossesMeasure("1").mass_table([e1], [radius, 0.1]),
                      lambda: ommap.counterexamples.crosses_ball_masses(CrossesMeasure("1"), e1,
                                                                        radius),
-                     lambda: OmNotStrongMeasure(levels=6).mass(1.0, radius),
                      lambda: OmNotStrongMeasure(levels=6).mass_table([1.0], [0.1, radius])):
             with pytest.raises(InputError, match="finite and positive"):
                 call()
@@ -1658,13 +1657,26 @@ def _besov_planar(mu, space):
                                      c, r, space)
 
 
+def _per_centre(mass):
+    """The masses of the balls of radius r about ``centres``, from a mass
+    one ball at a time."""
+    return lambda centres, r: np.array([mass(c, r) for c in centres])
+
+
 def _exact(mu, space):
-    return lambda c, r: ball_mass(mu, c, r, space).estimate
+    return _per_centre(lambda c, r: ball_mass(mu, c, r, space).estimate)
+
+
+def _own_table(measure):
+    """The masses of the balls of radius r about ``centres`` from one
+    ``mass_table`` of a measure off the product form."""
+    return lambda centres, r: measure.mass_table(centres, [r])[:, 0]
 
 
 def _heaviest_centre_cases():
-    """name -> (measure, space, mass(c, r), radii, centres to test, slack):
-    slack "ulp" for closed forms, a relative tolerance for quadrature."""
+    """name -> (measure, space, masses(centres, r), radii, centres to test,
+    slack): slack "ulp" for closed forms, a relative tolerance for
+    quadrature."""
     rng = np.random.default_rng(19)
     rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     aligned = GaussianMeasure(np.array([0.4, -0.3, 1.0]),
@@ -1685,21 +1697,23 @@ def _heaviest_centre_cases():
         "besov1-sup": (besov3, sup3, _exact(besov3, sup3), product_radii,
                        around(besov3.mean, 40), "ulp"),
         "besov1-ambient": (besov2, besov2.ambient_space(),
-                           _besov_planar(besov2, besov2.ambient_space()), product_radii,
+                           _per_centre(_besov_planar(besov2, besov2.ambient_space())),
+                           product_radii,
                            around(besov2.mean, 12), 1e-9),
         "gaussian-aligned-p0.5": (planar, WeightedSeqSpace.unweighted(0.5, 2),
-                                  _gaussian_planar(planar, WeightedSeqSpace.unweighted(0.5, 2)),
+                                  _per_centre(_gaussian_planar(
+                                      planar, WeightedSeqSpace.unweighted(0.5, 2))),
                                   product_radii, around(planar.mean, 12), 1e-9),
     }
     for p in (1.0, 2.0, math.inf):
         sp = WeightedSeqSpace(p, [1.0, 0.7])
-        cases[f"gaussian-rotated-p{p}"] = (rotated, sp, _gaussian_planar(rotated, sp),
+        cases[f"gaussian-rotated-p{p}"] = (rotated, sp, _per_centre(_gaussian_planar(rotated, sp)),
                                            product_radii, around(rotated.mean, 12), 1e-9)
     ons = OmNotStrongMeasure(levels=6)
     grid = np.linspace(0.5, 6.5, 481).tolist()
     near = [x for k in range(1, 7) for x in (math.nextafter(k, 0), math.nextafter(k, 9),
                                              k + 1e-7, k - 1e-7)]
-    cases["om-not-strong"] = (ons, default_space(ons), _exact(ons, default_space(ons)),
+    cases["om-not-strong"] = (ons, default_space(ons), _own_table(ons),
                               (1e-6, 1e-3, 0.05, 0.2, 0.24),
                               [np.array([x]) for x in grid + near], "ulp")
     for norm in ("1", "inf"):
@@ -1707,7 +1721,7 @@ def _heaviest_centre_cases():
         xs, ys = np.linspace(-2.0, 2.1, 42), np.linspace(-1.1, 1.1, 23)
         on_segments = [a + t * (b - a) for a, b in m.segments() for t in np.linspace(0, 1, 41)]
         jitter = [c + 0.01 * rng.normal(size=2) for c in on_segments]
-        cases[f"crosses-{norm}"] = (m, m.default_space(), _exact(m, m.default_space()),
+        cases[f"crosses-{norm}"] = (m, m.default_space(), _own_table(m),
                                     (0.03, 0.12, 0.24),
                                     [np.array([x, y]) for x in xs for y in ys]
                                     + on_segments + jitter, "ulp")
@@ -1730,21 +1744,22 @@ class TestHeaviestCentres:
 
     @pytest.mark.parametrize("name", list(_heaviest_centre_cases()))
     def test_no_centre_outweighs_the_rule(self, name):
-        measure, space, mass, radii, points, slack = _heaviest_centre_cases()[name]
+        measure, space, masses, radii, points, slack = _heaviest_centre_cases()[name]
         centres, r_max = _heaviest_centers(measure, space)
         assert centres
+        coords = np.array(points)
         for r in radii:
             assert r < r_max
-            sup = max(mass(c, r) for c in centres)
-            for c in points:
-                if slack == "ulp":
-                    # a closed form rounds each interval end c_k +- r w_k to
-                    # the float grid near c_k, as in the sup tests above
-                    ulp = math.ulp(1.0 + np.abs(c).max() + r * space.weights.max())
-                    tol = 1e-12 + 4 * c.size * ulp / (r * space.weights.min())
-                else:
-                    tol = slack
-                assert mass(c, r) <= sup * (1 + tol), (c, r)
+            sup = masses(centres, r).max()
+            if slack == "ulp":
+                # a closed form rounds each interval end c_k +- r w_k to the
+                # float grid near c_k, as in the sup tests above
+                ulp = np.spacing(1.0 + np.abs(coords).max(axis=1) + r * space.weights.max())
+                tol = 1e-12 + 4 * coords.shape[1] * ulp / (r * space.weights.min())
+            else:
+                tol = slack
+            over = masses(points, r) > sup * (1 + tol)
+            assert not over.any(), (coords[over], r)
 
     @pytest.mark.parametrize("norm,factor", [("1", 4.0), ("inf", 4.0 * math.sqrt(2.0))])
     def test_crosses_supremum(self, norm, factor):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import ommap
+import ommap.cli
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_bench_json.py"
 
@@ -133,3 +134,19 @@ def test_output_digests_lists_each_invalid_config_with_exit_code_2():
     # a bad value inside every $defs entry that a branch refers to
     defs = json.loads((TOOL.parents[1] / "src" / "ommap" / "schema.json").read_text())["$defs"]
     assert set(defs) <= {label.split(".")[0] for label in labels}
+
+
+def test_output_digests_liminf_config_reads_the_oscillating_ratios(tmp_path):
+    # the config as the tool builds it, from a process of its own (the tool
+    # sets its BLAS threads and import path when it loads)
+    script = ("import json, sys; sys.path.insert(0, 'tools'); import output_digests as od; "
+              "print(json.dumps(dict(od.EXTRA_CONFIGS)['ball_ratio.liminf_only']))")
+    done = subprocess.run([sys.executable, "-c", script], cwd=TOOL.parents[1],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    path = tmp_path / "cfg.json"
+    path.write_text(done.stdout)
+    assert ommap.cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 0
+    ratios = json.loads((tmp_path / "out" / "results.json").read_text())["results"]["ratios"]
+    want = [q for n in range(1, 9) for q in (2.0, 2.0 ** -(n + 2))]
+    np.testing.assert_allclose(ratios, want, rtol=1e-12, atol=0)

@@ -48,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import ommap.cli  # noqa: E402
+from ommap.counterexamples import LiminfOnlyMeasure  # noqa: E402
 from perfbench.workloads import build  # noqa: E402
 
 WORKLOADS = ("mc_ratio", "gamma_probe", "cli_kinds")
@@ -59,6 +60,7 @@ _OBS_3X4 = {"matrix": [[1.0, 0.4, 0.0, -0.3], [0.0, 1.0, 0.5, 0.2], [0.3, 0.0, 1
 # a rotated basis (the 4x4 Hadamard matrix over 2, orthogonal in floats), a
 # nonzero mean and one zero eigenvalue: the reduced map of the normal equations
 # and of the pseudoinverse point, lifted back through the basis
+_LIMINF = LiminfOnlyMeasure(depth=40)
 _GAUSS_ROTATED_DEGENERATE = {
     "type": "gaussian", "mean": [0.3, -0.2, 0.1, 0.4], "eigenvalues": [2.0, 1.0, 0.0, 0.5],
     "basis": [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5],
@@ -174,6 +176,15 @@ EXTRA_CONFIGS = (
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
         "x1": [0.3, 0.0, -0.2] + [0.0] * 17, "x2": [0.0] * 20,
         "schedule": {"r0": 0.2, "levels": 10}}),
+    # Part I's oscillating ratios from the liminf table: mu(B(-1)) / mu(B(+1))
+    # is 2 at the radii 2 alpha_n and 2^(-n-2) at alpha_n, n = 1..8, which
+    # interleave in decreasing order since alpha_n > 2 alpha_(n+1)
+    ("ball_ratio.liminf_only", {
+        "kind": "ball_ratio", "seed": 0,
+        "measure": {"type": "density1d", "name": "liminf_only", "params": {"depth": 40}},
+        "x1": [-1.0], "x2": [1.0],
+        "radii": [float(r) for n in range(1, 9)
+                  for r in (_LIMINF.eps_radius(n), _LIMINF.delta_radius(n))]}),
     ("counterexample.crosses", {"kind": "counterexample", "seed": 0, "name": "crosses"}),
     ("counterexample.liminf_only", {"kind": "counterexample", "seed": 0,
                                     "name": "liminf_only", "params": {"n_max": 8}}),
