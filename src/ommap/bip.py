@@ -1,16 +1,15 @@
 """Bayesian inverse problem layer: potentials, MAP solvers, experiments.
 
 MAP estimators are computed as minimisers of potential + prior
-functional: a reduced normal-equations solve for linear observations
-under a Gaussian prior; for the weighted-l1 functional of a Besov-1
-prior, the lasso homotopy for a linear observation (exact, with
-``MapSolution.iterations`` counting its events and a uniqueness flag
-every time) and, for a general potential, a proximal Newton iteration
-whose every step is a homotopy solve, stopping on its optimality
-residual.
-``map_solve`` and ``constrained_prior_minimum`` take their rules from
-the prior's 1-d factor.  The experiments perturb data, potential, or
-prior along a schedule and track the MAP trajectory against the limit.
+functional.  For a linear observation the prior's 1-d factor names one
+rule (``_FACTOR_RULES``) for Phi + lam I0, lam >= 0: a reduced
+normal-equations solve under a Gaussian prior, the lasso homotopy under
+a Besov-1 prior (exact, with a uniqueness flag every time).
+``map_solve`` reads it at lam = 1, the small-noise experiment at 1/n and
+``constrained_prior_minimum`` at 0.  For a general potential a proximal
+Newton iteration, whose every step is a homotopy solve, stops on its
+optimality residual.  The experiments perturb data, potential, or prior
+along a schedule and track the MAP trajectory against the limit.
 """
 
 from __future__ import annotations
@@ -167,53 +166,37 @@ def projected_potential(pot: Potential, n: int) -> Potential:
 # ---------------------------------------------------------------------------
 
 def map_solve(prior, obs: LinearObservation, prox: Optional[ProxOpts] = None) -> MapSolution:
-    """MAP estimate for a linear observation, by the solver of the prior's factor."""
-    return _factor_rules(prior, "MAP solver")[0](prior, obs, prox)
+    """MAP estimate for a linear observation: the rule of the prior's factor at weight 1."""
+    return _factor_rule(prior)(prior, obs, prox, 1.0)
 
 
-def _reduced_map(prior, o: np.ndarray):
-    """B = O C^(1/2) on the free eigendirections of a normal-factor prior,
-    C^(1/2) = basis diag(scale), and the map w -> m + C^(1/2) w from
-    reduced coefficients back to the unknown."""
-    free, basis = ~prior.pinned, prior.basis
-    sig = prior.scale[free]
-    cols = o if basis is None else o @ basis
-
-    def lift(w: np.ndarray) -> np.ndarray:
-        coeff = np.zeros(prior.dim)
-        coeff[free] = sig * w
-        return prior.mean + (coeff if basis is None else basis @ coeff)
-
-    return cols[:, free] * sig[None, :], lift
-
-
-def _map_solve_gaussian(prior, obs: LinearObservation,
-                        prox: Optional[ProxOpts] = None) -> MapSolution:
-    """Exact MAP for a linear observation under a prior of normal factors;
-    ``prox`` is unused, as the solve is direct.
+def _normal_rule(prior, obs: LinearObservation, prox: Optional[ProxOpts],
+                 lam: float) -> MapSolution:
+    """Exact minimiser of Phi + lam I0 for a linear observation under a prior
+    of normal factors; ``prox`` is unused, as the solve is direct.
 
     The unknown is substituted as m + C^(1/2) w over the non-null
-    eigendirections, which turns the problem into the always
-    well-posed reduced normal equations (B^T B + I) w = B^T r.
+    eigendirections, C^(1/2) = basis diag(scale), which turns the problem
+    into the reduced normal equations (B^T B + lam I) w = B^T r with
+    B = W C^(1/2) on those directions; at lam = 0 the point is the
+    least-norm least-squares solution of B w = r.
     """
     if obs.n_unknown != prior.dim:
         raise InputError("observation and prior dimensions differ")
     w_mat, w_y = obs.whitened()
-    b, lift = _reduced_map(prior, w_mat)
+    free, basis, sig = ~prior.pinned, prior.basis, prior.scale[~prior.pinned]
+    b = (w_mat if basis is None else w_mat @ basis)[:, free] * sig[None, :]
     r = w_y - w_mat @ prior.mean
-    lhs = b.T @ b + np.eye(b.shape[1])
+    lhs = b.T @ b + lam * np.eye(b.shape[1])
     rhs = b.T @ r
-    flags = []
-    try:
-        w = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        w = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        flags.append("minimum-norm-fallback")
+    w = np.linalg.solve(lhs, rhs) if lam > 0 else np.linalg.lstsq(b, r, rcond=None)[0]
     residual = float(np.linalg.norm(lhs @ w - rhs))
-    point = lift(w)
+    coeff = np.zeros(prior.dim)
+    coeff[free] = sig * w
+    point = prior.mean + (coeff if basis is None else basis @ coeff)
     misfit = w_y - w_mat @ point
-    objective = 0.5 * float(misfit @ misfit) + 0.5 * float(w @ w)
-    return MapSolution(point, objective, residual, 1, "normal-equations", tuple(flags))
+    objective = 0.5 * float(misfit @ misfit) + lam * 0.5 * float(w @ w)
+    return MapSolution(point, objective, residual, 1, "normal-equations")
 
 
 @dataclass(frozen=True)
@@ -277,7 +260,8 @@ def map_solve_besov(prior, pot: Potential, opts: Optional[ProxOpts] = None) -> M
         top = float(np.max(np.abs(lam))) or 1.0
         root = np.sqrt(np.maximum(lam, _FLOOR * top) + mu)
         v, _, reached, _ = _lasso_homotopy((root[:, None] * vec.T) * gamma,
-                                           root * (vec.T @ u) - (vec.T @ g) / root, opts.max_iter)
+                                           root * (vec.T @ u) - (vec.T @ g) / root, 1.0,
+                                           opts.max_iter)
         if not reached:
             break  # the cap cut this step's path short of its minimiser
         d = gamma * v - u
@@ -306,24 +290,29 @@ def _l1_weights(prior) -> np.ndarray:
 
 
 _TIE = 1e-9  # relative gap under which a correlation counts as equal to lambda
+_ROUND = 1e-13  # relative correlation of a least-squares residual left by round-off
 
 
-def _lasso_homotopy(a_mat: np.ndarray, y: np.ndarray, max_events: int) -> tuple:
-    """Minimiser of |y - A v|^2 / 2 + |v|_1 by the lasso homotopy (Osborne,
-    Presnell & Turlach 2000): v(lam), the minimiser at weight lam, is
-    piecewise affine, and the path runs from lam_max = |A^T y|_inf, where
-    v = 0, down to lam = 1.  On each piece the active coordinates solve
-    their stationarity system exactly; a piece ends where an inactive
-    correlation reaches lam (a join) or an active coordinate reaches zero
-    (a drop).  Returns v, the events passed, whether lam = 1 was reached
-    within ``max_events``, and whether the columns of A over the
-    equicorrelation set are rank-deficient, when the minimiser need not be
-    unique (Tibshirani 2013).
+def _lasso_homotopy(a_mat: np.ndarray, y: np.ndarray, weight: float, max_events: int) -> tuple:
+    """Minimiser of |y - A v|^2 / 2 + weight |v|_1 by the lasso homotopy
+    (Osborne, Presnell & Turlach 2000): v(lam), the minimiser at weight
+    lam, is piecewise affine, and the path runs from lam_max = |A^T y|_inf,
+    where v = 0, down to lam = weight, or for weight 0 to its end as
+    lam -> 0+, basis pursuit for a consistent system, where an event within
+    _TIE lam_max of zero may be round-off (with one row every inactive
+    correlation reaches 0 with the active one).  On each piece the active
+    coordinates solve their stationarity system exactly; a piece ends where
+    an inactive correlation reaches lam (a join) or an active coordinate
+    reaches zero (a drop).  Returns v, the events passed, whether lam =
+    weight was reached within ``max_events``, and, for weight > 0, whether
+    the columns of A over the equicorrelation set are rank-deficient, when
+    the minimiser need not be unique (Tibshirani 2013).
     """
     gram, corr0 = a_mat.T @ a_mat, a_mat.T @ y
     v, events = np.zeros(corr0.size), 0
     lam = float(np.max(np.abs(corr0), initial=0.0))
-    if lam > 1.0:
+    near_end = _TIE * lam
+    if lam > weight:
         first = int(np.argmax(np.abs(corr0)))
         active, signs, events = [first], [math.copysign(1.0, corr0[first])], 1
         joined, dropped = True, None
@@ -345,13 +334,24 @@ def _lasso_homotopy(a_mat: np.ndarray, y: np.ndarray, max_events: int) -> tuple:
             shrink[-1] &= not joined  # the last coordinate, just joined at zero, stays
             drop = _first_hit(s * v_act, -s * d, shrink)
             j, i = int(np.argmin(join)), int(np.argmin(drop))
-            if min(join[j], drop[i]) >= lam - 1.0:
-                v[act] = np.linalg.solve(g_act, corr0[act] - s)
+            step = min(join[j], drop[i])
+            if weight and step >= lam - weight:
+                v[act] = np.linalg.solve(g_act, corr0[act] - weight * s)
                 break
+            if not weight and step >= lam - near_end:
+                # least squares on the active columns (to their condition number, not its
+                # square); an event left is round-off once their residual is orthogonal to A
+                a_act = a_mat[:, act]
+                v_ls = np.linalg.lstsq(a_act, y, rcond=None)[0]
+                scale = np.linalg.norm(y) + np.linalg.norm(np.abs(a_act) @ np.abs(v_ls))
+                if step >= lam or np.all(np.abs(a_mat.T @ (y - a_act @ v_ls))
+                                         <= _ROUND * np.linalg.norm(a_mat, axis=0) * scale):
+                    v[act] = v_ls
+                    break
             if events >= max_events:
                 v[act] = v_act
                 return v, events, False, False
-            lam -= min(join[j], drop[i])
+            lam -= step
             events += 1
             if join[j] <= drop[i]:
                 active.append(j)
@@ -359,8 +359,8 @@ def _lasso_homotopy(a_mat: np.ndarray, y: np.ndarray, max_events: int) -> tuple:
                 joined, dropped = True, None
             else:
                 joined, dropped = False, (active.pop(i), signs.pop(i))
-    tied = np.abs(corr0 - gram @ v) >= 1.0 - _TIE
-    return v, events, True, bool(np.linalg.matrix_rank(a_mat[:, tied]) < tied.sum())
+    tied = np.abs(corr0 - gram @ v) >= (1.0 - _TIE) * weight
+    return v, events, True, weight > 0 and bool(np.linalg.matrix_rank(a_mat[:, tied]) < tied.sum())
 
 
 def _first_hit(dist: np.ndarray, rate: np.ndarray, moving: np.ndarray) -> np.ndarray:
@@ -371,33 +371,53 @@ def _first_hit(dist: np.ndarray, rate: np.ndarray, moving: np.ndarray) -> np.nda
 
 def map_solve_besov_linear(prior, obs: LinearObservation,
                            opts: Optional[ProxOpts] = None) -> MapSolution:
-    """Laplace-factor (Besov-1) prior MAP for a linear observation, exactly.
+    """Besov-1 prior MAP for a linear observation, exactly: ``_laplace_rule`` at weight 1."""
+    return _laplace_rule(prior, obs, opts, 1.0)
+
+
+def _laplace_rule(prior, obs: LinearObservation, opts: Optional[ProxOpts],
+                  lam: float) -> MapSolution:
+    """Exact minimiser of Phi + lam I0 for a linear observation under a
+    Laplace-factor (Besov-1) prior, I0(u) = sum_k |u_k| / gamma_k.
 
     In the scaled unknowns v_k = u_k / gamma_k with A = W diag(gamma),
-    W and y the whitened observation, the MAP point minimises
-    |y - A v|^2 / 2 + |v|_1, a lasso, and is found by its homotopy
-    (``_lasso_homotopy``).  ``iterations`` counts the homotopy's events
-    and ``opts.max_iter`` caps them; ``optimality_residual`` is the
-    subdifferential residual in u, at round-off on the solved path.  A
-    run that stops on the cap or with a residual not below ``opts.tol``
-    is flagged ``not-converged``; one whose equicorrelation columns are
-    rank-deficient is flagged ``non-unique-minimiser``.  The misfit's
-    gradient is analytic and skips the finite-difference check of a
-    ``Potential``.
+    W and y the whitened observation, the point minimises
+    |y - A v|^2 / 2 + lam |v|_1, a lasso, found by its homotopy
+    (``_lasso_homotopy``).  ``iterations`` counts its events and
+    ``opts.max_iter`` caps them; ``optimality_residual`` is the
+    subdifferential residual in u of Phi / lam + I0.  A run that stops on
+    the cap or with a residual not below ``opts.tol`` is flagged
+    ``not-converged``; one whose equicorrelation columns are rank-deficient
+    is flagged ``non-unique-minimiser``.  At lam = 0 the residual is
+    |grad Phi|_inf, no basis-pursuit certificate, and only the cap is
+    flagged (the caller checks the misfit).  The misfit's gradient is
+    analytic and skips the finite-difference check of a ``Potential``.
     """
     if obs.n_unknown != prior.dim:
         raise InputError("observation and prior dimensions differ")
     opts, inv_g, (w_mat, w_y) = opts or ProxOpts(), _l1_weights(prior), obs.whitened()
     kernel, gradient = _misfit(w_mat, w_y)
-    v, events, reached, degenerate = _lasso_homotopy(w_mat * prior.scale, w_y, opts.max_iter)
+    v, events, reached, degenerate = _lasso_homotopy(w_mat * prior.scale, w_y, lam, opts.max_iter)
     u = v * prior.scale
     if not np.all(np.isfinite(u)):
         raise NumericsError("lasso homotopy produced non-finite values")
-    res = kkt_residual(gradient(u), u, inv_g)
-    flags = ((() if reached and res < opts.tol else ("not-converged",))
+    res = kkt_residual(gradient(u), u, lam * inv_g) / (lam or 1.0)
+    flags = ((() if reached and (res < opts.tol or not lam) else ("not-converged",))
              + (("non-unique-minimiser",) if degenerate else ()))
-    objective = float(kernel(u[None, :])[0]) + float(np.abs(u) @ inv_g)
+    objective = float(kernel(u[None, :])[0]) + lam * float(np.abs(u) @ inv_g)
     return MapSolution(u, objective, res, events, "lasso-homotopy", flags)
+
+
+#: factor type -> rule(prior, obs, prox, lam) of a product prior: the
+#: MapSolution of Phi + lam I0 for a linear observation, lam >= 0
+_FACTOR_RULES = {NormalFactor: _normal_rule, LaplaceFactor: _laplace_rule}
+
+
+def _factor_rule(prior) -> Callable:
+    rule = _FACTOR_RULES.get(type(getattr(prior, "factor", None)))
+    if rule is None:
+        raise InputError(f"no MAP rule for prior type {type(prior).__name__}")
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -538,65 +558,30 @@ class SmallNoiseReport:
 
 
 def constrained_prior_minimum(prior, obs: LinearObservation) -> np.ndarray:
-    """Minimise the prior functional subject to O u = y, by the rule of the
-    prior's factor (``_FACTOR_RULES``)."""
-    return _factor_rules(prior, "constrained solver")[1](prior, obs)
-
-
-def _gaussian_constrained(prior, obs: LinearObservation) -> np.ndarray:
-    """Minimum Cameron-Martin norm point on the affine set, via the
-    pseudoinverse of the reduced map."""
-    o = obs.matrix
-    b, lift = _reduced_map(prior, o)
-    rhs = obs.data - o @ prior.mean
-    v = np.linalg.pinv(b) @ rhs
-    if np.linalg.norm(b @ v - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+    """Minimise the prior functional subject to O u = y: the rule of the
+    prior's factor (``_FACTOR_RULES``) at weight 0.  A whitened misfit above
+    1e-8 times max(1, that of the prior mean) is a NumericsError."""
+    point, (w_mat, w_y) = _factor_rule(prior)(prior, obs, None, 0.0).point, obs.whitened()
+    scale = max(1.0, float(np.linalg.norm(w_y - w_mat @ prior.mean)))
+    if np.linalg.norm(w_y - w_mat @ point) > 1e-8 * scale:
         raise NumericsError("misfit minimum is not attained on the prior support")
-    return lift(v)
-
-
-def _besov_constrained(prior, obs: LinearObservation) -> np.ndarray:
-    """Weighted basis pursuit solved as a linear program."""
-    from scipy.optimize import linprog
-
-    o = obs.matrix
-    k = prior.dim
-    cost = np.tile(_l1_weights(prior), 2)
-    res = linprog(cost, A_eq=np.hstack([o, -o]), b_eq=obs.data,
-                  bounds=[(0, None)] * (2 * k), method="highs")
-    if not res.success:
-        raise NumericsError(f"basis pursuit failed: {res.message}")
-    return res.x[:k] - res.x[k:]
-
-
-#: factor type -> (MAP solver, constrained solver) of a product prior
-_FACTOR_RULES = {NormalFactor: (_map_solve_gaussian, _gaussian_constrained),
-                 LaplaceFactor: (map_solve_besov_linear, _besov_constrained)}
-
-
-def _factor_rules(prior, what: str) -> tuple:
-    rules = _FACTOR_RULES.get(type(getattr(prior, "factor", None)))
-    if rules is None:
-        raise InputError(f"no {what} for prior type {type(prior).__name__}")
-    return rules
+    return point
 
 
 def small_noise_experiment(prior, obs: LinearObservation,
                            n_list: Sequence[int]) -> SmallNoiseReport:
-    """Minimise n*Phi + I0 along n with ``map_solve``'s defaults and
-    compare with the constrained point.  The pointwise table reads
-    n*Phi + I0 at the constrained point and at that point + 0.1."""
+    """Minimise n*Phi + I0 along n, as Phi + I0 / n: the rule of the prior's
+    factor (``_FACTOR_RULES``) at weight 1/n with ``map_solve``'s defaults,
+    its flags certifying the residual of n*Phi + I0; compare with the
+    constrained point, the same rule at weight 0.  The pointwise table
+    reads n*Phi + I0 at the constrained point and at that point + 0.1."""
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise InputError("noise-scaling indices must be positive")
-    star = constrained_prior_minimum(prior, obs)
+    rule, star = _factor_rule(prior), constrained_prior_minimum(prior, obs)
     points, dists, flags = [], [], []
     for n in n_list:
-        scaled = LinearObservation(obs.matrix,
-                                   SpectralOperator(obs.noise_cov.eigenvalues / n,
-                                                    obs.noise_cov.basis),
-                                   obs.data)
-        sol = map_solve(prior, scaled)
+        sol = rule(prior, obs, None, 1.0 / n)
         points.append(sol.point)
         dists.append(float(np.linalg.norm(sol.point - star)))
         flags.append(sol.flags)

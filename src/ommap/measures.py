@@ -565,15 +565,15 @@ class _CenterPlan:
         # log density at c + s*w*z, expanded in s by the factor
         self.log_density = setup.factor.mc_center(setup, self.c_free - setup.m_free)
 
-    def section_radius(self, r: float) -> Optional[float]:
+    def section_radius(self, r: float, closed: bool) -> Optional[float]:
         """Radius of the free-coordinate ball section (aligned case)."""
         p = self.setup.space.p
         if math.isinf(p):
-            return r if self.fixed_sup < r else None
+            return r if (self.fixed_sup <= r if closed else self.fixed_sup < r) else None
         rem = r ** p - self.fixed_pow
         return rem ** (1.0 / p) if rem > 0 else None
 
-    def proposal(self, r: float) -> tuple:
+    def proposal(self, r: float, closed: bool) -> tuple:
         """Proposal scale s and log volume of {c + s*w*z} for radius r.
 
         The log volume is -inf where the ball misses the section of the
@@ -581,7 +581,7 @@ class _CenterPlan:
         """
         setup = self.setup
         if setup.aligned:
-            r_sec = self.section_radius(r)
+            r_sec = self.section_radius(r, closed)
             if r_sec is None:
                 return 0.0, -math.inf
             return r_sec, _log_pball_volume(r_sec, setup.k_free, setup.space.p, setup.w)
@@ -703,7 +703,7 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     plans = [_CenterPlan(setup, _as_vector(c, space.dim)) for c in centers]
     half = (n_samples // n_batches + 1) // 2
     radii = np.asarray(radii, dtype=float)
-    props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
+    props = [np.array([plan.proposal(float(r), closed) for r in radii]).T for plan in plans]
     log_vol = np.array([logv for _, logv in props])
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))

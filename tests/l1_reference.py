@@ -1,16 +1,19 @@
-"""Cyclic coordinate descent for the weighted-l1 MAP, kept as an independent reference.
+"""Independent references for the weighted-l1 problems of a Besov-1 prior.
 
 The library solves the MAP point of a Laplace-factor (Besov-1) prior
-under a linear observation by the lasso homotopy and, for a general
-potential, by a proximal Newton iteration whose steps are homotopy
-solves.  Tests check the homotopy against this method, which shares no
-code with it: coordinate descent from zero on the whitened misfit plus
-sum_k |u_k| / gamma_k, for a noise covariance in the coordinate basis.
+under a linear observation by the lasso homotopy, its small-noise limit
+by the same homotopy followed to its end, and, for a general potential,
+the MAP point by a proximal Newton iteration whose steps are homotopy
+solves.  Tests check these against two methods that share no code with
+them: coordinate descent from zero on the whitened misfit plus
+sum_k |u_k| / gamma_k, for a noise covariance in the coordinate basis,
+and weighted basis pursuit as a linear program.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def coordinate_descent(obs, gamma, sweeps: int = 40000, tol: float = 1e-14) -> np.ndarray:
@@ -36,3 +39,14 @@ def coordinate_descent(obs, gamma, sweeps: int = 40000, tol: float = 1e-14) -> n
         if delta < tol:
             break
     return u
+
+
+def basis_pursuit(obs, gamma) -> np.ndarray:
+    """Minimiser of sum_k |u_k| / gamma_k subject to O u = y, as the linear
+    program over u = u+ - u-, u+- >= 0, solved by HiGHS."""
+    k = obs.n_unknown
+    cost = np.tile(1.0 / np.asarray(gamma, dtype=float), 2)
+    res = linprog(cost, A_eq=np.hstack([obs.matrix, -obs.matrix]), b_eq=obs.data,
+                  bounds=[(0, None)] * (2 * k), method="highs")
+    assert res.success, res.message
+    return res.x[:k] - res.x[k:]

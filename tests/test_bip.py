@@ -7,12 +7,12 @@ import pytest
 
 from ommap import bip
 from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
-                   ParameterError, Potential, ProxOpts,
+                   NumericsError, ParameterError, Potential, ProxOpts,
                    SpectralOperator, constrained_prior_minimum, continuous_convergence_probe,
                    kkt_residual, map_solve, map_solve_besov, map_solve_besov_linear,
                    perturbation_experiment, posterior_om, prior_om, project,
                    projected_potential, quadratic_potential, small_noise_experiment)
-from l1_reference import coordinate_descent
+from l1_reference import basis_pursuit, coordinate_descent
 from pointwise import pointwise
 
 
@@ -210,6 +210,15 @@ class TestBesovSolver:
         sol = map_solve_besov_linear(prior, observation([[1.0]], [1.0], [2.0]))
         assert sol.point[0] == pytest.approx(1.0, abs=1e-9)
         assert sol.optimality_residual < 1e-8
+
+    def test_diagonal_map_far_below_the_path_start(self):
+        # lam_max = 1e10 lies 1e10 above the weight: the path still joins
+        # column 2 at its own correlation and ends at the soft-threshold point
+        prior = BesovMeasure(1.0, 1, 1.0, 2)
+        data = np.array([1e10, 5.0])
+        sol = map_solve(prior, observation(np.eye(2), [1.0, 1.0], data))
+        np.testing.assert_allclose(sol.point, data - 1.0 / prior.gamma, rtol=1e-15, atol=0)
+        assert sol.flags == ()
 
     def test_matches_coordinate_descent_oracle(self):
         rng = np.random.default_rng(5)
@@ -585,6 +594,75 @@ class TestSmallNoise:
         gauss = small_noise_experiment(GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2))),
                                        obs, n_list)
         assert gauss.flags == [()] * len(n_list)
+
+    def test_besov_constrained_point_is_basis_pursuit_on_random_problems(self):
+        # the homotopy's end as lam -> 0+ against the linear program, 500
+        # problems of 2-12 unknowns and 1 to as many rows
+        rng = np.random.default_rng(45)
+        for _ in range(500):
+            k = int(rng.integers(2, 13))
+            prior, obs = random_problem(rng, k, int(rng.integers(1, k + 1)), prior="besov")
+            star, ref = constrained_prior_minimum(prior, obs), basis_pursuit(obs, prior.scale)
+            fn = prior_om(prior)
+            assert np.linalg.norm(star - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+            assert abs(fn.eval(star) - fn.eval(ref)) <= 1e-10 * fn.eval(ref)
+            assert np.linalg.norm(obs.matrix @ star - obs.data) <= 1e-10
+
+    def test_besov_one_row_limit(self):
+        # every inactive correlation reaches 0 with the active one at the
+        # path's end: that is the end, not a second column joining
+        prior = BesovMeasure(1.0, 1, 1.0, 3)
+        obs = observation([[1.0, 0.5, -0.25]], [1.0], [0.7])
+        star = constrained_prior_minimum(prior, obs)
+        np.testing.assert_allclose(star, basis_pursuit(obs, prior.scale), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(star, [0.7, 0.0, 0.0], rtol=0, atol=1e-15)
+
+    def test_besov_three_row_limit_and_its_rate(self):
+        # three active columns: O_A u_A = y gives (220, -152.5, 40) / 53, and
+        # past the trajectory's last event its distance is c / n exactly
+        prior = BesovMeasure(1.0, 1, 1.0, 4)
+        obs = observation([[1.0, 0.4, 0.0, -0.3], [0.0, 1.0, 0.5, 0.2], [0.3, 0.0, 1.0, 0.6]],
+                          [0.5, 1.0, 2.0], [3.0, -2.5, 2.0])
+        n_list = [1, 10, 100, 1000, 10000]
+        rep = small_noise_experiment(prior, obs, n_list)
+        exact = np.array([220.0, -152.5, 40.0, 0.0]) / 53.0
+        np.testing.assert_allclose(rep.constrained_point, exact, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rep.constrained_point, basis_pursuit(obs, prior.scale),
+                                   rtol=0, atol=1e-12)
+        rate = np.array(rep.distances[1:]) * n_list[1:]
+        np.testing.assert_allclose(rate, rate[0], rtol=1e-9)
+        assert rate[0] == pytest.approx(6.08, abs=1e-3)
+        assert rep.flags == [()] * len(n_list)
+
+    def test_besov_trajectory_far_below_the_path_start(self):
+        # at n = 1e7 column 2 joins at 7e-7, 1e-11 lam_max, above the weight 1e-7
+        prior = BesovMeasure(1.0, 1, 1.0, 2)
+        data = np.array([1e4, 1e-6])
+        n_list = [1, 10 ** 7]
+        rep = small_noise_experiment(prior, observation(np.eye(2), [1.0, 1.0], data), n_list)
+        for n, point in zip(n_list, rep.points):
+            exact = np.maximum(data - 1.0 / (n * prior.gamma), 0.0)
+            np.testing.assert_allclose(point, exact, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("matrix, data, exact", [
+        ([[1.0, 0.0], [0.0, 1e-3]], [1.0, 1e-7], [1.0, 1e-4]),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1e-9], [1.0, 1e-9]),
+    ], ids=["scaled-column", "small-datum"])
+    def test_besov_limit_keeps_a_column_of_small_correlation(self, matrix, data, exact):
+        # column 2 joins below _TIE lam_max, but column 1 alone leaves a
+        # residual: a real join, which the limit must keep
+        prior = BesovMeasure(1.0, 1, 1.0, 2)
+        obs = observation(matrix, [1.0, 1.0], data)
+        star = constrained_prior_minimum(prior, obs)
+        np.testing.assert_allclose(star, exact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(star, basis_pursuit(obs, prior.scale), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("prior", [GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2))),
+                                       BesovMeasure(1.0, 1, 1.0, 2)], ids=["gaussian", "besov1"])
+    def test_an_observation_no_point_meets_is_refused(self, prior):
+        obs = observation([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [1.0, 2.0])
+        with pytest.raises(NumericsError, match="not attained"):
+            constrained_prior_minimum(prior, obs)
 
     def test_n_must_be_positive(self):
         prior = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))

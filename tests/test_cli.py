@@ -306,6 +306,74 @@ class TestNegativeSeeds:
             capsys.readouterr().err
 
 
+def _csv_rows(path: Path) -> tuple:
+    with path.open() as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+class TestCounterexampleRuns:
+    """The result branches of the ``counterexample`` kind, read against the
+    library's closed forms, and the header of each CSV they write."""
+
+    def test_kl_gaussians(self, tmp_path):
+        code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "kl_gaussians",
+                                       "params": {"sigmas": [0.5, 2.0]}})
+        assert code == 0
+        kl = json.loads((out / "results.json").read_text())["results"]["kl"]
+        assert [r["sigma"] for r in kl] == [0.5, 2.0]
+        for r in kl:
+            assert r["closed_form"] == ommap.kl_gaussians(r["sigma"])
+            assert r["quadrature"] == pytest.approx(r["closed_form"], rel=1e-8)
+        header, rows = _csv_rows(out / "kl_gaussians.csv")
+        assert header == ["sigma_variance", "closed_form", "quadrature"]
+        assert [float(r[1]) for r in rows] == [r["closed_form"] for r in kl]
+
+    def test_mixture(self, tmp_path):
+        ts = [-0.1, -0.02, 0.02, 0.1]
+        code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "mixture",
+                                       "params": {"t_values": ts}})
+        assert code == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert [m["t"] for m in results["modes"]] == ts
+        assert [math.copysign(1.0, m["mode"]) for m in results["modes"]] == \
+            [math.copysign(1.0, t) for t in ts]
+        assert results["kl_exponent"] == pytest.approx(2.0, abs=0.01)
+        header, rows = _csv_rows(out / "mixture_modes.csv")
+        assert (header, len(rows)) == (["t", "mode", "local_max_1", "local_max_2"], len(ts))
+        header, rows = _csv_rows(out / "mixture_kl.csv")
+        assert (header, len(rows)) == (["t", "kl"], 5)
+
+    def test_spike(self, tmp_path):
+        code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "spike",
+                                       "params": {"n_values": [10, 100, 1000]}})
+        assert code == 0
+        modes = json.loads((out / "results.json").read_text())["results"]["modes"]
+        assert [m["n"] for m in modes] == ["10", "100", "1000", "inf"]
+        for m in modes[:-1]:
+            assert m["mode"] == ommap.spike_mode(int(m["n"]))
+            assert m["mode"] == pytest.approx(1.0 / int(m["n"]), rel=0.02)
+        assert modes[-1]["mode"] == ommap.spike_mode(math.inf)
+        header, rows = _csv_rows(out / "spike_modes.csv")
+        assert header == ["n", "mode", "kl_limit_vs_member"]
+        assert [r[0] for r in rows] == ["10", "100", "1000", "inf"]
+
+    def test_om_not_strong(self, tmp_path):
+        code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "om_not_strong",
+                                       "params": {"ks": [2, 3]}})
+        assert code == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert (results["weak"], results["strong"]) == ("yes", "no")
+        for k in (2, 3):
+            limit = results["ratio_limits"][str(k)]
+            assert limit == pytest.approx(k * k, rel=1e-5)
+            assert results["ratio_rel_errors"][str(k)] == pytest.approx(
+                abs(limit - k * k) / (k * k), rel=1e-6)
+        header, rows = _csv_rows(out / "om_not_strong_ratios.csv")
+        assert header == ["k", "extrapolated_ratio", "rel_error_vs_k_squared"]
+        assert [r[0] for r in rows] == ["2", "3"]
+
+
 class TestRun:
     def test_liminf_only_csv(self, tmp_path):
         code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "liminf_only",

@@ -3,7 +3,8 @@
 scipy's submodules, jsonschema and concurrent.futures (the Monte Carlo
 worker threads) are imported inside the functions that call them, so a
 short CLI run does not pay for them before it needs them.
-An l2 ratio curve of a Gaussian from Ruben's series needs none of them.
+An l2 ratio curve of a Gaussian from Ruben's series needs none of them,
+nor does the small-noise trajectory of a Besov-1 prior with its limit.
 """
 
 import subprocess
@@ -26,6 +27,13 @@ _SERIES_CURVE = (
     "ommap.WeightedSeqSpace.unweighted(2.0, 8)); "
     "assert c.method == 'series', c.method; ")
 
+_BESOV_SMALL_NOISE = (
+    "import numpy as np; "
+    "obs = ommap.LinearObservation(np.array([[1.0, 0.5, -0.25]]), "
+    "ommap.SpectralOperator(np.ones(1)), np.array([0.7])); "
+    "rep = ommap.small_noise_experiment(ommap.BesovMeasure(1.0, 1, 1.0, 3), obs, [1, 10, 100]); "
+    "assert rep.constrained_point[0] == 0.7, rep.constrained_point; ")
+
 
 def _loaded(code: str) -> set:
     src = str(Path(ommap.__file__).resolve().parents[1])
@@ -43,3 +51,8 @@ def test_import_leaves_scipy_submodules_and_jsonschema_unloaded():
 def test_series_ratio_curve_loads_no_scipy():
     # the mc_ratio geometry: an aligned 8-d Gaussian, 10 radii from 0.2
     assert sorted(_loaded(_SERIES_CURVE).intersection(LAZY)) == []
+
+
+def test_besov_small_noise_loads_no_scipy():
+    # the trajectory and its limit are one homotopy rule read at 1/n and 0
+    assert sorted(_loaded(_BESOV_SMALL_NOISE).intersection(LAZY)) == []

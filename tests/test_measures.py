@@ -363,6 +363,18 @@ class TestMassTable:
         assert abs(exact.estimate - got.estimate) < 4 * got.stderr
         assert ball_mass(mu, c, r, space, replace(opts, method="exact")) == exact
 
+    def test_monte_carlo_closed_sup_ball_whose_pinned_offset_is_the_radius(self):
+        # N(0, diag(1, 0)) about (0, 0.05) at r = 0.05: the pinned offset
+        # equals r, so the closed ball holds the segment |u_1| <= 0.05 and
+        # the open ball nothing
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        space, c, r = WeightedSeqSpace.unweighted(math.inf, 2), np.array([0.0, 0.05]), 0.05
+        opts = RatioOpts(n_samples=40_000, method="mc", closed=True)
+        closed = ball_mass(mu, c, r, space, opts)
+        assert closed.method == "monte-carlo" and not closed.low_confidence
+        assert abs(closed.estimate - math.erf(0.05 / math.sqrt(2.0))) < 4 * closed.stderr
+        assert ball_mass(mu, c, r, space, replace(opts, closed=False)).estimate == 0.0
+
 
 class TestRatioCurve:
     def test_same_point_identically_one(self):
@@ -740,7 +752,7 @@ def _direct_norm_mc_batches(measure, centers, radii, space, n_samples, n_batches
     (seed, stream, b), or the one batch on the draws ``z`` where given."""
     setup = _ProductSetup(measure, space)
     plans = [_CenterPlan(setup, c) for c in centers]
-    props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
+    props = [np.array([plan.proposal(float(r), closed) for r in radii]).T for plan in plans]
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
     for b in range(n_batches):
@@ -1009,23 +1021,37 @@ class TestBatchThreads:
         assert threading.active_count() == before
 
     def test_an_error_in_the_callers_batch_stops_the_workers(self, monkeypatch):
+        # ordered by events, not by timing: the caller's draw raises once the
+        # worker is inside a batch, and that batch ends only when the caller
+        # shuts the pool down, after its error has stopped the stage
+        from concurrent.futures import ThreadPoolExecutor
+
         draw, caller, drawn = ommap.measures._uniform_pball, threading.get_ident(), []
+        in_batch, shut = threading.Event(), threading.Event()
+        shutdown = ThreadPoolExecutor.shutdown
 
         class BatchError(Exception):
             pass
 
         def failing_in_caller(rng, n, k, p, out=None):
             if threading.get_ident() == caller:
+                assert in_batch.wait(30)
                 raise BatchError
             drawn.append(n)
-            time.sleep(0.01)
+            in_batch.set()
+            assert shut.wait(30)
             return draw(rng, n, k, p, out)
+
+        def shutting(pool, *args, **kwargs):
+            shut.set()
+            return shutdown(pool, *args, **kwargs)
 
         monkeypatch.setattr(ommap.measures, "_uniform_pball", failing_in_caller)
         monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutting)
         with pytest.raises(BatchError):
             _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
-        assert len(drawn) <= 2  # not the 7 batches the caller left
+        assert len(drawn) == 1  # not the 6 batches the two threads left
 
     @pytest.mark.parametrize("n_threads", [1, 2])
     def test_callers_errstate_holds_in_every_thread(self, monkeypatch, n_threads):
@@ -1239,7 +1265,7 @@ class TestChunkedBatches:
         table = _mc_mass_batches(mu, centers, radii, space, n_samples, n_batches, 3, "one")
         setup = _ProductSetup(mu, space)
         plans = [_CenterPlan(setup, c) for c in centers]
-        props = [np.array([plan.proposal(float(r)) for r in radii]).T for plan in plans]
+        props = [np.array([plan.proposal(float(r), False) for r in radii]).T for plan in plans]
         half = (n_samples // n_batches + 1) // 2
         for b in range(n_batches):
             draws = _Draws(setup, _uniform_pball(child_rng(3, "one", b), half, setup.k_free,

@@ -2,8 +2,9 @@
 
 Each prior exposes its product form, which gives it ``prior_om``,
 ``sublevel_halfwidth``, ``recovery_sequence`` and its heaviest centre,
-and a 1-d factor, whose type selects ``map_solve`` and
-``constrained_prior_minimum``; nothing is registered per prior.  The
+and a 1-d factor, whose type selects the one MAP rule that
+``map_solve``, ``constrained_prior_minimum`` and
+``small_noise_experiment`` read; nothing is registered per prior.  The
 checks below run over ``PRIORS``, each against a formula or solver
 written out per type, independently of the code under test: a new
 product prior adds one ``PriorCase``.  A measure that has neither form
@@ -21,7 +22,7 @@ from ommap import (BesovMeasure, Density1D, FunctionalSequence, GaussianMeasure,
                    LinearObservation, ProductMeasure, ProxOpts, SpectralOperator,
                    WeightedSeqSpace, constrained_prior_minimum, default_space, map_solve,
                    measure_from_json, om_family, prior_om, recovery_gap, recovery_sequence,
-                   sample, sublevel_halfwidth)
+                   sample, small_noise_experiment, sublevel_halfwidth)
 from ommap._seeds import child_rng
 from ommap.measures import _heaviest_centers, _ProductSetup
 from l1_reference import coordinate_descent
@@ -267,6 +268,7 @@ _NEEDS_A_RULE = {
     "recovery_sequence": lambda m: recovery_sequence(m, [m], np.zeros(1)),
     "map_solve": lambda m: map_solve(m, _OBS_1D),
     "constrained_prior_minimum": lambda m: constrained_prior_minimum(m, _OBS_1D),
+    "small_noise_experiment": lambda m: small_noise_experiment(m, _OBS_1D, [1, 10]),
 }
 
 

@@ -109,6 +109,10 @@ EXTRA_CONFIGS = (
         "kind": "small_noise", "seed": 0, "prior": {**_BESOV, "dim": 3},
         "observation": {"matrix": [[1.0, 0.5, -0.25]], "noise_cov": [1.0], "data": [0.7]},
         "n_list": [1, 10, 100, 1000]}),
+    # three rows: a basis-pursuit limit with three active columns
+    ("small_noise.besov1_3x4", {
+        "kind": "small_noise", "seed": 0, "prior": {**_BESOV, "dim": 4},
+        "observation": _OBS_3X4, "n_list": [1, 10, 100, 1000, 10000]}),
     ("classify_mode.crosses", {
         "kind": "classify_mode", "seed": 0,
         "measure": {"type": "density1d", "name": "crosses", "params": {"norm_choice": "inf"}},
