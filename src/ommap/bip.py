@@ -38,8 +38,9 @@ class Potential(_RowKernel):
 
     When a gradient is supplied its values must have shape ``(dim,)``, and
     it is validated against central finite differences at a few random
-    points (1e-6 relative tolerance); the 2*dim shifted points of each are
-    one kernel call.
+    points (1e-6 relative tolerance, plus the differences' round-off,
+    which grows with the kernel's values); the 2*dim shifted points of
+    each are one kernel call.
     """
 
     kernel: Callable[[np.ndarray], np.ndarray]
@@ -55,21 +56,24 @@ class Potential(_RowKernel):
                 if g.shape != (self.dim,):
                     raise ParameterError(f"gradient has shape {g.shape}, "
                                          f"expected ({self.dim},)")
-                fd = _central_diff(self.kernel, u)
+                fd, round_off = _central_diff(self.kernel, u)
                 scale = max(1.0, float(np.linalg.norm(g)))
-                if np.linalg.norm(g - fd) > 1e-6 * scale:
+                if np.linalg.norm(g - fd) > 1e-6 * scale + round_off:
                     raise ParameterError(
                         f"gradient disagrees with finite differences by "
                         f"{np.linalg.norm(g - fd) / scale:.2e} (relative)")
 
 
-def _central_diff(kernel, u, h: float = 1e-6) -> np.ndarray:
+def _central_diff(kernel, u, h: float = 1e-6):
     """Central differences of a row kernel at u, from one call on the
-    points u + h e_k followed by the points u - h e_k."""
+    points u + h e_k followed by the points u - h e_k, and a bound on the
+    norm of their round-off: values off by a few eps of their size move
+    each difference by about eps max|value| / h."""
     u = np.asarray(u, dtype=float)
     shifts = h * np.eye(u.size)
     vals = kernel(np.vstack([u + shifts, u - shifts]))
-    return (vals[:u.size] - vals[u.size:]) / (2.0 * h)
+    round_off = 2.0 * math.sqrt(u.size) * np.finfo(float).eps * float(np.max(np.abs(vals))) / h
+    return (vals[:u.size] - vals[u.size:]) / (2.0 * h), round_off
 
 
 @dataclass(frozen=True)
@@ -255,7 +259,7 @@ def map_solve_besov(prior, pot: Potential, opts: Optional[ProxOpts] = None) -> M
     g, f = gradient(u), full_obj(u)
     while moved and kkt_residual(g, u, inv_gamma) >= opts.tol and steps < opts.max_iter:
         steps += 1
-        hess = _central_diff(lambda pts: np.array([gradient(p) for p in pts]), u)
+        hess, _ = _central_diff(lambda pts: np.array([gradient(p) for p in pts]), u)
         lam, vec = np.linalg.eigh(0.5 * (hess + hess.T))
         top = float(np.max(np.abs(lam))) or 1.0
         root = np.sqrt(np.maximum(lam, _FLOOR * top) + mu)

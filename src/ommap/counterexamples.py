@@ -301,6 +301,11 @@ class LiminfOnlyMeasure:
             out.append((n, +1, wp, 2.0 * wp, h))
         return out
 
+    @cached_property
+    def _interval_array(self) -> np.ndarray:
+        """``intervals`` as rows of an array, built once per measure."""
+        return np.array(self.intervals())
+
     def mass_table(self, centers, radii) -> np.ndarray:
         """Masses of the balls B_r(c), shape (len(centers), len(radii)), via
         interval overlaps in offset coordinates.
@@ -311,7 +316,7 @@ class LiminfOnlyMeasure:
         in the order of ``intervals``, a missed interval adding 0.0.
         """
         c, r = _table_axes(self, centers, radii)
-        _, side, lo, hi, h = np.array(self.intervals()).T[:, :, None, None]
+        _, side, lo, hi, h = self._interval_array.T[:, :, None, None]
         off = np.where(side < 0, c + 1.0, 1.0 - c)
         overlap = np.minimum(hi, off + r) - np.maximum(lo, off - r)
         return np.add.accumulate(np.where(overlap > 0, h * overlap, 0.0))[-1]

@@ -332,7 +332,7 @@ def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
     u = _as_vector(u, mu_limit.dim)
     c = mu_limit.to_eigen(u - mu_limit.mean)
     pinned = mu_limit.pinned
-    if not _in_range(c[None, :], pinned)[0]:
+    if not _in_range(c, pinned):
         return [u.copy() for _ in mu_seq]
     free = ~pinned
     w = np.zeros_like(c)

@@ -89,9 +89,10 @@ class NormalFactor:
         return log_density
 
     def neg_log_density(self, c, inv_scale):
-        """Per row of c, sum_k -log density of c_k * inv_scale_k, up to a constant."""
+        """Per row of c (over its last axis), sum_k -log density of
+        c_k * inv_scale_k, up to a constant."""
         w = c * inv_scale
-        return 0.5 * np.einsum("ij,ij->i", w, w)
+        return 0.5 * np.einsum("...i,...i->...", w, w)
 
     def sublevel_reach(self, basis, scale, spread, t):
         """Per row of the (n, dim) stacks, max |(B diag(scale) g)_k| over
@@ -143,7 +144,8 @@ class LaplaceFactor:
         return log_density
 
     def neg_log_density(self, c, inv_scale):
-        """Per row of c, sum_k -log density of c_k * inv_scale_k, up to a constant."""
+        """Per row of c (over its last axis), sum_k -log density of
+        c_k * inv_scale_k, up to a constant."""
         return np.abs(c) @ inv_scale
 
     def sublevel_reach(self, basis, scale, spread, t):
@@ -170,14 +172,14 @@ class ProductMeasure:
 
 
 def _in_range(c: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-    """Which rows of eigen coordinates c of u - mean put u on a product
-    measure's domain: those whose components along the ``pinned``
-    coordinates stay below ``spaces.RANGE_ATOL * max(1, |c|)``.  With no
-    coordinate pinned every row does."""
+    """Which rows (over the last axis) of eigen coordinates c of u - mean
+    put u on a product measure's domain: those whose components along the
+    ``pinned`` coordinates stay below ``spaces.RANGE_ATOL * max(1, |c|)``.
+    With no coordinate pinned every row does."""
     if not np.any(pinned):
-        return np.ones(len(c), dtype=bool)
-    scale = np.maximum(1.0, np.linalg.norm(c, axis=1))
-    return np.max(np.abs(c[:, pinned]), axis=1) <= RANGE_ATOL * scale
+        return np.ones(c.shape[:-1], dtype=bool)
+    scale = np.maximum(1.0, np.linalg.norm(c, axis=-1))
+    return np.max(np.abs(c[..., pinned]), axis=-1) <= RANGE_ATOL * scale
 
 
 @dataclass(frozen=True)

@@ -35,21 +35,24 @@ class _RowKernel:
     """The readings of a row kernel on R^dim, shared by functionals and
     potentials: ``kernel`` maps the rows of an ``(n, dim)`` array to their
     n values, ``values`` is its checked many-row case and ``eval`` its
-    one-row case."""
+    one-point case.  A kernel with a true ``_one_point`` attribute also
+    maps one point of shape ``(dim,)`` to its value, bit for bit its
+    one-row result (``_product_om``'s kernel does)."""
 
     @cached_property
     def eval(self) -> Callable[[np.ndarray], float]:
-        """The value at one point, the one-row case of ``kernel``; a 0-d
-        value is read as a 1-vector.  Bound per instance, so one
-        instance's evaluations can be wrapped."""
+        """The value at one point: the kernel's at the checked point itself
+        where it takes one point, else its one-row case; a 0-d value is
+        read as a 1-vector.  Bound per instance, so one instance's
+        evaluations can be wrapped."""
         kernel, dim = self.kernel, self.dim
-        shape = (dim,)
+        shape, direct = (dim,), getattr(kernel, "_one_point", False)
 
         def value(u) -> float:
             v = np.asarray(u, dtype=float)
             if v.shape != shape:  # _as_vector's checks and messages
                 v = _as_vector(v.reshape(1) if v.ndim == 0 else v, dim)
-            return float(kernel(v[None, :])[0])
+            return float(kernel(v) if direct else kernel(v[None, :])[0])
 
         return value
 
@@ -68,8 +71,12 @@ class OmFunctional(_RowKernel):
 
     ``kernel`` maps the rows of an ``(n, k)`` array to their n values in
     (-inf, +inf]; ``eval``, ``values`` and ``domain_test`` derive from it.
-    The anchor is a reference point with finite value (the minimiser for
-    the measures constructed here).
+    A product measure's functional (``_product_om``) evaluates one point
+    with the kernel itself, bit for bit the one-row result; a many-row
+    ``values`` call can still differ from ``eval`` on a row by 1 ulp,
+    since BLAS orders a matrix product's sums differently for many rows
+    than for one.  The anchor is a reference point with finite value (the
+    minimiser for the measures constructed here).
     """
 
     kernel: Callable[[np.ndarray], np.ndarray]
@@ -111,6 +118,11 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
     measure's ``om_meta``; where no coordinate is pinned there is no such
     point, and it carries ``finite_everywhere`` (the measure's own reason
     if it gives one).
+
+    The kernel reads its points over the last axis, so ``eval`` calls it
+    on one point of shape (k,): the 1-d matrix product, einsum and norm
+    sum in the order of their one-row cases, bit for bit the one-row
+    value, without the (1, k) copy.
     """
     mean, basis, pinned = mu.mean, mu.basis, mu.pinned
     centred = not np.any(mean)  # then the subtraction is skipped
@@ -124,9 +136,9 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
         c = d if basis is None else d @ basis
         if not degenerate:
             return neg_log_density(c, inv_scale)
-        out = neg_log_density(c[:, free], inv_scale)
-        out[~_in_range(c, pinned)] = math.inf
-        return out
+        return np.where(_in_range(c, pinned), neg_log_density(c[..., free], inv_scale), math.inf)
+
+    kernel._one_point = True
 
     meta = dict(mu.om_meta)
     if not degenerate:

@@ -68,6 +68,28 @@ class TestPotential:
         with pytest.raises(ParameterError):
             pointwise(lambda u: float(u @ u), 3, gradient=lambda u: 3.0 * u)
 
+    @pytest.mark.parametrize("scale", [1e5, 1e6])
+    def test_exact_gradient_accepted_at_large_data(self, scale):
+        # the misfit's values (about scale^2 / 2) lose digits at step 1e-6:
+        # relative disagreements of 3.7e-6 and 5.5e-6, within their round-off
+        data = np.array([scale, 5.0])
+        obs = observation(np.eye(2), [1.0, 1.0], data)
+        pot = quadratic_potential(obs)
+        np.testing.assert_array_equal(pot.gradient(np.zeros(2)), -data)
+        prior = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
+        rep = small_noise_experiment(prior, obs, [1, 10, 100])
+        np.testing.assert_allclose(rep.constrained_point, data, rtol=1e-12)
+        # at n, the minimiser of n |u - y|^2 / 2 + |u|^2 / 2 is n y / (n + 1)
+        for n, point in zip(rep.n_values, rep.points):
+            np.testing.assert_allclose(point, n * data / (n + 1), rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5, 1e6])
+    def test_gradient_off_by_1e_3_refused_at_every_data_scale(self, scale):
+        # the misfit's kernel and exact gradient, unchecked
+        kernel, grad = bip._misfit(np.eye(2), np.array([scale, 5.0]))
+        with pytest.raises(ParameterError, match="finite differences"):
+            Potential(kernel, lambda u: (1.0 + 1e-3) * grad(u), 2)
+
     @pytest.mark.parametrize("value", [np.zeros(1), np.zeros(4), np.zeros((3, 1)), 0.0],
                              ids=["short", "long", "column", "scalar"])
     def test_gradient_of_the_wrong_shape_is_refused(self, value):

@@ -248,6 +248,25 @@ class TestLiminfOnly:
         assert eps.max() == eps.min() == 2.0
         assert delta[-1] < 1e-9 and np.all(np.diff(delta) < 0)
 
+    @pytest.mark.parametrize("variant, depth", [("standard", 40), ("extreme", 20)])
+    def test_cached_intervals_give_the_per_call_cells(self, variant, depth):
+        # the overlap sum over an interval array built afresh from intervals()
+        m = LiminfOnlyMeasure(depth=depth, variant=variant)
+
+        def fresh(centers, radii):
+            c, rad = np.asarray(centers, dtype=float)[:, None], np.asarray(radii, dtype=float)
+            _, side, lo, hi, h = np.array(m.intervals()).T[:, :, None, None]
+            off = np.where(side < 0, c + 1.0, 1.0 - c)
+            overlap = np.minimum(hi, off + rad) - np.maximum(lo, off - rad)
+            return np.add.accumulate(np.where(overlap > 0, h * overlap, 0.0))[-1]
+
+        r = m.eps_radius(5)
+        assert ball_mass(m, -1.0, r).estimate == fresh([-1.0], [r])[0, 0]
+        centres = [-1.0, -1.0 + m.widths_neg[3], 1.0, 1.0 - 1.5 * m.widths_pos[6], 0.0]
+        radii = [m.eps_radius(n) for n in (1, 4, 9)] + [m.delta_radius(12), 0.5]
+        for _ in range(2):  # the second call reads the cached array
+            np.testing.assert_array_equal(m.mass_table(centres, radii), fresh(centres, radii))
+
     def test_extreme_variant_smoke(self):
         m = LiminfOnlyMeasure(depth=20, variant="extreme")
         eps, delta = liminf_only_ratios(m, 10)

@@ -161,6 +161,37 @@ def test_prior_om_is_the_per_type_functional(case):
     assert fn.eval(fn.anchor) == 0.0
 
 
+def _one_point_priors(case, k):
+    """The case's prior, and for a Gaussian every variant of its form: the
+    case's basis (coordinate or rotated), its own mean and zero, and full
+    eigenvalues or the last one pinned (a degenerate Gaussian)."""
+    mu = case.build(k, 0.0)
+    if not isinstance(mu, GaussianMeasure):
+        return [mu]
+    eig, basis = mu.cov.eigenvalues, mu.cov.basis
+    full, pinned = np.where(eig > 0.0, eig, 1.0), np.append(eig[:-1], 0.0)
+    return [GaussianMeasure(mean, SpectralOperator(e, basis))
+            for mean in (mu.mean, np.zeros(k)) for e in (full, pinned)]
+
+
+@pytest.mark.parametrize("k", [K, 23])
+def test_eval_is_the_one_row_kernel_bit_for_bit(case, k):
+    # eval calls the product kernel on the 1-d point itself: its matrix
+    # product, sums and range test must give the bits of the one-row case
+    rng = np.random.default_rng(k)
+    for mu in _one_point_priors(case, k):
+        fn = prior_om(mu)
+        on = sample(mu, 8, 3)
+        pts = np.vstack([fn.anchor, on, mu.mean + 1e3 * (on[:2] - mu.mean),
+                         rng.normal(size=(6, k)), 1e3 * rng.normal(size=(2, k))])
+        evals = [fn.eval(u) for u in pts]
+        assert evals == [float(fn.kernel(u[None, :])[0]) for u in pts]
+        assert evals == [float(fn.values(u[None, :])[0]) for u in pts]
+        assert all(math.isfinite(v) for v in evals[:11])
+        if np.any(mu.pinned):
+            assert evals[11:] == [math.inf] * 8  # off the domain
+
+
 def test_recovery_sequence_is_the_per_type_one(case):
     limit = case.build(K, 0.0)
     members = [case.build(K, 0.5 / n) for n in range(1, 6)]
