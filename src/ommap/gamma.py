@@ -316,7 +316,7 @@ def _shared_forms(*columns: list) -> list:
     return list(groups.values())
 
 
-def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
+def recovery_sequence(mu_seq: Sequence, mu_limit, u) -> list:
     """Explicit recovery sequence x_n -> u for a family of product measures:
     x_n = m_n + S_n S^+ (u - m), read from the product forms, where
     S = B diag(scale) B^T is the square root of a Gaussian's covariance.
@@ -349,13 +349,7 @@ def recovery_sequence(mu_limit, mu_seq: Sequence, u) -> list:
     return list(out)
 
 
-def gaussian_recovery_sequence(mu_seq: Sequence, mu_limit, u) -> list:
-    """``recovery_sequence`` with the family first, the order the
-    benchmark's workloads call."""
-    return recovery_sequence(mu_limit, mu_seq, u)
-
-
-besov_recovery_sequence = gaussian_recovery_sequence
+gaussian_recovery_sequence = besov_recovery_sequence = recovery_sequence
 
 
 def recovery_gap(seq: FunctionalSequence, u) -> Optional[float]:
@@ -366,7 +360,7 @@ def recovery_gap(seq: FunctionalSequence, u) -> Optional[float]:
     target = seq.limit.eval(u)
     if math.isinf(target):
         return None
-    rec = recovery_sequence(seq.limit_measure, seq.measures, u)
+    rec = recovery_sequence(seq.measures, seq.limit_measure, u)
     worst = max(seq.members[i].eval(rec[i]) - target for i in range(len(rec)))
     return max(0.0, float(worst))
 
@@ -603,6 +597,8 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
     sequence must approach the limit minimum.
     """
     opts = opts or ModeConvOpts()
+    if not seq.indices:
+        raise InputError("mode convergence needs a non-empty family")
     if len(minimizers) != len(seq.indices):
         raise InputError("need one minimiser per family member")
     pts = np.asarray(minimizers, dtype=float)

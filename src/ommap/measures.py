@@ -158,7 +158,7 @@ class ProductMeasure:
     """A product of 1-d factors in eigen coordinates, read through its form.
 
     The form is ``basis`` (eigenvectors as columns, None for the coordinate
-    basis), ``mean`` and ``eigen_mean``, the per-coordinate ``scale`` of the
+    basis), ``mean`` and its ``eigen_mean``, the per-coordinate ``scale`` of the
     1-d ``factor`` and the factor's density parameter ``spread``; ``pinned``
     marks the coordinates Monte Carlo holds at the mean, and off which the
     OM functional is +inf.  ``om_meta`` is the ``meta`` of that functional.
@@ -166,6 +166,7 @@ class ProductMeasure:
 
     basis = None
     pinned = property(lambda self: np.zeros(self.dim, dtype=bool))
+    eigen_mean = property(lambda self: self.to_eigen(self.mean))
 
     def to_eigen(self, x: np.ndarray) -> np.ndarray:
         return x if self.basis is None else self.basis.T @ x
@@ -193,7 +194,6 @@ class GaussianMeasure(ProductMeasure):
     om_meta = {"kind": "gaussian"}
     dim = property(lambda self: self.cov.dim)
     basis = property(lambda self: self.cov.basis)
-    eigen_mean = property(lambda self: self.cov.to_eigen(self.mean))
     spread = property(lambda self: self.cov.eigenvalues)  # variances
     pinned = property(lambda self: self.cov.zero_mask())
 
@@ -230,7 +230,6 @@ class BesovMeasure(ProductMeasure):
     t = property(lambda self: self._weights[1])
     gamma = scale = spread = property(lambda self: self._weights[2])
     delta = property(lambda self: self._weights[3])
-    eigen_mean = property(lambda self: self.mean)
 
     def __post_init__(self):
         if int(self.d) != self.d:

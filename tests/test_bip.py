@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ommap import bip
+from ommap import bip, om
 from ommap import (BesovMeasure, GaussianMeasure, InputError, LinearObservation,
                    NumericsError, ParameterError, Potential, ProxOpts,
                    SpectralOperator, constrained_prior_minimum, continuous_convergence_probe,
@@ -477,8 +477,8 @@ class TestPerturbation:
         assert "potential_continuous_convergence" in rep.prerequisite_probes
 
     def test_data_members_skip_the_finite_difference_check(self, monkeypatch):
-        # only the limit potential is a Potential, checked at 5 points; the 32
-        # members' misfits give the probe the values their Potentials would
+        # no potential is checked, the limit's included; the 32 members'
+        # misfits give the probe the values their Potentials would
         prior, obs = random_problem(np.random.default_rng(13), 10, 6, prior="besov")
         direction = np.eye(1, 6, 0).ravel()
         schedule = lambda n: obs.data + direction / n
@@ -486,7 +486,7 @@ class TestPerturbation:
         calls, central = [], bip._central_diff
         monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
         rep = perturbation_experiment("data", prior, obs, schedule, indices)
-        assert len(calls) == 5
+        assert len(calls) == 0
         pots = [quadratic_potential(observation(obs.matrix, obs.noise_cov.eigenvalues,
                                                 schedule(n))) for n in indices]
         ref = continuous_convergence_probe(pots, quadratic_potential(obs),
@@ -496,14 +496,14 @@ class TestPerturbation:
         assert probe[0].verdict == ref[0].verdict
 
     def test_projection_members_skip_the_finite_difference_check(self, monkeypatch):
-        # each member is the limit potential's value on P_n u; only the limit
-        # potential is a Potential, checked at 5 points, not 5 more per member
+        # each member is the misfit of the observation with its columns past n
+        # zeroed, the limit potential's value on P_n u; no potential is checked
         prior, obs = random_problem(np.random.default_rng(14), 10, 6)
         indices = list(range(1, 11))
         calls, central = [], bip._central_diff
         monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
         rep = perturbation_experiment("potential_projection", prior, obs, lambda n: n, indices)
-        assert len(calls) == 5
+        assert len(calls) == 0
         limit_pot = quadratic_potential(obs)
         ref = continuous_convergence_probe([projected_potential(limit_pot, n) for n in indices],
                                            limit_pot, [rep.limit_solution.point], indices)
@@ -544,6 +544,61 @@ class TestPerturbation:
         with pytest.raises(InputError):
             perturbation_experiment("bogus", prior, obs, lambda n: obs.data, [1])
 
+    @pytest.mark.parametrize("kind", ["data", "potential_projection", "prior"])
+    def test_empty_schedule_is_refused_before_any_solve(self, monkeypatch, kind):
+        prior, obs = random_problem(np.random.default_rng(12), 3, 2)
+        solves = []
+        monkeypatch.setattr(bip, "map_solve", lambda *args: solves.append(args))
+        with pytest.raises(InputError, match="perturbation schedule has no indices"):
+            perturbation_experiment(kind, prior, obs, lambda n: pytest.fail("schedule read"), [])
+        assert solves == []
+
+    def test_out_of_range_projection_is_refused_by_project(self):
+        prior, obs = random_problem(np.random.default_rng(12), 3, 2)
+        with pytest.raises(InputError, match=r"projection dimension 4 out of range \[1, 3\]"):
+            perturbation_experiment("potential_projection", prior, obs, lambda n: n + 2, [1, 2])
+
+    @pytest.mark.parametrize("noise", ["diagonal", "rotated"])
+    @pytest.mark.parametrize("prior_type", ["gaussian", "besov"])
+    def test_projection_members_are_the_projected_limit_potential(self, monkeypatch, prior_type,
+                                                                  noise):
+        # a member's potential is the misfit of the observation with its columns
+        # past n zeroed: bit for bit the limit misfit composed with the projection
+        rng = np.random.default_rng(15)
+        prior, obs = random_problem(rng, 5, 3, prior=prior_type)
+        if noise == "rotated":
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            obs = LinearObservation(obs.matrix, SpectralOperator(obs.noise_cov.eigenvalues, q),
+                                    1e3 * obs.data)
+        seen, probe = [], bip.continuous_convergence_probe
+        monkeypatch.setattr(bip, "continuous_convergence_probe",
+                            lambda pots, lim, *rest: seen.append((pots, lim)) or
+                            probe(pots, lim, *rest))
+        indices = [1, 2, 3, 4, 5]
+        perturbation_experiment("potential_projection", prior, obs, lambda n: n, indices)
+        [(pots, limit)] = seen
+        full = quadratic_potential(obs)
+        pts = rng.normal(size=(40, 5)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+        assert limit.gradient is None
+        assert limit.values(pts).tobytes() == full.values(pts).tobytes()
+        for n, pot in zip(indices, pots):
+            want = projected_potential(full, n)
+            assert pot.gradient is None
+            assert pot.values(pts).tobytes() == want.values(pts).tobytes()
+            assert [pot.eval(u) for u in pts] == [want.eval(u) for u in pts]
+
+    def test_prior_members_build_each_functional_once(self, monkeypatch):
+        # the posterior family reads the om_family functionals: one per member
+        # and one for the limit, n + 1 product functionals in all
+        built, product = [], om._product_om
+        monkeypatch.setattr(om, "_product_om", lambda mu: built.append(mu) or product(mu))
+        prior, obs = random_problem(np.random.default_rng(11), 6, 4, prior="besov")
+        schedule = lambda n: BesovMeasure(prior.s + (-1.0) ** n / n, prior.d, prior.eta,
+                                          prior.dim)
+        indices = [1, 2, 4, 8, 16, 32]
+        perturbation_experiment("prior", prior, obs, schedule, indices)
+        assert len(built) == len(indices) + 1
+
 
 class _RotatedBesov(BesovMeasure):
     basis = property(lambda self: np.array([[0.6, -0.8], [0.8, 0.6]]))
@@ -570,6 +625,26 @@ def test_weighted_l1_rules_refuse_a_form_they_cannot_read(prior):
 
 
 class TestSmallNoise:
+    def test_empty_schedule_is_refused_before_any_solve(self, monkeypatch):
+        prior, obs = random_problem(np.random.default_rng(12), 3, 2)
+        rules = []
+        monkeypatch.setattr(bip, "_factor_rule", lambda prior: rules.append(prior))
+        with pytest.raises(InputError, match="noise-scaling schedule has no indices"):
+            small_noise_experiment(prior, obs, [])
+        assert rules == []
+
+    @pytest.mark.parametrize("prior_type", ["gaussian", "besov"])
+    def test_pointwise_table_skips_the_finite_difference_check(self, monkeypatch, prior_type):
+        # the table reads the misfit's values, those of quadratic_potential
+        calls, central = [], bip._central_diff
+        monkeypatch.setattr(bip, "_central_diff", lambda f, u: calls.append(u) or central(f, u))
+        prior, obs = random_problem(np.random.default_rng(17), 4, 2, prior=prior_type)
+        rep = small_noise_experiment(prior, obs, [1, 10, 100])
+        assert calls == []
+        pot = quadratic_potential(obs)
+        assert [row["phi"] for row in rep.pointwise_table] == \
+            [pot.eval(np.array(row["x"])) for row in rep.pointwise_table]
+
     def test_gaussian_constrained_point(self):
         prior = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
         obs = observation([[1.0, 1.0]], [1.0], [1.0])

@@ -128,7 +128,8 @@ _BREAKS = {
     "map_solve": [("prior", {"type": "density1d"}), ("observation", {"matrix": [[1.0]]}),
                   ("solver", []), ("solver", {"check_uniqueness": True})],
     "perturbation": [("perturb", "noise"), ("prior", None), ("data_direction", ["a"])],
-    "small_noise": [("prior", {**_GAUSS_1D, "basis": 1}), ("n_list", None), ("seed", 1.5)],
+    "small_noise": [("prior", {**_GAUSS_1D, "basis": 1}), ("n_list", None), ("seed", 1.5),
+                    ("n_list", [])],
     "counterexample": [("name", "nope"), ("params", 3), ("name", None)],
 }
 

@@ -1001,6 +1001,11 @@ class TestModeConvergence:
             np.testing.assert_array_equal(_single_linkage(points, tol),
                                           reference_single_linkage(points, tol))
 
+    def test_refuses_an_empty_family(self):
+        mu = GaussianMeasure(np.array([0.2, 0.4]), SpectralOperator(np.ones(2)))
+        with pytest.raises(InputError, match="non-empty family"):
+            mode_convergence_check(gaussian_om_family([], mu, []), [])
+
     def test_constant_family(self):
         mu = GaussianMeasure(np.array([0.2, 0.4]), SpectralOperator(np.ones(2)))
         seq = gaussian_om_family([mu] * 20, mu)

@@ -196,7 +196,7 @@ def test_recovery_sequence_is_the_per_type_one(case):
     limit = case.build(K, 0.0)
     members = [case.build(K, 0.5 / n) for n in range(1, 6)]
     u = sample(limit, 1, 3)[0]
-    got = recovery_sequence(limit, members, u)
+    got = recovery_sequence(members, limit, u)
     want = case.recovery(members, limit, u)
     assert len(got) == len(want) == len(members)
     for g, w in zip(got, want):
@@ -278,7 +278,7 @@ def test_recovery_gap_clips_a_negative_gap():
                for n in range(1, 9)]
     seq = om_family(members, limit)
     u = np.array([0.3, 0.8])
-    rec = recovery_sequence(limit, members, u)
+    rec = recovery_sequence(members, limit, u)
     signed = max(seq.members[i].eval(rec[i]) - seq.limit.eval(u) for i in range(len(rec)))
     assert signed == pytest.approx(-0.32)
     assert recovery_gap(seq, u) == 0.0
@@ -296,7 +296,7 @@ _OBS_1D = LinearObservation(np.ones((1, 1)), SpectralOperator(np.ones(1)), np.on
 _NEEDS_A_RULE = {
     "prior_om": prior_om,
     "sublevel_halfwidth": lambda m: sublevel_halfwidth(m, 1.0),
-    "recovery_sequence": lambda m: recovery_sequence(m, [m], np.zeros(1)),
+    "recovery_sequence": lambda m: recovery_sequence([m], m, np.zeros(1)),
     "map_solve": lambda m: map_solve(m, _OBS_1D),
     "constrained_prior_minimum": lambda m: constrained_prior_minimum(m, _OBS_1D),
     "small_noise_experiment": lambda m: small_noise_experiment(m, _OBS_1D, [1, 10]),

@@ -77,6 +77,12 @@ EXTRA_CONFIGS = (
         "prior": {"type": "gaussian", "mean": [0.0, 0.0, 0.0, 0.0],
                   "eigenvalues": [2.0, 1.0, 0.5, 0.25]},
         "observation": _OBS_3X4, "indices": [1, 2, 3, 4, 5, 6]}),
+    # the same truncation under a Besov-1 prior: lasso-homotopy solves on
+    # observations whose trailing columns are zero
+    ("perturbation.potential_projection_besov1", {
+        "kind": "perturbation", "seed": 0, "perturb": "potential_projection",
+        "prior": {**_BESOV, "dim": 4}, "observation": _OBS_3X4,
+        "indices": [1, 2, 3, 4, 5, 6]}),
     # data perturbation under a Besov-1 prior: lasso-homotopy solves, and
     # misfit members at shifted data in the continuity probe
     ("perturbation.data_besov1", {
@@ -207,7 +213,8 @@ _MAP_SOLVE = {"kind": "map_solve", "seed": 0, "prior": {**_BESOV, "dim": 1},
 
 #: (label, config) of configs the CLI must refuse with exit code 2: one bad
 #: value inside each $defs entry a branch refers to, an unknown kind, a
-#: config that is not a JSON object, a NaN constant and a negative seed
+#: config that is not a JSON object, a NaN constant, a negative seed and an
+#: empty schedule
 INVALID_CONFIGS = (
     ("vector.item_string", {**_BALL_RATIO, "x1": [0.5, "a"]}),
     ("vectors.item_number", {"kind": "classify_mode", "measure": _BALL_RATIO["measure"],
@@ -223,6 +230,8 @@ INVALID_CONFIGS = (
     ("not_an_object", [_BALL_RATIO]),
     ("nan_constant", {**_BALL_RATIO, "x1": [math.nan]}),
     ("seed.negative", {**_MAP_SOLVE, "seed": -3}),
+    ("n_list.empty", {"kind": "small_noise", "seed": 0, "prior": _MAP_SOLVE["prior"],
+                      "observation": _MAP_SOLVE["observation"], "n_list": []}),
 )
 
 
