@@ -137,14 +137,17 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """One CSV table.  A float ndarray is written line by line as its
-    rows' comma-joined ``repr``s, which is what ``csv.writer`` writes for
-    floats; other rows, which may hold strings, go through ``csv.writer``."""
+    """One CSV table: a header row, then comma-separated rows, each ended
+    by ``\\r\\n``.  A float ndarray is formatted in one ``%`` call over its
+    flat ``tolist()``, each float as its ``repr``, which is what
+    ``csv.writer`` writes for floats; other rows, which may hold strings,
+    go through ``csv.writer``."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         if isinstance(rows, np.ndarray):
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+            n, k = rows.shape
+            fh.write(((",".join(["%r"] * k) + "\r\n") * n) % tuple(rows.ravel().tolist()))
         else:
             w.writerows(rows)
 

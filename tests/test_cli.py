@@ -800,10 +800,10 @@ class TestReproduce:
         got = (out / f"{fig}_density_grid.csv").read_bytes()
         assert got == expected.read_bytes()
 
-    def test_float_array_csv_is_what_csv_writer_writes(self, tmp_path):
-        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
-        rows = np.array([values, values[::-1]])
-        header = ["a", "b", "c", "d", "e", "f", "g", "h"]
+    @staticmethod
+    def _assert_csv_writer_bytes(tmp_path, rows):
+        """``_write_csv`` of a float array writes what ``csv.writer`` writes."""
+        header = [f"c{j}" for j in range(rows.shape[1])]
         expected = tmp_path / "expected.csv"
         with expected.open("w", newline="") as fh:
             w = csv.writer(fh)
@@ -811,3 +811,30 @@ class TestReproduce:
             w.writerows(rows.tolist())
         _write_csv(tmp_path / "got.csv", header, rows)
         assert (tmp_path / "got.csv").read_bytes() == expected.read_bytes()
+
+    def test_float_array_csv_is_what_csv_writer_writes(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+        self._assert_csv_writer_bytes(tmp_path, np.array([values, values[::-1]]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 1), (1, 5)])
+    def test_float_array_csv_edge_shapes(self, tmp_path, shape):
+        rows = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7.0
+        self._assert_csv_writer_bytes(tmp_path, rows)
+        if shape[0] == 0:
+            assert (tmp_path / "got.csv").read_bytes() == b"c0,c1,c2\r\n"
+
+    def test_float_array_csv_over_the_whole_float_range(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        shape = (500, 7)
+        # finite magnitudes from the smallest subnormal to near the largest
+        # double, with random signs
+        wide = np.ldexp(rng.uniform(1.0, 2.0, shape), rng.integers(-1074, 1024, shape))
+        wide *= rng.choice([-1.0, 1.0], shape)
+        special = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                              1e308, -1e308, 2.2250738585072014e-308, 2.0 ** 53], shape)
+        integral = rng.integers(-10 ** 6, 10 ** 6, shape).astype(float)
+        pick = rng.integers(0, 3, shape)
+        rows = np.choose(pick, [wide, special, integral])
+        assert np.isnan(rows).any() and np.isinf(rows).any() and (rows == 5e-324).any()
+        assert (np.signbit(rows) & (rows == 0.0)).any()
+        self._assert_csv_writer_bytes(tmp_path, rows)
