@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._seeds import child_rng
-from .errors import InputError
+from .errors import InputError, ParameterError
 from .measures import (ProductMeasure, _in_range, _uniform_pball, default_space,
                        sublevel_halfwidth)
 from .om import OmFunctional, posterior_om, prior_om
@@ -71,6 +72,10 @@ class LiminfOpts:
     n_random: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.n_random, (int, np.integer)) or self.n_random < 0:
+            raise ParameterError(f"n_random must be an integer >= 0, got {self.n_random!r}")
+
 
 _PATH_ALPHAS = (0.5, 1.0, 2.0)
 _MAGNITUDE_RANGE = (0.5, 2.0)
@@ -97,6 +102,14 @@ class LiminfReport:
     note: str = ""
 
 
+@lru_cache(maxsize=32)
+def _path_names(n_random: int, dim: int, toward: bool) -> tuple:
+    """The names of the ``default_paths``, in their order."""
+    return (*(f"random-{j}" for j in range(n_random)),
+            *(f"axis{sign}{k}" for k in range(dim) for sign in "+-"),
+            *["toward-anchor"][:toward], "constant")
+
+
 def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     """Random decaying-direction paths plus construction-aware ones.
 
@@ -116,31 +129,29 @@ def default_paths(seq: FunctionalSequence, x: np.ndarray, opts: LiminfOpts):
     dim = x.size
     n_last = float(seq.indices[-1])
     start = int(len(seq.indices) * (1.0 - _LIMINF_WINDOW_FRAC))
-    n_win = np.asarray(seq.indices, dtype=float)[start:]
+    n_win = np.asarray(seq.indices[start:], dtype=float)
     # a scalar exponent per rate: numpy takes n ** -1.0 as a reciprocal
     decay = {alpha: n_win ** -alpha for alpha in _PATH_ALPHAS}
     anchor = np.atleast_1d(seq.limit.anchor)
     toward = anchor - x if anchor.size == dim else np.zeros(dim)
     nrm = np.linalg.norm(toward)
     axes = opts.n_random + 2 * dim  # the random paths, then the axis paths
-    names = [f"random-{j}" for j in range(opts.n_random)]
-    names += [f"axis{sign}{k}" for k in range(dim) for sign in "+-"]
-    if nrm > 0:
-        names.append("toward-anchor")
-    names.append("constant")
+    names = list(_path_names(opts.n_random, dim, bool(nrm > 0)))
     dirs = np.zeros((len(names), dim))
     mags = np.zeros((n_win.size, len(names)))
     u = np.empty(opts.n_random)
-    for j in range(opts.n_random):  # the stream: path j's magnitude, then its direction
-        u[j] = rng.uniform(*_MAGNITUDE_RANGE)
-        rng.standard_normal(out=dirs[j])
+    lo, hi = _MAGNITUDE_RANGE
+    for j, row in enumerate(dirs[:opts.n_random]):  # the stream: magnitude, then direction
+        u[j] = lo + (hi - lo) * rng.random()  # rng.uniform(lo, hi), bit for bit
+        rng.standard_normal(out=row)
     rand = dirs[:opts.n_random]
     # a stacked matmul takes each row's dot as d.dot(d) does, bit for bit
     rand /= np.sqrt(np.matmul(rand[:, None, :], rand[:, :, None])[:, :, 0])
     for k, alpha in enumerate(_PATH_ALPHAS):  # random path j decays at rate j % 3
         cols = slice(k, opts.n_random, len(_PATH_ALPHAS))
         mags[:, cols] = (u[cols] * _WINDOW_DISTANCE * n_last ** alpha) * decay[alpha][:, None]
-    dirs[opts.n_random:axes] = np.stack([np.eye(dim), -np.eye(dim)], axis=1).reshape(-1, dim)
+    k = np.arange(dim)  # axis path 2k is +e_k, 2k + 1 is -e_k
+    dirs[opts.n_random:axes].reshape(dim, 2, dim)[k, :, k] = [1.0, -1.0]
     if nrm > 0:
         dirs[axes] = toward / nrm
     mags[:, opts.n_random:-1] = decay[1.0][:, None]  # the adversarial paths' 1/n schedule
@@ -182,8 +193,9 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     names, dirs, mags = default_paths(seq, x, opts)
     start = len(seq.indices) - len(mags)
     window = seq.members[start:]
-    inv_n = 1.0 / np.asarray(seq.indices, dtype=float)[start:]
-    dists = mags * np.linalg.norm(dirs, axis=1)
+    inv_n = 1.0 / np.asarray(seq.indices[start:], dtype=float)
+    # np.linalg.norm's own ufuncs, without its wrapper
+    lengths = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
 
     def path_values(rows: slice) -> np.ndarray:
         return np.array([f.values(x + m[:, None] * dirs)
@@ -191,12 +203,12 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
 
     split = max(0, len(window) - _FIT_POINTS)
     vals = path_values(slice(split, None))
-    deficits, margins = _liminf_margins(vals, dists[split:], inv_n[split:], target)
+    deficits, margins = _liminf_margins(vals, mags[split:] * lengths, inv_n[split:], target)
     if split and not (np.all(np.isfinite(vals)) and np.all(margins <= _LIMINF_TOL)
                       and all(math.isfinite(f.eval(x)) for f in window[:split]
                               if not f.meta.get("finite_everywhere"))):
         vals = np.concatenate([path_values(slice(0, split)), vals])
-        deficits, margins = _liminf_margins(vals, dists, inv_n, target)
+        deficits, margins = _liminf_margins(vals, mags * lengths, inv_n, target)
         split = 0
     worst = split + np.argmax(np.where(np.isnan(deficits), -np.inf, deficits), axis=0)
     violations = [LiminfViolation(names[p], float(margins[p]), seq.indices[start + worst[p]],

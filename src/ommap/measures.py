@@ -1241,9 +1241,10 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     count = np.sum(np.isfinite(rb), axis=-1)
     k = count > 1
     ses = np.zeros(count.shape)
-    scale = np.where((ratios > 0) & (ratios < np.inf), ratios, 1.0)[k]
-    ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
-    ses = np.nan_to_num(ses)
+    if k.any():  # an exact table has one batch
+        scale = np.where((ratios > 0) & (ratios < np.inf), ratios, 1.0)[k]
+        ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
+        ses = np.nan_to_num(ses)
 
     n_fit = min(opts.fit_points, len(radii))
     idx = np.argsort(radii)[:n_fit]
@@ -1272,9 +1273,10 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     nan = float("nan")
     out = {"ratios": ratios, "stderr": ses, "extrapolated_limit": [nan] * len(y),
            "ci": [(nan, nan)] * len(y), "se_model": [nan] * len(y), "se_limit": [nan] * len(y),
-           "diagnostic": [("infinite-ratios-in-fit-window" if np.any(np.isposinf(row))
-                           else "nonpositive-ratios-in-fit-window") for row in y],
-           "settled": settled.tolist()}
+           "diagnostic": [None] * len(y), "settled": settled.tolist()}
+    for i in np.flatnonzero(~good):
+        out["diagnostic"][i] = ("infinite-ratios-in-fit-window" if np.any(np.isposinf(y[i]))
+                                else "nonpositive-ratios-in-fit-window")
     for i, c0, h, sf, sm in zip(np.flatnonzero(good), coef[0], half.tolist(), se_fit.tolist(),
                                 se_model.tolist()):
         limit = _exp_or_inf(c0)

@@ -8,14 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ommap import (BesovMeasure, FunctionalSequence, GaussianMeasure, InputError,
+from ommap import (BesovMeasure, Density1D, FunctionalSequence, GaussianMeasure, InputError,
                    LinearObservation, LiminfOpts, ModeConvOpts, NormalFactor, OmFunctional,
-                   Potential, SpectralOperator,
+                   ParameterError, Potential, SpectralOperator,
                    besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                    density_om, equicoercivity_probe, gamma_liminf_probe,
                    gaussian_om_family, gaussian_recovery_sequence,
                    mode_convergence_check, prior_om, project, projected_potential,
-                   quadratic_potential, sublevel_halfwidth, sum_rule_check)
+                   quadratic_potential, recovery_gap, sublevel_halfwidth, sum_rule_check)
 from ommap._seeds import child_rng
 from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
@@ -175,6 +175,22 @@ def besov_family_399():
     return besov_om_family(members, limit, idx), x
 
 
+def rotated_gaussian_399():
+    """A passing 399-member Gaussian family in dimension 6, means and
+    variances converging like 1/n in one shared rotated basis, and a point."""
+    rng = np.random.default_rng(11)
+    eig = rng.uniform(0.5, 2.0, 6)
+    basis = _rotation(rng, 6)
+    mean, mshift = rng.normal(0.0, 0.5, 6), rng.normal(0.0, 1.0, 6)
+    shift = rng.uniform(-0.4, 0.4, 6) * eig
+    idx = list(range(2, 401))
+    limit = GaussianMeasure(mean, SpectralOperator(eig, basis))
+    members = [GaussianMeasure(mean + mshift / n, SpectralOperator(eig + shift / n, basis))
+               for n in idx]
+    x = mean + basis @ (np.sqrt(eig) * rng.normal(size=6))
+    return gaussian_om_family(members, limit, idx), x
+
+
 def degenerate_family():
     """Odd members are the limit, whose values are +inf off the first axis;
     even members put their mean at (0.3, 1/n) with variance 1/n across it."""
@@ -260,6 +276,8 @@ LIMINF_CASES = {
     "scaled-gaussian-1": lambda: (gaussian_family_scale(), np.array([0.5, 0.5]), LiminfOpts()),
     "scaled-gaussian-2": lambda: (gaussian_family_scale(), np.array([-1.0, 0.3]), LiminfOpts()),
     "besov-399": lambda: (*besov_family_399(), LiminfOpts()),
+    "besov-399-at-anchor": lambda: (besov_family_399()[0], np.zeros(50), LiminfOpts(n_random=2)),
+    "rotated-gaussian-399": lambda: (*rotated_gaussian_399(), LiminfOpts()),
     "spike": lambda: (spike_sequence(), np.array([0.0]), LiminfOpts()),
     "step": lambda: (step_sequence(), np.array([0.0]), LiminfOpts()),
     "degenerate": lambda: (degenerate_family(), np.array([0.3, 0.0]), LiminfOpts(n_random=6)),
@@ -406,11 +424,25 @@ PATH_CASES = {
     "gaussian": lambda: (gaussian_family_scale(), np.array([0.5, 0.5])),
     "gaussian-at-anchor": lambda: (gaussian_family_scale(), np.zeros(2)),
     "besov-399": besov_family_399,
+    "rotated-gaussian-399": rotated_gaussian_399,
 }
 
 
+class TestLiminfOpts:
+    @pytest.mark.parametrize("n_random", [-3, 2.5, "4", None])
+    def test_refuses_a_path_count_that_is_not_a_count(self, n_random):
+        with pytest.raises(ParameterError, match="n_random must be an integer >= 0"):
+            LiminfOpts(n_random=n_random)
+
+    def test_no_random_paths_leaves_the_others(self):
+        rep = gamma_liminf_probe(gaussian_family_scale(), np.array([0.5, 0.5]),
+                                 LiminfOpts(n_random=np.int64(0)))
+        assert rep.verdict == "pass"
+        assert rep.n_paths == 2 * 2 + 2  # the axis paths, toward the anchor and constant
+
+
 class TestDefaultPaths:
-    @pytest.mark.parametrize("n_random", [0, 1, 64])
+    @pytest.mark.parametrize("n_random", [0, 1, 2, 64])
     @pytest.mark.parametrize("case", sorted(PATH_CASES))
     def test_matches_the_path_by_path_table(self, case, n_random):
         seq, x = PATH_CASES[case]()
@@ -719,6 +751,30 @@ class TestStackedRecovery:
             assert len(rec) == len(want)
             for got, ref in zip(rec, want):
                 np.testing.assert_array_equal(got, ref)
+
+
+class TestNonProductFamilies:
+    """A family with a member or limit off the product form is refused by
+    the probes that read product forms, each with its own message."""
+
+    def test_a_non_product_family_keeps_its_messages(self):
+        gauss = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
+        wide = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
+        density = Density1D(lambda x: 1.0, ((0.0, 1.0),))
+        fn = prior_om(gauss)
+
+        def family(measures, limit):
+            return FunctionalSequence([1, 2], [fn, fn], fn, measures=measures,
+                                      limit_measure=limit)
+
+        with pytest.raises(InputError, match="no sublevel half-width for measure type Density1D$"):
+            equicoercivity_probe(family([gauss, density], gauss), 1.0, 10)
+        with pytest.raises(InputError, match="family members and limit differ in dimension"):
+            equicoercivity_probe(family([gauss, wide], gauss), 1.0, 10)
+        with pytest.raises(InputError, match="no sublevel half-width for measure type Density1D$"):
+            equicoercivity_probe(family([density, density], density), 1.0, 10)
+        with pytest.raises(InputError, match="no recovery sequence for measure type Density1D$"):
+            recovery_gap(family([density, density], density), np.zeros(1))
 
 
 class TestEquicoercivity:
