@@ -22,11 +22,8 @@ the mass mu(B_r(x)) of a small ball.  This module provides:
 
 from __future__ import annotations
 
-import contextvars
 import inspect
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -340,8 +337,10 @@ class RatioOpts:
 
     Monte Carlo masses evaluate n_samples // n_batches points per batch,
     the antithetic pairs z, -z of half as many draws (rounded up), batch b
-    on the stream (seed, stream, b); a thread holds one batch at a time,
-    so their memory is O(n_samples / (2 n_batches) * dim) per thread.
+    on its own stream (seed, stream, b), so a table, and the results.json
+    made from it, is the same bytes on every run of that seed.  A table
+    draws one batch at a time, in the call that asks for it, so its
+    memory is O(n_samples / (2 n_batches) * dim).
     Ball masses, ``classify_mode`` and ``m_property_probe`` draw every
     batch, each in one piece; a ratio curve draws its first four batches
     in chunks that end at 512 2^j draws, and stops once its limit has
@@ -477,12 +476,6 @@ def _log_pball_volume(r: float, k: int, p: float, weights: Optional[np.ndarray] 
 # product-measure geometry
 # ---------------------------------------------------------------------------
 
-def _check_space(measure, space: WeightedSeqSpace) -> None:
-    if space.dim != measure.dim:
-        raise InputError(f"norm dimension {space.dim} differs from measure "
-                         f"dimension {measure.dim}")
-
-
 class _ProductSetup:
     """Shared geometry for MC ball masses of one product measure.
 
@@ -495,9 +488,6 @@ class _ProductSetup:
     """
 
     def __init__(self, measure, space: WeightedSeqSpace):
-        _check_space(measure, space)
-        if not isinstance(measure, ProductMeasure):
-            raise InputError(f"not a product measure: {type(measure).__name__}")
         self.factor, self.basis, self.to_eigen = measure.factor, measure.basis, measure.to_eigen
         self.mean_e, self.zero = measure.eigen_mean, measure.pinned
         self.space = space
@@ -620,25 +610,8 @@ def _log_mean_exp(x: np.ndarray) -> np.ndarray:
     return _log_mean_of_parts(*_log_sum_exp_parts(x), x.shape[-1])
 
 
-_MC_THREADS_MAX = 4       # threads, the caller's included, that share one Monte Carlo table
-_MC_INLINE_SIZE = 2 ** 15  # draws x free dimensions per batch below which a table runs inline
 _MC_MIN_BATCHES = 4       # batches per round of a table that may stop early
 _MC_CHUNK = 512           # draws of a batch's first chunk; each later chunk doubles the draws
-
-
-def _mc_threads(n_batches: int, batch_size: int) -> int:
-    """Threads, the caller's included, that share the batches of a Monte
-    Carlo table whose batches hold ``batch_size`` draws x free dimensions:
-    the CPUs this process may use, at most ``n_batches`` and
-    ``_MC_THREADS_MAX``, and 1 (inline) for batches smaller than
-    ``_MC_INLINE_SIZE``, which take less time than starting a thread."""
-    if batch_size < _MC_INLINE_SIZE:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_batches, _MC_THREADS_MAX)
 
 
 def _chunk_ends(half: int) -> list:
@@ -663,17 +636,14 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     points z of the symmetric unit ball and evaluates each at z and at -z
     (antithetic pairs), which for Gaussian factors cancels the log
     density's first-order term.  Batch b draws from its own stream
-    (seed, stream, b), so it depends on nothing but b: the batches run
-    in any order, on ``_mc_threads`` threads (the caller and short-lived
-    workers, joined before the return), and the table is the same bit
-    for bit whatever the number of threads.  Every center and radius is
-    evaluated on a call's draws before the thread draws again, so memory
-    is O(n_samples / (2 n_batches) * dim) per thread.  Each worker runs
-    in a copy of the caller's context, so the caller's ``np.errstate``
-    holds there too.
+    (seed, stream, b), so it depends on nothing but b and results.json is
+    the same bytes on every run.  The batches are drawn one at a time, in
+    this call, into one draw buffer, and every center and radius is
+    evaluated on a call's draws before the next call draws, so memory is
+    O(n_samples / (2 n_batches) * dim).
 
     With ``settled`` and at least ``_MC_MIN_BATCHES`` batches, the table
-    is drawn in stages, the threads sharing a stage's batches.  The first
+    is drawn in stages, one batch after another.  The first
     ``_MC_MIN_BATCHES`` batches are drawn one chunk at a time, one
     ``_uniform_pball`` call each, the chunks ending at ``_MC_CHUNK`` 2^j
     draws and, the last one cut short, at the batch's size
@@ -688,9 +658,7 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     table.  A table that stops is thus, bit for bit, the one of B batches
     of 2m evaluations each with ``settled``, and one that never does is
     the whole table.  Every other batch, and every batch of a table
-    without ``settled``, is drawn whole, in one call.  The thread count is
-    set once, by what a batch draws in the first stage: its first chunk
-    for a table that may stop, the whole batch for any other.
+    without ``settled``, is drawn whole, in one call.
 
     Per call the draw work is done once (``_Draws``); each center then
     costs O(n_radii * n) on top of its factor's log-density expansion,
@@ -701,16 +669,13 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     evaluates the norms of rho zb +- offset per radius.
     """
     setup = _ProductSetup(measure, space)
-    plans = [_CenterPlan(setup, _as_vector(c, space.dim)) for c in centers]
+    plans = [_CenterPlan(setup, c) for c in centers]
     half = (n_samples // n_batches + 1) // 2
     radii = np.asarray(radii, dtype=float)
     props = [np.array([plan.proposal(float(r), closed) for r in radii]).T for plan in plans]
     log_vol = np.array([logv for _, logv in props])
     cmp = np.less_equal if closed else np.less
     out = np.empty((len(plans), len(radii), n_batches))
-    # a batch's generator and the log-sum-exp parts of its chunks, from one chunk to the next
-    between = {}
-    lock = threading.Lock()
 
     def log_density(plan, scales, draws):
         ld = plan.log_density(draws, scales)  # columns z, then -z
@@ -724,14 +689,19 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
             ld[~cmp(norms, radii[:, None])] = -np.inf
         return ld
 
-    def run_batches(z, todo, lo, hi):
-        # each thread takes the next batch of the stage not yet taken, so
-        # one on a busy core takes fewer, and writes only that batch's column
-        while True:
-            with lock:
-                b = next(todo, None)
-            if b is None:
-                return
+    # (batches, draws from, draws to) of each stage
+    if settled is None or n_batches < _MC_MIN_BATCHES:
+        stages = [(range(n_batches), 0, half)]
+    else:
+        ends = _chunk_ends(half)
+        stages = [(range(_MC_MIN_BATCHES), lo, hi) for lo, hi in zip([0] + ends, ends)]
+        stages += [(range(lo, min(lo + _MC_MIN_BATCHES, n_batches)), 0, half)
+                   for lo in range(_MC_MIN_BATCHES, n_batches, _MC_MIN_BATCHES)]
+    z = np.empty((max(hi - lo for _, lo, hi in stages), setup.k_free))
+    # a batch's generator and the log-sum-exp parts of its chunks, from one chunk to the next
+    between = {}
+    for i, (batches, lo, hi) in enumerate(stages):
+        for b in batches:
             rng, top, total = between.pop(b) if lo else (child_rng(seed, stream, b), None, None)
             draws = _Draws(setup, _uniform_pball(rng, hi - lo, setup.k_free, setup.draw_p,
                                                  z[:hi - lo]))
@@ -744,46 +714,10 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
             if hi < half:
                 between[b] = rng, top, total
             out[:, :, b] = _log_mean_of_parts(top, total, 2 * hi) + log_vol
-
-    # (batches, draws from, draws to) of each stage
-    if settled is None or n_batches < _MC_MIN_BATCHES:
-        stages = [(range(n_batches), 0, half)]
-    else:
-        ends = _chunk_ends(half)
-        stages = [(range(_MC_MIN_BATCHES), lo, hi) for lo, hi in zip([0] + ends, ends)]
-        stages += [(range(lo, min(lo + _MC_MIN_BATCHES, n_batches)), 0, half)
-                   for lo in range(_MC_MIN_BATCHES, n_batches, _MC_MIN_BATCHES)]
-    n_threads = _mc_threads(len(stages[0][0]), stages[0][2] * setup.k_free)
-    largest = max(hi - lo for _, lo, hi in stages)
-    # every thread draws into a buffer of its own made here, by the caller:
-    # glibc's malloc keeps what a worker thread frees in that thread's arena,
-    # so draws a worker allocated would add a batch per worker to peak memory
-    bufs = [np.empty((largest, setup.k_free)) for _ in range(n_threads)]
-    pool = None
-    if n_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(n_threads - 1)
-    try:
-        for i, (batches, lo, hi) in enumerate(stages):
-            todo = iter(batches)
-            workers = [pool.submit(contextvars.copy_context().run, run_batches, z, todo, lo, hi)
-                       for z in bufs[1:]]
-            try:
-                run_batches(bufs[0], todo, lo, hi)
-            finally:
-                with lock:  # after an error here the workers stop at their current batch
-                    for _ in todo:
-                        pass
-            for worker in workers:
-                worker.result()
-            if i + 1 < len(stages):
-                table = out[:, :, :batches.stop].copy()
-                if settled(table, hi):
-                    return table
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if i + 1 < len(stages):
+            table = out[:, :, :batches.stop].copy()
+            if settled(table, hi):
+                return table
     return out
 
 
@@ -1192,7 +1126,9 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
         masses, method = _mass_table(measure, centers, radii, space, opts.method)
         with np.errstate(divide="ignore"):
             return np.log(masses)[:, :, None], method
-    _check_space(measure, space)
+    if space.dim != measure.dim:
+        raise InputError(f"norm dimension {space.dim} differs from measure "
+                         f"dimension {measure.dim}")
     centers = [_as_vector(c, space.dim) for c in centers]
     if opts.method != "mc":
         exact = _product_exact_log_mass(measure, centers, radii, space, opts.closed)

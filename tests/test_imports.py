@@ -1,8 +1,8 @@
 """What importing the package loads: numpy and the standard library only.
 
-scipy's submodules, jsonschema and concurrent.futures (the Monte Carlo
-worker threads) are imported inside the functions that call them, so a
-short CLI run does not pay for them before it needs them.
+scipy's submodules and jsonschema are imported inside the functions that
+call them, so a short CLI run does not pay for them before it needs them;
+concurrent.futures is used nowhere, so it never loads.
 An l2 ratio curve of a Gaussian from Ruben's series needs none of them,
 nor does the small-noise trajectory of a Besov-1 prior with its limit.
 """

@@ -5,10 +5,7 @@ import dataclasses
 import io
 import json
 import math
-import os
-import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -155,6 +152,44 @@ class TestBallMass:
         with pytest.raises(InputError):
             ball_mass(std_gaussian(2), np.zeros(3), 0.5,
                       WeightedSeqSpace.unweighted(2.0, 3))
+
+    @pytest.mark.parametrize("entry", ["ball_mass", "ball_ratio_curve", "sup_ball_mass"])
+    def test_a_space_of_another_dimension_is_named(self, entry):
+        # the Monte Carlo setup trusts the check its caller made
+        mu, space = std_gaussian(2), WeightedSeqSpace.unweighted(2.0, 3)
+        opts = RatioOpts(method="mc", n_samples=400, n_batches=4)
+        calls = {"ball_mass": lambda: ball_mass(mu, np.zeros(2), 0.5, space, opts),
+                 "ball_ratio_curve": lambda: ball_ratio_curve(
+                     mu, np.zeros(2), np.zeros(2), radius_schedule(0.5, 3), space, opts),
+                 "sup_ball_mass": lambda: sup_ball_mass(mu, 0.5, space, opts)}
+        with pytest.raises(InputError, match="norm dimension 3 differs from measure dimension 2"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["ball_mass", "ball_ratio_curve"])
+    def test_a_centre_of_another_dimension_is_named(self, entry):
+        mu, space = std_gaussian(2), WeightedSeqSpace.unweighted(1.0, 2)
+        opts = RatioOpts(method="mc", n_samples=400, n_batches=4)
+        calls = {"ball_mass": lambda: ball_mass(mu, np.zeros(3), 0.5, space, opts),
+                 "ball_ratio_curve": lambda: ball_ratio_curve(
+                     mu, np.zeros(2), np.zeros(3), radius_schedule(0.5, 3), space, opts)}
+        with pytest.raises(InputError, match="dimension mismatch: expected 2, got 3"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["ball_mass", "ball_ratio_curve"])
+    def test_a_list_centre_is_the_array_centre(self, entry):
+        # centres are converted once, before the Monte Carlo table draws
+        mu, space = BesovMeasure(1.0, 1, 1.0, 5), WeightedSeqSpace.unweighted(2.0, 5)
+        opts = RatioOpts(n_samples=4_000, n_batches=4, seed=2)
+        x1 = [0.3, -0.2, 0.1, 0.0, 0.05]
+        if entry == "ball_mass":
+            got, want = (ball_mass(mu, x, 0.5, space, opts) for x in (x1, np.array(x1)))
+            assert got.method == "monte-carlo"
+            assert (got.estimate, got.stderr) == (want.estimate, want.stderr)
+        else:
+            got, want = (ball_ratio_curve(mu, x, x2, radius_schedule(0.5, 4), space, opts)
+                         for x, x2 in ((x1, [0.0] * 5), (np.array(x1), np.zeros(5))))
+            assert got.method == "monte-carlo"
+            _assert_same_estimate(got, want)
 
     def test_exact_method_unavailable_raises(self):
         # no exact rule for a Gaussian's l1 balls in two dimensions
@@ -922,10 +957,10 @@ class TestAntitheticPairs:
                 assert abs(got.estimate - want) < 4 * got.stderr
 
 
-def _thread_case(kind):
+def _table_case(kind):
     """(measure, centres, radii, space) of a Monte Carlo table for the
-    thread tests: an aligned Besov-1 l2 table, or a rotated Gaussian with
-    one pinned coordinate and a centre off the mean there."""
+    batch and chunk tests: an aligned Besov-1 l2 table, or a rotated
+    Gaussian with one pinned coordinate and a centre off the mean there."""
     if kind == "besov_aligned":
         x = np.zeros(20)
         x[:3] = [0.4, -0.3, 0.2]
@@ -943,48 +978,11 @@ def _thread_case(kind):
 
 class TestBatchThreads:
     """Batch b of a Monte Carlo table draws from the stream (seed, stream, b),
-    so the batches may run on any number of threads."""
-
-    def test_thread_count(self, monkeypatch):
-        pick, size = ommap.measures._mc_threads, ommap.measures._MC_INLINE_SIZE
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert pick(20, size) == min(8, ommap.measures._MC_THREADS_MAX)
-        assert pick(3, size) == 3  # at most one thread a batch
-        assert pick(20, size - 1) == 1  # small batches run inline
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert pick(20, size) == 2
-
-    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-    @pytest.mark.parametrize("kind", ["besov_aligned", "gauss_rotated_pinned"])
-    def test_same_table_on_any_number_of_threads(self, monkeypatch, kind, closed):
-        tables = []
-        for n in (1, 2, 3):
-            monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a, n=n: n)
-            tables.append(_mc_mass_batches(*_thread_case(kind), 2_000, 8, 5, "threads", closed))
-        assert np.all(np.isfinite(tables[0]))
-        assert tables[1].tobytes() == tables[0].tobytes()
-        assert tables[2].tobytes() == tables[0].tobytes()
-
-    def test_more_threads_than_cores_under_frequent_switches(self, monkeypatch):
-        args = (*_thread_case("besov_aligned"), 40_000, 40, 6, "threads")
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 1)
-        want = _mc_mass_batches(*args)
-        monkeypatch.setattr(ommap.measures, "_mc_threads",
-                            lambda *a: min((os.cpu_count() or 1) + 1, 40))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [_mc_mass_batches(*args) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(table.tobytes() == want.tobytes() for table in got)
+    and every batch is drawn on the caller's thread."""
 
     def test_each_batch_is_a_one_batch_table_on_its_stream(self, monkeypatch):
-        mu, centers, radii, space = _thread_case("gauss_rotated_pinned")
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
+        mu, centers, radii, space = _table_case("gauss_rotated_pinned")
         table = _mc_mass_batches(mu, centers, radii, space, 2_000, 8, 5, "threads")
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 1)
         for b in range(8):
             def stream_b(seed, *key, b=b):
                 # a one-batch table draws its batch 0 from (seed, stream, 0)
@@ -995,80 +993,88 @@ class TestBatchThreads:
             one = _mc_mass_batches(mu, centers, radii, space, 2_000 // 8, 1, 5, "threads")
             assert one[:, :, 0].tobytes() == table[:, :, b].tobytes()
 
-    def test_workers_are_joined(self, monkeypatch):
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 3)
-        before = threading.active_count()
-        _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
-        assert threading.active_count() == before
+    def test_every_batch_is_drawn_on_the_callers_thread(self, monkeypatch):
+        # a dim-100 Besov-1 curve, whose first chunk holds 512 draws x 100
+        # free dimensions, and a ball mass of 20 batches of 2,500 x 100:
+        # tables large enough that sharing their batches among threads could pay
+        draw, threads = ommap.measures._uniform_pball, []
 
-    def test_an_error_in_a_worker_batch_reaches_the_caller(self, monkeypatch):
-        draw, caller = ommap.measures._uniform_pball, threading.get_ident()
-
-        class BatchError(Exception):
-            pass
-
-        def failing_in_workers(rng, n, k, p, out=None):
-            if threading.get_ident() != caller:
-                raise BatchError
-            time.sleep(0.01)  # leave batches to the worker
+        def on_thread(rng, n, k, p, out=None):
+            threads.append(threading.get_ident())
             return draw(rng, n, k, p, out)
 
-        monkeypatch.setattr(ommap.measures, "_uniform_pball", failing_in_workers)
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
-        before = threading.active_count()
-        with pytest.raises(BatchError):
-            _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
-        assert threading.active_count() == before
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", on_thread)
+        mu, space = BesovMeasure(0.9, 1, 1.0, 100), WeightedSeqSpace.unweighted(2.0, 100)
+        x1 = np.zeros(100)
+        x1[:3] = [0.3, -0.2, 0.1]
+        opts = RatioOpts(n_samples=100_000, n_batches=20, seed=3)
+        ball_ratio_curve(mu, x1, np.zeros(100), radius_schedule(0.2, 10), space, opts)
+        assert len(threads) >= 4
+        n_curve = len(threads)
+        ball_mass(mu, x1, 0.5, space, opts)
+        assert len(threads) == n_curve + 20
+        assert set(threads) == {threading.get_ident()}
 
-    def test_an_error_in_the_callers_batch_stops_the_workers(self, monkeypatch):
-        # ordered by events, not by timing: the caller's draw raises once the
-        # worker is inside a batch, and that batch ends only when the caller
-        # shuts the pool down, after its error has stopped the stage
-        from concurrent.futures import ThreadPoolExecutor
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("kind", ["besov_aligned", "gauss_rotated_pinned"])
+    def test_no_batch_reads_what_the_draw_buffer_held(self, monkeypatch, kind, chunked):
+        # every batch and chunk is drawn into the rows of one buffer; rows
+        # left NaN before each draw must not reach the table
+        args = (*_table_case(kind), 20_000, 8, 5, "buffer", False, _never if chunked else None)
+        want = _mc_mass_batches(*args)
+        draw = ommap.measures._uniform_pball
 
-        draw, caller, drawn = ommap.measures._uniform_pball, threading.get_ident(), []
-        in_batch, shut = threading.Event(), threading.Event()
-        shutdown = ThreadPoolExecutor.shutdown
+        def on_nan(rng, n, k, p, out=None):
+            (out if out.base is None else out.base).fill(np.nan)  # the whole buffer
+            return draw(rng, n, k, p, out)
+
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", on_nan)
+        got = _mc_mass_batches(*args)
+        assert np.all(np.isfinite(want))
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_error_in_a_batch_reaches_the_caller(self, monkeypatch):
+        draw, drawn = ommap.measures._uniform_pball, []
 
         class BatchError(Exception):
             pass
 
-        def failing_in_caller(rng, n, k, p, out=None):
-            if threading.get_ident() == caller:
-                assert in_batch.wait(30)
-                raise BatchError
+        def failing_third(rng, n, k, p, out=None):
             drawn.append(n)
-            in_batch.set()
-            assert shut.wait(30)
+            if len(drawn) == 3:
+                raise BatchError
             return draw(rng, n, k, p, out)
 
-        def shutting(pool, *args, **kwargs):
-            shut.set()
-            return shutdown(pool, *args, **kwargs)
-
-        monkeypatch.setattr(ommap.measures, "_uniform_pball", failing_in_caller)
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: 2)
-        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutting)
+        monkeypatch.setattr(ommap.measures, "_uniform_pball", failing_third)
         with pytest.raises(BatchError):
-            _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
-        assert len(drawn) == 1  # not the 6 batches the two threads left
+            _mc_mass_batches(*_table_case("besov_aligned"), 2_000, 8, 5, "threads")
+        assert len(drawn) == 3  # no batch is drawn after the one that failed
 
-    @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_callers_errstate_holds_in_every_thread(self, monkeypatch, n_threads):
-        # numpy keeps errstate in a context variable; a thread started
-        # without the caller's context would only warn
-        stat, caller = LaplaceFactor.mc_draw_stat, threading.get_ident()
+    def test_memory_does_not_grow_with_the_batches(self):
+        # one draw buffer a table: 20 batches of 2,500 x 20 draws peak where
+        # 4 batches of the same size do, far below the 8 MB of all 20 buffers
+        case, peaks = _table_case("besov_aligned"), []
+        for n_batches in (4, 20):
+            tracemalloc.start()
+            try:
+                _mc_mass_batches(*case, 5_000 * n_batches, n_batches, 5, "memory")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[1] < 4e6
+
+    def test_callers_errstate_holds_in_every_thread(self, monkeypatch):
+        # numpy keeps errstate in a context variable; a batch drawn outside
+        # the caller's context would only warn
+        stat = LaplaceFactor.mc_draw_stat
 
         def dividing(self, setup, z):
-            if n_threads > 1 and threading.get_ident() == caller:
-                time.sleep(0.01)  # leave batches to the worker
-                return stat(self, setup, z)
             return stat(self, setup, z) + np.ones(len(z)) / np.zeros(len(z))
 
         monkeypatch.setattr(LaplaceFactor, "mc_draw_stat", dividing)
-        monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a: n_threads)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            _mc_mass_batches(*_thread_case("besov_aligned"), 2_000, 8, 5, "threads")
+            _mc_mass_batches(*_table_case("besov_aligned"), 2_000, 8, 5, "threads")
 
 
 def _budget_case():
@@ -1138,18 +1144,11 @@ class TestDrawBudget:
         assert table.tobytes() == _mc_mass_batches(*args, **kwargs).tobytes()
         assert cur.n_samples == 2 * math.ceil(n_samples // n_batches / 2) * n_batches
 
-    def test_same_stop_on_any_number_of_threads(self, monkeypatch):
+    def test_a_curve_may_stop_after_more_than_one_round(self, monkeypatch):
         calls = _spy_tables(monkeypatch)
-        curves = []
-        for n in (1, 2, 3):
-            monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a, n=n: n)
-            curves.append(ball_ratio_curve(*_budget_case(),
-                                           RatioOpts(n_samples=2000, n_batches=20, seed=1)))
-        tables = [table for _, _, table in calls]
-        assert 4 < tables[0].shape[-1] < 20  # more than one round, fewer than all
-        assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
-        for cur in curves[1:]:
-            _assert_same_estimate(cur, curves[0])
+        ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=2000, n_batches=20, seed=1))
+        (_, _, table), = calls
+        assert 4 < table.shape[-1] < 20  # more than one round, fewer than all
 
     def test_the_rule(self):
         # log ratios off a line by about 7e-3 rms: draw noise of 1e-4 per
@@ -1235,7 +1234,7 @@ class TestChunkedBatches:
     every other batch is drawn whole."""
 
     def test_chunk_sizes(self, monkeypatch):
-        drawn, case = _chunk_spy(monkeypatch), _thread_case("besov_aligned")
+        drawn, case = _chunk_spy(monkeypatch), _table_case("besov_aligned")
         _mc_mass_batches(*case, 20_000, 4, 0, "chunks", False, _never)
         assert drawn == [512] * 4 + [512] * 4 + [1024] * 4 + [452] * 4
         drawn.clear()
@@ -1255,7 +1254,7 @@ class TestChunkedBatches:
         # the reference draws each batch in one call and takes the log mean
         # of its evaluations: a table without settled at any batch size
         if kind == "besov_l2":
-            mu, centers, radii, space = _thread_case("besov_aligned")
+            mu, centers, radii, space = _table_case("besov_aligned")
         else:
             mu = GaussianMeasure(np.array([0.1, -0.2, 0.3]),
                                  SpectralOperator(np.array([1.0, 0.5, 2.0])))
@@ -1295,7 +1294,7 @@ class TestChunkedBatches:
     def test_a_chunked_batch_is_the_log_mean_exp_of_its_draws(self):
         # the batch's chunks drawn by hand and evaluated in one piece: the
         # running log-sum-exp rounds apart from one sum, but no further
-        mu, centers, radii, space = _thread_case("gauss_rotated_pinned")
+        mu, centers, radii, space = _table_case("gauss_rotated_pinned")
         table = _mc_mass_batches(mu, centers, radii, space, 20_000, 4, 2, "merge", False,
                                  _never)[:, :, :1]
         setup = _ProductSetup(mu, space)
@@ -1307,7 +1306,7 @@ class TestChunkedBatches:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_settled_sees_the_tables_of_smaller_batches(self, seed):
-        case, seen = _thread_case("besov_aligned"), []
+        case, seen = _table_case("besov_aligned"), []
 
         def never(table, draws):
             seen.append((table.copy(), draws))
@@ -1327,35 +1326,13 @@ class TestChunkedBatches:
         assert full[:, :, 4:].tobytes() == whole[:, :, 4:].tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_a_curve_stops_at_its_first_chunk_end(self, monkeypatch, seed):
-        calls, curves = _spy_tables(monkeypatch), []
-        for n in (1, 2, 3):
-            monkeypatch.setattr(ommap.measures, "_mc_threads", lambda *a, n=n: n)
-            curves.append(ball_ratio_curve(*_budget_case(),
-                                           RatioOpts(n_samples=100_000, n_batches=20, seed=seed)))
-        tables = [table for _, _, table in calls]
-        assert all(t.tobytes() == tables[0].tobytes() for t in tables[1:])
+    def test_a_curve_stops_at_its_first_chunk_end(self, seed):
+        cur = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=100_000, n_batches=20,
+                                                          seed=seed))
         short = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=4_096, n_batches=4,
                                                             seed=seed))
         assert short.n_samples == 4_096
-        for cur in curves:
-            _assert_same_estimate(cur, short)
-
-    def test_threads_are_sized_by_the_first_stage(self, monkeypatch):
-        # a table drawn in full runs on the threads of an unchunked table of
-        # its batches, and one that may stop on those of its first chunk
-        sizes, pick = [], ommap.measures._mc_threads
-
-        def spy(n_batches, size):
-            sizes.append((n_batches, size))
-            return pick(n_batches, size)
-
-        monkeypatch.setattr(ommap.measures, "_mc_threads", spy)
-        case = _thread_case("besov_aligned")
-        _mc_mass_batches(*case, 100_000, 20, 0, "threads")
-        _mc_mass_batches(*case, 100_000, 20, 0, "threads", False, lambda table, m: True)
-        _mc_mass_batches(*case, 100_000, 3, 0, "threads", False, lambda table, m: True)
-        assert sizes == [(20, 2_500 * 20), (4, 512 * 20), (3, 16_667 * 20)]
+        _assert_same_estimate(cur, short)
 
     def test_one_fit_per_stopped_curve(self, monkeypatch):
         fits, ratio_curves = [], ommap.measures._ratio_curves
