@@ -505,7 +505,7 @@ def perturbation_experiment(kind: str, prior, obs: LinearObservation,
         base, prior_fns = fam_prior.limit, fam_prior.members
         probes["prior_recovery_max_gap"] = recovery_gap(fam_prior, limit_sol.point)
         probes["prior_liminf"] = [gamma_liminf_probe(fam_prior, limit_sol.point)]
-        probes["prior_equicoercivity"] = equicoercivity_probe(fam_prior, 1.0, 200)
+        probes["prior_equicoercivity"] = equicoercivity_probe(fam_prior, 1.0)
     else:
         base = prior_om(prior)
         prior_fns = [base] * len(indices)

@@ -268,9 +268,7 @@ def _run_gamma_check(cfg, seed):
         if gap is not None:
             gaps.append({"x": x, "gap": gap})
 
-    samples = cfg.get("sublevel_samples", 2000)
-    equi = [equicoercivity_probe(seq, float(t), samples, seed)
-            for t in cfg.get("t_values", [0.5, 2.0])]
+    equi = [equicoercivity_probe(seq, float(t)) for t in cfg.get("t_values", [0.5, 2.0])]
 
     mode_rep = None
     if cfg.get("check_modes", True):

@@ -1077,8 +1077,8 @@ def sup_ball_mass(measure, radius: float, space: Optional[WeightedSeqSpace] = No
 def sublevel_halfwidth(measure, t: float) -> np.ndarray:
     """Coordinate half-widths of the OM sublevel set {I <= t} of a product
     measure: the k-th entry is max |u_k| over the set.  The one-row case of
-    its factor's ``sublevel_reach``, which ``gamma.equicoercivity_probe``
-    calls on the stacked forms of the members that share a basis."""
+    its factor's ``sublevel_reach``, which ``gamma._halfwidths`` calls once
+    per group of the equicoercivity probe's members that share a basis."""
     if not isinstance(measure, ProductMeasure):
         raise InputError(f"no sublevel half-width for measure type {type(measure).__name__}")
     # {I <= t} = m + B diag(scale) {g : sum_k |g_k|^p / p <= t}

@@ -25,10 +25,12 @@ from ommap import (BesovMeasure, CrossesMeasure, GaussianMeasure,
                    mixture_kl_exponent, mixture_modes, mode_convergence_check,
                    om_not_strong_suite,
                    perturbation_experiment, posterior_om, prior_om, quadratic_potential,
-                   radius_schedule, small_noise_experiment, spike_kl, spike_mode)
+                   radius_schedule, small_noise_experiment, spike_kl, spike_mode,
+                   sublevel_halfwidth)
 from ommap._seeds import child_rng
 from ommap.counterexamples import E1
 from ommap.gamma import _single_linkage
+from ommap.measures import _uniform_pball
 from l1_reference import coordinate_descent
 from pinv_reference import apply, pinv_apply, sqrt_apply
 from pointwise import pointwise
@@ -50,6 +52,22 @@ def observation(matrix, noise_eigs, data):
     return LinearObservation(np.asarray(matrix, dtype=float),
                              SpectralOperator(np.asarray(noise_eigs, dtype=float)),
                              np.asarray(data, dtype=float))
+
+
+def mapped_points_inside(seq, entry, samples, seed):
+    """Map one draw of ``samples`` points g of {sum_k |g_k|^p / p <= t} into
+    the sublevel set of each member of the equicoercivity probe's window,
+    u = m + B diag(scale) g: the number of mapped points, and whether every
+    one lies inside its member's half-widths."""
+    lim, t = seq.limit_measure, entry.t
+    p = lim.factor.exponent
+    g = _uniform_pball(child_rng(seed, "equicoercivity"), samples, lim.dim, p)
+    g *= (p * t) ** (1.0 / p) * (1.0 - 1e-9)
+    window = seq.measures[len(seq.measures) - entry.n_members:]
+    inside = all(np.all(np.abs(mu.mean + (g * mu.scale) @ (np.eye(lim.dim) if mu.basis is None
+                                                           else mu.basis).T)
+                        <= sublevel_halfwidth(mu, t) * (1.0 + 1e-12)) for mu in window)
+    return samples * len(window), inside
 
 
 def test_criterion_01_gaussian_kl_closed_form():
@@ -261,10 +279,11 @@ def test_criterion_08_gaussian_family_theorem():
     # the exact half-widths bound every point of each sublevel set; the
     # mapped sample points are a cross-check inside them
     for t in (0.5, 2.0):
-        entry = equicoercivity_probe(seq, t, samples=910, seed=3)
-        total = entry.samples_per_member * entry.n_members
+        entry = equicoercivity_probe(seq, t)
+        total, inside = mapped_points_inside(seq, entry, 910, seed=3)
         checks.append((f"exact sublevel envelope at t={t} passes, >= 10^4 mapped points inside",
-                       entry.verdict == "pass" and entry.violations == 0 and total >= 10_000,
+                       entry.verdict == "pass" and entry.violations == 0 and inside
+                       and total >= 10_000,
                        f"ratio={entry.ratio:.4g}, slope={entry.slope:.2g}, "
                        f"{entry.violations} violations, {total} points"))
 
@@ -294,10 +313,11 @@ def test_criterion_09_besov_family_theorem():
     checks = [("recovery value identity exact to 1e-12", worst <= 1e-12,
                f"worst |gap|={worst:.2e}")]
 
-    entry = equicoercivity_probe(seq, 1.0, samples=1250, seed=4)
-    total = entry.samples_per_member * entry.n_members
+    entry = equicoercivity_probe(seq, 1.0)
+    total, inside = mapped_points_inside(seq, entry, 1250, seed=4)
     checks.append(("exact envelope |u_k| <= gamma_n,k t passes, >= 10^4 mapped points inside",
-                   entry.verdict == "pass" and entry.violations == 0 and total >= 10_000,
+                   entry.verdict == "pass" and entry.violations == 0 and inside
+                   and total >= 10_000,
                    f"ratio={entry.ratio:.4g}, tail ratio={entry.tail_ratio:.4g}, "
                    f"{entry.violations} violations, {total} points"))
 

@@ -375,6 +375,17 @@ class TestCounterexampleRuns:
         assert [r[0] for r in rows] == ["2", "3"]
 
 
+_GAMMA_CHECK = {"kind": "gamma_check", "seed": 0,
+                "family": {"type": "gaussian", "mean": [0.0, 0.0],
+                           "eigenvalues": [2.0, 1.0], "mean_shift": [1.0, 0.0],
+                           "eigenvalue_shift": [0.5, 0.5]},
+                "indices": list(range(1, 25)),
+                "liminf_points": [[0.0, 0.0], [0.5, -0.5]],
+                "recovery_points": [[0.3, 0.3]],
+                "t_values": [0.5, 2.0],
+                "tolerances": {"value_tol": 0.01, "min_tol": 0.01, "cluster_tol": 0.01}}
+
+
 class TestRun:
     def test_liminf_only_csv(self, tmp_path):
         code, out = run_cli(tmp_path, {"kind": "counterexample", "name": "liminf_only",
@@ -538,20 +549,30 @@ class TestRun:
         assert (out2 / "results.json").read_bytes() == first
 
     def test_gamma_check_summary(self, tmp_path):
-        cfg = {"kind": "gamma_check", "seed": 0,
-               "family": {"type": "gaussian", "mean": [0.0, 0.0],
-                          "eigenvalues": [2.0, 1.0], "mean_shift": [1.0, 0.0],
-                          "eigenvalue_shift": [0.5, 0.5]},
-               "indices": list(range(1, 25)),
-               "liminf_points": [[0.0, 0.0], [0.5, -0.5]],
-               "recovery_points": [[0.3, 0.3]],
-               "t_values": [0.5, 2.0], "sublevel_samples": 500,
-               "tolerances": {"value_tol": 0.01, "min_tol": 0.01,
-                              "cluster_tol": 0.01}}
-        code, out = run_cli(tmp_path, cfg)
+        code, out = run_cli(tmp_path, _GAMMA_CHECK)
         assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert results["results"]["verdict"] == "pass"
+
+    def test_gamma_check_ignores_sublevel_samples(self, tmp_path):
+        # the field stays valid, but the equicoercivity probe draws nothing
+        _, out1 = run_cli(tmp_path, {**_GAMMA_CHECK, "sublevel_samples": 50}, name="a.json")
+        first = (out1 / "results.json").read_bytes()
+        (out1 / "results.json").unlink()
+        code, out2 = run_cli(tmp_path, _GAMMA_CHECK, name="b.json")
+        assert code == 0
+        assert (out2 / "results.json").read_bytes() == first
+
+    def test_gamma_check_reads_no_seed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_GAMMA_CHECK))
+        results = []
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            assert main(["--seed", str(seed), "--out", str(out), "run", str(path)]) == 0
+            results.append(json.loads((out / "results.json").read_text()))
+        assert [r.pop("seed") for r in results] == [1, 2]
+        assert results[0] == results[1]
 
     def test_small_noise_run(self, tmp_path):
         cfg = {"kind": "small_noise",
@@ -647,7 +668,7 @@ class TestMoreKinds:
         ("prior", {"prior_recovery_max_gap": None,
                    "prior_liminf": {"x", "n_paths", "violations", "verdict", "note"},
                    "prior_equicoercivity": {
-                       "t", "n_members", "samples_per_member", "violations", "bound",
+                       "t", "n_members", "violations", "bound",
                        "verdict", "first_index_checked", "witness_index", "ratio",
                        "tail_ratio", "slope", "note"}}),
         ("potential_projection", {"potential_continuous_convergence": {

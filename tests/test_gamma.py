@@ -21,8 +21,7 @@ from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import (_CC_RHO0, _CC_SAMPLES, _FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC,
                          _MAGNITUDE_RANGE, _PATH_ALPHAS, _WINDOW_DISTANCE, _extrapolated_intercepts,
-                         _halfwidths, _mapped_widths, _single_linkage, _stacked_forms,
-                         default_paths)
+                         _halfwidths, _single_linkage, default_paths)
 from ommap.measures import _uniform_pball
 from pinv_reference import sqrt_apply
 from pointwise import pointwise
@@ -768,11 +767,11 @@ class TestNonProductFamilies:
                                       limit_measure=limit)
 
         with pytest.raises(InputError, match="no sublevel half-width for measure type Density1D$"):
-            equicoercivity_probe(family([gauss, density], gauss), 1.0, 10)
+            equicoercivity_probe(family([gauss, density], gauss), 1.0)
         with pytest.raises(InputError, match="family members and limit differ in dimension"):
-            equicoercivity_probe(family([gauss, wide], gauss), 1.0, 10)
+            equicoercivity_probe(family([gauss, wide], gauss), 1.0)
         with pytest.raises(InputError, match="no sublevel half-width for measure type Density1D$"):
-            equicoercivity_probe(family([density, density], density), 1.0, 10)
+            equicoercivity_probe(family([density, density], density), 1.0)
         with pytest.raises(InputError, match="no recovery sequence for measure type Density1D$"):
             recovery_gap(family([density, density], density), np.zeros(1))
 
@@ -780,21 +779,23 @@ class TestNonProductFamilies:
 class TestEquicoercivity:
     def test_negative_level_vacuous(self):
         seq = gaussian_family_scale(4)
-        entry = equicoercivity_probe(seq, -1.0, 100)
+        entry = equicoercivity_probe(seq, -1.0)
         assert entry.verdict == "vacuous-pass"
 
     def test_gaussian_family(self):
         seq = gaussian_family_scale(12)
-        entry = equicoercivity_probe(seq, 2.0, 2000, seed=1)
+        entry = equicoercivity_probe(seq, 2.0)
         assert entry.verdict == "pass"
         assert entry.violations == 0
+        # samples and seed are ignored, in the benchmark's positional form too
+        assert equicoercivity_probe(seq, 2.0, 200, 7) == entry
 
     def test_one_dimensional_family(self):
         # a single coordinate has no ambient tail to read
         limit = GaussianMeasure(np.array([0.5]), SpectralOperator(np.ones(1)))
         members = [GaussianMeasure(np.array([0.5]), SpectralOperator(np.array([1.0 + 1.0 / n])))
                    for n in range(1, 11)]
-        entry = equicoercivity_probe(gaussian_om_family(members, limit), 2.0, 100, seed=1)
+        entry = equicoercivity_probe(gaussian_om_family(members, limit), 2.0)
         assert entry.verdict == "pass" and entry.tail_ratio is None
         assert entry.ratio == pytest.approx((0.5 + 2.0 * math.sqrt(1.0 + 1.0 / 6)) / 2.5)
 
@@ -802,15 +803,13 @@ class TestEquicoercivity:
         mu = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
         seq = FunctionalSequence([1, 2], [prior_om(mu)] * 2, prior_om(mu))
         with pytest.raises(InputError, match="built from measures"):
-            equicoercivity_probe(seq, 1.0, 100)
-        with pytest.raises(InputError, match="samples"):
-            equicoercivity_probe(gaussian_family_scale(4), 1.0, 0)
+            equicoercivity_probe(seq, 1.0)
 
     def test_besov_family_coordinate_box(self):
         limit = BesovMeasure(1.0, 1, 1.0, 30)
         members = [BesovMeasure(1.0 + (-1.0) ** n / n, 1, 1.0, 30) for n in range(2, 18)]
         seq = besov_om_family(members, limit, list(range(2, 18)))
-        entry = equicoercivity_probe(seq, 1.0, 2000, seed=2)
+        entry = equicoercivity_probe(seq, 1.0)
         assert entry.verdict == "pass"
         assert entry.violations == 0
         # the window is n = 10..17; the roughest member, n = 11, has half-widths
@@ -824,40 +823,19 @@ class TestEquicoercivity:
         limit = BesovMeasure(1.0, 1, 1.0, 10)
         members = [BesovMeasure(1.0 - 1.0 / n, 1, 1.0, 10) for n in range(1, 9)]
         seq = besov_om_family(members, limit, list(range(1, 9)))
-        entry = equicoercivity_probe(seq, 1.0, 200, seed=3)
+        entry = equicoercivity_probe(seq, 1.0)
         # only members before the trailing window n = 5..8 are dropped, among
         # them the rough n = 1 (s = 0), whose half-widths reach 5x the limit's
         assert entry.verdict == "pass"
         assert entry.first_index_checked == 5
         assert entry.n_members == 4
         alone = besov_om_family(members[:1], limit, [1])
-        rough = equicoercivity_probe(alone, 1.0, 200, seed=3)
+        rough = equicoercivity_probe(alone, 1.0)
         assert rough.verdict == "fail" and rough.witness_index == 1
 
-
-class TestMappedWidths:
-    def _window(self):
-        rng = np.random.default_rng(8)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        rotated = [GaussianMeasure(rng.normal(size=4),
-                                   SpectralOperator(np.r_[rng.uniform(0.5, 2.0, 3), 0.0], q))
-                   for _ in range(7)]
-        aligned = [GaussianMeasure(rng.normal(size=4), SpectralOperator(rng.uniform(0.5, 2.0, 4)))
-                   for _ in range(3)]
-        return rotated[:4] + aligned + rotated[4:], rng.normal(size=(50, 4))
-
-    def test_matches_a_per_member_loop(self, monkeypatch):
-        window, g = self._window()
-        want = np.array([np.abs(mu.mean + (g * mu.scale) @ (np.eye(4) if mu.basis is None
-                                                          else mu.basis).T).max(axis=0)
-                         for mu in window])
-        for chunk in (1 << 16, 2 * g.size, 1):  # one, several and single-member chunks
-            monkeypatch.setattr("ommap.gamma._CROSS_CHECK_CHUNK", chunk)
-            np.testing.assert_allclose(_mapped_widths(_stacked_forms(window), g), want, rtol=1e-12)
-
     def test_rotated_probe_memory_flat(self):
-        # 399 rotated 6-d members and 2,000 cross-check points: one members x
-        # samples x dim array would be 19 MB
+        # 399 rotated 6-d members: their half-widths are one members x dim
+        # array, and the probe draws no points
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         eig = rng.uniform(0.5, 2.0, 6)
@@ -867,7 +845,7 @@ class TestMappedWidths:
         seq = gaussian_om_family(members, limit, list(range(2, 401)))
         tracemalloc.start()
         try:
-            entry = equicoercivity_probe(seq, 1.0, 2000, seed=1)
+            entry = equicoercivity_probe(seq, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -918,7 +896,7 @@ class TestStackedHalfwidths:
         assert len(bases) == {"rotated-own-basis": 9, "degenerate-gaussian": 2,
                               "interleaved": 11}.get(name, 1)
         for t in (0.0, 0.37, 1.0, 5.0):
-            h = _halfwidths(_stacked_forms(window), t)
+            h = _halfwidths(window, t)
             np.testing.assert_array_equal(h, np.stack([sublevel_halfwidth(mu, t)
                                                        for mu in window]))
             np.testing.assert_array_equal(h, np.stack([reference_halfwidth(mu, t)
@@ -940,7 +918,7 @@ class TestEquicoercivityFails:
     def test_growing_variances(self):
         seq = _escaping_gaussians(
             lambda n: GaussianMeasure(np.zeros(4), SpectralOperator(np.full(4, n * n * 1.0))))
-        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        entry = equicoercivity_probe(seq, 1.0)
         assert entry.verdict == "fail"
         assert entry.witness_index == 39
         assert entry.violations == 20  # every window member n = 20..39 exceeds 2x
@@ -951,7 +929,7 @@ class TestEquicoercivityFails:
     def test_moving_means(self):
         seq = _escaping_gaussians(
             lambda n: GaussianMeasure(np.full(4, float(n)), SpectralOperator(np.ones(4))))
-        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        entry = equicoercivity_probe(seq, 1.0)
         assert entry.verdict == "fail"
         assert entry.witness_index == 39
         assert entry.ratio == pytest.approx((39 + math.sqrt(2)) / math.sqrt(2), rel=1e-12)
@@ -962,7 +940,7 @@ class TestEquicoercivityFails:
         indices = [2 ** k for k in range(1, 17)]
         members = [BesovMeasure(0.2 if n % 4 == 0 else 1.0 + 1.0 / n, 1, 1.0, 50)
                    for n in range(1, 17)]
-        entry = equicoercivity_probe(besov_om_family(members, limit, indices), 1.0, 200, seed=1)
+        entry = equicoercivity_probe(besov_om_family(members, limit, indices), 1.0)
         assert entry.verdict == "fail"
         assert entry.first_index_checked == 2 ** 9
         assert entry.violations == 2  # n = 12 and 16, indices 2^12 and 2^16
@@ -975,7 +953,7 @@ class TestEquicoercivityFails:
         # 3x the limit's, which only the ambient tail read sees
         seq = _escaping_gaussians(lambda n: GaussianMeasure(
             np.zeros(4), SpectralOperator(np.array([1.0, 1.0, 9.0, 9.0]))))
-        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        entry = equicoercivity_probe(seq, 1.0)
         assert entry.ratio == pytest.approx(1.0) and entry.slope == pytest.approx(0.0)
         assert entry.tail_ratio == pytest.approx(3.0, rel=1e-12)
         assert entry.verdict == "fail" and entry.violations == 20
@@ -986,7 +964,7 @@ class TestEquicoercivityFails:
         # like n^(1/2); only the slope read sees it
         seq = _escaping_gaussians(
             lambda n: GaussianMeasure(np.zeros(4), SpectralOperator(np.full(4, 0.04 * n))))
-        entry = equicoercivity_probe(seq, 1.0, 200, seed=1)
+        entry = equicoercivity_probe(seq, 1.0)
         assert entry.ratio < 2.0 and entry.tail_ratio < 2.0
         assert entry.slope == pytest.approx(0.5, rel=1e-12)
         assert entry.verdict == "fail" and entry.violations == 0
@@ -999,29 +977,9 @@ class TestEquicoercivityFails:
         limit = GaussianMeasure(np.zeros(2), SpectralOperator(np.ones(2)))
         members = [GaussianMeasure(np.zeros(2), SpectralOperator(np.full(2, (1 - 1 / n) ** 2)))
                    for n in idx]
-        entry = equicoercivity_probe(gaussian_om_family(members, limit, idx), 1.0, 100, seed=1)
+        entry = equicoercivity_probe(gaussian_om_family(members, limit, idx), 1.0)
         assert entry.slope == pytest.approx(math.log(16 / 15) / math.log(5 / 4), rel=1e-12)
         assert entry.verdict == "pass" and entry.witness_index is None
-
-    def test_cross_check_catches_a_wrong_halfwidth(self):
-        # a factor whose reach ignores the basis rotation understates C_kk
-        # for some k; the mapped draw lands outside those half-widths
-        class MisreadFactor(NormalFactor):
-            def sublevel_reach(self, basis, scale, spread, t):
-                return np.sqrt(2.0 * t * spread)
-
-        class Misread(GaussianMeasure):
-            factor = MisreadFactor()
-
-        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
-        eig = np.array([4.0, 1.0, 0.25])
-        limit = Misread(np.zeros(3), SpectralOperator(eig, q))
-        seq = gaussian_om_family([limit] * 6, limit, list(range(1, 7)))
-        entry = equicoercivity_probe(seq, 1.0, 2000, seed=2)
-        assert entry.ratio == 1.0 and entry.slope == pytest.approx(0.0, abs=1e-12)
-        assert entry.verdict == "fail" and entry.violations == 3
-        assert entry.witness_index == 4
-        assert "mapped point" in entry.note
 
 
 def reference_single_linkage(points, tol):
