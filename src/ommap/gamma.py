@@ -350,15 +350,16 @@ def recovery_sequence(mu_seq: Sequence, mu_limit, u) -> list:
     w = np.zeros_like(c)
     w[free] = c[free] / mu_limit.scale[free]
     v = w if mu_limit.basis is None else mu_limit.basis @ w
+    # in place in the stacked copies: full-size temporaries fault afresh
+    # once glibc has trimmed the heap; matmul's batch of B y_n keeps the
+    # bits of the one-member product B @ y_n, where y @ B.T would not
     means = np.array([m.mean for m in mu_seq])
     scales = np.array([m.scale for m in mu_seq])
-    out = np.empty_like(means)
-    # matmul's batch of B y_n keeps the bits of the one-member product
-    # B @ y_n, where y @ B.T would not
     for (basis,), rows in _shared_forms([m.basis for m in mu_seq]):
-        y = scales[rows] * (v if basis is None else basis.T @ v)
-        out[rows] = means[rows] + (y if basis is None else np.matmul(basis, y[:, :, None])[:, :, 0])
-    return list(out)
+        y = scales[rows]  # a view of one group's rows, a copy of several
+        y *= v if basis is None else basis.T @ v
+        means[rows] += y if basis is None else np.matmul(basis, y[:, :, None])[:, :, 0]
+    return list(means)
 
 
 gaussian_recovery_sequence = besov_recovery_sequence = recovery_sequence

@@ -29,6 +29,8 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+# the C kernel that einsum calls when not optimising, without its dispatch
+from numpy._core.multiarray import c_einsum as _einsum
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
@@ -89,7 +91,7 @@ class NormalFactor:
         """Per row of c (over its last axis), sum_k -log density of
         c_k * inv_scale_k, up to a constant."""
         w = c * inv_scale
-        return 0.5 * np.einsum("...i,...i->...", w, w)
+        return 0.5 * _einsum("...i,...i->...", w, w)
 
     def sublevel_reach(self, basis, scale, spread, t):
         """Per row of the (n, dim) stacks, max |(B diag(scale) g)_k| over
@@ -450,7 +452,7 @@ def _uniform_pball(rng: np.random.Generator, n: int, k: int, p: float,
     if p == 2.0:
         g = rng.standard_normal((n, k), out=out)
         e = rng.standard_exponential(n)
-        g /= np.sqrt(np.einsum("ij,ij->i", g, g) + 2.0 * e)[:, None]
+        g /= np.sqrt(_einsum("ij,ij->i", g, g) + 2.0 * e)[:, None]
         return g
     # gamma(1) is the standard exponential, drawn in bulk from the same stream
     g = rng.standard_exponential((n, k)) if p == 1.0 else rng.gamma(1.0 / p, 1.0, size=(n, k))
@@ -811,7 +813,7 @@ def _gaussian_l2_log_mass(measure, centers: np.ndarray, radii: np.ndarray,
                                 full_matrices=False)
     proj = e @ u
     perp = e - proj @ u.T
-    t = radii * radii - np.einsum("ij,ij->i", perp, perp)[:, None]
+    t = radii * radii - _einsum("ij,ij->i", perp, perp)[:, None]
     log_mass, certified = _ruben_log_cdf(sigma * sigma, proj / sigma, t)
     return (log_mass, "series") if certified.all() else None
 
@@ -844,7 +846,7 @@ def _ruben_log_cdf(lam: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple:
     ratio = beta / lam
     gam = 1.0 - ratio
     wb = b * b * ratio
-    log_scale = 0.5 * float(np.sum(np.log(ratio))) - 0.5 * np.einsum("ij,ij->i", b, b)
+    log_scale = 0.5 * float(np.sum(np.log(ratio))) - 0.5 * _einsum("ij,ij->i", b, b)
     empty = t <= 0.0
     # F_nu(t / beta) = P(nu / 2, t / (2 beta)), the regularised lower incomplete gamma
     x = np.where(empty, 1.0, t) / (2.0 * beta)
@@ -860,7 +862,7 @@ def _ruben_log_cdf(lam: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple:
             powers = gam[:, None] ** (m - 1)
             g[:, m] = gam @ powers + m * (wb @ powers)
             for k in m.tolist():
-                coef[:, k] = np.einsum("ij,ij->i", g[:, 1:k + 1], coef[:, k - 1::-1]) / (2 * k)
+                coef[:, k] = _einsum("ij,ij->i", g[:, 1:k + 1], coef[:, k - 1::-1]) / (2 * k)
                 big = coef[:, k] > _COEF_MAX
                 if big.any():
                     top = coef[big, k]
@@ -1202,7 +1204,7 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     if n_fit > 1 and n_b > 1:
         r_fit = rb[:, idx]
         ok = good & np.all((r_fit > 0) & (r_fit < np.inf), axis=(1, 2))
-        intercepts = np.einsum("i,cib->cb", p0, log_rb[ok][:, idx])
+        intercepts = _einsum("i,cib->cb", p0, log_rb[ok][:, idx])
         se_draws = np.std(intercepts, axis=1, ddof=1) / math.sqrt(n_b)
         settled[ok] = se_draws <= 0.25 * se_model[ok[good]]
 

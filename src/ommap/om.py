@@ -72,11 +72,12 @@ class OmFunctional(_RowKernel):
     ``kernel`` maps the rows of an ``(n, k)`` array to their n values in
     (-inf, +inf]; ``eval``, ``values`` and ``domain_test`` derive from it.
     A product measure's functional (``_product_om``) evaluates one point
-    with the kernel itself, bit for bit the one-row result; a many-row
-    ``values`` call can still differ from ``eval`` on a row by 1 ulp,
-    since BLAS orders a matrix product's sums differently for many rows
-    than for one.  The anchor is a reference point with finite value (the
-    minimiser for the measures constructed here).
+    with the kernel itself (``ndarray.dot`` and einsum's C entry), bit
+    for bit the one-row result; a many-row ``values`` call can still
+    differ from ``eval`` on a row by 1 ulp, since BLAS orders a matrix
+    product's sums differently for many rows than for one.  The anchor
+    is a reference point with finite value (the minimiser for the
+    measures constructed here).
     """
 
     kernel: Callable[[np.ndarray], np.ndarray]
@@ -120,9 +121,10 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
     if it gives one).
 
     The kernel reads its points over the last axis, so ``eval`` calls it
-    on one point of shape (k,): the 1-d matrix product, einsum and norm
-    sum in the order of their one-row cases, bit for bit the one-row
-    value, without the (1, k) copy.
+    on one point of shape (k,), without the (1, k) copy: the change of
+    basis is one ``ndarray.dot`` call and the Gaussian sum einsum's C
+    entry, and they, like the norm, sum in the order of their one-row
+    cases, bit for bit the one-row value.
     """
     mean, basis, pinned = mu.mean, mu.basis, mu.pinned
     centred = not np.any(mean)  # then the subtraction is skipped
@@ -133,7 +135,7 @@ def _product_om(mu: ProductMeasure) -> OmFunctional:
 
     def kernel(pts: np.ndarray) -> np.ndarray:
         d = pts if centred else pts - mean
-        c = d if basis is None else d @ basis
+        c = d if basis is None else d.dot(basis)
         if not degenerate:
             return neg_log_density(c, inv_scale)
         return np.where(_in_range(c, pinned), neg_log_density(c[..., free], inv_scale), math.inf)

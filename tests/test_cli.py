@@ -288,9 +288,9 @@ class TestNegativeSeeds:
             "error: config field seed: -3 is less than the minimum of 0\n"
 
     @pytest.mark.parametrize("cfg", [
-        {**VALID_CONFIGS["gamma_check"], "sublevel_samples": 50},
+        {**VALID_CONFIGS["m_property"], "mc": {"method": "mc", "n_samples": 200}},
         {**VALID_CONFIGS["ball_ratio"], "mc": {"method": "mc", "n_samples": 200}}],
-        ids=["gamma_check", "ball_ratio-mc"])
+        ids=["m_property-mc", "ball_ratio-mc"])
     def test_run_that_draws_refuses_a_negative_seed(self, tmp_path, capsys, cfg):
         code, out = run_cli(tmp_path, {**cfg, "seed": -3})
         assert code == 2

@@ -729,6 +729,7 @@ def _recovery_families():
     besov, _ = besov_family_399()
     return {"shared-rotated-basis": (gauss(1, a), [gauss(n, a) for n in idx]),
             "two-bases-interleaved": (gauss(1, a), [gauss(n, a if n % 2 else b) for n in idx]),
+            "coordinate-and-rotated": (gauss(1, a), [gauss(n, None if n % 3 else a) for n in idx]),
             "coordinate-basis": (gauss(1, None), [gauss(n, None) for n in idx]),
             "pinned-member": (gauss(1, a), pinned),
             "besov1": (besov.limit_measure, besov.measures)}
@@ -739,9 +740,11 @@ class TestStackedRecovery:
     the per-member formula."""
 
     @pytest.mark.parametrize("name", ["shared-rotated-basis", "two-bases-interleaved",
-                                      "coordinate-basis", "pinned-member", "besov1"])
+                                      "coordinate-and-rotated", "coordinate-basis",
+                                      "pinned-member", "besov1"])
     def test_equals_the_per_member_formula(self, name):
         limit, members = _recovery_families()[name]
+        forms = [(m.mean.copy(), m.scale.copy()) for m in members]
         rng = np.random.default_rng(7)
         for _ in range(3):
             u = limit.mean + rng.laplace(size=limit.dim)
@@ -750,6 +753,12 @@ class TestStackedRecovery:
             assert len(rec) == len(want)
             for got, ref in zip(rec, want):
                 np.testing.assert_array_equal(got, ref)
+        # x_n is formed in place in stacked copies, never in a member's own
+        # mean or scale (several basis groups take the fancy-index branch)
+        for m, (mean, scale), x in zip(members, forms, rec):
+            np.testing.assert_array_equal(m.mean, mean)
+            np.testing.assert_array_equal(m.scale, scale)
+            assert not np.shares_memory(x, m.mean) and not np.shares_memory(x, m.scale)
 
 
 class TestNonProductFamilies:

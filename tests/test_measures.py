@@ -896,6 +896,36 @@ class TestMcKernel:
         assert got.tobytes() == want.tobytes()
 
 
+def _einsum_operands():
+    """Every subscript string the library passes to einsum, on the operand
+    shapes and layouts it passes: one point or a row stack, contiguous or a
+    column slice (reversed too), and a fancy-indexed fit table."""
+    rng = np.random.default_rng(11)
+    out = []
+    for shape in [(1,), (6,), (50,), (257,), (0, 6), (1, 6), (7, 50), (399, 6), (64, 257)]:
+        w = rng.normal(size=shape) * rng.uniform(0.5, 2.0, shape[-1])
+        out.append(("...i,...i->...", (w, w)))
+        if len(shape) == 2:
+            out.append(("ij,ij->i", (w, w)))
+    g, coef = rng.normal(size=(5, 40)), rng.uniform(size=(5, 40))
+    for k in (1, 2, 17, 39):
+        out.append(("ij,ij->i", (g[:, 1:k + 1], coef[:, k - 1::-1])))
+    log_rb = rng.normal(size=(6, 10, 8))
+    ok, idx = np.array([True, False, True, True, False, True]), np.array([2, 3, 5, 8])
+    out.append(("i,cib->cb", (rng.normal(size=4), log_rb[ok][:, idx])))
+    return out
+
+
+@pytest.mark.parametrize("subscripts, operands", _einsum_operands())
+def test_einsum_kernel_is_numpys_einsum_bit_for_bit(subscripts, operands):
+    got = ommap.measures._einsum(subscripts, *operands)
+    want = np.einsum(subscripts, *operands)
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestAntitheticPairs:
     @pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
     @pytest.mark.parametrize("n_samples,n_batches,half", [(80, 4, 10), (84, 4, 11), (7, 7, 1)])

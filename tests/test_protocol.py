@@ -174,10 +174,11 @@ def _one_point_priors(case, k):
             for mean in (mu.mean, np.zeros(k)) for e in (full, pinned)]
 
 
-@pytest.mark.parametrize("k", [K, 23])
+@pytest.mark.parametrize("k", [1, K, 23, 50, 200])
 def test_eval_is_the_one_row_kernel_bit_for_bit(case, k):
-    # eval calls the product kernel on the 1-d point itself: its matrix
-    # product, sums and range test must give the bits of the one-row case
+    # eval calls the product kernel on the 1-d point itself: its change of
+    # basis (ndarray.dot), sums and range test must give the bits of the
+    # one-row case, at sizes where BLAS changes its blocking too
     rng = np.random.default_rng(k)
     for mu in _one_point_priors(case, k):
         fn = prior_om(mu)
