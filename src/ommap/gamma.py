@@ -8,8 +8,11 @@ exact coordinate half-widths of the members' sublevel sets against the
 limit's; the mode-convergence check clusters minimiser sequences and
 compares cluster points against minimisers of the limit.
 
-Every "pass" verdict records how many paths, members or samples were
-read, and every "fail" carries a concrete witness.
+Every check answers "pass", "fail" or "inconclusive", and
+``fold_verdicts`` decides a bundle of checks.  Every "pass" verdict
+records how many paths, members or samples were read, every "fail"
+carries a concrete witness, and every "inconclusive" carries its reason
+in the report's ``note``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ def om_family(measures: Sequence, limit_measure,
 
 
 gaussian_om_family = besov_om_family = om_family
+
+
+def fold_verdicts(verdicts) -> str:
+    """Any "fail" fails, a non-empty bundle of passes passes, else "inconclusive"."""
+    verdicts = set(verdicts)
+    return "fail" if "fail" in verdicts else "pass" if verdicts == {"pass"} else "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,7 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     target = seq.limit.eval(x)
     if math.isinf(target):
-        return LiminfReport(x, 0, [], "skipped",
+        return LiminfReport(x, 0, [], "inconclusive",
                             note="limit value is +inf; a finite probe cannot certify it")
     names, dirs, mags = default_paths(seq, x, opts)
     start = len(seq.indices) - len(mags)
@@ -426,12 +435,13 @@ def equicoercivity_probe(seq: FunctionalSequence, t: float, samples=None,
     ``_EQUI_SLOPE_BOUND`` fails the family when the window's largest
     half-width also exceeds the limit's (sublevel sets that keep growing
     past it); the witness is the worst member.  A negative t has an empty
-    sublevel set, and passes vacuously.  The probe draws nothing:
-    ``samples`` and ``seed`` are ignored, kept only for ``perfbench``'s
-    positional call until it drops them.
+    sublevel set, and passes with a note that says so.  The probe draws
+    nothing: ``samples`` and ``seed`` are ignored, kept only for
+    ``perfbench``'s positional call until it drops them.
     """
     if t < 0:
-        return EquicoercivityEntry(t, 0, 0, "empty sublevel", "vacuous-pass")
+        return EquicoercivityEntry(t, 0, 0, "empty sublevel", "pass",
+                                   note="t < 0: the sublevel set is empty")
     lim = seq.limit_measure
     if lim is None or not seq.measures:
         raise InputError("equicoercivity probe needs a non-empty family built from measures")
@@ -593,14 +603,12 @@ def mode_convergence_check(seq: FunctionalSequence, minimizers: Sequence,
     tail = range(max(start, len(pts) - max(3, len(pts) // 20)), len(pts))
     min_gap = max(abs(seq.members[i].eval(pts[i]) - limit_min) for i in tail)
 
-    note = ""
+    verdict, note = "fail", ""
     if len(reps) > _MAX_CLUSTERS:
-        verdict = "diagnostic"
+        verdict = "inconclusive"
         note = f"no convergent subsequence found at this N ({len(reps)} clusters)"
     elif all(e <= opts.value_tol for e in value_errors) and min_gap <= opts.min_tol:
         verdict = "pass"
-    else:
-        verdict = "fail"
     return ModeConvReport(reps, sizes, limit_min, value_errors, float(min_gap),
                           verdict, note)
 
@@ -710,14 +718,16 @@ def sum_rule_check(f_seq: FunctionalSequence, g_seq: Sequence, g_limit,
         rec = recovery_fn(x)
         vals = [summed.members[i].eval(rec[i]) for i in range(start, len(rec))]
         gaps.append({"x": np.atleast_1d(x), "gap": max(0.0, max(vals) - target)})
-    ok = all(r.verdict == "pass" for r in liminf_reports) and \
-        all(g["gap"] <= recovery_tol for g in gaps)
-    return SumRuleReport(liminf_reports, gaps, "pass" if ok else "fail")
+    verdict = fold_verdicts([r.verdict for r in liminf_reports] +
+                            ["pass" if g["gap"] <= recovery_tol else "fail" for g in gaps])
+    return SumRuleReport(liminf_reports, gaps, verdict)
 
 
 @dataclass(frozen=True)
 class GammaReport:
-    """Bundle of probe outcomes for one functional family."""
+    """Bundle of probe outcomes for one functional family.  Its verdict
+    folds the liminf, equicoercivity and mode-convergence verdicts; the
+    recovery gaps are reported, not folded."""
 
     liminf: list = field(default_factory=list)
     recovery_gaps: list = field(default_factory=list)  # {"x": point, "gap": value}
@@ -726,13 +736,5 @@ class GammaReport:
     verdict: str = field(init=False)
 
     def __post_init__(self):
-        parts = [r.verdict for r in self.liminf] + [e.verdict for e in self.equicoercivity]
-        if self.mode_convergence is not None:
-            parts.append(self.mode_convergence.verdict)
-        if any(p == "fail" for p in parts):
-            verdict = "fail"
-        elif all(p in ("pass", "vacuous-pass", "skipped") for p in parts):
-            verdict = "pass"
-        else:
-            verdict = "mixed"
-        object.__setattr__(self, "verdict", verdict)
+        parts = [*self.liminf, *self.equicoercivity, self.mode_convergence]
+        object.__setattr__(self, "verdict", fold_verdicts(p.verdict for p in parts if p))

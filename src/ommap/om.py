@@ -195,6 +195,7 @@ class OmDifferenceReport:
     curve: BallRatioEstimate
     tolerance: float
     verdict: str                   # pass | fail | inconclusive
+    note: str = ""
 
 
 _WIDE_CI_FACTOR = 0.5  # CI halfwidth above this fraction of the target -> inconclusive
@@ -205,7 +206,9 @@ def om_difference_check(measure, om: OmFunctional, x1, x2, radii,
                         opts: Optional[RatioOpts] = None,
                         abs_tol: float = 1e-2) -> OmDifferenceReport:
     """Check that the ball-ratio limit equals exp(I(x2) - I(x1)), within
-    the half-width of the curve's interval plus ``abs_tol``."""
+    the half-width of the curve's interval plus ``abs_tol``.  A limit that
+    is not finite, or an interval too wide to tell, is inconclusive, with
+    its reason in ``note``."""
     i1, i2 = om.eval(x1), om.eval(x2)
     if not (math.isfinite(i1) and math.isfinite(i2)):
         raise InputError("both points must lie in the functional's effective domain")
@@ -214,15 +217,18 @@ def om_difference_check(measure, om: OmFunctional, x1, x2, radii,
     half = 0.5 * (curve.ci[1] - curve.ci[0])
     tol = half + abs_tol
     diff = abs(curve.extrapolated_limit - expected)
+    note = ""
     if not math.isfinite(curve.extrapolated_limit):
-        verdict = "inconclusive"
+        verdict, note = "inconclusive", "the ratio curve's limit is not finite"
     elif diff <= tol:
         verdict = "pass"
     elif half > _WIDE_CI_FACTOR * max(expected, 1e-12):
-        verdict = "inconclusive"
+        verdict, note = "inconclusive", (f"interval half-width {half:.3g} above "
+                                         f"{_WIDE_CI_FACTOR:g} times the target {expected:.3g}")
     else:
         verdict = "fail"
-    return OmDifferenceReport(np.atleast_1d(x1), np.atleast_1d(x2), expected, curve, tol, verdict)
+    return OmDifferenceReport(np.atleast_1d(x1), np.atleast_1d(x2), expected, curve, tol,
+                              verdict, note)
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,9 @@ class MPropertyReport:
     all_pass: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "all_pass", all(e.verdict == "pass" for e in self.entries))
+        from .gamma import fold_verdicts  # gamma imports this module
+        object.__setattr__(self, "all_pass",
+                           fold_verdicts(e.verdict for e in self.entries) == "pass")
 
 
 def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
@@ -257,7 +265,7 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
     the points, the masses ``ball_ratio_curve`` computes with the same
     ``opts``: Monte Carlo draws once for all of them, and one solve fits
     them all.  A functional whose meta carries ``finite_everywhere`` has
-    no off-domain points, and is refused.
+    no off-domain points, and is refused, as is an empty point list.
     """
     reason = om.meta.get("finite_everywhere")
     if reason:
@@ -266,11 +274,11 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
                          "points to probe")
     opts = opts or RatioOpts()
     points = list(outside_points)
+    if not points:
+        raise InputError("outside_points is empty: the probe needs at least one point")
     for x in points:
         if om.domain_test(x):
             raise InputError(f"point {x!r} passes the domain test; probe expects outside points")
-    if not points:
-        return MPropertyReport(om.anchor, [])
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
     table, _ = _log_mass_table(measure, [om.anchor, *points], radii, space, opts)

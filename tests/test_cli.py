@@ -574,6 +574,38 @@ class TestRun:
         assert [r.pop("seed") for r in results] == [1, 2]
         assert results[0] == results[1]
 
+    def test_gamma_check_with_an_undecided_liminf_is_inconclusive(self, tmp_path):
+        # F(0, 1) is +inf on the degenerate family, so the only liminf probe
+        # cannot run; every other part passes, and the bundle is not a pass
+        cfg = {"kind": "gamma_check",
+               "family": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 0.0]},
+               "liminf_points": [[0.0, 1.0]]}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        results = json.loads((out / "results.json").read_text())["results"]
+        assert results["verdict"] == "inconclusive"
+        assert results["liminf"][0]["verdict"] == "inconclusive"
+        assert results["liminf"][0]["note"] == \
+            "limit value is +inf; a finite probe cannot certify it"
+        with (out / "gamma_summary.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["liminf", "inconclusive", "0"]
+        assert {r[1] for r in rows[2:]} == {"pass"}
+
+    def test_gamma_check_recovery_gap_at_round_off_passes(self, tmp_path):
+        # F(x) = 6.5e6 here, and the recovery gap of 2.8e-9 is about 4e-16
+        # of it: round-off, judged against 1e-10 * max(1, |F(x)|)
+        cfg = {"kind": "gamma_check",
+               "family": {"type": "gaussian", "mean": [0.1, -0.2, 0.3],
+                          "eigenvalues": [1.0, 0.5, 0.25], "eigenvalue_shift": [0.5, 0.2, 0.1]},
+               "recovery_points": [[1e3, 2e3, -1e3]], "check_modes": False}
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 0
+        with (out / "gamma_summary.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:2] == ["recovery", "pass"]
+        assert 1e-10 < float(rows[1][2]) < 1e-15 * 6.5e6
+
     def test_small_noise_run(self, tmp_path):
         cfg = {"kind": "small_noise",
                "prior": {"type": "gaussian", "mean": [0.0, 0.0],

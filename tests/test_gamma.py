@@ -4,10 +4,12 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ommap.om
 from ommap import (BesovMeasure, Density1D, FunctionalSequence, GaussianMeasure, InputError,
                    LinearObservation, LiminfOpts, ModeConvOpts, NormalFactor, OmFunctional,
                    ParameterError, Potential, SpectralOperator,
@@ -20,9 +22,10 @@ from ommap._seeds import child_rng
 from ommap.cli import _json_default, _run_gamma_check
 from ommap.counterexamples import SpikeFamily, MixtureFamily, _spike_density1d
 from ommap.gamma import (_CC_RHO0, _CC_SAMPLES, _FIT_POINTS, _LIMINF_TOL, _LIMINF_WINDOW_FRAC,
-                         _MAGNITUDE_RANGE, _PATH_ALPHAS, _WINDOW_DISTANCE, _extrapolated_intercepts,
-                         _halfwidths, _single_linkage, default_paths)
-from ommap.measures import _uniform_pball
+                         _MAGNITUDE_RANGE, _PATH_ALPHAS, _WINDOW_DISTANCE, GammaReport,
+                         _extrapolated_intercepts, _halfwidths, _single_linkage, default_paths,
+                         fold_verdicts)
+from ommap.measures import RatioOpts, _uniform_pball, radius_schedule
 from pinv_reference import sqrt_apply
 from pointwise import pointwise
 
@@ -492,7 +495,9 @@ class TestLiminfProbe:
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
         seq = gaussian_om_family([mu] * 8, mu)
         rep = gamma_liminf_probe(seq, np.array([0.0, 1.0]))
-        assert rep.verdict == "skipped"
+        assert rep.verdict == "inconclusive"
+        assert rep.note == "limit value is +inf; a finite probe cannot certify it"
+        assert rep.n_paths == 0 and rep.violations == []
 
     def test_lsc_envelope_detection(self):
         # constant family of a non-lsc step: the probe margin at the jump
@@ -789,7 +794,9 @@ class TestEquicoercivity:
     def test_negative_level_vacuous(self):
         seq = gaussian_family_scale(4)
         entry = equicoercivity_probe(seq, -1.0)
-        assert entry.verdict == "vacuous-pass"
+        assert entry.verdict == "pass"
+        assert entry.note == "t < 0: the sublevel set is empty"
+        assert entry.n_members == 0
 
     def test_gaussian_family(self):
         seq = gaussian_family_scale(12)
@@ -1078,7 +1085,7 @@ class TestModeConvergence:
         rng = np.random.default_rng(8)
         scattered = [rng.uniform(-10, 10, 1) for _ in range(40)]
         rep = mode_convergence_check(seq, scattered)
-        assert rep.verdict == "diagnostic"
+        assert rep.verdict == "inconclusive"
         assert "no convergent subsequence" in rep.note
 
     def test_length_mismatch(self):
@@ -1282,3 +1289,113 @@ class TestSumRule:
         for report in (summed, gamma):
             gaps = json.loads(json.dumps(report, default=_json_default))["recovery_gaps"]
             assert gaps and all(set(g) == {"x", "gap"} for g in gaps)
+
+
+class TestFoldVerdicts:
+    @pytest.mark.parametrize("parts,verdict", [
+        (["pass", "inconclusive", "fail"], "fail"),
+        (["fail", "fail"], "fail"),
+        (["pass"], "pass"),
+        (["pass", "pass", "pass"], "pass"),
+        (["pass", "inconclusive"], "inconclusive"),
+        (["inconclusive"], "inconclusive"),
+        ([], "inconclusive"),
+    ])
+    def test_truth_table(self, parts, verdict):
+        # any fail fails; a non-empty bundle of passes passes; else inconclusive
+        assert fold_verdicts(parts) == verdict
+        assert fold_verdicts(iter(parts)) == verdict
+
+    def test_a_bundle_with_nothing_checked_is_not_a_pass(self):
+        assert GammaReport().verdict == "inconclusive"
+
+    def test_an_undecided_liminf_keeps_the_bundle_from_passing(self):
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        seq = gaussian_om_family([mu] * 8, mu)
+        liminf = gamma_liminf_probe(seq, np.array([0.0, 1.0]))
+        equi = equicoercivity_probe(seq, 1.0)
+        modes = mode_convergence_check(seq, [mu.mean] * 8)
+        assert (liminf.verdict, equi.verdict, modes.verdict) == ("inconclusive", "pass", "pass")
+        report = GammaReport(liminf=[liminf], equicoercivity=[equi], mode_convergence=modes)
+        assert report.verdict == "inconclusive"
+        # recovery gaps are reported, not folded
+        gaps = [{"x": np.zeros(2), "gap": 1.0}]
+        assert GammaReport(recovery_gaps=gaps, equicoercivity=[equi]).verdict == "pass"
+
+
+def _zero_potential(dim):
+    return pointwise(lambda u: 0.0, dim)
+
+
+def _om_difference(monkeypatch, limit, ci):
+    """``om_difference_check`` at one point, expected ratio 1, on a ratio
+    curve with the given limit and interval."""
+    monkeypatch.setattr(ommap.om, "ball_ratio_curve",
+                        lambda *args: SimpleNamespace(extrapolated_limit=limit, ci=ci))
+    mu = GaussianMeasure(np.zeros(1), SpectralOperator(np.ones(1)))
+    return ommap.om.om_difference_check(mu, prior_om(mu), np.zeros(1), np.zeros(1),
+                                        radius_schedule(0.5, 4))
+
+
+def _sum_rule(points, g_members, g_limit):
+    seq = gaussian_family_scale(16)
+    rec = lambda x: gaussian_recovery_sequence(seq.measures, seq.limit_measure, x)
+    return sum_rule_check(seq, g_members, g_limit, points, rec)
+
+
+_DEGENERATE = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+
+#: (label, verdict, the check on pytest's monkeypatch) for a branch of
+#: every check that answers pass, fail or inconclusive
+VERDICT_BRANCHES = [
+    ("liminf-pass", "pass",
+     lambda mp: gamma_liminf_probe(gaussian_family_scale(), np.zeros(2))),
+    ("liminf-fail", "fail", lambda mp: gamma_liminf_probe(step_sequence(), np.zeros(1))),
+    ("liminf-infinite-target", "inconclusive",
+     lambda mp: gamma_liminf_probe(gaussian_om_family([_DEGENERATE] * 8, _DEGENERATE),
+                                   np.array([0.0, 1.0]))),
+    ("equicoercivity-pass", "pass",
+     lambda mp: equicoercivity_probe(gaussian_family_scale(12), 2.0)),
+    ("equicoercivity-fail", "fail", lambda mp: equicoercivity_probe(_escaping_gaussians(
+        lambda n: GaussianMeasure(np.full(4, float(n)), SpectralOperator(np.ones(4)))), 1.0)),
+    ("equicoercivity-empty-sublevel", "pass",
+     lambda mp: equicoercivity_probe(gaussian_family_scale(4), -1.0)),
+    ("modes-pass", "pass", lambda mp: mode_convergence_check(
+        gaussian_om_family([_DEGENERATE] * 20, _DEGENERATE), [np.zeros(2)] * 20)),
+    ("modes-fail", "fail", lambda mp: mode_convergence_check(
+        gaussian_om_family([_DEGENERATE] * 20, _DEGENERATE), [np.array([1.0, 0.0])] * 20)),
+    ("modes-no-convergent-subsequence", "inconclusive", lambda mp: mode_convergence_check(
+        gaussian_om_family([_DEGENERATE] * 40, _DEGENERATE),
+        [np.array([float(k), 0.0]) for k in range(40)])),
+    ("continuous-pass", "pass", lambda mp: continuous_convergence_probe(
+        [_zero_potential(1)] * 8, _zero_potential(1), [np.zeros(1)])[0]),
+    ("continuous-fail", "fail", lambda mp: continuous_convergence_probe(
+        [pointwise(lambda u: 1.0, 1)] * 8, _zero_potential(1), [np.zeros(1)])[0]),
+    ("sum-rule-pass", "pass",
+     lambda mp: _sum_rule([np.zeros(2)], [_zero_potential(2)] * 16, _zero_potential(2))),
+    ("sum-rule-fail", "fail", lambda mp: _sum_rule(
+        [np.zeros(2)], [pointwise(lambda u: 1.0, 2)] * 16, _zero_potential(2))),
+    ("sum-rule-infinite-target", "inconclusive", lambda mp: _sum_rule(
+        [np.array([1.0, 0.0])], [_zero_potential(2)] * 16,
+        pointwise(lambda u: math.inf if u[0] > 0.5 else 0.0, 2))),
+    ("m-property-pass", "pass", lambda mp: ommap.om.m_property_probe(
+        _DEGENERATE, prior_om(_DEGENERATE), [np.array([0.0, 1.0])], radius_schedule(0.4, 8),
+        opts=RatioOpts(n_samples=5_000, seed=4)).entries[0]),
+    ("om-difference-pass", "pass", lambda mp: _om_difference(mp, 1.0, (0.99, 1.01))),
+    ("om-difference-fail", "fail", lambda mp: _om_difference(mp, 3.0, (2.9, 3.1))),
+    ("om-difference-limit-not-finite", "inconclusive",
+     lambda mp: _om_difference(mp, math.nan, (math.nan, math.nan))),
+    ("om-difference-wide-interval", "inconclusive",
+     lambda mp: _om_difference(mp, 3.0, (2.0, 4.0))),
+]
+
+
+@pytest.mark.parametrize("verdict,check", [pytest.param(v, c, id=label)
+                                           for label, v, c in VERDICT_BRANCHES])
+def test_every_check_answers_pass_fail_or_inconclusive(monkeypatch, verdict, check):
+    report = check(monkeypatch)
+    assert report.verdict == verdict
+    assert report.verdict in {"pass", "fail", "inconclusive"}
+    # an inconclusive answer says why
+    if verdict == "inconclusive" and hasattr(report, "note"):
+        assert report.note

@@ -330,6 +330,13 @@ class TestMPropertyProbe:
         rep = m_property_probe(m, fn, [np.array([2.1])], radii)
         assert rep.entries[0].verdict == "pass"
 
+    def test_refuses_an_empty_point_list(self):
+        # a probe over nothing checks nothing: no all_pass over no entries
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        with pytest.raises(InputError, match="outside_points is empty"):
+            m_property_probe(mu, prior_om(mu), [], radius_schedule(0.5, 4))
+        assert om.MPropertyReport(np.zeros(2), []).all_pass is False
+
     def test_rejects_domain_points(self):
         mu = std_gaussian(1)
         with pytest.raises(InputError):

@@ -150,3 +150,23 @@ def test_output_digests_liminf_config_reads_the_oscillating_ratios(tmp_path):
     ratios = json.loads((tmp_path / "out" / "results.json").read_text())["results"]["ratios"]
     want = [q for n in range(1, 9) for q in (2.0, 2.0 ** -(n + 2))]
     np.testing.assert_allclose(ratios, want, rtol=1e-12, atol=0)
+
+
+def test_output_digests_flags_words_outside_the_verdict_vocabularies():
+    # the walker alone, in a process of its own (the tool sets its BLAS
+    # threads and import path when it loads)
+    results = {"results": {"verdict": "mixed", "strong": "yes", "global_weak": "maybe",
+                           "liminf": [{"verdict": "pass"}, {"verdict": "skipped"}],
+                           "equicoercivity": [{"verdict": "vacuous-pass"}],
+                           "mode_convergence": {"verdict": "inconclusive", "note": "x"},
+                           "report": {"weak": "no", "strong": "inconclusive"}},
+               "verdict": "fail"}
+    script = ("import json, sys; sys.path.insert(0, 'tools'); import output_digests as od; "
+              "print(json.dumps(od.off_vocabulary(json.loads(sys.stdin.read()))))")
+    done = subprocess.run([sys.executable, "-c", script], cwd=TOOL.parents[1],
+                          input=json.dumps(results), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["/results/verdict: 'mixed'",
+                                       "/results/global_weak: 'maybe'",
+                                       "/results/liminf/1/verdict: 'skipped'",
+                                       "/results/equicoercivity/0/verdict: 'vacuous-pass'"]

@@ -25,8 +25,11 @@ Run it from the repository root of each commit and diff the outputs:
     python3 tools/output_digests.py > digests.txt
 
 An op whose check fails or finds a quiet wrong answer, an extra config
-or figure that does not exit 0, or an invalid config that does not exit
-2, is also reported on standard error, and the exit code is then 1.
+or figure that does not exit 0, an invalid config that does not exit 2,
+or a results.json with a ``verdict`` other than pass, fail or
+inconclusive, or a ``strong``, ``weak`` or ``global_weak`` mode word
+other than yes, no or inconclusive, is also reported on standard error,
+and the exit code is then 1.
 """
 
 import os
@@ -235,6 +238,35 @@ INVALID_CONFIGS = (
 )
 
 
+_MODE_WORDS = {"yes", "no", "inconclusive"}
+#: the words each key of a results.json record may hold: a check's verdict,
+#: and the paper's answers to "is x a mode?"
+VOCABULARY = {"verdict": {"pass", "fail", "inconclusive"}, "strong": _MODE_WORDS,
+              "weak": _MODE_WORDS, "global_weak": _MODE_WORDS}
+
+
+def off_vocabulary(node, where: str = "") -> list:
+    """``/path: word`` for each key of ``VOCABULARY`` in a parsed
+    results.json whose value is not one of its words."""
+    items = enumerate(node) if isinstance(node, list) else \
+        node.items() if isinstance(node, dict) else ()
+    bad = []
+    for key, value in items:
+        if key in VOCABULARY and not (isinstance(value, str) and value in VOCABULARY[key]):
+            bad.append(f"{where}/{key}: {value!r}")
+        bad += off_vocabulary(value, f"{where}/{key}")
+    return bad
+
+
+def _vocabulary_faults(results: Path, label: str) -> int:
+    """1 after reporting the off-vocabulary words of a results.json on
+    standard error, else 0."""
+    bad = off_vocabulary(json.loads(results.read_text()))
+    for word in bad:
+        print(f"{label} results.json{word}", file=sys.stderr)
+    return int(bool(bad))
+
+
 def _extra_digests() -> int:
     bad = 0
     for label, cfg in EXTRA_CONFIGS:
@@ -249,6 +281,7 @@ def _extra_digests() -> int:
                 continue
             digest = hashlib.sha256((out / "results.json").read_bytes()).hexdigest()[:16]
             print(f"cli_extra {cfg['seed']} {label} {digest}", flush=True)
+            bad += _vocabulary_faults(out / "results.json", f"cli_extra {cfg['seed']} {label}")
             for path in sorted(out.glob("*.csv")):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                 print(f"cli_extra {cfg['seed']} {label} {path.name} {digest}", flush=True)
@@ -272,6 +305,7 @@ def _figure_digests() -> int:
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                 print(f"reproduce {fig} {path.name} {digest}", flush=True)
+            bad += _vocabulary_faults(out / "results.json", f"reproduce {fig}")
     return bad
 
 
@@ -304,6 +338,8 @@ def main() -> int:
                         bad += 1
                         print(f"{name} {seed} {op.kind}: {out.failed or out.wrong}",
                               file=sys.stderr)
+                for results in sorted(Path(work).rglob("results.json")):
+                    bad += _vocabulary_faults(results, f"{name} {seed} {results.parent.name}")
     bad += _extra_digests()
     bad += _figure_digests()
     bad += _invalid_digests()
