@@ -26,8 +26,8 @@ import numpy as np
 
 from ._seeds import child_rng
 from .errors import InputError, ParameterError
-from .measures import (ProductMeasure, _in_range, _uniform_pball, default_space,
-                       sublevel_halfwidth)
+from .measures import (ProductMeasure, _in_range, _poly_intercepts, _uniform_pball,
+                       default_space, sublevel_halfwidth)
 from .om import OmFunctional, posterior_om, prior_om
 from .spaces import WeightedSeqSpace, _as_vector, row_norms
 
@@ -175,11 +175,11 @@ def gamma_liminf_probe(seq: FunctionalSequence, x,
     path whenever the functionals are merely smooth, so the probe
     estimates the liminf along each path instead: the deficit
     F(x) - F_n(x_n) over the trailing index window is extrapolated to
-    zero path distance (``_extrapolated_intercepts``: the least-squares
-    polynomials of degree 1..3 of every path at once, from one three-term
-    recurrence), and a positive intercept beyond ``_LIMINF_TOL`` is a
-    violation, recorded with its witness point, the path's point of
-    largest deficit in the window.
+    zero path distance (``_extrapolated_intercepts``: least-squares fits of
+    degree 1..3 of every path at once, by ``measures._poly_intercepts``,
+    the ratio curves' routine), and a positive intercept beyond
+    ``_LIMINF_TOL`` is a violation, recorded with its witness point, the
+    path's point of largest deficit in the window.
 
     Every path distance shrinks strictly with n, so a fit reads the last
     ``_FIT_POINTS`` window members of a path that is finite on all of
@@ -260,19 +260,10 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
     than 2, or all points at distance zero, the column's maximum deficit
     is returned, and NaN for a column without points.
 
-    All columns are fitted at once by Forsythe's discrete orthogonal
-    polynomials.  The present abscissae are mapped onto s in [-1, 1] by
-    their midpoint m and half-range h, and the Stieltjes recurrence
-    p_{k+1} = (s - a_k) p_k - b_k p_{k-1}, with p_0 = 1 on the present
-    points and 0 on the absent ones, a_k = <s p_k, p_k> / <p_k, p_k> and
-    b_k = <p_k, p_k> / <p_{k-1}, p_{k-1}>, gives every degree's
-    least-squares fit as sum_{j<=k} c_j p_j.  c_j = <y, p_j> / <p_j, p_j>
-    is taken from the residual of the degree j - 1 fit in place of y,
-    equal in exact arithmetic and robust to the p_j's rounding away from
-    orthogonality.  The same recurrence evaluates each p_j at
-    s_0 = -m/h, the zero abscissa.  Sums run over each column's points
-    alone, so every column's result is the one it has when fitted by
-    itself.
+    All columns are fitted at once by ``_poly_intercepts``, whose
+    three-term recurrence gives every degree's intercept in one pass.
+    Sums run over each column's points alone, so every column's result is
+    the one it has when fitted by itself.
     """
     present = ~np.isnan(deficits)
     order = np.argsort(np.where(present, dists, np.inf), axis=0,
@@ -286,37 +277,10 @@ def _extrapolated_intercepts(dists: np.ndarray, deficits: np.ndarray) -> np.ndar
     distinct = near[0] + np.sum(near[1:] & (d[1:] > d[:-1]), axis=0)
     best = np.where(near[0], np.max(np.where(near, de, -np.inf), axis=0), np.nan)
     fit = (distinct >= 2) & (scale >= 1e-14)
-    s, y, p = d[:, fit], de[:, fit], near[:, fit].astype(float)
-    lo, half = s[0], (scale[fit] - s[0]) / 2
-    # (s - m) / h, with s - lo exact on a clustered window
-    s, s0, at0 = (s - lo) / half - 1, -lo / half - 1, np.ones_like(lo)
-    p_prev = at0_prev = inv_prev = intercept = 0.0
-    fits = []
-    for k in range(4):
-        pp = p * p
-        norm = _column_sums(pp)
-        # p_k vanishes on the points once k reaches their distinct count,
-        # and its coefficients with it
-        inv = 1.0 / np.maximum(norm, np.finfo(float).tiny)
-        c = _column_sums(y * p) * inv
-        intercept = intercept + c * at0
-        fits.append(intercept)
-        if k == 3:
-            break
-        y = y - c * p
-        a, b = _column_sums(s * pp) * inv, norm * inv_prev
-        p, p_prev = (s - a) * p - b * p_prev, p
-        at0, at0_prev = (s0 - a) * at0 - b * at0_prev, at0
-        inv_prev = inv
+    fits = _poly_intercepts(d[:, fit], de[:, fit], near[:, fit], 3)[0]
     degree = np.arange(1, 4)[:, None]  # fits[0] is the mean, not a candidate
     best[fit] = np.min(np.where(distinct[fit] > degree, fits[1:], np.inf), axis=0)
     return best
-
-
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over the first axis as a running sum, in the same order for any
-    number of columns (a reduction may pair the terms of a lone column)."""
-    return np.add.accumulate(a, axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------

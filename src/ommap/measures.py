@@ -1142,6 +1142,60 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
                              opts.seed, stream, opts.closed, settled), "monte-carlo")
 
 
+def _poly_intercepts(x: np.ndarray, y: np.ndarray, present: np.ndarray, degree: int) -> tuple:
+    """Intercepts at x = 0 of each column's least-squares polynomials of
+    degree 0..``degree``, as a list of (columns,) arrays, and the residual
+    of the last fit, a (points, columns) array.
+
+    ``x``, ``y`` and ``present`` broadcast to (points, columns).  The
+    abscissae are nonnegative; a column's present points come first, by
+    ascending abscissa, and its absent ones hold x = 0 and a finite y.
+
+    All columns are fitted at once by Forsythe's discrete orthogonal
+    polynomials (Forsythe 1957).  The present abscissae are mapped onto s
+    in [-1, 1] by their midpoint m and half-range h, and the Stieltjes
+    recurrence p_{k+1} = (s - a_k) p_k - b_k p_{k-1}, with p_0 = 1 on the
+    present points and 0 on the absent ones, a_k = <s p_k, p_k> /
+    <p_k, p_k> and b_k = <p_k, p_k> / <p_{k-1}, p_{k-1}>, gives every
+    degree's least-squares fit as sum_{j<=k} c_j p_j.  c_j = <y, p_j> /
+    <p_j, p_j> is taken from the residual of the degree j - 1 fit in
+    place of y, equal in exact arithmetic and robust to the p_j's
+    rounding away from orthogonality.  The same recurrence evaluates each
+    p_j at s_0 = -m/h, the zero abscissa.  Degrees from a column's count
+    of distinct abscissae on fit nothing new.  Sums run over each column's
+    points alone, as running sums (``_column_sums``), with no BLAS kernel,
+    so every column's result is, bit for bit, the one it has alone.
+    """
+    lo, hi, p = x[0], x.max(axis=0), present.astype(float)
+    half = np.where(hi > lo, hi - lo, 2.0) / 2  # one abscissa: any h, unread
+    # (s - m) / h, with s - lo exact on a clustered window
+    s, s0, at0 = (x - lo) / half - 1, -lo / half - 1, np.ones_like(half)
+    p_prev = at0_prev = inv_prev = 0.0
+    fits = [0.0]
+    for k in range(degree + 1):
+        pp = p * p
+        norm = _column_sums(pp)
+        # p_k vanishes on the points once k reaches their distinct count,
+        # and its coefficients with it
+        inv = 1.0 / np.maximum(norm, np.finfo(float).tiny)
+        c = _column_sums(y * p) * inv
+        fits.append(fits[-1] + c * at0)
+        y = y - c * p
+        if k == degree:
+            break
+        a, b = _column_sums(s * pp) * inv, norm * inv_prev
+        p, p_prev = (s - a) * p - b * p_prev, p
+        at0, at0_prev = (s0 - a) * at0 - b * at0_prev, at0
+        inv_prev = inv
+    return fits[1:], y
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis as a running sum, in the same order for any
+    number of columns (a reduction may pair the terms of a lone column)."""
+    return np.add.accumulate(a, axis=0)[-1]
+
+
 def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
                   opts: RatioOpts) -> dict:
     """Ratio curves of the rows of two log mass tables, (n, radii, batches)
@@ -1153,13 +1207,13 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     spread taken relative to the ratio so that it cannot overflow.  A
     limit fits log(ratio) linearly against r (or sqrt r), or by a constant
     at one radius, over the smallest radii and reports the exponentiated
-    intercept.  The curves share the design matrix, so one solve with a
-    right-hand side per curve fits them all, bit for bit as one solve per
-    curve for up to 7 radii in the fit window (from 8, LAPACK may round an
-    intercept 1 ulp apart).  The intercept is linear in the log ratios, so
-    its sd is exact: se_fit = sqrt(sum_i (P[0, i] se_i / y_i)^2) with P the
-    fit's pseudoinverse.  The interval exp(c0 -+ (1.96 se_fit + 2
-    se_model)) widens it by twice the rms fit residual for model error.
+    intercept.  One call of ``_poly_intercepts`` fits every curve, bit for
+    bit as each curve alone at any window and BLAS kernel, and the unit
+    vectors of the fit window, whose intercepts are the fit's weights P[0].
+    The intercept is linear in the log ratios, so its sd is exact: se_fit
+    = sqrt(sum_i (P[0, i] se_i / y_i)^2).  The interval exp(c0 -+ (1.96
+    se_fit + 2 se_model)) widens it by twice the rms fit residual for
+    model error.
     Infinite or nonpositive ratios in the fit window give no fit, an
     exponent beyond the largest float reads +inf, and a denominator of
     zero mass is named, each in a diagnostic.
@@ -1189,13 +1243,10 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     y, se = ratios[:, idx], ses[:, idx]
     good = np.all(np.isfinite(y) & (y > 0), axis=1)
     x = np.sqrt(radii[idx]) if opts.fit_in == "sqrt_r" else radii[idx]
-    a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
-    logy = np.log(y[good])
-    coef = np.linalg.lstsq(a, logy.T, rcond=None)[0]
-    # a stack of matrix-vector products rounds as a one-curve fit does
-    resid = logy - np.matmul(a, coef.T[:, :, None])[:, :, 0]
-    se_model = np.sqrt(np.mean(resid ** 2, axis=1))
-    p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
+    # the unit vectors' intercepts are the weights P[0], then each curve's
+    rhs = np.concatenate([np.eye(n_fit), np.log(y[good]).T], axis=1)
+    fits, resid = _poly_intercepts(x[:, None], rhs, np.ones((n_fit, 1), bool), min(n_fit, 2) - 1)
+    p0, se_model = fits[-1][:n_fit], np.sqrt(_column_sums(resid[:, n_fit:] ** 2) / n_fit)
     se_fit = np.sqrt(np.sum((p0 * se[good] / y[good]) ** 2, axis=1))
     half = 1.96 * se_fit + 2.0 * se_model
 
@@ -1215,8 +1266,8 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
     for i in np.flatnonzero(~good):
         out["diagnostic"][i] = ("infinite-ratios-in-fit-window" if np.any(np.isposinf(y[i]))
                                 else "nonpositive-ratios-in-fit-window")
-    for i, c0, h, sf, sm in zip(np.flatnonzero(good), coef[0], half.tolist(), se_fit.tolist(),
-                                se_model.tolist()):
+    for i, c0, h, sf, sm in zip(np.flatnonzero(good), fits[-1][n_fit:], half.tolist(),
+                                se_fit.tolist(), se_model.tolist()):
         limit = _exp_or_inf(c0)
         ci = (_exp_or_inf(c0 - h), _exp_or_inf(c0 + h))
         if math.isinf(ci[1]):

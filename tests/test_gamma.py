@@ -3,7 +3,6 @@
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +25,7 @@ from ommap.gamma import (_CC_RHO0, _CC_SAMPLES, _FIT_POINTS, _LIMINF_TOL, _LIMIN
                          _extrapolated_intercepts, _halfwidths, _single_linkage, default_paths,
                          fold_verdicts)
 from ommap.measures import RatioOpts, _uniform_pball, radius_schedule
+from lstsq_reference import exact_lstsq_intercept
 from pinv_reference import sqrt_apply
 from pointwise import pointwise
 
@@ -137,23 +137,6 @@ def assert_violations(rep, expected):
                                [m for _, _, m, _ in expected], rtol=0, atol=1e-9)
 
 
-def exact_lstsq_intercept(d, y, degree):
-    """The constant term of the least-squares polynomial of the given
-    degree through (d, y), in exact rational arithmetic: the normal
-    equations of the Fraction design, solved by Gauss-Jordan elimination."""
-    d, y = [Fraction(float(v)) for v in d], [Fraction(float(v)) for v in y]
-    rows = [[sum(t ** (i + j) for t in d) for j in range(degree + 1)]
-            + [sum(v * t ** i for t, v in zip(d, y))] for i in range(degree + 1)]
-    for i in range(degree + 1):
-        pivot = next(r for r in range(i, degree + 1) if rows[r][i] != 0)
-        rows[i], rows[pivot] = rows[pivot], rows[i]
-        rows[i] = [v / rows[i][i] for v in rows[i]]
-        for r in range(degree + 1):
-            if r != i:
-                rows[r] = [v - rows[r][i] * w for v, w in zip(rows[r], rows[i])]
-    return rows[0][-1]
-
-
 def reference_intercept(dists, deficits):
     """One column's intercept by exact least squares: the 8 nearest
     points, fits of degree 1..3 (up to one less than the distinct
@@ -164,7 +147,7 @@ def reference_intercept(dists, deficits):
     distinct = len(set(d.tolist()))
     if distinct < 2 or d[-1] < 1e-14:
         return float(np.max(de))
-    return float(min(exact_lstsq_intercept(d, de, q)
+    return float(min(exact_lstsq_intercept(d, de, q)[0]
                      for q in range(1, min(3, distinct - 1) + 1)))
 
 

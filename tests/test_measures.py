@@ -31,6 +31,7 @@ from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _h
                             _log_mean_of_parts, _log_sum_exp_parts, _merge_log_sum_exp,
                             _product_exact_log_mass, _ratio_curves, _uniform_pball,
                             _LOW_CONFIDENCE_REL_ERR)
+from lstsq_reference import exact_lstsq_intercept
 
 
 def std_gaussian(k):
@@ -571,8 +572,12 @@ class TestRatioCurve:
 
 
 def _one_curve(log_num, log_den, radii, opts):
-    """One ratio curve and its fit as the per-curve code computed them
-    before the fits were batched: two least-squares solves per curve."""
+    """One ratio curve and its fit, per curve: ratios and stderrs as the
+    per-curve code computed them before the fits were batched, and the fit
+    by exact least squares (``exact_lstsq_intercept``).  Returns the fields
+    and, for a curve with a fit, ``(M, c0, se_fit, half)``: the largest
+    |log ratio| in the fit window, the exact log limit rounded once, the
+    intercept's sd and the interval's half-width; None without a fit."""
     def log_mean_exp(x):
         top = np.max(x, axis=1, keepdims=True)
         top[~np.isfinite(top)] = 0.0
@@ -596,7 +601,7 @@ def _one_curve(log_num, log_den, radii, opts):
     scale = np.where((ratios > 0) & (ratios < np.inf), ratios, 1.0)[k]
     ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
     ses = np.nan_to_num(ses)
-    out = {"ratios": ratios, "stderr": ses}
+    out, fit = {"ratios": ratios, "stderr": ses}, None
     n_fit = min(opts.fit_points, len(radii))
     idx = np.argsort(radii)[:n_fit]
     r, y, se = radii[idx], ratios[idx], ses[idx]
@@ -607,31 +612,58 @@ def _one_curve(log_num, log_den, radii, opts):
                                else "nonpositive-ratios-in-fit-window"))
     else:
         x = np.sqrt(r) if opts.fit_in == "sqrt_r" else r
-        logy = np.log(y)
-        a = np.column_stack([np.ones_like(x), x])[:, :min(n_fit, 2)]
-        coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
-        se_model = float(np.sqrt(np.mean((logy - a @ coef) ** 2)))
-        p0 = np.linalg.lstsq(a, np.eye(n_fit), rcond=None)[0][0]
+        logy, degree = np.log(y), min(n_fit, 2) - 1
+        c0, se_model = exact_lstsq_intercept(x, logy, degree)
+        c0 = float(c0)
+        p0 = np.array([float(exact_lstsq_intercept(x, e, degree)[0]) for e in np.eye(n_fit)])
         se_fit = float(np.sqrt(np.sum((p0 * se / y) ** 2)))
         half = 1.96 * se_fit + 2.0 * se_model
-        limit = exp_or_inf(coef[0])
-        ci = (exp_or_inf(coef[0] - half), exp_or_inf(coef[0] + half))
+        limit = exp_or_inf(c0)
+        ci = (exp_or_inf(c0 - half), exp_or_inf(c0 + half))
         if math.isinf(ci[1]):
             diagnostic = "limit-overflow" if math.isinf(limit) else "ci-upper-overflow"
         else:
             diagnostic = "single-radius-no-extrapolation" if n_fit == 1 else None
         out.update(extrapolated_limit=limit, ci=ci, se_model=se_model,
                    se_limit=limit * math.hypot(se_fit, se_model), diagnostic=diagnostic)
+        fit = (float(np.max(np.abs(logy))), c0, se_fit, half)
     if np.any(outside):
         out["diagnostic"] = "x2 outside support"
-    return out
+    return out, fit
+
+
+def _assert_near_exact_fit(got, want, fit):
+    """One curve's fitted fields against ``_one_curve``'s exact fit.  The
+    log limit may sit 4 eps M from the exact intercept and se_model eps M
+    from the exact rms residual, M the largest |log ratio| in the fit
+    window; the stderr weights P[0] may round to a relative 8 eps, and each
+    exp, subtraction and product adds its own rounding."""
+    eps = np.finfo(float).eps
+    m, c0, se_fit, half = fit
+
+    def close(g, w, tol):
+        assert g == w or (math.isfinite(w) and abs(g - w) <= tol), (g, w, tol)
+
+    d_log = 4 * eps * m + 2 * eps  # the log limit, and exp's rounding on both sides
+    d_half = 1.96 * 8 * eps * se_fit + 2 * eps * m + eps * half
+    close(got["se_model"], want["se_model"], eps * m)
+    limit = want["extrapolated_limit"]
+    close(got["extrapolated_limit"], limit, d_log * limit)
+    for g, w, end in zip(got["ci"], want["ci"], (c0 - half, c0 + half)):
+        close(g, w, (d_log + d_half + eps * abs(end)) * w)
+    h = math.hypot(se_fit, want["se_model"])
+    close(got["se_limit"], want["se_limit"], limit * (d_log * h + 8 * eps * se_fit + eps * m
+                                                       + 3 * eps * h))
 
 
 def _assert_same_curves(log_num, log_den, radii, opts):
     """``_ratio_curves`` over broadcast rows against ``_one_curve`` on each
-    pair of rows, floats compared bit for bit; returns the diagnostics.
-    Per-batch ratios near the largest float overflow the standard error's
-    squares in both, which is not what is compared here."""
+    pair of rows: ratios, stderrs and diagnostics bit for bit, the fitted
+    fields within round-off of the exact fit (``_assert_near_exact_fit``),
+    and every field bit for bit as ``_ratio_curves`` gives it on that pair
+    alone; returns the diagnostics.  Per-batch ratios near the largest
+    float overflow the standard error's squares in both, which is not what
+    is compared here."""
     with np.errstate(over="ignore", invalid="ignore"):
         got = _ratio_curves(log_num, log_den, radii, opts)
     n = max(len(log_num), len(log_den))
@@ -639,15 +671,33 @@ def _assert_same_curves(log_num, log_den, radii, opts):
     assert all(len(v) == n for v in got.values())
     bits = lambda v: np.asarray(v, dtype=float).view(np.int64)
     for i in range(n):
+        num, den = log_num[min(i, len(log_num) - 1)], log_den[min(i, len(log_den) - 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            want = _one_curve(log_num[min(i, len(log_num) - 1)],
-                              log_den[min(i, len(log_den) - 1)], radii, opts)
-        for key, value in want.items():
-            if key == "diagnostic":
-                assert got[key][i] == value, (i, key)
-            else:
-                np.testing.assert_array_equal(bits(got[key][i]), bits(value), err_msg=f"{i} {key}")
+            want, fit = _one_curve(num, den, radii, opts)
+            alone = _ratio_curves(num[None], den[None], radii, opts)
+        row = {key: value[i] for key, value in got.items()}
+        assert row.pop("diagnostic") == alone.pop("diagnostic")[0] == want["diagnostic"], i
+        for key, value in alone.items():
+            np.testing.assert_array_equal(bits(row[key]), bits(value[0]), err_msg=f"{i} {key}")
+        exact = ("ratios", "stderr") if fit else want.keys() - {"diagnostic"}
+        for key in exact:
+            np.testing.assert_array_equal(bits(row[key]), bits(want[key]), err_msg=f"{i} {key}")
+        if fit:
+            _assert_near_exact_fit(row, want, fit)
     return got["diagnostic"]
+
+
+def _count_fits(monkeypatch) -> list:
+    """The number of columns of each ``_poly_intercepts`` call that
+    ``_ratio_curves`` makes from here on."""
+    calls, fit = [], ommap.measures._poly_intercepts
+
+    def counted(x, y, present, degree):
+        calls.append(y.shape[1])
+        return fit(x, y, present, degree)
+
+    monkeypatch.setattr(ommap.measures, "_poly_intercepts", counted)
+    return calls
 
 
 #: (diagnostic, log ratio as a function of the radius) of the synthetic rows
@@ -680,8 +730,8 @@ def _synthetic_tables(radii, n_batches, seed):
 
 
 class TestRatioCurves:
-    """The batched fit of every curve of a mass table against the
-    per-curve formula, compared bit for bit."""
+    """The batched fit of every curve of a mass table against each curve
+    fitted alone, bit for bit, and against exact least squares."""
 
     @pytest.mark.parametrize("n_batches", [1, 20])
     @pytest.mark.parametrize("levels,fit_in", [(8, "r"), (8, "sqrt_r"), (1, "r")])
@@ -702,21 +752,32 @@ class TestRatioCurves:
         assert many[-1] == "nonpositive-ratios-in-fit-window"
         assert one[-1] == "x2 outside support"
 
-    @pytest.mark.parametrize("fit_points", [8, 12])
+    @pytest.mark.parametrize("fit_points", [1, 2, 5, 8, 12, 14])
     def test_long_fit_window_agrees_to_the_last_bit(self, fit_points):
-        # from 8 radii in the fit window LAPACK solves several right-hand
-        # sides in another order than one, and an intercept may move by 1 ulp
+        # a BLAS solve may order its sums by the number of right-hand sides
+        # (LAPACK's did from 8 radii in the fit window); the fit calls no
+        # BLAS kernel, so every curve's fit is the one it has alone, bit
+        # for bit, at any window
         radii = radius_schedule(0.16, 14)
         shared = _synthetic_tables(radii, 20, seed=0)[0]
         nums = shared + np.random.default_rng(1).normal(0.0, 0.5, (30, 14, 20))
-        opts = RatioOpts(fit_points=fit_points)
-        got = _ratio_curves(nums, shared, radii, opts)
-        for i, num in enumerate(nums):
-            want = _one_curve(num, shared[0], radii, opts)
-            np.testing.assert_array_equal(got["ratios"][i], want["ratios"])
-            np.testing.assert_array_equal(got["stderr"][i], want["stderr"])
-            for key in ("extrapolated_limit", "ci", "se_model", "se_limit"):
-                np.testing.assert_allclose(got[key][i], want[key], rtol=4e-16, atol=0)
+        _assert_same_curves(nums, shared, radii, RatioOpts(fit_points=fit_points))
+
+    def test_clustered_radii_fit_to_round_off(self):
+        # radii 0.2 * 1.0001^-j agree to 4 digits: a fit that does not first
+        # map them onto [-1, 1] loses those digits in its intercept
+        rng = np.random.default_rng(0)
+        radii = 0.2 * 1.0001 ** -np.arange(10.0)
+        idx = np.argsort(radii)[:RatioOpts().fit_points]
+        for _ in range(40):
+            mu = GaussianMeasure(np.zeros(3), SpectralOperator(rng.uniform(0.5, 2.0, 3)))
+            cur = ball_ratio_curve(mu, rng.normal(0.0, 0.7, 3), np.zeros(3), radii,
+                                   WeightedSeqSpace.unweighted(math.inf, 3))
+            assert cur.method == "closed-form"
+            logy = np.log(cur.ratios[idx])
+            c0 = exact_lstsq_intercept(radii[idx], logy, 1)[0]
+            assert abs(math.log(cur.extrapolated_limit) - float(c0)) <= (
+                1e-14 * np.max(np.abs(logy)))
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
     def test_mass_table_rows(self, p):
@@ -761,14 +822,23 @@ class TestRatioCurves:
         assert fit["diagnostic"][0] == "limit-overflow"
 
     def test_classify_mode_fits_every_competitor_in_one_solve(self, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        calls = _count_fits(monkeypatch)
         from ommap.om import classify_mode
         cls = classify_mode(OmNotStrongMeasure(), [1.0], [[float(k)] for k in range(2, 22)],
                             radius_schedule(1e-3, 8, factor=4.0))
         assert cls.weak_worst_ratio > 1.0
-        assert len(calls) <= 2
+        # one call: the fit window's 5 unit vectors, then the 20 competitors' curves
+        assert calls == [5 + 20]
+
+    def test_m_property_probe_fits_every_point_in_one_solve(self, monkeypatch):
+        calls = _count_fits(monkeypatch)
+        mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.0])))
+        points = [np.array([0.0, 1.0]), np.array([0.5, 0.3]), np.array([-0.2, -2.0])]
+        rep = ommap.m_property_probe(mu, prior_om(mu), points, radius_schedule(0.4, 8),
+                                     WeightedSeqSpace.unweighted(2.0, 2),
+                                     RatioOpts(n_samples=5_000, seed=4))
+        assert len(rep.entries) == 3
+        assert len(calls) == 1
 
 
 def _direct_log_density(factor, pts, mean, spread):

@@ -189,6 +189,13 @@ EXTRA_CONFIGS = (
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
         "x1": [0.3, 0.0, -0.2] + [0.0] * 17, "x2": [0.0] * 20,
         "schedule": {"r0": 0.2, "levels": 10}}),
+    # a Monte Carlo curve that stops late, at 16,384 evaluations: its first
+    # batches grow over several chunks, their log masses merged chunk by
+    # chunk, and the stop reads the fit's se_model
+    ("ball_ratio.besov1_late_stop", {
+        "kind": "ball_ratio", "seed": 2, "measure": {**_BESOV, "dim": 100},
+        "x1": [0.3, 0.0, -0.25 / math.sqrt(3.0), 0.075] + [0.0] * 96, "x2": [0.0] * 100,
+        "schedule": {"r0": 10.0, "levels": 8}, "norm": {"p": 2}}),
     # Part I's oscillating ratios from the liminf table: mu(B(-1)) / mu(B(+1))
     # is 2 at the radii 2 alpha_n and 2^(-n-2) at alpha_n, n = 1..8, which
     # interleave in decreasing order since alpha_n > 2 alpha_(n+1)
