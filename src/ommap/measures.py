@@ -145,7 +145,7 @@ class LaplaceFactor:
     def neg_log_density(self, c, inv_scale):
         """Per row of c (over its last axis), sum_k -log density of
         c_k * inv_scale_k, up to a constant."""
-        return np.abs(c) @ inv_scale
+        return np.abs(c).dot(inv_scale)
 
     def sublevel_reach(self, basis, scale, spread, t):
         """Per row b of the (n, dim) ``scale``, max |(B diag(b) g)_k| over
@@ -345,10 +345,11 @@ class RatioOpts:
     memory is O(n_samples / (2 n_batches) * dim).
     Ball masses, ``classify_mode`` and ``m_property_probe`` draw every
     batch, each in one piece; a ratio curve draws its first four batches
-    in chunks that end at 512 2^j draws, and stops once its limit has
-    settled, at a chunk end of those four batches or after a round of
-    four whole batches (``ball_ratio_curve``), so for it ``n_samples``
-    and ``n_batches`` are a cap.
+    in chunks that end at 256 2^j draws (``_MC_CHUNK``), and stops once
+    its limit has settled, at a chunk end of those four batches or after
+    a round of four whole batches (``ball_ratio_curve``), so for it
+    ``n_samples`` and ``n_batches`` are a cap; its first check comes at
+    256 draws per batch at most.
     """
 
     n_samples: int = 10 ** 6      # total MC evaluations, split across batches
@@ -613,7 +614,7 @@ def _log_mean_exp(x: np.ndarray) -> np.ndarray:
 
 
 _MC_MIN_BATCHES = 4       # batches per round of a table that may stop early
-_MC_CHUNK = 512           # draws of a batch's first chunk; each later chunk doubles the draws
+_MC_CHUNK = 256           # draws of a batch's first chunk; each later chunk doubles the draws
 
 
 def _chunk_ends(half: int) -> list:
@@ -653,7 +654,11 @@ def _mc_mass_batches(measure, centers: Sequence[np.ndarray], radii: np.ndarray,
     its chunks (``_merge_log_sum_exp``), so after j chunks it is, bit for
     bit, that of a batch as large as its j-th chunk end, and a batch of at
     most ``_MC_CHUNK`` draws is one chunk, its log mass ``_log_mean_exp``
-    of its evaluations.  The other batches follow in rounds of
+    of its evaluations.  ``settled`` is thus first asked at ``_MC_CHUNK``
+    draws per batch; a smaller first chunk adds stages, each with a fixed
+    cost (a draw call, a ``_Draws``, the centers' log densities and a
+    fit), to the curves that do not settle at once.  The other
+    batches follow in rounds of
     ``_MC_MIN_BATCHES`` (the last one may be short).  After each stage
     but the last, ``settled`` is called on the B columns drawn so far and
     their draws m per batch; once it returns true, those columns are the
@@ -1142,6 +1147,9 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
                              opts.seed, stream, opts.closed, settled), "monte-carlo")
 
 
+_TINY = float(np.finfo(float).tiny)  # floor of a fit's squared norm before it is inverted
+
+
 def _poly_intercepts(x: np.ndarray, y: np.ndarray, present: np.ndarray, degree: int) -> tuple:
     """Intercepts at x = 0 of each column's least-squares polynomials of
     degree 0..``degree``, as a list of (columns,) arrays, and the residual
@@ -1177,7 +1185,7 @@ def _poly_intercepts(x: np.ndarray, y: np.ndarray, present: np.ndarray, degree: 
         norm = _column_sums(pp)
         # p_k vanishes on the points once k reaches their distinct count,
         # and its coefficients with it
-        inv = 1.0 / np.maximum(norm, np.finfo(float).tiny)
+        inv = 1.0 / np.maximum(norm, _TINY)
         c = _column_sums(y * p) * inv
         fits.append(fits[-1] + c * at0)
         y = y - c * p

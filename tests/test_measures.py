@@ -30,7 +30,7 @@ from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _h
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
                             _log_mean_of_parts, _log_sum_exp_parts, _merge_log_sum_exp,
                             _product_exact_log_mass, _ratio_curves, _uniform_pball,
-                            _LOW_CONFIDENCE_REL_ERR)
+                            _LOW_CONFIDENCE_REL_ERR, _MC_CHUNK as CHUNK)
 from lstsq_reference import exact_lstsq_intercept
 
 
@@ -1094,7 +1094,7 @@ class TestBatchThreads:
             assert one[:, :, 0].tobytes() == table[:, :, b].tobytes()
 
     def test_every_batch_is_drawn_on_the_callers_thread(self, monkeypatch):
-        # a dim-100 Besov-1 curve, whose first chunk holds 512 draws x 100
+        # a dim-100 Besov-1 curve, whose first chunk holds _MC_CHUNK draws x 100
         # free dimensions, and a ball mass of 20 batches of 2,500 x 100:
         # tables large enough that sharing their batches among threads could pay
         draw, threads = ommap.measures._uniform_pball, []
@@ -1330,16 +1330,20 @@ def _never(table, draws):
 
 class TestChunkedBatches:
     """A table that may stop draws its first four batches in chunks that
-    end at 512 2^j draws, and its ratio curve may stop at a chunk end;
-    every other batch is drawn whole."""
+    end at ``_MC_CHUNK`` 2^j draws, and its ratio curve may stop at a chunk
+    end; every other batch is drawn whole."""
 
     def test_chunk_sizes(self, monkeypatch):
         drawn, case = _chunk_spy(monkeypatch), _table_case("besov_aligned")
         _mc_mass_batches(*case, 20_000, 4, 0, "chunks", False, _never)
-        assert drawn == [512] * 4 + [512] * 4 + [1024] * 4 + [452] * 4
+        assert drawn == ([CHUNK] * 4 + [CHUNK] * 4 + [2 * CHUNK] * 4 + [4 * CHUNK] * 4
+                         + [2_500 - 8 * CHUNK] * 4)
         drawn.clear()
-        _mc_mass_batches(*case, 8_192, 4, 0, "chunks", False, _never)
-        assert drawn == [512] * 8  # a batch of 512 draws is one chunk
+        _mc_mass_batches(*case, 16 * CHUNK, 4, 0, "chunks", False, _never)
+        assert drawn == [CHUNK] * 8  # a batch that ends at a chunk end draws no empty chunk
+        drawn.clear()
+        _mc_mass_batches(*case, 8 * CHUNK, 4, 0, "chunks", False, _never)
+        assert drawn == [CHUNK] * 4  # a batch of _MC_CHUNK draws is one chunk
         drawn.clear()
         _mc_mass_batches(*case, 20_000, 4, 0, "chunks")
         assert drawn == [2_500] * 4  # a table that cannot stop is drawn whole
@@ -1400,7 +1404,7 @@ class TestChunkedBatches:
         setup = _ProductSetup(mu, space)
         rng = child_rng(2, "merge", 0)
         z = np.concatenate([_uniform_pball(rng, n, setup.k_free, setup.draw_p)
-                            for n in (512, 512, 1024, 452)])
+                            for n in (CHUNK, CHUNK, 2 * CHUNK, 4 * CHUNK, 2_500 - 8 * CHUNK)])
         want = _direct_norm_mc_batches(mu, centers, radii, space, 5_000, 1, 2, "merge", False, z)
         np.testing.assert_allclose(table, want, rtol=1e-14)
 
@@ -1414,12 +1418,13 @@ class TestChunkedBatches:
 
         full = _mc_mass_batches(*case, 100_000, 20, seed, "stages", False, never)
         # the first four batches at each chunk end, then rounds of whole batches
-        assert [(t.shape[-1], m) for t, m in seen] == [(4, 512), (4, 1024), (4, 2048), (4, 2500),
-                                                       (8, 2500), (12, 2500), (16, 2500)]
-        for table, m in seen[:3]:
+        ends = [CHUNK, 2 * CHUNK, 4 * CHUNK, 8 * CHUNK]
+        assert [(t.shape[-1], m) for t, m in seen] == ([(4, m) for m in ends] + [(4, 2500)]
+                                                       + [(8, 2500), (12, 2500), (16, 2500)])
+        for table, m in seen[:len(ends)]:
             want = _mc_mass_batches(*case, 8 * m, 4, seed, "stages", False, _never)
             assert table.tobytes() == want.tobytes()
-        for table, _ in seen[3:]:
+        for table, _ in seen[len(ends):]:
             assert table.tobytes() == full[:, :, :table.shape[-1]].tobytes()
         # the batches after the first four are drawn whole
         whole = _mc_mass_batches(*case, 100_000, 20, seed, "stages")
@@ -1429,10 +1434,22 @@ class TestChunkedBatches:
     def test_a_curve_stops_at_its_first_chunk_end(self, seed):
         cur = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=100_000, n_batches=20,
                                                           seed=seed))
-        short = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=4_096, n_batches=4,
+        short = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=8 * CHUNK, n_batches=4,
                                                             seed=seed))
-        assert short.n_samples == 4_096
+        assert short.n_samples == 8 * CHUNK
         _assert_same_estimate(cur, short)
+
+    def test_a_benchmark_curve_stops_at_2048_evaluations(self):
+        # the shape of a benchmark Besov curve: its first stop check, at one
+        # chunk of each of the first four batches, settles the limit, which
+        # covers exp(-dI) at 3 se_limit
+        mu, x1, x2, radii, space = _budget_case()
+        cur = ball_ratio_curve(mu, x1, x2, radii, space,
+                               RatioOpts(n_samples=10 ** 5, n_batches=20))
+        assert cur.method == "monte-carlo" and cur.n_samples == 2_048
+        fn = prior_om(mu)
+        oracle = math.exp(fn.eval(x2) - fn.eval(x1))
+        assert abs(cur.extrapolated_limit - oracle) <= 3 * cur.se_limit
 
     def test_one_fit_per_stopped_curve(self, monkeypatch):
         fits, ratio_curves = [], ommap.measures._ratio_curves
@@ -1443,7 +1460,7 @@ class TestChunkedBatches:
 
         monkeypatch.setattr(ommap.measures, "_ratio_curves", counted)
         cur = ball_ratio_curve(*_budget_case(), RatioOpts(n_samples=100_000, n_batches=20))
-        assert cur.n_samples == 4_096 and fits == [4]
+        assert cur.n_samples == 8 * CHUNK and fits == [4]
 
     def test_an_unsettled_curve_draws_every_batch_in_full(self, monkeypatch):
         calls, drawn = _spy_tables(monkeypatch), _chunk_spy(monkeypatch)
@@ -1451,7 +1468,8 @@ class TestChunkedBatches:
         cur = ball_ratio_curve(mu, x1, x2, radii, space,
                                RatioOpts(n_samples=100_000, n_batches=20, fit_points=1))
         (_, _, table), = calls
-        assert drawn == [512] * 8 + [1024] * 4 + [452] * 4 + [2_500] * 16
+        assert drawn == ([CHUNK] * 8 + [2 * CHUNK] * 4 + [4 * CHUNK] * 4
+                         + [2_500 - 8 * CHUNK] * 4 + [2_500] * 16)
         want = _mc_mass_batches(mu, [x1, x2], radii, space, 100_000, 20, 0, "ratio-curve")
         assert table[:, :, 4:].tobytes() == want[:, :, 4:].tobytes()
         first = _mc_mass_batches(mu, [x1, x2], radii, space, 20_000, 4, 0, "ratio-curve",

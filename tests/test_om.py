@@ -356,7 +356,8 @@ class TestMPropertyProbe:
 
     def test_one_mass_table_for_every_point(self, monkeypatch):
         # the anchor and the three points share one Monte Carlo table, and
-        # each curve is the one ball_ratio_curve draws for its point alone
+        # each curve is the one ball_ratio_curve draws for its point alone:
+        # batches of one chunk each, drawn whole by the probe and by the curve
         mc_calls = []
         mc_mass_batches = measures._mc_mass_batches
 
@@ -369,7 +370,8 @@ class TestMPropertyProbe:
         fn = prior_om(mu)
         pts = [np.array([0.2, 0.0]), np.array([-0.5, -0.25]), np.array([1.0, 0.05])]
         radii, space = radius_schedule(0.4, 6), WeightedSeqSpace.unweighted(2.0, 2)
-        opts = RatioOpts(n_samples=20000, seed=7, method="mc")
+        opts = RatioOpts(n_samples=2 * measures._MC_CHUNK * 20, n_batches=20, seed=7,
+                         method="mc")
         rep = m_property_probe(mu, fn, pts, radii, space, opts)
         assert len(mc_calls) == 1
         for x, entry in zip(pts, rep.entries):

@@ -189,9 +189,9 @@ EXTRA_CONFIGS = (
         "kind": "ball_ratio", "seed": 0, "measure": {**_BESOV, "dim": 20},
         "x1": [0.3, 0.0, -0.2] + [0.0] * 17, "x2": [0.0] * 20,
         "schedule": {"r0": 0.2, "levels": 10}}),
-    # a Monte Carlo curve that stops late, at 16,384 evaluations: its first
-    # batches grow over several chunks, their log masses merged chunk by
-    # chunk, and the stop reads the fit's se_model
+    # a Monte Carlo curve that stops past its first check, at 4,096
+    # evaluations: its first batches grow over two chunks, their log masses
+    # merged chunk by chunk, and the stop reads the fit's se_model
     ("ball_ratio.besov1_late_stop", {
         "kind": "ball_ratio", "seed": 2, "measure": {**_BESOV, "dim": 100},
         "x1": [0.3, 0.0, -0.25 / math.sqrt(3.0), 0.075] + [0.0] * 96, "x2": [0.0] * 100,
