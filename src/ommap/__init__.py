@@ -16,8 +16,8 @@ from .measures import (BallMass, BallRatioEstimate, BesovMeasure, Density1D,
                        RatioOpts, ball_mass, ball_ratio_curve, besov_weights, default_space,
                        measure_from_json, radius_schedule, sample, sublevel_halfwidth,
                        sup_ball_mass)
-from .om import (ClassifyOpts, ModeClassification, OmFunctional, classify_mode,
-                 density_om, m_property_probe, om_difference_check, posterior_om, prior_om)
+from .om import (ModeClassification, OmFunctional, classify_mode, density_om,
+                 m_property_probe, om_difference_check, posterior_om, prior_om)
 from .gamma import (FunctionalSequence, GammaReport, LiminfOpts, ModeConvOpts,
                     besov_om_family, besov_recovery_sequence, continuous_convergence_probe,
                     equicoercivity_probe, gamma_liminf_probe, gaussian_om_family,

@@ -34,7 +34,7 @@ from .gamma import (GammaReport, ModeConvOpts, equicoercivity_probe, gamma_limin
                     mode_convergence_check, om_family, recovery_gap)
 from .measures import (BesovMeasure, GaussianMeasure, RatioOpts, WeightedSeqSpace,
                        ball_ratio_curve, measure_from_json, radius_schedule)
-from .om import ClassifyOpts, classify_mode, m_property_probe, prior_om
+from .om import classify_mode, m_property_probe, prior_om
 from .spaces import SpectralOperator
 
 
@@ -197,10 +197,9 @@ def _run_classify_mode(cfg, seed):
     measure = measure_from_json(cfg["measure"])
     radii = _radii_from(cfg)
     space = _norm_from(cfg, len(cfg["candidate"]))
-    opts = ClassifyOpts(**cfg.get("tolerances", {}), ratio=_ratio_opts(cfg, seed))
     result = classify_mode(measure, np.asarray(cfg["candidate"], dtype=float),
                            [np.asarray(wp, dtype=float) for wp in cfg["competitors"]],
-                           radii, space, opts)
+                           radii, space, _ratio_opts(cfg, seed))
     rows = [(float(r), float(q), float(s)) for r, q, s in
             zip(result.radii, result.strong_ratio_curve, result.strong_ratio_stderr)]
     return result, {

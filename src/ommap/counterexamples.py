@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError, RegimeError
 from .measures import (Density1D, EXAMPLE_MEASURE_FACTORIES, RatioOpts, WeightedSeqSpace,
-                       _checked_radius, _log_mass_table, _ratio_curves, _table_axes,
+                       _checked_radius, _fit_in, _log_mass_table, _ratio_curves, _table_axes,
                        default_space, radius_schedule)
 from .om import OmFunctional
 
@@ -283,9 +283,6 @@ class LiminfOnlyMeasure:
         return np.array([math.ldexp(self.b(n) - self.b(n + 1), -n)
                          for n in range(1, self.depth + 1)])
 
-    def eps_radius(self, n: int) -> float:
-        return 2.0 * self.widths_neg[n - 1]
-
     def delta_radius(self, n: int) -> float:
         return float(self.widths_neg[n - 1])
 
@@ -373,6 +370,8 @@ class OmNotStrongMeasure:
     levels: int = 30
 
     method = "closed-form"  # how ``mass_table`` is computed
+    # ratio curves fit against sqrt(r): the masses about the integers go like sqrt(r)
+    fit_in = "sqrt_r"
 
     def __post_init__(self):
         if self.levels < 2:
@@ -482,21 +481,20 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
     ratio of u = 1 dip toward 1/sqrt(2), so the functional minimiser is
     a global weak mode but not a strong mode.
     """
-    from .om import ClassifyOpts, classify_mode
+    from .om import classify_mode
 
     if not 2 <= n_dip <= measure.levels:
         raise ParameterError(f"n_dip must be a component index in [2, {measure.levels}], "
                              f"got {n_dip}")
     radii = radius_schedule(1e-8, 8, factor=4.0)
-    ropts = RatioOpts(fit_in="sqrt_r")
     for k in ks:
         if not (1 <= k <= measure.levels):
             raise InputError(f"component index {k} beyond the truncation level")
     # one mass table: the masses at 1 are shared by every curve
     space = default_space(measure)
     table, _ = _log_mass_table(measure, [np.array([float(c)]) for c in [1, *ks]],
-                               radii, space, ropts)
-    fitted = _ratio_curves(table[:1], table[1:], radii, ropts)["extrapolated_limit"]
+                               radii, space, RatioOpts())
+    fitted = _ratio_curves(table[:1], table[1:], radii, _fit_in(measure))["extrapolated_limit"]
     # str keys: results.json sorts them as text ("10" before "2"), int keys would not
     limits = {str(k): limit for k, limit in zip(ks, fitted)}
     rel_errors = {str(k): abs(limit - k ** 2) / k ** 2 for k, limit in zip(ks, fitted)}
@@ -521,7 +519,7 @@ def om_not_strong_suite(measure: OmNotStrongMeasure, ks: Sequence[int] = (2, 3, 
     cls_radii = np.sort(np.unique(np.concatenate([dip_radii, tail])))[::-1]
     cls = classify_mode(measure, np.array([1.0]),
                         [np.array([float(k)]) for k in comp],
-                        cls_radii, None, ClassifyOpts(ratio=RatioOpts(fit_in="sqrt_r")))
+                        cls_radii)
     return OmNotStrongReport(limits, rel_errors, decay, r_dip, float(dip_val),
                              float(dip_bound), 1.0 / math.sqrt(2.0),
                              cls.global_weak, cls.strong)

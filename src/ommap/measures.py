@@ -333,9 +333,10 @@ class Density1D:
 
 @dataclass(frozen=True)
 class RatioOpts:
-    """Knobs for ball masses, ratio curves and their extrapolation: every
-    small-ball mass table reads its method, Monte Carlo sizes, closure and
-    seed, and only ratio curves read ``fit_points`` and ``fit_in``.
+    """Knobs for ball masses and ratio curves: every small-ball mass table
+    reads its method, Monte Carlo sizes, closure and seed.  A ratio
+    curve's fit is the library's: its window is ``_FIT_POINTS`` and its
+    abscissa the measure's (``_fit_in``).
 
     Monte Carlo masses evaluate n_samples // n_batches points per batch,
     the antithetic pairs z, -z of half as many draws (rounded up), batch b
@@ -354,8 +355,6 @@ class RatioOpts:
 
     n_samples: int = 10 ** 6      # total MC evaluations, split across batches
     n_batches: int = 20
-    fit_points: int = 5           # smallest radii used in the fit
-    fit_in: str = "r"             # "r" | "sqrt_r": abscissa of the log-ratio fit
     method: str = "auto"          # auto | exact | mc
     closed: bool = False          # closed balls (open is the default everywhere)
     seed: int = 0
@@ -370,10 +369,6 @@ class RatioOpts:
         if self.n_samples < self.n_batches:
             raise ParameterError(f"n_samples must be >= n_batches ({self.n_batches}), "
                                  f"got {self.n_samples}")
-        if self.fit_points < 1:
-            raise ParameterError(f"fit_points must be >= 1, got {self.fit_points}")
-        if self.fit_in not in ("r", "sqrt_r"):
-            raise ParameterError(f"fit_in must be 'r' or 'sqrt_r', got {self.fit_in!r}")
 
 
 def radius_schedule(r0: float = 0.5, levels: int = 10, factor: float = 2.0) -> np.ndarray:
@@ -948,6 +943,12 @@ def default_space(measure) -> WeightedSeqSpace:
     return own() if own is not None else WeightedSeqSpace.unweighted(2.0, 1)
 
 
+def _fit_in(measure) -> str:
+    """Abscissa of a ratio curve's log-ratio fit: the measure's own
+    ``fit_in`` ("sqrt_r" where its masses expand in sqrt r), else "r"."""
+    return getattr(measure, "fit_in", "r")
+
+
 # ---------------------------------------------------------------------------
 # ball masses
 # ---------------------------------------------------------------------------
@@ -1118,11 +1119,10 @@ def _log_mass_table(measure, centers: Sequence, radii: np.ndarray, space: Weight
     the centre and the radius, so one row does not decide for the others)
     and ``opts.method`` is not "mc", else common-random-number Monte Carlo
     with every center on the same draws of ``opts.seed``'s ``stream``;
-    "exact" refuses a table no exact rule covers.  Of the ``RatioOpts``
-    only the method, Monte Carlo sizes, closure and seed are read.  A
-    Monte Carlo table with ``settled``, called with the columns drawn so
-    far and their draws per batch, draws its first batches in chunks and
-    may stop at a chunk end of those or after a round of whole batches
+    "exact" refuses a table no exact rule covers.  A Monte Carlo table
+    with ``settled``, called with the columns drawn so far and their
+    draws per batch, draws its first batches in chunks and may stop at a
+    chunk end of those or after a round of whole batches
     (``_mc_mass_batches``).
     """
     if radii.size == 0:
@@ -1204,8 +1204,11 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=0)[-1]
 
 
+_FIT_POINTS = 5  # smallest radii a ratio curve's limit is fitted over
+
+
 def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
-                  opts: RatioOpts) -> dict:
+                  fit_in: str) -> dict:
     """Ratio curves of the rows of two log mass tables, (n, radii, batches)
     over (m, radii, batches), broadcast one over many or many over one:
     ``BallRatioEstimate``'s fields of every curve, ``ratios`` and
@@ -1213,11 +1216,12 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
 
     A stderr is that of the per-batch ratios (0 for one exact batch), their
     spread taken relative to the ratio so that it cannot overflow.  A
-    limit fits log(ratio) linearly against r (or sqrt r), or by a constant
-    at one radius, over the smallest radii and reports the exponentiated
-    intercept.  One call of ``_poly_intercepts`` fits every curve, bit for
-    bit as each curve alone at any window and BLAS kernel, and the unit
-    vectors of the fit window, whose intercepts are the fit's weights P[0].
+    limit fits log(ratio) linearly against ``fit_in`` ("r" or "sqrt_r"),
+    or by a constant at one radius, over the ``_FIT_POINTS`` smallest radii
+    and reports the exponentiated intercept.  One call of
+    ``_poly_intercepts`` fits every curve, bit for bit as each curve alone
+    at any window and BLAS kernel, and the unit vectors of the fit window,
+    whose intercepts are the fit's weights P[0].
     The intercept is linear in the log ratios, so its sd is exact: se_fit
     = sqrt(sum_i (P[0, i] se_i / y_i)^2).  The interval exp(c0 -+ (1.96
     se_fit + 2 se_model)) widens it by twice the rms fit residual for
@@ -1246,11 +1250,11 @@ def _ratio_curves(log_num: np.ndarray, log_den: np.ndarray, radii: np.ndarray,
         ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
         ses = np.nan_to_num(ses)
 
-    n_fit = min(opts.fit_points, len(radii))
+    n_fit = min(_FIT_POINTS, len(radii))
     idx = np.argsort(radii)[:n_fit]
     y, se = ratios[:, idx], ses[:, idx]
     good = np.all(np.isfinite(y) & (y > 0), axis=1)
-    x = np.sqrt(radii[idx]) if opts.fit_in == "sqrt_r" else radii[idx]
+    x = np.sqrt(radii[idx]) if fit_in == "sqrt_r" else radii[idx]
     # the unit vectors' intercepts are the weights P[0], then each curve's
     rhs = np.concatenate([np.eye(n_fit), np.log(y[good]).T], axis=1)
     fits, resid = _poly_intercepts(x[:, None], rhs, np.ones((n_fit, 1), bool), min(n_fit, 2) - 1)
@@ -1315,23 +1319,23 @@ def ball_ratio_curve(measure, x1, x2, radii, space: Optional[WeightedSeqSpace] =
     """
     opts = opts or RatioOpts()
     radii = np.asarray(radii, dtype=float)
-    space = space or default_space(measure)
+    space, fit_in = space or default_space(measure), _fit_in(measure)
     stop = {}
 
     def settled(table, draws):
-        fit = _ratio_curves(table[:1], table[1:], radii, opts)
+        fit = _ratio_curves(table[:1], table[1:], radii, fit_in)
         if fit["settled"][0]:
             stop.update(fit=fit, n_samples=2 * draws * table.shape[-1])
         return fit["settled"][0]
 
     table, method = _log_mass_table(measure, [x1, x2], radii, space, opts, settled=settled)
-    fit = stop.get("fit") or _ratio_curves(table[:1], table[1:], radii, opts)
+    fit = stop.get("fit") or _ratio_curves(table[:1], table[1:], radii, fit_in)
     del fit["settled"]
     n_samples = 0
     if method == "monte-carlo":
         n_samples = stop.get("n_samples",
                              2 * ((opts.n_samples // opts.n_batches + 1) // 2) * table.shape[-1])
-    return BallRatioEstimate(radii, method=method, fit_in=opts.fit_in, norm_p=space.p,
+    return BallRatioEstimate(radii, method=method, fit_in=fit_in, norm_p=space.p,
                              n_samples=n_samples, **{key: v[0] for key, v in fit.items()})
 
 

@@ -25,9 +25,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .measures import (BallRatioEstimate, Density1D, ProductMeasure, RatioOpts, _batch_mean_se,
-                       _heaviest_centers, _in_range, _log_mass_table, _log_mean_exp,
-                       _ratio_curves, ball_ratio_curve, default_space)
+from .measures import (_FIT_POINTS, BallRatioEstimate, Density1D, ProductMeasure, RatioOpts,
+                       _batch_mean_se, _fit_in, _heaviest_centers, _in_range, _log_mass_table,
+                       _log_mean_exp, _ratio_curves, ball_ratio_curve, default_space)
 from .spaces import WeightedSeqSpace, _as_vector
 
 
@@ -282,7 +282,7 @@ def m_property_probe(measure, om: OmFunctional, outside_points: Sequence, radii,
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
     table, _ = _log_mass_table(measure, [om.anchor, *points], radii, space, opts)
-    curves = _ratio_curves(table[1:], table[:1], radii, opts)
+    curves = _ratio_curves(table[1:], table[:1], radii, _fit_in(measure))
     ratios, stderr = np.nan_to_num(curves["ratios"], nan=0.0), curves["stderr"]
     slack = 5.0 * np.maximum(stderr[:, 1:], stderr[:, :-1])
     dec = np.mean(np.diff(ratios) <= slack, axis=1) if len(radii) > 1 else np.ones(len(points))
@@ -316,18 +316,9 @@ class ModeClassification:
     caveat: str
 
 
-@dataclass(frozen=True)
-class ClassifyOpts:
-    """Knobs for ``classify_mode``.
-
-    ``ratio`` sets the Monte Carlo sizes, closure and seed of every mass.
-    """
-
-    strong_tol: float = 0.05       # extrapolated limit >= 1 - tol -> strong yes
-    dip_tol: float = 0.05          # curve below 1 - max(5 se, dip_tol) -> strong no
-    weak_tol: float = 0.05
-    ratio: RatioOpts = field(default_factory=RatioOpts)
-
+_STRONG_TOL = 0.05  # tail of the strong curve >= 1 - tol -> strong yes
+_DIP_TOL = 0.05     # strong curve below 1 - max(5 se, tol) at any radius -> strong no
+_WEAK_TOL = 0.05    # worst competitor limit <= 1 + tol -> weak yes
 
 #: where classify_mode's supremum mass M_r is exact, and where it is not
 _EXACT_CAVEAT = "sup mass exact: the largest over the measure's heaviest centres"
@@ -336,7 +327,7 @@ _COMPETITORS_CAVEAT = "sup over competitor set only, not over all of X"
 
 def classify_mode(measure, candidate, competitor_set: Sequence, radii,
                   space: Optional[WeightedSeqSpace] = None,
-                  opts: Optional[ClassifyOpts] = None) -> ModeClassification:
+                  opts: Optional[RatioOpts] = None) -> ModeClassification:
     """Strong and global-weak mode verdicts for a candidate point.
 
     Both read one mass table over the candidate and its competitors, the
@@ -351,13 +342,14 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     extrapolated mass-ratio limit against the candidate may exceed 1; one
     solve fits the curve of every competitor but the candidate itself.
 
-    Verdicts are three-valued with noise-aware thresholds; a dip of the
-    strong curve below 1 - max(5 stderr, dip_tol) at any radius is a
-    "no" witness.  With no competitor and no radius below the rule's
+    ``opts`` sets the method, Monte Carlo sizes, closure and seed of
+    every mass.  Verdicts are three-valued with noise-aware thresholds; a
+    dip of the strong curve below 1 - max(5 stderr, ``_DIP_TOL``) at any
+    radius is a "no" witness.  With no competitor and no radius below the rule's
     reach, the table holds the candidate's row alone, and strong reads
     "inconclusive".
     """
-    opts = opts or ClassifyOpts()
+    opts = opts or RatioOpts()
     space = space or default_space(measure)
     radii = np.asarray(radii, dtype=float)
     cand = _as_vector(candidate, space.dim)
@@ -367,7 +359,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     # the heaviest centres that are not among the points
     new = ~np.any(np.all(centres[:, None] == points[None], axis=2), axis=1)
     rows = np.concatenate([points, centres[new]])
-    table, _ = _log_mass_table(measure, rows, radii, space, opts.ratio)
+    table, _ = _log_mass_table(measure, rows, radii, space, opts)
     log_mass = _log_mean_exp(table)
     if np.any(np.isneginf(log_mass[0])):
         raise InputError("candidate has zero ball mass; it must lie in the support")
@@ -386,7 +378,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
 
     # strong verdict: a dip below the noise-aware threshold at any radius
     # is a witness against the limit being 1
-    dip_thresh = 1.0 - np.maximum(5.0 * strong_se, opts.dip_tol)
+    dip_thresh = 1.0 - np.maximum(5.0 * strong_se, _DIP_TOL)
     dipped = bool(np.any(strong_curve < dip_thresh))
     n_tail = min(3, len(radii))
     tail_limit = float(np.mean(strong_curve[-n_tail:]))  # radii are decreasing
@@ -394,7 +386,7 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
         strong = "no"
     elif len(rows) == 1 and not np.any(radii < r_max):
         strong = "inconclusive"  # M_r is the candidate's own mass: the curve is 1
-    elif tail_limit >= 1.0 - opts.strong_tol:
+    elif tail_limit >= 1.0 - _STRONG_TOL:
         strong = "yes"
     else:
         strong = "inconclusive"
@@ -402,14 +394,14 @@ def classify_mode(measure, candidate, competitor_set: Sequence, radii,
     # weak verdict: worst extrapolated limsup over competitors; only the
     # fit window of smallest radii enters, so bumps pinned at a fixed
     # competitor-dependent radius do not masquerade as limsup mass
-    window = slice(len(radii) - min(opts.ratio.fit_points, len(radii)), len(radii))
+    window = slice(len(radii) - min(_FIT_POINTS, len(radii)), len(radii))
     others = ~np.all(points[1:] == cand, axis=1)
-    curves = _ratio_curves(table[1:len(points)][others], table[:1], radii, opts.ratio)
+    curves = _ratio_curves(table[1:len(points)][others], table[:1], radii, _fit_in(measure))
     vals = np.column_stack([curves["ratios"][:, window], curves["extrapolated_limit"]])
     worst = float(np.max(vals, where=np.isfinite(vals), initial=0.0))
-    if worst <= 1.0 + opts.weak_tol:
+    if worst <= 1.0 + _WEAK_TOL:
         weak = "yes"
-    elif worst > 1.0 + max(opts.weak_tol, 5.0 * float(np.max(strong_se))):
+    elif worst > 1.0 + max(_WEAK_TOL, 5.0 * float(np.max(strong_se))):
         weak = "no"
     else:
         weak = "inconclusive"

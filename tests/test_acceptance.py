@@ -457,7 +457,7 @@ def test_criterion_12_property_suite():
                 for closed in (False, True)]
 
     m = LiminfOnlyMeasure(depth=40)
-    radii = np.array([m.eps_radius(n) for n in range(1, 11)])
+    radii = np.array([2.0 * m.delta_radius(n) for n in range(1, 11)])
     osc_open, osc_closed = open_closed(m, -1.0, 1.0, radii)
     good = np.isfinite(osc_open.ratios) & np.isfinite(osc_closed.ratios)
     osc_disc = float(np.max(np.abs(osc_open.ratios[good] - osc_closed.ratios[good]), initial=0.0))

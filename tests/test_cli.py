@@ -17,8 +17,8 @@ import pytest
 
 import ommap
 import ommap.cli as cli
-from ommap import (ClassifyOpts, MixtureFamily, ModeConvOpts, OmNotStrongMeasure, ProxOpts,
-                   RatioOpts, SpikeFamily, radius_schedule)
+from ommap import (MixtureFamily, ModeConvOpts, OmNotStrongMeasure, ProxOpts, RatioOpts,
+                   SpikeFamily, radius_schedule)
 from ommap.cli import _json_default, _schema, _write_csv, main, validate_config
 from ommap.errors import ConfigError
 
@@ -78,7 +78,6 @@ class TestValidation:
 
         records = {"mc": fields(RatioOpts),
                    "schedule": set(inspect.signature(radius_schedule).parameters),
-                   ("classify_mode", "tolerances"): fields(ClassifyOpts),
                    ("gamma_check", "tolerances"): fields(ModeConvOpts),
                    ("map_solve", "solver"): fields(ProxOpts)}
         seen = set()
@@ -481,6 +480,10 @@ class TestRun:
          "kl_t_values"),
         ({"kind": "ball_ratio", "x1": [0.5], "x2": [0.0], "mc": {"n_boot": 100},
           "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "n_boot"),
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [0.0], "mc": {"fit_in": "sqrt_r"},
+          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "fit_in"),
+        ({"kind": "ball_ratio", "x1": [0.5], "x2": [0.0], "mc": {"fit_points": 3},
+          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "fit_points"),
         ({"kind": "ball_ratio", "x1": [0.5, 0.0], "x2": [1.0], "radii": [0.1, 0.05],
           "measure": {"type": "density1d", "name": "mixture", "params": {"t": 0.05}}},
          "centre in R^1"),
@@ -489,7 +492,10 @@ class TestRun:
           "measure": {"type": "density1d", "name": "liminf_only"}}, "own norm"),
         ({"kind": "classify_mode", "candidate": [0.0], "competitors": [[0.5]],
           "tolerances": {"refine": False},
-          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "refine"),
+          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "tolerances"),
+        ({"kind": "classify_mode", "candidate": [0.0], "competitors": [[0.5]],
+          "tolerances": {"strong_tol": 0.1},
+          "measure": {"type": "gaussian", "mean": [0.0], "eigenvalues": [1.0]}}, "tolerances"),
         ({"kind": "perturbation", "perturb": "data",
           "prior": {"type": "gaussian", "mean": [0.0, 0.0], "eigenvalues": [1.0, 1.0]},
           "observation": {"matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
@@ -506,8 +512,9 @@ class TestRun:
             "wrong-type-kl-sigmas", "wrong-type-spike-n-values", "wrong-type-om-not-strong-levels",
             "wrong-type-crosses-r", "empty-perturbation-indices", "empty-gamma-check-indices",
             "zero-n-dip", "n-dip-beyond-levels", "zero-kl-tilt", "one-kl-tilt",
-            "removed-mc-n-boot", "density1d-centre-of-another-dimension",
-            "density1d-weighted-norm", "removed-classify-refine", "short-data-direction",
+            "removed-mc-n-boot", "removed-mc-fit-in", "removed-mc-fit-points",
+            "density1d-centre-of-another-dimension", "density1d-weighted-norm",
+            "removed-classify-refine", "removed-classify-tolerances", "short-data-direction",
             "long-mean-shift", "short-eigenvalue-shift"])
     def test_bad_registered_params_exit_2(self, tmp_path, capsys, cfg, field):
         code, _ = run_cli(tmp_path, cfg)

@@ -238,7 +238,7 @@ class TestLiminfOnly:
         m = LiminfOnlyMeasure(depth=40)
         for n in [1, 3, 7, 15, 20]:
             (neg_eps, neg_del), (pos_eps, pos_del) = m.mass_table(
-                [-1.0, 1.0], [m.eps_radius(n), m.delta_radius(n)])
+                [-1.0, 1.0], [2.0 * m.delta_radius(n), m.delta_radius(n)])
             assert neg_eps / pos_eps == pytest.approx(2.0, rel=1e-12)
             assert neg_del / pos_del == pytest.approx(math.ldexp(1.0, -(n + 2)), rel=1e-12)
 
@@ -260,10 +260,10 @@ class TestLiminfOnly:
             overlap = np.minimum(hi, off + rad) - np.maximum(lo, off - rad)
             return np.add.accumulate(np.where(overlap > 0, h * overlap, 0.0))[-1]
 
-        r = m.eps_radius(5)
+        r = 2.0 * m.delta_radius(5)
         assert ball_mass(m, -1.0, r).estimate == fresh([-1.0], [r])[0, 0]
         centres = [-1.0, -1.0 + m.widths_neg[3], 1.0, 1.0 - 1.5 * m.widths_pos[6], 0.0]
-        radii = [m.eps_radius(n) for n in (1, 4, 9)] + [m.delta_radius(12), 0.5]
+        radii = [2.0 * m.delta_radius(n) for n in (1, 4, 9)] + [m.delta_radius(12), 0.5]
         for _ in range(2):  # the second call reads the cached array
             np.testing.assert_array_equal(m.mass_table(centres, radii), fresh(centres, radii))
 
@@ -289,9 +289,18 @@ class TestOmNotStrong:
         radii = radius_schedule(1e-8, 8, factor=4.0)
         for k in (2, 3, 5):
             curve = ball_ratio_curve(m, np.array([1.0]), np.array([float(k)]), radii,
-                                     None, RatioOpts(fit_in="sqrt_r"))
+                                     None, RatioOpts())
             assert rep.ratio_limits[str(k)] == curve.extrapolated_limit
             assert rep.ratio_rel_errors[str(k)] == abs(curve.extrapolated_limit - k ** 2) / k ** 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_default_curve_fits_against_sqrt_r(self, k):
+        # the masses about the integers go like sqrt(r): a fit against r
+        # leaves the limit 3e-4 off k^2, one against sqrt(r) reads it
+        curve = ball_ratio_curve(OmNotStrongMeasure(), np.array([1.0]), np.array([float(k)]),
+                                 radius_schedule(1e-8, 8, factor=4.0))
+        assert curve.fit_in == "sqrt_r"
+        assert curve.extrapolated_limit == pytest.approx(k ** 2, rel=1e-6)
 
     def test_functional_values(self):
         value = prior_om(OmNotStrongMeasure()).eval
@@ -663,7 +672,7 @@ class TestMassTables:
             for f in (1.0, 1.5, 2.0):
                 centres += [-1.0 + f * m.widths_neg[n], 1.0 - f * m.widths_pos[n]]
         centres += np.linspace(-1.5, 1.5, 7).tolist()
-        radii = sorted({*(m.eps_radius(n) for n in range(1, depth, 2)),
+        radii = sorted({*(2.0 * m.delta_radius(n) for n in range(1, depth, 2)),
                         *(m.delta_radius(n) for n in range(1, depth, 2)), 0.5, 1.0, 2.0},
                        reverse=True)
         table = m.mass_table(centres, radii)

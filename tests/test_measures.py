@@ -29,8 +29,9 @@ import ommap.measures
 from ommap.measures import (LaplaceFactor, NormalFactor, _CenterPlan, _Draws, _heaviest_centers,
                             _log_mass_table, _ProductSetup, _log_mean_exp, _mc_mass_batches,
                             _log_mean_of_parts, _log_sum_exp_parts, _merge_log_sum_exp,
-                            _product_exact_log_mass, _ratio_curves, _uniform_pball,
-                            _LOW_CONFIDENCE_REL_ERR, _MC_CHUNK as CHUNK)
+                            _poly_intercepts, _product_exact_log_mass, _ratio_curves,
+                            _uniform_pball, _FIT_POINTS, _LOW_CONFIDENCE_REL_ERR,
+                            _MC_CHUNK as CHUNK)
 from lstsq_reference import exact_lstsq_intercept
 
 
@@ -242,13 +243,10 @@ class TestBallMass:
         with pytest.raises(ParameterError, match="method"):
             RatioOpts(method=method)
 
-    @pytest.mark.parametrize("field,value", [
-        ("n_batches", 0), ("n_batches", 1), ("n_samples", 0), ("fit_points", 0),
-        ("fit_in", "r^2")],
-        ids=["n_batches=0", "n_batches=1", "n_samples=0", "fit_points=0", "fit_in=r^2"])
+    @pytest.mark.parametrize("field,value", [("n_batches", 0), ("n_batches", 1), ("n_samples", 0)],
+                             ids=["n_batches=0", "n_batches=1", "n_samples=0"])
     def test_unusable_monte_carlo_sizes_refused(self, field, value):
-        # one batch has no stderr, an empty batch no estimate, no fit point no
-        # limit, and an unknown abscissa would label a fit in r as something else
+        # one batch has no stderr, an empty batch no estimate
         with pytest.raises(ParameterError, match=field):
             RatioOpts(**{field: value})
 
@@ -571,7 +569,7 @@ class TestRatioCurve:
             assert peak < bound  # a few arrays of one 1e4 or 5e3 x 100 batch
 
 
-def _one_curve(log_num, log_den, radii, opts):
+def _one_curve(log_num, log_den, radii, fit_in):
     """One ratio curve and its fit, per curve: ratios and stderrs as the
     per-curve code computed them before the fits were batched, and the fit
     by exact least squares (``exact_lstsq_intercept``).  Returns the fields
@@ -602,7 +600,7 @@ def _one_curve(log_num, log_den, radii, opts):
     ses[k] = scale * np.nanstd(rb[k] / scale[:, None], axis=1, ddof=1) / np.sqrt(count[k])
     ses = np.nan_to_num(ses)
     out, fit = {"ratios": ratios, "stderr": ses}, None
-    n_fit = min(opts.fit_points, len(radii))
+    n_fit = min(_FIT_POINTS, len(radii))
     idx = np.argsort(radii)[:n_fit]
     r, y, se = radii[idx], ratios[idx], ses[idx]
     if np.any(~np.isfinite(y)) or np.any(y <= 0):
@@ -611,7 +609,7 @@ def _one_curve(log_num, log_den, radii, opts):
                    diagnostic=("infinite-ratios-in-fit-window" if np.any(np.isposinf(y))
                                else "nonpositive-ratios-in-fit-window"))
     else:
-        x = np.sqrt(r) if opts.fit_in == "sqrt_r" else r
+        x = np.sqrt(r) if fit_in == "sqrt_r" else r
         logy, degree = np.log(y), min(n_fit, 2) - 1
         c0, se_model = exact_lstsq_intercept(x, logy, degree)
         c0 = float(c0)
@@ -656,7 +654,7 @@ def _assert_near_exact_fit(got, want, fit):
                                                        + 3 * eps * h))
 
 
-def _assert_same_curves(log_num, log_den, radii, opts):
+def _assert_same_curves(log_num, log_den, radii, fit_in):
     """``_ratio_curves`` over broadcast rows against ``_one_curve`` on each
     pair of rows: ratios, stderrs and diagnostics bit for bit, the fitted
     fields within round-off of the exact fit (``_assert_near_exact_fit``),
@@ -665,7 +663,7 @@ def _assert_same_curves(log_num, log_den, radii, opts):
     float overflow the standard error's squares in both, which is not what
     is compared here."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _ratio_curves(log_num, log_den, radii, opts)
+        got = _ratio_curves(log_num, log_den, radii, fit_in)
     n = max(len(log_num), len(log_den))
     assert got["ratios"].shape == got["stderr"].shape == (n, len(radii))
     assert all(len(v) == n for v in got.values())
@@ -673,8 +671,8 @@ def _assert_same_curves(log_num, log_den, radii, opts):
     for i in range(n):
         num, den = log_num[min(i, len(log_num) - 1)], log_den[min(i, len(log_den) - 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            want, fit = _one_curve(num, den, radii, opts)
-            alone = _ratio_curves(num[None], den[None], radii, opts)
+            want, fit = _one_curve(num, den, radii, fit_in)
+            alone = _ratio_curves(num[None], den[None], radii, fit_in)
         row = {key: value[i] for key, value in got.items()}
         assert row.pop("diagnostic") == alone.pop("diagnostic")[0] == want["diagnostic"], i
         for key, value in alone.items():
@@ -737,14 +735,13 @@ class TestRatioCurves:
     @pytest.mark.parametrize("levels,fit_in", [(8, "r"), (8, "sqrt_r"), (1, "r")])
     def test_many_over_one_and_one_over_many(self, n_batches, levels, fit_in):
         radii = radius_schedule(0.16, levels)
-        opts = RatioOpts(fit_in=fit_in)
         shared, nums, dens = _synthetic_tables(radii, n_batches, seed=levels)
         # a numerator of zero mass and a denominator of zero mass at the
         # smallest radius
         nums, dens = np.concatenate([nums, nums[:1]]), np.concatenate([dens, dens[:1]])
         nums[-1, -1] = dens[-1, -1] = -np.inf
-        many = _assert_same_curves(nums, shared, radii, opts)
-        one = _assert_same_curves(shared, dens, radii, opts)
+        many = _assert_same_curves(nums, shared, radii, fit_in)
+        one = _assert_same_curves(shared, dens, radii, fit_in)
         if levels > 1:
             assert many[:-1] == one[:-1] == [diagnostic for diagnostic, _ in _LOG_RATIO_ROWS]
         else:
@@ -752,23 +749,36 @@ class TestRatioCurves:
         assert many[-1] == "nonpositive-ratios-in-fit-window"
         assert one[-1] == "x2 outside support"
 
-    @pytest.mark.parametrize("fit_points", [1, 2, 5, 8, 12, 14])
-    def test_long_fit_window_agrees_to_the_last_bit(self, fit_points):
+    @pytest.mark.parametrize("n_points", [1, 2, 5, 8, 12, 14])
+    def test_long_fit_window_agrees_to_the_last_bit(self, n_points):
         # a BLAS solve may order its sums by the number of right-hand sides
-        # (LAPACK's did from 8 radii in the fit window); the fit calls no
-        # BLAS kernel, so every curve's fit is the one it has alone, bit
-        # for bit, at any window
-        radii = radius_schedule(0.16, 14)
-        shared = _synthetic_tables(radii, 20, seed=0)[0]
-        nums = shared + np.random.default_rng(1).normal(0.0, 0.5, (30, 14, 20))
-        _assert_same_curves(nums, shared, radii, RatioOpts(fit_points=fit_points))
+        # (LAPACK's did from 8 points); _poly_intercepts calls no BLAS
+        # kernel, so every column's fits are the ones it has alone, bit for
+        # bit, at any number of points, shared abscissae (a ratio curve's
+        # window) or each column's own with absent points (a Γ-probe path's)
+        rng = np.random.default_rng(n_points)
+        y = rng.normal(0.0, 0.5, (n_points, 30))
+        present = np.arange(n_points)[:, None] < rng.integers(1, n_points + 1, 30)
+        own = np.where(present, np.sort(rng.uniform(0.0, 1.0, (n_points, 30)), axis=0), 0.0)
+        shared = np.sort(radius_schedule(0.16, n_points))[:, None]
+        bits = lambda v: np.asarray(v, dtype=float).view(np.int64)
+        for x, mask in ((shared, np.ones((n_points, 1), bool)), (own, present)):
+            for degree in (1, 3):
+                fits, resid = _poly_intercepts(x, y, mask, degree)
+                for j in range(30):
+                    col = (slice(None), slice(j, j + 1))
+                    alone, alone_resid = _poly_intercepts(np.broadcast_to(x, y.shape)[col], y[col],
+                                                          np.broadcast_to(mask, y.shape)[col],
+                                                          degree)
+                    assert bits([f[j] for f in fits]).tolist() == bits(alone).ravel().tolist()
+                    assert bits(resid[col]).tolist() == bits(alone_resid).tolist()
 
     def test_clustered_radii_fit_to_round_off(self):
         # radii 0.2 * 1.0001^-j agree to 4 digits: a fit that does not first
         # map them onto [-1, 1] loses those digits in its intercept
         rng = np.random.default_rng(0)
         radii = 0.2 * 1.0001 ** -np.arange(10.0)
-        idx = np.argsort(radii)[:RatioOpts().fit_points]
+        idx = np.argsort(radii)[:_FIT_POINTS]
         for _ in range(40):
             mu = GaussianMeasure(np.zeros(3), SpectralOperator(rng.uniform(0.5, 2.0, 3)))
             cur = ball_ratio_curve(mu, rng.normal(0.0, 0.7, 3), np.zeros(3), radii,
@@ -790,14 +800,14 @@ class TestRatioCurves:
         table, method = _log_mass_table(mu, centers, radii, space,
                                         RatioOpts(n_samples=4_000, seed=3))
         assert method == ("series" if p == 2.0 else "closed-form")
-        many = _assert_same_curves(table[1:], table[:1], radii, RatioOpts())
-        one = _assert_same_curves(table[:1], table[1:], radii, RatioOpts())
+        many = _assert_same_curves(table[1:], table[:1], radii, "r")
+        one = _assert_same_curves(table[:1], table[1:], radii, "r")
         assert many[-1] == "nonpositive-ratios-in-fit-window"
         assert one[-1] == "x2 outside support"
 
     def test_zero_rows(self):
         radii = radius_schedule(0.16, 4)
-        fit = _ratio_curves(np.zeros((0, 4, 20)), np.zeros((1, 4, 20)), radii, RatioOpts())
+        fit = _ratio_curves(np.zeros((0, 4, 20)), np.zeros((1, 4, 20)), radii, "r")
         assert fit["ratios"].shape == fit["stderr"].shape == (0, 4)
         assert all(len(v) == 0 for v in fit.values())
 
@@ -806,8 +816,7 @@ class TestRatioCurves:
         # would overflow, their spread relative to the ratio does not
         rng = np.random.default_rng(3)
         log_num = 700.0 + rng.normal(0.0, 0.1, (1, 3, 20))
-        fit = _ratio_curves(log_num, np.zeros((1, 3, 20)), np.array([0.1, 0.05, 0.025]),
-                            RatioOpts())
+        fit = _ratio_curves(log_num, np.zeros((1, 3, 20)), np.array([0.1, 0.05, 0.025]), "r")
         ses = fit["stderr"][0]
         assert np.all(np.isfinite(ses)) and np.all(ses > 0)
         want = np.exp(700.0) * np.std(np.exp(log_num[0] - 700.0), axis=1, ddof=1) / math.sqrt(20)
@@ -816,7 +825,7 @@ class TestRatioCurves:
     def test_whole_interval_beyond_the_largest_float(self):
         # the intercept exceeds log(float max) by more than the interval's half-width
         fit = _ratio_curves(np.log([1e308, 1.5e308]).reshape(1, 2, 1), np.zeros((1, 2, 1)),
-                            np.array([0.1, 0.05]), RatioOpts())
+                            np.array([0.1, 0.05]), "r")
         limit, ci = fit["extrapolated_limit"][0], fit["ci"][0]
         assert limit == ci[0] == ci[1] == math.inf
         assert fit["diagnostic"][0] == "limit-overflow"
@@ -1230,15 +1239,15 @@ class TestDrawBudget:
                                                             seed=seed))
         _assert_same_estimate(cur, short)
 
-    @pytest.mark.parametrize("n_batches,fit_points,n_samples,seed",
-                             [(3, 5, 2000, 0), (20, 1, 2000, 0), (20, 5, 400, 0)],
+    @pytest.mark.parametrize("n_batches,levels,n_samples,seed",
+                             [(3, 10, 2000, 0), (20, 1, 2000, 0), (20, 10, 400, 0)],
                              ids=["three-batches", "one-radius-window", "unsettled"])
-    def test_short_or_unsettled_tables_draw_every_batch(self, monkeypatch, n_batches, fit_points,
+    def test_short_or_unsettled_tables_draw_every_batch(self, monkeypatch, n_batches, levels,
                                                         n_samples, seed):
         calls = _spy_tables(monkeypatch)
-        opts = RatioOpts(n_samples=n_samples, n_batches=n_batches, fit_points=fit_points,
-                         seed=seed)
-        cur = ball_ratio_curve(*_budget_case(), opts)
+        mu, x1, x2, radii, space = _budget_case()
+        opts = RatioOpts(n_samples=n_samples, n_batches=n_batches, seed=seed)
+        cur = ball_ratio_curve(mu, x1, x2, radii[-levels:], space, opts)
         (args, kwargs, table), = calls
         assert table.shape[-1] == n_batches
         assert table.tobytes() == _mc_mass_batches(*args, **kwargs).tobytes()
@@ -1257,16 +1266,16 @@ class TestDrawBudget:
         line = (-0.4 + 3.0 * radii + 0.01 * np.cos(40.0 * radii))[None, :, None]
         noise = np.random.default_rng(0).normal(0.0, 1.0, (1, 8, 4))
         den = np.zeros((1, 8, 4))
-        settled = lambda num, opts=RatioOpts(): _ratio_curves(num, den, radii, opts)["settled"]
+        settled = lambda num, den=den, radii=radii: _ratio_curves(num, den, radii, "r")["settled"]
         assert settled(line + 1e-4 * noise) == [True]
         assert settled(line + 0.1 * noise) == [False]
         assert settled(line + 0.0 * noise) == [True]
         # a fit window of one radius, an empty batch in the window, one batch
-        assert settled(line + 0.0 * noise, RatioOpts(fit_points=1)) == [False]
+        assert settled((line + 0.0 * noise)[:, -1:], den[:, -1:], radii[-1:]) == [False]
         empty = line + 1e-4 * noise
         empty[0, -1, 2] = -np.inf
         assert settled(empty) == [False]
-        assert _ratio_curves(line, den[:, :, :1], radii, RatioOpts())["settled"] == [False]
+        assert settled(line, den[:, :, :1]) == [False]
 
     def test_masses_and_verdicts_draw_every_batch(self, monkeypatch):
         draw, drawn = ommap.measures._uniform_pball, []
@@ -1281,7 +1290,7 @@ class TestDrawBudget:
         ball_ratio_curve(mu, x1, x2, radii, space, opts)
         assert len(drawn) < 20  # the curve stops early on these draws
         drawn.clear()
-        ommap.classify_mode(mu, x2, [x1], radii, space, ommap.ClassifyOpts(ratio=opts))
+        ommap.classify_mode(mu, x2, [x1], radii, space, opts)
         assert len(drawn) == 20
         drawn.clear()
         ball_mass(mu, x1, 0.1, space, opts)
@@ -1465,8 +1474,9 @@ class TestChunkedBatches:
     def test_an_unsettled_curve_draws_every_batch_in_full(self, monkeypatch):
         calls, drawn = _spy_tables(monkeypatch), _chunk_spy(monkeypatch)
         mu, x1, x2, radii, space = _budget_case()
+        radii = radii[-1:]  # a fit window of one radius never settles
         cur = ball_ratio_curve(mu, x1, x2, radii, space,
-                               RatioOpts(n_samples=100_000, n_batches=20, fit_points=1))
+                               RatioOpts(n_samples=100_000, n_batches=20))
         (_, _, table), = calls
         assert drawn == ([CHUNK] * 8 + [2 * CHUNK] * 4 + [4 * CHUNK] * 4
                          + [2_500 - 8 * CHUNK] * 4 + [2_500] * 16)

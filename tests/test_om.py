@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ommap import (BesovMeasure, ClassifyOpts, CrossesMeasure, Density1D, GaussianMeasure,
+from ommap import (BesovMeasure, CrossesMeasure, Density1D, GaussianMeasure,
                    InputError, LiminfOnlyMeasure, LinearObservation, OmFunctional,
                    OmNotStrongMeasure, Potential,
                    RatioOpts, SpectralOperator, WeightedSeqSpace,
@@ -290,7 +290,7 @@ class TestOmDifferenceCheck:
             rep = om_difference_check(
                 m, fn, np.array([1.0]), np.array([float(k)]),
                 radius_schedule(1e-8, 8, factor=4.0), None,
-                RatioOpts(fit_in="sqrt_r"), abs_tol=1e-2)
+                RatioOpts(), abs_tol=1e-2)
             assert rep.expected == pytest.approx(float(k * k))
             assert rep.verdict == "pass"
 
@@ -393,7 +393,7 @@ class TestClassifyMode:
 
     def test_oscillation_breaks_weak_mode(self):
         m = LiminfOnlyMeasure(depth=40)
-        radii = np.array([m.eps_radius(n) for n in range(1, 13)])
+        radii = np.array([2.0 * m.delta_radius(n) for n in range(1, 13)])
         res = classify_mode(m, np.array([1.0]), [np.array([-1.0])], radii)
         assert res.global_weak == "no"
         assert res.weak_worst_ratio == pytest.approx(2.0, rel=1e-12)
@@ -462,7 +462,7 @@ class TestSupremumPaths:
 
         monkeypatch.setattr(measures, "_mc_mass_batches", spy)
         mu = GaussianMeasure(np.array([0.3, -0.2]), SpectralOperator(np.array([1.0, 0.5])))
-        opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=4, method="mc"))
+        opts = RatioOpts(n_samples=2000, n_batches=4, seed=4, method="mc")
         res = classify_mode(mu, mu.mean, [], radius_schedule(0.5, 6), None, opts)
         assert len(mc_calls) == 1  # one table: no separate mass for the mean
         assert np.all(res.strong_ratio_stderr > 0)  # the masses are estimates
@@ -507,7 +507,7 @@ class TestSupremumPaths:
         mu = GaussianMeasure(np.zeros(2), SpectralOperator(np.array([1.0, 0.25]), basis))
         sp = WeightedSeqSpace.unweighted(0.5, 2)
         assert sup_ball_mass(mu, 0.1, sp) is None
-        opts = ClassifyOpts(ratio=RatioOpts(n_samples=2000, n_batches=4, seed=seed))
+        opts = RatioOpts(n_samples=2000, n_batches=4, seed=seed)
         res = classify_mode(mu, mu.mean, [np.array([0.3, 0.0])], radius_schedule(0.2, 4),
                             sp, opts)
         assert res.strong == "yes"
@@ -528,26 +528,26 @@ class _CountedOmNotStrong(OmNotStrongMeasure):
 
 def _liminf_case():
     m = LiminfOnlyMeasure(depth=40)
-    radii = np.array([m.eps_radius(n) for n in range(1, 13)])
-    return m, np.array([1.0]), [np.array([-1.0])], radii, ClassifyOpts()
+    radii = np.array([2.0 * m.delta_radius(n) for n in range(1, 13)])
+    return m, np.array([1.0]), [np.array([-1.0])], radii, RatioOpts()
 
 
 def _crosses_case(norm_choice):
     return (CrossesMeasure(norm_choice), np.array([1.0, 0.0]),
             [np.array([-1.0, 0.0]), np.array([1.5, 0.0])], radius_schedule(0.2, 4),
-            ClassifyOpts())
+            RatioOpts())
 
 
 #: exact measures: (measure, candidate, competitors, radii, opts)
 EXACT_CASES = {
     "gaussian-1d": lambda: (std_gaussian(1), np.zeros(1),
                             [np.array([x]) for x in (-1.0, -0.3, 0.0, 0.4, 1.2)],
-                            radius_schedule(0.5, 8), ClassifyOpts()),
+                            radius_schedule(0.5, 8), RatioOpts()),
     "liminf-only": _liminf_case,
     "om-not-strong": lambda: (OmNotStrongMeasure(levels=6), np.array([1.0]),
                               [np.array([float(k)]) for k in (1, 2, 3, 5)],
                               radius_schedule(1e-8, 8, factor=4.0),
-                              ClassifyOpts(ratio=RatioOpts(fit_in="sqrt_r"))),
+                              RatioOpts()),
     "crosses-1": lambda: _crosses_case("1"),
     "crosses-inf": lambda: _crosses_case("inf"),
 }
@@ -593,12 +593,12 @@ class TestMassTable:
     def test_ball_ratio_curve_stays_the_reference(self, case):
         measure, cand, comps, radii, opts = EXACT_CASES[case]()
         res = classify_mode(measure, cand, comps, radii, None, opts)
-        n_fit = min(opts.ratio.fit_points, len(radii))
+        n_fit = min(measures._FIT_POINTS, len(radii))
         worst = 0.0
         for w in comps:
             if np.array_equal(w, cand):
                 continue
-            curve = ball_ratio_curve(measure, w, cand, radii, None, opts.ratio)
+            curve = ball_ratio_curve(measure, w, cand, radii, None, opts)
             window = curve.ratios[-n_fit:]
             limit = curve.extrapolated_limit
             worst = max(worst, float(np.max(window[np.isfinite(window)], initial=0.0)),

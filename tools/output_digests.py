@@ -204,7 +204,13 @@ EXTRA_CONFIGS = (
         "measure": {"type": "density1d", "name": "liminf_only", "params": {"depth": 40}},
         "x1": [-1.0], "x2": [1.0],
         "radii": [float(r) for n in range(1, 9)
-                  for r in (_LIMINF.eps_radius(n), _LIMINF.delta_radius(n))]}),
+                  for r in (2.0 * _LIMINF.delta_radius(n), _LIMINF.delta_radius(n))]}),
+    # the spike counterexample's masses go like sqrt(r) about the integers,
+    # so its curve fits against sqrt(r): mu(B(1)) / mu(B(2)) tends to 4
+    ("ball_ratio.om_not_strong", {
+        "kind": "ball_ratio", "seed": 0,
+        "measure": {"type": "density1d", "name": "om_not_strong"}, "x1": [1.0], "x2": [2.0],
+        "schedule": {"r0": 1e-8, "levels": 8, "factor": 4.0}}),
     ("counterexample.crosses", {"kind": "counterexample", "seed": 0, "name": "crosses"}),
     ("counterexample.liminf_only", {"kind": "counterexample", "seed": 0,
                                     "name": "liminf_only", "params": {"n_max": 8}}),
@@ -223,8 +229,8 @@ _MAP_SOLVE = {"kind": "map_solve", "seed": 0, "prior": {**_BESOV, "dim": 1},
 
 #: (label, config) of configs the CLI must refuse with exit code 2: one bad
 #: value inside each $defs entry a branch refers to, an unknown kind, a
-#: config that is not a JSON object, a NaN constant, a negative seed and an
-#: empty schedule
+#: config that is not a JSON object, a NaN constant, a negative seed, an
+#: empty schedule and the removed fit and classify knobs
 INVALID_CONFIGS = (
     ("vector.item_string", {**_BALL_RATIO, "x1": [0.5, "a"]}),
     ("vectors.item_number", {"kind": "classify_mode", "measure": _BALL_RATIO["measure"],
@@ -242,6 +248,12 @@ INVALID_CONFIGS = (
     ("seed.negative", {**_MAP_SOLVE, "seed": -3}),
     ("n_list.empty", {"kind": "small_noise", "seed": 0, "prior": _MAP_SOLVE["prior"],
                       "observation": _MAP_SOLVE["observation"], "n_list": []}),
+    ("mc.removed_fit_in", {**_BALL_RATIO, "mc": {"fit_in": "sqrt_r"}}),
+    ("mc.removed_fit_points", {**_BALL_RATIO, "mc": {"fit_points": 3}}),
+    ("classify_mode.removed_tolerances", {"kind": "classify_mode",
+                                          "measure": _BALL_RATIO["measure"], "candidate": [0.0],
+                                          "competitors": [[0.5]],
+                                          "tolerances": {"strong_tol": 0.1}}),
 )
 
 
